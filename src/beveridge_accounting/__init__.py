@@ -28,8 +28,8 @@ from .flows_two_state import (ProbabilityRangeWarning, TwoStatePanel,
 from .matching import (DEFAULT_ALPHA, MatchingEstimate, estimate_matching,
                        matching_efficiency_path, searcher_finding_rate,
                        three_state_tightness, two_state_tightness)
-from .series import (MonthDate, MonthlySeries, delta, delta_log, interpolate_at,
-                     moving_average, normalize_shares, require_aligned, splice)
+from .series import (MonthDate, MonthlySeries, delta, delta_log, moving_average,
+                     normalize_shares, require_aligned)
 from .shift_decomposition import (AllPairsInfeasibleError, CounterfactualSpec,
                                   MARGIN_DYNAMICS, MARGIN_MATCHING,
                                   MARGIN_SEPARATIONS, MARGINS, OrderingRow,

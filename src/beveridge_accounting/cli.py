@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvio import SchemaError, format_value, read_panel, require_columns
+from .csvio import (SchemaError, _json_safe, read_panel, require_columns, write_panel,
+                    write_table)
 from .curve import (ApproximationPoint, ThreeStateApproximationPoint,
                     normalize_to_reference, shifter_paths, loglinear_vacancies,
                     three_state_loglinear)
@@ -120,14 +120,18 @@ def _read_columns(config: RunConfig, *names: str) -> dict[str, MonthlySeries]:
     return {name: _smooth(panel[name], config) for name in names}
 
 
+def _require_coverage(grid: MonthlySeries, what: str, *months: MonthDate) -> None:
+    """ConfigError unless the data cover every month of a configured range."""
+    if not all(grid.covers(m) for m in months):
+        raise ConfigError(f"{what} outside data coverage [{grid.start}, {grid.end}]")
+
+
 def _resolve_approx_window(config: RunConfig,
                            grid: MonthlySeries) -> tuple[MonthDate, MonthDate]:
     """Default expansion window: the post-2007 months, else the full sample."""
     if config.approx_window is not None:
         lo, hi = config.approx_window
-        if not (grid.covers(lo) and grid.covers(hi)):
-            raise ConfigError(f"approximation window [{lo}, {hi}] outside data "
-                              f"coverage [{grid.start}, {grid.end}]")
+        _require_coverage(grid, f"approximation window [{lo}, {hi}]", lo, hi)
         return lo, hi
     post = MonthDate(2008, 1)
     if grid.covers(post):
@@ -149,31 +153,10 @@ def _positive_finding_rate(f: MonthlySeries) -> tuple[MonthlySeries, int]:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _json_safe(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    if isinstance(x, (np.floating, np.integer)):
-        return _json_safe(x.item())
-    return x
-
-
-def _write_table(config: RunConfig, name: str, header: list[str],
-                 rows: list[list], outputs: dict) -> None:
+def _output_path(config: RunConfig, name: str) -> Path:
+    """Path of the named data file in the configured format."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    if config.fmt == "csv":
-        import csv as _csv
-        path = config.output_dir / f"{name}.csv"
-        with path.open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([c if isinstance(c, str) else format_value(float(c))
-                                 for c in row])
-    else:
-        path = config.output_dir / f"{name}.json"
-        records = [{h: _json_safe(c) for h, c in zip(header, row)} for row in rows]
-        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    outputs[path.name] = len(rows)
+    return config.output_dir / f"{name}.{config.fmt}"
 
 
 def _write_manifest(config: RunConfig, command: str, settings: dict,
@@ -263,9 +246,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         else:
             windows = [(panel.U.start, panel.U.end)]
     for lo, hi in windows:
-        if not (panel.U.covers(lo) and panel.U.covers(hi)):
-            raise ConfigError(f"sample [{lo}, {hi}] outside data coverage "
-                              f"[{panel.U.start}, {panel.U.end}]")
+        _require_coverage(panel.U, f"sample [{lo}, {hi}]", lo, hi)
 
     header = ["sample_start", "sample_end", "ln_sigma_bar", "se_ln_sigma",
               "stars_ln_sigma", "alpha", "se_alpha", "stars_alpha",
@@ -280,8 +261,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                      stars[1], est.sigma_bar, est.r_squared, float(est.n_obs)])
         reports.append(est.to_dict())
 
-    outputs: dict = {}
-    _write_table(config, "matching_estimates", header, rows, outputs)
+    path = _output_path(config, "matching_estimates")
+    outputs = {path.name: write_table(path, header, rows)}
     report_path = config.output_dir / "matching_estimates_report.json"
     report_path.write_text(json.dumps([{k: _json_safe(v) for k, v in r.items()}
                                        for r in reports],
@@ -309,8 +290,8 @@ def cmd_shifters(args: argparse.Namespace) -> int:
         rows.append([str(month), panel.U.values[t], log_v[t], loglin.values[t],
                      paths.dynamics.values[t], paths.separations.values[t],
                      paths.matching.values[t], paths.net.values[t]])
-    outputs: dict = {}
-    _write_table(config, "shifters", header, rows, outputs)
+    path = _output_path(config, "shifters")
+    outputs = {path.name: write_table(path, header, rows)}
     _write_manifest(config, "shifters", _settings(args), outputs, notes)
     return EXIT_OK
 
@@ -323,6 +304,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
     bounds = SwingBounds(down_start=args.down_start, down_end=args.down_end,
                          up_start=args.up_start, up_end=args.up_end)
+    for m in (bounds.down_start, bounds.down_end, bounds.up_start, bounds.up_end):
+        if m is not None:
+            _require_coverage(panel.U, f"swing bound {m}", m)
     samples = build_swing_samples(panel.U, panel.V, bounds)
     loglin = loglinear_shift_decomposition(samples, point, panel.U, panel.s, sigma)
     table = all_orderings_report(panel.U, panel.V, panel.s, sigma, samples, point)
@@ -333,18 +317,20 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     for k, month in enumerate(loglin.months):
         rows.append([str(month), loglin.u[k], loglin.observed[k], loglin.total[k],
                      loglin.dynamics[k], loglin.separations[k], loglin.matching[k]])
-    outputs: dict = {}
-    _write_table(config, "vertical_shift_loglinear", header, rows, outputs)
+    path = _output_path(config, "vertical_shift_loglinear")
+    outputs = {path.name: write_table(path, header, rows)}
 
     header2 = ["ordering", "dynamics_pct", "separations_pct", "matching_pct"]
     rows2 = [[" -> ".join(r.ordering), r.dynamics_pct, r.separations_pct,
               r.matching_pct] for r in table.rows]
-    _write_table(config, "orderings", header2, rows2, outputs)
+    path = _output_path(config, "orderings")
+    outputs[path.name] = write_table(path, header2, rows2)
 
     notes.update({
         "dropped_months": [str(m) for m in table.dropped_months],
         "n_pairs": table.n_pairs,
-        "average_observed_shift_log_points": table.average_observed_shift,
+        # vacancy-rate units: the nonlinear decomposition works in levels
+        "average_observed_shift_level": table.average_observed_shift,
     })
     _write_manifest(config, "decompose", _settings(args), outputs, notes)
     return EXIT_OK
@@ -388,8 +374,8 @@ def cmd_three_state(args: argparse.Namespace) -> int:
                      terms["searcher_level"].values[t]]
                     + [terms[name].values[t] for name in shifter_names]
                     + [net[t]])
-    outputs: dict = {}
-    _write_table(config, "three_state_shifters", header, rows, outputs)
+    path = _output_path(config, "three_state_shifters")
+    outputs = {path.name: write_table(path, header, rows)}
     _write_manifest(config, "three-state", _settings(args), outputs, notes)
     return EXIT_OK
 
@@ -415,15 +401,14 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     for t, month in enumerate(u.months()):
         rows.append([str(month), u.values[t], u_star_ms.values[t],
                      u_star_steep.values[t], gap_ms.values[t], gap_steep.values[t]])
-    outputs: dict = {}
-    _write_table(config, "efficiency", header, rows, outputs)
+    path = _output_path(config, "efficiency")
+    outputs = {path.name: write_table(path, header, rows)}
     _write_manifest(config, "efficiency", _settings(args), outputs, {})
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    outputs: dict = {}
     if args.three_state:
         rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
                  "ne": 0.04, "nu": 0.02}
@@ -434,8 +419,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         columns = {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
                    "n_stock": sim.panel.N, "v_rate": sim.V,
                    **sim.panel.rates()}
-        rows = _panel_rows(columns)
-        _write_table(config, "panel", ["date", *columns.keys()], rows, outputs)
     else:
         spec = SimulationSpec(
             alpha=args.alpha, u0=args.u0, horizon=args.horizon,
@@ -445,8 +428,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sim = simulate_two_state(spec)
         columns = {"u_rate": sim.panel.U, "v_rate": sim.panel.V,
                    "u_short": sim.panel.U_short}
-        rows = _panel_rows(columns)
-        _write_table(config, "panel", ["date", *columns.keys()], rows, outputs)
+    path = _output_path(config, "panel")
+    outputs = {path.name: write_panel(path, columns)}
     _write_manifest(config, "simulate", _settings(args), outputs, {})
     return EXIT_OK
 
@@ -465,14 +448,6 @@ def _delta_u_path(args: argparse.Namespace) -> np.ndarray | None:
         return None
     t = np.arange(args.horizon - 1)
     return args.du_amplitude * np.sin(2.0 * np.pi * t / args.du_period)
-
-
-def _panel_rows(columns: dict[str, MonthlySeries]) -> list[list]:
-    months = next(iter(columns.values())).months()
-    rows = []
-    for t, month in enumerate(months):
-        rows.append([str(month)] + [series.values[t] for series in columns.values()])
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""CSV ingestion and emission for monthly panels.
+"""CSV ingestion for monthly panels, and flat-file emission (CSV or JSON).
 
 Schema: one row per month, a `date` column in YYYY-MM form, then named value
 columns.  Missing cells are empty.  Rows must be contiguous ascending months;
@@ -8,8 +8,10 @@ every downstream module consumes the :class:`MonthlySeries` built here.
 from __future__ import annotations
 
 import csv
+import json
+import math
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -84,16 +86,44 @@ def format_value(x: float) -> str:
     return repr(float(x))
 
 
+def _json_safe(x):
+    """A JSON-ready scalar: NaN becomes null, numpy scalars Python ones."""
+    if isinstance(x, float) and math.isnan(x):
+        return None
+    if isinstance(x, (np.floating, np.integer)):
+        return _json_safe(x.item())
+    return x
+
+
+def write_table(path: str | Path, header: Sequence[str],
+                rows: Sequence[Sequence]) -> int:
+    """Write rows under `header`; returns the number of rows.
+
+    A path ending in ``.json`` gets a list of records (missing values as
+    null), any other path CSV: strings as given, numbers through
+    :func:`format_value` (missing values as empty cells).
+    """
+    path = Path(path)
+    if path.suffix == ".json":
+        records = [{h: _json_safe(c) for h, c in zip(header, row)} for row in rows]
+        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+        return len(records)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else format_value(c) for c in row])
+    return len(rows)
+
+
 def write_panel(path: str | Path, columns: Mapping[str, MonthlySeries]) -> int:
-    """Write aligned series as a panel CSV; returns the number of data rows."""
+    """Write aligned series as a panel in the schema above (JSON for a
+    ``.json`` path); returns the number of data rows."""
     series = list(columns.values())
     if not series:
         raise ValueError("nothing to write")
     require_aligned(*series)
-    months = series[0].months()
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *columns.keys()])
-        for t, month in enumerate(months):
-            writer.writerow([str(month)] + [format_value(s.values[t]) for s in series])
-    return len(months)
+    values = [s.values for s in series]
+    rows = [[str(month)] + [v[t] for v in values]
+            for t, month in enumerate(series[0].months())]
+    return write_table(path, ["date", *columns], rows)

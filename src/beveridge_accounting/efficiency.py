@@ -33,31 +33,19 @@ MS_ELASTICITY = 0.9
 STEEP_ELASTICITY = 2.33
 
 
-def _sufficient_statistic_u_star(u: np.ndarray, v: np.ndarray,
-                                 eps: float, cost_ratio: float) -> np.ndarray:
-    return (eps * cost_ratio * v * u ** eps) ** (1.0 / (1.0 + eps))
-
-
-FORMULAS = {"beveridge_foc": _sufficient_statistic_u_star}
-
-
 @dataclass(frozen=True)
 class EfficiencyCalibration:
-    """Beveridge elasticity, social costs, and the plug-in formula name."""
+    """Beveridge elasticity and the social costs of vacancies and unemployment."""
 
     beveridge_elasticity: float
     vacancy_cost: float = MS_VACANCY_COST
     unemployment_cost: float = MS_UNEMPLOYMENT_COST
-    formula: str = "beveridge_foc"
 
     def __post_init__(self) -> None:
         if self.beveridge_elasticity <= 0.0:
             raise ValueError("beveridge_elasticity must be positive")
         if self.vacancy_cost <= 0.0 or self.unemployment_cost <= 0.0:
             raise ValueError("costs must be positive")
-        if self.formula not in FORMULAS:
-            raise ValueError(f"unknown formula {self.formula!r}; "
-                             f"known: {sorted(FORMULAS)}")
 
 
 def ms_calibration() -> EfficiencyCalibration:
@@ -73,16 +61,15 @@ def steep_calibration() -> EfficiencyCalibration:
 
 def efficient_unemployment(u: MonthlySeries, v: MonthlySeries,
                            cal: EfficiencyCalibration) -> MonthlySeries:
-    """Per-month efficient unemployment rate u*."""
+    """Per-month efficient unemployment rate u* (the formula above)."""
     require_aligned(u, v)
     uu, vv = u.values, v.values
     defined = ~np.isnan(uu) & ~np.isnan(vv)
     if ((uu[defined] <= 0.0) | (vv[defined] <= 0.0)).any():
         raise ValueError("unemployment and vacancy rates must be positive")
-    formula = FORMULAS[cal.formula]
+    eps, cost_ratio = cal.beveridge_elasticity, cal.vacancy_cost / cal.unemployment_cost
     with np.errstate(invalid="ignore"):
-        out = formula(uu, vv, cal.beveridge_elasticity,
-                      cal.vacancy_cost / cal.unemployment_cost)
+        out = (eps * cost_ratio * vv * uu ** eps) ** (1.0 / (1.0 + eps))
     return u.with_values(out)
 
 

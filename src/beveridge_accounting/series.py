@@ -173,60 +173,6 @@ def first_bracket(x: Sequence[float], x0: float) -> tuple[int, float] | None:
     return None
 
 
-def interpolate_at(x: Sequence[float], y: Sequence[float], x0: float) -> float:
-    """Piecewise-linear interpolation using the first bracketing pair in list order.
-
-    x need not be globally monotone; the first pair (in temporal order) whose
-    range contains x0 wins.  x0 outside [min(x), max(x)] is refused; a gap of
-    missing values containing x0 yields NaN.
-    """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if len(xs) == 0:
-        raise ValueError("empty input")
-    if len(xs) != len(ys):
-        raise ValueError("x and y must have equal length")
-    hit = first_bracket(xs, x0)
-    if hit is not None:
-        i, lam = hit
-        if lam == 0.0:
-            return float(ys[i])
-        return float(ys[i] + lam * (ys[i + 1] - ys[i]))
-    if np.isnan(xs).all() or not np.nanmin(xs) <= x0 <= np.nanmax(xs):
-        raise ValueError(f"extrapolation refused: {x0} outside sample range")
-    return float("nan")
-
-
-def splice(base: MonthlySeries, extension: MonthlySeries,
-           splice_month: MonthDate) -> MonthlySeries:
-    """Continue `base` with `extension` rescaled to match it at `splice_month`.
-
-    Output equals base strictly before the splice month and the rescaled
-    extension from the splice month onward, so the result is continuous at
-    the splice point.  Coverage runs from base.start to the later of the two
-    series' ends; months the source does not cover are missing.
-    """
-    if not (base.covers(splice_month) and extension.covers(splice_month)):
-        raise ValueError(f"both series must be defined at splice month {splice_month}")
-    b0, e0 = base.at(splice_month), extension.at(splice_month)
-    if np.isnan(b0) or np.isnan(e0):
-        raise ValueError(f"missing value at splice month {splice_month}")
-    if e0 == 0.0:
-        raise ValueError("degenerate splice ratio")
-    ratio = b0 / e0
-
-    last = max(base.end, extension.end)
-    n = base.start.months_until(last) + 1
-    out = np.full(n, np.nan)
-    split = base.start.months_until(splice_month)
-    nb = min(split, len(base))
-    out[:nb] = base.values[:nb]
-    ei = extension.start.months_until(splice_month)
-    tail = len(extension) - ei
-    out[split:split + tail] = ratio * extension.values[ei:]
-    return MonthlySeries(base.start, out)
-
-
 def normalize_shares(stocks: Sequence[MonthlySeries]) -> list[MonthlySeries]:
     """Divide each stock by the per-month total so shares sum to one.
 

@@ -29,7 +29,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .curve import (ApproximationPoint, dynamics_coefficient, matching_coefficient,
-                    separations_coefficient, _vacancy_identity)
+                    separations_coefficient, _vacancy_identity, _warn_infeasible)
 from .series import (MonthDate, MonthlySeries, delta, delta_log, first_bracket,
                      require_aligned)
 
@@ -320,16 +320,9 @@ def counterfactual_vacancies(U: MonthlySeries, s: MonthlySeries,
     s_used = np.full(n, spec.s_bar) if MARGIN_SEPARATIONS in held else s.values
     sig_used = np.full(n, spec.sigma_bar) if MARGIN_MATCHING in held else sigma.values
     du = np.zeros(n) if MARGIN_DYNAMICS in held else delta(U).values
-    out = _vacancy_identity(U.values, s_used, du, sig_used, spec.alpha)
+    out = _vacancy_identity(U.values, 0.0, s_used, du, 0.0, sig_used, spec.alpha)
     if warn:
-        inputs_ok = ~np.isnan(U.values) & ~np.isnan(s_used) & ~np.isnan(sig_used) \
-            & ~np.isnan(du)
-        infeasible = inputs_ok & np.isnan(out)
-        if infeasible.any():
-            months = ", ".join(str(U.start.shift(int(t)))
-                               for t in np.flatnonzero(infeasible))
-            warnings.warn(f"infeasible counterfactual (nonpositive numerator) "
-                          f"at {months}", UserWarning, stacklevel=2)
+        _warn_infeasible(U.start, out, U.values, s_used, du, sig_used)
     return U.with_values(out)
 
 
@@ -380,11 +373,6 @@ def _ordering_from_shifts(shifts: dict[frozenset, np.ndarray],
     )
 
 
-def _feasibility_mask(shifts: dict[frozenset, np.ndarray]) -> np.ndarray:
-    stacked = np.vstack(list(shifts.values()))
-    return ~np.isnan(stacked).any(axis=0)
-
-
 def _observed_level_shift(samples: SwingSamples) -> np.ndarray:
     interp = _interp_at_pairs(samples.up_v, samples.pair_left, samples.pair_lam)
     return interp - samples.down_v
@@ -397,7 +385,26 @@ def _check_identity(shifts: dict[frozenset, np.ndarray], samples: SwingSamples,
         warnings.warn(
             f"observed vacancies deviate from the vacancy identity by up to "
             f"{gap.max():.2e}; contributions telescope to the identity-implied "
-            "shift", IdentityMismatchWarning, stacklevel=3)
+            "shift", IdentityMismatchWarning, stacklevel=4)
+
+
+def _feasible_shifts(U: MonthlySeries, V: MonthlySeries, s: MonthlySeries,
+                     sigma: MonthlySeries, samples: SwingSamples,
+                     point: ApproximationPoint) -> tuple[dict, np.ndarray]:
+    """Subset shifts and the mask of pairs feasible in every counterfactual.
+
+    Raises AllPairsInfeasibleError when no pair is; warns when observed
+    vacancies depart from the identity on the feasible pairs.
+    """
+    require_aligned(U, V, s, sigma)
+    samples._check_grid(U)
+    shifts = _subset_shifts(U, s, sigma, samples, point)
+    mask = ~np.isnan(np.vstack(list(shifts.values()))).any(axis=0)
+    if not mask.any():
+        raise AllPairsInfeasibleError(
+            "all matched pairs infeasible under some counterfactual")
+    _check_identity(shifts, samples, mask)
+    return shifts, mask
 
 
 def nonlinear_ordering_decomposition(
@@ -416,14 +423,7 @@ def nonlinear_ordering_decomposition(
     if sorted(ordering) != sorted(MARGINS):
         raise ValueError(f"ordering must be a permutation of {MARGINS}, "
                          f"got {ordering}")
-    require_aligned(U, V, s, sigma)
-    samples._check_grid(U)
-    shifts = _subset_shifts(U, s, sigma, samples, point)
-    mask = _feasibility_mask(shifts)
-    if not mask.any():
-        raise AllPairsInfeasibleError(
-            "all matched pairs infeasible under some counterfactual")
-    _check_identity(shifts, samples, mask)
+    shifts, mask = _feasible_shifts(U, V, s, sigma, samples, point)
     return _ordering_from_shifts(shifts, mask, samples, tuple(ordering))
 
 
@@ -450,14 +450,7 @@ def all_orderings_report(
     samples: SwingSamples, point: ApproximationPoint,
 ) -> OrderingTable:
     """Run the nonlinear decomposition for every ordering of the margins."""
-    require_aligned(U, V, s, sigma)
-    samples._check_grid(U)
-    shifts = _subset_shifts(U, s, sigma, samples, point)
-    mask = _feasibility_mask(shifts)
-    if not mask.any():
-        raise AllPairsInfeasibleError(
-            "all matched pairs infeasible under some counterfactual")
-    _check_identity(shifts, samples, mask)
+    shifts, mask = _feasible_shifts(U, V, s, sigma, samples, point)
     rows = []
     for ordering in permutations(MARGINS):
         dec = _ordering_from_shifts(shifts, mask, samples, ordering)

@@ -110,7 +110,7 @@ def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
                 raise ValueError(f"unemployment left (0, 1) at "
                                  f"{spec.start.shift(t + 1)}: {u[t + 1]!r}")
         du_next = np.append(du, 0.0)  # last month: steady-state continuation
-        v = _vacancy_identity(u, s, du_next, sigma, spec.alpha)
+        v = _vacancy_identity(u, 0.0, s, du_next, 0.0, sigma, spec.alpha)
         if np.isnan(v).any():
             t = int(np.flatnonzero(np.isnan(v))[0])
             raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
@@ -196,13 +196,11 @@ def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation
 
     S, Nt, x = panel.S.values, panel.N_tilde.values, panel.x.values
     v = np.full(n, np.nan)
-    numerator = (1.0 - S[:-1] - Nt[:-1]) * x[:-1] \
-        - (S[1:] - S[:-1]) - (Nt[1:] - Nt[:-1])
-    if (numerator <= 0.0).any():
-        t = int(np.flatnonzero(numerator <= 0.0)[0])
+    v[:-1] = _vacancy_identity(S[:-1], Nt[:-1], x[:-1], S[1:] - S[:-1],
+                               Nt[1:] - Nt[:-1], sigma[:-1], spec.alpha)
+    if np.isnan(v[:-1]).any():
+        t = int(np.flatnonzero(np.isnan(v[:-1]))[0])
         raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
                          "hires implied by the flows are nonpositive")
-    v[:-1] = (numerator / (sigma[:-1] * S[:-1] ** (1.0 - spec.alpha))) \
-        ** (1.0 / spec.alpha)
     return ThreeStateSimulation(panel=panel, V=mk(v), sigma_true=mk(sigma),
                                 alpha=spec.alpha)

@@ -99,6 +99,17 @@ class TestEstimateCommand:
                     "--sample", "1990-01:1995-12"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--down-start", "--down-end", "--up-start",
+                                      "--up-end"])
+    def test_swing_bound_outside_coverage_is_config_error(self, tmp_path,
+                                                          recession_sim, flag,
+                                                          capsys):
+        data = write_recession_csv(tmp_path, recession_sim)  # 2000-01..2014-12
+        code = run(["decompose", "--input", data, "--output-dir", tmp_path / "x",
+                    flag, "2020-01"])
+        assert code == 2
+        assert "swing bound 2020-01 outside data coverage" in capsys.readouterr().err
+
     def test_missing_column_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,u_rate\n2000-01,0.05\n2000-02,0.05\n")
@@ -165,6 +176,32 @@ class TestDecomposeCommand:
                 "dynamics", "separations", "matching"} == set(per_u[0])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["notes"]["n_pairs"] == len(per_u)
+
+    def test_manifest_average_shift_is_in_levels(self, tmp_path, recession_sim):
+        data = write_recession_csv(tmp_path, recession_sim)
+        out = tmp_path / "dec"
+        assert run(["decompose", "--input", data, "--output-dir", out,
+                    "--down-start", "2007-07", "--down-end", "2009-06",
+                    "--up-start", "2010-01"]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert "average_observed_shift_log_points" not in notes
+
+        # the observed vacancy-rate shift, upswing minus downswing, at each
+        # matched pair the run kept
+        panel = recession_sim.panel
+        bounds = ba.SwingBounds(down_start=ba.MonthDate(2007, 7),
+                                down_end=ba.MonthDate(2009, 6),
+                                up_start=ba.MonthDate(2010, 1))
+        samples = ba.build_swing_samples(panel.U, panel.V, bounds)
+        left, lam = samples.pair_left, samples.pair_lam
+        right = np.minimum(left + 1, len(samples.up_v) - 1)
+        up = samples.up_v[left] + lam * (samples.up_v[right] - samples.up_v[left])
+        dropped = set(notes["dropped_months"])
+        kept = np.array([str(m) not in dropped for m in samples.down_months])
+        assert kept.sum() == notes["n_pairs"] > 0
+        want = float(np.mean((up - samples.down_v)[kept]))
+        assert notes["average_observed_shift_level"] == pytest.approx(want,
+                                                                      rel=1e-12)
 
     def test_single_margin_fixture_gets_full_attribution(self, tmp_path):
         n = 40

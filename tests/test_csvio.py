@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,20 @@ def test_roundtrip_with_missing(tmp_path):
                                       np.isnan(cols[name].values))
         ok = ~np.isnan(cols[name].values)
         np.testing.assert_array_equal(back[name].values[ok], cols[name].values[ok])
+
+
+def test_json_panel_is_records_with_null_for_missing(tmp_path):
+    path = tmp_path / "panel.json"
+    cols = {
+        "u_rate": MonthlySeries(MonthDate(2000, 1), [0.05, np.nan, 0.061]),
+        "v_rate": MonthlySeries(MonthDate(2000, 1), [0.03, 0.031, np.nan]),
+    }
+    assert write_panel(path, cols) == 3
+    assert json.loads(path.read_text()) == [
+        {"date": "2000-01", "u_rate": 0.05, "v_rate": 0.03},
+        {"date": "2000-02", "u_rate": None, "v_rate": 0.031},
+        {"date": "2000-03", "u_rate": 0.061, "v_rate": None},
+    ]
 
 
 def test_non_contiguous_rejected(tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (ApproximationPoint, MonthDate, MonthlySeries,
                                   ThreeStateApproximationPoint, ThreeStatePanel,
@@ -17,6 +20,18 @@ from beveridge_accounting.curve import (InfeasibleMonthWarning,
 
 START = MonthDate(2000, 1)
 POINT = ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.359, alpha=0.3)
+
+
+@st.composite
+def two_state_worlds(draw):
+    """(U path, constant s, sigma path, alpha): U wanders by up to 2% a
+    month from a level in [2%, 15%]."""
+    n = draw(st.integers(3, 40))
+    steps = draw(arrays(float, n - 1, elements=st.floats(-0.02, 0.02)))
+    u = draw(st.floats(0.02, 0.15)) * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    s = draw(st.floats(0.005, 0.1))
+    sigma = draw(arrays(float, n, elements=st.floats(0.1, 2.0)))
+    return u, s, sigma, draw(st.floats(0.1, 0.9))
 
 
 def series(values):
@@ -359,31 +374,35 @@ class TestThreeState:
         gap = np.abs(approx.values[:-1] - np.log(exact.values[:-1]))
         assert gap.max() < 1e-3
 
-    def test_reduction_to_two_state(self):
-        # no nonemployment at all: both pipelines must agree to 1e-12
-        n = 40
-        rng = np.random.default_rng(12)
-        u = 0.06 * np.exp(np.cumsum(rng.uniform(-1, 1, n)) * 1e-3)
-        s_path = np.full(n, 0.02)
-        panel = ThreeStatePanel(
-            E=series(1.0 - u), U=series(u), N=series(np.zeros(n)),
-            eu=series(s_path), en=series(np.zeros(n)), ue=series(np.full(n, 0.25)),
-            un=series(np.zeros(n)), ne=series(np.zeros(n)),
-            nu=series(np.zeros(n)))
-        panel = derive_aggregates(panel)
-        sigma = series(np.full(n, 0.36))
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(two_state_worlds())
+    def test_reduction_to_two_state(self, world):
+        # no nonemployment at all (N = 0, so S = U and x = s): both models
+        # agree, exactly and log-linearly, to 1e-12; infeasible months are
+        # missing in both
+        u, s, sigma_path, alpha = world
+        n = len(u)
+        zeros = series(np.zeros(n))
+        panel = derive_aggregates(ThreeStatePanel(
+            E=series(1.0 - u), U=series(u), N=zeros, eu=series(np.full(n, s)),
+            en=zeros, ue=series(np.full(n, 0.25)), un=zeros, ne=zeros, nu=zeros))
+        sigma = series(sigma_path)
 
-        exact3 = three_state_exact_vacancies(panel, 0.3, sigma, warn=False)
-        exact2 = exact_vacancies(series(u), series(s_path), sigma, 0.3, warn=False)
-        np.testing.assert_allclose(exact3.values[:-1], exact2.values[:-1],
-                                   rtol=1e-12)
+        exact3 = three_state_exact_vacancies(panel, alpha, sigma, warn=False)
+        exact2 = exact_vacancies(series(u), series(np.full(n, s)), sigma, alpha,
+                                 warn=False)
+        np.testing.assert_allclose(exact3.values, exact2.values, rtol=1e-12)
 
-        p3 = ThreeStateApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02,
-                                          sigma_0=0.36, alpha=0.3)
-        p2 = ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36, alpha=0.3)
+        u_bar, sigma_bar = float(u.mean()), float(sigma_path.mean())
+        p3 = ThreeStateApproximationPoint(S_0=u_bar, N_tilde_0=0.0, x_0=s,
+                                          sigma_0=sigma_bar, alpha=alpha)
+        p2 = ApproximationPoint(U_bar=u_bar, s_bar=s, sigma_bar=sigma_bar,
+                                alpha=alpha)
+        assert p3.V_0 == pytest.approx(p2.V_bar, rel=1e-12)
         ll3 = three_state_loglinear(panel, sigma, p3).total
-        ll2 = loglinear_vacancies(series(u), series(s_path), sigma, p2)
-        np.testing.assert_allclose(ll3.values[:-1], ll2.values[:-1], rtol=1e-12)
+        ll2 = loglinear_vacancies(series(u), series(np.full(n, s)), sigma, p2)
+        assert not np.isnan(ll2.values[:-1]).any()
+        np.testing.assert_allclose(ll3.values, ll2.values, rtol=1e-12)
 
     def test_zero_nonsearcher_pool_error(self):
         panel = constant_aggregate_panel(0.091, 0.259, 0.035)

@@ -71,8 +71,6 @@ class TestFormulaContract:
             EfficiencyCalibration(beveridge_elasticity=-1.0)
         with pytest.raises(ValueError):
             EfficiencyCalibration(beveridge_elasticity=1.0, vacancy_cost=0.0)
-        with pytest.raises(ValueError, match="unknown formula"):
-            EfficiencyCalibration(beveridge_elasticity=1.0, formula="magic")
         with pytest.raises(ValueError, match="positive"):
             efficient_unemployment(series([0.0]), series([0.03]),
                                    ms_calibration())

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from beveridge_accounting import (MonthDate, MonthlySeries, delta, interpolate_at,
-                                  moving_average, normalize_shares, splice)
+from beveridge_accounting import (MonthDate, MonthlySeries, delta, moving_average,
+                                  normalize_shares)
 from beveridge_accounting.series import first_bracket
 
 
@@ -89,76 +89,44 @@ class TestMovingAverage:
 
 
 class TestInterpolateAt:
+    """Interpolation at a point through the weights of `first_bracket`, the
+    rule swing matching uses: ``y[i] + lam * (y[i+1] - y[i])``."""
+
     def test_midpoint(self):
-        assert interpolate_at([0.0, 1.0], [0.0, 10.0], 0.5) == pytest.approx(5.0)
+        assert first_bracket([0.0, 1.0], 0.5) == (0, 0.5)
 
     def test_knot_exact(self):
-        x, y = [0.2, 0.4, 0.9], [1.0, -2.0, 4.0]
-        for xi, yi in zip(x, y):
-            assert interpolate_at(x, y, xi) == yi
+        # a knot is hit exactly: lam is 0 at the first knot, 1 at the others
+        x = [0.2, 0.4, 0.9]
+        assert first_bracket(x, 0.2) == (0, 0.0)
+        assert first_bracket(x, 0.4) == (0, 1.0)
+        assert first_bracket(x, 0.9) == (1, 1.0)
 
     def test_first_crossing_rule(self):
-        # non-monotone x: the first bracketing pair (0.06, 0.08) wins
-        got = interpolate_at([0.06, 0.08, 0.07], [1.0, 2.0, 3.0], 0.075)
-        assert got == pytest.approx(1.75, abs=1e-15)
-
-    def test_extrapolation_refused(self):
-        with pytest.raises(ValueError, match="extrapolation refused"):
-            interpolate_at([0.0, 1.0], [0.0, 1.0], 1.5)
+        # non-monotone x: the first bracketing pair (0.06, 0.08) wins over
+        # the later (0.08, 0.07)
+        i, lam = first_bracket([0.06, 0.08, 0.07], 0.075)
+        assert i == 0
+        assert lam == pytest.approx(0.75, abs=1e-14)
 
     def test_monotone_between_knots(self):
         rng = np.random.default_rng(3)
         x = np.sort(rng.uniform(0, 1, 10))
-        y = rng.uniform(-1, 1, 10)
         for x0 in rng.uniform(x[0], x[-1], 50):
-            got = interpolate_at(x, y, x0)
-            i = np.searchsorted(x, x0) - 1
-            lo, hi = sorted((y[i], y[i + 1]))
-            assert lo - 1e-12 <= got <= hi + 1e-12
+            i, lam = first_bracket(x, x0)
+            assert i == np.searchsorted(x, x0) - 1
+            assert 0.0 <= lam <= 1.0
+            assert x[i] + lam * (x[i + 1] - x[i]) == pytest.approx(x0, abs=1e-15)
 
-    def test_missing_gap_yields_nan(self):
-        assert np.isnan(interpolate_at([0.0, np.nan, 10.0], [0.0, 1.0, 2.0], 5.0))
+    def test_missing_gap_cannot_bracket(self):
+        assert first_bracket([0.0, np.nan, 10.0], 5.0) is None
+        # pairs touching the gap are skipped, a later clean pair still counts
+        assert first_bracket([0.0, np.nan, 10.0, 0.0], 5.0) == (2, 0.5)
 
     def test_constant_x_matches_first(self):
         assert first_bracket([0.06, 0.06, 0.06], 0.06) == (0, 0.0)
-        assert interpolate_at([0.06, 0.06], [3.0, 9.0], 0.06) == 3.0
-
-
-class TestSplice:
-    def test_identical_series(self):
-        base = series([1.0, 2.0, 3.0])
-        out = splice(base, base, MonthDate(2000, 2))
-        np.testing.assert_array_equal(out.values, base.values)
-
-    def test_scaled_extension_cancels(self):
-        base = series([1.0, 2.0, 3.0])
-        ext = series(2.0 * base.values)
-        out = splice(base, ext, MonthDate(2000, 2))
-        np.testing.assert_allclose(out.values, base.values, rtol=1e-15)
-
-    def test_hand_case(self):
-        base = series([5.0, 3.0])
-        ext = series([4.0, 2.0, 4.0])  # at splice month (2000-02): 2.0
-        out = splice(base, ext, MonthDate(2000, 2))
-        assert out.values[0] == 5.0
-        assert out.values[1] == pytest.approx(3.0)   # continuity
-        assert out.values[2] == pytest.approx(6.0)   # 4.0 * (3/2)
-
-    def test_continuous_at_splice(self):
-        rng = np.random.default_rng(11)
-        base = series(rng.uniform(1, 2, 12))
-        ext = series(rng.uniform(2, 4, 12), start=MonthDate(2000, 7))
-        m = MonthDate(2000, 9)
-        out = splice(base, ext, m)
-        assert out.at(m) == pytest.approx(base.at(m), rel=1e-15)
-        assert out.values[: base.start.months_until(m)].tolist() == \
-            base.values[: base.start.months_until(m)].tolist()
-
-    def test_degenerate_ratio(self):
-        base = series([1.0, 2.0])
-        ext = series([1.0, 0.0])
-        with pytest.raises(ValueError, match="degenerate splice ratio"):
-            splice(base, ext, MonthDate(2000, 2))
+        assert first_bracket([0.06, 0.06], 0.06) == (0, 0.0)
+        assert first_bracket([0.06, 0.06], 0.07) is None
 
 
 class TestNormalizeShares:

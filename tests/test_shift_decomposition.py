@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import beveridge_accounting as ba
 from beveridge_accounting import (ApproximationPoint, CounterfactualSpec,
+                                  InfeasibleMonthWarning,
                                   MARGIN_DYNAMICS, MARGIN_MATCHING,
                                   MARGIN_SEPARATIONS, MARGINS, MonthDate,
                                   MonthlySeries, SwingBounds,
@@ -151,6 +153,20 @@ class TestCounterfactuals:
         want = (point.s_bar * (1 - u) /
                 (point.sigma_bar * u ** (1 - point.alpha))) ** (1 / point.alpha)
         np.testing.assert_allclose(got.values, want, rtol=1e-14)
+
+    def test_infeasible_month_raises_infeasible_month_warning(self):
+        u = series(np.array([0.05, 0.10, 0.10]))  # jump bigger than inflows
+        s = series(np.full(3, 0.02))
+        sg = series(np.full(3, 0.36))
+        spec = CounterfactualSpec(held_constant=frozenset({MARGIN_MATCHING}),
+                                  sigma_bar=0.36)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", InfeasibleMonthWarning)
+            with pytest.raises(InfeasibleMonthWarning, match="2000-01"):
+                counterfactual_vacancies(u, s, sg, spec)
+        with pytest.warns(InfeasibleMonthWarning) as record:
+            counterfactual_vacancies(u, s, sg, spec)
+        assert record[0].filename == __file__  # attributed to the caller
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown margins"):
