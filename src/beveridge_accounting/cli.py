@@ -344,9 +344,14 @@ def cmd_three_state(args: argparse.Namespace) -> int:
         cols["e_stock"], cols["u_stock"], cols["n_stock"],
         {name: cols[name] for name in RATE_NAMES},
         tol=args.rake_tol, max_iter=args.rake_max_iter)
+    sweeps = report.iterations[report.iterations >= 0]
     notes = {"raking_worst_residual": report.worst_residual,
              "raking_max_adjustment": float(np.nanmax(report.max_adjustment))
-             if np.isfinite(report.max_adjustment).any() else None}
+             if np.isfinite(report.max_adjustment).any() else None,
+             "raking_iterations": {"min": int(sweeps.min()),
+                                   "median": float(np.median(sweeps)),
+                                   "max": int(sweeps.max())} if sweeps.size else None,
+             "raking_months_adjusted": int((report.max_adjustment > 0.0).sum())}
 
     theta = three_state_tightness(panel, cols["v_rate"])
     f_rate, masked = _positive_finding_rate(searcher_finding_rate(panel))

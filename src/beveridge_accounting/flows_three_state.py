@@ -23,17 +23,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .series import MonthlySeries, require_aligned
+from .series import MonthDate, MonthlySeries, require_aligned
 
 RATE_NAMES = ("eu", "en", "ue", "un", "ne", "nu")
 
-# Origin/destination layout of the monthly flow matrix: rows and columns are
-# ordered (E, U, N); the diagonal holds stayers as the residual mass.
-_EXITS = {  # state index -> [(rate name, destination index), ...]
-    0: [("eu", 1), ("en", 2)],
-    1: [("ue", 0), ("un", 2)],
-    2: [("ne", 0), ("nu", 1)],
-}
+# Origin and destination state of each rate in RATE_NAMES order, in the
+# monthly flow matrix whose rows and columns are ordered (E, U, N); the
+# diagonal holds stayers as the residual mass.
+_ORIGIN = np.array([0, 0, 1, 1, 2, 2])
+_DEST = np.array([1, 2, 0, 2, 0, 1])
+_STATES = np.arange(3)
 
 
 class RakingError(RuntimeError):
@@ -85,7 +84,7 @@ class ThreeStatePanel:
         if not ok.all():
             t = int(np.flatnonzero(~ok)[0])
             raise ValueError(f"stocks do not sum to one at {self.E.start.shift(t)} "
-                             f"(total {total[t]!r}); normalize first")
+                             f"(total {float(total[t])!r}); normalize first")
         for name in RATE_NAMES:
             v = getattr(self, name).values
             v = v[~np.isnan(v)]
@@ -99,41 +98,64 @@ class ThreeStatePanel:
         return None not in (self.xi_N, self.S, self.N_tilde, self.x)
 
 
-def _flow_matrix(stocks_t: np.ndarray, rates_t: Mapping[str, float]) -> np.ndarray:
-    m = np.zeros((3, 3))
-    for i, exits in _EXITS.items():
-        out = 0.0
-        for name, j in exits:
-            m[i, j] = stocks_t[i] * rates_t[name]
-            out += rates_t[name]
-        if out > 1.0 + 1e-12:
-            raise ValueError(f"negative stayer probability in state {i}: "
-                             f"exit rates sum to {out!r}")
-        m[i, i] = stocks_t[i] * (1.0 - out)
-    return m
+def _flow_matrices(rows: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow matrices (T, 3, 3) from origin stocks (T, 3) and rates (T, 6).
+
+    Returns the matrices and each state's exit total (T, 3); stayers are the
+    origin stock times one minus that total.
+    """
+    flows = np.zeros((len(rows), 3, 3))
+    flows[:, _ORIGIN, _DEST] = rows[:, _ORIGIN] * rates
+    out = rates[:, 0::2] + rates[:, 1::2]
+    flows[:, _STATES, _STATES] = rows * (1.0 - out)
+    return flows, out
 
 
-def _ipf(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-         tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
-    m = matrix.copy()
-    residual = np.inf
+def _ipf_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               tol: float, max_iter: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[str, float]]]:
+    """Rake every (3, 3) matrix in `flows` to its own row and column targets.
+
+    A sweep scales rows, then columns, of the pairs still active; a pair
+    leaves the active set once its worst marginal residual is <= tol, so each
+    pair sees exactly the arithmetic it would see raked alone.  Returns the
+    fitted matrices, the sweeps and residuals per pair (NaN, -1 and NaN where
+    the pair failed) and {pair index: (message, worst residual)} for failures.
+    """
+    fitted = np.full_like(flows, np.nan)
+    sweeps = np.full(len(flows), -1)
+    residuals = np.full(len(flows), np.nan)
+    failed: dict[int, tuple[str, float]] = {}
+    active = np.arange(len(flows))
+    m = flows.copy()
+    residual = np.full(len(flows), np.inf)
     for it in range(1, max_iter + 1):
-        rs = m.sum(axis=1)
-        scale = np.where(rs > 0.0, rows / np.where(rs > 0.0, rs, 1.0), 1.0)
-        if ((rs == 0.0) & (rows > 0.0)).any():
-            raise RakingError("empty flow row with positive target mass", np.inf)
-        m *= scale[:, None]
-        cs = m.sum(axis=0)
-        if ((cs == 0.0) & (cols > 0.0)).any():
-            raise RakingError("empty flow column with positive target mass", np.inf)
-        scale = np.where(cs > 0.0, cols / np.where(cs > 0.0, cs, 1.0), 1.0)
-        m *= scale[None, :]
-        residual = max(np.abs(m.sum(axis=1) - rows).max(),
-                       np.abs(m.sum(axis=0) - cols).max())
-        if residual <= tol:
-            return m, it, residual
-    raise RakingError(f"raking did not converge within {max_iter} iterations "
-                      f"(worst residual {residual:.3e})", residual)
+        if not active.size:
+            break
+        rs = m.sum(axis=2)
+        empty_row = ((rs == 0.0) & (rows > 0.0)).any(axis=1)
+        m *= np.where(rs > 0.0, rows / np.where(rs > 0.0, rs, 1.0), 1.0)[:, :, None]
+        cs = m.sum(axis=1)
+        empty_col = ((cs == 0.0) & (cols > 0.0)).any(axis=1) & ~empty_row
+        m *= np.where(cs > 0.0, cols / np.where(cs > 0.0, cs, 1.0), 1.0)[:, None, :]
+        residual = np.maximum(np.abs(m.sum(axis=2) - rows).max(axis=1),
+                              np.abs(m.sum(axis=1) - cols).max(axis=1))
+        failed.update(dict.fromkeys(active[empty_row].tolist(), (
+            "empty flow row with positive target mass", np.inf)))
+        failed.update(dict.fromkeys(active[empty_col].tolist(), (
+            "empty flow column with positive target mass", np.inf)))
+        done = (residual <= tol) & ~empty_row & ~empty_col
+        fitted[active[done]] = m[done]
+        sweeps[active[done]] = it
+        residuals[active[done]] = residual[done]
+        keep = ~(done | empty_row | empty_col)
+        if not keep.all():
+            active, m, rows, cols, residual = (active[keep], m[keep], rows[keep],
+                                               cols[keep], residual[keep])
+    for k, res in zip(active.tolist(), residual):
+        failed[k] = (f"raking did not converge within {max_iter} iterations "
+                     f"(worst residual {res:.3e})", res)
+    return fitted, sweeps, residuals, failed
 
 
 def rake_transition_rates(
@@ -148,50 +170,68 @@ def rake_transition_rates(
     as the diagonal residual) is raked so row sums equal the month-t stocks
     and column sums the month-(t+1) stocks, both within `tol`.  Raked rates
     are the adjusted off-diagonal flows divided by origin stocks.  Rates that
-    are already stock-consistent pass through unchanged.
+    are already stock-consistent pass through unchanged.  Month-pairs with a
+    missing input stay missing.  All month-pairs are raked at once; when any
+    fails, the error names the earliest failing month.
     """
     E, U, N = stocks
     require_aligned(E, U, N, *[rates[name] for name in RATE_NAMES])
     n = len(E)
     stock_mat = np.vstack([E.values, U.values, N.values])
-    out = {name: np.full(n, np.nan) for name in RATE_NAMES}
+    rate_mat = np.vstack([rates[name].values for name in RATE_NAMES])
+    out = np.full((len(RATE_NAMES), n), np.nan)
     iterations = np.full(n - 1, -1, dtype=int)
     residuals = np.full(n - 1, np.nan)
     max_adjustment = np.full(n - 1, np.nan)
 
-    for t in range(n - 1):
-        rates_t = {name: rates[name].values[t] for name in RATE_NAMES}
-        cells = np.concatenate([stock_mat[:, t], stock_mat[:, t + 1],
-                                list(rates_t.values())])
-        if np.isnan(cells).any():
-            continue
-        rows, cols = stock_mat[:, t], stock_mat[:, t + 1]
-        if abs(rows.sum() - cols.sum()) > max(100.0 * tol, 1e-10):
-            raise RakingError(
-                f"month {E.start.shift(t)}: total population differs between "
-                f"adjacent months ({rows.sum()!r} vs {cols.sum()!r}); "
-                "normalize stocks to shares first",
-                abs(rows.sum() - cols.sum()))
-        m = _flow_matrix(rows, rates_t)
-        try:
-            fitted, its, res = _ipf(m, rows, cols, tol, max_iter)
-        except RakingError as exc:
-            raise RakingError(f"month {E.start.shift(t)}: {exc}",
-                              exc.worst_residual) from None
-        if (np.diag(fitted) < -tol).any():
-            raise RakingError(f"infeasible flow matrix at {E.start.shift(t)}: "
-                              "negative stayer mass after adjustment", res)
-        iterations[t] = its
-        residuals[t] = res
-        worst = 0.0
-        for i, exits in _EXITS.items():
-            for name, j in exits:
-                raked = fitted[i, j] / rows[i] if rows[i] > 0.0 else 0.0
-                out[name][t] = raked
-                worst = max(worst, abs(raked - rates_t[name]))
-        max_adjustment[t] = worst
+    inputs = np.vstack([stock_mat[:, :-1], stock_mat[:, 1:], rate_mat[:, :-1]])
+    pairs = np.flatnonzero(~np.isnan(inputs).any(axis=0))
+    rows, cols, r = stock_mat[:, pairs].T, stock_mat[:, pairs + 1].T, rate_mat[:, pairs].T
+    failures: dict[int, Exception] = {}  # month index -> its error
 
-    raked_series = {name: E.with_values(vals) for name, vals in out.items()}
+    def month(k: int) -> MonthDate:
+        return E.start.shift(int(pairs[k]))
+
+    row_total, col_total = rows.sum(axis=1), cols.sum(axis=1)
+    gap = np.abs(row_total - col_total)
+    mismatch = gap > max(100.0 * tol, 1e-10)
+    for k in np.flatnonzero(mismatch):
+        failures[pairs[k]] = RakingError(
+            f"month {month(k)}: total population differs between adjacent "
+            f"months ({float(row_total[k])!r} vs {float(col_total[k])!r}); "
+            "normalize stocks to shares first", gap[k])
+    flows, exits = _flow_matrices(rows, r)
+    over = exits > 1.0 + 1e-12
+    for k in np.flatnonzero(over.any(axis=1) & ~mismatch):
+        i = int(np.argmax(over[k]))
+        failures[pairs[k]] = ValueError(
+            f"month {month(k)}: negative stayer probability in state {i}: "
+            f"exit rates sum to {float(exits[k, i])!r}")
+
+    ok = np.flatnonzero(~mismatch & ~over.any(axis=1))
+    fitted, sweeps, res, ipf_failed = _ipf_pairs(flows[ok], rows[ok], cols[ok],
+                                                 tol, max_iter)
+    for j, (message, worst) in ipf_failed.items():
+        failures[pairs[ok[j]]] = RakingError(f"month {month(ok[j])}: {message}", worst)
+    negative = (np.diagonal(fitted, axis1=1, axis2=2) < -tol).any(axis=1)
+    for j in np.flatnonzero(negative):
+        failures[pairs[ok[j]]] = RakingError(
+            f"infeasible flow matrix at {month(ok[j])}: "
+            "negative stayer mass after adjustment", res[j])
+    if failures:
+        raise failures[min(failures)]
+
+    # no failure, so every pair was raked and `ok` covers all of them
+    origin = rows[:, _ORIGIN]
+    raked = np.where(origin > 0.0,
+                     fitted[:, _ORIGIN, _DEST] / np.where(origin > 0.0, origin, 1.0),
+                     0.0)
+    out[:, pairs] = raked.T
+    iterations[pairs] = sweeps
+    residuals[pairs] = res
+    max_adjustment[pairs] = np.abs(raked - r).max(axis=1)
+
+    raked_series = {name: E.with_values(vals) for name, vals in zip(RATE_NAMES, out)}
     report = RakingReport(iterations=iterations, residuals=residuals,
                           max_adjustment=max_adjustment)
     return raked_series, report

@@ -98,7 +98,7 @@ def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
                 u[t + 1] = u[t] + s[t] * (1.0 - u[t]) - f[t] * u[t]
                 if not 0.0 < u[t + 1] < 1.0:
                     raise ValueError(f"unemployment left (0, 1) at "
-                                     f"{spec.start.shift(t + 1)}: {u[t + 1]!r}")
+                                     f"{spec.start.shift(t + 1)}: {float(u[t + 1])!r}")
     else:
         du = spec.delta_u_path
         du = np.zeros(n - 1) if du is None else np.asarray(du, dtype=float)
@@ -108,7 +108,7 @@ def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
             u[t + 1] = u[t] + du[t]
             if not 0.0 < u[t + 1] < 1.0:
                 raise ValueError(f"unemployment left (0, 1) at "
-                                 f"{spec.start.shift(t + 1)}: {u[t + 1]!r}")
+                                 f"{spec.start.shift(t + 1)}: {float(u[t + 1])!r}")
         du_next = np.append(du, 0.0)  # last month: steady-state continuation
         v = _vacancy_identity(u, 0.0, s, du_next, 0.0, sigma, spec.alpha)
         if np.isnan(v).any():

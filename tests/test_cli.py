@@ -348,6 +348,34 @@ class TestThreeStateCommand:
         assert manifest["notes"]["raking_worst_residual"] < 1e-11
         assert manifest["notes"]["raking_max_adjustment"] < 1e-12
 
+    def test_raking_statistics_in_manifest(self, tmp_path):
+        from conftest import make_three_state_steady
+        n = 60
+        sim = make_three_state_steady(horizon=n)
+        rng = np.random.default_rng(5)
+        rates = {name: series.with_values(series.values
+                                          * (1 + 1e-3 * rng.standard_normal(n)))
+                 for name, series in sim.panel.rates().items()}
+        path = tmp_path / "three.csv"
+        ba.write_panel(path, {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
+                              "n_stock": sim.panel.N, "v_rate": sim.V, **rates})
+        out = tmp_path / "o"
+        assert run(["three-state", "--input", path, "--output-dir", out,
+                    "--approx-window", "2000-01:2004-10",
+                    "--reference", "2000-03"]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+
+        cols = ba.read_panel(path)
+        _, report = ba.build_three_state_panel(
+            cols["e_stock"], cols["u_stock"], cols["n_stock"],
+            {name: cols[name] for name in rates})
+        sweeps = report.iterations
+        assert notes["raking_iterations"] == {"min": int(sweeps.min()),
+                                              "median": float(np.median(sweeps)),
+                                              "max": int(sweeps.max())}
+        assert notes["raking_iterations"]["max"] > 10
+        assert notes["raking_months_adjusted"] == n - 1
+
 
 class TestEfficiencyCommand:
     def test_columns_and_ordering(self, tmp_path, recession_sim):

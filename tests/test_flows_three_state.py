@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (MonthDate, MonthlySeries, RakingError,
-                                  ThreeStatePanel, derive_aggregates,
-                                  rake_transition_rates, relative_search_intensity,
+                                  ThreeStatePanel, ThreeStateSimulationSpec,
+                                  derive_aggregates, rake_transition_rates,
+                                  relative_search_intensity, simulate_three_state,
                                   total_hires)
 from beveridge_accounting.flows_three_state import RATE_NAMES
+from conftest import make_three_state_steady
 
 START = MonthDate(2000, 1)
 
@@ -53,6 +58,114 @@ def flow_matrix(stocks, rates):
         [u * rates["ue"], u * (1 - rates["ue"] - rates["un"]), u * rates["un"]],
         [n * rates["ne"], n * rates["nu"], n * (1 - rates["ne"] - rates["nu"])],
     ])
+
+
+# The per-month raking loop that the batched sweeps replaced, kept as the
+# reference they must reproduce bit for bit: same flow-matrix arithmetic,
+# same sweep, same first-failing-month error.
+LOOP_EXITS = {0: [("eu", 1), ("en", 2)], 1: [("ue", 0), ("un", 2)],
+              2: [("ne", 0), ("nu", 1)]}
+
+
+def loop_flow_matrix(stocks_t, rates_t):
+    m = np.zeros((3, 3))
+    for i, exits in LOOP_EXITS.items():
+        out = 0.0
+        for name, j in exits:
+            m[i, j] = stocks_t[i] * rates_t[name]
+            out += rates_t[name]
+        if out > 1.0 + 1e-12:
+            raise ValueError(f"negative stayer probability in state {i}: "
+                             f"exit rates sum to {float(out)!r}")
+        m[i, i] = stocks_t[i] * (1.0 - out)
+    return m
+
+
+def loop_ipf(matrix, rows, cols, tol, max_iter):
+    m = matrix.copy()
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        rs = m.sum(axis=1)
+        scale = np.where(rs > 0.0, rows / np.where(rs > 0.0, rs, 1.0), 1.0)
+        if ((rs == 0.0) & (rows > 0.0)).any():
+            raise RakingError("empty flow row with positive target mass", np.inf)
+        m *= scale[:, None]
+        cs = m.sum(axis=0)
+        if ((cs == 0.0) & (cols > 0.0)).any():
+            raise RakingError("empty flow column with positive target mass", np.inf)
+        scale = np.where(cs > 0.0, cols / np.where(cs > 0.0, cs, 1.0), 1.0)
+        m *= scale[None, :]
+        residual = max(np.abs(m.sum(axis=1) - rows).max(),
+                       np.abs(m.sum(axis=0) - cols).max())
+        if residual <= tol:
+            return m, it, residual
+    raise RakingError(f"raking did not converge within {max_iter} iterations "
+                      f"(worst residual {residual:.3e})", residual)
+
+
+def loop_rake(stocks, rates, tol=1e-12, max_iter=1000):
+    """(raked rate arrays, iterations, residuals, max_adjustment), month by month."""
+    E, U, N = stocks
+    n = len(E)
+    stock_mat = np.vstack([E.values, U.values, N.values])
+    out = {name: np.full(n, np.nan) for name in RATE_NAMES}
+    iterations = np.full(n - 1, -1, dtype=int)
+    residuals = np.full(n - 1, np.nan)
+    max_adjustment = np.full(n - 1, np.nan)
+    for t in range(n - 1):
+        rates_t = {name: rates[name].values[t] for name in RATE_NAMES}
+        cells = np.concatenate([stock_mat[:, t], stock_mat[:, t + 1],
+                                list(rates_t.values())])
+        if np.isnan(cells).any():
+            continue
+        rows, cols = stock_mat[:, t], stock_mat[:, t + 1]
+        month = E.start.shift(t)
+        if abs(rows.sum() - cols.sum()) > max(100.0 * tol, 1e-10):
+            raise RakingError(
+                f"month {month}: total population differs between adjacent "
+                f"months ({float(rows.sum())!r} vs {float(cols.sum())!r}); "
+                "normalize stocks to shares first", abs(rows.sum() - cols.sum()))
+        try:
+            m = loop_flow_matrix(rows, rates_t)
+        except ValueError as exc:
+            raise ValueError(f"month {month}: {exc}") from None
+        try:
+            fitted, its, res = loop_ipf(m, rows, cols, tol, max_iter)
+        except RakingError as exc:
+            raise RakingError(f"month {month}: {exc}", exc.worst_residual) from None
+        if (np.diag(fitted) < -tol).any():
+            raise RakingError(f"infeasible flow matrix at {month}: "
+                              "negative stayer mass after adjustment", res)
+        iterations[t] = its
+        residuals[t] = res
+        worst = 0.0
+        for i, exits in LOOP_EXITS.items():
+            for name, j in exits:
+                raked = fitted[i, j] / rows[i] if rows[i] > 0.0 else 0.0
+                out[name][t] = raked
+                worst = max(worst, abs(raked - rates_t[name]))
+        max_adjustment[t] = worst
+    return out, iterations, residuals, max_adjustment
+
+
+def noisy_inputs(horizon, noise=1e-3, seed=9, quiet_months=0):
+    """Constant stocks and their steady rates with multiplicative noise on
+    every rate from month `quiet_months` on, so those month-pairs need raking."""
+    sim = make_three_state_steady(horizon=horizon)
+    rng = np.random.default_rng(seed)
+    rates = {}
+    for name in RATE_NAMES:
+        vals = sim.panel.rates()[name].values.copy()
+        vals[quiet_months:] *= 1 + noise * rng.standard_normal(horizon - quiet_months)
+        rates[name] = vals
+    stocks = {"E": sim.panel.E.values.copy(), "U": sim.panel.U.values.copy(),
+              "N": sim.panel.N.values.copy()}
+    return stocks, rates
+
+
+def as_series(stocks, rates):
+    return (tuple(series(stocks[k]) for k in "EUN"),
+            {name: series(vals) for name, vals in rates.items()})
 
 
 class TestRaking:
@@ -136,6 +249,136 @@ class TestRaking:
             rake_transition_rates(stocks, bad_series)
 
 
+class TestBatchedRaking:
+    def test_matches_month_by_month_loop_bit_for_bit(self):
+        stocks, rates = noisy_inputs(60)
+        rates["ne"][[10, 11]] = np.nan
+        stocks["N"][40] = np.nan
+        args = as_series(stocks, rates)
+        raked, report = rake_transition_rates(*args)
+        out, iterations, residuals, max_adjustment = loop_rake(*args)
+        for name in RATE_NAMES:
+            assert np.array_equal(raked[name].values, out[name], equal_nan=True), name
+        assert np.array_equal(report.iterations, iterations)
+        assert np.array_equal(report.residuals, residuals, equal_nan=True)
+        assert np.array_equal(report.max_adjustment, max_adjustment, equal_nan=True)
+        assert np.flatnonzero(iterations < 0).tolist() == [10, 11, 39, 40]
+        assert iterations.max() > 10  # the noise makes raking sweep many times
+
+    def test_earliest_failing_month_wins(self):
+        stocks, rates = noisy_inputs(96)
+        stocks["U"][71] += 1e-3  # population mismatch at 2005-11 and 2005-12
+        with pytest.raises(RakingError, match="month 2005-11: total population"):
+            rake_transition_rates(*as_series(stocks, rates))
+        rates["ue"][30], rates["un"][30] = 0.7, 0.5
+        with pytest.raises(ValueError, match="month 2002-07: negative stayer"):
+            rake_transition_rates(*as_series(stocks, rates))
+
+    def test_earliest_unconverged_month_and_residual(self):
+        stocks, rates = noisy_inputs(96, quiet_months=40)
+        args = as_series(stocks, rates)
+        sweeps = loop_rake(*args)[1]
+        max_iter = int(np.median(sweeps[40:]))
+        first = 40 + int(np.flatnonzero(sweeps[40:] > max_iter)[0])
+        with pytest.raises(RakingError) as want:
+            loop_rake(*args, max_iter=max_iter)
+        with pytest.raises(RakingError) as got:
+            rake_transition_rates(*args, max_iter=max_iter)
+        assert str(got.value).startswith(f"month {START.shift(first)}: raking did not "
+                                         f"converge within {max_iter} iterations")
+        assert str(got.value) == str(want.value)
+        assert got.value.worst_residual == want.value.worst_residual
+
+    @staticmethod
+    def _mismatch(stocks, rates):
+        stocks["U"][31] += 1e-3
+        rake_transition_rates(*as_series(stocks, rates))
+
+    @staticmethod
+    def _negative_stayer(stocks, rates):
+        rates["ue"][30], rates["un"][30] = 0.7, 0.5
+        rake_transition_rates(*as_series(stocks, rates))
+
+    @staticmethod
+    def _not_converged(stocks, rates):
+        rake_transition_rates(*as_series(stocks, rates), max_iter=2)
+
+    @staticmethod
+    def _empty_column(stocks, rates):
+        # no one is unemployed in 2002-07, and no one enters unemployment
+        stocks["E"][30] += stocks["U"][30]
+        stocks["U"][30] = 0.0
+        rates["eu"][30] = rates["nu"][30] = 0.0
+        rake_transition_rates(*as_series(stocks, rates))
+
+    @staticmethod
+    def _stocks_off_simplex(stocks, rates):
+        stocks["E"][30] += 1e-3
+        ThreeStatePanel(*(series(stocks[k]) for k in "EUN"),
+                        **{name: series(vals) for name, vals in rates.items()})
+
+    @pytest.mark.parametrize("plant", ["_mismatch", "_negative_stayer",
+                                       "_not_converged", "_empty_column",
+                                       "_stocks_off_simplex"])
+    def test_error_names_month_with_plain_floats(self, plant):
+        # the rates are consistent before 2002-07, so every fault is first there
+        stocks, rates = noisy_inputs(96, quiet_months=30)
+        with pytest.raises((ValueError, RakingError)) as exc:
+            getattr(self, plant)(stocks, rates)
+        assert "2002-07" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
+
+
+RATE_RANGES = {"eu": (0.005, 0.03), "en": (0.005, 0.04), "ue": (0.1, 0.5),
+               "un": (0.01, 0.1), "ne": (0.01, 0.1), "nu": (0.005, 0.05)}
+
+
+@st.composite
+def consistent_panels(draw):
+    """Stock-consistent panels from `simulate_three_state`: generated rate
+    paths of up to 24 months from generated initial stocks."""
+    n = draw(st.integers(2, 24))
+    rates = {name: draw(arrays(float, n, elements=st.floats(lo, hi)))
+             for name, (lo, hi) in RATE_RANGES.items()}
+    spec = ThreeStateSimulationSpec(alpha=0.3, u0=draw(st.floats(0.02, 0.15)),
+                                    n0=draw(st.floats(0.1, 0.4)), horizon=n,
+                                    rates=rates, sigma_path=0.36)
+    return simulate_three_state(spec).panel
+
+
+class TestRakingProperties:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(panel=consistent_panels(),
+           noise=arrays(float, (len(RATE_NAMES), 24), elements=st.floats(-0.01, 0.01)))
+    def test_raked_flows_reproduce_both_stock_vectors(self, panel, noise):
+        n = len(panel.E)
+        noisy = {name: getattr(panel, name).with_values(
+            getattr(panel, name).values * (1.0 + noise[k, :n]))
+            for k, name in enumerate(RATE_NAMES)}
+        tol = 1e-12
+        raked, report = rake_transition_rates((panel.E, panel.U, panel.N), noisy, tol=tol)
+        assert (report.iterations >= 1).all()
+        stocks = np.vstack([panel.E.values, panel.U.values, panel.N.values])
+        for t in range(n - 1):
+            m = flow_matrix(stocks[:, t], {k: raked[k].values[t] for k in RATE_NAMES})
+            # rebuilding the flows from rates adds float rounding to the margins
+            np.testing.assert_allclose(m.sum(axis=1), stocks[:, t], rtol=0,
+                                       atol=tol + 1e-15)
+            np.testing.assert_allclose(m.sum(axis=0), stocks[:, t + 1], rtol=0,
+                                       atol=tol + 1e-15)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(panel=consistent_panels())
+    def test_noop_on_consistent_rates(self, panel):
+        raked, report = rake_transition_rates((panel.E, panel.U, panel.N),
+                                              panel.rates())
+        for name in RATE_NAMES:
+            np.testing.assert_allclose(raked[name].values[:-1],
+                                       getattr(panel, name).values[:-1],
+                                       rtol=0, atol=1e-13)
+        assert report.max_adjustment.max() <= 1e-13
+
+
 class TestIntensityAndAggregates:
     def make_panel(self, ue=0.25, ne=0.025, u=0.05, n=0.30):
         e = 1.0 - u - n
@@ -190,7 +433,6 @@ class TestIntensityAndAggregates:
 def test_raked_panel_hires_identity():
     """On a raked panel, H equals E*x - dU - dN within the raking tolerance."""
     from beveridge_accounting import build_three_state_panel
-    from conftest import make_three_state_steady
 
     sim = make_three_state_steady(horizon=18)
     rng = np.random.default_rng(9)

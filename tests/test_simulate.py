@@ -93,6 +93,16 @@ class TestTwoStateSimulation:
                               sigma_path=0.36, delta_u_path=du)
         with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-0[0-9]"):
             simulate_two_state(spec)
+        # both driving modes name the month and print the value as a plain float
+        with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-02: -0\.0") as exc:
+            simulate_two_state(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
+                                              sigma_path=0.36,
+                                              delta_u_path=np.array([-0.06, 0.0])))
+        assert "np.float64" not in str(exc.value)
+        with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-02: -") as exc:
+            simulate_two_state(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
+                                              sigma_path=5.0, v_path=np.full(3, 0.5)))
+        assert "np.float64" not in str(exc.value)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="not both"):
