@@ -351,7 +351,9 @@ def cmd_three_state(args: argparse.Namespace) -> int:
              "raking_iterations": {"min": int(sweeps.min()),
                                    "median": float(np.median(sweeps)),
                                    "max": int(sweeps.max())} if sweeps.size else None,
-             "raking_months_adjusted": int((report.max_adjustment > 0.0).sum())}
+             # rounding moves rates by ~1e-17 even on consistent months
+             "raking_months_adjusted": int((report.max_adjustment
+                                            > args.rake_tol).sum())}
 
     theta = three_state_tightness(panel, cols["v_rate"])
     f_rate, masked = _positive_finding_rate(searcher_finding_rate(panel))

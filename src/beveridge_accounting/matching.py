@@ -14,10 +14,11 @@ hires per effective searcher (H / S).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .flows_three_state import ThreeStatePanel, total_hires
 from .series import MonthDate, MonthlySeries, require_aligned
@@ -44,12 +45,16 @@ class MatchingEstimate:
         return float(np.exp(self.ln_sigma_bar))
 
     def p_values(self) -> tuple[float, float]:
-        """Two-sided p-values for (ln_sigma_bar, alpha) against zero."""
+        """Two-sided p-values for (ln_sigma_bar, alpha) against zero.
+
+        A zero standard error gives 0.0; a NaN coefficient or standard error
+        gives NaN.
+        """
         dof = self.n_obs - 2
         ps = []
         for coef, se in ((self.ln_sigma_bar, self.se_ln_sigma),
                          (self.alpha, self.se_alpha)):
-            ps.append(2.0 * stats.t.sf(abs(coef / se), dof) if se > 0 else 0.0)
+            ps.append(_t_two_sided_p(coef / se, dof) if se != 0 else 0.0)
         return ps[0], ps[1]
 
     def stars(self) -> tuple[str, str]:
@@ -72,6 +77,52 @@ class MatchingEstimate:
             "sample_end": str(self.sample[1]),
             "robust": self.robust,
         }
+
+
+def _t_two_sided_p(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for T Student-t with `dof` degrees of freedom.
+
+    The two-sided p-value is the regularised incomplete beta I_x(dof/2, 1/2)
+    at x = dof / (dof + t^2).  Where the continued fraction for I_x converges
+    slowly, x >= (a+1)/(a+b+2), it is 1 - I_y(1/2, dof/2) at y = 1 - x,
+    which is formed from t^2 directly.  In the tail the p-value is the
+    fraction itself, never a difference from 1, so it keeps its relative
+    accuracy down to the smallest normal float; below that it is 0.0.
+    """
+    if math.isnan(t):
+        return math.nan
+    z = t * t / dof
+    if z == 0.0:
+        return 1.0
+    a, b = 0.5 * dof, 0.5
+    # x^a y^b / B(a, b), with log x = -log1p(z) and log y = -log1p(1/z)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     - a * math.log1p(z) - b * math.log1p(1.0 / z))
+    x = 1.0 / (1.0 + z)
+    if x < (a + 1.0) / (a + b + 2.0):
+        p = front * _beta_fraction(x, a, b) / a
+        return p if p >= sys.float_info.min else 0.0
+    return 1.0 - front * _beta_fraction(1.0 / (1.0 + 1.0 / z), b, a) / b
+
+
+def _beta_fraction(x: float, a: float, b: float) -> float:
+    """Continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny, eps = 1e-300, 1e-15
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < eps:
+            return h
+    raise ArithmeticError("incomplete beta fraction did not converge "
+                          f"(x={x!r}, a={a!r}, b={b!r})")
 
 
 def _stars(p: float) -> str:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +335,7 @@ class TestThreeStateCommand:
                 compared += 1
         assert compared > 300
 
-    def test_raking_report_in_manifest(self, tmp_path):
+    def run_steady_three_state(self, tmp_path):
         from conftest import make_three_state_steady
         sim = make_three_state_steady(horizon=60)
         path = tmp_path / "three.csv"
@@ -344,9 +347,19 @@ class TestThreeStateCommand:
                     "--approx-window", "2000-01:2004-10",
                     "--reference", "2000-03"])
         assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["notes"]["raking_worst_residual"] < 1e-11
-        assert manifest["notes"]["raking_max_adjustment"] < 1e-12
+        return json.loads((out / "manifest.json").read_text())["notes"]
+
+    def test_raking_report_in_manifest(self, tmp_path):
+        notes = self.run_steady_three_state(tmp_path)
+        assert notes["raking_worst_residual"] < 1e-11
+        assert notes["raking_max_adjustment"] < 1e-12
+
+    def test_consistent_panel_reports_no_adjusted_months(self, tmp_path):
+        # stock-consistent by construction: raking moves rates only by
+        # rounding (~6e-17), which is below --rake-tol and counts as no change
+        notes = self.run_steady_three_state(tmp_path)
+        assert notes["raking_max_adjustment"] < 1e-12
+        assert notes["raking_months_adjusted"] == 0
 
     def test_raking_statistics_in_manifest(self, tmp_path):
         from conftest import make_three_state_steady
@@ -405,3 +418,13 @@ def test_bad_month_flag_exits_two(tmp_path):
         run(["shifters", "--input", "x.csv", "--output-dir", tmp_path,
              "--reference", "April 2007"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # cold start is the import: the CLI needs numpy and nothing heavier
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import beveridge_accounting.cli, sys; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,7 @@
+import decimal
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from beveridge_accounting import (MonthDate, MonthlySeries, ThreeStatePanel,
                                   derive_aggregates, estimate_matching,
                                   matching_efficiency_path, searcher_finding_rate,
                                   three_state_tightness, two_state_tightness)
+from beveridge_accounting.matching import _stars, _t_two_sided_p
 
 START = MonthDate(2000, 1)
 
@@ -84,6 +89,81 @@ class TestEstimate:
         assert d["sample_start"] == "2000-01"
         assert d["n_obs"] == 90
         assert d["sigma_bar"] == pytest.approx(np.exp(-0.77))
+
+
+T_GRID = np.concatenate([np.logspace(-3, 4, 141), np.linspace(0.5, 60.0, 120)])
+
+
+class TestPValues:
+    def test_one_dof_closed_form(self):
+        # 1 - (2/pi) atan|t|, written without the cancellation at large |t|
+        for t in T_GRID:
+            expected = 2.0 / math.pi * math.atan(1.0 / t)
+            assert _t_two_sided_p(t, 1) == pytest.approx(expected, rel=1e-13)
+            assert _t_two_sided_p(-t, 1) == _t_two_sided_p(t, 1)
+
+    def test_two_dof_closed_form(self):
+        # 1 - |t| / sqrt(2 + t^2), written without the cancellation
+        for t in T_GRID:
+            root = math.sqrt(2.0 + t * t)
+            expected = 2.0 / (root * (root + t))
+            assert _t_two_sided_p(t, 2) == pytest.approx(expected, rel=1e-13)
+
+    def test_matches_scipy_over_grid(self):
+        stats = pytest.importorskip("scipy.stats")
+        for dof in (1, 2, 3, 4, 5, 7, 10, 30, 88, 238, 1000, 2398, 11998,
+                    23998, 24000):
+            reference = 2.0 * stats.t.sf(T_GRID, dof)
+            for t, ref in zip(T_GRID, reference):
+                if ref >= 1e-300:
+                    got = _t_two_sided_p(float(t), dof)
+                    assert got == pytest.approx(ref, rel=1e-10), (dof, t)
+
+    def test_deep_tail_against_exact_series(self):
+        # even dof: p = 1 - sin(th) sum_k c_k cos(th)^(2k) (A&S 26.7.3), summed
+        # in 400-digit decimals so that the complement keeps its digits; on
+        # 240-month panels |t| is 25-45 and p far below double epsilon
+        def exact(t, dof):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 400
+                t, nu = decimal.Decimal(t), decimal.Decimal(dof)
+                cos2 = nu / (nu + t * t)
+                term = total = decimal.Decimal(1)
+                for k in range(1, dof // 2):
+                    term *= cos2 * (2 * k - 1) / (2 * k)
+                    total += term
+                return float(1 - t / (nu + t * t).sqrt() * total)
+
+        for dof in (2, 10, 94, 238, 1000, 2398):
+            for t in (0.3, 2.0, 25.0, 35.0):
+                assert _t_two_sided_p(t, dof) == pytest.approx(exact(t, dof),
+                                                               rel=1e-12), (dof, t)
+
+    def test_edge_values(self):
+        f, theta = planted_regression(noise=0.02, seed=5)
+        est = estimate_matching(f, theta)
+        assert replace(est, alpha=0.0).p_values()[1] == 1.0
+        assert _t_two_sided_p(0.0, 1) == 1.0
+        assert replace(est, se_alpha=0.0).p_values()[1] == 0.0
+        p_sigma, p_alpha = replace(est, alpha=float("nan")).p_values()
+        assert math.isnan(p_alpha) and not math.isnan(p_sigma)
+        assert replace(est, alpha=float("nan")).stars()[1] == ""
+        assert math.isnan(replace(est, se_alpha=float("nan")).p_values()[1])
+        # a 24,000-month panel with t ~ 360 underflows, as scipy does
+        huge = replace(est, n_obs=23903, alpha=360 * est.se_alpha)
+        assert huge.p_values()[1] == 0.0
+        assert _t_two_sided_p(float("inf"), 10) == 0.0
+
+    def test_star_boundaries(self):
+        assert _stars(0.0) == "***"
+        assert _stars(np.nextafter(0.01, 0)) == "***"
+        assert _stars(0.01) == "**"
+        assert _stars(np.nextafter(0.05, 0)) == "**"
+        assert _stars(0.05) == "*"
+        assert _stars(np.nextafter(0.1, 0)) == "*"
+        assert _stars(0.1) == ""
+        assert _stars(1.0) == ""
+        assert _stars(float("nan")) == ""
 
 
 class TestEfficiencyPath:
