@@ -37,7 +37,7 @@ from .shift_decomposition import (AllPairsInfeasibleError, CounterfactualSpec,
                                   SwingSamples, all_orderings_report,
                                   build_swing_samples, counterfactual_vacancies,
                                   loglinear_shift_decomposition,
-                                  nonlinear_ordering_decomposition, vertical_shift)
+                                  nonlinear_ordering_decomposition)
 from .simulate import (SimulationSpec, ThreeStateSimulation,
                        ThreeStateSimulationSpec, TwoStateSimulation,
                        simulate_three_state, simulate_two_state)

@@ -23,13 +23,12 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .csvio import (SchemaError, _json_safe, read_panel, require_columns, write_panel,
+from .csvio import (_dates, _json_safe, read_panel, require_columns, write_panel,
                     write_table)
 from .curve import (ApproximationPoint, ThreeStateApproximationPoint,
                     normalize_to_reference, shifter_paths, loglinear_vacancies,
@@ -81,43 +80,38 @@ def _window(text: str) -> tuple[MonthDate, MonthDate]:
     return lo, hi
 
 
-@dataclass
-class RunConfig:
-    """Shared per-command configuration resolved from the parsed arguments."""
-
-    input: Path | None
-    output_dir: Path
-    fmt: str
-    alpha: float
-    smooth: int
-    smooth_align: str
-    approx_window: tuple[MonthDate, MonthDate] | None
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input=Path(args.input) if getattr(args, "input", None) else None,
-        output_dir=Path(args.output_dir),
-        fmt=args.format,
-        alpha=getattr(args, "alpha", DEFAULT_ALPHA),
-        smooth=getattr(args, "smooth", 1),
-        smooth_align=getattr(args, "smooth_align", "centered"),
-        approx_window=getattr(args, "approx_window", None),
-    )
+def _elasticity(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
 
 
-def _smooth(series: MonthlySeries, config: RunConfig) -> MonthlySeries:
-    if config.smooth <= 1:
-        return series
-    return moving_average(series, config.smooth, config.smooth_align)
+def _from_flags(cls, **fields):
+    """``cls(**fields)`` for values given on the command line: a value that
+    `cls` rejects is a configuration error, not a data error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _read_columns(config: RunConfig, *names: str) -> dict[str, MonthlySeries]:
-    if config.input is None:
-        raise ConfigError("--input is required")
-    panel = read_panel(config.input)
+def _read_columns(args: argparse.Namespace, *names: str) -> dict[str, MonthlySeries]:
+    panel = read_panel(args.input)
     require_columns(panel, *names)
-    return {name: _smooth(panel[name], config) for name in names}
+    if args.smooth == 1:
+        return {name: panel[name] for name in names}
+    if args.smooth > len(panel[names[0]]):
+        raise ConfigError(f"--smooth {args.smooth} is longer than the data")
+    return {name: moving_average(panel[name], args.smooth, args.smooth_align)
+            for name in names}
 
 
 def _require_coverage(grid: MonthlySeries, what: str, *months: MonthDate) -> None:
@@ -126,11 +120,11 @@ def _require_coverage(grid: MonthlySeries, what: str, *months: MonthDate) -> Non
         raise ConfigError(f"{what} outside data coverage [{grid.start}, {grid.end}]")
 
 
-def _resolve_approx_window(config: RunConfig,
+def _resolve_approx_window(args: argparse.Namespace,
                            grid: MonthlySeries) -> tuple[MonthDate, MonthDate]:
     """Default expansion window: the post-2007 months, else the full sample."""
-    if config.approx_window is not None:
-        lo, hi = config.approx_window
+    if args.approx_window is not None:
+        lo, hi = args.approx_window
         _require_coverage(grid, f"approximation window [{lo}, {hi}]", lo, hi)
         return lo, hi
     post = MonthDate(2008, 1)
@@ -153,27 +147,26 @@ def _positive_finding_rate(f: MonthlySeries) -> tuple[MonthlySeries, int]:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _output_path(config: RunConfig, name: str) -> Path:
+def _output_path(args: argparse.Namespace, name: str) -> Path:
     """Path of the named data file in the configured format."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    return config.output_dir / f"{name}.{config.fmt}"
+    Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    return Path(args.output_dir) / f"{name}.{args.format}"
 
 
-def _write_manifest(config: RunConfig, command: str, settings: dict,
-                    outputs: dict, notes: dict | None = None) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: dict, notes: dict) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "config": {k: _json_safe(v) for k, v in sorted(settings.items())},
+        "config": {k: _echo_value(v) for k, v in sorted(vars(args).items())
+                   if k not in ("func", "command")},
         "outputs": outputs,
     }
-    if config.input is not None:
-        digest = hashlib.sha256(Path(config.input).read_bytes()).hexdigest()
-        manifest["input"] = {"path": str(config.input), "sha256": digest}
+    if getattr(args, "input", None) is not None:  # simulate has no --input
+        digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
+        manifest["input"] = {"path": str(Path(args.input)), "sha256": digest}
     if notes:
         manifest["notes"] = {k: _json_safe(v) for k, v in sorted(notes.items())}
-    path = config.output_dir / "manifest.json"
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    path = Path(args.output_dir) / "manifest.json"  # made by _output_path
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -184,45 +177,36 @@ def _echo_value(value):
         return ":".join(str(v) for v in value)
     if isinstance(value, list):
         return [_echo_value(v) for v in value]
-    if isinstance(value, Path):
-        return str(value)
     return _json_safe(value)
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    return {key: _echo_value(value) for key, value in vars(args).items()
-            if key not in skip}
 
 
 # ---------------------------------------------------------------------------
 # Two-state pipeline shared by several commands
 # ---------------------------------------------------------------------------
 
-def _two_state_pipeline(config: RunConfig):
-    cols = _read_columns(config, "u_rate", "v_rate", "u_short")
+def _two_state_pipeline(args: argparse.Namespace):
+    cols = _read_columns(args, "u_rate", "v_rate", "u_short")
     panel = build_two_state_panel(cols["u_rate"], cols["v_rate"], cols["u_short"])
     theta = two_state_tightness(panel.U, panel.V)
     f_pos, masked = _positive_finding_rate(panel.f)
-    sigma = matching_efficiency_path(f_pos, theta, config.alpha)
+    sigma = matching_efficiency_path(f_pos, theta, args.alpha)
     return panel, theta, f_pos, sigma, {"nonpositive_finding_months_masked": masked}
 
 
-def _approx_point(config: RunConfig, panel, sigma,
-                  args: argparse.Namespace) -> tuple[ApproximationPoint, dict]:
-    overrides = (getattr(args, "u_bar", None), getattr(args, "s_bar", None),
-                 getattr(args, "sigma_bar", None))
+def _approx_point(args: argparse.Namespace, panel,
+                  sigma) -> tuple[ApproximationPoint, dict]:
+    overrides = (args.u_bar, args.s_bar, args.sigma_bar)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):
             raise ConfigError("--u-bar, --s-bar and --sigma-bar must be "
                               "given together")
-        point = ApproximationPoint(U_bar=overrides[0], s_bar=overrides[1],
-                                   sigma_bar=overrides[2], alpha=config.alpha)
+        point = _from_flags(ApproximationPoint, U_bar=args.u_bar, s_bar=args.s_bar,
+                            sigma_bar=args.sigma_bar, alpha=args.alpha)
         info = {"approx_window": "overridden"}
     else:
-        window = _resolve_approx_window(config, panel.U)
+        window = _resolve_approx_window(args, panel.U)
         point = ApproximationPoint.from_series(panel.U, panel.s, sigma,
-                                               config.alpha, window)
+                                               args.alpha, window)
         info = {"approx_window": f"{window[0]}:{window[1]}"}
     info.update({"U_bar": point.U_bar, "s_bar": point.s_bar,
                  "sigma_bar": point.sigma_bar, "V_bar": point.V_bar})
@@ -234,8 +218,7 @@ def _approx_point(config: RunConfig, panel, sigma,
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    panel, theta, f_pos, _, notes = _two_state_pipeline(config)
+    panel, theta, f_pos, _, notes = _two_state_pipeline(args)
 
     if args.sample:
         windows = list(args.sample)
@@ -248,58 +231,53 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for lo, hi in windows:
         _require_coverage(panel.U, f"sample [{lo}, {hi}]", lo, hi)
 
-    header = ["sample_start", "sample_end", "ln_sigma_bar", "se_ln_sigma",
-              "stars_ln_sigma", "alpha", "se_alpha", "stars_alpha",
-              "sigma_bar", "r_squared", "n_obs"]
-    rows = []
-    reports = []
-    for window in windows:
-        est = estimate_matching(f_pos, theta, sample=window, robust=args.robust)
-        stars = est.stars()
-        rows.append([str(window[0]), str(window[1]), est.ln_sigma_bar,
-                     est.se_ln_sigma, stars[0], est.alpha, est.se_alpha,
-                     stars[1], est.sigma_bar, est.r_squared, float(est.n_obs)])
-        reports.append(est.to_dict())
-
-    path = _output_path(config, "matching_estimates")
-    outputs = {path.name: write_table(path, header, rows)}
-    report_path = config.output_dir / "matching_estimates_report.json"
-    report_path.write_text(json.dumps([{k: _json_safe(v) for k, v in r.items()}
-                                       for r in reports],
-                                      indent=2, sort_keys=True) + "\n")
-    outputs[report_path.name] = len(reports)
-    _write_manifest(config, "estimate", _settings(args), outputs, notes)
+    ests = [estimate_matching(f_pos, theta, sample=window, robust=args.robust)
+            for window in windows]
+    stars = [e.stars() for e in ests]
+    path = _output_path(args, "matching_estimates")
+    outputs = {path.name: write_table(path, {
+        "sample_start": [str(lo) for lo, _ in windows],
+        "sample_end": [str(hi) for _, hi in windows],
+        "ln_sigma_bar": [e.ln_sigma_bar for e in ests],
+        "se_ln_sigma": [e.se_ln_sigma for e in ests],
+        "stars_ln_sigma": [star[0] for star in stars],
+        "alpha": [e.alpha for e in ests], "se_alpha": [e.se_alpha for e in ests],
+        "stars_alpha": [star[1] for star in stars],
+        "sigma_bar": [e.sigma_bar for e in ests],
+        "r_squared": [e.r_squared for e in ests],
+        "n_obs": [float(e.n_obs) for e in ests]})}
+    reports = [e.to_dict() for e in ests]
+    report_path = Path(args.output_dir) / "matching_estimates_report.json"
+    outputs[report_path.name] = write_table(
+        report_path, {k: [r[k] for r in reports] for k in reports[0]})
+    _write_manifest(args, outputs, notes)
     return EXIT_OK
 
 
 def cmd_shifters(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    panel, theta, f_pos, sigma, notes = _two_state_pipeline(config)
-    point, info = _approx_point(config, panel, sigma, args)
+    panel, theta, f_pos, sigma, notes = _two_state_pipeline(args)
+    point, info = _approx_point(args, panel, sigma)
     notes.update(info)
 
+    _require_coverage(panel.U, f"reference month {args.reference}", args.reference)
     paths = shifter_paths(panel.U, panel.s, sigma, point, args.reference)
     loglin = loglinear_vacancies(panel.U, panel.s, sigma, point)
     with np.errstate(invalid="ignore", divide="ignore"):
         log_v = np.log(panel.V.values)
 
-    header = ["date", "u_rate", "log_v_observed", "log_v_loglinear",
-              "dynamics", "separations", "matching", "net"]
-    rows = []
-    for t, month in enumerate(panel.U.months()):
-        rows.append([str(month), panel.U.values[t], log_v[t], loglin.values[t],
-                     paths.dynamics.values[t], paths.separations.values[t],
-                     paths.matching.values[t], paths.net.values[t]])
-    path = _output_path(config, "shifters")
-    outputs = {path.name: write_table(path, header, rows)}
-    _write_manifest(config, "shifters", _settings(args), outputs, notes)
+    path = _output_path(args, "shifters")
+    outputs = {path.name: write_table(path, {
+        "date": _dates(panel.U), "u_rate": panel.U.values,
+        "log_v_observed": log_v, "log_v_loglinear": loglin.values,
+        "dynamics": paths.dynamics.values, "separations": paths.separations.values,
+        "matching": paths.matching.values, "net": paths.net.values})}
+    _write_manifest(args, outputs, notes)
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    panel, theta, f_pos, sigma, notes = _two_state_pipeline(config)
-    point, info = _approx_point(config, panel, sigma, args)
+    panel, theta, f_pos, sigma, notes = _two_state_pipeline(args)
+    point, info = _approx_point(args, panel, sigma)
     notes.update(info)
 
     bounds = SwingBounds(down_start=args.down_start, down_end=args.down_end,
@@ -311,20 +289,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     loglin = loglinear_shift_decomposition(samples, point, panel.U, panel.s, sigma)
     table = all_orderings_report(panel.U, panel.V, panel.s, sigma, samples, point)
 
-    header = ["month", "u_rate", "observed_shift", "total_loglinear",
-              "dynamics", "separations", "matching"]
-    rows = []
-    for k, month in enumerate(loglin.months):
-        rows.append([str(month), loglin.u[k], loglin.observed[k], loglin.total[k],
-                     loglin.dynamics[k], loglin.separations[k], loglin.matching[k]])
-    path = _output_path(config, "vertical_shift_loglinear")
-    outputs = {path.name: write_table(path, header, rows)}
-
-    header2 = ["ordering", "dynamics_pct", "separations_pct", "matching_pct"]
-    rows2 = [[" -> ".join(r.ordering), r.dynamics_pct, r.separations_pct,
-              r.matching_pct] for r in table.rows]
-    path = _output_path(config, "orderings")
-    outputs[path.name] = write_table(path, header2, rows2)
+    path = _output_path(args, "vertical_shift_loglinear")
+    outputs = {path.name: write_table(path, {
+        "month": [str(month) for month in loglin.months], "u_rate": loglin.u,
+        "observed_shift": loglin.observed, "total_loglinear": loglin.total,
+        "dynamics": loglin.dynamics, "separations": loglin.separations,
+        "matching": loglin.matching})}
+    path = _output_path(args, "orderings")
+    outputs[path.name] = write_table(path, {
+        "ordering": [" -> ".join(row.ordering) for row in table.rows],
+        "dynamics_pct": [row.dynamics_pct for row in table.rows],
+        "separations_pct": [row.separations_pct for row in table.rows],
+        "matching_pct": [row.matching_pct for row in table.rows]})
 
     notes.update({
         "dropped_months": [str(m) for m in table.dropped_months],
@@ -332,13 +308,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         # vacancy-rate units: the nonlinear decomposition works in levels
         "average_observed_shift_level": table.average_observed_shift,
     })
-    _write_manifest(config, "decompose", _settings(args), outputs, notes)
+    _write_manifest(args, outputs, notes)
     return EXIT_OK
 
 
 def cmd_three_state(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    cols = _read_columns(config, "e_stock", "u_stock", "n_stock", "v_rate",
+    cols = _read_columns(args, "e_stock", "u_stock", "n_stock", "v_rate",
                          *RATE_NAMES)
     panel, report = build_three_state_panel(
         cols["e_stock"], cols["u_stock"], cols["n_stock"],
@@ -358,86 +333,73 @@ def cmd_three_state(args: argparse.Namespace) -> int:
     theta = three_state_tightness(panel, cols["v_rate"])
     f_rate, masked = _positive_finding_rate(searcher_finding_rate(panel))
     notes["nonpositive_finding_months_masked"] = masked
-    sigma = matching_efficiency_path(f_rate, theta, config.alpha)
+    sigma = matching_efficiency_path(f_rate, theta, args.alpha)
 
-    window = _resolve_approx_window(config, panel.S)
-    point = ThreeStateApproximationPoint.from_panel(panel, sigma, config.alpha, window)
+    window = _resolve_approx_window(args, panel.S)
+    point = ThreeStateApproximationPoint.from_panel(panel, sigma, args.alpha, window)
     notes.update({"approx_window": f"{window[0]}:{window[1]}",
                   "S_0": point.S_0, "N_tilde_0": point.N_tilde_0,
                   "x_0": point.x_0, "sigma_0": point.sigma_0, "V_0": point.V_0})
 
     loglin = three_state_loglinear(panel, sigma, point)
-    terms = {name: normalize_to_reference(series, args.reference)
+    _require_coverage(panel.S, f"reference month {args.reference}", args.reference)
+    terms = {name: normalize_to_reference(series, args.reference).values
              for name, series in loglin.terms().items()}
-    shifter_names = ["searcher_dynamics", "nonsearcher_level",
-                     "nonsearcher_dynamics", "separations", "matching"]
-    net = sum(terms[name].values for name in shifter_names)
 
-    header = (["date", "searchers", "log_v_loglinear", "searcher_level"]
-              + shifter_names + ["net"])
-    rows = []
-    for t, month in enumerate(panel.S.months()):
-        rows.append([str(month), panel.S.values[t], loglin.total.values[t],
-                     terms["searcher_level"].values[t]]
-                    + [terms[name].values[t] for name in shifter_names]
-                    + [net[t]])
-    path = _output_path(config, "three_state_shifters")
-    outputs = {path.name: write_table(path, header, rows)}
-    _write_manifest(config, "three-state", _settings(args), outputs, notes)
+    path = _output_path(args, "three_state_shifters")
+    outputs = {path.name: write_table(path, {
+        "date": _dates(panel.S), "searchers": panel.S.values,
+        "log_v_loglinear": loglin.total.values, **terms,
+        "net": sum(terms[name] for name in terms if name != "searcher_level")})}
+    _write_manifest(args, outputs, notes)
     return EXIT_OK
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    cols = _read_columns(config, "u_rate", "v_rate")
+    cols = _read_columns(args, "u_rate", "v_rate")
     u, v = cols["u_rate"], cols["v_rate"]
 
-    cal_ms = EfficiencyCalibration(beveridge_elasticity=args.ms_elasticity,
-                                   vacancy_cost=args.vacancy_cost,
-                                   unemployment_cost=args.unemployment_cost)
-    cal_steep = EfficiencyCalibration(beveridge_elasticity=args.steep_elasticity,
-                                      vacancy_cost=args.vacancy_cost,
-                                      unemployment_cost=args.unemployment_cost)
+    costs = {"vacancy_cost": args.vacancy_cost,
+             "unemployment_cost": args.unemployment_cost}
+    cal_ms = _from_flags(EfficiencyCalibration,
+                         beveridge_elasticity=args.ms_elasticity, **costs)
+    cal_steep = _from_flags(EfficiencyCalibration,
+                            beveridge_elasticity=args.steep_elasticity, **costs)
     u_star_ms = efficient_unemployment(u, v, cal_ms)
     u_star_steep = efficient_unemployment(u, v, cal_steep)
-    gap_ms = unemployment_gap(u, u_star_ms)
-    gap_steep = unemployment_gap(u, u_star_steep)
 
-    header = ["date", "u_rate", "u_star_ms", "u_star_steep", "gap_ms", "gap_steep"]
-    rows = []
-    for t, month in enumerate(u.months()):
-        rows.append([str(month), u.values[t], u_star_ms.values[t],
-                     u_star_steep.values[t], gap_ms.values[t], gap_steep.values[t]])
-    path = _output_path(config, "efficiency")
-    outputs = {path.name: write_table(path, header, rows)}
-    _write_manifest(config, "efficiency", _settings(args), outputs, {})
+    path = _output_path(args, "efficiency")
+    outputs = {path.name: write_table(path, {
+        "date": _dates(u), "u_rate": u.values,
+        "u_star_ms": u_star_ms.values, "u_star_steep": u_star_steep.values,
+        "gap_ms": unemployment_gap(u, u_star_ms).values,
+        "gap_steep": unemployment_gap(u, u_star_steep).values})}
+    _write_manifest(args, outputs, {})
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _run_config(args)
     if args.three_state:
         rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
                  "ne": 0.04, "nu": 0.02}
-        spec3 = ThreeStateSimulationSpec(
-            alpha=args.alpha, u0=args.u0, n0=args.n0, horizon=args.horizon,
-            rates=rates, sigma_path=_sigma_path(args), start=args.start)
-        sim = simulate_three_state(spec3)
+        sim = simulate_three_state(_from_flags(
+            ThreeStateSimulationSpec, alpha=args.alpha, u0=args.u0, n0=args.n0,
+            horizon=args.horizon, rates=rates, sigma_path=_sigma_path(args),
+            start=args.start))
         columns = {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
                    "n_stock": sim.panel.N, "v_rate": sim.V,
                    **sim.panel.rates()}
     else:
-        spec = SimulationSpec(
-            alpha=args.alpha, u0=args.u0, horizon=args.horizon,
+        sim = simulate_two_state(_from_flags(
+            SimulationSpec, alpha=args.alpha, u0=args.u0, horizon=args.horizon,
             s_path=args.s_bar, sigma_path=_sigma_path(args),
             delta_u_path=_delta_u_path(args), noise_std=args.noise,
-            seed=args.seed, start=args.start)
-        sim = simulate_two_state(spec)
+            seed=args.seed, start=args.start))
         columns = {"u_rate": sim.panel.U, "v_rate": sim.panel.V,
                    "u_short": sim.panel.U_short}
-    path = _output_path(config, "panel")
+    path = _output_path(args, "panel")
     outputs = {path.name: write_panel(path, columns)}
-    _write_manifest(config, "simulate", _settings(args), outputs, {})
+    _write_manifest(args, outputs, {})
     return EXIT_OK
 
 
@@ -466,9 +428,9 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
         sub.add_argument("--input", required=True, help="panel CSV path")
     sub.add_argument("--output-dir", required=True, help="directory for outputs")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+    sub.add_argument("--alpha", type=_elasticity, default=DEFAULT_ALPHA,
                      help="matching elasticity (default %(default)s)")
-    sub.add_argument("--smooth", type=int, default=1, metavar="N",
+    sub.add_argument("--smooth", type=_positive_int, default=1, metavar="N",
                      help="moving-average window applied to inputs (1 = none)")
     sub.add_argument("--smooth-align", choices=("centered", "trailing"),
                      default="centered")
@@ -527,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_approx(p)
     p.add_argument("--reference", type=_month, default=MonthDate(2007, 4))
     p.add_argument("--rake-tol", type=float, default=1e-12)
-    p.add_argument("--rake-max-iter", type=int, default=1000)
+    p.add_argument("--rake-max-iter", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_three_state)
 
     p = subs.add_parser("efficiency", help="efficient unemployment series")
@@ -540,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="synthetic panel generation")
     _add_common(p, with_input=False)
-    p.add_argument("--horizon", type=int, default=120)
+    p.add_argument("--horizon", type=_positive_int, default=120)
     p.add_argument("--start", type=_month, default=MonthDate(2000, 1))
     p.add_argument("--u0", type=float, default=0.06)
     p.add_argument("--n0", type=float, default=0.30,
@@ -574,10 +536,7 @@ def main(argv=None) -> int:
     except AllPairsInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SchemaError, RakingError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RakingError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -79,13 +79,6 @@ def require_columns(panel: Mapping[str, MonthlySeries], *names: str) -> None:
         raise SchemaError(f"missing required columns: {', '.join(missing)}")
 
 
-def format_value(x: float) -> str:
-    """Deterministic shortest round-trip float formatting; NaN becomes empty."""
-    if isinstance(x, float) and np.isnan(x):
-        return ""
-    return repr(float(x))
-
-
 def _json_safe(x):
     """A JSON-ready scalar: NaN becomes null, numpy scalars Python ones."""
     if isinstance(x, float) and math.isnan(x):
@@ -95,25 +88,38 @@ def _json_safe(x):
     return x
 
 
-def write_table(path: str | Path, header: Sequence[str],
-                rows: Sequence[Sequence]) -> int:
-    """Write rows under `header`; returns the number of rows.
+def _dates(series: MonthlySeries) -> list[str]:
+    """The series' months as YYYY-MM strings, without a MonthDate for each."""
+    first = 12 * series.start.year + series.start.month - 1
+    years, months = np.divmod(first + np.arange(len(series)), 12)
+    return [f"{y:04d}-{m + 1:02d}" for y, m in zip(years.tolist(), months.tolist())]
 
-    A path ending in ``.json`` gets a list of records (missing values as
-    null), any other path CSV: strings as given, numbers through
-    :func:`format_value` (missing values as empty cells).
+
+def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
+    """Write equal-length named columns as a table; returns the number of rows.
+
+    A column holds strings, written as given, or numbers: floats as their
+    shortest round-trip ``repr``, NaN as a missing value.  A path ending in
+    ``.json`` gets a sorted-key list of records (missing values as null),
+    any other path CSV with the columns in order (missing values empty).
     """
     path = Path(path)
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    # one conversion per column, to Python scalars with NaN as None
+    arrays = [np.asarray(column) for column in columns.values()]
+    cells = [np.where(a != a, None, a.astype(object)).tolist() for a in arrays]
     if path.suffix == ".json":
-        records = [{h: _json_safe(c) for h, c in zip(header, row)} for row in rows]
+        records = [dict(zip(columns, row)) for row in zip(*cells)]
         path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-        return len(records)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else format_value(c) for c in row])
-    return len(rows)
+    else:
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            # csv writes None as an empty cell and a float as its repr
+            writer.writerows(zip(*cells))
+    return next(iter(lengths.values()), 0)
 
 
 def write_panel(path: str | Path, columns: Mapping[str, MonthlySeries]) -> int:
@@ -123,7 +129,5 @@ def write_panel(path: str | Path, columns: Mapping[str, MonthlySeries]) -> int:
     if not series:
         raise ValueError("nothing to write")
     require_aligned(*series)
-    values = [s.values for s in series]
-    rows = [[str(month)] + [v[t] for v in values]
-            for t, month in enumerate(series[0].months())]
-    return write_table(path, ["date", *columns], rows)
+    return write_table(path, {"date": _dates(series[0]),
+                              **{name: s.values for name, s in columns.items()}})

@@ -186,12 +186,6 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
     )
 
 
-def vertical_shift(samples: SwingSamples) -> list[tuple[float, float]]:
-    """Per matched point: (U, upswing log vacancies minus downswing log vacancies)."""
-    shifts = _observed_shift(samples)
-    return [(float(u), float(d)) for u, d in zip(samples.down_u, shifts)]
-
-
 def _observed_shift(samples: SwingSamples) -> np.ndarray:
     interp = _interp_at_pairs(samples.up_log_v, samples.pair_left,
                               samples.pair_lam)

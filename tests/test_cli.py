@@ -336,12 +336,7 @@ class TestThreeStateCommand:
         assert compared > 300
 
     def run_steady_three_state(self, tmp_path):
-        from conftest import make_three_state_steady
-        sim = make_three_state_steady(horizon=60)
-        path = tmp_path / "three.csv"
-        ba.write_panel(path, {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
-                              "n_stock": sim.panel.N, "v_rate": sim.V,
-                              **sim.panel.rates()})
+        path = write_steady_three_state_csv(tmp_path)
         out = tmp_path / "o"
         code = run(["three-state", "--input", path, "--output-dir", out,
                     "--approx-window", "2000-01:2004-10",
@@ -411,6 +406,92 @@ class TestEfficiencyCommand:
         records = json.loads((out / "efficiency.json").read_text())
         assert len(records) == 180
         assert records[0]["u_star_steep"] > records[0]["u_star_ms"]
+
+
+def write_steady_three_state_csv(tmp_path) -> Path:
+    from conftest import make_three_state_steady
+    sim = make_three_state_steady(horizon=60)
+    path = tmp_path / "three.csv"
+    ba.write_panel(path, {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
+                          "n_stock": sim.panel.N, "v_rate": sim.V,
+                          **sim.panel.rates()})
+    return path
+
+
+def exit_code(args):
+    """main's return code, or argparse's exit code for a rejected flag."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("estimate", ["--smooth", 0]),
+    ("estimate", ["--smooth", -3]),
+    ("shifters", ["--smooth", 1000]),
+    ("estimate", ["--alpha", 1.5]),
+    ("shifters", ["--alpha", 1.5]),
+    ("shifters", ["--alpha", 0]),
+    ("shifters", ["--u-bar", 1.5, "--s-bar", 0.02, "--sigma-bar", 0.3]),
+    ("simulate", ["--horizon", 1]),
+    ("simulate", ["--u0", 1.5]),
+    ("efficiency", ["--ms-elasticity", -1]),
+    ("three-state", ["--rake-max-iter", 0]),
+    ("shifters", ["--reference", "1990-01"]),
+    ("three-state", ["--reference", "1990-01"]),
+])
+def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
+    if command == "three-state":
+        data = ["--input", write_steady_three_state_csv(tmp_path)]
+    elif command == "simulate":
+        data = []
+    else:
+        data = ["--input", write_recession_csv(tmp_path, recession_sim)]
+    out = tmp_path / "out"
+    assert exit_code([command, *data, "--output-dir", out, *flags]) == 2
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("estimate", ["--sample", "2000-01:2007-12", "--sample", "2005-01:2014-12"]),
+    ("shifters", []),
+    ("decompose", ["--down-start", "2007-07", "--down-end", "2009-06",
+                   "--up-start", "2010-01"]),
+    ("three-state", ["--approx-window", "2000-01:2004-10", "--reference", "2000-03"]),
+    ("efficiency", []),
+])
+def test_json_records_equal_csv_rows(tmp_path, recession_sim, command, flags):
+    if command == "three-state":
+        data = write_steady_three_state_csv(tmp_path)
+    else:
+        data = write_recession_csv(tmp_path, recession_sim)
+    outs = {fmt: tmp_path / fmt for fmt in ("csv", "json")}
+    for fmt, out in outs.items():
+        assert run([command, "--input", data, "--output-dir", out,
+                    "--format", fmt, "--smooth", 3, *flags]) == 0
+    outputs = {fmt: json.loads((out / "manifest.json").read_text())["outputs"]
+               for fmt, out in outs.items()}
+    stems = [name[:-4] for name in outputs["csv"] if name.endswith(".csv")]
+    assert stems
+    missing = 0
+    for stem in stems:
+        rows = read_csv(outs["csv"] / f"{stem}.csv")
+        records = json.loads((outs["json"] / f"{stem}.json").read_text())
+        assert len(rows) == len(records) == outputs["csv"][f"{stem}.csv"] \
+            == outputs["json"][f"{stem}.json"]
+        for row, record in zip(rows, records):
+            assert set(row) == set(record)
+            for name, value in record.items():
+                if value is None:
+                    assert row[name] == ""
+                    missing += 1
+                elif isinstance(value, str):
+                    assert row[name] == value
+                else:
+                    assert float(row[name]).hex() == float(value).hex()
+    if command in ("shifters", "three-state", "efficiency"):
+        assert missing > 0  # smoothing leaves the edge months missing
 
 
 def test_bad_month_flag_exits_two(tmp_path):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from beveridge_accounting import MonthDate, MonthlySeries, read_panel, write_panel
-from beveridge_accounting.csvio import SchemaError, require_columns
+from beveridge_accounting.csvio import SchemaError, require_columns, write_table
+
+MIXED = {"x": np.array([np.nan, 0.1 + 0.2, -0.0, 1e-300]),
+         "name": ["a", "b", "", "d"]}
 
 
 def test_roundtrip_with_missing(tmp_path):
@@ -73,3 +76,61 @@ def test_require_columns_names_missing(tmp_path):
     panel = read_panel(path)
     with pytest.raises(SchemaError, match="v_rate, u_short"):
         require_columns(panel, "u_rate", "v_rate", "u_short")
+
+
+def test_write_table_csv_keeps_column_order_and_round_trips_floats(tmp_path):
+    path = tmp_path / "t.csv"
+    assert write_table(path, MIXED) == 4
+    assert path.read_bytes() == (b"x,name\r\n,a\r\n0.30000000000000004,b\r\n"
+                                 b"-0.0,\r\n1e-300,d\r\n")
+
+
+def test_write_table_json_is_sorted_records_with_null_for_nan(tmp_path):
+    path = tmp_path / "t.json"
+    assert write_table(path, {"x": list(MIXED["x"]), "name": MIXED["name"]}) == 4
+    assert path.read_text() == """\
+[
+  {
+    "name": "a",
+    "x": null
+  },
+  {
+    "name": "b",
+    "x": 0.30000000000000004
+  },
+  {
+    "name": "",
+    "x": -0.0
+  },
+  {
+    "name": "d",
+    "x": 1e-300
+  }
+]
+"""
+    assert json.loads(path.read_text()) == [
+        {"name": "a", "x": None}, {"name": "b", "x": 0.30000000000000004},
+        {"name": "", "x": -0.0}, {"name": "d", "x": 1e-300}]
+
+
+def test_write_table_json_keeps_integers_and_booleans(tmp_path):
+    path = tmp_path / "t.json"
+    write_table(path, {"n": [3, 4], "flag": [True, False]})
+    assert path.read_text() == json.dumps([{"flag": True, "n": 3},
+                                           {"flag": False, "n": 4}],
+                                          indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_write_table_rejects_unequal_columns(tmp_path, suffix):
+    path = tmp_path / f"t.{suffix}"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_table(path, {"a": [1.0, 2.0], "b": [1.0]})
+    assert not path.exists()
+
+
+def test_write_table_zero_rows(tmp_path):
+    assert write_table(tmp_path / "t.csv", {"a": [], "b": np.array([])}) == 0
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
+    assert write_table(tmp_path / "t.json", {"a": [], "b": np.array([])}) == 0
+    assert (tmp_path / "t.json").read_text() == "[]\n"
