@@ -87,6 +87,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _elasticity(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -488,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_approx(p)
     p.add_argument("--reference", type=_month, default=MonthDate(2007, 4))
-    p.add_argument("--rake-tol", type=float, default=1e-12)
+    p.add_argument("--rake-tol", type=_positive_float, default=1e-12)
     p.add_argument("--rake-max-iter", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_three_state)
 
@@ -511,10 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-bar", type=float, default=0.36)
     p.add_argument("--du-amplitude", type=float, default=0.0,
                    help="sinusoidal unemployment-change amplitude")
-    p.add_argument("--du-period", type=float, default=48.0)
+    p.add_argument("--du-period", type=_positive_float, default=48.0)
     p.add_argument("--sigma-break-at", type=int, default=None, metavar="T",
                    help="month index at which efficiency jumps")
-    p.add_argument("--sigma-break-factor", type=float, default=0.75)
+    p.add_argument("--sigma-break-factor", type=_positive_float, default=0.75)
     p.add_argument("--noise", type=float, default=0.0,
                    help="lognormal noise std on the efficiency path")
     p.add_argument("--seed", type=int, default=0)

@@ -42,9 +42,9 @@ class EfficiencyCalibration:
     unemployment_cost: float = MS_UNEMPLOYMENT_COST
 
     def __post_init__(self) -> None:
-        if self.beveridge_elasticity <= 0.0:
+        if not self.beveridge_elasticity > 0.0:
             raise ValueError("beveridge_elasticity must be positive")
-        if self.vacancy_cost <= 0.0 or self.unemployment_cost <= 0.0:
+        if not (self.vacancy_cost > 0.0 and self.unemployment_cost > 0.0):
             raise ValueError("costs must be positive")
 
 

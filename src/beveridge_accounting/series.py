@@ -3,8 +3,8 @@
 Everything downstream (flow construction, matching estimation, curve
 decompositions) consumes :class:`MonthlySeries` built here.  Missing
 observations are carried as NaN and propagate through every transformation:
-a window or bracketing pair that touches a missing value yields a missing
-result, never a fabricated one.
+a window that touches a missing value yields a missing result, never a
+fabricated one.
 """
 
 from __future__ import annotations
@@ -149,28 +149,6 @@ def moving_average(series: MonthlySeries, window: int,
         first = window - 1
     out[first:first + len(sums)] = sums / window
     return series.with_values(out)
-
-
-def first_bracket(x: Sequence[float], x0: float) -> tuple[int, float] | None:
-    """First consecutive pair of x (in list order) that brackets x0.
-
-    Returns (i, lam) with the interpolation weight lam in [0, 1] such that
-    the interpolated value is ``y[i] + lam * (y[i+1] - y[i])``.  A pair with
-    equal x-values brackets only when x0 equals them (lam = 0).  Pairs
-    containing NaN cannot bracket.  Returns None when nothing brackets.
-    """
-    xs = np.asarray(x, dtype=float)
-    if len(xs) == 1:
-        return (0, 0.0) if xs[0] == x0 else None
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if min(a, b) <= x0 <= max(a, b):
-            if a == b:
-                return i, 0.0
-            return i, (x0 - a) / (b - a)
-    return None
 
 
 def normalize_shares(stocks: Sequence[MonthlySeries]) -> list[MonthlySeries]:

@@ -30,8 +30,7 @@ import numpy as np
 
 from .curve import (ApproximationPoint, dynamics_coefficient, matching_coefficient,
                     separations_coefficient, _vacancy_identity, _warn_infeasible)
-from .series import (MonthDate, MonthlySeries, delta, delta_log, first_bracket,
-                     require_aligned)
+from .series import MonthDate, MonthlySeries, delta, delta_log, require_aligned
 
 MARGIN_DYNAMICS = "dynamics"
 MARGIN_SEPARATIONS = "separations"
@@ -52,11 +51,42 @@ class AllPairsInfeasibleError(ValueError):
     """Every matched pair hit an infeasible counterfactual; no result."""
 
 
+# Downswing points per matching block: the (block, n_up - 1) mask stays a few
+# hundred KiB on a 1,200-month upswing, however long the downswing is.
+_BLOCK = 256
+
+
+def _first_crossings(x: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First consecutive pair of `x` (in order) that brackets each of `x0`.
+
+    Returns (left, lam): the pair's left index and the weight lam in [0, 1]
+    with ``x0 = x[i] + lam * (x[i+1] - x[i])``; left is -1 and lam NaN where
+    nothing brackets.  A pair with equal values brackets only an equal x0,
+    with lam = 0, and so does a one-point `x`.  Pairs containing NaN never
+    bracket.
+    """
+    a, b = (x, x) if len(x) == 1 else (x[:-1], x[1:])
+    nan = np.isnan(a) | np.isnan(b)
+    lo = np.where(nan, np.inf, np.minimum(a, b))
+    hi = np.where(nan, -np.inf, np.maximum(a, b))
+    left = np.full(len(x0), -1)
+    for k in range(0, len(x0), _BLOCK):
+        point = x0[k:k + _BLOCK, None]
+        mask = (lo <= point) & (point <= hi)
+        left[k:k + _BLOCK] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+    hit = left >= 0
+    i = left[hit]
+    lam = np.full(len(left), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam[hit] = np.where(a[i] == b[i], 0.0, (x0[hit] - a[i]) / (b[i] - a[i]))
+    return left, lam
+
+
 def _interp_at_pairs(up: np.ndarray, left: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    out = np.empty(len(left))
-    for k, (i, w) in enumerate(zip(left, lam)):
-        out[k] = up[i] if w == 0.0 else up[i] + w * (up[i + 1] - up[i])
-    return out
+    """``up[i] + lam * (up[i+1] - up[i])`` per pair; exactly ``up[i]`` where
+    lam is 0, even when ``up[i+1]`` is missing or does not exist."""
+    right = np.minimum(left + 1, len(up) - 1)
+    return np.where(lam == 0.0, up[left], up[left] + lam * (up[right] - up[left]))
 
 
 @dataclass(frozen=True)
@@ -78,9 +108,10 @@ class SwingBounds:
 class SwingSamples:
     """Matched downswing/upswing samples on a fixed calendar grid.
 
-    `pair_left[k]` and `pair_lam[k]` give the first-crossing interpolation
-    weights on the upswing for downswing point k: interpolated values are
-    ``up[i] + lam * (up[i+1] - up[i])``.
+    `pair_left[k]` and `pair_lam[k]` give the interpolation weights on the
+    upswing for downswing point k, from the first upswing pair in time that
+    brackets its unemployment rate (see `_first_crossings`): interpolated
+    values are ``up[i] + lam * (up[i+1] - up[i])``.
     """
 
     grid_start: MonthDate
@@ -133,40 +164,29 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
     if bounds.up_end is not None and not U.covers(bounds.up_end):
         raise ValueError(f"series do not cover bound {bounds.up_end}")
 
+    usable = ~(np.isnan(U.values) | np.isnan(log_v))
     lo, hi = U.index_of(bounds.down_start), U.index_of(bounds.down_end)
-    down_idx = [t for t in range(lo, hi + 1)
-                if not (np.isnan(U.values[t]) or np.isnan(log_v[t]))]
-    if not down_idx:
+    down_idx = lo + np.flatnonzero(usable[lo:hi + 1])
+    if not down_idx.size:
         raise ValueError("empty downswing sample")
-    min_down_u = min(U.values[t] for t in down_idx)
 
-    up_idx: list[int] = []
     start = U.index_of(bounds.up_start)
     stop = U.index_of(bounds.up_end) if bounds.up_end is not None else len(U) - 1
-    for t in range(start, stop + 1):
-        if np.isnan(U.values[t]) or np.isnan(log_v[t]):
-            continue
-        up_idx.append(t)
-        if bounds.up_end is None and U.values[t] < min_down_u:
-            break
-    if not up_idx:
+    up_arr = start + np.flatnonzero(usable[start:stop + 1])
+    if bounds.up_end is None:
+        below = np.flatnonzero(U.values[up_arr] < U.values[down_idx].min())
+        if below.size:
+            up_arr = up_arr[:below[0] + 1]
+    if not up_arr.size:
         raise ValueError("empty upswing sample")
 
-    up_u = U.values[np.asarray(up_idx)]
-    kept, dropped, lefts, lams = [], [], [], []
-    for t in down_idx:
-        hit = first_bracket(up_u, U.values[t])
-        if hit is None:
-            dropped.append(U.start.shift(t))
-            continue
-        kept.append(t)
-        lefts.append(hit[0])
-        lams.append(hit[1])
-    if not kept:
+    up_u = U.values[up_arr]
+    left, lam = _first_crossings(up_u, U.values[down_idx])
+    hit = left >= 0
+    if not hit.any():
         raise ValueError("no downswing point is bracketable on the upswing")
 
-    kept_arr = np.asarray(kept, dtype=int)
-    up_arr = np.asarray(up_idx, dtype=int)
+    kept_arr = down_idx[hit]
     return SwingSamples(
         grid_start=U.start,
         grid_len=len(U),
@@ -180,9 +200,9 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
         up_u=up_u,
         up_v=V.values[up_arr],
         up_log_v=log_v[up_arr],
-        pair_left=np.asarray(lefts, dtype=int),
-        pair_lam=np.asarray(lams, dtype=float),
-        dropped_months=tuple(dropped),
+        pair_left=left[hit],
+        pair_lam=lam[hit],
+        dropped_months=tuple(U.start.shift(int(t)) for t in down_idx[~hit]),
     )
 
 

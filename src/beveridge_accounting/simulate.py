@@ -62,6 +62,8 @@ class SimulationSpec:
             raise ValueError("u0 must be in (0, 1)")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 months")
+        if not self.noise_std >= 0.0:
+            raise ValueError("noise_std must be non-negative")
         if self.delta_u_path is not None and self.v_path is not None:
             raise ValueError("specify delta_u_path or v_path, not both")
 

@@ -440,6 +440,15 @@ def exit_code(args):
     ("three-state", ["--rake-max-iter", 0]),
     ("shifters", ["--reference", "1990-01"]),
     ("three-state", ["--reference", "1990-01"]),
+    ("three-state", ["--rake-tol", 0]),
+    ("three-state", ["--rake-tol", -1]),
+    ("three-state", ["--rake-tol", "nan"]),
+    ("simulate", ["--du-period", 0, "--du-amplitude", 0.001]),
+    ("simulate", ["--sigma-break-factor", 0, "--sigma-break-at", 3]),
+    ("efficiency", ["--vacancy-cost", "nan"]),
+    ("efficiency", ["--ms-elasticity", "nan"]),
+    ("simulate", ["--noise", -1]),
+    ("simulate", ["--noise", "nan"]),
 ])
 def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
     if command == "three-state":

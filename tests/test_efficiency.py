@@ -71,6 +71,11 @@ class TestFormulaContract:
             EfficiencyCalibration(beveridge_elasticity=-1.0)
         with pytest.raises(ValueError):
             EfficiencyCalibration(beveridge_elasticity=1.0, vacancy_cost=0.0)
+        for bad in ({"beveridge_elasticity": np.nan},
+                    {"beveridge_elasticity": 1.0, "vacancy_cost": np.nan},
+                    {"beveridge_elasticity": 1.0, "unemployment_cost": np.nan}):
+            with pytest.raises(ValueError, match="positive"):
+                EfficiencyCalibration(**bad)
         with pytest.raises(ValueError, match="positive"):
             efficient_unemployment(series([0.0]), series([0.03]),
                                    ms_calibration())

@@ -3,11 +3,17 @@ import pytest
 
 from beveridge_accounting import (MonthDate, MonthlySeries, delta, moving_average,
                                   normalize_shares)
-from beveridge_accounting.series import first_bracket
+from beveridge_accounting.shift_decomposition import _first_crossings
 
 
 def series(values, start=MonthDate(2000, 1)):
     return MonthlySeries(start, values)
+
+
+def first_crossing(x, x0):
+    """`_first_crossings` for one point: (i, lam), or None if nothing brackets."""
+    left, lam = _first_crossings(np.asarray(x, dtype=float), np.array([x0]))
+    return None if left[0] < 0 else (int(left[0]), float(lam[0]))
 
 
 class TestMonthDate:
@@ -89,23 +95,23 @@ class TestMovingAverage:
 
 
 class TestInterpolateAt:
-    """Interpolation at a point through the weights of `first_bracket`, the
-    rule swing matching uses: ``y[i] + lam * (y[i+1] - y[i])``."""
+    """Interpolation at a point through the weights swing matching freezes:
+    ``y[i] + lam * (y[i+1] - y[i])`` on the first pair that brackets."""
 
     def test_midpoint(self):
-        assert first_bracket([0.0, 1.0], 0.5) == (0, 0.5)
+        assert first_crossing([0.0, 1.0], 0.5) == (0, 0.5)
 
     def test_knot_exact(self):
         # a knot is hit exactly: lam is 0 at the first knot, 1 at the others
         x = [0.2, 0.4, 0.9]
-        assert first_bracket(x, 0.2) == (0, 0.0)
-        assert first_bracket(x, 0.4) == (0, 1.0)
-        assert first_bracket(x, 0.9) == (1, 1.0)
+        assert first_crossing(x, 0.2) == (0, 0.0)
+        assert first_crossing(x, 0.4) == (0, 1.0)
+        assert first_crossing(x, 0.9) == (1, 1.0)
 
     def test_first_crossing_rule(self):
         # non-monotone x: the first bracketing pair (0.06, 0.08) wins over
         # the later (0.08, 0.07)
-        i, lam = first_bracket([0.06, 0.08, 0.07], 0.075)
+        i, lam = first_crossing([0.06, 0.08, 0.07], 0.075)
         assert i == 0
         assert lam == pytest.approx(0.75, abs=1e-14)
 
@@ -113,20 +119,27 @@ class TestInterpolateAt:
         rng = np.random.default_rng(3)
         x = np.sort(rng.uniform(0, 1, 10))
         for x0 in rng.uniform(x[0], x[-1], 50):
-            i, lam = first_bracket(x, x0)
+            i, lam = first_crossing(x, x0)
             assert i == np.searchsorted(x, x0) - 1
             assert 0.0 <= lam <= 1.0
             assert x[i] + lam * (x[i + 1] - x[i]) == pytest.approx(x0, abs=1e-15)
 
     def test_missing_gap_cannot_bracket(self):
-        assert first_bracket([0.0, np.nan, 10.0], 5.0) is None
+        assert first_crossing([0.0, np.nan, 10.0], 5.0) is None
         # pairs touching the gap are skipped, a later clean pair still counts
-        assert first_bracket([0.0, np.nan, 10.0, 0.0], 5.0) == (2, 0.5)
+        assert first_crossing([0.0, np.nan, 10.0, 0.0], 5.0) == (2, 0.5)
+        # a knot next to the gap is matched by a clean pair only
+        assert first_crossing([0.0, np.nan, 10.0], 0.0) is None
+        assert first_crossing([0.0, np.nan, 10.0, 0.0], 10.0) == (2, 0.0)
 
     def test_constant_x_matches_first(self):
-        assert first_bracket([0.06, 0.06, 0.06], 0.06) == (0, 0.0)
-        assert first_bracket([0.06, 0.06], 0.06) == (0, 0.0)
-        assert first_bracket([0.06, 0.06], 0.07) is None
+        assert first_crossing([0.06, 0.06, 0.06], 0.06) == (0, 0.0)
+        assert first_crossing([0.06, 0.06], 0.06) == (0, 0.0)
+        assert first_crossing([0.06, 0.06], 0.07) is None
+        # a one-point x brackets only an equal value
+        assert first_crossing([0.06], 0.06) == (0, 0.0)
+        assert first_crossing([0.06], 0.07) is None
+        assert first_crossing([np.nan], 0.06) is None
 
 
 class TestNormalizeShares:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beveridge_accounting as ba
 from beveridge_accounting import (ApproximationPoint, CounterfactualSpec,
@@ -16,6 +18,8 @@ from beveridge_accounting import (ApproximationPoint, CounterfactualSpec,
                                   nonlinear_ordering_decomposition)
 from beveridge_accounting.shift_decomposition import (AllPairsInfeasibleError,
                                                       IdentityMismatchWarning,
+                                                      _BLOCK, _first_crossings,
+                                                      _interp_at_pairs,
                                                       _observed_shift)
 
 START = MonthDate(2000, 1)
@@ -67,6 +71,152 @@ class TestSwingSamples:
                              up_start=START.shift(4), up_end=START.shift(5))
         samples = build_swing_samples(series(u), series(np.full(8, 0.03)), bounds)
         assert [str(m) for m in samples.up_months] == ["2000-05", "2000-06"]
+
+    def test_first_crossing_on_non_monotone_upswing(self):
+        # 0.075 lies in the upswing pairs (0.060, 0.080), (0.080, 0.070) and
+        # (0.070, 0.078); the first in time carries the match
+        u = np.array([0.075, 0.060, 0.080, 0.070, 0.078])
+        v = np.array([0.030, 0.010, 0.030, 0.050, 0.070])
+        bounds = SwingBounds(down_start=START, down_end=START,
+                             up_start=START.shift(1), up_end=START.shift(4))
+        samples = build_swing_samples(series(u), series(v), bounds)
+        assert samples.pair_left.tolist() == [0]
+        assert samples.pair_lam[0] == pytest.approx(0.75, abs=1e-12)
+        assert samples.interp_up(v)[0] == pytest.approx(0.025, abs=1e-12)
+
+
+def first_bracket(x, x0):
+    """Reference: the scalar first-crossing scan the array matcher replaced."""
+    xs = np.asarray(x, dtype=float)
+    if len(xs) == 1:
+        return (0, 0.0) if xs[0] == x0 else None
+    for i in range(len(xs) - 1):
+        a, b = xs[i], xs[i + 1]
+        if np.isnan(a) or np.isnan(b):
+            continue
+        if min(a, b) <= x0 <= max(a, b):
+            if a == b:
+                return i, 0.0
+            return i, (x0 - a) / (b - a)
+    return None
+
+
+def loop_swing(u, v, bounds):
+    """Reference: month selection and matching one month at a time.
+
+    Returns (kept, dropped, up, left, lam) index lists, or the message of the
+    error `build_swing_samples` must raise.
+    """
+    usable = ~(np.isnan(u) | np.isnan(v))
+    lo, hi = START.months_until(bounds.down_start), START.months_until(bounds.down_end)
+    down = [t for t in range(lo, hi + 1) if usable[t]]
+    if not down:
+        return "empty downswing sample"
+    up = []
+    stop = len(u) - 1 if bounds.up_end is None else START.months_until(bounds.up_end)
+    for t in range(START.months_until(bounds.up_start), stop + 1):
+        if not usable[t]:
+            continue
+        up.append(t)
+        if bounds.up_end is None and u[t] < min(u[down]):
+            break
+    if not up:
+        return "empty upswing sample"
+    kept, dropped, left, lam = [], [], [], []
+    for t in down:
+        hit = first_bracket(u[up], u[t])
+        if hit is None:
+            dropped.append(t)
+        else:
+            kept.append(t)
+            left.append(hit[0])
+            lam.append(hit[1])
+    if not kept:
+        return "no downswing point is bracketable"
+    return kept, dropped, up, left, lam
+
+
+GRID = (0.04, 0.05, 0.06, 0.07, 0.08)
+RATES = st.one_of(st.sampled_from(GRID), st.floats(0.03, 0.10), st.just(np.nan))
+
+
+@st.composite
+def swings(draw):
+    """Unemployment and vacancy rates for a downswing followed by an upswing.
+
+    The upswing has NaN gaps, repeated values (equal pairs) and wiggles, and
+    may be one month long.  Downswing rates are drawn from the upswing's own
+    values, the grid, fresh values and NaN, so knots are hit exactly; some
+    downswings are longer than two matching blocks.
+    """
+    up = draw(st.lists(RATES, min_size=1, max_size=30))
+    n_down = draw(st.one_of(st.integers(1, 40),
+                            st.integers(2 * _BLOCK + 1, 3 * _BLOCK)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.concatenate([up, GRID, rng.uniform(0.03, 0.10, 5), [np.nan]])
+    u = np.concatenate([rng.choice(pool, n_down), up])
+    v = np.where(rng.random(len(u)) < 0.05, np.nan, 0.03)
+    up_end = START.shift(len(u) - 1) if draw(st.booleans()) else None
+    bounds = SwingBounds(down_start=START, down_end=START.shift(n_down - 1),
+                         up_start=START.shift(n_down), up_end=up_end)
+    return u, v, bounds
+
+
+class TestSwingMatchingProperties:
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(swing=swings())
+    def test_matches_scalar_first_bracket(self, swing):
+        u, v, bounds = swing
+        want = loop_swing(u, v, bounds)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                build_swing_samples(series(u), series(v), bounds)
+            return
+        kept, dropped, up, left, lam = want
+        got = build_swing_samples(series(u), series(v), bounds)
+        assert np.array_equal(got.down_index, kept)
+        assert got.dropped_months == tuple(START.shift(t) for t in dropped)
+        assert np.array_equal(got.up_index, up)
+        assert np.array_equal(got.pair_left, left)
+        assert np.array_equal(got.pair_lam, lam)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(x=st.lists(RATES, min_size=1, max_size=30), seed=st.integers(0, 2**32 - 1))
+    def test_nan_pairs_never_bracket(self, x, seed):
+        # NaN months never reach the upswing, so test the scan on NaN directly
+        rng = np.random.default_rng(seed)
+        x0 = rng.choice(np.concatenate([x, GRID, rng.uniform(0.03, 0.10, 5)]),
+                        2 * _BLOCK + 7)
+        left, lam = _first_crossings(np.array(x), x0)
+        want = [first_bracket(x, p) or (-1, np.nan) for p in x0]
+        assert np.array_equal(left, [i for i, _ in want])
+        assert np.array_equal(lam, [w for _, w in want], equal_nan=True)
+
+
+def loop_interp(up, left, lam):
+    """Reference: the pair-at-a-time interpolation `_interp_at_pairs` replaced."""
+    out = np.empty(len(left))
+    for k, (i, w) in enumerate(zip(left, lam)):
+        out[k] = up[i] if w == 0.0 else up[i] + w * (up[i + 1] - up[i])
+    return out
+
+
+class TestInterpAtPairs:
+    def test_matches_pair_at_a_time_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        up = rng.uniform(-3.0, -1.0, 40)
+        up[[7, 20, 21]] = np.nan
+        left = rng.integers(0, 39, 300)
+        lam = np.where(rng.random(300) < 0.3, 0.0, rng.random(300))
+        # lam = 0 next to a missing right knot keeps the left knot's value
+        left[:3], lam[:3] = [6, 19, 20], 0.0
+        got = _interp_at_pairs(up, left, lam)
+        assert np.array_equal(got, loop_interp(up, left, lam), equal_nan=True)
+        assert not np.isnan(got[:2]).any()
+
+    def test_one_point_upswing(self):
+        up, left, lam = np.array([-2.5]), np.array([0, 0]), np.array([0.0, 0.0])
+        assert np.array_equal(_interp_at_pairs(up, left, lam), loop_interp(up, left, lam))
 
 
 class TestVerticalShift:

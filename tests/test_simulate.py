@@ -109,6 +109,10 @@ class TestTwoStateSimulation:
             SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02,
                            sigma_path=0.36, delta_u_path=np.zeros(11),
                            v_path=np.full(12, 0.03))
+        for noise in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="noise_std"):
+                SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02,
+                               sigma_path=0.36, noise_std=noise)
         with pytest.raises(ValueError, match="positive"):
             simulate_two_state(SimulationSpec(alpha=0.3, u0=0.06, horizon=12,
                                               s_path=-0.02, sigma_path=0.36))
