@@ -274,7 +274,7 @@ def cmd_shifters(args: argparse.Namespace) -> int:
 
     path = _output_path(args, "shifters")
     outputs = {path.name: write_table(path, {
-        "date": _dates(panel.U), "u_rate": panel.U.values,
+        "date": _dates(panel.U.start, len(panel.U)), "u_rate": panel.U.values,
         "log_v_observed": log_v, "log_v_loglinear": loglin.values,
         "dynamics": paths.dynamics.values, "separations": paths.separations.values,
         "matching": paths.matching.values, "net": paths.net.values})}
@@ -355,7 +355,7 @@ def cmd_three_state(args: argparse.Namespace) -> int:
 
     path = _output_path(args, "three_state_shifters")
     outputs = {path.name: write_table(path, {
-        "date": _dates(panel.S), "searchers": panel.S.values,
+        "date": _dates(panel.S.start, len(panel.S)), "searchers": panel.S.values,
         "log_v_loglinear": loglin.total.values, **terms,
         "net": sum(terms[name] for name in terms if name != "searcher_level")})}
     _write_manifest(args, outputs, notes)
@@ -377,7 +377,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
     path = _output_path(args, "efficiency")
     outputs = {path.name: write_table(path, {
-        "date": _dates(u), "u_rate": u.values,
+        "date": _dates(u.start, len(u)), "u_rate": u.values,
         "u_star_ms": u_star_ms.values, "u_star_steep": u_star_steep.values,
         "gap_ms": unemployment_gap(u, u_star_ms).values,
         "gap_steep": unemployment_gap(u, u_star_steep).values})}
@@ -385,8 +385,18 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# simulate flags that only the two-state simulator reads, with their defaults
+_TWO_STATE_ONLY = {"--du-amplitude": 0.0, "--du-period": 48.0, "--noise": 0.0,
+                   "--seed": 0}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.three_state:
+        given = [flag for flag, default in _TWO_STATE_ONLY.items()
+                 if getattr(args, flag[2:].replace("-", "_")) != default]
+        if given:
+            raise ConfigError(f"{', '.join(given)}: two-state only, "
+                              f"not read with --three-state")
         rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
                  "ne": 0.04, "nu": 0.02}
         sim = simulate_three_state(_from_flags(
@@ -516,15 +526,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial nonemployment share (three-state only)")
     p.add_argument("--s-bar", type=float, default=0.02)
     p.add_argument("--sigma-bar", type=float, default=0.36)
-    p.add_argument("--du-amplitude", type=float, default=0.0,
+    p.add_argument("--du-amplitude", type=float,
+                   default=_TWO_STATE_ONLY["--du-amplitude"],
                    help="sinusoidal unemployment-change amplitude")
-    p.add_argument("--du-period", type=_positive_float, default=48.0)
+    p.add_argument("--du-period", type=_positive_float,
+                   default=_TWO_STATE_ONLY["--du-period"])
     p.add_argument("--sigma-break-at", type=int, default=None, metavar="T",
                    help="month index at which efficiency jumps")
     p.add_argument("--sigma-break-factor", type=_positive_float, default=0.75)
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=float, default=_TWO_STATE_ONLY["--noise"],
                    help="lognormal noise std on the efficiency path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_TWO_STATE_ONLY["--seed"])
     p.add_argument("--three-state", action="store_true")
     p.set_defaults(func=cmd_simulate)
     return parser

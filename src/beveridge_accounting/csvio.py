@@ -3,6 +3,11 @@
 Schema: one row per month, a `date` column in YYYY-MM form, then named value
 columns.  Missing cells are empty.  Rows must be contiguous ascending months;
 every downstream module consumes the :class:`MonthlySeries` built here.
+
+Both directions work a column at a time: ingest checks every date with one
+list comparison and parses every value cell with one ``map(float, ...)``;
+emission turns each column into string tokens once and joins them into rows
+(one ``%``-template per table for JSON records).
 """
 
 from __future__ import annotations
@@ -10,8 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain, compress
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -23,53 +29,74 @@ class SchemaError(ValueError):
 
 
 def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
-    """Read a panel CSV into one MonthlySeries per value column."""
+    """Read a panel CSV into one MonthlySeries per value column.
+
+    A leading UTF-8 byte-order mark is skipped.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise SchemaError(f"{path}: empty file")
+    header, body = lines[0], lines[1:]
+    if not header or header[0].strip() != "date":
+        raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
+    names = [h.strip() for h in header[1:]]
+    if len(names) == 0:
+        raise SchemaError(f"{path}: no value columns")
+    if len(set(names)) != len(names):
+        raise SchemaError(f"{path}: duplicate column names")
+
+    # rows whose cells are all blank are skipped
+    rows = list(compress(body, map(str.strip, map("".join, body))))
+    width = len(names) + 1
+    cells = list(chain.from_iterable(rows))
+    dates = list(map(str.strip, cells[::width]))
+    del cells[::width]
+    try:
+        start = MonthDate.parse(dates[0])
+        # a valid date cell is exactly its month's YYYY-MM, so one comparison
+        # checks the format and contiguity of every row
+        if set(map(len, rows)) != {width} or dates != _dates(start, len(rows)):
+            raise ValueError("bad width or date")
+        stripped = list(map(str.strip, cells))
+        # float keeps the number grammar; a blank cell is missing
+        values = np.fromiter(map(float, map({"": "nan"}.get, stripped, stripped)),
+                             dtype=float, count=len(stripped))
+    except (IndexError, ValueError):
+        _raise_first_fault(path, names, body)
+    values = values.reshape(len(rows), len(names))
+    return {name: MonthlySeries(start, values[:, j]) for j, name in enumerate(names)}
+
+
+def _raise_first_fault(path: Path, names: list[str], body: list[list[str]]) -> NoReturn:
+    """Raise the SchemaError for the first faulty data row of a panel that
+    failed the columnar checks in `read_panel`."""
+    previous: MonthDate | None = None
+    for lineno, row in enumerate(body, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(names) + 1:
+            raise SchemaError(f"{path}:{lineno}: expected {len(names) + 1} cells, "
+                              f"got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "date":
-            raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
-        names = [h.strip() for h in header[1:]]
-        if len(names) == 0:
-            raise SchemaError(f"{path}: no value columns")
-        if len(set(names)) != len(names):
-            raise SchemaError(f"{path}: duplicate column names")
-
-        months: list[MonthDate] = []
-        columns: list[list[float]] = [[] for _ in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(names) + 1:
-                raise SchemaError(f"{path}:{lineno}: expected {len(names) + 1} cells, "
-                                  f"got {len(row)}")
+            month = MonthDate.parse(row[0])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        if previous is not None and previous.shift(1) != month:
+            raise SchemaError(f"{path}:{lineno}: non-contiguous month {month} "
+                              f"after {previous}")
+        previous = month
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
             try:
-                month = MonthDate.parse(row[0])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            if months and months[-1].shift(1) != month:
-                raise SchemaError(f"{path}:{lineno}: non-contiguous month {month} "
-                                  f"after {months[-1]}")
-            months.append(month)
-            for j, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    columns[j].append(np.nan)
-                    continue
-                try:
-                    columns[j].append(float(cell))
-                except ValueError:
-                    raise SchemaError(f"{path}:{lineno}: non-numeric cell {cell!r} "
-                                      f"in column {names[j]!r}") from None
-
-    if not months:
+                float(cell or "nan")
+            except ValueError:
+                raise SchemaError(f"{path}:{lineno}: non-numeric cell {cell!r} "
+                                  f"in column {name!r}") from None
+    if previous is None:
         raise SchemaError(f"{path}: no data rows")
-    start = months[0]
-    return {name: MonthlySeries(start, col) for name, col in zip(names, columns)}
+    raise RuntimeError(f"{path}: columnar parse failed but no row is faulty")
 
 
 def require_columns(panel: Mapping[str, MonthlySeries], *names: str) -> None:
@@ -88,11 +115,66 @@ def _json_safe(x):
     return x
 
 
-def _dates(series: MonthlySeries) -> list[str]:
-    """The series' months as YYYY-MM strings, without a MonthDate for each."""
-    first = 12 * series.start.year + series.start.month - 1
-    years, months = np.divmod(first + np.arange(len(series)), 12)
-    return [f"{y:04d}-{m + 1:02d}" for y, m in zip(years.tolist(), months.tolist())]
+_MONTH_SUFFIXES = [f"-{m:02d}" for m in range(1, 13)]
+
+
+def _dates(start: MonthDate, n: int) -> list[str]:
+    """The `n` months from `start` as YYYY-MM strings: each year's prefix is
+    formatted once and joined with the twelve month suffixes."""
+    first = 12 * start.year + start.month - 1
+    years = range(first // 12, (first + n - 1) // 12 + 1)
+    months = [y + m for y in map("{:04d}".format, years) for m in _MONTH_SUFFIXES]
+    return months[first % 12:first % 12 + n]
+
+
+# CSV (excel dialect, minimal quoting) quotes a cell holding any of these
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _csv_quote(text: str) -> str:
+    if any(c in text for c in _CSV_SPECIAL):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_tokens(a: np.ndarray) -> list[str]:
+    """A column's CSV cells: floats as their repr, NaN (or None) empty."""
+    kind = a.dtype.kind
+    if kind == "f":
+        tokens = list(map(float.__repr__, a.tolist()))
+        for i in np.flatnonzero(np.isnan(a)).tolist():
+            tokens[i] = ""
+        return tokens
+    if kind in "iub":
+        return list(map(str, a.tolist()))
+    if kind == "U":
+        cells = a.tolist()
+        joined = "".join(cells)
+        if any(c in joined for c in _CSV_SPECIAL):
+            return list(map(_csv_quote, cells))
+        return cells
+    return ["" if x is None or x != x
+            else _csv_quote(float.__repr__(x) if isinstance(x, float) else str(x))
+            for x in a.tolist()]
+
+
+def _json_tokens(a: np.ndarray) -> list[str]:
+    """A column's JSON values, as `json.dumps` writes them: NaN (or None)
+    null, infinities as ``Infinity`` and strings ASCII-escaped."""
+    kind = a.dtype.kind
+    if kind == "f":
+        tokens = list(map(float.__repr__, a.tolist()))
+        for i in np.flatnonzero(~np.isfinite(a)).tolist():
+            tokens[i] = _JSON_NONFINITE[tokens[i]]
+        return tokens
+    if kind in "iu":
+        return list(map(str, a.tolist()))
+    if kind == "b":
+        return ["true" if x else "false" for x in a.tolist()]
+    if kind == "U":
+        return list(map(json.encoder.encode_basestring_ascii, a.tolist()))
+    return ["null" if x is None or x != x else json.dumps(x) for x in a.tolist()]
 
 
 def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
@@ -101,25 +183,32 @@ def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
     A column holds strings, written as given, or numbers: floats as their
     shortest round-trip ``repr``, NaN as a missing value.  A path ending in
     ``.json`` gets a sorted-key list of records (missing values as null),
-    any other path CSV with the columns in order (missing values empty).
+    laid out as ``json.dumps(records, indent=2, sort_keys=True)``; any other
+    path CSV with the columns in order (missing values empty).
     """
     path = Path(path)
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
-    # one conversion per column, to Python scalars with NaN as None
-    arrays = [np.asarray(column) for column in columns.values()]
-    cells = [np.where(a != a, None, a.astype(object)).tolist() for a in arrays]
+    n = next(iter(lengths.values()), 0)
     if path.suffix == ".json":
-        records = [dict(zip(columns, row)) for row in zip(*cells)]
-        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+        names = sorted(columns)
+        tokens = [_json_tokens(np.asarray(columns[name])) for name in names]
+        keys = [json.encoder.encode_basestring_ascii(name).replace("%", "%%")
+                for name in names]
+        record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+        text = ("[\n" + ",\n".join(map(record.__mod__, zip(*tokens))) + "\n]\n"
+                if n else "[]\n")
     else:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            # csv writes None as an empty cell and a float as its repr
-            writer.writerows(zip(*cells))
-    return next(iter(lengths.values()), 0)
+        tokens = [_csv_tokens(np.asarray(column)) for column in columns.values()]
+        head = [_csv_quote(str(name)) for name in columns]
+        if len(tokens) == 1:  # csv quotes a row that is one empty cell
+            tokens = [['""' if t == "" else t for t in tokens[0]]]
+            head = ['""' if t == "" else t for t in head]
+        text = "\r\n".join([",".join(head), *map(",".join, zip(*tokens))]) + "\r\n"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return n
 
 
 def write_panel(path: str | Path, columns: Mapping[str, MonthlySeries]) -> int:
@@ -129,5 +218,5 @@ def write_panel(path: str | Path, columns: Mapping[str, MonthlySeries]) -> int:
     if not series:
         raise ValueError("nothing to write")
     require_aligned(*series)
-    return write_table(path, {"date": _dates(series[0]),
+    return write_table(path, {"date": _dates(series[0].start, len(series[0])),
                               **{name: s.values for name, s in columns.items()}})

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 
 
 @dataclass(frozen=True, order=True)

@@ -71,6 +71,18 @@ class TestSimulateCommand:
         assert {"e_stock", "u_stock", "n_stock", "v_rate", "eu", "en", "ue",
                 "un", "ne", "nu"} <= set(rows[0])
 
+    @pytest.mark.parametrize("flag, value", [("--noise", 0.01),
+                                             ("--du-amplitude", 0.001),
+                                             ("--du-period", 12), ("--seed", 5)])
+    def test_three_state_rejects_two_state_only_flags(self, tmp_path, capsys,
+                                                      flag, value):
+        out = tmp_path / "out3"
+        code = run(["simulate", "--output-dir", out, "--horizon", 24,
+                    "--three-state", flag, value, *START_FLAGS])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_recovers_planted_coefficients(self, tmp_path, recession_sim):
@@ -449,6 +461,8 @@ def exit_code(args):
     ("efficiency", ["--ms-elasticity", "nan"]),
     ("simulate", ["--noise", -1]),
     ("simulate", ["--noise", "nan"]),
+    ("simulate", ["--three-state", "--horizon", 24, "--noise", -1,
+                  "--du-amplitude", 0.01, "--seed", 5]),
 ])
 def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
     if command == "three-state":

@@ -1,10 +1,13 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beveridge_accounting import MonthDate, MonthlySeries, read_panel, write_panel
-from beveridge_accounting.csvio import SchemaError, require_columns, write_table
+from beveridge_accounting.csvio import SchemaError, _dates, require_columns, write_table
 
 MIXED = {"x": np.array([np.nan, 0.1 + 0.2, -0.0, 1e-300]),
          "name": ["a", "b", "", "d"]}
@@ -134,3 +137,297 @@ def test_write_table_zero_rows(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
     assert write_table(tmp_path / "t.json", {"a": [], "b": np.array([])}) == 0
     assert (tmp_path / "t.json").read_text() == "[]\n"
+
+
+def test_bom_prefixed_panel_reads_the_same(tmp_path, recession_sim):
+    path = tmp_path / "panel.csv"
+    panel = recession_sim.panel
+    write_panel(path, {"u_rate": panel.U, "v_rate": panel.V, "u_short": panel.U_short})
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    want, got = read_panel(path), read_panel(bom)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].start == want[name].start
+        assert got[name].values.tobytes() == want[name].values.tobytes()
+
+
+def test_dates_cross_year_boundaries():
+    assert _dates(MonthDate(1999, 11), 4) == ["1999-11", "1999-12", "2000-01", "2000-02"]
+    assert _dates(MonthDate(2000, 5), 0) == []
+    assert _dates(MonthDate(2000, 5), 30) == [str(MonthDate(2000, 5).shift(t))
+                                              for t in range(30)]
+
+
+def test_blank_rows_are_skipped_but_counted_in_line_numbers(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("date,u\n\n2000-01,1\n , \n2000-02,x\n")
+    with pytest.raises(SchemaError, match=r"p.csv:5: non-numeric cell 'x' in column 'u'"):
+        read_panel(path)
+    path.write_text("date,u\n\n2000-01,1\n , \n2000-02, 2 \n\n")
+    np.testing.assert_array_equal(read_panel(path)["u"].values, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-row reader and the csv/json writer that
+# `read_panel` and `write_table` replaced.  The properties below require the
+# columnar code to agree with them exactly.
+# ---------------------------------------------------------------------------
+
+def read_panel_rows(path):
+    """Month-at-a-time panel reader."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        if not header or header[0].strip() != "date":
+            raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
+        names = [h.strip() for h in header[1:]]
+        if len(names) == 0:
+            raise SchemaError(f"{path}: no value columns")
+        if len(set(names)) != len(names):
+            raise SchemaError(f"{path}: duplicate column names")
+
+        months = []
+        columns = [[] for _ in names]
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(names) + 1:
+                raise SchemaError(f"{path}:{lineno}: expected {len(names) + 1} cells, "
+                                  f"got {len(row)}")
+            try:
+                month = MonthDate.parse(row[0])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            if months and months[-1].shift(1) != month:
+                raise SchemaError(f"{path}:{lineno}: non-contiguous month {month} "
+                                  f"after {months[-1]}")
+            months.append(month)
+            for j, cell in enumerate(row[1:]):
+                cell = cell.strip()
+                if cell == "":
+                    columns[j].append(np.nan)
+                    continue
+                try:
+                    columns[j].append(float(cell))
+                except ValueError:
+                    raise SchemaError(f"{path}:{lineno}: non-numeric cell {cell!r} "
+                                      f"in column {names[j]!r}") from None
+
+    if not months:
+        raise SchemaError(f"{path}: no data rows")
+    start = months[0]
+    return {name: MonthlySeries(start, col) for name, col in zip(names, columns)}
+
+
+def write_table_records(path, columns):
+    """Table writer through `csv.writer` and `json.dumps` of record dicts."""
+    arrays = [np.asarray(column) for column in columns.values()]
+    cells = [np.where(a != a, None, a.astype(object)).tolist() for a in arrays]
+    if path.suffix == ".json":
+        records = [dict(zip(columns, row)) for row in zip(*cells)]
+        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    else:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(zip(*cells))
+
+
+@pytest.fixture(scope="class")
+def example_dir(tmp_path_factory):
+    """One directory whose files each generated example overwrites."""
+    return tmp_path_factory.mktemp("examples")
+
+
+def outcome(fn, path):
+    try:
+        return "ok", fn(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# ---------------------------------------------------------------------------
+# write_table against the record writer
+# ---------------------------------------------------------------------------
+
+# floats at the edges of repr's formats: the switch to exponent notation at
+# 1e16 and below 1e-4, subnormals, signed zeros and the non-finite values
+EDGE_FLOATS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 5e-324,
+               -2.225073858507201e-308, 1e16, 9999999999999998.0, 1e-5, 0.0001,
+               1e-4 - 1e-20, 0.1 + 0.2, 1e300, -123456789.125]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+# lone surrogates cannot be encoded, and NUL is left out because the csv
+# module before Python 3.11 refuses to write it
+TEXT = st.one_of(
+    st.sampled_from(["", ",", '"', 'a"b', "x,y", "\r", "\n", "a\r\nb", " pad ",
+                     "caf\u00e9", "\u65e5\u672c", "%s", "100%", "\U0001f600"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=6))
+NAMES = st.one_of(st.sampled_from(["date", "u_rate", "", "a,b", 'q"', "%", "z\n"]),
+                  TEXT)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["float", "float_array", "float32", "int",
+                                     "bool", "str", "object"]))
+        if kind == "float":
+            col = draw(st.lists(FLOATS, min_size=n, max_size=n))
+        elif kind == "float_array":
+            col = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)))
+        elif kind == "float32":
+            col = np.array(draw(st.lists(st.floats(width=32), min_size=n,
+                                         max_size=n)), dtype=np.float32)
+        elif kind == "int":
+            col = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+        elif kind == "bool":
+            col = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        elif kind == "str":
+            col = draw(st.lists(TEXT, min_size=n, max_size=n))
+        else:  # a column numpy stores as objects: None next to other values
+            values = st.one_of(st.none(), FLOATS, TEXT, st.integers(-99, 99),
+                               st.booleans())
+            col = draw(st.lists(values, min_size=n, max_size=n))
+            if n:
+                col[0] = None
+        columns[name] = col
+    return columns
+
+
+class TestWriteTableMatchesRecordWriter:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(columns=tables())
+    def test_same_csv_bytes_and_json_text(self, example_dir, columns):
+        tmp = example_dir
+        for suffix in ("csv", "json"):
+            got, want = tmp / f"got.{suffix}", tmp / f"want.{suffix}"
+            n = write_table(got, columns)
+            write_table_records(want, columns)
+            assert got.read_bytes() == want.read_bytes()
+            assert n == len(next(iter(columns.values())))
+
+    @pytest.mark.parametrize("columns", [
+        {"x": [float("nan"), 1.0]},
+        {"s": ["a", ""]},
+        {"": [1.0]},
+        {"x": []},
+        {"x": [], "y": np.array([])},
+        {"a": EDGE_FLOATS, "b": [str(x) for x in EDGE_FLOATS]},
+    ], ids=["one-column-nan", "one-column-empty-string", "empty-name", "zero-rows",
+            "zero-rows-two-columns", "edge-floats"])
+    def test_named_cases(self, tmp_path, columns):
+        for suffix in ("csv", "json"):
+            write_table(tmp_path / f"got.{suffix}", columns)
+            write_table_records(tmp_path / f"want.{suffix}", columns)
+            assert ((tmp_path / f"got.{suffix}").read_bytes()
+                    == (tmp_path / f"want.{suffix}").read_bytes())
+
+    def test_one_column_missing_cell_is_quoted(self, tmp_path):
+        write_table(tmp_path / "t.csv", {"x": [float("nan"), 2.0]})
+        assert (tmp_path / "t.csv").read_bytes() == b'x\r\n""\r\n2.0\r\n'
+
+
+# ---------------------------------------------------------------------------
+# read_panel against the per-row reader
+# ---------------------------------------------------------------------------
+
+NUMBERS = st.one_of(st.floats(allow_infinity=False).map(repr),
+                    st.sampled_from(["1e5", ".5", "5.", "+1", "-0", "1_000", "nan",
+                                     "-nan", "1E-3", "\u0661.5"]))
+BLANKS = st.sampled_from(["", " ", "\t", "  "])
+PADS = st.sampled_from(["", " ", "\t", "\u00a0"])
+NOT_NUMBERS = st.sampled_from(["abc", "1.2.3", "1,5", "--1", "1 2", "0x10", "n/a", "inf"])
+BAD_DATES = st.sampled_from(["2000-13", "2000-1", "200-01", "abcd-ef", "",
+                             "2000/01", "\u0662\u0660\u0660\u0660-01",
+                             "2000-01-01"])
+
+
+@st.composite
+def panel_texts(draw):
+    """CSV text of a panel, with blank rows, padding, quoting and CRLF, and
+    up to two planted faults."""
+    names = draw(st.lists(st.sampled_from(["u", "v", "s", "w"]), min_size=1,
+                          max_size=3, unique=True))
+    start = MonthDate(draw(st.integers(1900, 2100)), draw(st.integers(1, 12)))
+    n = draw(st.integers(1, 12))
+    cell = st.one_of(BLANKS, st.tuples(PADS, NUMBERS, PADS).map("".join))
+    rows = [[draw(PADS) + str(start.shift(t)) + draw(PADS)]
+            + [draw(cell) for _ in names] for t in range(n)]
+    header = ["date", *names]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        fault = draw(st.sampled_from(["width", "date", "gap", "number"] * 2
+                                     + ["dupe", "header"]))
+        if fault == "dupe":
+            header.append(" " + header[-1])
+        elif fault == "header":
+            header[0] = draw(st.sampled_from(["Date", "month", ""]))
+        else:
+            t = draw(st.integers(0, n - 1))
+            row = rows[t]
+            if fault == "width":
+                if draw(st.booleans()):
+                    row.append("1")
+                else:
+                    row.pop()
+            elif fault == "date":
+                row[0] = draw(BAD_DATES)
+            elif fault == "gap":
+                row[0] = str(start.shift(t + draw(st.sampled_from([-1, 2, 13]))))
+            elif len(row) > 1:
+                row[draw(st.integers(1, len(row) - 1))] = draw(NOT_NUMBERS)
+    for _ in range(draw(st.integers(0, 3))):
+        blank = [draw(BLANKS) for _ in range(draw(st.integers(0, len(header))))]
+        rows.insert(draw(st.integers(0, len(rows))), blank)
+
+    def render(text):
+        if any(c in text for c in ',"\r\n') or draw(st.integers(0, 9)) == 0:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(map(render, row)) for row in [header, *rows]]
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+class TestReadPanelMatchesRowReader:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(text=panel_texts())
+    def test_same_series_or_same_error(self, example_dir, text):
+        path = example_dir / "panel.csv"
+        path.write_bytes(text.encode())
+        got, want = outcome(read_panel, path), outcome(read_panel_rows, path)
+        assert got[0] == want[0]
+        if got[0] != "ok":
+            assert got[1] == want[1]
+            return
+        got, want = got[1], want[1]
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].start == want[name].start
+            np.testing.assert_array_equal(got[name].values, want[name].values,
+                                          strict=True)
+            assert got[name].values.tobytes() == want[name].values.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("date,u\n2000-01,1\n2000-02\n2000-04,x\n", "p.csv:3: expected 2 cells, got 1"),
+        ("date,u\n2000-01,x\n2000-03,1\n", "p.csv:2: non-numeric cell 'x' in column 'u'"),
+        ("date,u\n2000-01,1\n2000-03,x\n", "p.csv:3: non-contiguous month 2000-03 "
+                                           "after 2000-01"),
+        ("date,u\n2000-01,1\n2000-13,x\n", "p.csv:3: month must be in 1..12, got 13"),
+        ("date,u\n\n \n", "p.csv: no data rows"),
+    ])
+    def test_earlier_fault_wins(self, tmp_path, text, message):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        for reader in (read_panel, read_panel_rows):
+            with pytest.raises(SchemaError) as err:
+                reader(path)
+            assert str(err.value).endswith(message)

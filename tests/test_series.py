@@ -35,6 +35,12 @@ class TestMonthDate:
         with pytest.raises(ValueError):
             MonthDate(2010, 0)
 
+    def test_parse_takes_ascii_digits_only(self):
+        # a valid cell is then exactly its month's str(), which read_panel relies on
+        assert MonthDate.parse(" 2010-04\t") == MonthDate(2010, 4)
+        with pytest.raises(ValueError, match="expected YYYY-MM"):
+            MonthDate.parse("\uff12\uff10\uff11\uff10-\uff10\uff14")  # full-width digits
+
     def test_series_infinity_rejected(self):
         with pytest.raises(ValueError):
             series([1.0, np.inf])
