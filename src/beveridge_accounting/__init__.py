@@ -30,14 +30,12 @@ from .matching import (DEFAULT_ALPHA, MatchingEstimate, estimate_matching,
                        three_state_tightness, two_state_tightness)
 from .series import (MonthDate, MonthlySeries, delta, delta_log, moving_average,
                      normalize_shares, require_aligned)
-from .shift_decomposition import (AllPairsInfeasibleError, CounterfactualSpec,
-                                  MARGIN_DYNAMICS, MARGIN_MATCHING,
-                                  MARGIN_SEPARATIONS, MARGINS, OrderingRow,
-                                  OrderingTable, ShiftDecomposition, SwingBounds,
-                                  SwingSamples, all_orderings_report,
-                                  build_swing_samples, counterfactual_vacancies,
-                                  loglinear_shift_decomposition,
-                                  nonlinear_ordering_decomposition)
+from .shift_decomposition import (AllPairsInfeasibleError, MARGIN_DYNAMICS,
+                                  MARGIN_MATCHING, MARGIN_SEPARATIONS, MARGINS,
+                                  OrderingRow, OrderingTable, ShiftDecomposition,
+                                  SwingBounds, SwingSamples, all_orderings_report,
+                                  build_swing_samples,
+                                  loglinear_shift_decomposition)
 from .simulate import (SimulationSpec, ThreeStateSimulation,
                        ThreeStateSimulationSpec, TwoStateSimulation,
                        simulate_three_state, simulate_two_state)

@@ -293,7 +293,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if m is not None:
             _require_coverage(panel.U, f"swing bound {m}", m)
     samples = build_swing_samples(panel.U, panel.V, bounds)
-    loglin = loglinear_shift_decomposition(samples, point, panel.U, panel.s, sigma)
+    loglin = loglinear_shift_decomposition(panel.U, panel.V, panel.s, sigma, samples,
+                                           point)
     table = all_orderings_report(panel.U, panel.V, panel.s, sigma, samples, point)
 
     path = _output_path(args, "vertical_shift_loglinear")
@@ -385,18 +386,25 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# simulate flags that only the two-state simulator reads, with their defaults
+# simulate flags that only one of the two simulators reads, with their defaults
 _TWO_STATE_ONLY = {"--du-amplitude": 0.0, "--du-period": 48.0, "--noise": 0.0,
                    "--seed": 0}
+_THREE_STATE_ONLY = {"--n0": 0.30}
+
+
+def _reject_given(args: argparse.Namespace, defaults: dict, model: str,
+                  other: str) -> None:
+    """ConfigError naming every flag of `defaults` set away from its default
+    (NaN included): the `model` simulation never reads it."""
+    given = [flag for flag, default in defaults.items()
+             if getattr(args, flag[2:].replace("-", "_")) != default]
+    if given:
+        raise ConfigError(f"{', '.join(given)}: {model} only, not read {other}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.three_state:
-        given = [flag for flag, default in _TWO_STATE_ONLY.items()
-                 if getattr(args, flag[2:].replace("-", "_")) != default]
-        if given:
-            raise ConfigError(f"{', '.join(given)}: two-state only, "
-                              f"not read with --three-state")
+        _reject_given(args, _TWO_STATE_ONLY, "two-state", "with --three-state")
         rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
                  "ne": 0.04, "nu": 0.02}
         sim = simulate_three_state(_from_flags(
@@ -407,6 +415,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    "n_stock": sim.panel.N, "v_rate": sim.V,
                    **sim.panel.rates()}
     else:
+        _reject_given(args, _THREE_STATE_ONLY, "three-state", "without --three-state")
         sim = simulate_two_state(_from_flags(
             SimulationSpec, alpha=args.alpha, u0=args.u0, horizon=args.horizon,
             s_path=args.s_bar, sigma_path=_sigma_path(args),
@@ -522,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_positive_int, default=120)
     p.add_argument("--start", type=_month, default=MonthDate(2000, 1))
     p.add_argument("--u0", type=float, default=0.06)
-    p.add_argument("--n0", type=float, default=0.30,
+    p.add_argument("--n0", type=float, default=_THREE_STATE_ONLY["--n0"],
                    help="initial nonemployment share (three-state only)")
     p.add_argument("--s-bar", type=float, default=0.02)
     p.add_argument("--sigma-bar", type=float, default=0.36)

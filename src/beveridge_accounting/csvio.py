@@ -63,6 +63,8 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
         # float keeps the number grammar; a blank cell is missing
         values = np.fromiter(map(float, map({"": "nan"}.get, stripped, stripped)),
                              dtype=float, count=len(stripped))
+        if np.isinf(values).any():
+            raise ValueError("infinite cell")
     except (IndexError, ValueError):
         _raise_first_fault(path, names, body)
     values = values.reshape(len(rows), len(names))
@@ -90,10 +92,13 @@ def _raise_first_fault(path: Path, names: list[str], body: list[list[str]]) -> N
         for name, cell in zip(names, row[1:]):
             cell = cell.strip()
             try:
-                float(cell or "nan")
+                value = float(cell or "nan")
             except ValueError:
                 raise SchemaError(f"{path}:{lineno}: non-numeric cell {cell!r} "
                                   f"in column {name!r}") from None
+            if math.isinf(value):
+                raise SchemaError(f"{path}:{lineno}: non-finite cell {cell!r} "
+                                  f"in column {name!r}")
     if previous is None:
         raise SchemaError(f"{path}: no data rows")
     raise RuntimeError(f"{path}: columnar parse failed but no row is faulty")

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .series import MonthDate, MonthlySeries, require_aligned
+from .series import MonthDate, MonthlySeries, normalize_shares, require_aligned
 
 RATE_NAMES = ("eu", "en", "ue", "un", "ne", "nu")
 
@@ -279,12 +279,9 @@ def build_three_state_panel(
     rates: Mapping[str, MonthlySeries],
     tol: float = 1e-12,
     max_iter: int = 1000,
-    normalize: bool = True,
 ) -> tuple[ThreeStatePanel, RakingReport]:
     """Normalize stocks, rake the rates against them, and derive aggregates."""
-    if normalize:
-        from .series import normalize_shares
-        E, U, N = normalize_shares([E, U, N])
+    E, U, N = normalize_shares([E, U, N])
     raked, report = rake_transition_rates((E, U, N), rates, tol=tol, max_iter=max_iter)
     panel = ThreeStatePanel(E=E, U=U, N=N, **raked)
     return derive_aggregates(panel), report

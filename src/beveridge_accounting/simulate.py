@@ -152,7 +152,7 @@ class ThreeStateSimulationSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.u0 < 0.0 or self.n0 < 0.0 or self.u0 + self.n0 >= 1.0:
+        if not (self.u0 >= 0.0 and self.n0 >= 0.0 and self.u0 + self.n0 < 1.0):
             raise ValueError("initial stocks must be nonnegative with room "
                              "for employment")
         missing = set(RATE_NAMES) - set(self.rates)

@@ -83,6 +83,15 @@ class TestSimulateCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0.5, "nan"])
+    def test_two_state_rejects_three_state_only_flag(self, tmp_path, capsys, value):
+        out = tmp_path / "out2"
+        code = run(["simulate", "--output-dir", out, "--horizon", 24,
+                    "--n0", value, *START_FLAGS])
+        assert code == 2
+        assert "--n0: three-state only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_recovers_planted_coefficients(self, tmp_path, recession_sim):
@@ -130,6 +139,16 @@ class TestEstimateCommand:
         bad.write_text("date,u_rate\n2000-01,0.05\n2000-02,0.05\n")
         assert run(["estimate", "--input", bad,
                     "--output-dir", tmp_path / "x"]) == 3
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_cell_is_data_error_with_its_line(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,u_rate,v_rate,u_short\n2000-01,0.05,0.03,\n"
+                       f"2000-02,0.05,{cell},0.01\n")
+        assert run(["estimate", "--input", bad,
+                    "--output-dir", tmp_path / "x"]) == 3
+        assert (f"bad.csv:3: non-finite cell '{cell}' in column 'v_rate'"
+                in capsys.readouterr().err)
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["estimate", "--input", tmp_path / "nope.csv",
@@ -208,13 +227,14 @@ class TestDecomposeCommand:
                                 down_end=ba.MonthDate(2009, 6),
                                 up_start=ba.MonthDate(2010, 1))
         samples = ba.build_swing_samples(panel.U, panel.V, bounds)
+        up_v, down_v = samples.at_up(panel.V.values), samples.at_down(panel.V.values)
         left, lam = samples.pair_left, samples.pair_lam
-        right = np.minimum(left + 1, len(samples.up_v) - 1)
-        up = samples.up_v[left] + lam * (samples.up_v[right] - samples.up_v[left])
+        right = np.minimum(left + 1, len(up_v) - 1)
+        up = up_v[left] + lam * (up_v[right] - up_v[left])
         dropped = set(notes["dropped_months"])
         kept = np.array([str(m) not in dropped for m in samples.down_months])
         assert kept.sum() == notes["n_pairs"] > 0
-        want = float(np.mean((up - samples.down_v)[kept]))
+        want = float(np.mean((up - down_v)[kept]))
         assert notes["average_observed_shift_level"] == pytest.approx(want,
                                                                       rel=1e-12)
 
@@ -463,6 +483,10 @@ def exit_code(args):
     ("simulate", ["--noise", "nan"]),
     ("simulate", ["--three-state", "--horizon", 24, "--noise", -1,
                   "--du-amplitude", 0.01, "--seed", 5]),
+    ("simulate", ["--horizon", 24, "--n0", 0.5]),
+    ("simulate", ["--horizon", 24, "--n0", "nan"]),
+    ("simulate", ["--three-state", "--horizon", 24, "--u0", "nan"]),
+    ("simulate", ["--three-state", "--horizon", 24, "--n0", "nan"]),
 ])
 def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
     if command == "three-state":

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -212,10 +213,14 @@ def read_panel_rows(path):
                     columns[j].append(np.nan)
                     continue
                 try:
-                    columns[j].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise SchemaError(f"{path}:{lineno}: non-numeric cell {cell!r} "
                                       f"in column {names[j]!r}") from None
+                if math.isinf(value):
+                    raise SchemaError(f"{path}:{lineno}: non-finite cell {cell!r} "
+                                      f"in column {names[j]!r}")
+                columns[j].append(value)
 
     if not months:
         raise SchemaError(f"{path}: no data rows")
@@ -344,7 +349,8 @@ NUMBERS = st.one_of(st.floats(allow_infinity=False).map(repr),
                                      "-nan", "1E-3", "\u0661.5"]))
 BLANKS = st.sampled_from(["", " ", "\t", "  "])
 PADS = st.sampled_from(["", " ", "\t", "\u00a0"])
-NOT_NUMBERS = st.sampled_from(["abc", "1.2.3", "1,5", "--1", "1 2", "0x10", "n/a", "inf"])
+NOT_NUMBERS = st.sampled_from(["abc", "1.2.3", "1,5", "--1", "1 2", "0x10", "n/a"])
+INFINITIES = st.sampled_from(["inf", "-inf", "+Infinity", "INF", "1e999", "-1E400"])
 BAD_DATES = st.sampled_from(["2000-13", "2000-1", "200-01", "abcd-ef", "",
                              "2000/01", "\u0662\u0660\u0660\u0660-01",
                              "2000-01-01"])
@@ -363,7 +369,7 @@ def panel_texts(draw):
             + [draw(cell) for _ in names] for t in range(n)]
     header = ["date", *names]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        fault = draw(st.sampled_from(["width", "date", "gap", "number"] * 2
+        fault = draw(st.sampled_from(["width", "date", "gap", "number", "infinite"] * 2
                                      + ["dupe", "header"]))
         if fault == "dupe":
             header.append(" " + header[-1])
@@ -382,7 +388,8 @@ def panel_texts(draw):
             elif fault == "gap":
                 row[0] = str(start.shift(t + draw(st.sampled_from([-1, 2, 13]))))
             elif len(row) > 1:
-                row[draw(st.integers(1, len(row) - 1))] = draw(NOT_NUMBERS)
+                bad = NOT_NUMBERS if fault == "number" else INFINITIES
+                row[draw(st.integers(1, len(row) - 1))] = draw(bad)
     for _ in range(draw(st.integers(0, 3))):
         blank = [draw(BLANKS) for _ in range(draw(st.integers(0, len(header))))]
         rows.insert(draw(st.integers(0, len(rows))), blank)
@@ -422,6 +429,11 @@ class TestReadPanelMatchesRowReader:
         ("date,u\n2000-01,1\n2000-03,x\n", "p.csv:3: non-contiguous month 2000-03 "
                                            "after 2000-01"),
         ("date,u\n2000-01,1\n2000-13,x\n", "p.csv:3: month must be in 1..12, got 13"),
+        ("date,u,v\n2000-01,1,x\n2000-02,inf,1\n", "p.csv:2: non-numeric cell 'x' "
+                                                   "in column 'v'"),
+        ("date,u,v\n2000-01,-inf,x\n", "p.csv:2: non-finite cell '-inf' in column 'u'"),
+        ("date,u\n2000-01,1\n2000-02, 1e999\n", "p.csv:3: non-finite cell '1e999' "
+                                                "in column 'u'"),
         ("date,u\n\n \n", "p.csv: no data rows"),
     ])
     def test_earlier_fault_wins(self, tmp_path, text, message):

@@ -107,8 +107,9 @@ class TestExactVacancies:
         u = series(np.array([0.05, 0.10, 0.10]))  # jump bigger than inflows
         s = series(np.full(3, 0.02))
         sg = series(np.full(3, 0.36))
-        with pytest.warns(InfeasibleMonthWarning, match="2000-01"):
+        with pytest.warns(InfeasibleMonthWarning, match="2000-01") as record:
             got = exact_vacancies(u, s, sg, 0.3)
+        assert record[0].filename == __file__  # attributed to the caller
         assert np.isnan(got.values[0])
         assert not np.isnan(got.values[1])
 

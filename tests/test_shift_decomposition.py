@@ -7,20 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beveridge_accounting as ba
-from beveridge_accounting import (ApproximationPoint, CounterfactualSpec,
-                                  InfeasibleMonthWarning,
-                                  MARGIN_DYNAMICS, MARGIN_MATCHING,
-                                  MARGIN_SEPARATIONS, MARGINS, MonthDate,
+from beveridge_accounting import (ApproximationPoint, InfeasibleMonthWarning,
+                                  MARGIN_DYNAMICS,
+                                  MARGIN_MATCHING, MARGIN_SEPARATIONS, MonthDate,
                                   MonthlySeries, SwingBounds,
                                   all_orderings_report, build_swing_samples,
-                                  counterfactual_vacancies, exact_vacancies,
-                                  loglinear_shift_decomposition,
-                                  nonlinear_ordering_decomposition)
+                                  exact_vacancies, loglinear_shift_decomposition,
+                                  steady_state_curve)
 from beveridge_accounting.shift_decomposition import (AllPairsInfeasibleError,
                                                       IdentityMismatchWarning,
                                                       _BLOCK, _first_crossings,
-                                                      _interp_at_pairs,
-                                                      _observed_shift)
+                                                      _interp_at_pairs)
 
 START = MonthDate(2000, 1)
 
@@ -29,20 +26,21 @@ def series(values):
     return MonthlySeries(START, values)
 
 
-def hump_samples(offset=0.0):
+def hump(offset=0.0):
     """U rises then falls through the same range; ln V is linear in U so
-    interpolation on the upswing is exact.  `offset` lifts upswing log V."""
+    interpolation on the upswing is exact.  `offset` lifts upswing log V.
+    Returns the swing samples and ln V."""
     u = np.array([0.050, 0.060, 0.070, 0.080, 0.085, 0.065, 0.055, 0.045])
     log_v = -1.0 - 10.0 * u
     log_v[4:] += offset
     bounds = SwingBounds(down_start=START, down_end=START.shift(3),
                          up_start=START.shift(4))
-    return build_swing_samples(series(u), series(np.exp(log_v)), bounds)
+    return build_swing_samples(series(u), series(np.exp(log_v)), bounds), log_v
 
 
 class TestSwingSamples:
     def test_membership_and_stop_rule(self):
-        samples = hump_samples()
+        samples, _ = hump()
         assert [str(m) for m in samples.down_months] == \
             ["2000-01", "2000-02", "2000-03", "2000-04"]
         # upswing stops at the first month below the downswing minimum (0.050)
@@ -221,12 +219,14 @@ class TestInterpAtPairs:
 
 class TestVerticalShift:
     def test_identical_curves_zero_shift(self):
-        shifts = _observed_shift(hump_samples(offset=0.0))
+        samples, log_v = hump(offset=0.0)
+        shifts = samples.vertical_shift(log_v)
         assert len(shifts) == 4
         np.testing.assert_allclose(shifts, 0.0, atol=1e-12)
 
     def test_uniform_offset_recovered(self):
-        shifts = _observed_shift(hump_samples(offset=0.2))
+        samples, log_v = hump(offset=0.2)
+        shifts = samples.vertical_shift(log_v)
         assert len(shifts) == 4
         np.testing.assert_allclose(shifts, 0.2, atol=1e-12)
 
@@ -244,7 +244,8 @@ class TestLoglinearDecomposition:
         bounds = SwingBounds(down_start=START, down_end=START.shift(2),
                              up_start=START, up_end=START.shift(3))
         samples = build_swing_samples(series(u), series(v), bounds)
-        dec = loglinear_shift_decomposition(samples, self.POINT, series(u), s, sg)
+        dec = loglinear_shift_decomposition(series(u), series(v), s, sg, samples,
+                                            self.POINT)
         np.testing.assert_allclose(dec.dynamics, 0.0, atol=1e-15)
         np.testing.assert_allclose(dec.separations, 0.0, atol=1e-15)
         np.testing.assert_allclose(dec.matching, 0.0, atol=1e-15)
@@ -261,8 +262,8 @@ class TestLoglinearDecomposition:
         bounds = SwingBounds(down_start=START, down_end=START.shift(3),
                              up_start=START.shift(5), up_end=START.shift(8))
         samples = build_swing_samples(series(u), series(v), bounds)
-        dec = loglinear_shift_decomposition(samples, self.POINT, series(u), s,
-                                            series(sigma))
+        dec = loglinear_shift_decomposition(series(u), series(v), s, series(sigma),
+                                            samples, self.POINT)
         expected = (1 / 0.3) * math.log(2.0)
         np.testing.assert_allclose(dec.matching, expected, rtol=1e-12)
         assert expected == pytest.approx(2.3105, abs=5e-5)
@@ -271,14 +272,40 @@ class TestLoglinearDecomposition:
 
     def test_additivity_and_method_tag(self, recession_pipeline):
         panel = recession_pipeline["panel"]
+        samples = recession_pipeline["samples"]
         dec = loglinear_shift_decomposition(
-            recession_pipeline["samples"], recession_pipeline["point"],
-            panel.U, panel.s, recession_pipeline["sigma_hat"])
-        assert dec.method == "loglinear"
+            panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"], samples,
+            recession_pipeline["point"])
+        # the observed column is the up-down shift of ln V at the kept pairs
+        months = set(dec.months)
+        kept = np.array([m in months for m in samples.down_months])
+        np.testing.assert_array_equal(
+            dec.observed, samples.vertical_shift(np.log(panel.V.values))[kept])
         np.testing.assert_allclose(
             dec.total, dec.dynamics + dec.separations + dec.matching, atol=1e-15)
         # first-order decomposition tracks the observed shift closely
         assert np.corrcoef(dec.total, dec.observed)[0, 1] > 0.99
+
+
+def kept_pairs(samples, table):
+    """Mask of the matched points the ordering table kept."""
+    dropped = set(table.dropped_months)
+    return np.array([m not in dropped for m in samples.down_months])
+
+
+def held_percent(U, s, sigma, samples, point, table, margin):
+    """Percent of the last-placed `margin`: the mean gap between the identity
+    shift and the shift with `margin` held at the point's constant, computed
+    through the public `exact_vacancies`."""
+    identity = exact_vacancies(U, s, sigma, point.alpha, warn=False)
+    if margin == MARGIN_MATCHING:
+        sigma = U.with_values(np.full(len(U), point.sigma_bar))
+    else:
+        s = U.with_values(np.full(len(U), point.s_bar))
+    held = exact_vacancies(U, s, sigma, point.alpha, warn=False)
+    gap = samples.vertical_shift(identity.values) - samples.vertical_shift(held.values)
+    return 100.0 * float(gap[kept_pairs(samples, table)].mean()) \
+        / table.average_observed_shift
 
 
 class TestCounterfactuals:
@@ -286,44 +313,37 @@ class TestCounterfactuals:
         panel = recession_pipeline["panel"]
         sigma = recession_pipeline["sigma_hat"]
         point = recession_pipeline["point"]
-        spec = CounterfactualSpec.from_point((), point)
-        got = counterfactual_vacancies(panel.U, panel.s, sigma, spec, warn=False)
-        want = exact_vacancies(panel.U, panel.s, sigma, point.alpha, warn=False)
-        np.testing.assert_array_equal(got.values, want.values)
+        samples = recession_pipeline["samples"]
+        table = all_orderings_report(panel.U, panel.V, panel.s, sigma, samples, point)
+        ev = exact_vacancies(panel.U, panel.s, sigma, point.alpha, warn=False).values
+        shift = samples.interp_up(ev) - samples.at_down(ev)
+        kept = kept_pairs(samples, table)
+        # the empty-held subset shift is the exact identity's shift, bit for bit
+        assert table.average_observed_shift == float(shift[kept].mean())
         # and the identity reproduces observed vacancies
-        ok = ~np.isnan(got.values)
-        np.testing.assert_allclose(got.values[ok], panel.V.values[ok], rtol=1e-12)
+        ok = ~np.isnan(ev)
+        np.testing.assert_allclose(ev[ok], panel.V.values[ok], rtol=1e-12)
 
     def test_holding_everything_is_the_steady_state_curve(self, recession_pipeline):
         panel = recession_pipeline["panel"]
-        sigma = recession_pipeline["sigma_hat"]
         point = recession_pipeline["point"]
-        spec = CounterfactualSpec.from_point(MARGINS, point)
-        got = counterfactual_vacancies(panel.U, panel.s, sigma, spec)
         u = panel.U.values
+        got = [v for _, v in steady_state_curve(u, point)]
         want = (point.s_bar * (1 - u) /
                 (point.sigma_bar * u ** (1 - point.alpha))) ** (1 / point.alpha)
-        np.testing.assert_allclose(got.values, want, rtol=1e-14)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_infeasible_month_raises_infeasible_month_warning(self):
         u = series(np.array([0.05, 0.10, 0.10]))  # jump bigger than inflows
         s = series(np.full(3, 0.02))
-        sg = series(np.full(3, 0.36))
-        spec = CounterfactualSpec(held_constant=frozenset({MARGIN_MATCHING}),
-                                  sigma_bar=0.36)
+        held_sigma = series(np.full(3, 0.36))  # matching held at sigma_bar
         with warnings.catch_warnings():
             warnings.simplefilter("error", InfeasibleMonthWarning)
             with pytest.raises(InfeasibleMonthWarning, match="2000-01"):
-                counterfactual_vacancies(u, s, sg, spec)
+                exact_vacancies(u, s, held_sigma, 0.3)
         with pytest.warns(InfeasibleMonthWarning) as record:
-            counterfactual_vacancies(u, s, sg, spec)
+            exact_vacancies(u, s, held_sigma, 0.3)
         assert record[0].filename == __file__  # attributed to the caller
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="unknown margins"):
-            CounterfactualSpec(held_constant=frozenset({"wages"}))
-        with pytest.raises(ValueError, match="s_bar"):
-            CounterfactualSpec(held_constant=frozenset({MARGIN_SEPARATIONS}))
 
 
 def single_margin_sim(which, n=40):
@@ -404,15 +424,6 @@ class TestNonlinearDecomposition:
         assert rows[(d, m, s)].separations_pct == rows[(m, d, s)].separations_pct
         assert rows[(s, m, d)].dynamics_pct == rows[(m, s, d)].dynamics_pct
 
-    def test_per_point_contributions_sum_to_observed(self, recession_pipeline):
-        panel = recession_pipeline["panel"]
-        dec = nonlinear_ordering_decomposition(
-            panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"],
-            recession_pipeline["samples"], recession_pipeline["point"],
-            (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING))
-        assert dec.method == "nonlinear"
-        np.testing.assert_allclose(dec.total, dec.observed, atol=1e-12)
-
     def test_last_margin_is_difference_from_held_counterfactual(
             self, recession_pipeline):
         # adding matching last: its contribution equals the gap between the
@@ -421,35 +432,27 @@ class TestNonlinearDecomposition:
         samples = recession_pipeline["samples"]
         point = recession_pipeline["point"]
         sigma_hat = recession_pipeline["sigma_hat"]
-        dec = nonlinear_ordering_decomposition(
-            panel.U, panel.V, panel.s, sigma_hat, samples, point,
-            (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING))
-
-        spec = CounterfactualSpec.from_point({MARGIN_MATCHING}, point)
-        held = counterfactual_vacancies(panel.U, panel.s, sigma_hat, spec,
-                                        warn=False)
-        shift_held = samples.interp_up(held.values) - samples.at_down(held.values)
-        observed = samples.interp_up(
-            counterfactual_vacancies(panel.U, panel.s, sigma_hat,
-                                     CounterfactualSpec.from_point((), point),
-                                     warn=False).values) \
-            - samples.at_down(exact_vacancies(panel.U, panel.s, sigma_hat,
-                                              point.alpha, warn=False).values)
-        np.testing.assert_allclose(dec.matching, observed - shift_held,
-                                   atol=1e-14)
+        table = all_orderings_report(panel.U, panel.V, panel.s, sigma_hat,
+                                     samples, point)
+        rows = {r.ordering: r for r in table.rows}
+        want = held_percent(panel.U, panel.s, sigma_hat, samples, point, table,
+                            MARGIN_MATCHING)
+        row = rows[(MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)]
+        assert row.matching_pct == want
 
     def test_sign_agreement_with_loglinear(self, recession_pipeline):
         panel = recession_pipeline["panel"]
         args = (panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"],
                 recession_pipeline["samples"], recession_pipeline["point"])
-        nl = nonlinear_ordering_decomposition(
-            *args, (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING))
-        ll = loglinear_shift_decomposition(
-            recession_pipeline["samples"], recession_pipeline["point"],
-            panel.U, panel.s, recession_pipeline["sigma_hat"])
+        table = all_orderings_report(*args)
+        ll = loglinear_shift_decomposition(*args)
+        row = {r.ordering: r for r in table.rows}[
+            (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)]
         for name in ("dynamics", "separations", "matching"):
-            assert np.sign(np.mean(getattr(nl, name))) == \
-                np.sign(np.mean(getattr(ll, name))), name
+            # the percent's sign times the observed shift's sign is the sign
+            # of the mean level contribution
+            level = getattr(row, f"{name}_pct") * table.average_observed_shift
+            assert np.sign(level) == np.sign(np.mean(getattr(ll, name))), name
 
     def test_partial_infeasibility_drops_and_reports(self, recession_pipeline):
         panel = recession_pipeline["panel"]
@@ -468,15 +471,74 @@ class TestNonlinearDecomposition:
         scaled_v = panel.V.with_values(panel.V.values * 1.01)
         samples = ba.build_swing_samples(panel.U, scaled_v,
                                          recession_pipeline["bounds"])
-        with pytest.warns(IdentityMismatchWarning):
+        with pytest.warns(IdentityMismatchWarning,
+                          match="deviate from the vacancy identity") as record:
             all_orderings_report(panel.U, scaled_v, panel.s,
                                  recession_pipeline["sigma_hat"], samples,
                                  recession_pipeline["point"])
+        assert record[0].filename == __file__  # attributed to the caller
 
-    def test_invalid_ordering_rejected(self, recession_pipeline):
-        panel = recession_pipeline["panel"]
-        with pytest.raises(ValueError, match="permutation"):
-            nonlinear_ordering_decomposition(
-                panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"],
-                recession_pipeline["samples"], recession_pipeline["point"],
-                (MARGIN_DYNAMICS, MARGIN_DYNAMICS, MARGIN_MATCHING))
+
+@st.composite
+def recession_panels(draw):
+    """A simulated two-state recession with planted breaks.
+
+    Unemployment is flat, rises over a 24-month downswing and falls over the
+    upswing, with month-to-month noise on the change; the separation and
+    efficiency paths each get a level break at a drawn month.  Returns the
+    pipeline the CLI builds: panel, constructed efficiency, expansion point
+    and swing samples.
+    """
+    n, flat, rise = 72, 12, 24
+    alpha = draw(st.floats(0.3, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    du = np.zeros(n - 1)
+    du[flat:flat + rise] = draw(st.floats(3e-4, 1.5e-3))
+    du[flat + rise:] = -draw(st.floats(2e-4, 5e-4))
+    du += draw(st.floats(0.0, 3e-4)) * rng.uniform(-1.0, 1.0, n - 1)
+    s_path = np.full(n, 0.02)
+    s_path[draw(st.integers(1, n - 1)):] *= draw(st.floats(0.85, 1.2))
+    sigma_path = np.full(n, 0.36)
+    sigma_path[draw(st.integers(1, n - 1)):] *= draw(st.floats(0.75, 1.3))
+    sim = ba.simulate_two_state(ba.SimulationSpec(
+        alpha=alpha, u0=0.05, horizon=n, s_path=s_path, sigma_path=sigma_path,
+        delta_u_path=du, start=START))
+    panel = sim.panel
+    sigma_hat = ba.matching_efficiency_path(
+        panel.f, ba.two_state_tightness(panel.U, panel.V), alpha)
+    point = ApproximationPoint(U_bar=draw(st.floats(0.04, 0.09)),
+                               s_bar=draw(st.floats(0.015, 0.025)),
+                               sigma_bar=draw(st.floats(0.25, 0.45)), alpha=alpha)
+    bounds = SwingBounds(down_start=START.shift(flat),
+                         down_end=START.shift(flat + rise - 1),
+                         up_start=START.shift(flat + rise))
+    samples = build_swing_samples(panel.U, panel.V, bounds)
+    return panel, sigma_hat, point, samples
+
+
+class TestOrderingTableProperties:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=recession_panels())
+    def test_telescoping_prefix_sets_and_last_margin(self, case):
+        panel, sigma_hat, point, samples = case
+        table = all_orderings_report(panel.U, panel.V, panel.s, sigma_hat,
+                                     samples, point)
+        rows = {r.ordering: r for r in table.rows}
+        assert len(rows) == 6
+        for row in table.rows:
+            total = row.dynamics_pct + row.separations_pct + row.matching_pct
+            assert total == pytest.approx(100.0, abs=1e-9), row
+
+        # a margin's percent depends only on the set switched on before it
+        pct = {(frozenset(o[:k]), m): getattr(rows[o], f"{m}_pct")
+               for o in rows for k, m in enumerate(o)}
+        for o in rows:
+            for k, m in enumerate(o):
+                assert getattr(rows[o], f"{m}_pct") == pct[frozenset(o[:k]), m]
+
+        for margin in (MARGIN_SEPARATIONS, MARGIN_MATCHING):
+            want = held_percent(panel.U, panel.s, sigma_hat, samples, point,
+                                table, margin)
+            for o, row in rows.items():
+                if o[-1] == margin:
+                    assert getattr(row, f"{margin}_pct") == want, o

@@ -116,6 +116,11 @@ class TestTwoStateSimulation:
         with pytest.raises(ValueError, match="positive"):
             simulate_two_state(SimulationSpec(alpha=0.3, u0=0.06, horizon=12,
                                               s_path=-0.02, sigma_path=0.36))
+        # NaN initial stocks fail the comparisons, so they are rejected too
+        for u0, n0 in ((np.nan, 0.3), (0.06, np.nan)):
+            with pytest.raises(ValueError, match="initial stocks"):
+                ba.ThreeStateSimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=12,
+                                            rates={})
 
 
 class TestThreeStateSimulation:
