@@ -403,30 +403,34 @@ def _reject_given(args: argparse.Namespace, defaults: dict, model: str,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.three_state:
-        _reject_given(args, _TWO_STATE_ONLY, "two-state", "with --three-state")
-        rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
-                 "ne": 0.04, "nu": 0.02}
-        sim = simulate_three_state(_from_flags(
-            ThreeStateSimulationSpec, alpha=args.alpha, u0=args.u0, n0=args.n0,
-            horizon=args.horizon, rates=rates, sigma_path=_sigma_path(args),
-            start=args.start))
-        columns = {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
-                   "n_stock": sim.panel.N, "v_rate": sim.V,
-                   **sim.panel.rates()}
-    else:
-        _reject_given(args, _THREE_STATE_ONLY, "three-state", "without --three-state")
-        sim = simulate_two_state(_from_flags(
-            SimulationSpec, alpha=args.alpha, u0=args.u0, horizon=args.horizon,
-            s_path=args.s_bar, sigma_path=_sigma_path(args),
-            delta_u_path=_delta_u_path(args), noise_std=args.noise,
-            seed=args.seed, start=args.start))
-        columns = {"u_rate": sim.panel.U, "v_rate": sim.panel.V,
-                   "u_short": sim.panel.U_short}
+    try:
+        columns = _simulated_columns(args)
+    except ValueError as exc:
+        # the panel comes from flags alone, so any value the simulation
+        # rejects (a spec field or a path it implies) is a flag's fault
+        raise ConfigError(str(exc)) from None
     path = _output_path(args, "panel")
     outputs = {path.name: write_panel(path, columns)}
     _write_manifest(args, outputs, {})
     return EXIT_OK
+
+
+def _simulated_columns(args: argparse.Namespace) -> dict[str, MonthlySeries]:
+    if args.three_state:
+        _reject_given(args, _TWO_STATE_ONLY, "two-state", "with --three-state")
+        rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
+                 "ne": 0.04, "nu": 0.02}
+        sim = simulate_three_state(ThreeStateSimulationSpec(
+            alpha=args.alpha, u0=args.u0, n0=args.n0, horizon=args.horizon,
+            rates=rates, sigma_path=_sigma_path(args), start=args.start))
+        return {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
+                "n_stock": sim.panel.N, "v_rate": sim.V, **sim.panel.rates()}
+    _reject_given(args, _THREE_STATE_ONLY, "three-state", "without --three-state")
+    sim = simulate_two_state(SimulationSpec(
+        alpha=args.alpha, u0=args.u0, horizon=args.horizon, s_path=args.s_bar,
+        sigma_path=_sigma_path(args), delta_u_path=_delta_u_path(args),
+        noise_std=args.noise, seed=args.seed, start=args.start))
+    return {"u_rate": sim.panel.U, "v_rate": sim.panel.V, "u_short": sim.panel.U_short}
 
 
 def _sigma_path(args: argparse.Namespace) -> np.ndarray:

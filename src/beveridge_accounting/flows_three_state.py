@@ -99,59 +99,91 @@ class ThreeStatePanel:
 
 
 def _flow_matrices(rows: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flow matrices (T, 3, 3) from origin stocks (T, 3) and rates (T, 6).
+    """Flow cells (3, 3, T) from origin stocks (3, T) and rates (6, T).
 
-    Returns the matrices and each state's exit total (T, 3); stayers are the
-    origin stock times one minus that total.
+    Cell (i, j) of month-pair t is ``flows[i, j, t]``: the nine cells are
+    the rows of a (9, T) array, cell (i, j) at row 3 * i + j, with the
+    month-pair axis contiguous.  Returns the cells and each state's exit
+    total (3, T); stayers are the origin stock times one minus that total.
     """
-    flows = np.zeros((len(rows), 3, 3))
-    flows[:, _ORIGIN, _DEST] = rows[:, _ORIGIN] * rates
-    out = rates[:, 0::2] + rates[:, 1::2]
-    flows[:, _STATES, _STATES] = rows * (1.0 - out)
+    flows = np.zeros((3, 3, rows.shape[1]))
+    flows[_ORIGIN, _DEST] = rows[_ORIGIN] * rates
+    out = rates[0::2] + rates[1::2]
+    flows[_STATES, _STATES] = rows * (1.0 - out)
     return flows, out
+
+
+def _row_sums(m: np.ndarray) -> np.ndarray:
+    # left to right, the order numpy's sum takes over a length-3 axis
+    return (m[:, 0] + m[:, 1]) + m[:, 2]
+
+
+def _col_sums(m: np.ndarray) -> np.ndarray:
+    return (m[0] + m[1]) + m[2]
+
+
+def _scaling(sums: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Scale factors targets / sums (3, T), 1 where a sum is not positive,
+    which is never divided by; and per month-pair whether any of its three
+    sums is zero with a positive target, or None when every sum is positive."""
+    positive = sums > 0.0
+    if positive.all():
+        return targets / sums, None
+    empty = (sums == 0.0) & (targets > 0.0)
+    return (np.where(positive, targets / np.where(positive, sums, 1.0), 1.0),
+            empty[0] | empty[1] | empty[2])
 
 
 def _ipf_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                tol: float, max_iter: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[str, float]]]:
-    """Rake every (3, 3) matrix in `flows` to its own row and column targets.
+    """Rake each month-pair's cells in `flows` (3, 3, T) to its own row and
+    column targets (3, T).
 
     A sweep scales rows, then columns, of the pairs still active; a pair
-    leaves the active set once its worst marginal residual is <= tol, so each
-    pair sees exactly the arithmetic it would see raked alone.  Returns the
-    fitted matrices, the sweeps and residuals per pair (NaN, -1 and NaN where
-    the pair failed) and {pair index: (message, worst residual)} for failures.
+    leaves the active set once its worst marginal residual is <= tol.  Each
+    margin is two adds of whole month-pair vectors, left to right as numpy's
+    sum over a length-3 axis adds, so each pair sees exactly the arithmetic
+    it would see raked alone.  Returns the fitted cells, the sweeps and
+    residuals per pair (NaN, -1 and NaN where the pair failed) and
+    {pair index: (message, worst residual)} for failures.
     """
+    n = flows.shape[2]
     fitted = np.full_like(flows, np.nan)
-    sweeps = np.full(len(flows), -1)
-    residuals = np.full(len(flows), np.nan)
+    sweeps = np.full(n, -1)
+    residuals = np.full(n, np.nan)
     failed: dict[int, tuple[str, float]] = {}
-    active = np.arange(len(flows))
+    active = np.arange(n)
     m = flows.copy()
-    residual = np.full(len(flows), np.inf)
+    residual = np.full(n, np.inf)
+    rs = _row_sums(m)
     for it in range(1, max_iter + 1):
         if not active.size:
             break
-        rs = m.sum(axis=2)
-        empty_row = ((rs == 0.0) & (rows > 0.0)).any(axis=1)
-        m *= np.where(rs > 0.0, rows / np.where(rs > 0.0, rs, 1.0), 1.0)[:, :, None]
-        cs = m.sum(axis=1)
-        empty_col = ((cs == 0.0) & (cols > 0.0)).any(axis=1) & ~empty_row
-        m *= np.where(cs > 0.0, cols / np.where(cs > 0.0, cs, 1.0), 1.0)[:, None, :]
-        residual = np.maximum(np.abs(m.sum(axis=2) - rows).max(axis=1),
-                              np.abs(m.sum(axis=1) - cols).max(axis=1))
-        failed.update(dict.fromkeys(active[empty_row].tolist(), (
-            "empty flow row with positive target mass", np.inf)))
-        failed.update(dict.fromkeys(active[empty_col].tolist(), (
-            "empty flow column with positive target mass", np.inf)))
-        done = (residual <= tol) & ~empty_row & ~empty_col
-        fitted[active[done]] = m[done]
-        sweeps[active[done]] = it
-        residuals[active[done]] = residual[done]
-        keep = ~(done | empty_row | empty_col)
-        if not keep.all():
-            active, m, rows, cols, residual = (active[keep], m[keep], rows[keep],
-                                               cols[keep], residual[keep])
+        scale, empty_row = _scaling(rs, rows)
+        m *= scale[:, None]
+        scale, empty_col = _scaling(_col_sums(m), cols)
+        m *= scale[None]
+        # these row sums are also the next sweep's, on the same cells
+        rs = _row_sums(m)
+        gap = np.maximum(np.abs(rs - rows), np.abs(_col_sums(m) - cols))
+        residual = np.maximum(np.maximum(gap[0], gap[1]), gap[2])
+        done = leave = residual <= tol
+        # rows last, so a pair with an empty row and column reports the row
+        for empty, margin in ((empty_col, "column"), (empty_row, "row")):
+            if empty is not None:
+                failed.update(dict.fromkeys(active[empty].tolist(), (
+                    f"empty flow {margin} with positive target mass", np.inf)))
+                done, leave = done & ~empty, leave | empty
+        if done.any():
+            finished = active[done]
+            fitted[:, :, finished] = m[:, :, done]
+            sweeps[finished] = it
+            residuals[finished] = residual[done]
+        if leave.any():
+            keep = np.flatnonzero(~leave)
+            active, residual = active[keep], residual[keep]
+            m, rs, rows, cols = (a.take(keep, axis=-1) for a in (m, rs, rows, cols))
     for k, res in zip(active.tolist(), residual):
         failed[k] = (f"raking did not converge within {max_iter} iterations "
                      f"(worst residual {res:.3e})", res)
@@ -186,13 +218,13 @@ def rake_transition_rates(
 
     inputs = np.vstack([stock_mat[:, :-1], stock_mat[:, 1:], rate_mat[:, :-1]])
     pairs = np.flatnonzero(~np.isnan(inputs).any(axis=0))
-    rows, cols, r = stock_mat[:, pairs].T, stock_mat[:, pairs + 1].T, rate_mat[:, pairs].T
+    rows, cols, r = stock_mat[:, pairs], stock_mat[:, pairs + 1], rate_mat[:, pairs]
     failures: dict[int, Exception] = {}  # month index -> its error
 
     def month(k: int) -> MonthDate:
         return E.start.shift(int(pairs[k]))
 
-    row_total, col_total = rows.sum(axis=1), cols.sum(axis=1)
+    row_total, col_total = rows.sum(axis=0), cols.sum(axis=0)
     gap = np.abs(row_total - col_total)
     mismatch = gap > max(100.0 * tol, 1e-10)
     for k in np.flatnonzero(mismatch):
@@ -202,18 +234,18 @@ def rake_transition_rates(
             "normalize stocks to shares first", gap[k])
     flows, exits = _flow_matrices(rows, r)
     over = exits > 1.0 + 1e-12
-    for k in np.flatnonzero(over.any(axis=1) & ~mismatch):
-        i = int(np.argmax(over[k]))
+    for k in np.flatnonzero(over.any(axis=0) & ~mismatch):
+        i = int(np.argmax(over[:, k]))
         failures[pairs[k]] = ValueError(
             f"month {month(k)}: negative stayer probability in state {i}: "
-            f"exit rates sum to {float(exits[k, i])!r}")
+            f"exit rates sum to {float(exits[i, k])!r}")
 
-    ok = np.flatnonzero(~mismatch & ~over.any(axis=1))
-    fitted, sweeps, res, ipf_failed = _ipf_pairs(flows[ok], rows[ok], cols[ok],
-                                                 tol, max_iter)
+    ok = np.flatnonzero(~mismatch & ~over.any(axis=0))
+    fitted, sweeps, res, ipf_failed = _ipf_pairs(flows[:, :, ok], rows[:, ok],
+                                                 cols[:, ok], tol, max_iter)
     for j, (message, worst) in ipf_failed.items():
         failures[pairs[ok[j]]] = RakingError(f"month {month(ok[j])}: {message}", worst)
-    negative = (np.diagonal(fitted, axis1=1, axis2=2) < -tol).any(axis=1)
+    negative = (fitted[_STATES, _STATES] < -tol).any(axis=0)
     for j in np.flatnonzero(negative):
         failures[pairs[ok[j]]] = RakingError(
             f"infeasible flow matrix at {month(ok[j])}: "
@@ -222,14 +254,14 @@ def rake_transition_rates(
         raise failures[min(failures)]
 
     # no failure, so every pair was raked and `ok` covers all of them
-    origin = rows[:, _ORIGIN]
+    origin = rows[_ORIGIN]
     raked = np.where(origin > 0.0,
-                     fitted[:, _ORIGIN, _DEST] / np.where(origin > 0.0, origin, 1.0),
+                     fitted[_ORIGIN, _DEST] / np.where(origin > 0.0, origin, 1.0),
                      0.0)
-    out[:, pairs] = raked.T
+    out[:, pairs] = raked
     iterations[pairs] = sweeps
     residuals[pairs] = res
-    max_adjustment[pairs] = np.abs(raked - r).max(axis=1)
+    max_adjustment[pairs] = np.abs(raked - r).max(axis=0)
 
     raked_series = {name: E.with_values(vals) for name, vals in zip(RATE_NAMES, out)}
     report = RakingReport(iterations=iterations, residuals=residuals,

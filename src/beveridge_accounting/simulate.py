@@ -204,5 +204,10 @@ def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation
         t = int(np.flatnonzero(np.isnan(v[:-1]))[0])
         raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
                          "hires implied by the flows are nonpositive")
+    outside = ~((v[:-1] > 0.0) & (v[:-1] < 1.0))
+    if outside.any():
+        t = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"planted vacancies left (0, 1) at {spec.start.shift(t)}: "
+                         f"{float(v[t])!r}")
     return ThreeStateSimulation(panel=panel, V=mk(v), sigma_true=mk(sigma),
                                 alpha=spec.alpha)

@@ -487,6 +487,9 @@ def exit_code(args):
     ("simulate", ["--horizon", 24, "--n0", "nan"]),
     ("simulate", ["--three-state", "--horizon", 24, "--u0", "nan"]),
     ("simulate", ["--three-state", "--horizon", 24, "--n0", "nan"]),
+    # the efficiency these imply puts the planted vacancy rate far above one
+    ("simulate", ["--three-state", "--horizon", 24, "--sigma-bar", 0.01]),
+    ("simulate", ["--horizon", 24, "--sigma-bar", 0.01]),
 ])
 def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
     if command == "three-state":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,17 @@ def loop_rake(stocks, rates, tol=1e-12, max_iter=1000):
     return out, iterations, residuals, max_adjustment
 
 
+def assert_same_as_loop(got, want):
+    """`rake_transition_rates` output equals `loop_rake` output bit for bit."""
+    raked, report = got
+    out, iterations, residuals, max_adjustment = want
+    for name in RATE_NAMES:
+        assert np.array_equal(raked[name].values, out[name], equal_nan=True), name
+    assert np.array_equal(report.iterations, iterations)
+    assert np.array_equal(report.residuals, residuals, equal_nan=True)
+    assert np.array_equal(report.max_adjustment, max_adjustment, equal_nan=True)
+
+
 def noisy_inputs(horizon, noise=1e-3, seed=9, quiet_months=0):
     """Constant stocks and their steady rates with multiplicative noise on
     every rate from month `quiet_months` on, so those month-pairs need raking."""
@@ -166,6 +179,23 @@ def noisy_inputs(horizon, noise=1e-3, seed=9, quiet_months=0):
 def as_series(stocks, rates):
     return (tuple(series(stocks[k]) for k in "EUN"),
             {name: series(vals) for name, vals in rates.items()})
+
+
+RATE_RANGES = {"eu": (0.005, 0.03), "en": (0.005, 0.04), "ue": (0.1, 0.5),
+               "un": (0.01, 0.1), "ne": (0.01, 0.1), "nu": (0.005, 0.05)}
+
+
+@st.composite
+def consistent_panels(draw):
+    """Stock-consistent panels from `simulate_three_state`: generated rate
+    paths of up to 24 months from generated initial stocks."""
+    n = draw(st.integers(2, 24))
+    rates = {name: draw(arrays(float, n, elements=st.floats(lo, hi)))
+             for name, (lo, hi) in RATE_RANGES.items()}
+    spec = ThreeStateSimulationSpec(alpha=0.3, u0=draw(st.floats(0.02, 0.15)),
+                                    n0=draw(st.floats(0.1, 0.4)), horizon=n,
+                                    rates=rates, sigma_path=0.36)
+    return simulate_three_state(spec).panel
 
 
 class TestRaking:
@@ -255,13 +285,9 @@ class TestBatchedRaking:
         rates["ne"][[10, 11]] = np.nan
         stocks["N"][40] = np.nan
         args = as_series(stocks, rates)
-        raked, report = rake_transition_rates(*args)
-        out, iterations, residuals, max_adjustment = loop_rake(*args)
-        for name in RATE_NAMES:
-            assert np.array_equal(raked[name].values, out[name], equal_nan=True), name
-        assert np.array_equal(report.iterations, iterations)
-        assert np.array_equal(report.residuals, residuals, equal_nan=True)
-        assert np.array_equal(report.max_adjustment, max_adjustment, equal_nan=True)
+        want = loop_rake(*args)
+        assert_same_as_loop(rake_transition_rates(*args), want)
+        iterations = want[1]
         assert np.flatnonzero(iterations < 0).tolist() == [10, 11, 39, 40]
         assert iterations.max() > 10  # the noise makes raking sweep many times
 
@@ -287,6 +313,73 @@ class TestBatchedRaking:
         assert str(got.value).startswith(f"month {START.shift(first)}: raking did not "
                                          f"converge within {max_iter} iterations")
         assert str(got.value) == str(want.value)
+        assert got.value.worst_residual == want.value.worst_residual
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(panel=consistent_panels(),
+           noise=arrays(float, (len(RATE_NAMES), 24), elements=st.floats(-0.01, 0.01)),
+           gaps=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 23)), max_size=4),
+           tol=st.sampled_from([1e-9, 1e-12, 1e-14]),
+           budget=st.floats(0.2, 1.5))
+    def test_property_bit_identical_to_loop(self, panel, noise, gaps, tol, budget):
+        n = len(panel.E)
+        stocks = {k: getattr(panel, k).values.copy() for k in "EUN"}
+        rates = {name: getattr(panel, name).values * (1.0 + noise[k, :n])
+                 for k, name in enumerate(RATE_NAMES)}
+        cells = [stocks[k] for k in "EUN"] + [rates[name] for name in RATE_NAMES]
+        for row, t in gaps:
+            if t < n:
+                cells[row][t] = np.nan
+        args = as_series(stocks, rates)
+        # a sweep budget both below and above what the slowest pair needs
+        try:
+            needed = loop_rake(*args, tol=tol)[1].max()
+        except RakingError:  # a pair that needs more than the default budget
+            needed = 1000
+        max_iter = max(1, round(budget * needed))
+
+        def outcome(rake):
+            try:
+                return rake(*args, tol=tol, max_iter=max_iter)
+            except (ValueError, RakingError) as exc:
+                return exc
+
+        got, want = outcome(rake_transition_rates), outcome(loop_rake)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert (getattr(got, "worst_residual", None)
+                    == getattr(want, "worst_residual", None))
+            return
+        assert not isinstance(got, Exception), got
+        assert_same_as_loop(got, want)
+
+    def test_zero_origin_stock_rakes_without_warnings(self):
+        # no one is unemployed in 2002-07, though the rates out of
+        # unemployment are not zero: every guarded division meets a zero
+        stocks, rates = noisy_inputs(96, quiet_months=30)
+        stocks["E"][30] += stocks["U"][30]
+        stocks["U"][30] = 0.0
+        assert rates["ue"][30] > 0.0 and rates["un"][30] > 0.0
+        args = as_series(stocks, rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raked, report = rake_transition_rates(*args)
+            assert_same_as_loop((raked, report), loop_rake(*args))
+        assert raked["ue"].values[30] == raked["un"].values[30] == 0.0
+        assert raked["eu"].values[29] == raked["nu"].values[29] == 0.0
+        assert (report.iterations[29:31] >= 1).all()
+
+    def test_empty_column_raises_loop_error_without_warnings(self):
+        stocks, rates = noisy_inputs(96, quiet_months=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RakingError) as got:
+                self._empty_column(stocks, rates)
+            with pytest.raises(RakingError) as want:
+                loop_rake(*as_series(stocks, rates))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("month 2002-07: empty flow column")
         assert got.value.worst_residual == want.value.worst_residual
 
     @staticmethod
@@ -327,23 +420,6 @@ class TestBatchedRaking:
             getattr(self, plant)(stocks, rates)
         assert "2002-07" in str(exc.value)
         assert "np.float64" not in str(exc.value)
-
-
-RATE_RANGES = {"eu": (0.005, 0.03), "en": (0.005, 0.04), "ue": (0.1, 0.5),
-               "un": (0.01, 0.1), "ne": (0.01, 0.1), "nu": (0.005, 0.05)}
-
-
-@st.composite
-def consistent_panels(draw):
-    """Stock-consistent panels from `simulate_three_state`: generated rate
-    paths of up to 24 months from generated initial stocks."""
-    n = draw(st.integers(2, 24))
-    rates = {name: draw(arrays(float, n, elements=st.floats(lo, hi)))
-             for name, (lo, hi) in RATE_RANGES.items()}
-    spec = ThreeStateSimulationSpec(alpha=0.3, u0=draw(st.floats(0.02, 0.15)),
-                                    n0=draw(st.floats(0.1, 0.4)), horizon=n,
-                                    rates=rates, sigma_path=0.36)
-    return simulate_three_state(spec).panel
 
 
 class TestRakingProperties:

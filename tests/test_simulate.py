@@ -165,6 +165,16 @@ class TestThreeStateSimulation:
         v2 = exact_vacancies(sim.panel.U, two.s, sigma, 0.3, warn=False)
         np.testing.assert_allclose(v2.values[:-1], sim.V.values[:-1], rtol=1e-12)
 
+    def test_vacancies_outside_unit_interval_rejected(self):
+        # a low efficiency from 2000-07 on needs a vacancy rate above one
+        # to produce the planted hires
+        sigma = np.r_[np.full(6, 0.36), np.full(18, 0.01)]
+        with pytest.raises(ValueError, match=r"planted vacancies left \(0, 1\) "
+                           r"at 2000-07: \d") as exc:
+            make_three_state_steady(horizon=24, sigma=sigma)
+        assert "np.float64" not in str(exc.value)
+        assert (make_three_state_steady(horizon=24).V.values[:-1] < 1.0).all()
+
     def test_degenerate_paths_rejected(self):
         # total separation of the whole workforce empties employment
         rates = {"eu": 0.5, "en": 0.5, "ue": 0.0, "un": 0.0, "ne": 0.0,
