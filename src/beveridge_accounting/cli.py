@@ -19,6 +19,7 @@ from its manifest alone.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -480,7 +481,10 @@ def _add_point_overrides(sub: argparse.ArgumentParser) -> None:
                      help="override the expansion-point matching efficiency")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="beveridge",
         description="Dynamic Beveridge-curve accounting toolkit")

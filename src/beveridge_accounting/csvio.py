@@ -4,18 +4,20 @@ Schema: one row per month, a `date` column in YYYY-MM form, then named value
 columns.  Missing cells are empty.  Rows must be contiguous ascending months;
 every downstream module consumes the :class:`MonthlySeries` built here.
 
-Both directions work a column at a time: ingest checks every date with one
-list comparison and parses every value cell with one ``map(float, ...)``;
-emission turns each column into string tokens once and joins them into rows
-(one ``%``-template per table for JSON records).
+Both directions work a column at a time: ingest splits a plain file's cells
+with one ``str.split``, checks every date with one list comparison and
+parses every value cell with one ``map(float, ...)``; emission turns each
+column into string tokens once and joins them into rows (JSON records from
+one flat list of keys and tokens).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Mapping, NoReturn, Sequence
 
@@ -35,10 +37,65 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        lines = list(csv.reader(fh))
+        text = fh.read()
+    panel = _read_plain(path, text)
+    return _read_rows(path, text) if panel is None else panel
+
+
+def _read_plain(path: Path, text: str) -> dict[str, MonthlySeries] | None:
+    """The panel of a CSV text that needs no CSV parsing, or None.
+
+    Text with no quote or NUL, whose lines all end in LF or all in CRLF, is
+    one cell list per line split on commas, which is what `csv.reader`
+    returns for it.  When every data line has the header's number of
+    cells, all cells come from one split of the joined body.  Anything else
+    (quoting, a lone CR, blank or ragged lines, a failing check) returns
+    None for the `csv.reader` path.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split("\r\n" if "\r" in text else "\n")
+    if lines[-1] == "":  # the last line's end
+        lines.pop()
+    if not lines or not lines[0]:
+        return None
+    header, rows = lines[0], lines[1:]
+    body = ",".join(rows)
+    if any("\r" in part or "\n" in part for part in (header, body)):
+        return None  # mixed line ends or a lone CR
+    names = _column_names(path, header.split(","))
+    if not rows or set(map(str.count, rows, repeat(","))) != {len(names)}:
+        return None
+    try:
+        # float ignores the padding str.strip removes, and rejects a
+        # whitespace-only cell, which the csv.reader path reads as missing
+        return _columns(names, body.split(","), len(rows))
+    except ValueError:
+        return None
+
+
+def _read_rows(path: Path, text: str) -> dict[str, MonthlySeries]:
+    """The panel of any CSV text, parsed by `csv.reader`, or the
+    SchemaError of its first fault."""
+    lines = list(csv.reader(io.StringIO(text, newline="")))
     if not lines:
         raise SchemaError(f"{path}: empty file")
     header, body = lines[0], lines[1:]
+    names = _column_names(path, header)
+
+    # rows whose cells are all blank are skipped
+    rows = list(compress(body, map(str.strip, map("".join, body))))
+    try:
+        if set(map(len, rows)) != {len(names) + 1}:
+            raise ValueError("bad width")
+        return _columns(names, list(map(str.strip, chain.from_iterable(rows))),
+                        len(rows))
+    except ValueError:
+        _raise_first_fault(path, names, body)
+
+
+def _column_names(path: Path, header: list[str]) -> list[str]:
+    """The value-column names of a header row, or its SchemaError."""
     if not header or header[0].strip() != "date":
         raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
     names = [h.strip() for h in header[1:]]
@@ -46,28 +103,26 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
         raise SchemaError(f"{path}: no value columns")
     if len(set(names)) != len(names):
         raise SchemaError(f"{path}: duplicate column names")
+    return names
 
-    # rows whose cells are all blank are skipped
-    rows = list(compress(body, map(str.strip, map("".join, body))))
+
+def _columns(names: list[str], cells: list[str], n: int) -> dict[str, MonthlySeries]:
+    """One series per name from the `n` rows of `cells`, flat in row order;
+    ValueError unless every date and value cell is valid."""
     width = len(names) + 1
-    cells = list(chain.from_iterable(rows))
     dates = list(map(str.strip, cells[::width]))
     del cells[::width]
-    try:
-        start = MonthDate.parse(dates[0])
-        # a valid date cell is exactly its month's YYYY-MM, so one comparison
-        # checks the format and contiguity of every row
-        if set(map(len, rows)) != {width} or dates != _dates(start, len(rows)):
-            raise ValueError("bad width or date")
-        stripped = list(map(str.strip, cells))
-        # float keeps the number grammar; a blank cell is missing
-        values = np.fromiter(map(float, map({"": "nan"}.get, stripped, stripped)),
-                             dtype=float, count=len(stripped))
-        if np.isinf(values).any():
-            raise ValueError("infinite cell")
-    except (IndexError, ValueError):
-        _raise_first_fault(path, names, body)
-    values = values.reshape(len(rows), len(names))
+    start = MonthDate.parse(dates[0])
+    # a valid date cell is exactly its month's YYYY-MM, so one comparison
+    # checks the format and contiguity of every row
+    if dates != _dates(start, n):
+        raise ValueError("bad date")
+    # float keeps the number grammar; a blank cell is missing
+    values = np.fromiter(map(float, map({"": "nan"}.get, cells, cells)),
+                         dtype=float, count=len(cells))
+    if np.isinf(values).any():
+        raise ValueError("infinite cell")
+    values = values.reshape(n, len(names))
     return {name: MonthlySeries(start, values[:, j]) for j, name in enumerate(names)}
 
 
@@ -182,6 +237,26 @@ def _json_tokens(a: np.ndarray) -> list[str]:
     return ["null" if x is None or x != x else json.dumps(x) for x in a.tolist()]
 
 
+def _json_records(columns: Mapping[str, Sequence], n: int) -> str:
+    """The `n` (at least one) records of `write_table` as JSON text.
+
+    Record i's pieces are each key's separator followed by its value; one
+    flat list holds them all, each column's separators and tokens filled in
+    by one slice assignment, and is joined once.
+    """
+    names = sorted(columns)
+    keys = [json.encoder.encode_basestring_ascii(name) + ": " for name in names]
+    # the first record opens the list instead of closing the one before it
+    seps = ["\n  },\n  {\n    " + keys[0], *[",\n    " + key for key in keys[1:]]]
+    step = 2 * len(names)
+    parts = [""] * (step * n)
+    for j, (sep, name) in enumerate(zip(seps, names)):
+        parts[2 * j::step] = [sep] * n
+        parts[2 * j + 1::step] = _json_tokens(np.asarray(columns[name]))
+    parts[0] = "[\n  {\n    " + keys[0]
+    return "".join(parts) + "\n  }\n]\n"
+
+
 def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
     """Write equal-length named columns as a table; returns the number of rows.
 
@@ -197,13 +272,7 @@ def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
         raise ValueError(f"columns differ in length: {lengths}")
     n = next(iter(lengths.values()), 0)
     if path.suffix == ".json":
-        names = sorted(columns)
-        tokens = [_json_tokens(np.asarray(columns[name])) for name in names]
-        keys = [json.encoder.encode_basestring_ascii(name).replace("%", "%%")
-                for name in names]
-        record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-        text = ("[\n" + ",\n".join(map(record.__mod__, zip(*tokens))) + "\n]\n"
-                if n else "[]\n")
+        text = _json_records(columns, n) if n else "[]\n"
     else:
         tokens = [_csv_tokens(np.asarray(column)) for column in columns.values()]
         head = [_csv_quote(str(name)) for name in columns]

@@ -33,6 +33,16 @@ def _as_path(value, horizon: int, name: str) -> np.ndarray:
     return arr
 
 
+def _require_unit_vacancies(v: np.ndarray, start: MonthDate) -> None:
+    """Raise ValueError naming the first month whose planted vacancy rate
+    is outside (0, 1); a missing month is not checked."""
+    outside = (v <= 0.0) | (v >= 1.0)
+    if outside.any():
+        t = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"planted vacancies left (0, 1) at {start.shift(t)}: "
+                         f"{float(v[t])!r}")
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """Planted two-state configuration.
@@ -119,6 +129,8 @@ def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
                              "separation inflow cannot cover the unemployment change")
         f = sigma * (v / u) ** spec.alpha
 
+    _require_unit_vacancies(v, spec.start)
+
     # Gross inflow into unemployment observed as short-term unemployed next
     # month; the first month has no predecessor and is missing.
     u_short = np.empty(n)
@@ -204,10 +216,6 @@ def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation
         t = int(np.flatnonzero(np.isnan(v[:-1]))[0])
         raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
                          "hires implied by the flows are nonpositive")
-    outside = ~((v[:-1] > 0.0) & (v[:-1] < 1.0))
-    if outside.any():
-        t = int(np.flatnonzero(outside)[0])
-        raise ValueError(f"planted vacancies left (0, 1) at {spec.start.shift(t)}: "
-                         f"{float(v[t])!r}")
+    _require_unit_vacancies(v[:-1], spec.start)
     return ThreeStateSimulation(panel=panel, V=mk(v), sigma_true=mk(sigma),
                                 alpha=spec.alpha)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -501,6 +502,16 @@ def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, fla
     out = tmp_path / "out"
     assert exit_code([command, *data, "--output-dir", out, *flags]) == 2
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--three-state"]], ids=["two-state", "three-state"])
+def test_simulate_vacancy_bound_names_month_and_value(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert run(["simulate", *flags, "--horizon", 24, "--sigma-bar", 0.01,
+                "--output-dir", out]) == 2
+    assert re.fullmatch(r"configuration error: planted vacancies left \(0, 1\) "
+                        r"at 2000-01: \d+\.\d+\n", capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beveridge_accounting import MonthDate, MonthlySeries, read_panel, write_panel
-from beveridge_accounting.csvio import SchemaError, _dates, require_columns, write_table
+from beveridge_accounting.csvio import (SchemaError, _dates, _read_plain, require_columns,
+                                        write_table)
 
 MIXED = {"x": np.array([np.nan, 0.1 + 0.2, -0.0, 1e-300]),
          "name": ["a", "b", "", "d"]}
@@ -251,7 +252,7 @@ def example_dir(tmp_path_factory):
 def outcome(fn, path):
     try:
         return "ok", fn(path)
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -326,8 +327,15 @@ class TestWriteTableMatchesRecordWriter:
         {"x": []},
         {"x": [], "y": np.array([])},
         {"a": EDGE_FLOATS, "b": [str(x) for x in EDGE_FLOATS]},
+        {"%": [1.0, 2.0], "%%": ["a", "b"], "%s": [3, 4]},
+        {"x": [0.5], "name": ["one"], "flag": [True]},
+        {"x": [0.1 * k for k in range(7)]},
+        {"date": [f"{2000 + t // 12}-{t % 12 + 1:02d}" for t in range(500)],
+         "u": np.linspace(0.04, 0.1, 500), "gap": [None, *range(499)],
+         "v": np.where(np.arange(500) % 7 == 0, np.nan, np.arange(500) / 3)},
     ], ids=["one-column-nan", "one-column-empty-string", "empty-name", "zero-rows",
-            "zero-rows-two-columns", "edge-floats"])
+            "zero-rows-two-columns", "edge-floats", "percent-keys", "one-row",
+            "one-column", "500-rows"])
     def test_named_cases(self, tmp_path, columns):
         for suffix in ("csv", "json"):
             write_table(tmp_path / f"got.{suffix}", columns)
@@ -357,20 +365,26 @@ BAD_DATES = st.sampled_from(["2000-13", "2000-1", "200-01", "abcd-ef", "",
 
 
 @st.composite
-def panel_texts(draw):
+def panel_texts(draw, quoting=True):
     """CSV text of a panel, with blank rows, padding, quoting and CRLF, and
-    up to two planted faults."""
+    up to two planted faults.  Without `quoting` no cell is quoted, blank
+    lines are rare and a whitespace-only cell is a planted fault, so that
+    most texts are ones `read_panel` splits without `csv.reader`."""
     names = draw(st.lists(st.sampled_from(["u", "v", "s", "w"]), min_size=1,
                           max_size=3, unique=True))
     start = MonthDate(draw(st.integers(1900, 2100)), draw(st.integers(1, 12)))
     n = draw(st.integers(1, 12))
-    cell = st.one_of(BLANKS, st.tuples(PADS, NUMBERS, PADS).map("".join))
+    blank = BLANKS if quoting else st.just("")
+    cell = st.one_of(blank, st.tuples(PADS, NUMBERS, PADS).map("".join))
     rows = [[draw(PADS) + str(start.shift(t)) + draw(PADS)]
             + [draw(cell) for _ in names] for t in range(n)]
     header = ["date", *names]
+    faults = ["width", "date", "gap", "number", "infinite"] * 2 + ["dupe", "header"]
+    if not quoting:  # cells csv.reader's path reads as missing, float rejects,
+        # and ragged lines whose cells add up to whole rows
+        faults += ["spaces", "spaces", "ragged"]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        fault = draw(st.sampled_from(["width", "date", "gap", "number", "infinite"] * 2
-                                     + ["dupe", "header"]))
+        fault = draw(st.sampled_from(faults))
         if fault == "dupe":
             header.append(" " + header[-1])
         elif fault == "header":
@@ -387,21 +401,51 @@ def panel_texts(draw):
                 row[0] = draw(BAD_DATES)
             elif fault == "gap":
                 row[0] = str(start.shift(t + draw(st.sampled_from([-1, 2, 13]))))
+            elif fault == "ragged":
+                if t + 1 < n:
+                    rows[t + 1].insert(0, row.pop())
+            elif fault == "spaces":
+                row[draw(st.integers(0, len(row) - 1))] = draw(
+                    st.sampled_from([" ", "\t", "\x1c"]))
             elif len(row) > 1:
                 bad = NOT_NUMBERS if fault == "number" else INFINITIES
                 row[draw(st.integers(1, len(row) - 1))] = draw(bad)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3) if quoting else st.sampled_from([0, 0, 0, 1]))):
         blank = [draw(BLANKS) for _ in range(draw(st.integers(0, len(header))))]
         rows.insert(draw(st.integers(0, len(rows))), blank)
 
     def render(text):
+        if not quoting:
+            return text
         if any(c in text for c in ',"\r\n') or draw(st.integers(0, 9)) == 0:
             return '"' + text.replace('"', '""') + '"'
         return text
 
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(map(render, row)) for row in [header, *rows]]
-    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+    ends = ["", newline, newline * 2] if quoting else ["", newline, newline, newline * 2]
+    return newline.join(lines) + draw(st.sampled_from(ends))
+
+
+def assert_same_outcome(path):
+    """read_panel gives the row reader's series, or its error and text."""
+    got, want = outcome(read_panel, path), outcome(read_panel_rows, path)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    got, want = got[1], want[1]
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].start == want[name].start
+        np.testing.assert_array_equal(got[name].values, want[name].values,
+                                      strict=True)
+        assert got[name].values.tobytes() == want[name].values.tobytes()
+
+
+def plain_path_reads(path):
+    """Whether `read_panel` returns the unquoted fast path's panel."""
+    return _read_plain(path, path.read_bytes().decode("utf-8-sig")) is not None
 
 
 class TestReadPanelMatchesRowReader:
@@ -410,18 +454,69 @@ class TestReadPanelMatchesRowReader:
     def test_same_series_or_same_error(self, example_dir, text):
         path = example_dir / "panel.csv"
         path.write_bytes(text.encode())
-        got, want = outcome(read_panel, path), outcome(read_panel_rows, path)
-        assert got[0] == want[0]
-        if got[0] != "ok":
-            assert got[1] == want[1]
-            return
-        got, want = got[1], want[1]
-        assert list(got) == list(want)
-        for name in want:
-            assert got[name].start == want[name].start
-            np.testing.assert_array_equal(got[name].values, want[name].values,
-                                          strict=True)
-            assert got[name].values.tobytes() == want[name].values.tobytes()
+        assert_same_outcome(path)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(text=panel_texts(quoting=False))
+    def test_unquoted_same_series_or_same_error(self, example_dir, text):
+        path = example_dir / "panel.csv"
+        path.write_bytes(text.encode())
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text, plain", [
+        ("date,u,v\n2000-01,1,2\n2000-02,,4\n", True),
+        ("date , u\r\n 2000-01 ,\u00a01.5 \r\n2000-02,2\r\n", True),
+        ("date,u\n2000-01,1\n2000-02,2", True),
+        # ragged lines whose cells add up to whole rows
+        ("date,u,v\n2000-01,1,2,2000-02\n3,4\n", False),
+        ("date,u\r2000-01,1\r2000-02,2\r", False),
+        ("date,u\r\n2000-01,1\r2000-02,2\r\n", False),
+        ("date,u\r\n2000-01,1\n2000-02,2\r\n", False),
+        # a line end that the cell counts alone would not show
+        ("date,u\r\n2000-01\r,1\r\n2000-02,2\r\n", False),
+        ("date,u\r\n2000-01\n,1\r\n2000-02,2\r\n", False),
+        ("date,u\n2000-01,1\n\n2000-02,2\n", False),
+        ("\ndate,u\n2000-01,1\n", False),
+        ("date,u,v\n2000-01, ,1\n2000-02,2,\t\n", False),
+        ("date,u\n2000-01,1\n , \n", False),
+        ('"date","u"\n2000-01,1\n', False),
+        ('date,u\n2000-01,"1"\n', False),
+        ("date,u\n2000-01,1\x00\n", False),
+        ("date,u\x00\n2000-01,1\n", False),
+        ("date,u\n2000-01,\x1c1\n", False),
+        ("date,u\n", False),
+        ("", False),
+    ], ids=["plain", "padded-crlf", "no-final-line-end", "ragged", "lone-cr",
+            "lone-cr-in-crlf", "mixed-line-ends", "cr-in-date", "lf-in-crlf-line",
+            "blank-line", "blank-header",
+            "whitespace-cell", "whitespace-row", "quoted-header", "quoted-cell",
+            "nul-cell", "nul-header", "padding-float-rejects", "header-only",
+            "empty"])
+    def test_named_cases(self, tmp_path, text, plain):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        assert_same_outcome(path)
+        assert plain_path_reads(path) == plain
+
+    def test_simulated_panel_takes_the_plain_path(self, tmp_path, recession_sim):
+        path = tmp_path / "panel.csv"
+        panel = recession_sim.panel
+        write_panel(path, {"u_rate": panel.U, "v_rate": panel.V,
+                           "u_short": panel.U_short})
+        assert plain_path_reads(path)
+        assert_same_outcome(path)
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        assert plain_path_reads(lf)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(b"\r\n".join(b",".join(b'"%s"' % c for c in line.split(b","))
+                                         for line in lf.read_bytes().splitlines()))
+        assert not plain_path_reads(quoted)
+        for other in (lf, quoted):
+            got, want = read_panel(other), read_panel(path)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].values.tobytes() == want[name].values.tobytes()
 
     @pytest.mark.parametrize("text, message", [
         ("date,u\n2000-01,1\n2000-02\n2000-04,x\n", "p.csv:3: expected 2 cells, got 1"),
@@ -435,6 +530,7 @@ class TestReadPanelMatchesRowReader:
         ("date,u\n2000-01,1\n2000-02, 1e999\n", "p.csv:3: non-finite cell '1e999' "
                                                 "in column 'u'"),
         ("date,u\n\n \n", "p.csv: no data rows"),
+        ("date,u,v\n2000-01,1,2,2000-02\n3,4\n", "p.csv:2: expected 3 cells, got 4"),
     ])
     def test_earlier_fault_wins(self, tmp_path, text, message):
         path = tmp_path / "p.csv"

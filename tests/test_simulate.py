@@ -104,6 +104,23 @@ class TestTwoStateSimulation:
                                               sigma_path=5.0, v_path=np.full(3, 0.5)))
         assert "np.float64" not in str(exc.value)
 
+    def test_vacancies_outside_unit_interval_rejected(self):
+        # a low efficiency from 2000-07 on needs a vacancy rate above one
+        # to produce the hires that hold unemployment steady
+        sigma = np.r_[np.full(6, 0.36), np.full(18, 0.01)]
+        spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=24, s_path=0.02,
+                              sigma_path=sigma)
+        with pytest.raises(ValueError, match=r"planted vacancies left \(0, 1\) "
+                           r"at 2000-07: \d") as exc:
+            simulate_two_state(spec)
+        assert "np.float64" not in str(exc.value)
+        # both driving modes: a planted vacancy path of zero from 2000-02 on
+        with pytest.raises(ValueError, match=r"planted vacancies left \(0, 1\) "
+                           r"at 2000-02: 0\.0$"):
+            simulate_two_state(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
+                                              sigma_path=0.36,
+                                              v_path=np.array([0.03, 0.0, 0.0])))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="not both"):
             SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02,
