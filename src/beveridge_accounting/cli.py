@@ -157,7 +157,10 @@ def _positive_finding_rate(f: MonthlySeries) -> tuple[MonthlySeries, int]:
 
 def _output_path(args: argparse.Namespace, name: str) -> Path:
     """Path of the named data file in the configured format."""
-    Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # a file in the way
+        raise ConfigError(f"--output-dir {args.output_dir}: not a directory") from None
     return Path(args.output_dir) / f"{name}.{args.format}"
 
 

@@ -6,9 +6,12 @@ every downstream module consumes the :class:`MonthlySeries` built here.
 
 Both directions work a column at a time: ingest splits a plain file's cells
 with one ``str.split``, checks every date with one list comparison and
-parses every value cell with one ``map(float, ...)``; emission turns each
-column into string tokens once and joins them into rows (JSON records from
-one flat list of keys and tokens).
+parses every value cell with one ``map(float, ...)``.  Emission spells every
+float column of a table in one :func:`floatrepr.float_reprs` call, byte for
+byte ``float.__repr__`` with no Python string per cell, and turns any other
+column into string tokens once.  Rows are then laid out a block at a time
+as one byte matrix (separators and each column's cells side by side) and
+written as its bytes less the padding.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
     A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except IsADirectoryError as exc:
+        raise SchemaError(f"{path}: {exc.strerror}") from None
     panel = _read_plain(path, text)
     return _read_rows(path, text) if panel is None else panel
 
@@ -77,7 +83,11 @@ def _read_plain(path: Path, text: str) -> dict[str, MonthlySeries] | None:
 def _read_rows(path: Path, text: str) -> dict[str, MonthlySeries]:
     """The panel of any CSV text, parsed by `csv.reader`, or the
     SchemaError of its first fault."""
-    lines = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        lines = list(reader)
+    except csv.Error as exc:  # a quoted field over the module's size limit, say
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     if not lines:
         raise SchemaError(f"{path}: empty file")
     header, body = lines[0], lines[1:]
@@ -189,7 +199,7 @@ def _dates(start: MonthDate, n: int) -> list[str]:
 
 # CSV (excel dialect, minimal quoting) quotes a cell holding any of these
 _CSV_SPECIAL = (",", '"', "\r", "\n")
-_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_BLOCK_BYTES = 1 << 20  # rows are assembled and written about this much at a time
 
 
 def _csv_quote(text: str) -> str:
@@ -199,13 +209,8 @@ def _csv_quote(text: str) -> str:
 
 
 def _csv_tokens(a: np.ndarray) -> list[str]:
-    """A column's CSV cells: floats as their repr, NaN (or None) empty."""
+    """A non-float column's CSV cells: NaN (or None) empty."""
     kind = a.dtype.kind
-    if kind == "f":
-        tokens = list(map(float.__repr__, a.tolist()))
-        for i in np.flatnonzero(np.isnan(a)).tolist():
-            tokens[i] = ""
-        return tokens
     if kind in "iub":
         return list(map(str, a.tolist()))
     if kind == "U":
@@ -220,14 +225,9 @@ def _csv_tokens(a: np.ndarray) -> list[str]:
 
 
 def _json_tokens(a: np.ndarray) -> list[str]:
-    """A column's JSON values, as `json.dumps` writes them: NaN (or None)
-    null, infinities as ``Infinity`` and strings ASCII-escaped."""
+    """A non-float column's JSON values, as `json.dumps` writes them: NaN (or
+    None) null, infinities as ``Infinity`` and strings ASCII-escaped."""
     kind = a.dtype.kind
-    if kind == "f":
-        tokens = list(map(float.__repr__, a.tolist()))
-        for i in np.flatnonzero(~np.isfinite(a)).tolist():
-            tokens[i] = _JSON_NONFINITE[tokens[i]]
-        return tokens
     if kind in "iu":
         return list(map(str, a.tolist()))
     if kind == "b":
@@ -237,24 +237,86 @@ def _json_tokens(a: np.ndarray) -> list[str]:
     return ["null" if x is None or x != x else json.dumps(x) for x in a.tolist()]
 
 
-def _json_records(columns: Mapping[str, Sequence], n: int) -> str:
-    """The `n` (at least one) records of `write_table` as JSON text.
+def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]) -> np.ndarray:
+    """The cells of float values: one row of bytes each, NUL where there is
+    no byte, with nan, inf and -inf spelled as given."""
+    # imported here, so importing the package (for --help, say) compiles
+    # and runs none of the kernel
+    from .floatrepr import float_reprs
 
-    Record i's pieces are each key's separator followed by its value; one
-    flat list holds them all, each column's separators and tokens filled in
-    by one slice assignment, and is joined once.
+    chars = float_reprs(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        spelled = np.zeros((3, chars.shape[1]), dtype=np.uint8)
+        for row, text in zip(spelled, spelling):
+            row[:len(text)] = list(text)
+        v = values[bad]
+        chars[bad] = spelled[np.where(np.isnan(v), 0, np.where(v > 0, 1, 2))]
+    return chars
+
+
+def _token_cells(tokens: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cells of string tokens: their UTF-8 bytes one row each, NUL
+    padded, and which bytes are the token's (None: the nonzero ones)."""
+    encoded = list(map(str.encode, tokens))
+    chars = np.array(encoded, dtype=bytes)
+    chars = chars.view(np.uint8).reshape(len(encoded), chars.dtype.itemsize)
+    if "\0" not in "".join(tokens):
+        return chars, None
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    return chars, np.arange(chars.shape[1]) < lengths[:, None]
+
+
+def _column_cells(arrays: dict[str, np.ndarray], n: int, json_format: bool) -> list:
+    """Each column's cells for `_write_rows`; every float column goes
+    through one `float_reprs` call, widened to float64."""
+    floats = [name for name, a in arrays.items() if a.dtype.kind == "f"]
+    cells = {}
+    if floats and n:
+        if json_format:  # nan, inf and -inf as json.dumps spells them
+            spelling = (b"null", b"Infinity", b"-Infinity")
+        else:  # csv quotes a row that is one empty cell
+            spelling = (b'""' if len(arrays) == 1 else b"", b"inf", b"-inf")
+        chars = _float_cells(np.concatenate([arrays[name] for name in floats],
+                                            dtype=np.float64), spelling)
+        for j, name in enumerate(floats):
+            column = chars[j * n:(j + 1) * n]
+            # the byte slots no value of this column uses
+            cells[name] = (column.take(np.flatnonzero(column.any(axis=0)), axis=1), None)
+    for name, a in arrays.items():
+        if name not in cells:
+            tokens = _json_tokens(a) if json_format else _csv_tokens(a)
+            if len(arrays) == 1 and not json_format:
+                tokens = ['""' if t == "" else t for t in tokens]
+            cells[name] = _token_cells(tokens)
+    return [cells[name] for name in arrays]
+
+
+def _write_rows(fh, n: int, slots: list, first: int | None = None) -> None:
+    """Write `n` rows, each the concatenation of its slots: a string written
+    on every row, or a column's (chars, mask) cells.  `first` replaces the
+    first byte written.
+
+    Each block of rows is laid out as one byte matrix, slot by slot, and
+    written as its bytes that are not NUL padding, in order.
     """
-    names = sorted(columns)
-    keys = [json.encoder.encode_basestring_ascii(name) + ": " for name in names]
-    # the first record opens the list instead of closing the one before it
-    seps = ["\n  },\n  {\n    " + keys[0], *[",\n    " + key for key in keys[1:]]]
-    step = 2 * len(names)
-    parts = [""] * (step * n)
-    for j, (sep, name) in enumerate(zip(seps, names)):
-        parts[2 * j::step] = [sep] * n
-        parts[2 * j + 1::step] = _json_tokens(np.asarray(columns[name]))
-    parts[0] = "[\n  {\n    " + keys[0]
-    return "".join(parts) + "\n  }\n]\n"
+    parts = [(np.frombuffer(s.encode(), dtype=np.uint8), None) if isinstance(s, str)
+             else s for s in slots]
+    edges = np.cumsum([0, *(chars.shape[-1] for chars, _ in parts)]).tolist()
+    spans = list(zip(parts, edges, edges[1:]))
+    step = max(1, _BLOCK_BYTES // max(edges[-1], 1))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        block = np.empty((stop - start, edges[-1]), dtype=np.uint8)
+        for (chars, _), a, b in spans:
+            block[:, a:b] = chars if chars.ndim == 1 else chars[start:stop]
+        keep = block != 0
+        for (_, mask), a, b in spans:
+            if mask is not None:
+                keep[:, a:b] = mask[start:stop]
+        if start == 0 and first is not None:
+            block[0, 0] = first
+        fh.write(block[keep])
 
 
 def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
@@ -271,17 +333,27 @@ def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
     n = next(iter(lengths.values()), 0)
-    if path.suffix == ".json":
-        text = _json_records(columns, n) if n else "[]\n"
-    else:
-        tokens = [_csv_tokens(np.asarray(column)) for column in columns.values()]
-        head = [_csv_quote(str(name)) for name in columns]
-        if len(tokens) == 1:  # csv quotes a row that is one empty cell
-            tokens = [['""' if t == "" else t for t in tokens[0]]]
-            head = ['""' if t == "" else t for t in head]
-        text = "\r\n".join([",".join(head), *map(",".join, zip(*tokens))]) + "\r\n"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    json_format = path.suffix == ".json"
+    names = sorted(columns) if json_format else list(columns)
+    cells = _column_cells({name: np.asarray(columns[name]) for name in names}, n,
+                          json_format)
+    with path.open("wb") as fh:
+        if json_format and not n:
+            fh.write(b"[]\n")
+        elif json_format:
+            keys = [json.encoder.encode_basestring_ascii(name) + ": " for name in names]
+            # each record opens with ",": the first one's becomes the list's "["
+            seps = [",\n  {\n    " + keys[0], *[",\n    " + key for key in keys[1:]]]
+            _write_rows(fh, n, [*chain.from_iterable(zip(seps, cells)), "\n  }"],
+                        first=ord("["))
+            fh.write(b"\n]\n")
+        else:
+            head = [_csv_quote(str(name)) for name in names]
+            if head == [""]:  # csv quotes a row that is one empty cell
+                head = ['""']
+            fh.write((",".join(head) + "\r\n").encode())
+            seps = [","] * (len(cells) - 1) + ["\r\n"]
+            _write_rows(fh, n, [*chain.from_iterable(zip(cells, seps))])
     return n
 
 

@@ -155,6 +155,27 @@ class TestEstimateCommand:
         assert run(["estimate", "--input", tmp_path / "nope.csv",
                     "--output-dir", tmp_path / "x"]) == 3
 
+    def test_quoted_cell_over_field_limit_is_data_error_with_its_line(self, tmp_path,
+                                                                      capsys):
+        big = tmp_path / "big.csv"
+        big.write_text('date,u_rate,v_rate,u_short\n2000-01,"' + "9" * 140_001
+                       + '",0.03,0.01\n')
+        assert run(["estimate", "--input", big, "--output-dir", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {big}:2: field larger than field limit (131072)\n")
+
+    def test_input_directory_is_data_error_naming_it(self, tmp_path, capsys):
+        assert run(["estimate", "--input", tmp_path,
+                    "--output-dir", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path}: ")
+
+    def test_output_dir_naming_a_file_is_config_error(self, tmp_path, recession_sim,
+                                                      capsys):
+        data = write_recession_csv(tmp_path, recession_sim)
+        assert run(["estimate", "--input", data, "--output-dir", data]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --output-dir {data}: not a directory\n")
+
 
 class TestShiftersCommand:
     def test_zero_at_reference_month(self, tmp_path, recession_sim):
