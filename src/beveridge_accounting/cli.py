@@ -22,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -90,8 +91,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 

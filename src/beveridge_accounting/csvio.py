@@ -208,13 +208,21 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _csv_tokens(a: np.ndarray) -> list[str]:
+def _strings(column: Sequence, a: np.ndarray) -> list[str]:
+    """The cells of a string column `a` made from `column`: the given strings
+    where all of them are ``str``, since numpy drops trailing NULs."""
+    if not isinstance(column, np.ndarray) and set(map(type, column)) == {str}:
+        return list(column)
+    return a.tolist()
+
+
+def _csv_tokens(column: Sequence, a: np.ndarray) -> list[str]:
     """A non-float column's CSV cells: NaN (or None) empty."""
     kind = a.dtype.kind
     if kind in "iub":
         return list(map(str, a.tolist()))
     if kind == "U":
-        cells = a.tolist()
+        cells = _strings(column, a)
         joined = "".join(cells)
         if any(c in joined for c in _CSV_SPECIAL):
             return list(map(_csv_quote, cells))
@@ -224,7 +232,7 @@ def _csv_tokens(a: np.ndarray) -> list[str]:
             for x in a.tolist()]
 
 
-def _json_tokens(a: np.ndarray) -> list[str]:
+def _json_tokens(column: Sequence, a: np.ndarray) -> list[str]:
     """A non-float column's JSON values, as `json.dumps` writes them: NaN (or
     None) null, infinities as ``Infinity`` and strings ASCII-escaped."""
     kind = a.dtype.kind
@@ -233,7 +241,7 @@ def _json_tokens(a: np.ndarray) -> list[str]:
     if kind == "b":
         return ["true" if x else "false" for x in a.tolist()]
     if kind == "U":
-        return list(map(json.encoder.encode_basestring_ascii, a.tolist()))
+        return list(map(json.encoder.encode_basestring_ascii, _strings(column, a)))
     return ["null" if x is None or x != x else json.dumps(x) for x in a.tolist()]
 
 
@@ -267,9 +275,10 @@ def _token_cells(tokens: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
     return chars, np.arange(chars.shape[1]) < lengths[:, None]
 
 
-def _column_cells(arrays: dict[str, np.ndarray], n: int, json_format: bool) -> list:
+def _column_cells(columns: dict[str, Sequence], n: int, json_format: bool) -> list:
     """Each column's cells for `_write_rows`; every float column goes
     through one `float_reprs` call, widened to float64."""
+    arrays = {name: np.asarray(column) for name, column in columns.items()}
     floats = [name for name, a in arrays.items() if a.dtype.kind == "f"]
     cells = {}
     if floats and n:
@@ -285,7 +294,7 @@ def _column_cells(arrays: dict[str, np.ndarray], n: int, json_format: bool) -> l
             cells[name] = (column.take(np.flatnonzero(column.any(axis=0)), axis=1), None)
     for name, a in arrays.items():
         if name not in cells:
-            tokens = _json_tokens(a) if json_format else _csv_tokens(a)
+            tokens = (_json_tokens if json_format else _csv_tokens)(columns[name], a)
             if len(arrays) == 1 and not json_format:
                 tokens = ['""' if t == "" else t for t in tokens]
             cells[name] = _token_cells(tokens)
@@ -335,8 +344,7 @@ def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
     n = next(iter(lengths.values()), 0)
     json_format = path.suffix == ".json"
     names = sorted(columns) if json_format else list(columns)
-    cells = _column_cells({name: np.asarray(columns[name]) for name in names}, n,
-                          json_format)
+    cells = _column_cells({name: columns[name] for name in names}, n, json_format)
     with path.open("wb") as fh:
         if json_format and not n:
             fh.write(b"[]\n")

@@ -525,6 +525,25 @@ def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, fla
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, flag, extra", [
+    ("three-state", "--rake-tol", []),
+    ("simulate", "--du-period", ["--du-amplitude", 0.001]),
+    ("simulate", "--sigma-break-factor", ["--sigma-break-at", 3]),
+])
+def test_infinite_positive_float_flag_exits_two(tmp_path, capsys, command, flag,
+                                                extra):
+    # an infinite tolerance would accept any raking and switch off the
+    # population check; an infinite period would flatten the cycle
+    data = (["--input", write_steady_three_state_csv(tmp_path)]
+            if command == "three-state" else [])
+    out = tmp_path / "out"
+    assert exit_code([command, *data, "--output-dir", out, *extra, flag, "inf"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"beveridge {command}: error: argument {flag}: "
+        "must be positive and finite, got inf")
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("flags", [[], ["--three-state"]], ids=["two-state", "three-state"])
 def test_simulate_vacancy_bound_names_month_and_value(tmp_path, capsys, flags):
     out = tmp_path / "out"

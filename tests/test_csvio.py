@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -357,6 +359,30 @@ class TestWriteTableMatchesRecordWriter:
             write_table_records(tmp_path / f"want.{suffix}", columns)
             assert ((tmp_path / f"got.{suffix}").read_bytes()
                     == (tmp_path / f"want.{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("columns", [
+        {"s": ["a\0", "a\0\0", "\0b", ""]},
+        {"s": ["a\0", "a\0\0", "\0b", ""], "x": [0.5, 1.0, float("nan"), 2.0]},
+    ], ids=["one-column", "with-floats"])
+    def test_nul_characters_in_strings_are_kept(self, tmp_path, columns):
+        # numpy's string arrays drop trailing NULs, so the cells come from
+        # the given strings
+        write_table(tmp_path / "t.json", columns)
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        records = [{k: None if v != v else v for k, v in r.items()} for r in records]
+        assert ((tmp_path / "t.json").read_text()
+                == json.dumps(records, indent=2, sort_keys=True) + "\n")
+        write_table(tmp_path / "t.csv", columns)
+        got = (tmp_path / "t.csv").read_bytes()
+        if len(columns) == 1:
+            assert got == b's\r\na\0\r\na\0\0\r\n\0b\r\n""\r\n'
+        if sys.version_info >= (3, 11):  # before 3.11 csv refuses to write NUL
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(columns)
+            writer.writerows(zip(*[["" if v != v else v for v in c]
+                                   for c in columns.values()]))
+            assert got == buf.getvalue().encode()
 
     def test_one_column_missing_cell_is_quoted(self, tmp_path):
         write_table(tmp_path / "t.csv", {"x": [float("nan"), 2.0]})

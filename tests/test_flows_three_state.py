@@ -11,7 +11,8 @@ from beveridge_accounting import (MonthDate, MonthlySeries, RakingError,
                                   derive_aggregates, rake_transition_rates,
                                   relative_search_intensity, simulate_three_state,
                                   total_hires)
-from beveridge_accounting.flows_three_state import RATE_NAMES
+from beveridge_accounting import flows_three_state
+from beveridge_accounting.flows_three_state import _BATCH, _BLOCK, RATE_NAMES
 from conftest import make_three_state_steady
 
 START = MonthDate(2000, 1)
@@ -420,6 +421,150 @@ class TestBatchedRaking:
             getattr(self, plant)(stocks, rates)
         assert "2002-07" in str(exc.value)
         assert "np.float64" not in str(exc.value)
+
+
+def outcome(args, rake, **kwargs):
+    """`rake`'s result, or the error it raised."""
+    try:
+        return rake(*args, **kwargs)
+    except (ValueError, RakingError) as exc:
+        return exc
+
+
+def assert_rakes_like_loop(args, **kwargs):
+    """`rake_transition_rates` on `args` matches `loop_rake` bit for bit, or
+    raises the same error with the same worst residual, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(args, rake_transition_rates, **kwargs)
+        want = outcome(args, loop_rake, **kwargs)
+    if isinstance(want, Exception):
+        assert type(got) is type(want), got
+        assert str(got) == str(want)
+        assert (getattr(got, "worst_residual", None)
+                == getattr(want, "worst_residual", None))
+    else:
+        assert not isinstance(got, Exception), got
+        assert_same_as_loop(got, want)
+    return want
+
+
+def plant_underflow(stocks, rates, t, column, exits):
+    """At month-pair t, give the unemployment column the cells `column`
+    (from E, U and N), the unemployed the exit rates `exits` (ue, un) and
+    next month's unemployment the stock 5e-324.  The first column scaling
+    then rounds every cell under about half the column sum to zero, so an
+    empty column, or with no exits an empty unemployed row, is met only at
+    the second sweep.  The pairs before and after are left out."""
+    e_u, u_u, n_u = column
+    rates["ue"][t], rates["un"][t] = exits
+    stocks["E"][t] += stocks["U"][t]
+    stocks["U"][t] = u_u / (1.0 - sum(exits))
+    stocks["E"][t] -= stocks["U"][t]
+    rates["eu"][t], rates["nu"][t] = e_u / stocks["E"][t], n_u / stocks["N"][t]
+    stocks["E"][t + 1] += stocks["U"][t + 1]
+    stocks["U"][t + 1] = 5e-324
+    for name in RATE_NAMES:
+        rates[name][[t - 1, t + 1]] = np.nan
+
+
+class TestBatchEdges:
+    """Sweeps run _BATCH at a time and pairs _BLOCK at a time; each pair must
+    still leave at its own first converged (or failing) sweep."""
+
+    @pytest.mark.parametrize("max_iter", sorted({1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                                 2 * _BATCH + 1}))
+    @pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-12])
+    def test_sweep_budget_around_batch_edges(self, max_iter, tol):
+        stocks, rates = noisy_inputs(48, quiet_months=20)
+        assert_rakes_like_loop(as_series(stocks, rates), tol=tol, max_iter=max_iter)
+
+    def test_pairs_converge_at_different_sweeps_of_one_batch(self):
+        stocks, rates = noisy_inputs(48, quiet_months=20)
+        iterations = assert_rakes_like_loop(as_series(stocks, rates), tol=1e-5)[1]
+        batch = (iterations[20:] - 1) // _BATCH
+        # at least three different sweeps inside the first batch, and more after it
+        assert len(set(iterations[20:][batch == 0].tolist())) >= 3
+        assert (batch > 0).any()
+
+    @pytest.mark.parametrize("column, exits, margin", [
+        ((0.01, 0.01, 0.005), (0.5, 0.3), "column"),
+        ((0.01, 1e-4, 0.001), (0.0, 0.0), "row"),
+        # both at the same sweep: the row is reported
+        ((0.003, 0.003, 0.003), (0.0, 0.0), "row"),
+    ], ids=["column", "row", "row-and-column"])
+    def test_margin_first_empty_mid_batch(self, column, exits, margin):
+        stocks, rates = noisy_inputs(96, quiet_months=30)
+        plant_underflow(stocks, rates, 40, column, exits)
+        rows = np.array([stocks[k][40] for k in "EUN"])
+        cols = np.array([stocks[k][41] for k in "EUN"])
+        m = loop_flow_matrix(rows, {name: rates[name][40] for name in RATE_NAMES})
+        # no margin is empty before the first sweep
+        assert (m.sum(axis=1) > 0).all() and (m.sum(axis=0) > 0).all()
+        assert (rows > 0).all() and (cols > 0).all()
+        err = assert_rakes_like_loop(as_series(stocks, rates))
+        assert str(err) == f"month 2003-05: empty flow {margin} with positive target mass"
+
+    @pytest.mark.parametrize("max_iter", [2, 1000])
+    def test_zero_next_month_stock_first_met_at_second_sweep(self, max_iter):
+        # the first column scaling zeroes the column, which then has zero
+        # sum and zero target: scale one from the second sweep on, also
+        # where that sweep is the batch's last
+        stocks, rates = noisy_inputs(96, quiet_months=40)
+        stocks["E"][41] += stocks["U"][41]
+        stocks["U"][41] = 0.0
+        for name in RATE_NAMES:
+            rates[name][41] = np.nan
+        want = assert_rakes_like_loop(as_series(stocks, rates), max_iter=max_iter)
+        if max_iter == 2:
+            assert str(want).startswith("month 2003-05: raking did not converge")
+        else:
+            assert want[1][40] > _BATCH
+
+    def test_zero_origin_stock_in_later_batches_and_blocks(self, monkeypatch):
+        # blocks of 7 pairs: the zero stock's pair sits in the fifth block
+        # and needs many batches, each one of them swept again with guards
+        monkeypatch.setattr(flows_three_state, "_BLOCK", 7)
+        stocks, rates = noisy_inputs(60, quiet_months=2)
+        stocks["E"][30] += stocks["U"][30]
+        stocks["U"][30] = 0.0
+        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
+        assert iterations[30] > 2 * _BATCH
+
+    def test_earliest_failure_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(flows_three_state, "_BLOCK", 7)
+        stocks, rates = noisy_inputs(60, quiet_months=2)
+        plant_underflow(stocks, rates, 45, (0.01, 0.01, 0.005), (0.5, 0.3))
+        assert_rakes_like_loop(as_series(stocks, rates))
+        # a pair of an earlier block that cannot converge in time comes first
+        err = assert_rakes_like_loop(as_series(stocks, rates), max_iter=2 * _BATCH + 3)
+        assert str(err).startswith("month 2000-03: raking did not converge")
+
+    def test_no_rakeable_pair(self):
+        stocks, rates = noisy_inputs(12)
+        rates["ue"][:] = np.nan
+        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
+        assert (iterations == -1).all()
+
+    def test_single_pair(self):
+        stocks, rates = noisy_inputs(2)
+        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
+        assert iterations[0] > _BATCH
+
+    def test_more_pairs_than_one_block(self):
+        # consistent months converge at the first sweep; noise on the months
+        # around the block edge and at the start makes those sweep on
+        horizon = _BLOCK + 40
+        stocks, rates = noisy_inputs(horizon)
+        calm = np.ones(horizon, dtype=bool)
+        calm[np.r_[:10, _BLOCK - 10:_BLOCK + 10]] = False
+        consistent = noisy_inputs(horizon, quiet_months=horizon)[1]
+        for name in RATE_NAMES:
+            rates[name][calm] = consistent[name][calm]
+        stocks["U"][_BLOCK + 20] = np.nan
+        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
+        assert iterations[_BLOCK - 1] > _BATCH and iterations[_BLOCK] > _BATCH
+        assert (iterations[_BLOCK + 19:_BLOCK + 21] == -1).all()
 
 
 class TestRakingProperties:
