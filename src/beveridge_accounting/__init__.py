@@ -8,26 +8,22 @@ three-state), and computes the slope-dependent efficient unemployment rate.
 """
 
 from .csvio import SchemaError, read_panel, require_columns, write_panel
-from .curve import (ApproximationPoint, InfeasibleMonthWarning, ShifterPath,
-                    ThreeStateApproximationPoint, ThreeStateLoglinear,
-                    dynamics_coefficient, exact_vacancies, loglinear_slope,
-                    loglinear_vacancies, matching_coefficient,
-                    normalize_to_reference, separations_coefficient, shifter_paths,
+from .curve import (ApproximationPoint, InfeasibleMonthWarning,
+                    ThreeStateApproximationPoint, ThreeStateLoglinear, exact_vacancies,
+                    loglinear_slope, loglinear_vacancies, shifter_paths,
                     steady_state_curve, three_state_exact_vacancies,
-                    three_state_loglinear)
+                    three_state_loglinear, two_state_loglinear)
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
                          ms_calibration, steep_calibration, unemployment_gap)
 from .flows_three_state import (RakingError, RakingReport, ThreeStatePanel,
-                                build_three_state_panel, derive_aggregates,
-                                rake_transition_rates, relative_search_intensity,
-                                total_hires)
+                                build_three_state_panel, rake_transition_rates,
+                                relative_search_intensity, total_hires)
 from .flows_two_state import (ProbabilityRangeWarning, TwoStatePanel,
                               build_two_state_panel, implied_separation_probability,
                               job_finding_probability, unemployment_path)
 from .matching import (DEFAULT_ALPHA, MatchingEstimate, estimate_matching,
-                       matching_efficiency_path, searcher_finding_rate,
-                       three_state_tightness, two_state_tightness)
+                       matching_efficiency_path, searcher_finding_rate, tightness)
 from .series import (MonthDate, MonthlySeries, delta, delta_log, moving_average,
                      normalize_shares, require_aligned)
 from .shift_decomposition import (AllPairsInfeasibleError, MARGIN_DYNAMICS,

@@ -32,17 +32,15 @@ import numpy as np
 from . import __version__
 from .csvio import (_dates, _json_safe, read_panel, require_columns, write_panel,
                     write_table)
-from .curve import (ApproximationPoint, ThreeStateApproximationPoint,
-                    normalize_to_reference, shifter_paths, loglinear_vacancies,
-                    three_state_loglinear)
+from .curve import (ApproximationPoint, ThreeStateApproximationPoint, shifter_paths,
+                    three_state_loglinear, two_state_loglinear)
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
                          unemployment_gap)
 from .flows_three_state import RATE_NAMES, RakingError, build_three_state_panel
 from .flows_two_state import build_two_state_panel
 from .matching import (DEFAULT_ALPHA, estimate_matching, matching_efficiency_path,
-                       searcher_finding_rate, three_state_tightness,
-                       two_state_tightness)
+                       searcher_finding_rate, tightness)
 from .series import MonthDate, MonthlySeries, moving_average
 from .shift_decomposition import (AllPairsInfeasibleError, SwingBounds,
                                   all_orderings_report, build_swing_samples,
@@ -199,7 +197,7 @@ def _echo_value(value):
 def _two_state_pipeline(args: argparse.Namespace):
     cols = _read_columns(args, "u_rate", "v_rate", "u_short")
     panel = build_two_state_panel(cols["u_rate"], cols["v_rate"], cols["u_short"])
-    theta = two_state_tightness(panel.U, panel.V)
+    theta = tightness(panel.U, panel.V)
     f_pos, masked = _positive_finding_rate(panel.f)
     sigma = matching_efficiency_path(f_pos, theta, args.alpha)
     return panel, theta, f_pos, sigma, {"nonpositive_finding_months_masked": masked}
@@ -272,17 +270,19 @@ def cmd_shifters(args: argparse.Namespace) -> int:
     notes.update(info)
 
     _require_coverage(panel.U, f"reference month {args.reference}", args.reference)
-    paths = shifter_paths(panel.U, panel.s, sigma, point, args.reference)
-    loglin = loglinear_vacancies(panel.U, panel.s, sigma, point)
+    loglin = two_state_loglinear(panel.U, panel.s, sigma, point)
+    paths = shifter_paths(loglin, args.reference,
+                          ("searcher_dynamics", "separations", "matching"))
     with np.errstate(invalid="ignore", divide="ignore"):
         log_v = np.log(panel.V.values)
 
     path = _output_path(args, "shifters")
     outputs = {path.name: write_table(path, {
         "date": _dates(panel.U.start, len(panel.U)), "u_rate": panel.U.values,
-        "log_v_observed": log_v, "log_v_loglinear": loglin.values,
-        "dynamics": paths.dynamics.values, "separations": paths.separations.values,
-        "matching": paths.matching.values, "net": paths.net.values})}
+        "log_v_observed": log_v, "log_v_loglinear": loglin.total.values,
+        "dynamics": paths["searcher_dynamics"].values,
+        "separations": paths["separations"].values,
+        "matching": paths["matching"].values, "net": paths["net"].values})}
     _write_manifest(args, outputs, notes)
     return EXIT_OK
 
@@ -292,11 +292,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     point, info = _approx_point(args, panel, sigma)
     notes.update(info)
 
-    bounds = SwingBounds(down_start=args.down_start, down_end=args.down_end,
-                         up_start=args.up_start, up_end=args.up_end)
-    for m in (bounds.down_start, bounds.down_end, bounds.up_start, bounds.up_end):
+    for m in (args.down_start, args.down_end, args.up_start, args.up_end):
         if m is not None:
             _require_coverage(panel.U, f"swing bound {m}", m)
+    bounds = _from_flags(SwingBounds, down_start=args.down_start,
+                         down_end=args.down_end, up_start=args.up_start,
+                         up_end=args.up_end)
     samples = build_swing_samples(panel.U, panel.V, bounds)
     loglin = loglinear_shift_decomposition(panel.U, panel.V, panel.s, sigma, samples,
                                            point)
@@ -343,7 +344,7 @@ def cmd_three_state(args: argparse.Namespace) -> int:
              "raking_months_adjusted": int((report.max_adjustment
                                             > args.rake_tol).sum())}
 
-    theta = three_state_tightness(panel, cols["v_rate"])
+    theta = tightness(panel.S, cols["v_rate"])
     f_rate, masked = _positive_finding_rate(searcher_finding_rate(panel))
     notes["nonpositive_finding_months_masked"] = masked
     sigma = matching_efficiency_path(f_rate, theta, args.alpha)
@@ -356,14 +357,13 @@ def cmd_three_state(args: argparse.Namespace) -> int:
 
     loglin = three_state_loglinear(panel, sigma, point)
     _require_coverage(panel.S, f"reference month {args.reference}", args.reference)
-    terms = {name: normalize_to_reference(series, args.reference).values
-             for name, series in loglin.terms().items()}
+    paths = shifter_paths(loglin, args.reference)
 
     path = _output_path(args, "three_state_shifters")
     outputs = {path.name: write_table(path, {
         "date": _dates(panel.S.start, len(panel.S)), "searchers": panel.S.values,
-        "log_v_loglinear": loglin.total.values, **terms,
-        "net": sum(terms[name] for name in terms if name != "searcher_level")})}
+        "log_v_loglinear": loglin.total.values,
+        **{name: series.values for name, series in paths.items()}})}
     _write_manifest(args, outputs, notes)
     return EXIT_OK
 

@@ -14,17 +14,20 @@ The two-state model is the case N_tilde = 0, S = U, x = s:
 
     V_t = [ (s_t (1 - U_t) - dU_{t+1}) / (sigma_t U_t^(1-alpha)) ]^(1/alpha)
 
-so both are computed by one kernel, and both log-linearizations by one
-first-order expansion.  With s_t taken from the data and sigma_t chosen to
-fit the matching function, the identity reproduces observed vacancies
-exactly.  Freezing s, sigma and setting dU = 0 gives the steady-state curve;
-first-order expansion around a reference point splits log vacancies into a
-slope term plus additive shifters (dynamics, separations, matching
-efficiency, and in three states the non-searcher pool).
+so both are computed by one kernel, both log-linearizations by one
+first-order expansion (`ThreeStateLoglinear`), and both shifter paths by one
+normalisation (`shifter_paths`).  With s_t taken from the data and sigma_t
+chosen to fit the matching function, the identity reproduces observed
+vacancies exactly.  Freezing s, sigma and setting dU = 0 gives the
+steady-state curve; first-order expansion around a reference point splits
+log vacancies into a slope term plus additive shifters (dynamics,
+separations, matching efficiency, and in three states the non-searcher
+pool).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,8 +67,9 @@ class ApproximationPoint:
             raise ValueError(f"U_bar must be in (0, 1), got {self.U_bar}")
         if not 0.0 < self.s_bar < 1.0:
             raise ValueError(f"s_bar must be in (0, 1), got {self.s_bar}")
-        if self.sigma_bar <= 0.0:
-            raise ValueError(f"sigma_bar must be positive, got {self.sigma_bar}")
+        if not 0.0 < self.sigma_bar < math.inf:
+            raise ValueError(f"sigma_bar must be positive and finite, "
+                             f"got {self.sigma_bar}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         v = _vacancy_identity(self.U_bar, 0.0, self.s_bar, 0.0, 0.0,
@@ -77,15 +81,8 @@ class ApproximationPoint:
                     alpha: float, window: tuple[MonthDate, MonthDate]) -> "ApproximationPoint":
         """Point at the sample means over `window` (months where all three
         series are observed)."""
-        require_aligned(U, s, sigma)
-        lo, hi = U.index_of(window[0]), U.index_of(window[1])
-        u, sv, sg = (x.values[lo:hi + 1] for x in (U, s, sigma))
-        ok = ~np.isnan(u) & ~np.isnan(sv) & ~np.isnan(sg)
-        if not ok.any():
-            raise ValueError(f"no jointly observed months in window "
-                             f"[{window[0]}, {window[1]}]")
-        return cls(U_bar=float(u[ok].mean()), s_bar=float(sv[ok].mean()),
-                   sigma_bar=float(sg[ok].mean()), alpha=alpha)
+        u, sv, sg = _window_means(window, U, s, sigma)
+        return cls(U_bar=u, s_bar=sv, sigma_bar=sg, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,10 @@ class ThreeStateApproximationPoint:
         if self.S_0 + self.N_tilde_0 >= 1.0:
             raise ValueError("searchers plus non-searchers must leave room "
                              "for employment")
-        if self.x_0 <= 0.0 or self.sigma_0 <= 0.0:
-            raise ValueError("x_0 and sigma_0 must be positive")
+        for name in ("x_0", "sigma_0"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         v = _vacancy_identity(self.S_0, self.N_tilde_0, self.x_0, 0.0, 0.0,
@@ -118,18 +117,24 @@ class ThreeStateApproximationPoint:
     @classmethod
     def from_panel(cls, panel: ThreeStatePanel, sigma: MonthlySeries, alpha: float,
                    window: tuple[MonthDate, MonthDate]) -> "ThreeStateApproximationPoint":
-        if not panel.has_aggregates():
-            raise ValueError("panel lacks searcher aggregates; run derive_aggregates")
-        require_aligned(panel.S, sigma)
-        lo, hi = panel.S.index_of(window[0]), panel.S.index_of(window[1])
-        cols = [x.values[lo:hi + 1]
-                for x in (panel.S, panel.N_tilde, panel.x, sigma)]
-        ok = ~np.isnan(np.vstack(cols)).any(axis=0)
-        if not ok.any():
-            raise ValueError(f"no jointly observed months in window "
-                             f"[{window[0]}, {window[1]}]")
-        s0, n0, x0, sg0 = (float(c[ok].mean()) for c in cols)
+        """Point at the sample means of S, N_tilde, x and sigma over `window`
+        (months where all four are observed)."""
+        s0, n0, x0, sg0 = _window_means(window, panel.S, panel.N_tilde, panel.x,
+                                        sigma)
         return cls(S_0=s0, N_tilde_0=n0, x_0=x0, sigma_0=sg0, alpha=alpha)
+
+
+def _window_means(window: tuple[MonthDate, MonthDate],
+                  *series: MonthlySeries) -> list[float]:
+    """Mean of each series over the months of `window` where all are observed."""
+    require_aligned(*series)
+    lo, hi = series[0].index_of(window[0]), series[0].index_of(window[1])
+    cols = np.vstack([x.values[lo:hi + 1] for x in series])
+    ok = ~np.isnan(cols).any(axis=0)
+    if not ok.any():
+        raise ValueError(f"no jointly observed months in window "
+                         f"[{window[0]}, {window[1]}]")
+    return [float(c[ok].mean()) for c in cols]
 
 
 def _as_three_state(point: ApproximationPoint) -> ThreeStateApproximationPoint:
@@ -156,31 +161,36 @@ def _vacancy_identity(S, N_tilde, x, dS_next, dN_next, sigma, alpha):
                         np.nan)
 
 
-def _warn_infeasible(start: MonthDate, vacancies: np.ndarray,
-                     *inputs: np.ndarray) -> None:
-    """InfeasibleMonthWarning naming the months whose inputs are all
-    observed but whose vacancy identity is missing."""
-    observed = ~np.isnan(np.vstack(inputs)).any(axis=0)
-    infeasible = observed & np.isnan(vacancies)
-    if infeasible.any():
-        months = ", ".join(str(start.shift(int(t))) for t in np.flatnonzero(infeasible))
-        warnings.warn(f"infeasible counterfactual (nonpositive numerator) "
-                      f"at {months}", InfeasibleMonthWarning, stacklevel=3)
+def _exact_vacancies(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySeries,
+                     sigma: MonthlySeries, alpha: float, warn: bool) -> MonthlySeries:
+    """The identity month by month; the last month is missing.  Months whose
+    inputs are all observed but whose numerator is nonpositive are missing
+    too, and named in an InfeasibleMonthWarning when `warn`."""
+    require_aligned(S, N_tilde, x, sigma)
+    ds, dnt = delta(S).values, delta(N_tilde).values
+    out = _vacancy_identity(S.values, N_tilde.values, x.values, ds, dnt,
+                            sigma.values, alpha)
+    if warn:
+        inputs = (S.values, N_tilde.values, x.values, ds, dnt, sigma.values)
+        infeasible = ~np.isnan(np.vstack(inputs)).any(axis=0) & np.isnan(out)
+        if infeasible.any():
+            months = ", ".join(str(S.start.shift(int(t)))
+                               for t in np.flatnonzero(infeasible))
+            warnings.warn(f"infeasible counterfactual (nonpositive numerator) "
+                          f"at {months}", InfeasibleMonthWarning, stacklevel=3)
+    return S.with_values(out)
 
 
 def exact_vacancies(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
                     alpha: float, warn: bool = True) -> MonthlySeries:
-    """Exact vacancy identity month by month; the last month is missing.
+    """Exact vacancy identity month by month: the three-state identity at
+    N_tilde = 0, S = U, x = s.  The last month is missing.
 
     Months with a nonpositive numerator are marked missing (and flagged with
     InfeasibleMonthWarning when `warn`); all other months are computed.
     """
-    require_aligned(U, s, sigma)
-    du_next = delta(U).values
-    out = _vacancy_identity(U.values, 0.0, s.values, du_next, 0.0, sigma.values, alpha)
-    if warn:
-        _warn_infeasible(U.start, out, U.values, s.values, du_next, sigma.values)
-    return U.with_values(out)
+    return _exact_vacancies(U, U.with_values(np.zeros(len(U))), s, sigma, alpha,
+                            warn)
 
 
 def steady_state_curve(u_grid, point: ApproximationPoint) -> list[tuple[float, float]]:
@@ -202,16 +212,7 @@ def three_state_exact_vacancies(panel: ThreeStatePanel, alpha: float,
 
         V_t = [ ((1-S-N_tilde) x - dS' - dN_tilde') / (sigma S^(1-alpha)) ]^(1/alpha)
     """
-    if not panel.has_aggregates():
-        raise ValueError("panel lacks searcher aggregates; run derive_aggregates")
-    S, Nt, x = panel.S, panel.N_tilde, panel.x
-    require_aligned(S, Nt, x, sigma)
-    ds, dnt = delta(S).values, delta(Nt).values
-    out = _vacancy_identity(S.values, Nt.values, x.values, ds, dnt, sigma.values, alpha)
-    if warn:
-        _warn_infeasible(S.start, out, S.values, Nt.values, x.values, ds, dnt,
-                         sigma.values)
-    return S.with_values(out)
+    return _exact_vacancies(panel.S, panel.N_tilde, panel.x, sigma, alpha, warn)
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +251,13 @@ def loglinear_slope(point: ApproximationPoint) -> float:
     return _expansion_coefficients(_as_three_state(point))[0]
 
 
-def dynamics_coefficient(point: ApproximationPoint) -> float:
-    """Coefficient on the month-ahead change in log unemployment."""
-    return _expansion_coefficients(_as_three_state(point))[1]
-
-
-def separations_coefficient(point: ApproximationPoint) -> float:
-    """Coefficient on the log separation-probability deviation."""
-    return _expansion_coefficients(_as_three_state(point))[4]
-
-
-def matching_coefficient(point: ApproximationPoint) -> float:
-    """Coefficient on the log matching-efficiency deviation."""
-    return _expansion_coefficients(_as_three_state(point))[5]
-
-
 @dataclass(frozen=True)
 class ThreeStateLoglinear:
     """Log vacancies from the three-state expansion, term by term.
 
-    total = intercept ln V_0 plus the six terms, exactly (additivity by
-    construction).  Terms are suitable for shifter plots after
-    normalization to a reference month.
+    total = intercept ln V_0 plus the six terms (`TERMS`), exactly
+    (additivity by construction).  `shifter_paths` normalises them to a
+    reference month for shifter plots.
     """
 
     total: MonthlySeries
@@ -282,15 +268,11 @@ class ThreeStateLoglinear:
     separations: MonthlySeries
     matching: MonthlySeries
 
-    def terms(self) -> dict[str, MonthlySeries]:
-        return {
-            "searcher_level": self.searcher_level,
-            "searcher_dynamics": self.searcher_dynamics,
-            "nonsearcher_level": self.nonsearcher_level,
-            "nonsearcher_dynamics": self.nonsearcher_dynamics,
-            "separations": self.separations,
-            "matching": self.matching,
-        }
+
+# The expansion's terms, in the order of its fields.  searcher_level is the
+# movement along the curve; the other five shift it.
+TERMS = ("searcher_level", "searcher_dynamics", "nonsearcher_level",
+         "nonsearcher_dynamics", "separations", "matching")
 
 
 def _loglinear_expansion(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySeries,
@@ -335,9 +317,10 @@ def _loglinear_expansion(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySer
     )
 
 
-def _two_state_expansion(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-                         point: ApproximationPoint) -> ThreeStateLoglinear:
-    """The expansion at N_tilde = 0, S = U, x = s."""
+def two_state_loglinear(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
+                        point: ApproximationPoint) -> ThreeStateLoglinear:
+    """The expansion at N_tilde = 0, S = U, x = s: its non-searcher terms are
+    zero, missing at the last month like every dynamics term."""
     return _loglinear_expansion(U, U.with_values(np.zeros(len(U))), s, sigma,
                                 _as_three_state(point))
 
@@ -346,42 +329,7 @@ def loglinear_vacancies(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries
                         point: ApproximationPoint) -> MonthlySeries:
     """Log vacancy rate from the first-order expansion; missing where any
     input (or the successor month) is missing."""
-    return _two_state_expansion(U, s, sigma, point).total
-
-
-@dataclass(frozen=True)
-class ShifterPath:
-    """The three shifter terms, normalized to zero at the reference month."""
-
-    dynamics: MonthlySeries
-    separations: MonthlySeries
-    matching: MonthlySeries
-    net: MonthlySeries
-    reference_month: MonthDate
-
-    def __post_init__(self) -> None:
-        require_aligned(self.dynamics, self.separations, self.matching, self.net)
-
-
-def shifter_paths(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-                  point: ApproximationPoint,
-                  reference_month: MonthDate) -> ShifterPath:
-    """Time paths of the three shifters, each zero at the reference month."""
-    terms = _two_state_expansion(U, s, sigma, point)
-    dyn, sep, mat = (terms.searcher_dynamics.values, terms.separations.values,
-                     terms.matching.values)
-    ref = U.index_of(reference_month)
-    refs = (dyn[ref], sep[ref], mat[ref])
-    if any(np.isnan(r) for r in refs):
-        raise ValueError(f"shifters undefined at reference month {reference_month}")
-    dyn, sep, mat = dyn - refs[0], sep - refs[1], mat - refs[2]
-    return ShifterPath(
-        dynamics=U.with_values(dyn),
-        separations=U.with_values(sep),
-        matching=U.with_values(mat),
-        net=U.with_values(dyn + sep + mat),
-        reference_month=reference_month,
-    )
+    return two_state_loglinear(U, s, sigma, point).total
 
 
 def three_state_loglinear(panel: ThreeStatePanel, sigma: MonthlySeries,
@@ -393,14 +341,26 @@ def three_state_loglinear(panel: ThreeStatePanel, sigma: MonthlySeries,
     ln V_t at the point.  When N_tilde_0 = 0 the non-searcher terms vanish
     identically; a zero non-searcher pool with N_tilde_0 > 0 is an error.
     """
-    if not panel.has_aggregates():
-        raise ValueError("panel lacks searcher aggregates; run derive_aggregates")
     return _loglinear_expansion(panel.S, panel.N_tilde, panel.x, sigma, point)
 
 
-def normalize_to_reference(series: MonthlySeries, month: MonthDate) -> MonthlySeries:
-    """Shift a series so its value at `month` is zero."""
-    ref = series.at(month)
-    if np.isnan(ref):
-        raise ValueError(f"series undefined at reference month {month}")
-    return series.with_values(series.values - ref)
+def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,
+                  terms: tuple[str, ...] = TERMS) -> dict[str, MonthlySeries]:
+    """The expansion's `terms`, each shifted to zero at the reference month,
+    plus `net`, the sum of those shifted terms that shift the curve (all but
+    searcher_level).
+
+    The two-state shifters dynamics, separations and matching are the terms
+    searcher_dynamics, separations and matching.
+    """
+    if not set(terms) <= set(TERMS) or set(terms) <= {"searcher_level"}:
+        raise ValueError(f"terms must name at least one shifter of {TERMS}, "
+                         f"got {terms}")
+    ref = expansion.total.index_of(reference_month)
+    values = {name: getattr(expansion, name).values for name in terms}
+    if any(np.isnan(v[ref]) for v in values.values()):
+        raise ValueError(f"shifters undefined at reference month {reference_month}")
+    values = {name: v - v[ref] for name, v in values.items()}
+    shifts = [v for name, v in values.items() if name != "searcher_level"]
+    values["net"] = sum(shifts[1:], shifts[0])
+    return {name: expansion.total.with_values(v) for name, v in values.items()}

@@ -17,6 +17,7 @@ raises u*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,10 @@ class EfficiencyCalibration:
     unemployment_cost: float = MS_UNEMPLOYMENT_COST
 
     def __post_init__(self) -> None:
-        if not self.beveridge_elasticity > 0.0:
-            raise ValueError("beveridge_elasticity must be positive")
-        if not (self.vacancy_cost > 0.0 and self.unemployment_cost > 0.0):
-            raise ValueError("costs must be positive")
+        for name in ("beveridge_elasticity", "vacancy_cost", "unemployment_cost"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def ms_calibration() -> EfficiencyCalibration:

@@ -5,20 +5,22 @@ monthly transition probabilities between them.  Published gross-flow rates
 are not exactly consistent with the published stocks, so each month-pair's
 3x3 flow matrix is raked by iterative proportional fitting until its row
 sums reproduce this month's stocks and its column sums reproduce next
-month's.  The searcher aggregates follow:
+month's.  Every panel derives its searcher aggregates from its stocks and
+rates, on first use:
 
     S = U + xi_N * N        effective searchers
     N_tilde = (1 - xi_N) N  non-searchers
     x = eu + en             total separation probability
 
 where xi_N = ne / ue is the relative search intensity of the nonemployed
-under balanced matching.
+under balanced matching.  A panel with no nonemployment (N = 0) has S = U,
+N_tilde = 0 and, with en = 0, x = eu: the two-state model.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -59,7 +61,9 @@ class RakingReport:
 
 @dataclass(frozen=True)
 class ThreeStatePanel:
-    """Stocks, transition rates and (once derived) searcher aggregates."""
+    """Stocks and transition rates; the searcher aggregates xi_N, S, N_tilde
+    and x are derived from them when first read (a panel whose aggregates
+    are undefined, such as one with ue = 0, still builds)."""
 
     E: MonthlySeries
     U: MonthlySeries
@@ -70,15 +74,9 @@ class ThreeStatePanel:
     un: MonthlySeries
     ne: MonthlySeries
     nu: MonthlySeries
-    xi_N: MonthlySeries | None = None
-    S: MonthlySeries | None = None
-    N_tilde: MonthlySeries | None = None
-    x: MonthlySeries | None = None
 
     def __post_init__(self) -> None:
-        series = [self.E, self.U, self.N] + [getattr(self, r) for r in RATE_NAMES]
-        series += [s for s in (self.xi_N, self.S, self.N_tilde, self.x) if s is not None]
-        require_aligned(*series)
+        require_aligned(self.E, self.U, self.N, *(getattr(self, r) for r in RATE_NAMES))
         total = self.E.values + self.U.values + self.N.values
         ok = np.isnan(total) | (np.abs(total - 1.0) < 1e-12)
         if not ok.all():
@@ -94,8 +92,25 @@ class ThreeStatePanel:
     def rates(self) -> dict[str, MonthlySeries]:
         return {name: getattr(self, name) for name in RATE_NAMES}
 
-    def has_aggregates(self) -> bool:
-        return None not in (self.xi_N, self.S, self.N_tilde, self.x)
+    @cached_property
+    def xi_N(self) -> MonthlySeries:
+        """Relative search intensity of the nonemployed, ne / ue."""
+        return relative_search_intensity(self.ne, self.ue)
+
+    @cached_property
+    def S(self) -> MonthlySeries:
+        """Effective searchers U + xi_N N."""
+        return self.U.with_values(self.U.values + self.xi_N.values * self.N.values)
+
+    @cached_property
+    def N_tilde(self) -> MonthlySeries:
+        """Non-searchers (1 - xi_N) N."""
+        return self.N.with_values((1.0 - self.xi_N.values) * self.N.values)
+
+    @cached_property
+    def x(self) -> MonthlySeries:
+        """Total separation probability eu + en."""
+        return self.eu.with_values(self.eu.values + self.en.values)
 
 
 def _flow_matrices(rows: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,21 +356,6 @@ def relative_search_intensity(ne: MonthlySeries, ue: MonthlySeries) -> MonthlySe
         return ne.with_values(ne.values / ue.values)
 
 
-def derive_aggregates(panel: ThreeStatePanel) -> ThreeStatePanel:
-    """Fill the searcher aggregates xi_N, S, N_tilde and x from stocks and rates."""
-    xi = relative_search_intensity(panel.ne, panel.ue)
-    s_vals = panel.U.values + xi.values * panel.N.values
-    ntilde = (1.0 - xi.values) * panel.N.values
-    x_vals = panel.eu.values + panel.en.values
-    return dataclasses.replace(
-        panel,
-        xi_N=xi,
-        S=panel.U.with_values(s_vals),
-        N_tilde=panel.N.with_values(ntilde),
-        x=panel.eu.with_values(x_vals),
-    )
-
-
 def total_hires(panel: ThreeStatePanel) -> MonthlySeries:
     """Total hires H = U*ue + N*ne.
 
@@ -372,8 +372,7 @@ def build_three_state_panel(
     tol: float = 1e-12,
     max_iter: int = 1000,
 ) -> tuple[ThreeStatePanel, RakingReport]:
-    """Normalize stocks, rake the rates against them, and derive aggregates."""
+    """Normalize stocks and rake the rates against them."""
     E, U, N = normalize_shares([E, U, N])
     raked, report = rake_transition_rates((E, U, N), rates, tol=tol, max_iter=max_iter)
-    panel = ThreeStatePanel(E=E, U=U, N=N, **raked)
-    return derive_aggregates(panel), report
+    return ThreeStatePanel(E=E, U=U, N=N, **raked), report

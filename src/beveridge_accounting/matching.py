@@ -7,9 +7,10 @@ job-finding probability is linear in log labor-market tightness:
 
 Ordinary least squares on that equation identifies the elasticity alpha and
 average efficiency sigma_bar; the residuals identify the month-by-month
-efficiency path sigma_t = f_t * theta_t^(-alpha).  In the three-state model
-tightness is vacancies per effective searcher (V / S) and the finding rate is
-hires per effective searcher (H / S).
+efficiency path sigma_t = f_t * theta_t^(-alpha).  Tightness is vacancies
+per searcher: per unemployed (V / U) in the two-state model, per effective
+searcher (V / S) in three states, where the finding rate is hires per
+effective searcher (H / S).
 """
 
 from __future__ import annotations
@@ -212,32 +213,19 @@ def matching_efficiency_path(f: MonthlySeries, tightness: MonthlySeries,
         return f.with_values(fv * tv ** (-alpha))
 
 
-def two_state_tightness(U: MonthlySeries, V: MonthlySeries) -> MonthlySeries:
-    """Vacancies per unemployed, theta = V / U."""
-    require_aligned(U, V)
-    defined = ~np.isnan(U.values) & ~np.isnan(V.values)
-    if (U.values[defined] == 0.0).any():
-        raise ValueError("zero unemployment; tightness undefined")
-    with np.errstate(invalid="ignore"):
-        return U.with_values(V.values / U.values)
-
-
-def three_state_tightness(panel: ThreeStatePanel, V: MonthlySeries) -> MonthlySeries:
-    """Vacancies per effective searcher, theta = V / S."""
-    if panel.S is None:
-        raise ValueError("panel lacks searcher aggregates; run derive_aggregates")
-    require_aligned(panel.S, V)
-    defined = ~np.isnan(panel.S.values) & ~np.isnan(V.values)
-    if (panel.S.values[defined] == 0.0).any():
+def tightness(searchers: MonthlySeries, V: MonthlySeries) -> MonthlySeries:
+    """Vacancies per searcher, theta = V / searchers: pass the unemployed U
+    in the two-state model and the effective searchers S in three states."""
+    require_aligned(searchers, V)
+    defined = ~np.isnan(searchers.values) & ~np.isnan(V.values)
+    if (searchers.values[defined] == 0.0).any():
         raise ValueError("zero searcher pool; tightness undefined")
     with np.errstate(invalid="ignore"):
-        return V.with_values(V.values / panel.S.values)
+        return searchers.with_values(V.values / searchers.values)
 
 
 def searcher_finding_rate(panel: ThreeStatePanel) -> MonthlySeries:
     """Hires per effective searcher, H / S: the three-state finding rate."""
-    if panel.S is None:
-        raise ValueError("panel lacks searcher aggregates; run derive_aggregates")
     hires = total_hires(panel)
     with np.errstate(invalid="ignore", divide="ignore"):
         return hires.with_values(hires.values / panel.S.values)

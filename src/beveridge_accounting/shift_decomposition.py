@@ -29,8 +29,8 @@ from itertools import combinations, compress, permutations
 
 import numpy as np
 
-from .curve import (ApproximationPoint, dynamics_coefficient, matching_coefficient,
-                    separations_coefficient, _vacancy_identity)
+from .curve import (ApproximationPoint, _as_three_state, _expansion_coefficients,
+                    _vacancy_identity)
 from .series import MonthDate, MonthlySeries, delta, delta_log, require_aligned
 
 MARGIN_DYNAMICS = "dynamics"
@@ -103,6 +103,14 @@ class SwingBounds:
     down_end: MonthDate = MonthDate(2009, 6)
     up_start: MonthDate = MonthDate(2010, 4)
     up_end: MonthDate | None = None
+
+    def __post_init__(self) -> None:
+        if self.down_end < self.down_start:
+            raise ValueError(f"downswing end {self.down_end} precedes start "
+                             f"{self.down_start}")
+        if self.up_end is not None and self.up_end < self.up_start:
+            raise ValueError(f"upswing end {self.up_end} precedes start "
+                             f"{self.up_start}")
 
 
 @dataclass(frozen=True)
@@ -242,11 +250,10 @@ def loglinear_shift_decomposition(
             MARGIN_MATCHING: np.log(sigma.values),
         }
         log_v = np.log(V.values)
-    coefs = {
-        MARGIN_DYNAMICS: dynamics_coefficient(point),
-        MARGIN_SEPARATIONS: separations_coefficient(point),
-        MARGIN_MATCHING: matching_coefficient(point),
-    }
+    # coefficients on (ln S, dln S', ln N_tilde, dln N_tilde', ln x, ln sigma)
+    coef = _expansion_coefficients(_as_three_state(point))
+    coefs = {MARGIN_DYNAMICS: coef[1], MARGIN_SEPARATIONS: coef[4],
+             MARGIN_MATCHING: coef[5]}
     contrib = {name: coefs[name] * samples.vertical_shift(values)
                for name, values in coords.items()}
     ok = ~np.isnan(np.vstack(list(contrib.values()))).any(axis=0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import _vacancy_identity
-from .flows_three_state import (RATE_NAMES, ThreeStatePanel, derive_aggregates)
+from .flows_three_state import RATE_NAMES, ThreeStatePanel
 from .flows_two_state import TwoStatePanel, build_two_state_panel
 from .series import MonthDate, MonthlySeries
 
@@ -204,9 +204,8 @@ def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation
     E = 1.0 - U - N
 
     mk = lambda vals: MonthlySeries(spec.start, vals)  # noqa: E731
-    panel = derive_aggregates(ThreeStatePanel(
-        E=mk(E), U=mk(U), N=mk(N),
-        **{name: mk(rates[name]) for name in RATE_NAMES}))
+    panel = ThreeStatePanel(E=mk(E), U=mk(U), N=mk(N),
+                            **{name: mk(rates[name]) for name in RATE_NAMES})
 
     S, Nt, x = panel.S.values, panel.N_tilde.values, panel.x.values
     v = np.full(n, np.nan)

@@ -34,7 +34,7 @@ def recession_sim():
 def recession_pipeline(recession_sim):
     """Panel plus constructed tightness/efficiency, point, and swing samples."""
     panel = recession_sim.panel
-    theta = ba.two_state_tightness(panel.U, panel.V)
+    theta = ba.tightness(panel.U, panel.V)
     sigma_hat = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
     point = ba.ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.30,
                                   alpha=0.3)

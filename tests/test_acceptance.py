@@ -34,7 +34,7 @@ def ok(n, message):
 def test_criterion_1_two_state_identity_roundtrip(recession_sim):
     started = time.perf_counter()
     panel = recession_sim.panel
-    theta = ba.two_state_tightness(panel.U, panel.V)
+    theta = ba.tightness(panel.U, panel.V)
     sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
     v_hat = ba.exact_vacancies(panel.U, panel.s, sigma, alpha=0.3)
     elapsed = time.perf_counter() - started
@@ -50,7 +50,7 @@ def test_criterion_1_two_state_identity_roundtrip(recession_sim):
                              delta_u_path=0.002 * np.sin(np.arange(89) / 4.0),
                              noise_std=0.05, seed=3)
     sim2 = ba.simulate_two_state(spec)
-    theta2 = ba.two_state_tightness(sim2.panel.U, sim2.panel.V)
+    theta2 = ba.tightness(sim2.panel.U, sim2.panel.V)
     sigma2 = ba.matching_efficiency_path(sim2.panel.f, theta2, alpha=0.42)
     v2 = ba.exact_vacancies(sim2.panel.U, sim2.panel.s, sigma2, alpha=0.42)
     defined2 = ~np.isnan(v2.values)
@@ -78,7 +78,7 @@ def test_criterion_2_three_state_identity_roundtrip():
         for name in ("eu", "en", "ue", "un", "ne", "nu")}
     panel, report = ba.build_three_state_panel(sim.panel.E, sim.panel.U,
                                                sim.panel.N, noisy, tol=1e-13)
-    theta = ba.three_state_tightness(panel, sim.V)
+    theta = ba.tightness(panel.S, sim.V)
     f_rate = ba.searcher_finding_rate(panel)
     sigma = ba.matching_efficiency_path(f_rate, theta, alpha=sim.alpha)
     v_hat = ba.three_state_exact_vacancies(panel, sim.alpha, sigma)
@@ -98,7 +98,7 @@ def test_criterion_3_planted_parameter_recovery():
     spec = ba.SimulationSpec(alpha=0.3, u0=0.06, horizon=120, s_path=s_path,
                              sigma_path=0.36, delta_u_path=du)
     sim = ba.simulate_two_state(spec)
-    theta = ba.two_state_tightness(sim.panel.U, sim.panel.V)
+    theta = ba.tightness(sim.panel.U, sim.panel.V)
     est = ba.estimate_matching(sim.panel.f, theta)
     assert abs(est.alpha - 0.3) < 1e-10
     sigma = ba.matching_efficiency_path(sim.panel.f, theta, alpha=0.3)
@@ -116,7 +116,7 @@ def test_criterion_3_planted_parameter_recovery():
             sp[20:] *= 1.3
         sim1 = ba.simulate_two_state(ba.SimulationSpec(
             alpha=0.3, u0=0.06, horizon=40, s_path=sp, sigma_path=sigma_path))
-        theta1 = ba.two_state_tightness(sim1.panel.U, sim1.panel.V)
+        theta1 = ba.tightness(sim1.panel.U, sim1.panel.V)
         sigma1 = ba.matching_efficiency_path(sim1.panel.f, theta1, 0.3)
         point = ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36,
                                    alpha=0.3)
@@ -214,7 +214,7 @@ def test_criterion_7_matching_table_reproduction():
     cols = _load_real_panel()
     panel = ba.build_two_state_panel(cols["u_rate"], cols["v_rate"],
                                      cols["u_short"])
-    theta = ba.two_state_tightness(panel.U, panel.V)
+    theta = ba.tightness(panel.U, panel.V)
     pre = ba.estimate_matching(panel.f, theta,
                                sample=(panel.U.start, MonthDate(2007, 12)))
     post = ba.estimate_matching(panel.f, theta,
@@ -241,7 +241,7 @@ def test_criterion_8_ordering_table_reproduction():
     smoothed = {k: ba.moving_average(v, 3) for k, v in cols.items()}
     panel = ba.build_two_state_panel(smoothed["u_rate"], smoothed["v_rate"],
                                      smoothed["u_short"])
-    theta = ba.two_state_tightness(panel.U, panel.V)
+    theta = ba.tightness(panel.U, panel.V)
     sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
     point = ApproximationPoint.from_series(
         panel.U, panel.s, sigma, 0.3, (MonthDate(2008, 1), panel.U.end))

@@ -544,6 +544,71 @@ def test_infinite_positive_float_flag_exits_two(tmp_path, capsys, command, flag,
     assert not (out / "manifest.json").exists()
 
 
+POINT_FLAGS = ["--u-bar", 0.06, "--s-bar", 0.02]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("efficiency", ["--ms-elasticity", "inf"],
+     "beveridge_elasticity must be positive and finite, got inf"),
+    ("efficiency", ["--steep-elasticity", "inf"],
+     "beveridge_elasticity must be positive and finite, got inf"),
+    ("efficiency", ["--unemployment-cost", "inf"],
+     "unemployment_cost must be positive and finite, got inf"),
+    ("efficiency", ["--vacancy-cost", "inf"],
+     "vacancy_cost must be positive and finite, got inf"),
+    ("shifters", [*POINT_FLAGS, "--sigma-bar", "inf"],
+     "sigma_bar must be positive and finite, got inf"),
+    ("shifters", [*POINT_FLAGS, "--sigma-bar", "nan"],
+     "sigma_bar must be positive and finite, got nan"),
+    ("decompose", [*POINT_FLAGS, "--sigma-bar", "inf"],
+     "sigma_bar must be positive and finite, got inf"),
+    ("decompose", [*POINT_FLAGS, "--sigma-bar", "nan"],
+     "sigma_bar must be positive and finite, got nan"),
+], ids=["ms-elasticity-inf", "steep-elasticity-inf", "unemployment-cost-inf",
+        "vacancy-cost-inf", "shifters-sigma-bar-inf", "shifters-sigma-bar-nan",
+        "decompose-sigma-bar-inf", "decompose-sigma-bar-nan"])
+def test_non_finite_calibration_flag_exits_two(tmp_path, recession_sim, capsys,
+                                               command, flags, message):
+    # an infinite elasticity or cost gave u* of 1.0 or 0.0 with exit 0, an
+    # infinite vacancy cost or sigma_bar read as bad data (exit 3), and a
+    # NaN sigma_bar as an undefined shifter (3) or infeasible pairs (4)
+    data = write_recession_csv(tmp_path, recession_sim)
+    out = tmp_path / "out"
+    assert run([command, "--input", data, "--output-dir", out, *flags]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--down-start", "2009-06", "--down-end", "2007-04"],
+     "downswing end 2007-04 precedes start 2009-06"),
+    (["--up-start", "2012-01", "--up-end", "2011-01"],
+     "upswing end 2011-01 precedes start 2012-01"),
+], ids=["downswing", "upswing"])
+def test_reversed_swing_bounds_exit_two(tmp_path, recession_sim, capsys, flags,
+                                        message):
+    data = write_recession_csv(tmp_path, recession_sim)
+    out = tmp_path / "out"
+    assert run(["decompose", "--input", data, "--output-dir", out, *flags]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_swing_window_empty_for_missing_data_exits_three(tmp_path, recession_sim,
+                                                         capsys):
+    # the bounds are in order, but no downswing month has unemployment
+    panel = recession_sim.panel
+    u = panel.U.values.copy()
+    u[panel.U.index_of(ba.MonthDate(2007, 4)):
+      panel.U.index_of(ba.MonthDate(2009, 6)) + 1] = np.nan
+    data = tmp_path / "panel.csv"
+    ba.write_panel(data, {"u_rate": panel.U.with_values(u), "v_rate": panel.V,
+                          "u_short": panel.U_short})
+    assert run(["decompose", "--input", data, "--output-dir", tmp_path / "out",
+                *POINT_FLAGS, "--sigma-bar", 0.36]) == 3
+    assert capsys.readouterr().err == "data error: empty downswing sample\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--three-state"]], ids=["two-state", "three-state"])
 def test_simulate_vacancy_bound_names_month_and_value(tmp_path, capsys, flags):
     out = tmp_path / "out"

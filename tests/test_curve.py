@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (ApproximationPoint, MonthDate, MonthlySeries,
                                   ThreeStateApproximationPoint, ThreeStatePanel,
-                                  derive_aggregates, exact_vacancies,
-                                  loglinear_slope, loglinear_vacancies,
-                                  shifter_paths, steady_state_curve,
-                                  three_state_exact_vacancies,
-                                  three_state_loglinear)
-from beveridge_accounting.curve import (InfeasibleMonthWarning,
-                                        dynamics_coefficient,
-                                        matching_coefficient,
-                                        separations_coefficient)
+                                  exact_vacancies, loglinear_slope,
+                                  loglinear_vacancies, shifter_paths,
+                                  steady_state_curve, three_state_exact_vacancies,
+                                  three_state_loglinear, tightness,
+                                  two_state_loglinear)
+from beveridge_accounting.curve import (TERMS, InfeasibleMonthWarning,
+                                        _as_three_state, _expansion_coefficients)
 
 START = MonthDate(2000, 1)
 POINT = ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.359, alpha=0.3)
@@ -36,6 +35,25 @@ def two_state_worlds(draw):
 
 def series(values):
     return MonthlySeries(START, values)
+
+
+def dynamics_coefficient(point):
+    """Coefficient on the month-ahead change in log unemployment."""
+    return _expansion_coefficients(_as_three_state(point))[1]
+
+
+def separations_coefficient(point):
+    return _expansion_coefficients(_as_three_state(point))[4]
+
+
+def matching_coefficient(point):
+    return _expansion_coefficients(_as_three_state(point))[5]
+
+
+def two_state_shifters(U, s, sigma, point, reference):
+    """The two-state shifters dynamics, separations and matching, plus net."""
+    return shifter_paths(two_state_loglinear(U, s, sigma, point), reference,
+                         ("searcher_dynamics", "separations", "matching"))
 
 
 def exact_log_v(u, s, sigma, du_next, alpha):
@@ -82,6 +100,21 @@ class TestApproximationPoint:
             ApproximationPoint(U_bar=0.0, s_bar=0.02, sigma_bar=0.3, alpha=0.3)
         with pytest.raises(ValueError):
             ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.3, alpha=1.2)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_sigma_bar_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^sigma_bar must be positive and "
+                                             f"finite, got {bad}$"):
+            ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=bad, alpha=0.3)
+
+    @pytest.mark.parametrize("name", ["x_0", "sigma_0"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_three_state_non_finite_rejected(self, name, bad):
+        fields = {"S_0": 0.091, "N_tilde_0": 0.259, "x_0": 0.035, "sigma_0": 0.36,
+                  "alpha": 0.3, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                             f"finite, got {bad}$"):
+            ThreeStateApproximationPoint(**fields)
 
 
 class TestExactVacancies:
@@ -237,8 +270,9 @@ class TestShifterPaths:
         u = series(np.full(n, POINT.U_bar))
         s = series(np.full(n, POINT.s_bar))
         sg = series(np.full(n, POINT.sigma_bar))
-        paths = shifter_paths(u, s, sg, POINT, START.shift(1))
-        for term in (paths.dynamics, paths.separations, paths.matching, paths.net):
+        paths = two_state_shifters(u, s, sg, POINT, START.shift(1))
+        assert list(paths) == ["searcher_dynamics", "separations", "matching", "net"]
+        for term in paths.values():
             np.testing.assert_array_equal(term.values[:-1], 0.0)
 
     def test_zero_at_reference_and_additive(self, recession_pipeline):
@@ -246,36 +280,46 @@ class TestShifterPaths:
         sigma = recession_pipeline["sigma_hat"]
         point = recession_pipeline["point"]
         ref = MonthDate(2007, 4)
-        paths = shifter_paths(panel.U, panel.s, sigma, point, ref)
-        assert paths.dynamics.at(ref) == 0.0
-        assert paths.separations.at(ref) == 0.0
-        assert paths.matching.at(ref) == 0.0
-        total = (paths.dynamics.values + paths.separations.values
-                 + paths.matching.values)
-        np.testing.assert_array_equal(paths.net.values, total)
+        paths = two_state_shifters(panel.U, panel.s, sigma, point, ref)
+        assert paths["searcher_dynamics"].at(ref) == 0.0
+        assert paths["separations"].at(ref) == 0.0
+        assert paths["matching"].at(ref) == 0.0
+        total = (paths["searcher_dynamics"].values + paths["separations"].values
+                 + paths["matching"].values)
+        np.testing.assert_array_equal(paths["net"].values, total)
 
     def test_missing_reference_rejected(self):
         u = series(np.full(4, POINT.U_bar))
         s = series(np.full(4, POINT.s_bar))
         sg = series(np.full(4, POINT.sigma_bar))
         with pytest.raises(ValueError, match="reference month"):
-            shifter_paths(u, s, sg, POINT, START.shift(3))  # last month: no dU
+            two_state_shifters(u, s, sg, POINT, START.shift(3))  # last month: no dU
+
+    @pytest.mark.parametrize("terms", [(), ("searcher_level",), ("total",),
+                                       ("matching", "net")])
+    def test_terms_must_name_a_shifter(self, terms):
+        n = 4
+        expansion = two_state_loglinear(series(np.full(n, POINT.U_bar)),
+                                        series(np.full(n, POINT.s_bar)),
+                                        series(np.full(n, POINT.sigma_bar)), POINT)
+        with pytest.raises(ValueError, match="must name at least one shifter"):
+            shifter_paths(expansion, START, terms)
 
     def test_recession_sign_pattern(self, recession_pipeline):
         # planted recession: separations spike while unemployment rises, and
         # efficiency drops permanently; the shifters must reflect that
         panel = recession_pipeline["panel"]
-        paths = shifter_paths(panel.U, panel.s, recession_pipeline["sigma_hat"],
-                              recession_pipeline["point"], MonthDate(2007, 4))
+        paths = two_state_shifters(panel.U, panel.s, recession_pipeline["sigma_hat"],
+                                   recession_pipeline["point"], MonthDate(2007, 4))
         spike = slice(panel.U.index_of(MonthDate(2008, 1)),
                       panel.U.index_of(MonthDate(2009, 3)))
         rising = slice(panel.U.index_of(MonthDate(2007, 8)),
                        panel.U.index_of(MonthDate(2009, 6)))
         post = slice(panel.U.index_of(MonthDate(2010, 1)),
                      panel.U.index_of(MonthDate(2013, 1)))
-        assert (paths.separations.values[spike] > 0).all()
-        assert (paths.dynamics.values[rising] < 0).all()
-        assert (paths.matching.values[post] > 0).all()
+        assert (paths["separations"].values[spike] > 0).all()
+        assert (paths["searcher_dynamics"].values[rising] < 0).all()
+        assert (paths["matching"].values[post] > 0).all()
 
     def test_net_tracks_deviation_from_steady_curve(self, recession_pipeline):
         # net shift equals (loglinear lnV minus the steady-curve component),
@@ -284,13 +328,13 @@ class TestShifterPaths:
         sigma = recession_pipeline["sigma_hat"]
         point = recession_pipeline["point"]
         ref = MonthDate(2007, 4)
-        paths = shifter_paths(panel.U, panel.s, sigma, point, ref)
+        paths = two_state_shifters(panel.U, panel.s, sigma, point, ref)
         loglin = loglinear_vacancies(panel.U, panel.s, sigma, point)
         curve_part = (math.log(point.V_bar) + loglinear_slope(point)
                       * (np.log(panel.U.values) - math.log(point.U_bar)))
         raw_net = loglin.values - curve_part
         ref_idx = panel.U.index_of(ref)
-        np.testing.assert_allclose(paths.net.values,
+        np.testing.assert_allclose(paths["net"].values,
                                    raw_net - raw_net[ref_idx], atol=1e-12)
 
 
@@ -334,9 +378,8 @@ def constant_aggregate_panel(s_star, nt_star, x_star, n=6, xi=0.1, ue=0.25,
     mk = series
     rates = {"eu": x_star / 2, "en": x_star / 2, "ue": ue, "un": 0.02,
              "ne": xi * ue, "nu": 0.01}
-    panel = ThreeStatePanel(E=mk(e), U=mk(u), N=mk(nn),
-                            **{k: mk(np.full(n, v)) for k, v in rates.items()})
-    return derive_aggregates(panel)
+    return ThreeStatePanel(E=mk(e), U=mk(u), N=mk(nn),
+                           **{k: mk(np.full(n, v)) for k, v in rates.items()})
 
 
 THREE_POINT = ThreeStateApproximationPoint(S_0=0.091, N_tilde_0=0.259,
@@ -358,8 +401,8 @@ class TestThreeState:
         panel = constant_aggregate_panel(0.095, 0.25, 0.037)
         sigma = series(np.full(6, 0.34))
         out = three_state_loglinear(panel, sigma, THREE_POINT)
-        total = math.log(THREE_POINT.V_0) + sum(t.values for t in
-                                                out.terms().values())
+        total = math.log(THREE_POINT.V_0) + sum(getattr(out, name).values
+                                                for name in TERMS)
         np.testing.assert_array_equal(out.total.values, total)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -379,14 +422,14 @@ class TestThreeState:
     @given(two_state_worlds())
     def test_reduction_to_two_state(self, world):
         # no nonemployment at all (N = 0, so S = U and x = s): both models
-        # agree, exactly and log-linearly, to 1e-12; infeasible months are
-        # missing in both
+        # agree, exactly and log-linearly, bit for bit; infeasible months are
+        # missing in both.  ue stays positive: xi_N = ne / ue needs it.
         u, s, sigma_path, alpha = world
         n = len(u)
         zeros = series(np.zeros(n))
-        panel = derive_aggregates(ThreeStatePanel(
+        panel = ThreeStatePanel(
             E=series(1.0 - u), U=series(u), N=zeros, eu=series(np.full(n, s)),
-            en=zeros, ue=series(np.full(n, 0.25)), un=zeros, ne=zeros, nu=zeros))
+            en=zeros, ue=series(np.full(n, 0.25)), un=zeros, ne=zeros, nu=zeros)
         sigma = series(sigma_path)
 
         exact3 = three_state_exact_vacancies(panel, alpha, sigma, warn=False)
@@ -405,13 +448,40 @@ class TestThreeState:
         assert not np.isnan(ll2.values[:-1]).any()
         np.testing.assert_allclose(ll3.values, ll2.values, rtol=1e-12)
 
+        # the same steps through the public API, equal bit for bit
+        U, s_series = series(u), series(np.full(n, s))
+        window = (START, START.shift(n - 1))
+        np.testing.assert_array_equal(exact3.values, exact2.values)
+        point3 = ThreeStateApproximationPoint.from_panel(panel, sigma, alpha, window)
+        point2 = ApproximationPoint.from_series(U, s_series, sigma, alpha, window)
+        np.testing.assert_array_equal(
+            [point3.S_0, point3.N_tilde_0, point3.x_0, point3.sigma_0,
+             point3.alpha, point3.V_0],
+            [point2.U_bar, 0.0, point2.s_bar, point2.sigma_bar, point2.alpha,
+             point2.V_bar])
+        np.testing.assert_array_equal(tightness(panel.S, exact2).values,
+                                      tightness(U, exact2).values)
+        exp3 = three_state_loglinear(panel, sigma, point3)
+        exp2 = two_state_loglinear(U, s_series, sigma, point2)
+        for name in ("total", *TERMS):
+            np.testing.assert_array_equal(getattr(exp3, name).values,
+                                          getattr(exp2, name).values)
+        for terms in (TERMS, ("searcher_dynamics", "separations", "matching")):
+            paths3 = shifter_paths(exp3, START, terms)
+            paths2 = shifter_paths(exp2, START, terms)
+            assert list(paths3) == list(paths2) == [*terms, "net"]
+            for name in paths3:
+                np.testing.assert_array_equal(paths3[name].values,
+                                              paths2[name].values)
+
     def test_zero_nonsearcher_pool_error(self):
         panel = constant_aggregate_panel(0.091, 0.259, 0.035)
-        # force one month's non-searcher pool to zero
-        nt = panel.N_tilde.values.copy()
-        nt[2] = 0.0
-        import dataclasses
-        broken = dataclasses.replace(panel, N_tilde=panel.N_tilde.with_values(nt))
+        # plant one month's non-searcher pool at zero: with ne = ue the
+        # nonemployed search as hard as the unemployed (xi_N = 1)
+        ne = panel.ne.values.copy()
+        ne[2] = panel.ue.values[2]
+        broken = dataclasses.replace(panel, ne=panel.ne.with_values(ne))
+        assert broken.N_tilde.values[2] == 0.0
         sigma = series(np.full(6, 0.36))
         with pytest.raises(ValueError, match="non-searcher pool"):
             three_state_loglinear(broken, sigma, THREE_POINT)

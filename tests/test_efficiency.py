@@ -80,6 +80,15 @@ class TestFormulaContract:
             efficient_unemployment(series([0.0]), series([0.03]),
                                    ms_calibration())
 
+    @pytest.mark.parametrize("name", ["beveridge_elasticity", "vacancy_cost",
+                                      "unemployment_cost"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, name, bad):
+        fields = {"beveridge_elasticity": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                             f"finite, got {bad}$"):
+            EfficiencyCalibration(**fields)
+
 
 class TestGap:
     def test_zero_gap_when_equal(self):

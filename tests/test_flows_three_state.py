@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (MonthDate, MonthlySeries, RakingError,
                                   ThreeStatePanel, ThreeStateSimulationSpec,
-                                  derive_aggregates, rake_transition_rates,
+                                  rake_transition_rates,
                                   relative_search_intensity, simulate_three_state,
                                   total_hires)
 from beveridge_accounting import flows_three_state
@@ -622,21 +622,21 @@ class TestIntensityAndAggregates:
             relative_search_intensity(series([0.02]), series([0.0]))
 
     def test_aggregates_hand_case(self):
-        panel = derive_aggregates(self.make_panel())
+        panel = self.make_panel()
         assert panel.xi_N.values[0] == pytest.approx(0.1, rel=1e-14)
         assert panel.S.values[0] == pytest.approx(0.08, rel=1e-14)
         assert panel.N_tilde.values[0] == pytest.approx(0.27, rel=1e-14)
         assert panel.x.values[0] == pytest.approx(0.04, rel=1e-14)
 
     def test_no_search_from_nonemployment(self):
-        panel = derive_aggregates(self.make_panel(ne=0.0))
+        panel = self.make_panel(ne=0.0)
         np.testing.assert_allclose(panel.xi_N.values, 0.0)
         np.testing.assert_allclose(panel.N_tilde.values, panel.N.values)
 
     def test_balanced_matching_share(self):
         # hires from unemployment equal the unemployed share of effective
         # searchers times total hires, as an identity of the aggregates
-        panel = derive_aggregates(self.make_panel())
+        panel = self.make_panel()
         hires = total_hires(panel)
         from_u = panel.U.values * panel.ue.values
         np.testing.assert_allclose(from_u,
@@ -644,11 +644,13 @@ class TestIntensityAndAggregates:
                                    rtol=1e-13)
 
     def test_total_hires_cases(self):
-        panel = derive_aggregates(self.make_panel(ue=0.25, ne=0.02))
+        panel = self.make_panel(ue=0.25, ne=0.02)
         assert total_hires(panel).values[0] == pytest.approx(0.0185, rel=1e-14)
         # hires need no searcher aggregates; a frozen market has none to derive
         zero = self.make_panel(ue=0.0, ne=0.0)
         np.testing.assert_allclose(total_hires(zero).values, 0.0)
+        with pytest.raises(ValueError, match="undefined intensity at 2000-01"):
+            zero.S
 
 
 def test_raked_panel_hires_identity():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from beveridge_accounting import (MonthDate, MonthlySeries, ThreeStatePanel,
-                                  derive_aggregates, estimate_matching,
-                                  matching_efficiency_path, searcher_finding_rate,
-                                  three_state_tightness, two_state_tightness)
+                                  estimate_matching, matching_efficiency_path,
+                                  searcher_finding_rate, tightness)
 from beveridge_accounting.matching import _stars, _t_two_sided_p
 
 START = MonthDate(2000, 1)
@@ -194,29 +193,28 @@ class TestEfficiencyPath:
 def three_state_panel(u=0.05, n=0.30, ue=0.25, ne=0.025):
     e = 1.0 - u - n
     vals = {"eu": 0.015, "en": 0.025, "ue": ue, "un": 0.03, "ne": ne, "nu": 0.02}
-    panel = ThreeStatePanel(
+    return ThreeStatePanel(
         E=series([e, e]), U=series([u, u]), N=series([n, n]),
         **{k: series([v, v]) for k, v in vals.items()})
-    return derive_aggregates(panel)
 
 
 class TestThreeStateTightness:
     def test_reduces_to_two_state_when_no_nonemployed_search(self):
         panel = three_state_panel(ne=0.0)
         v = series([0.03, 0.03])
-        np.testing.assert_allclose(three_state_tightness(panel, v).values,
-                                   two_state_tightness(panel.U, v).values,
+        np.testing.assert_allclose(tightness(panel.S, v).values,
+                                   tightness(panel.U, v).values,
                                    rtol=1e-14)
 
     def test_hand_value(self):
         panel = three_state_panel()  # xi = 0.1, S = 0.08
-        theta = three_state_tightness(panel, series([0.03, 0.03]))
+        theta = tightness(panel.S, series([0.03, 0.03]))
         assert theta.values[0] == pytest.approx(0.375, rel=1e-14)
 
     def test_more_search_weakly_lowers_tightness(self):
         v = series([0.03, 0.03])
-        low = three_state_tightness(three_state_panel(ne=0.025), v)
-        high = three_state_tightness(three_state_panel(ne=0.05), v)
+        low = tightness(three_state_panel(ne=0.025).S, v)
+        high = tightness(three_state_panel(ne=0.05).S, v)
         assert (high.values <= low.values).all()
 
     def test_searcher_finding_rate(self):

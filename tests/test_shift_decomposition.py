@@ -358,7 +358,7 @@ def single_margin_sim(which, n=40):
                              sigma_path=sigma_path, start=START)
     sim = ba.simulate_two_state(spec)
     panel = sim.panel
-    theta = ba.two_state_tightness(panel.U, panel.V)
+    theta = ba.tightness(panel.U, panel.V)
     sigma_hat = ba.matching_efficiency_path(panel.f, theta, 0.3)
     point = ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36, alpha=0.3)
     bounds = SwingBounds(down_start=START.shift(5), down_end=START.shift(10),
@@ -505,7 +505,7 @@ def recession_panels(draw):
         delta_u_path=du, start=START))
     panel = sim.panel
     sigma_hat = ba.matching_efficiency_path(
-        panel.f, ba.two_state_tightness(panel.U, panel.V), alpha)
+        panel.f, ba.tightness(panel.U, panel.V), alpha)
     point = ApproximationPoint(U_bar=draw(st.floats(0.04, 0.09)),
                                s_bar=draw(st.floats(0.015, 0.025)),
                                sigma_bar=draw(st.floats(0.25, 0.45)), alpha=alpha)

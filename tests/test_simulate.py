@@ -33,7 +33,7 @@ class TestTwoStateSimulation:
                                    recession_sim.f_true.values[:-1], atol=1e-12)
         np.testing.assert_allclose(panel.s.values[:-1],
                                    recession_sim.s_true.values[:-1], atol=1e-12)
-        theta = ba.two_state_tightness(panel.U, panel.V)
+        theta = ba.tightness(panel.U, panel.V)
         sigma = ba.matching_efficiency_path(panel.f, theta, 0.3)
         np.testing.assert_allclose(sigma.values[:-1],
                                    recession_sim.sigma_true.values[:-1],
@@ -46,7 +46,7 @@ class TestTwoStateSimulation:
         spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=120, s_path=s_path,
                               sigma_path=0.36, delta_u_path=du)
         sim = simulate_two_state(spec)
-        theta = ba.two_state_tightness(sim.panel.U, sim.panel.V)
+        theta = ba.tightness(sim.panel.U, sim.panel.V)
         est = ba.estimate_matching(sim.panel.f, theta)
         assert est.alpha == pytest.approx(0.3, abs=1e-10)
         assert est.ln_sigma_bar == pytest.approx(math.log(0.36), abs=1e-10)
@@ -67,13 +67,14 @@ class TestTwoStateSimulation:
         spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=n, s_path=0.02,
                               sigma_path=sigma_path)
         sim = simulate_two_state(spec)
-        theta = ba.two_state_tightness(sim.panel.U, sim.panel.V)
+        theta = ba.tightness(sim.panel.U, sim.panel.V)
         sigma_hat = ba.matching_efficiency_path(sim.panel.f, theta, 0.3)
         point = ba.ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36,
                                       alpha=0.3)
-        paths = ba.shifter_paths(sim.panel.U, sim.panel.s, sigma_hat, point,
-                                 START.shift(5))
-        jump = paths.matching.values[40] - paths.matching.values[10]
+        paths = ba.shifter_paths(
+            ba.two_state_loglinear(sim.panel.U, sim.panel.s, sigma_hat, point),
+            START.shift(5))
+        jump = paths["matching"].values[40] - paths["matching"].values[10]
         assert jump == pytest.approx(-(1 / 0.3) * math.log(0.75), rel=1e-10)
 
     def test_noise_is_seeded_and_reproducible(self):
