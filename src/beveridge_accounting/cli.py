@@ -94,6 +94,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _elasticity(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -372,6 +379,10 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     cols = _read_columns(args, "u_rate", "v_rate")
     u, v = cols["u_rate"], cols["v_rate"]
 
+    for flag, elasticity in (("--ms-elasticity", args.ms_elasticity),
+                             ("--steep-elasticity", args.steep_elasticity)):
+        if not 0.0 < elasticity < math.inf:  # named by its flag, not its field
+            raise ConfigError(f"{flag} must be positive and finite, got {elasticity}")
     costs = {"vacancy_cost": args.vacancy_cost,
              "unemployment_cost": args.unemployment_cost}
     cal_ms = _from_flags(EfficiencyCalibration,
@@ -545,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u0", type=float, default=0.06)
     p.add_argument("--n0", type=float, default=_THREE_STATE_ONLY["--n0"],
                    help="initial nonemployment share (three-state only)")
-    p.add_argument("--s-bar", type=float, default=0.02)
-    p.add_argument("--sigma-bar", type=float, default=0.36)
-    p.add_argument("--du-amplitude", type=float,
+    p.add_argument("--s-bar", type=_finite_float, default=0.02)
+    p.add_argument("--sigma-bar", type=_finite_float, default=0.36)
+    p.add_argument("--du-amplitude", type=_finite_float,
                    default=_TWO_STATE_ONLY["--du-amplitude"],
                    help="sinusoidal unemployment-change amplitude")
     p.add_argument("--du-period", type=_positive_float,
@@ -555,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-break-at", type=int, default=None, metavar="T",
                    help="month index at which efficiency jumps")
     p.add_argument("--sigma-break-factor", type=_positive_float, default=0.75)
-    p.add_argument("--noise", type=float, default=_TWO_STATE_ONLY["--noise"],
+    p.add_argument("--noise", type=_finite_float, default=_TWO_STATE_ONLY["--noise"],
                    help="lognormal noise std on the efficiency path")
     p.add_argument("--seed", type=int, default=_TWO_STATE_ONLY["--seed"])
     p.add_argument("--three-state", action="store_true")

@@ -4,29 +4,35 @@ Schema: one row per month, a `date` column in YYYY-MM form, then named value
 columns.  Missing cells are empty.  Rows must be contiguous ascending months;
 every downstream module consumes the :class:`MonthlySeries` built here.
 
-Both directions work a column at a time: ingest splits a plain file's cells
-with one ``str.split``, checks every date with one list comparison and
-parses every value cell with one ``map(float, ...)``.  Emission spells every
-float column of a table in one :func:`floatrepr.float_reprs` call, byte for
-byte ``float.__repr__`` with no Python string per cell, and turns any other
-column into string tokens once.  Rows are then laid out a block at a time
-as one byte matrix (separators and each column's cells side by side) and
-written as its bytes less the padding.
+Both directions work a column at a time.  Ingest reads a plain file's bytes
+once: one array scan finds every comma and line end, one comparison of
+8-byte words checks every date, and :func:`floatrepr.parse_floats` parses
+the value cells with no Python object per cell, leaving ``float`` only the
+cells outside its grammar.  Emission spells every float column of a table
+in one :func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__``
+with no Python string per cell, and turns any other column into string
+tokens once.  Rows are then laid out a block at a time as one byte matrix
+(separators and each column's cells side by side) and written as its bytes
+less the padding.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import math
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from pathlib import Path
 from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .series import MonthDate, MonthlySeries, require_aligned
+
+
+_LF, _CR, _COMMA, _ZERO = b"\n\r,0"
 
 
 class SchemaError(ValueError):
@@ -40,44 +46,111 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        data = path.read_bytes()
     except IsADirectoryError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None
-    panel = _read_plain(path, text)
-    return _read_rows(path, text) if panel is None else panel
+    data = data.removeprefix(codecs.BOM_UTF8)
+    if not data.isascii():
+        data.decode()  # a file that is not UTF-8 fails here, as a text read does
+    panel = _read_plain(path, data)
+    return _read_rows(path, data.decode()) if panel is None else panel
 
 
-def _read_plain(path: Path, text: str) -> dict[str, MonthlySeries] | None:
-    """The panel of a CSV text that needs no CSV parsing, or None.
+def _read_plain(path: Path, data: bytes) -> dict[str, MonthlySeries] | None:
+    """The panel of a CSV file's bytes that need no CSV parsing, or None.
 
-    Text with no quote or NUL, whose lines all end in LF or all in CRLF, is
-    one cell list per line split on commas, which is what `csv.reader`
-    returns for it.  When every data line has the header's number of
-    cells, all cells come from one split of the joined body.  Anything else
+    Bytes with no quote or NUL, whose lines all end in LF or all in CRLF,
+    are one cell list per line split on commas, which is what `csv.reader`
+    returns for them.  Line ends and commas are found by array scans, and
+    when every data line has the header's number of cells, the cells are
+    read a column at a time (`_month_start`, `_values`).  Anything else
     (quoting, a lone CR, blank or ragged lines, a failing check) returns
     None for the `csv.reader` path.
     """
-    if '"' in text or "\0" in text:
+    if b'"' in data or b"\0" in data:
         return None
-    lines = text.split("\r\n" if "\r" in text else "\n")
-    if lines[-1] == "":  # the last line's end
-        lines.pop()
-    if not lines or not lines[0]:
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF))
+    kinds = buf[seps]
+    unended = not data.endswith(b"\n")
+    if unended:  # the last line ends with the data
+        seps, kinds = np.append(seps, len(data)), np.append(kinds, _LF)
+    crlf = b"\r" in data
+    if crlf:  # then every line end is CRLF, and there is no other CR
+        breaks = seps[kinds == _LF]
+        if unended:
+            breaks = breaks[:-1]
+        if (np.count_nonzero(buf == _CR) != breaks.size
+                or (buf[breaks - 1] != _CR).any()):
+            return None
+    head = int(np.argmax(kinds == _LF))
+    if seps[head] - crlf <= 0:  # a blank header
         return None
-    header, rows = lines[0], lines[1:]
-    body = ",".join(rows)
-    if any("\r" in part or "\n" in part for part in (header, body)):
-        return None  # mixed line ends or a lone CR
-    names = _column_names(path, header.split(","))
-    if not rows or set(map(str.count, rows, repeat(","))) != {len(names)}:
+    names = _column_names(path, data[:seps[head] - crlf].decode().split(","))
+    # each data line: a comma after each of its cells but the last, then its end
+    lines, kinds = seps[head + 1:], kinds[head + 1:]
+    n = lines.size // (len(names) + 1)
+    if n == 0 or lines.size != n * (len(names) + 1):
         return None
+    lines = lines.reshape(n, len(names) + 1)
+    if (kinds.reshape(lines.shape) != np.array([*[_COMMA] * len(names), _LF])).any():
+        return None
+    starts = np.append(seps[head], lines[:-1, -1]) + 1
+    ends = lines[:, -1] - crlf
+    if unended:  # no CR before the end of data
+        ends[-1] = len(data)
     try:
-        # float ignores the padding str.strip removes, and rejects a
-        # whitespace-only cell, which the csv.reader path reads as missing
-        return _columns(names, body.split(","), len(rows))
+        start = _month_start(data, starts, lines[:, 0])
+        values = _values(data, (lines[:, :-1] + 1).ravel(),
+                         np.column_stack([lines[:, 1:-1], ends]).ravel())
+        return _series(names, start, values)
     except ValueError:
         return None
+
+
+# each month's "-MM" and the comma after it, as the high half of the
+# little-endian word of a valid date cell and that comma
+_MONTH_TAILS = np.frombuffer(b"".join(b"-%02d," % m for m in range(1, 13)),
+                             dtype="<u4").astype(np.uint64) << np.uint64(32)
+
+
+def _month_start(data: bytes, starts: np.ndarray, ends: np.ndarray) -> MonthDate:
+    """The month of the first date cell ``data[starts[i]:ends[i]]``;
+    ValueError unless each cell is its month's YYYY-MM, padding aside.
+
+    A valid cell is exactly that text, so one comparison checks the format
+    and contiguity of every row: of 8-byte words (the cell and the comma
+    after it) when no cell is padded.
+    """
+    start = MonthDate.parse(data[starts[0]:ends[0]].decode())
+    first, n = 12 * start.year + start.month - 1, starts.size
+    if (ends - starts == 7).all() and first + n <= 12 * 10000:
+        years = np.arange(first // 12, (first + n - 1) // 12 + 1)
+        digits = (years[:, None] // [1000, 100, 10, 1] % 10 + _ZERO).astype(np.uint8)
+        want = (digits.view("<u4").astype(np.uint64) | _MONTH_TAILS).ravel()
+        words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+        if not np.array_equal(words[starts], want[first % 12:][:n]):
+            raise ValueError("bad date")
+    elif [data[a:b].decode().strip() for a, b in zip(starts.tolist(), ends.tolist())] \
+            != _dates(start, n):
+        raise ValueError("bad date")
+    return start
+
+
+def _values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The values of the cells ``data[starts[i]:ends[i]]``, a blank one
+    missing; ValueError unless every other cell is a number to ``float``."""
+    # imported here, so importing the package (for --help, say) compiles
+    # and runs none of the kernel
+    from .floatrepr import parse_floats
+
+    values, undecided = parse_floats(data, starts, ends)
+    for i in np.flatnonzero(undecided & (starts != ends)).tolist():
+        # float keeps the number grammar beyond the kernel's (padding, nan,
+        # underscores, non-ASCII digits); it rejects a whitespace-only
+        # cell, which the csv.reader path reads as missing
+        values[i] = float(data[starts[i]:ends[i]].decode())
+    return values
 
 
 def _read_rows(path: Path, text: str) -> dict[str, MonthlySeries]:
@@ -130,9 +203,16 @@ def _columns(names: list[str], cells: list[str], n: int) -> dict[str, MonthlySer
     # float keeps the number grammar; a blank cell is missing
     values = np.fromiter(map(float, map({"": "nan"}.get, cells, cells)),
                          dtype=float, count=len(cells))
+    return _series(names, start, values)
+
+
+def _series(names: list[str], start: MonthDate, values: np.ndarray
+            ) -> dict[str, MonthlySeries]:
+    """One series per name from `values`, flat in row order; ValueError if
+    any value is infinite."""
     if np.isinf(values).any():
         raise ValueError("infinite cell")
-    values = values.reshape(n, len(names))
+    values = values.reshape(-1, len(names))
     return {name: MonthlySeries(start, values[:, j]) for j, name in enumerate(names)}
 
 

@@ -1,14 +1,26 @@
-"""``float.__repr__`` text of whole float64 arrays, computed with array code.
+"""Float64 arrays to and from decimal text, computed with array code.
 
-The digits come from Ryū's shortest round-trip search (Adams, "Ryū: fast
-float-to-string conversion", PLDI 2018), run on uint64 arrays.  Each value's
-64 x 128-bit product with the 125-bit power-of-five multiplier is built from
-32-bit limbs: one 192-bit product per value, from which the two interval
-bounds follow by adding or subtracting the multiplier.  Digit removal takes
+`float_reprs` writes each value's ``float.__repr__`` text.  The digits come
+from Ryū's shortest round-trip search (Adams, "Ryū: fast float-to-string
+conversion", PLDI 2018), run on uint64 arrays.  Each value's 64 x 128-bit
+product with the 125-bit power-of-five multiplier is built from 32-bit
+limbs: one 192-bit product per value, from which the two interval bounds
+follow by adding or subtracting the multiplier.  Digit removal takes
 a few masked steps over the whole block, then finishes on the values still
 active.  The text is laid out as ``repr`` lays it out: fixed notation for
 -4 < decpt <= 16 (``0.`` padding below one, ``.0`` after integers),
 otherwise ``d[.ddd]e±XX``.
+
+`parse_floats` reads decimal cells of a byte string as ``float`` reads them.
+Each cell's last 24 bytes (or its mantissa's, before an exponent) are taken
+as three little-endian words from an overlapping view: the point is closed
+up, every byte checked to be a digit, and eight digits at a time made a
+number (SWAR).  The double nearest w * 10^q then follows by Eisel–Lemire
+(Lemire, "Number parsing at a gigabyte per second", Software: Practice and
+Experience 2021): one 64 x 128-bit product with a power of five truncated
+to 128 bits, and its second word only where the first leaves the kept bits
+open.  A cell outside that grammar, with more than 19 digits, subnormal,
+infinite or of an ambiguous product is flagged for ``float``.
 
 Integer operands are uint64 (or int64 indices kept apart from them), with
 explicit uint64 constants, so numpy 1.x value-based casting and numpy 2
@@ -148,7 +160,11 @@ def _format_block(bits: np.ndarray, out: np.ndarray) -> None:
 
 
 def _umul128(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray):
-    """Low and high words of a * b, a < 2^63 given as 32-bit limbs."""
+    """Low and high words of a * b, a given as 32-bit limbs.
+
+    Each of the four partial products and the sums of their halves fit in
+    64 bits, so the result is exact for any 64-bit operands.
+    """
     b_lo, b_hi = b & _LOW32, b >> _U64(32)
     lo_lo = a_lo * b_lo
     mid = a_hi * b_lo + (lo_lo >> _U64(32))
@@ -322,3 +338,234 @@ def _layout(digits: np.ndarray, exp10: np.ndarray, out: np.ndarray) -> np.ndarra
         out[sel, _EXPONENT + 4] = mag % 10 + _ZERO
     return np.where(frac, 1 - decpt, 0)
 
+
+# ---------------------------------------------------------------------------
+# The reading direction: decimal text to float64
+# ---------------------------------------------------------------------------
+
+_ONES = _U64(0x0101010101010101)
+_DIGIT_ZEROS = _ONES * _U64(_ZERO)  # "00000000"
+_LOW7 = _U64(0x7F7F7F7F7F7F7F7F)
+_HIGH_BITS = _U64(0x8080808080808080)
+_PAST_NINE = _U64(0x4646464646464646)  # added to a byte, sets its top bit from ":"
+_PAIRS = _U64(0x000000FF000000FF)
+_MUL1 = _U64(100 + (10 ** 6 << 32))
+_MUL2 = _U64(1 + (10 ** 4 << 32))
+_E_LOWER = 0x20  # or-ed into a byte, turns "E" into "e"
+_WINDOW = 24  # bytes of a cell the kernel reads: its last, or its mantissa's
+_CELLS = 2 * _BLOCK  # cells per pass, so their words stay cache-sized
+# _BEFORE[k, i]: the bytes of word k that come before byte i of a window
+_BEFORE = np.array([[(1 << 8 * min(max(i - 8 * k, 0), 8)) - 1 for i in range(_WINDOW + 1)]
+                    for k in range(_WINDOW // 8)], dtype=np.uint64)
+# byte b of word k holds 8 - b + 8k: a product's top byte sums the index + 1
+# of each marked byte (`_count_and_place`)
+_RAMPS = np.array([[0x0102030405060708 + 8 * k * 0x0101010101010101]
+                   for k in range(_WINDOW // 8)], dtype=np.uint64)
+_Q_MIN, _Q_MAX = -342, 308  # w * 10^q is 0 below and infinite above these
+_ROUND_BITS = _U64(0x1FF)  # below the 55 bits kept when the top bit is clear
+
+
+@cache
+def _powers_of_five() -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of 5^q, q from _Q_MIN to _Q_MAX, scaled by a
+    power of two to exactly 128 bits (Lemire 2021): truncated for q >= 0,
+    and for q < 0 floor(2^b / 5^-q) + 1 truncated, with b = z + 127 for
+    q >= -27 and 2z + 128 below, z the bit length of 5^-q."""
+    words = []
+    p = 1
+    for k in range(1, 1 - _Q_MIN):
+        p *= 5
+        z = p.bit_length()
+        c = (1 << (z + 127 if k <= 27 else 2 * z + 128)) // p + 1
+        words.append(c >> (c.bit_length() - 128))
+    words.reverse()
+    p = 1
+    for _ in range(_Q_MAX + 1):
+        words.append(p << 128 >> p.bit_length())
+        p *= 5
+    return (np.array([w >> 64 for w in words], dtype=np.uint64),
+            np.array([w & 0xFFFFFFFFFFFFFFFF for w in words], dtype=np.uint64))
+
+
+def parse_floats(data: bytes, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 value of each decimal cell ``data[starts[i]:ends[i]]``,
+    and which cells the array code left undecided (their value is NaN).
+
+    A cell is decided when it has at most 24 bytes and reads
+    ``[+-]m[(e|E)[+-]x]``, m one or more digits with at most one point
+    among them and x one to 8 digits; when m's digits, read as an integer
+    w, are below 10^19; and when w is 0 or its value w * 10^q (q the
+    exponent less the digits after the point) has q from -342 to 308 and
+    is neither subnormal nor 2^1024 or more before rounding, nor ambiguous
+    to `_eisel_lemire`.  A decided value is the one ``float`` gives the
+    cell, bit for bit; every other cell (a blank, padding, ``nan``,
+    ``1_000``, more digits) is left for ``float``.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if starts.size and starts.min() < _WINDOW:  # a window could start before data
+        data = bytes(_WINDOW) + data
+        starts, ends = starts + _WINDOW, ends + _WINDOW
+    # windows[i]: the _WINDOW bytes of data from position i
+    windows = np.ndarray((max(len(data) - _WINDOW + 1, 0),), dtype=f"V{_WINDOW}",
+                         buffer=data, strides=(1,))
+    values = np.empty(starts.size)
+    undecided = np.empty(starts.size, dtype=bool)
+    for start in range(0, starts.size, _CELLS):
+        block = slice(start, start + _CELLS)
+        values[block], undecided[block] = _parse_block(data, windows, starts[block],
+                                                       ends[block])
+    return values, undecided
+
+
+def _words(windows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The _WINDOW bytes before each end as little-endian words: row k of
+    the result holds bytes 8k to 8k + 7 of every window."""
+    words = windows[ends - _WINDOW].view("<u8").reshape(ends.size, _WINDOW // 8)
+    return words.T.astype(np.uint64, order="C")
+
+
+def _before(at: np.ndarray) -> np.ndarray:
+    """Masks of the bytes of each window before its index `at`, which is
+    clipped to 0.._WINDOW."""
+    return np.take(_BEFORE, at, axis=1, mode="clip")
+
+
+def _fill(words: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """`words` with the bytes before index `first` of each window set to "0"."""
+    mask = _before(first)
+    return words & ~mask | _DIGIT_ZEROS & mask
+
+
+def _marks(words: np.ndarray, byte: int) -> np.ndarray:
+    """0x01 in each byte of `words` equal to `byte`, else 0."""
+    x = words ^ _ONES * _U64(byte)
+    return (~((x & _LOW7) + _LOW7 | x) & _HIGH_BITS) >> _U64(7)
+
+
+def _count_and_place(marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many bytes of each column of `marks` are marked, and the index of
+    the marked byte where there is exactly one (-1 where there is none)."""
+    count = marks.sum(axis=0) * _ONES >> _U64(56)  # summed in the top byte
+    places = (marks * _RAMPS >> _U64(56)).sum(axis=0)
+    return count.astype(np.int64), places.astype(np.int64) - 1
+
+
+def _digit_values(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether every byte of a column of `words` is an ASCII digit, and each
+    word's eight digits as a number, the first byte the leading digit."""
+    flags = np.bitwise_or.reduce(words + _PAST_NINE | words - _DIGIT_ZEROS)
+    d = words - _DIGIT_ZEROS
+    d = d * _TEN + (d >> _U64(8))  # digit pairs in the even bytes
+    return (flags & _HIGH_BITS == 0,
+            (d & _PAIRS) * _MUL1 + (d >> _U64(16) & _PAIRS) * _MUL2 >> _U64(32))
+
+
+def _close_up(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """`words` less the byte at index `at` of each column (none where -1):
+    the bytes before it move one place on, and a "0" comes first."""
+    moved = words << _U64(8)
+    moved[1:] |= words[:-1] >> _U64(56)
+    moved[0] |= _U64(_ZERO)
+    before = _before(at + 1)
+    return moved & before | words & ~before
+
+
+def _parse_block(data: bytes, windows: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`parse_floats` of one block of cells."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    length = ends - starts
+    first = buf[np.minimum(starts, buf.size - 1)]  # a blank last cell has none
+    negative = first == _MINUS
+    signed = negative | (first == _PLUS)
+    words = _words(windows, ends)
+    undecided = length > _WINDOW
+    exp10 = np.zeros(starts.size, dtype=np.int64)
+
+    lo, hi = starts.min(), ends.max()
+    if data.find(b"e", lo, hi) >= 0 or data.find(b"E", lo, hi) >= 0:
+        n_e, e_at = _count_and_place(_marks(_fill(words, _WINDOW - length)
+                                            | _ONES * _U64(_E_LOWER), _E))
+        undecided |= n_e > 1
+        sel = np.flatnonzero(n_e == 1)
+        # the exponent ends the window, and the mantissa ends at the e
+        at = e_at[sel]
+        lead = buf[np.minimum(ends[sel] - _WINDOW + at + 1, buf.size - 1)]  # after the e
+        minus = lead == _MINUS
+        n_x = _WINDOW - 1 - at - (minus | (lead == _PLUS))
+        ok, x = _digit_values(_fill(words[:, sel], _WINDOW - n_x)[-1:])
+        x = x[0].astype(np.int64)
+        exp10[sel] = np.where(minus, -x, x)
+        undecided[sel] |= ~ok | (n_x < 1) | (n_x > 8)
+        mantissa_end = ends[sel] - _WINDOW + at
+        words[:, sel] = _words(windows, mantissa_end)
+        length[sel] = mantissa_end - starts[sel]
+
+    words = _fill(words, _WINDOW - length + signed)
+    points = _marks(words, _POINT)
+    n_points, point_at = _count_and_place(points)
+    ok, v = _digit_values(_close_up(words ^ points * _U64(_POINT ^ _ZERO), point_at))
+    w = (v[0] * _U64(10 ** 8) + v[1]) * _U64(10 ** 8) + v[2]
+    exp10 -= np.where(n_points == 1, _WINDOW - 1 - point_at, 0)
+    nonzero = w != 0
+    undecided |= (~ok | (v[0] >= _U64(1000)) | (n_points > 1)
+                  | (length - signed - n_points < 1)
+                  | nonzero & ((exp10 < _Q_MIN) | (exp10 > _Q_MAX)))
+
+    bits = negative.astype(np.uint64) << _U64(63)
+    sel = np.flatnonzero(nonzero & ~undecided)
+    if sel.size:
+        magnitude, undecided[sel] = _eisel_lemire(w[sel], exp10[sel])
+        bits[sel] |= magnitude
+    values = bits.view(np.float64)
+    values[undecided] = np.nan
+    return values, undecided
+
+
+def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of the double nearest each w * 10^q, ties to even, and
+    which of them are undecided (Lemire, "Number parsing at a gigabyte per
+    second", 2021).
+
+    w is uint64 from 1 to 10^19 - 1 and q from _Q_MIN to _Q_MAX.  A value
+    is undecided where it is subnormal or at least 2^1024 before rounding,
+    or where the product's bits below those kept are all ones even after
+    the second word of the power of five is added, so that the rest of 5^q
+    might carry into them.  (A value that rounds up to 2^1024 is infinity.)
+    """
+    high, low = _powers_of_five()
+    row = q - _Q_MIN
+    # shift w's top bit to bit 63: as a double, w < 2^64 - 2^10 has the
+    # exponent floor(log2 w), or one more where it rounds up
+    lz = _U64(1086) - (w.astype(np.float64).view(np.uint64) >> _U64(52))
+    w = w << lz
+    short = (w >> _U64(63)) ^ _ONE
+    w <<= short
+    lz += short
+    w_lo, w_hi = w & _LOW32, w >> _U64(32)
+    lo, hi = _umul128(w_lo, w_hi, high[row])
+    undecided = np.zeros(w.size, dtype=bool)
+    sel = np.flatnonzero(hi & _ROUND_BITS == _ROUND_BITS)
+    if sel.size:  # a carry from below could reach the kept bits
+        extra = _umul128(w_lo[sel], w_hi[sel], low[row[sel]])[1]
+        lo_s = lo[sel] + extra
+        hi_s = hi[sel] + (lo_s < extra)
+        lo[sel], hi[sel] = lo_s, hi_s
+        undecided[sel] = (lo_s == ~_U64(0)) & (hi_s & _ROUND_BITS == _ROUND_BITS)
+    upper = hi >> _U64(63)
+    shift = upper + _U64(9)
+    mantissa = hi >> shift  # 54 bits: the double's 53 and a round bit
+    sel = np.flatnonzero(lo <= _ONE)
+    if sel.size:  # an exact tie, possible only where 5^|q| fits a word
+        m, q_s = mantissa[sel], q[sel]
+        tie = ((q_s >= -4) & (q_s <= 23) & (m & _U64(3) == _ONE)
+               & (m << shift[sel] == hi[sel]))
+        mantissa[sel] = m & ~tie.astype(np.uint64)  # round down to even
+    mantissa += mantissa & _ONE
+    mantissa >>= _ONE  # with the hidden bit, 2^53 where rounding carried
+    # the exponent field less one, as the hidden bit (or carry) adds to it:
+    # floor(q log2 10) + 63 less the normalisation, plus the bias
+    field = ((217706 * q >> 16) + 1085).astype(np.uint64) + upper - lz
+    undecided |= field >= _U64(0x7FE)  # subnormal (wrapped below 0) or infinite
+    return (field << _U64(52)) + mantissa, undecided  # a carry to 2^1024 is inf

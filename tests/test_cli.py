@@ -549,9 +549,9 @@ POINT_FLAGS = ["--u-bar", 0.06, "--s-bar", 0.02]
 
 @pytest.mark.parametrize("command, flags, message", [
     ("efficiency", ["--ms-elasticity", "inf"],
-     "beveridge_elasticity must be positive and finite, got inf"),
+     "--ms-elasticity must be positive and finite, got inf"),
     ("efficiency", ["--steep-elasticity", "inf"],
-     "beveridge_elasticity must be positive and finite, got inf"),
+     "--steep-elasticity must be positive and finite, got inf"),
     ("efficiency", ["--unemployment-cost", "inf"],
      "unemployment_cost must be positive and finite, got inf"),
     ("efficiency", ["--vacancy-cost", "inf"],
@@ -576,6 +576,23 @@ def test_non_finite_calibration_flag_exits_two(tmp_path, recession_sim, capsys,
     out = tmp_path / "out"
     assert run([command, "--input", data, "--output-dir", out, *flags]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sigma-bar", "nan"], ["--sigma-bar", "inf"], ["--s-bar", "inf"],
+    ["--three-state", "--s-bar", "inf"], ["--du-amplitude", "inf"], ["--noise", "inf"],
+    ["--noise", "nan"],
+], ids=["sigma-bar-nan", "sigma-bar-inf", "s-bar-inf", "three-state-s-bar-inf",
+        "du-amplitude-inf", "noise-inf", "noise-nan"])
+def test_non_finite_simulate_flag_exits_two(tmp_path, capsys, flags):
+    # these had exited 2 only through a downstream bound on the planted
+    # paths, with a message that named neither the flag nor the value
+    out = tmp_path / "out"
+    assert exit_code(["simulate", "--horizon", 24, "--output-dir", out, *flags]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"beveridge simulate: error: argument {flags[-2]}: "
+        f"must be finite, got {flags[-1]}")
     assert not (out / "manifest.json").exists()
 
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beveridge_accounting import MonthDate, MonthlySeries, read_panel, write_panel
+from beveridge_accounting import (MonthDate, MonthlySeries, floatrepr, read_panel,
+                                  write_panel)
+from beveridge_accounting.cli import main
 from beveridge_accounting.csvio import (SchemaError, _dates, _read_plain, require_columns,
                                         write_table)
-from beveridge_accounting.floatrepr import _BLOCK
+from beveridge_accounting.floatrepr import _BLOCK, parse_floats
 
 MIXED = {"x": np.array([np.nan, 0.1 + 0.2, -0.0, 1e-300]),
          "name": ["a", "b", "", "d"]}
@@ -394,8 +397,17 @@ class TestWriteTableMatchesRecordWriter:
 # ---------------------------------------------------------------------------
 
 NUMBERS = st.one_of(st.floats(allow_infinity=False).map(repr),
+                    st.floats(allow_infinity=False).map("{:.17e}".format),
                     st.sampled_from(["1e5", ".5", "5.", "+1", "-0", "1_000", "nan",
-                                     "-nan", "1E-3", "\u0661.5"]))
+                                     "-nan", "1E-3", "\u0661.5", "-2.5E+300",
+                                     # midpoints between doubles, one wider
+                                     # than the kernel's window
+                                     "9007199254740992.5", "4503599627370496.75",
+                                     "1.00000000000000011102230246251565404236316680908203125",
+                                     # more digits than a word holds, and
+                                     # leading zeros past the window
+                                     "12345678901234567890123", "0.1234567890123456789",
+                                     "0.000000000000000000000000001"]))
 BLANKS = st.sampled_from(["", " ", "\t", "  "])
 PADS = st.sampled_from(["", " ", "\t", "\u00a0"])
 NOT_NUMBERS = st.sampled_from(["abc", "1.2.3", "1,5", "--1", "1 2", "0x10", "n/a"])
@@ -486,7 +498,21 @@ def assert_same_outcome(path):
 
 def plain_path_reads(path):
     """Whether `read_panel` returns the unquoted fast path's panel."""
-    return _read_plain(path, path.read_bytes().decode("utf-8-sig")) is not None
+    return _read_plain(path, path.read_bytes().removeprefix(codecs.BOM_UTF8)) is not None
+
+
+@pytest.fixture
+def undecided_cells(monkeypatch):
+    """How many non-blank cells each `parse_floats` call leaves for float."""
+    counts = []
+
+    def counted(data, starts, ends):
+        values, undecided = parse_floats(data, starts, ends)
+        counts.append(int((undecided & (starts != ends)).sum()))
+        return values, undecided
+
+    monkeypatch.setattr(floatrepr, "parse_floats", counted)
+    return counts
 
 
 class TestReadPanelMatchesRowReader:
@@ -559,6 +585,34 @@ class TestReadPanelMatchesRowReader:
             assert list(got) == list(want)
             for name in want:
                 assert got[name].values.tobytes() == want[name].values.tobytes()
+
+    @pytest.mark.parametrize("argv", [[], ["--three-state"]],
+                             ids=["two-state", "three-state"])
+    def test_simulate_panel_is_read_in_array_code(self, tmp_path, undecided_cells,
+                                                  argv):
+        assert main(["simulate", "--horizon", "240", "--output-dir", str(tmp_path),
+                     *argv]) == 0
+        path = tmp_path / "panel.csv"
+        assert plain_path_reads(path)
+        assert undecided_cells == [0]
+        assert_same_outcome(path)
+
+    def test_bench_shaped_panel_is_read_in_array_code(self, tmp_path, undecided_cells):
+        # 24,000 months of three rates, CRLF line ends, the first cell of
+        # u_short missing: the shape of the stress benchmark's panel
+        n = 24_000
+        rng = np.random.default_rng(24_000)
+        wiggle = np.sin(2 * np.pi * np.arange(n) / 48)
+        columns = {"u_rate": 0.05 + 0.002 * wiggle + 1e-4 * rng.standard_normal(n),
+                   "v_rate": 0.03 - 0.001 * wiggle + 1e-4 * rng.standard_normal(n),
+                   "u_short": 0.02 + 1e-4 * rng.standard_normal(n)}
+        columns["u_short"][0] = np.nan
+        path = tmp_path / "panel.csv"
+        write_panel(path, {name: MonthlySeries(MonthDate(2000, 1), values)
+                           for name, values in columns.items()})
+        assert plain_path_reads(path)
+        assert undecided_cells == [0]
+        assert_same_outcome(path)
 
     @pytest.mark.parametrize("text, message", [
         ("date,u\n2000-01,1\n2000-02\n2000-04,x\n", "p.csv:3: expected 2 cells, got 1"),

@@ -1,10 +1,17 @@
-"""`float_reprs` against ``float.__repr__``, value by value."""
+"""`float_reprs` against ``float.__repr__``, and `parse_floats` against
+``float``, value by value."""
+
+import math
+import re
+import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beveridge_accounting.floatrepr import _BLOCK, float_reprs
+from beveridge_accounting.floatrepr import _BLOCK, _CELLS, float_reprs, parse_floats
 
 
 def tokens(values) -> list[str]:
@@ -71,3 +78,149 @@ class TestFloatReprs:
     def test_non_finite_and_empty(self):
         assert tokens([np.nan, -np.nan, np.inf, -np.inf]) == ["nan", "nan", "inf", "-inf"]
         assert float_reprs(np.array([])).shape[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# parse_floats against float
+# ---------------------------------------------------------------------------
+
+def parse(texts):
+    """`parse_floats` over the texts as comma-separated cells."""
+    cells = [text.encode() for text in texts]
+    lengths = np.array([len(cell) for cell in cells], dtype=np.int64)
+    ends = np.cumsum(lengths + 1) - 1
+    return parse_floats(b",".join(cells), ends - lengths, ends)
+
+
+# the kernel's grammar, in ASCII: sign, mantissa, exponent of one to 8 digits
+GRAMMAR = re.compile(r"[+-]?([0-9]*)\.?([0-9]*)(?:[eE]([+-]?[0-9]{1,8}))?")
+SMALLEST_NORMAL = Fraction(2) ** -1022
+
+
+def why_undecided(text):
+    """The reason `parse_floats` may leave `text` undecided, by its
+    docstring, or None where it must decide it."""
+    match = GRAMMAR.fullmatch(text)
+    if len(text.encode()) > 24 or match is None or not (match[1] or match[2]):
+        return "grammar"
+    w = int(match[1] + match[2])
+    q = int(match[3] or 0) - len(match[2])
+    if w >= 10 ** 19:
+        return "more than 19 digits"
+    if w == 0:
+        return None
+    if not -342 <= q <= 308:
+        return "exponent out of range"
+    exact = w * Fraction(10) ** q
+    if exact < SMALLEST_NORMAL:
+        return "subnormal"
+    if math.isinf(float(text)):
+        return "overflow"
+    # ambiguous: on the grid of 54-bit mantissas (a double or a midpoint)
+    # to within far less than the rounding needs
+    e = exact.numerator.bit_length() - exact.denominator.bit_length()
+    scaled = exact / Fraction(2) ** (e - 54)
+    if abs(scaled - round(scaled)) < Fraction(1, 2 ** 40):
+        return "ambiguous"
+    return None
+
+
+def assert_same_as_float(texts):
+    """Every decided value is float's, bit for bit, and every undecided
+    cell is one the docstring allows."""
+    values, undecided = parse(texts)
+    assert values.shape == undecided.shape == (len(texts),)
+    wrong = [(text, value) for text, value, skip
+             in zip(texts, values.tolist(), undecided.tolist())
+             if not skip and struct.pack("<d", float(text)) != struct.pack("<d", value)]
+    assert not wrong, f"{len(wrong)} of {len(texts)} differ, first {wrong[:5]}"
+    unexplained = [text for text, skip in zip(texts, undecided.tolist())
+                   if skip and why_undecided(text) is None]
+    assert not unexplained, f"undecided without cause: {unexplained[:5]}"
+    return undecided
+
+
+def midpoint(m, e):
+    """The exact decimal of m * 2^e + 2^(e - 1), halfway between two doubles."""
+    exact = Decimal(2 * m + 1) * Decimal(2) ** (e - 1) if e >= 1 else \
+        Decimal(2 * m + 1) / Decimal(2) ** (1 - e)
+    return format(exact, "f")
+
+
+DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(1, 2 ** 52 - 1).map(lambda k: float(np.int64(k).view(np.float64))),
+    st.integers(-1074, 1023).map(lambda k: 2.0 ** k),
+    st.floats(1e-6, 1e-3), st.floats(1e14, 1e18),  # around 1e-4 and 1e16
+    st.sampled_from([0.0, -0.0]))
+DECIMALS = st.one_of(
+    st.builds(midpoint, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(-3, 11)),
+    st.builds(midpoint, st.integers(1, 2 ** 20), st.integers(-20, 40)),
+    # 19 and 20 digits, the point anywhere or nowhere
+    st.builds(lambda d, p, e: f"{str(d)[:p]}.{str(d)[p:]}e{e}",
+              st.integers(10 ** 18, 10 ** 20 - 1), st.integers(0, 20),
+              st.integers(-30, 30)),
+    st.builds(lambda d, z: "0." + "0" * z + str(d),
+              st.integers(1, 10 ** 17), st.integers(0, 22)),  # leading zeros
+    st.builds(lambda d, e: f"{d}e{e}", st.integers(1, 10 ** 19 - 1),
+              st.sampled_from([-343, -342, -341, -325, -324, -308, -307, 290, 308, 309])
+              | st.integers(-360, 330)),
+    # just below a power of two, which w rounds up to as a double
+    st.builds(lambda k, d, e: f"{2 ** k - d}e{e}", st.integers(54, 63),
+              st.integers(1, 1024), st.integers(-30, 30)),
+    st.builds(lambda x: f"{x:.17e}", st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(lambda x, n: f"{x:.{n}f}", st.floats(-1e6, 1e6), st.integers(0, 20)),
+    st.builds(lambda s, d, e: f"{s}{d}E{e:+d}", st.sampled_from(["", "+", "-"]),
+              st.integers(0, 999), st.integers(-99999999, 99999999)),
+    st.sampled_from(["0", "-0", "0e999", "-0.0e-999", ".5", "5.", "-.5", "+5.e-1",
+                     "1.7976931348623157e308", "1.7976931348623158e308",
+                     "1.7976931348623159e308", "2.2250738585072014e-308",
+                     "2.2250738585072011e-308", "4.9406564584124654e-324",
+                     "9007199254740993", "9007199254740992.5", "1e23", "8.5e-5"]))
+
+
+class TestParseFloats:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(values=st.lists(DOUBLES, min_size=1, max_size=40))
+    def test_reprs_parse_to_their_bits(self, values):
+        values = np.resize(np.array(values), _CELLS + 7)
+        texts = tokens(values)
+        parsed, undecided = parse(texts)
+        assert parsed[~undecided].tobytes() == values[~undecided].tobytes()
+        # reprs are in the grammar and short: only subnormals are left
+        assert (np.abs(values[undecided]) < 2.0 ** -1022).all()
+        assert_same_as_float(texts)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(texts=st.lists(DECIMALS, min_size=1, max_size=40))
+    def test_same_as_float(self, texts):
+        assert_same_as_float(texts)
+
+    def test_seeded_batch(self):
+        rng = np.random.default_rng(20210)
+        n = 20_100
+        bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64, endpoint=False)
+        bits = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+        uniform = rng.uniform(-1e6, 1e6, n)
+        places = rng.integers(0, 21, n).tolist()
+        exponents = rng.integers(-350, 320, n).tolist()
+        digits = [str(d) for d in rng.integers(1, 10 ** 19, n, dtype=np.uint64).tolist()]
+        short = [d[:k] for d, k in zip(digits, rng.integers(1, 20, n).tolist())]
+        ulps = rng.integers(2 ** 52, 2 ** 53, n, dtype=np.int64).tolist()
+        texts = [*map(repr, bits.tolist()),
+                 *(f"{x:.17e}" for x in bits.tolist()),
+                 *(f"{x:.{p}f}" for x, p in zip(uniform.tolist(), places)),
+                 *(f"{d}e{e}" for d, e in zip(short, exponents)),
+                 *(midpoint(m, e) for m, e in zip(ulps, rng.integers(-3, 12, n).tolist()))]
+        assert len(texts) >= 10 ** 5 > _CELLS
+        undecided = assert_same_as_float(texts)
+        # a repr is left only when subnormal
+        assert not undecided[:bits.size][np.abs(bits) >= 2.0 ** -1022].any()
+
+    def test_outside_the_grammar_is_left_for_float(self):
+        texts = ["", " 1", "1 ", "nan", "-inf", "1_000", "0x10", "\u0661", ".", "-",
+                 "e5", "1e", "1e+", "1e5e3", "1.2.3", "--1", "1-2", "1e5.0",
+                 "1e123456789", "1" * 25, "0." + "0" * 22 + "1"]
+        values, undecided = parse(texts)
+        assert undecided.all()
+        assert np.isnan(values).all()
