@@ -101,7 +101,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _elasticity(text: str) -> float:
+def _unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
@@ -217,8 +217,8 @@ def _approx_point(args: argparse.Namespace, panel,
         if any(v is None for v in overrides):
             raise ConfigError("--u-bar, --s-bar and --sigma-bar must be "
                               "given together")
-        point = _from_flags(ApproximationPoint, U_bar=args.u_bar, s_bar=args.s_bar,
-                            sigma_bar=args.sigma_bar, alpha=args.alpha)
+        point = ApproximationPoint(U_bar=args.u_bar, s_bar=args.s_bar,
+                                   sigma_bar=args.sigma_bar, alpha=args.alpha)
         info = {"approx_window": "overridden"}
     else:
         window = _resolve_approx_window(args, panel.U)
@@ -379,16 +379,11 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     cols = _read_columns(args, "u_rate", "v_rate")
     u, v = cols["u_rate"], cols["v_rate"]
 
-    for flag, elasticity in (("--ms-elasticity", args.ms_elasticity),
-                             ("--steep-elasticity", args.steep_elasticity)):
-        if not 0.0 < elasticity < math.inf:  # named by its flag, not its field
-            raise ConfigError(f"{flag} must be positive and finite, got {elasticity}")
     costs = {"vacancy_cost": args.vacancy_cost,
              "unemployment_cost": args.unemployment_cost}
-    cal_ms = _from_flags(EfficiencyCalibration,
-                         beveridge_elasticity=args.ms_elasticity, **costs)
-    cal_steep = _from_flags(EfficiencyCalibration,
-                            beveridge_elasticity=args.steep_elasticity, **costs)
+    cal_ms = EfficiencyCalibration(beveridge_elasticity=args.ms_elasticity, **costs)
+    cal_steep = EfficiencyCalibration(beveridge_elasticity=args.steep_elasticity,
+                                      **costs)
     u_star_ms = efficient_unemployment(u, v, cal_ms)
     u_star_steep = efficient_unemployment(u, v, cal_steep)
 
@@ -474,7 +469,7 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
         sub.add_argument("--input", required=True, help="panel CSV path")
     sub.add_argument("--output-dir", required=True, help="directory for outputs")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--alpha", type=_elasticity, default=DEFAULT_ALPHA,
+    sub.add_argument("--alpha", type=_unit_interval, default=DEFAULT_ALPHA,
                      help="matching elasticity (default %(default)s)")
     sub.add_argument("--smooth", type=_positive_int, default=1, metavar="N",
                      help="moving-average window applied to inputs (1 = none)")
@@ -488,11 +483,11 @@ def _add_approx(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_point_overrides(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--u-bar", type=float, default=None,
+    sub.add_argument("--u-bar", type=_unit_interval, default=None,
                      help="override the expansion-point unemployment share")
-    sub.add_argument("--s-bar", type=float, default=None,
+    sub.add_argument("--s-bar", type=_unit_interval, default=None,
                      help="override the expansion-point separation probability")
-    sub.add_argument("--sigma-bar", type=float, default=None,
+    sub.add_argument("--sigma-bar", type=_positive_float, default=None,
                      help="override the expansion-point matching efficiency")
 
 
@@ -543,10 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("efficiency", help="efficient unemployment series")
     _add_common(p)
-    p.add_argument("--ms-elasticity", type=float, default=MS_ELASTICITY)
-    p.add_argument("--steep-elasticity", type=float, default=STEEP_ELASTICITY)
-    p.add_argument("--vacancy-cost", type=float, default=MS_VACANCY_COST)
-    p.add_argument("--unemployment-cost", type=float, default=MS_UNEMPLOYMENT_COST)
+    p.add_argument("--ms-elasticity", type=_positive_float, default=MS_ELASTICITY)
+    p.add_argument("--steep-elasticity", type=_positive_float,
+                   default=STEEP_ELASTICITY)
+    p.add_argument("--vacancy-cost", type=_positive_float, default=MS_VACANCY_COST)
+    p.add_argument("--unemployment-cost", type=_positive_float,
+                   default=MS_UNEMPLOYMENT_COST)
     p.set_defaults(func=cmd_efficiency)
 
     p = subs.add_parser("simulate", help="synthetic panel generation")

@@ -1,17 +1,21 @@
 """CSV ingestion for monthly panels, and flat-file emission (CSV or JSON).
 
-Schema: one row per month, a `date` column in YYYY-MM form, then named value
-columns.  Missing cells are empty.  Rows must be contiguous ascending months;
-every downstream module consumes the :class:`MonthlySeries` built here.
+Schema: one row per month, a `date` column in YYYY-MM form (years 0000 to
+9999), then named value columns.  Missing cells are empty.  Rows must be
+contiguous ascending months; every downstream module consumes the
+:class:`MonthlySeries` built here.
 
-Both directions work a column at a time.  Ingest reads a plain file's bytes
-once: one array scan finds every comma and line end, one comparison of
-8-byte words checks every date, and :func:`floatrepr.parse_floats` parses
-the value cells with no Python object per cell, leaving ``float`` only the
-cells outside its grammar.  Emission spells every float column of a table
-in one :func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__``
-with no Python string per cell, and turns any other column into string
-tokens once.  Rows are then laid out a block at a time as one byte matrix
+Ingest reads a plain file's bytes once, a column at a time: one array scan
+finds every comma and line end, one comparison of 8-byte words checks every
+date, and :func:`floatrepr.parse_floats` parses the value cells with no
+Python object per cell, leaving ``float`` only the cells outside its
+grammar.  Any other file (quoting, blank or ragged lines, a failed check)
+is read by `csv.reader` one row at a time, each row checked as it is read,
+so the first fault in the file is the one reported.  Emission works a
+column at a time too: it spells every float column of a table in one
+:func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__`` with
+no Python string per cell, and turns any other column into string tokens
+once.  Rows are then laid out a block at a time as one byte matrix
 (separators and each column's cells side by side) and written as its bytes
 less the padding.
 """
@@ -23,9 +27,9 @@ import csv
 import io
 import json
 import math
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -124,7 +128,9 @@ def _month_start(data: bytes, starts: np.ndarray, ends: np.ndarray) -> MonthDate
     """
     start = MonthDate.parse(data[starts[0]:ends[0]].decode())
     first, n = 12 * start.year + start.month - 1, starts.size
-    if (ends - starts == 7).all() and first + n <= 12 * 10000:
+    if first + n > 12 * 10000:  # past 9999-12, which YYYY-MM cannot spell
+        raise ValueError("bad date")
+    if (ends - starts == 7).all():
         years = np.arange(first // 12, (first + n - 1) // 12 + 1)
         digits = (years[:, None] // [1000, 100, 10, 1] % 10 + _ZERO).astype(np.uint8)
         want = (digits.view("<u4").astype(np.uint64) | _MONTH_TAILS).ravel()
@@ -154,27 +160,55 @@ def _values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _read_rows(path: Path, text: str) -> dict[str, MonthlySeries]:
-    """The panel of any CSV text, parsed by `csv.reader`, or the
-    SchemaError of its first fault."""
+    """The panel of any CSV text, its rows read by `csv.reader` and checked
+    one at a time in file order, or the SchemaError of its first fault."""
+    rows = _rows(path, text)
+    header = next(rows, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
+    names = _column_names(path, header)
+    start = previous = None
+    values: list[float] = []
+    for lineno, row in enumerate(rows, start=2):
+        if not "".join(row).strip():  # a row whose cells are all blank is skipped
+            continue
+        if len(row) != len(names) + 1:
+            raise SchemaError(f"{path}:{lineno}: expected {len(names) + 1} cells, "
+                              f"got {len(row)}")
+        try:
+            month = MonthDate.parse(row[0])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        if previous is None:
+            start = month
+        elif previous.months_until(month) != 1:
+            raise SchemaError(f"{path}:{lineno}: non-contiguous month {month} "
+                              f"after {previous}")
+        previous = month
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            try:
+                value = float(cell or "nan")  # a blank cell is missing
+            except ValueError:
+                raise SchemaError(f"{path}:{lineno}: non-numeric cell {cell!r} "
+                                  f"in column {name!r}") from None
+            if math.isinf(value):
+                raise SchemaError(f"{path}:{lineno}: non-finite cell {cell!r} "
+                                  f"in column {name!r}")
+            values.append(value)
+    if start is None:
+        raise SchemaError(f"{path}: no data rows")
+    return _series(names, start, np.array(values))
+
+
+def _rows(path: Path, text: str) -> Iterator[list[str]]:
+    """The rows `csv.reader` reads from `text`, as it reads them; its error
+    is the SchemaError of the line where it happens."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        lines = list(reader)
+        yield from reader
     except csv.Error as exc:  # a quoted field over the module's size limit, say
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-    if not lines:
-        raise SchemaError(f"{path}: empty file")
-    header, body = lines[0], lines[1:]
-    names = _column_names(path, header)
-
-    # rows whose cells are all blank are skipped
-    rows = list(compress(body, map(str.strip, map("".join, body))))
-    try:
-        if set(map(len, rows)) != {len(names) + 1}:
-            raise ValueError("bad width")
-        return _columns(names, list(map(str.strip, chain.from_iterable(rows))),
-                        len(rows))
-    except ValueError:
-        _raise_first_fault(path, names, body)
 
 
 def _column_names(path: Path, header: list[str]) -> list[str]:
@@ -189,23 +223,6 @@ def _column_names(path: Path, header: list[str]) -> list[str]:
     return names
 
 
-def _columns(names: list[str], cells: list[str], n: int) -> dict[str, MonthlySeries]:
-    """One series per name from the `n` rows of `cells`, flat in row order;
-    ValueError unless every date and value cell is valid."""
-    width = len(names) + 1
-    dates = list(map(str.strip, cells[::width]))
-    del cells[::width]
-    start = MonthDate.parse(dates[0])
-    # a valid date cell is exactly its month's YYYY-MM, so one comparison
-    # checks the format and contiguity of every row
-    if dates != _dates(start, n):
-        raise ValueError("bad date")
-    # float keeps the number grammar; a blank cell is missing
-    values = np.fromiter(map(float, map({"": "nan"}.get, cells, cells)),
-                         dtype=float, count=len(cells))
-    return _series(names, start, values)
-
-
 def _series(names: list[str], start: MonthDate, values: np.ndarray
             ) -> dict[str, MonthlySeries]:
     """One series per name from `values`, flat in row order; ValueError if
@@ -214,39 +231,6 @@ def _series(names: list[str], start: MonthDate, values: np.ndarray
         raise ValueError("infinite cell")
     values = values.reshape(-1, len(names))
     return {name: MonthlySeries(start, values[:, j]) for j, name in enumerate(names)}
-
-
-def _raise_first_fault(path: Path, names: list[str], body: list[list[str]]) -> NoReturn:
-    """Raise the SchemaError for the first faulty data row of a panel that
-    failed the columnar checks in `read_panel`."""
-    previous: MonthDate | None = None
-    for lineno, row in enumerate(body, start=2):
-        if not "".join(row).strip():
-            continue
-        if len(row) != len(names) + 1:
-            raise SchemaError(f"{path}:{lineno}: expected {len(names) + 1} cells, "
-                              f"got {len(row)}")
-        try:
-            month = MonthDate.parse(row[0])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        if previous is not None and previous.shift(1) != month:
-            raise SchemaError(f"{path}:{lineno}: non-contiguous month {month} "
-                              f"after {previous}")
-        previous = month
-        for name, cell in zip(names, row[1:]):
-            cell = cell.strip()
-            try:
-                value = float(cell or "nan")
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: non-numeric cell {cell!r} "
-                                  f"in column {name!r}") from None
-            if math.isinf(value):
-                raise SchemaError(f"{path}:{lineno}: non-finite cell {cell!r} "
-                                  f"in column {name!r}")
-    if previous is None:
-        raise SchemaError(f"{path}: no data rows")
-    raise RuntimeError(f"{path}: columnar parse failed but no row is faulty")
 
 
 def require_columns(panel: Mapping[str, MonthlySeries], *names: str) -> None:

@@ -26,14 +26,11 @@ class ProbabilityRangeWarning(UserWarning):
     """
 
 
-def _check_rate_bounds(name: str, s: MonthlySeries, open_interval: bool = True) -> None:
+def _check_rate_bounds(name: str, s: MonthlySeries) -> None:
+    """Raise ValueError unless every observed value of `s` is inside (0, 1)."""
     v = s.values[~np.isnan(s.values)]
-    if v.size == 0:
-        return
-    if open_interval and ((v <= 0.0) | (v >= 1.0)).any():
+    if ((v <= 0.0) | (v >= 1.0)).any():
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
-    if not open_interval and ((v < 0.0) | (v > 1.0)).any():
-        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,21 @@ _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 
 @dataclass(frozen=True, order=True)
 class MonthDate:
-    """A Gregorian calendar month, totally ordered by (year, month)."""
+    """A Gregorian calendar month, totally ordered by (year, month), in the
+    years that YYYY spells (0000 to 9999)."""
 
     year: int
     month: int
 
     def __post_init__(self) -> None:
+        if not 0 <= self.year <= 9999:
+            raise ValueError(f"year must be in 0..9999, got {self.year}")
         if not 1 <= self.month <= 12:
             raise ValueError(f"month must be in 1..12, got {self.month}")
 
     def shift(self, months: int) -> "MonthDate":
-        """The month `months` steps later (negative steps go back)."""
+        """The month `months` steps later (negative steps go back);
+        ValueError if it is outside the years 0000 to 9999."""
         q, r = divmod(self.month - 1 + months, 12)
         return MonthDate(self.year + q, r + 1)
 

@@ -33,6 +33,15 @@ def _as_path(value, horizon: int, name: str) -> np.ndarray:
     return arr
 
 
+def _require_calendar(start: MonthDate, horizon: int) -> None:
+    """Raise ValueError unless `horizon` months from `start` all have a
+    YYYY-MM date (none past 9999-12)."""
+    try:
+        start.shift(horizon - 1)
+    except ValueError:
+        raise ValueError(f"{horizon} months from {start} run past 9999-12") from None
+
+
 def _require_unit_vacancies(v: np.ndarray, start: MonthDate) -> None:
     """Raise ValueError naming the first month whose planted vacancy rate
     is outside (0, 1); a missing month is not checked."""
@@ -72,6 +81,7 @@ class SimulationSpec:
             raise ValueError("u0 must be in (0, 1)")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 months")
+        _require_calendar(self.start, self.horizon)
         if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be non-negative")
         if self.delta_u_path is not None and self.v_path is not None:
@@ -172,6 +182,7 @@ class ThreeStateSimulationSpec:
             raise ValueError(f"missing rate paths: {sorted(missing)}")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 months")
+        _require_calendar(self.start, self.horizon)
 
 
 @dataclass(frozen=True)

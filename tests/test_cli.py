@@ -512,6 +512,9 @@ def exit_code(args):
     # the efficiency these imply puts the planted vacancy rate far above one
     ("simulate", ["--three-state", "--horizon", 24, "--sigma-bar", 0.01]),
     ("simulate", ["--horizon", 24, "--sigma-bar", 0.01]),
+    # the last months would be 10000-01 to 10000-12, which YYYY-MM cannot spell
+    ("simulate", ["--start", "0001-01", "--horizon", 120_000]),
+    ("simulate", ["--three-state", "--start", "0001-01", "--horizon", 120_000]),
 ])
 def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
     if command == "three-state":
@@ -548,34 +551,38 @@ POINT_FLAGS = ["--u-bar", 0.06, "--s-bar", 0.02]
 
 
 @pytest.mark.parametrize("command, flags, message", [
-    ("efficiency", ["--ms-elasticity", "inf"],
-     "--ms-elasticity must be positive and finite, got inf"),
-    ("efficiency", ["--steep-elasticity", "inf"],
-     "--steep-elasticity must be positive and finite, got inf"),
+    ("efficiency", ["--ms-elasticity", "inf"], "must be positive and finite, got inf"),
+    ("efficiency", ["--steep-elasticity", "inf"], "must be positive and finite, got inf"),
     ("efficiency", ["--unemployment-cost", "inf"],
-     "unemployment_cost must be positive and finite, got inf"),
-    ("efficiency", ["--vacancy-cost", "inf"],
-     "vacancy_cost must be positive and finite, got inf"),
+     "must be positive and finite, got inf"),
+    ("efficiency", ["--vacancy-cost", "inf"], "must be positive and finite, got inf"),
     ("shifters", [*POINT_FLAGS, "--sigma-bar", "inf"],
-     "sigma_bar must be positive and finite, got inf"),
+     "must be positive and finite, got inf"),
     ("shifters", [*POINT_FLAGS, "--sigma-bar", "nan"],
-     "sigma_bar must be positive and finite, got nan"),
+     "must be positive and finite, got nan"),
     ("decompose", [*POINT_FLAGS, "--sigma-bar", "inf"],
-     "sigma_bar must be positive and finite, got inf"),
+     "must be positive and finite, got inf"),
     ("decompose", [*POINT_FLAGS, "--sigma-bar", "nan"],
-     "sigma_bar must be positive and finite, got nan"),
+     "must be positive and finite, got nan"),
+    ("shifters", ["--s-bar", 0.02, "--sigma-bar", 0.3, "--u-bar", "nan"],
+     "must be in (0, 1), got nan"),
+    ("decompose", ["--u-bar", 0.06, "--sigma-bar", 0.3, "--s-bar", "inf"],
+     "must be in (0, 1), got inf"),
 ], ids=["ms-elasticity-inf", "steep-elasticity-inf", "unemployment-cost-inf",
         "vacancy-cost-inf", "shifters-sigma-bar-inf", "shifters-sigma-bar-nan",
-        "decompose-sigma-bar-inf", "decompose-sigma-bar-nan"])
-def test_non_finite_calibration_flag_exits_two(tmp_path, recession_sim, capsys,
-                                               command, flags, message):
+        "decompose-sigma-bar-inf", "decompose-sigma-bar-nan", "shifters-u-bar-nan",
+        "decompose-s-bar-inf"])
+def test_non_finite_calibration_flag_exits_two(tmp_path, capsys, command, flags,
+                                               message):
     # an infinite elasticity or cost gave u* of 1.0 or 0.0 with exit 0, an
     # infinite vacancy cost or sigma_bar read as bad data (exit 3), and a
-    # NaN sigma_bar as an undefined shifter (3) or infeasible pairs (4)
-    data = write_recession_csv(tmp_path, recession_sim)
+    # NaN sigma_bar as an undefined shifter (3) or infeasible pairs (4);
+    # then the library's check named the dataclass field, not the flag
     out = tmp_path / "out"
-    assert run([command, "--input", data, "--output-dir", out, *flags]) == 2
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert exit_code([command, "--input", tmp_path / "panel.csv", "--output-dir", out,
+                      *flags]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"beveridge {command}: error: argument {flags[-2]}: {message}")
     assert not (out / "manifest.json").exists()
 
 

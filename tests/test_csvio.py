@@ -210,7 +210,7 @@ def read_panel_rows(path):
                 month = MonthDate.parse(row[0])
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            if months and months[-1].shift(1) != month:
+            if months and months[-1].months_until(month) != 1:
                 raise SchemaError(f"{path}:{lineno}: non-contiguous month {month} "
                                   f"after {months[-1]}")
             months.append(month)
@@ -425,11 +425,18 @@ def panel_texts(draw, quoting=True):
     most texts are ones `read_panel` splits without `csv.reader`."""
     names = draw(st.lists(st.sampled_from(["u", "v", "s", "w"]), min_size=1,
                           max_size=3, unique=True))
-    start = MonthDate(draw(st.integers(1900, 2100)), draw(st.integers(1, 12)))
+    # months from the first, counted from 0000-01; near the top of the range
+    # a panel runs past 9999-12, whose next month has a five-digit year
+    first = 12 * draw(st.one_of(st.integers(1900, 2100), st.integers(9998, 9999))) \
+        + draw(st.integers(0, 11))
+
+    def month(t):
+        return f"{(first + t) // 12:04d}-{(first + t) % 12 + 1:02d}"
+
     n = draw(st.integers(1, 12))
     blank = BLANKS if quoting else st.just("")
     cell = st.one_of(blank, st.tuples(PADS, NUMBERS, PADS).map("".join))
-    rows = [[draw(PADS) + str(start.shift(t)) + draw(PADS)]
+    rows = [[draw(PADS) + month(t) + draw(PADS)]
             + [draw(cell) for _ in names] for t in range(n)]
     header = ["date", *names]
     faults = ["width", "date", "gap", "number", "infinite"] * 2 + ["dupe", "header"]
@@ -453,7 +460,7 @@ def panel_texts(draw, quoting=True):
             elif fault == "date":
                 row[0] = draw(BAD_DATES)
             elif fault == "gap":
-                row[0] = str(start.shift(t + draw(st.sampled_from([-1, 2, 13]))))
+                row[0] = month(t + draw(st.sampled_from([-1, 2, 13])))
             elif fault == "ragged":
                 if t + 1 < n:
                     rows[t + 1].insert(0, row.pop())
@@ -554,12 +561,21 @@ class TestReadPanelMatchesRowReader:
         ("date,u\n", False),
         ("", False),
         ('date,u\n2000-01,1\n2000-02,"' + "1" * 140_001 + '"\n', False),
+        # a fault on the line before a cell csv.reader cannot read
+        ('date,u\n2000-01,x\n2000-02,"' + "1" * 140_001 + '"\n', False),
+        ("date,u\n9999-11,1\n9999-12,2\n", True),
+        # the month after 9999-12, which YYYY-MM cannot spell
+        ("date,u\n9999-12,1\n10000-01,2\n", False),
+        ("date,u\n 9999-12,1\n 10000-01 ,2\n", False),
+        ('"date","u"\n"9999-12","1"\n"10000-01","2"\n', False),
     ], ids=["plain", "padded-crlf", "no-final-line-end", "ragged", "lone-cr",
             "lone-cr-in-crlf", "mixed-line-ends", "cr-in-date", "lf-in-crlf-line",
             "blank-line", "blank-header",
             "whitespace-cell", "whitespace-row", "quoted-header", "quoted-cell",
             "nul-cell", "nul-header", "padding-float-rejects", "header-only",
-            "empty", "quoted-cell-over-field-limit"])
+            "empty", "quoted-cell-over-field-limit", "fault-before-field-limit",
+            "ends-at-9999-12", "past-9999-12", "padded-past-9999-12",
+            "quoted-past-9999-12"])
     def test_named_cases(self, tmp_path, text, plain):
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode())
@@ -627,6 +643,14 @@ class TestReadPanelMatchesRowReader:
                                                 "in column 'u'"),
         ("date,u\n\n \n", "p.csv: no data rows"),
         ("date,u,v\n2000-01,1,2,2000-02\n3,4\n", "p.csv:2: expected 3 cells, got 4"),
+        pytest.param('date,u\n2000-01,x\n2000-02,"' + "1" * 140_001 + '"\n',
+                     "p.csv:2: non-numeric cell 'x' in column 'u'",
+                     id="fault-before-field-limit"),
+        ("date,u\n9999-12,1\n10000-01,2\n", "p.csv:3: expected YYYY-MM, got '10000-01'"),
+        ("date,u\n 9999-12,1\n 10000-01 ,2\n",
+         "p.csv:3: expected YYYY-MM, got ' 10000-01 '"),
+        ('"date","u"\n"9999-12","1"\n"10000-01","2"\n',
+         "p.csv:3: expected YYYY-MM, got '10000-01'"),
     ])
     def test_earlier_fault_wins(self, tmp_path, text, message):
         path = tmp_path / "p.csv"

@@ -35,6 +35,22 @@ class TestMonthDate:
         with pytest.raises(ValueError):
             MonthDate(2010, 0)
 
+    def test_years_are_those_yyyy_spells(self):
+        # parse reads four digits, so every month it can return, and no other,
+        # is a MonthDate; a shift past either end raises
+        assert MonthDate.parse("0000-01") == MonthDate(0, 1)
+        assert MonthDate(9999, 11).shift(1) == MonthDate.parse("9999-12")
+        assert str(MonthDate(0, 1)) == "0000-01"
+        for year in (-1, 10000):
+            with pytest.raises(ValueError, match=f"year must be in 0..9999, got {year}"):
+                MonthDate(year, 1)
+        with pytest.raises(ValueError, match="got 10000"):
+            MonthDate(9999, 12).shift(1)
+        with pytest.raises(ValueError, match="got -1"):
+            MonthDate(0, 1).shift(-1)
+        with pytest.raises(ValueError, match="expected YYYY-MM"):
+            MonthDate.parse("10000-01")
+
     def test_parse_takes_ascii_digits_only(self):
         # a valid cell is then exactly its month's str(), which read_panel relies on
         assert MonthDate.parse(" 2010-04\t") == MonthDate(2010, 4)

@@ -139,6 +139,16 @@ class TestTwoStateSimulation:
             with pytest.raises(ValueError, match="initial stocks"):
                 ba.ThreeStateSimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=12,
                                             rates={})
+        # every month must have a YYYY-MM date: 9999-01 plus 12 is the last
+        SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02, sigma_path=0.36,
+                       start=MonthDate(9999, 1))
+        with pytest.raises(ValueError, match="13 months from 9999-01 run past 9999-12"):
+            SimulationSpec(alpha=0.3, u0=0.06, horizon=13, s_path=0.02,
+                           sigma_path=0.36, start=MonthDate(9999, 1))
+        with pytest.raises(ValueError, match="13 months from 9999-01 run past 9999-12"):
+            ba.ThreeStateSimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=13,
+                                        rates=dict.fromkeys(RATE_NAMES, 0.02),
+                                        start=MonthDate(9999, 1))
 
 
 class TestThreeStateSimulation:
