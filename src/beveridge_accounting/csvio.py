@@ -14,10 +14,13 @@ is read by `csv.reader` one row at a time, each row checked as it is read,
 so the first fault in the file is the one reported.  Emission works a
 column at a time too: it spells every float column of a table in one
 :func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__`` with
-no Python string per cell, and turns any other column into string tokens
-once.  Rows are then laid out a block at a time as one byte matrix
-(separators and each column's cells side by side) and written as its bytes
-less the padding.
+no Python string per cell, its rows packed and only as wide as the longest
+text.  A numpy string column of ASCII text that needs no quoting or
+escaping (such as the dates, built as words by the same arithmetic that
+checks them on ingest) becomes cells by one cast of its code points to
+bytes; any other column is turned into string tokens once.  Rows are then
+laid out a block at a time as one byte matrix (separators and each
+column's cells side by side) and written as its bytes less the padding.
 """
 
 from __future__ import annotations
@@ -112,10 +115,21 @@ def _read_plain(path: Path, data: bytes) -> dict[str, MonthlySeries] | None:
         return None
 
 
-# each month's "-MM" and the comma after it, as the high half of the
-# little-endian word of a valid date cell and that comma
-_MONTH_TAILS = np.frombuffer(b"".join(b"-%02d," % m for m in range(1, 13)),
+# each month's "-MM" and a NUL, as the high half of the little-endian word
+# of its YYYY-MM text
+_MONTH_TAILS = np.frombuffer(b"".join(b"-%02d\0" % m for m in range(1, 13)),
                              dtype="<u4").astype(np.uint64) << np.uint64(32)
+_COMMA_BYTE = np.uint64(_COMMA) << np.uint64(56)  # the top byte of a word
+
+
+def _month_words(first: int, n: int) -> np.ndarray:
+    """The `n` months from month number `first` (12 * year + month - 1) to
+    9999-12 at most, as little-endian words of their YYYY-MM text and a
+    NUL: each year's digits are spelled once, beside the twelve months."""
+    years = np.arange(first // 12, (first + n - 1) // 12 + 1)
+    digits = (years[:, None] // [1000, 100, 10, 1] % 10 + _ZERO).astype(np.uint8)
+    words = (digits.view("<u4").astype(np.uint64) | _MONTH_TAILS).ravel()
+    return words[first % 12:][:n]
 
 
 def _month_start(data: bytes, starts: np.ndarray, ends: np.ndarray) -> MonthDate:
@@ -131,14 +145,11 @@ def _month_start(data: bytes, starts: np.ndarray, ends: np.ndarray) -> MonthDate
     if first + n > 12 * 10000:  # past 9999-12, which YYYY-MM cannot spell
         raise ValueError("bad date")
     if (ends - starts == 7).all():
-        years = np.arange(first // 12, (first + n - 1) // 12 + 1)
-        digits = (years[:, None] // [1000, 100, 10, 1] % 10 + _ZERO).astype(np.uint8)
-        want = (digits.view("<u4").astype(np.uint64) | _MONTH_TAILS).ravel()
         words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-        if not np.array_equal(words[starts], want[first % 12:][:n]):
+        if not np.array_equal(words[starts], _month_words(first, n) | _COMMA_BYTE):
             raise ValueError("bad date")
     elif [data[a:b].decode().strip() for a, b in zip(starts.tolist(), ends.tolist())] \
-            != _dates(start, n):
+            != _dates(start, n).tolist():
         raise ValueError("bad date")
     return start
 
@@ -249,20 +260,20 @@ def _json_safe(x):
     return x
 
 
-_MONTH_SUFFIXES = [f"-{m:02d}" for m in range(1, 13)]
-
-
-def _dates(start: MonthDate, n: int) -> list[str]:
-    """The `n` months from `start` as YYYY-MM strings: each year's prefix is
-    formatted once and joined with the twelve month suffixes."""
-    first = 12 * start.year + start.month - 1
-    years = range(first // 12, (first + n - 1) // 12 + 1)
-    months = [y + m for y in map("{:04d}".format, years) for m in _MONTH_SUFFIXES]
-    return months[first % 12:first % 12 + n]
+def _dates(start: MonthDate, n: int) -> np.ndarray:
+    """The `n` months from `start` as an array of YYYY-MM strings."""
+    text = _month_words(12 * start.year + start.month - 1, n).astype("<u8")
+    return text.view(np.uint8).reshape(n, 8)[:, :7].astype(np.uint32).view("U7").ravel()
 
 
 # CSV (excel dialect, minimal quoting) quotes a cell holding any of these
 _CSV_SPECIAL = (",", '"', "\r", "\n")
+# the ASCII bytes a CSV cell (row 0) or a JSON string (row 1) cannot hold as
+# they are: CSV quotes the ones above, and JSON escapes '"', "\\" and every
+# control character; NUL is numpy's padding after a string's text
+_SPECIAL_BYTES = np.zeros((2, 128), dtype=bool)
+_SPECIAL_BYTES[0, list(b',"\r\n')] = True
+_SPECIAL_BYTES[1, [*range(1, 0x20), 0x7F, *b'"\\']] = True
 _BLOCK_BYTES = 1 << 20  # rows are assembled and written about this much at a time
 
 
@@ -310,8 +321,9 @@ def _json_tokens(column: Sequence, a: np.ndarray) -> list[str]:
 
 
 def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]) -> np.ndarray:
-    """The cells of float values: one row of bytes each, NUL where there is
-    no byte, with nan, inf and -inf spelled as given."""
+    """The cells of float values: one row of bytes each, the text from its
+    first byte and NUL padding after it, with nan, inf and -inf spelled as
+    given."""
     # imported here, so importing the package (for --help, say) compiles
     # and runs none of the kernel
     from .floatrepr import float_reprs
@@ -319,12 +331,38 @@ def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]) -> np
     chars = float_reprs(values)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        spelled = np.zeros((3, chars.shape[1]), dtype=np.uint8)
+        width = max(chars.shape[1], *map(len, spelling))
+        if width > chars.shape[1]:  # JSON's -Infinity beside short reprs
+            chars = np.pad(chars, ((0, 0), (0, width - chars.shape[1])))
+        spelled = np.zeros((3, width), dtype=np.uint8)
         for row, text in zip(spelled, spelling):
             row[:len(text)] = list(text)
         v = values[bad]
         chars[bad] = spelled[np.where(np.isnan(v), 0, np.where(v > 0, 1, 2))]
     return chars
+
+
+def _string_cells(column: Sequence, a: np.ndarray, json_format: bool,
+                  lone: bool) -> np.ndarray | None:
+    """The cells of a numpy string column by one cast of its code points to
+    bytes, where every string is ASCII text written as it is (JSON's within
+    quotes); None for any other column."""
+    if not isinstance(column, np.ndarray) or a.dtype.kind != "U" or not a.itemsize:
+        return None
+    codes = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("=")).view(np.uint32)
+    if codes.size and codes.max() >= 128:
+        return None
+    chars = codes.astype(np.uint8).reshape(a.size, a.itemsize // 4)
+    if (_SPECIAL_BYTES[int(json_format)].take(chars).any()
+            or ((chars[:, :-1] == 0) & (chars[:, 1:] != 0)).any()  # a NUL in the text
+            or lone and not json_format and (chars[:, 0] == 0).any()):  # quoted ""
+        return None
+    if not json_format:
+        return chars
+    quoted = np.empty((a.size, chars.shape[1] + 2), dtype=np.uint8)
+    quoted[:, [0, -1]] = ord('"')  # the NULs between text and quote are dropped
+    quoted[:, 1:-1] = chars
+    return quoted
 
 
 def _token_cells(tokens: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -353,13 +391,17 @@ def _column_cells(columns: dict[str, Sequence], n: int, json_format: bool) -> li
         chars = _float_cells(np.concatenate([arrays[name] for name in floats],
                                             dtype=np.float64), spelling)
         for j, name in enumerate(floats):
-            column = chars[j * n:(j + 1) * n]
-            # the byte slots no value of this column uses
-            cells[name] = (column.take(np.flatnonzero(column.any(axis=0)), axis=1), None)
+            cells[name] = (chars[j * n:(j + 1) * n], None)
+    lone = len(arrays) == 1
     for name, a in arrays.items():
-        if name not in cells:
+        if name in cells:
+            continue
+        chars = _string_cells(columns[name], a, json_format, lone)
+        if chars is not None:
+            cells[name] = (chars, None)
+        else:
             tokens = (_json_tokens if json_format else _csv_tokens)(columns[name], a)
-            if len(arrays) == 1 and not json_format:
+            if lone and not json_format:
                 tokens = ['""' if t == "" else t for t in tokens]
             cells[name] = _token_cells(tokens)
     return [cells[name] for name in arrays]

@@ -9,7 +9,13 @@ follow by adding or subtracting the multiplier.  Digit removal takes
 a few masked steps over the whole block, then finishes on the values still
 active.  The text is laid out as ``repr`` lays it out: fixed notation for
 -4 < decpt <= 16 (``0.`` padding below one, ``.0`` after integers),
-otherwise ``d[.ddd]e±XX``.
+otherwise ``d[.ddd]e±XX``.  Each row holds its text packed from its first
+byte, built as three little-endian words with no Python object per value:
+the digits, split at the point by arithmetic so that a zero digit keeps its
+place, are spelled four at a time from a table, moved up past the head
+(``-``, ``0.``, ``0.000``) by one shift across the words, and or-ed into
+ASCII words looked up by sign, digit count and point position; the
+exponent is or-ed in on the values written with one.
 
 `parse_floats` reads decimal cells of a byte string as ``float`` reads them.
 Each cell's last 24 bytes (or its mantissa's, before an exponent) are taken
@@ -22,9 +28,9 @@ to 128 bits, and its second word only where the first leaves the kept bits
 open.  A cell outside that grammar, with more than 19 digits, subnormal,
 infinite or of an ambiguous product is flagged for ``float``.
 
-Integer operands are uint64 (or int64 indices kept apart from them), with
-explicit uint64 constants, so numpy 1.x value-based casting and numpy 2
-promotion give the same types.
+Integer operands are uint64 (or int64 indices and digit chunks kept apart
+from them), with explicit uint64 constants, so numpy 1.x value-based
+casting and numpy 2 promotion give the same types.
 """
 
 from __future__ import annotations
@@ -43,13 +49,16 @@ _HIDDEN = _U64(1 << 52)
 _ZERO, _POINT, _E, _PLUS, _MINUS = b"0.e+-"
 
 _BLOCK = 4096  # values per pass, so temporaries stay cache-sized
-# A row's slots: bytes 0-7 hold the sign, then "0." and the zeros of
-# 0.000ddd (or "inf", "nan"); bytes 8-41 the 17 digits, each followed by a
-# slot for the point; bytes 42-46 the exponent ("e-308").  Slots a value
-# does not use stay NUL.
-_WIDTH = 48
-_DIGITS = slice(4, 21)  # in 2-byte pairs
-_EXPONENT = 42
+# Both directions hold a text as three little-endian words, byte i in byte
+# i % 8 of word i // 8: 24 bytes, which is the longest repr
+# ("-2.2250738585072014e-308") and the most of a cell the parser reads
+_WINDOW = 24
+_INF_NAN = np.array([int.from_bytes(b"inf", "little"), int.from_bytes(b"nan", "little")],
+                    dtype=np.uint64)
+# A text's layout depends on its sign, its digit count n and the class of
+# its decimal point position decpt: -4 or less, each of -3..16, or 17 or more
+_CLASSES = 22
+_CLASS_KEYS = 34 * np.arange(_CLASSES)  # by decpt + 4, clipped
 
 
 class _Tables(NamedTuple):
@@ -62,9 +71,13 @@ class _Tables(NamedTuple):
     tiny: np.ndarray  # exponents whose q is at most 1 (values 2^50 to 2^54)
     hidden: np.ndarray  # the implicit leading mantissa bit
     pow10: np.ndarray  # 10^k, k <= 17
-    pairs: np.ndarray  # "d NUL d NUL d NUL d NUL" of 0..9999, then the same
-    # with trailing zeros as NUL, as 8-byte items
-    heads: np.ndarray  # bytes 0-7 of a row by `_format_block`'s head code
+    fours: np.ndarray  # the four digits of 0..9999 as byte values 0-9, the
+    # first lowest
+    layout: np.ndarray  # by `_layout`'s key: the ASCII words a text's digit
+    # bytes are or-ed into, its head shift in bits, its length and the
+    # divisor that splits the digits at its point
+    exponents: np.ndarray  # by decpt + 323: "e", the sign and the digits of
+    # decpt - 1 where repr writes them, as a little-endian word; else 0
 
 
 @cache
@@ -103,60 +116,105 @@ def _tables() -> _Tables:
     digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # of 0000..9999
     for place in range(4):
         shape = [10 if p == place else 1 for p in range(4)]
-        digits[..., place] = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8).reshape(shape)
-    digits = digits.reshape(10000, 4)
-    trailing = np.logical_and.accumulate(digits[:, ::-1] == _ZERO, axis=1)[:, ::-1]
-    pairs = np.zeros((2, 10000, 4, 2), dtype=np.uint8)
-    pairs[0, :, :, 0] = digits
-    pairs[1, :, :, 0] = np.where(trailing, 0, digits)
-
-    heads = np.zeros((14, 8), dtype=np.uint8)
-    for zeros in range(4):
-        heads[1 + zeros, 1:3 + zeros] = _ZERO
-        heads[1 + zeros, 2] = _POINT
-    heads[5, 1:4] = list(b"inf")
-    heads[6, 1:4] = list(b"nan")
-    heads[7:] = heads[:7]
-    heads[7:, 0] = _MINUS
+        digits[..., place] = np.arange(10, dtype=np.uint8).reshape(shape)
     return _Tables(low[row], high[row], (j - 65).astype(np.uint64),
                    np.where(big, q, q + e2), tz_mask, five, ~big & (q <= 1),
                    np.where(field == 0, _U64(0), _HIDDEN),
                    np.array([10 ** k for k in range(18)], dtype=np.uint64),
-                   pairs.reshape(20000, 8).view(np.uint64).ravel(),
-                   heads.view(np.uint64).ravel())
+                   digits.reshape(10000, 4).view("<u4").ravel().astype(np.uint64),
+                   _layouts(), _exponents())
+
+
+def _layouts() -> np.ndarray:
+    """`_Tables.layout`: column 34 c + 17 s + n - 1 for the decpt class c,
+    the sign s (1 for a minus) and the digit count n.
+
+    The digits go after a head (the sign, then "0." and the zeros of
+    0.000ddd), and a point goes after p of them: decpt of them in fixed
+    notation, one in exponent notation, none (p = 17) after "0.".
+    `_layout` splits the digits at p with the divisor 10^(17 - p), which
+    leaves a zero digit there for the point.
+    """
+    decpt = np.arange(_CLASSES)[:, None, None] - 4
+    sign = np.arange(2)[:, None]
+    n = np.arange(1, 18)
+    fixed, frac = (decpt >= 1) & (decpt <= 16), (decpt >= -3) & (decpt <= 0)
+    point = np.where(fixed, decpt, np.where(frac, 17, 1))
+    head = sign + np.where(frac, 2 - decpt, 0)
+    # the digit bytes kept: whole numbers end in ".0", and a single digit
+    # in exponent notation has no point
+    kept = np.where(fixed, np.maximum(decpt + 2, n + 1), n + (~frac & (n > 1)))
+    head, kept = np.broadcast_arrays(head, kept)
+    i = np.arange(_WINDOW)
+    text = np.where(i < head[..., None],
+                    np.where(i < sign[..., None], _MINUS,
+                             np.where(i == sign[..., None] + 1, _POINT, _ZERO)),
+                    np.where(i >= (head + kept)[..., None], 0,
+                             np.where(i == (head + point)[..., None], _POINT, _ZERO)))
+    words = text.astype(np.uint8).reshape(-1, _WINDOW).view("<u8").T.astype(np.uint64)
+    divisor = np.broadcast_to(np.array([10 ** (17 - p) for p in point.ravel()],
+                                       dtype=np.uint64)[:, None, None], head.shape)
+    return np.vstack([words, *(np.ravel(x).astype(np.uint64)
+                               for x in (8 * head, head + kept, divisor))])
+
+
+def _exponents() -> np.ndarray:
+    """`_Tables.exponents`: "e" and decpt - 1 as ``%+03d`` by decpt + 323,
+    for the decpt of exponent notation (0 elsewhere)."""
+    e = np.arange(-323, 310) - 1
+    mag = np.abs(e)
+    text = np.zeros((e.size, 8), dtype=np.uint8)
+    text[:, 0] = _E
+    text[:, 1] = np.where(e < 0, _MINUS, _PLUS)
+    three = mag >= 100
+    text[:, 2] = np.where(three, mag // 100, mag // 10) % 10 + _ZERO
+    text[:, 3] = np.where(three, mag // 10, mag) % 10 + _ZERO
+    text[:, 4] = np.where(three, mag % 10 + _ZERO, 0)
+    text[(e >= -4) & (e <= 15)] = 0  # fixed notation
+    return text.view("<u8").ravel().astype(np.uint64)
 
 
 def float_reprs(values) -> np.ndarray:
     """The ``repr`` of each value as a row of ASCII bytes.
 
     `values` is converted to float64 (so float16 and float32 widen as
-    ``.tolist()`` widens them).  Row i of the returned uint8 matrix, with its
-    zero bytes dropped, is ``repr(float(values[i]))``: the zeros are padding
-    and unused slots, such as the sign slot of a positive value.
+    ``.tolist()`` widens them).  Row i of the returned uint8 matrix is
+    ``repr(float(values[i]))`` from its first byte, then NUL padding; the
+    matrix is as wide as the longest of them, at most 24 bytes.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
-    out = np.zeros((bits.size, _WIDTH), dtype=np.uint8)
+    out = np.empty((bits.size, _WINDOW // 8), dtype="<u8")
+    width = 0
     for start in range(0, bits.size, _BLOCK):
-        _format_block(bits[start:start + _BLOCK], out[start:start + _BLOCK])
-    return out
+        block = slice(start, start + _BLOCK)
+        width = max(width, int(_format_block(bits[block], out[block]).max()))
+    return out.view(np.uint8)[:, :width]
 
 
-def _format_block(bits: np.ndarray, out: np.ndarray) -> None:
+def _format_block(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the repr text of each float64 of `bits` to its row of `out`, as
+    three words; return the texts' lengths."""
     exponent = (bits >> _U64(52)).astype(np.int64) & 0x7FF
     mantissa = bits & _MANTISSA
-    finite = exponent != 0x7FF
-    other = ~finite | ((bits << _ONE) == 0)
+    other = np.flatnonzero((exponent == 0x7FF) | ((bits << _ONE) == 0))
     # 0.1 + 0.2, whose digits need no long removal, stands in for zeros,
     # infinities and nan; then zero is 0 * 10^0, "0.0"
-    digits, exp10 = _shortest(np.where(other, _U64(0x3333333333334), mantissa),
-                              np.where(other, 1021, exponent))
+    mantissa[other] = 0x3333333333334
+    exponent[other] = 1021
+    digits, exp10 = _shortest(mantissa, exponent)
     digits[other] = 0
     exp10[other] = 0
-    head = _layout(digits, exp10, out)
-    negative = (bits >> _U64(63)).astype(bool) & (finite | (mantissa == 0))  # not nan
-    head = np.where(finite, head, np.where(mantissa == 0, 5, 6)) + 7 * negative
-    out.view(np.uint64)[:, 0] = _tables().heads[head]
-    out.view("<u2")[~finite, _DIGITS] = 0
+    negative = (bits >> _U64(63)).astype(bool)
+    bad = other[(bits[other] << _ONE) >= _U64(0xFFE0000000000000)]  # infinities, nan
+    nan = (bits[bad] & _MANTISSA) != 0
+    negative[bad[nan]] = False
+    length = _layout(digits, exp10, negative, out)
+    if bad.size:  # the sign, then "inf" or "nan"
+        sign = negative[bad].astype(np.uint64)
+        out[bad, 0] = _INF_NAN[nan.astype(np.intp)] << (sign << _U64(3)) | sign * _U64(_MINUS)
+        out[bad, 1:] = 0
+        length[bad] = 3 + sign
+    return length
 
 
 def _umul128(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray):
@@ -292,51 +350,62 @@ def _drop_digits(state: list, steps: tuple[int, ...]) -> None:
         removed += go * s
 
 
-def _layout(digits: np.ndarray, exp10: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the digits, point and exponent of each digits * 10^exp10 to its
-    zeroed row of `out`; return the row's head code (1 + the zeros of
-    0.000ddd, or 0)."""
-    t = _tables()
-    n = np.searchsorted(t.pow10[1:], digits, side="right") + 1
-    decpt = n + exp10
-    # the digits left-aligned in 17 places: the first, then four-digit chunks
-    norm = digits * t.pow10[17 - n]
-    head = norm // _U64(10 ** 8)
-    tail = norm - head * _U64(10 ** 8)
-    lead = head // _U64(10 ** 4)
-    d0 = lead // _U64(10 ** 4)
-    c3 = tail // _U64(10 ** 4)
-    c2 = head - lead * _U64(10 ** 4)
-    c4 = tail - c3 * _U64(10 ** 4)
-    # the digits are shortest, so the zeros after the last nonzero chunk are
-    # padding: those chunks come from the table half that drops trailing zeros
-    bare = _U64(10000)
-    chunks = np.stack([lead - d0 * _U64(10 ** 4) + bare * ((tail == 0) & (c2 == 0)),
-                       c2 + bare * (tail == 0), c3 + bare * (c4 == 0), c4 + bare], axis=1)
-    # each digit in the low byte of a little-endian pair, its point slot high
-    slots = out.view("<u2")[:, _DIGITS]
-    slots[:, 0] = d0.astype(np.uint16) + _ZERO
-    slots[:, 1:] = t.pairs[chunks].view("<u2")
+def _layout(digits: np.ndarray, exp10: np.ndarray, negative: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """Write the repr text of each digits * 10^exp10, with a minus sign where
+    `negative`, to its row of `out` as three words; return the lengths.
 
-    fixed = (decpt > 0) & (decpt <= 16)  # ddd.ddd
-    frac = (decpt > -4) & (decpt <= 0)  # 0.000ddd
-    sci = ~fixed & ~frac  # d.ddde-XX
-    whole = np.flatnonzero(fixed & (decpt >= n))
-    if whole.size:  # zeros up to the point, and one after it
-        padded = t.pairs[chunks[whole] % bare].view("<u2")
-        slots[whole, 1:] = np.where(np.arange(1, 17) <= decpt[whole, None], padded, 0)
-    point = np.flatnonzero(fixed | (n > 1) & sci)
-    slots[point, np.where(fixed, decpt - 1, 0)[point]] |= np.uint16(_POINT << 8)
-    sel = np.flatnonzero(sci)
-    if sel.size:
-        e = decpt[sel] - 1
-        mag = np.abs(e)
-        out[sel, _EXPONENT] = _E
-        out[sel, _EXPONENT + 1] = np.where(e < 0, _MINUS, _PLUS)
-        out[sel, _EXPONENT + 2] = np.where(mag >= 100, mag // 100 + _ZERO, 0)
-        out[sel, _EXPONENT + 3] = mag // 10 % 10 + _ZERO
-        out[sel, _EXPONENT + 4] = mag % 10 + _ZERO
-    return np.where(frac, 1 - decpt, 0)
+    The digits are split at the point by arithmetic: z has a zero digit
+    there.  Its 18 digits become byte values from the four-digit table,
+    move up past the head by a shift across the three words, and are or-ed
+    into the ASCII words of their layout, which hold the head, the point
+    and the "0" of each digit byte the text keeps.
+    """
+    t = _tables()
+    # the power of ten of the leading digit, floor(log10 digits): from
+    # floor(log2 digits), which the digits as a double give, and one
+    # comparison with the next power of ten
+    log2 = ((digits | _ONE).astype(np.float64).view(np.uint64) >> _U64(52)) - _U64(1023)
+    lead = log2 * _U64(1233) >> _U64(12)  # floor(log2 * log10 2)
+    lead = (lead + (digits >= t.pow10.take(lead + _ONE))).view(np.int64)
+    decpt = exp10 + lead + 1
+    key = _CLASS_KEYS.take(decpt + 4, mode="clip") + 17 * negative + lead
+    layout = t.layout.take(key, axis=1)
+    shift, length, divisor = layout[3], layout[4], layout[5]
+    # z: the digits left-aligned in 17 places, with a zero digit after the
+    # point's place, 18 in all
+    norm = digits * t.pow10.take(16 - lead)
+    z = (norm + norm // divisor * divisor * _U64(9)).view(np.int64)
+    # as byte values: z's first two digits, then four at a time
+    top = z // 10 ** 16
+    rest = z - top * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    a, c = high // 10 ** 4, low // 10 ** 4
+    fours = t.fours
+    d2, d6 = fours.take(a), fours.take(high - a * 10 ** 4)
+    d10, d14 = fours.take(c), fours.take(low - c * 10 ** 4)
+    w0 = fours.take(top) >> _U64(16) | d2 << _U64(16) | d6 << _U64(48)
+    w1 = d6 >> _U64(16) | d10 << _U64(16) | d14 << _U64(48)
+    w2 = d14 >> _U64(16)
+    # past the head: each word moves up, the top of the one before coming in
+    back = _U64(63) - shift
+    np.bitwise_or(w2 << shift | w1 >> back >> _ONE, layout[2], out=out[:, 2])
+    np.bitwise_or(w1 << shift | w0 >> back >> _ONE, layout[1], out=out[:, 1])
+    np.bitwise_or(w0 << shift, layout[0], out=out[:, 0])
+
+    sel = np.flatnonzero((decpt < -3) | (decpt > 16))
+    if sel.size:  # the exponent after the mantissa, in one word or two
+        word = t.exponents.take(decpt[sel] + 323)
+        end = length[sel]
+        at = (sel * 3).astype(np.uint64) + (end >> _U64(3))
+        bit = (end & _U64(7)) << _U64(3)
+        words = out.reshape(-1)
+        words[at] |= word << bit
+        # the next word, where the exponent does not start in the last
+        words[at + (end < _U64(16))] |= word >> (_U64(63) - bit) >> _ONE
+        length[sel] = end + _U64(4) + (word > _LOW32)
+    return length
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +421,6 @@ _PAIRS = _U64(0x000000FF000000FF)
 _MUL1 = _U64(100 + (10 ** 6 << 32))
 _MUL2 = _U64(1 + (10 ** 4 << 32))
 _E_LOWER = 0x20  # or-ed into a byte, turns "E" into "e"
-_WINDOW = 24  # bytes of a cell the kernel reads: its last, or its mantissa's
 _CELLS = 2 * _BLOCK  # cells per pass, so their words stay cache-sized
 # _BEFORE[k, i]: the bytes of word k that come before byte i of a window
 _BEFORE = np.array([[(1 << 8 * min(max(i - 8 * k, 0), 8)) - 1 for i in range(_WINDOW + 1)]

@@ -53,14 +53,17 @@ class MonthDate:
         return cls(int(m.group(1)), int(m.group(2)))
 
 
+_LAST_MONTH = MonthDate(9999, 12)
+
+
 @dataclass(frozen=True)
 class MonthlySeries:
     """Contiguous monthly real-valued series starting at `start`.
 
-    Index t corresponds to the calendar month ``start + t``.  Values are a
-    read-only float array; NaN marks a missing entry.  Infinities are
-    rejected so that "finite unless explicitly missing" holds by
-    construction.
+    Index t corresponds to the calendar month ``start + t``, so the series
+    ends by 9999-12.  Values are a read-only float array; NaN marks a
+    missing entry.  Infinities are rejected so that "finite unless
+    explicitly missing" holds by construction.
     """
 
     start: MonthDate
@@ -72,6 +75,8 @@ class MonthlySeries:
             raise ValueError("values must be one-dimensional")
         if np.isinf(arr).any():
             raise ValueError("non-finite (infinite) value in series")
+        if self.start.months_until(_LAST_MONTH) < arr.size - 1:
+            raise ValueError(f"{arr.size} months from {self.start} run past {_LAST_MONTH}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -161,10 +161,11 @@ def test_bom_prefixed_panel_reads_the_same(tmp_path, recession_sim):
 
 
 def test_dates_cross_year_boundaries():
-    assert _dates(MonthDate(1999, 11), 4) == ["1999-11", "1999-12", "2000-01", "2000-02"]
-    assert _dates(MonthDate(2000, 5), 0) == []
-    assert _dates(MonthDate(2000, 5), 30) == [str(MonthDate(2000, 5).shift(t))
-                                              for t in range(30)]
+    assert _dates(MonthDate(1999, 11), 4).tolist() == ["1999-11", "1999-12", "2000-01",
+                                                       "2000-02"]
+    assert _dates(MonthDate(2000, 5), 0).tolist() == []
+    for start, n in [(MonthDate(2000, 5), 30), (MonthDate(0, 1), 14), (MonthDate(9998, 2), 23)]:
+        assert _dates(start, n).tolist() == [str(start.shift(t)) for t in range(n)]
 
 
 def test_blank_rows_are_skipped_but_counted_in_line_numbers(tmp_path):
@@ -328,6 +329,22 @@ def tables(draw):
     return columns
 
 
+def stress_table():
+    """24,000 rows past the writer's 1 MB row blocks: a date array, then
+    seven float columns with NaN, -inf, subnormal and negative values."""
+    rng = np.random.default_rng(24000)
+    n = 24_000
+    values = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-25, 25, (7, n))
+    values[0, ::97] = np.nan
+    values[1, ::101] = -np.inf
+    values[2, ::89] = 5e-324 * rng.integers(1, 2 ** 52, n)[::89]
+    values[3] = -np.abs(values[3])
+    values[4] = np.round(values[4], 3)  # short reprs, and whole numbers
+    values[5] = rng.uniform(0.04, 0.1, n)
+    return {"date": _dates(MonthDate(1900, 1), n),
+            **{f"v{k}": values[k] for k in range(7)}}
+
+
 class TestWriteTableMatchesRecordWriter:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(columns=tables())
@@ -353,9 +370,20 @@ class TestWriteTableMatchesRecordWriter:
         {"date": [f"{2000 + t // 12}-{t % 12 + 1:02d}" for t in range(500)],
          "u": np.linspace(0.04, 0.1, 500), "gap": [None, *range(499)],
          "v": np.where(np.arange(500) % 7 == 0, np.nan, np.arange(500) / 3)},
+        stress_table(),
+        {"x": [float("-inf"), 0.5]},
+        {"x": [float("nan")]},
+        {"date": [str(MonthDate(1999, 11).shift(t)) for t in range(14)],
+         "x": np.arange(14.0)},
+        {"date": _dates(MonthDate(1999, 11), 14), "x": np.arange(14.0)},
+        {"s": np.array(["a,b", 'q"', "x\ny", "\r", "caf\u00e9", "", "ok", "a\\b",
+                        "\x7f", "tab\t"])},
+        {"s": np.array(["", "a"]), "x": [1.0, 2.0]},
     ], ids=["one-column-nan", "one-column-empty-string", "empty-name", "zero-rows",
             "zero-rows-two-columns", "edge-floats", "percent-keys", "one-row",
-            "one-column", "500-rows"])
+            "one-column", "500-rows", "24000-rows", "minus-infinity-beside-short",
+            "lone-nan", "date-list", "date-array", "string-array-to-quote",
+            "string-array-with-empty"])
     def test_named_cases(self, tmp_path, columns):
         for suffix in ("csv", "json"):
             write_table(tmp_path / f"got.{suffix}", columns)
@@ -366,7 +394,8 @@ class TestWriteTableMatchesRecordWriter:
     @pytest.mark.parametrize("columns", [
         {"s": ["a\0", "a\0\0", "\0b", ""]},
         {"s": ["a\0", "a\0\0", "\0b", ""], "x": [0.5, 1.0, float("nan"), 2.0]},
-    ], ids=["one-column", "with-floats"])
+        {"s": np.array(["a\0b", "c", "\0d", ""]), "x": [0.5, 1.0, float("nan"), 2.0]},
+    ], ids=["one-column", "with-floats", "string-array"])
     def test_nul_characters_in_strings_are_kept(self, tmp_path, columns):
         # numpy's string arrays drop trailing NULs, so the cells come from
         # the given strings

@@ -56,6 +56,16 @@ class TestFloatReprs:
     def test_same_as_repr(self, values):
         assert_same_as_repr(values)
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(values=float_arrays())
+    def test_rows_are_packed(self, values):
+        # each row is its text from the first byte, then NULs, and the
+        # matrix is as wide as the longest text
+        chars = float_reprs(values)
+        lengths = np.count_nonzero(chars, axis=1)
+        assert ((chars != 0) == (np.arange(chars.shape[1]) < lengths[:, None])).all()
+        assert chars.shape[1] == lengths.max()
+
     def test_sweep(self):
         powers = 2.0 ** np.arange(-1074, 1024)
         tens = np.array([float(f"1e{k}") for k in range(-323, 309)])

@@ -61,6 +61,12 @@ class TestMonthDate:
         with pytest.raises(ValueError):
             series([1.0, np.inf])
 
+    def test_series_ends_by_9999_12(self):
+        # so write_panel never spells a year past 9999
+        assert MonthlySeries(MonthDate(9999, 12), [0.1]).end == MonthDate(9999, 12)
+        with pytest.raises(ValueError, match="2 months from 9999-12 run past 9999-12"):
+            MonthlySeries(MonthDate(9999, 12), [0.1, 0.2])
+
 
 class TestMovingAverage:
     def test_constant_series_unchanged(self):
