@@ -1,17 +1,19 @@
 """Float64 arrays to and from decimal text, computed with array code.
 
 `float_reprs` writes each value's ``float.__repr__`` text.  The digits come
-from Ryū's shortest round-trip search (Adams, "Ryū: fast float-to-string
-conversion", PLDI 2018), run on uint64 arrays.  Each value's 64 x 128-bit
-product with the 125-bit power-of-five multiplier is built from 32-bit
-limbs: one 192-bit product per value, from which the two interval bounds
-follow by adding or subtracting the multiplier.  Digit removal takes
-a few masked steps over the whole block, then finishes on the values still
-active.  The text is laid out as ``repr`` lays it out: fixed notation for
--4 < decpt <= 16 (``0.`` padding below one, ``.0`` after integers),
-otherwise ``d[.ddd]e±XX``.  Each row holds its text packed from its first
-byte, built as three little-endian words with no Python object per value:
-the digits, split at the point by arithmetic so that a zero digit keeps its
+from Schubfach's shortest round-trip search (Giulietti, "The Schubfach way
+to render doubles", 2020), run on uint64 arrays.  A value c 2^q is scaled
+once by a fixed 126-bit multiple g of 10^-k: one 64 x 126-bit product,
+rounded to odd, gives 4 v / 10^k, and the two interval bounds follow from
+it by adding or subtracting g shifted, with no more multiplies.  The
+shortest digits are then s = floor(v / 10^k), s + 1, or one of the
+multiples of ten next to s, by comparisons with the bounds; only values
+whose digits end in zeros take a few steps more to remove them.  The text
+is laid out as ``repr`` lays it out: fixed notation for -4 < decpt <= 16
+(``0.`` padding below one, ``.0`` after integers), otherwise
+``d[.ddd]e±XX``.  Each row holds its text packed from its first byte,
+built as three little-endian words with no Python object per value: the
+digits, split at the point by arithmetic so that a zero digit keeps its
 place, are spelled four at a time from a table, moved up past the head
 (``-``, ``0.``, ``0.000``) by one shift across the words, and or-ed into
 ASCII words looked up by sign, digit count and point position; the
@@ -46,6 +48,7 @@ _TEN = _U64(10)
 _LOW32 = _U64(0xFFFFFFFF)
 _MANTISSA = _U64((1 << 52) - 1)
 _HIDDEN = _U64(1 << 52)
+_LOW63 = _U64((1 << 63) - 1)
 _ZERO, _POINT, _E, _PLUS, _MINUS = b"0.e+-"
 
 _BLOCK = 4096  # values per pass, so temporaries stay cache-sized
@@ -62,14 +65,15 @@ _CLASS_KEYS = 34 * np.arange(_CLASSES)  # by decpt + 4, clipped
 
 
 class _Tables(NamedTuple):
-    low: np.ndarray  # per biased exponent: Ryū's 125-bit multiplier, low word
-    high: np.ndarray  # its high word
-    dist: np.ndarray  # shift of the product's upper two words to vr and vp
-    exp10: np.ndarray  # decimal exponent of vr before digit removal
-    tz_mask: np.ndarray  # low bits of 4 m2 that must be zero for vr to be exact
-    five: np.ndarray  # 5^q where 4 m2 * 2^e2 / 10^q may be exact, else 0
-    tiny: np.ndarray  # exponents whose q is at most 1 (values 2^50 to 2^54)
-    hidden: np.ndarray  # the implicit leading mantissa bit
+    g1: np.ndarray  # by `_shortest`'s row: Schubfach's 126-bit g, high 63 bits
+    g0: np.ndarray  # its low 63 bits
+    centre: np.ndarray  # h + 2, which shifts c to the centre's 4c << h
+    right: np.ndarray  # h + 1: the right bound's (4c + 2) << h is the centre's
+    # plus 1 << right
+    left: np.ndarray  # h + 1, or h with a closer lower neighbour: the left
+    # bound's (4c - 2) << h or (4c - 1) << h is the centre's less 1 << left
+    k: np.ndarray  # the decimal exponent of s
+    hidden: np.ndarray  # per biased exponent: the implicit leading mantissa bit
     pow10: np.ndarray  # 10^k, k <= 17
     fours: np.ndarray  # the four digits of 0..9999 as byte values 0-9, the
     # first lowest
@@ -84,42 +88,41 @@ class _Tables(NamedTuple):
 def _tables() -> _Tables:
     """The lookup tables, built on first use.
 
-    Ryū's multipliers are floor(2^(bitlen(5^q) + 124) / 5^q) + 1 for e2 >= 0
-    and 5^i scaled to exactly 125 bits for e2 < 0; everything that depends
-    only on the exponent is looked up by the biased exponent field.
+    A row of `_shortest` is a biased exponent field, plus 2048 where the
+    value has a closer lower neighbour (a zero mantissa field above 1).  Its
+    entries follow from the value's q (v = c 2^q): k = floor(q log10 2), or
+    floor(log10(3/4 2^q)) with the closer neighbour, h = q + floor(-k log2
+    10) + 2, and g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1
+    (Giulietti 2020), which is built once for each k from -324 to 292.
     """
-    words = []
-    for q in range(292):
-        p = 5 ** q
-        words.append((1 << (p.bit_length() + 124)) // p + 1)
-    for i in range(326):
-        p = 5 ** i
-        shift = p.bit_length() - 125
-        words.append(p >> shift if shift >= 0 else p << -shift)
-    low = np.array([w & 0xFFFFFFFFFFFFFFFF for w in words], dtype=np.uint64)
-    high = np.array([w >> 64 for w in words], dtype=np.uint64)
+    g = []
+    for k in range(-324, 293):
+        p = 10 ** abs(k)
+        if k <= 0:  # 10^-k << 125 - floor(log2 10^-k), or >> where that is negative
+            shift = 126 - p.bit_length()
+            g.append((p << shift if shift >= 0 else p >> -shift) + 1)
+        else:  # floor(log2 10^-k) is -bitlen(10^k)
+            g.append((1 << (125 + p.bit_length())) // p + 1)
+    g1 = np.array([x >> 63 for x in g], dtype=np.uint64)
+    g0 = np.array([x & 0x7FFFFFFFFFFFFFFF for x in g], dtype=np.uint64)
 
-    field = np.arange(2048)
-    e2 = np.maximum(field, 1) - 1077
-    big = e2 >= 0
-    q = np.where(big, (e2 * 78913 >> 18) - (e2 > 3),  # floor(e2 log10 2), -e2 log10 5
-                 (-e2 * 732923 >> 20) - (-e2 > 1))
-    i = np.maximum(-e2 - q, 0)
-    bits5 = lambda x: (x * 1217359 >> 19) + 1  # noqa: E731 - bit length of 5^x
-    row = np.where(big, q, 292 + i)
-    j = np.where(big, q - e2 + 124 + bits5(q), q - bits5(i) + 125)
-    mask = np.left_shift(_ONE, np.minimum(q, 63).astype(np.uint64)) - _ONE
-    tz_mask = np.where(big | (q >= 63), ~_U64(0), np.where(q <= 1, _U64(0), mask))
-    pow5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)
-    five = np.where(big & (q <= 21), pow5[np.minimum(q, 21)], _U64(0))
+    row = np.arange(4096)
+    field = row & 2047
+    q = np.maximum(field, 1) - 1075
+    closer = row >> 11
+    # floor(q log10 2) or floor(log10(3/4 2^q)), and floor(-k log2 10), in
+    # Giulietti's fixed point
+    k = (q * 661_971_961_083 - closer * 274_743_187_321) >> 41
+    h = q + (-k * 913_124_641_741 >> 38) + 2
+    i = k + 324
 
     digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # of 0000..9999
     for place in range(4):
         shape = [10 if p == place else 1 for p in range(4)]
         digits[..., place] = np.arange(10, dtype=np.uint8).reshape(shape)
-    return _Tables(low[row], high[row], (j - 65).astype(np.uint64),
-                   np.where(big, q, q + e2), tz_mask, five, ~big & (q <= 1),
-                   np.where(field == 0, _U64(0), _HIDDEN),
+    return _Tables(g1[i], g0[i], (h + 2).astype(np.uint64), (h + 1).astype(np.uint64),
+                   (h + 1 - closer).astype(np.uint64), k,
+                   np.where(field[:2048] == 0, _U64(0), _HIDDEN),
                    np.array([10 ** k for k in range(18)], dtype=np.uint64),
                    digits.reshape(10000, 4).view("<u4").ravel().astype(np.uint64),
                    _layouts(), _exponents())
@@ -197,8 +200,9 @@ def _format_block(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     exponent = (bits >> _U64(52)).astype(np.int64) & 0x7FF
     mantissa = bits & _MANTISSA
     other = np.flatnonzero((exponent == 0x7FF) | ((bits << _ONE) == 0))
-    # 0.1 + 0.2, whose digits need no long removal, stands in for zeros,
-    # infinities and nan; then zero is 0 * 10^0, "0.0"
+    # 0.1 + 0.2, whose 17 digits end in a 4 and so take no trailing-zero
+    # steps, stands in for zeros, infinities and nan; then zero is 0 * 10^0,
+    # "0.0"
     mantissa[other] = 0x3333333333334
     exponent[other] = 1021
     digits, exp10 = _shortest(mantissa, exponent)
@@ -231,123 +235,74 @@ def _umul128(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray):
     return (mid2 << _U64(32)) | (lo_lo & _LOW32), high
 
 
-def _shift_right(mid: np.ndarray, high: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """floor((high * 2^64 + mid) / 2^dist) for 0 < dist < 64."""
-    return (high << (_U64(64) - dist)) | (mid >> dist)
+def _rop(x1: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """floor(g * cp / 2^127), rounded to odd, from x1, the high word of
+    g0 * cp, and y1:y0, g1 * cp; with g = g1 2^63 + g0 (Giulietti's rop).
 
-
-def _interval(m2: np.ndarray, exponent: np.ndarray, mm_shift: np.ndarray):
-    """Ryū's vr, vp and vm: 4 m2, 4 m2 + 2 and 4 m2 - 1 - mm_shift times
-    2^e2 / 10^e10, rounded down.
-
-    With B the multiplier and P = 2 m2 B in three words, vr = P >> (j - 1),
-    vp = (P + B) >> (j - 1) and vm = (2P - (1 + mm_shift) B) >> j, where
-    the table's dist is j - 65.
+    The low word of g0 * cp is ignored, as Giulietti ignores it: taking the
+    odd bit from the full product breaks ties that ``repr`` keeps.
     """
-    t = _tables()
-    b0, b1, dist = t.low[exponent], t.high[exponent], t.dist[exponent]
-    a = m2 << _ONE
-    a_lo, a_hi = a & _LOW32, a >> _U64(32)
-    lo, carry = _umul128(a_lo, a_hi, b0)
-    mid, hi = _umul128(a_lo, a_hi, b1)
-    mid += carry
-    hi += mid < carry
-    vr = _shift_right(mid, hi, dist)
+    z = (y0 >> _ONE) + x1
+    return (y1 + (z >> _U64(63))) | ((z & _LOW63) + _LOW63) >> _U64(63)
 
-    lo_p = lo + b0
-    mid_p = mid + (b1 + (lo_p < lo))
-    vp = _shift_right(mid_p, hi + (mid_p < mid), dist)
 
-    s = mm_shift.astype(np.uint64)
-    c0 = b0 << s
-    c1 = (b1 << s) | ((b0 >> _U64(63)) & s)
-    lo2 = lo << _ONE
-    mid2 = (mid << _ONE) | (lo >> _U64(63))
-    hi2 = (hi << _ONE) | (mid >> _U64(63))
-    lo_m = lo2 - c0
-    mid_m = mid2 - (c1 + (lo_m > lo2))
-    vm = _shift_right(mid_m, hi2 - (mid_m > mid2), dist + _ONE)
-    return vr, vp, vm
+def _offset(lo: np.ndarray, hi: np.ndarray, g: np.ndarray, n: np.ndarray,
+            sign: int):
+    """hi:lo plus `sign` times g << n, as two words, for 0 < n < 64."""
+    g_lo, g_hi = g << n, g >> (_U64(64) - n)
+    if sign > 0:
+        lo_n = lo + g_lo
+        return lo_n, hi + g_hi + (lo_n < lo)
+    lo_n = lo - g_lo
+    return lo_n, hi - g_hi - (lo_n > lo)
 
 
 def _shortest(mantissa: np.ndarray, exponent: np.ndarray):
-    """Ryū's shortest decimal (digits, exp10), digits * 10^exp10, of the
-    nonzero finite doubles with these IEEE mantissa and biased exponent
-    fields."""
+    """Schubfach's shortest decimal (digits, exp10), digits * 10^exp10, of
+    the nonzero finite doubles with these IEEE mantissa and biased exponent
+    fields, as ``repr`` chooses it: the closest of the shortest, ties to an
+    even last digit."""
     t = _tables()
-    m2 = mantissa | t.hidden[exponent]
-    even = (m2 & _ONE) == 0
-    mm_shift = (mantissa != 0) | (exponent <= 1)  # a closer lower neighbour
-    mv = m2 << _U64(2)
-    vr, vp, vm = _interval(m2, exponent, mm_shift)
+    c = mantissa | t.hidden[exponent]
+    # int64 before the shift, as numpy 1.x keeps a bool << 11 in 8 bits
+    row = exponent | ((mantissa == 0) & (exponent > 1)).astype(np.int64) << 11
+    g0, g1 = t.g0[row], t.g1[row]
+    # vb, vbr and vbl: the value and its interval's bounds, (4c, 4c + 2 and
+    # 4c - 2 or 4c - 1) 2^q, over 10^k and times 4
+    cp = c << t.centre[row]
+    cp_lo, cp_hi = cp & _LOW32, cp >> _U64(32)
+    x0, x1 = _umul128(cp_lo, cp_hi, g0)
+    y0, y1 = _umul128(cp_lo, cp_hi, g1)
+    vb = _rop(x1, y0, y1)
+    right, left = t.right[row], t.left[row]
+    vbr = _rop(_offset(x0, x1, g0, right, 1)[1], *_offset(y0, y1, g1, right, 1))
+    vbl = _rop(_offset(x0, x1, g0, left, -1)[1], *_offset(y0, y1, g1, left, -1))
 
-    # exactness of the discarded digits, where the product can be exact
-    vr_tz = (mv & t.tz_mask[exponent]) == 0
-    vm_tz = np.zeros(mv.size, dtype=bool)
-    sel = np.flatnonzero(t.five[exponent])
-    if sel.size:
-        mvs, p5 = mv[sel], t.five[exponent[sel]]
-        by5 = mvs % _U64(5) == 0
-        vr_tz[sel] = by5 & (mvs % p5 == 0)
-        vm_tz[sel] = ~by5 & even[sel] & ((mvs - _ONE - mm_shift[sel]) % p5 == 0)
-        vp[sel] -= ~by5 & ~even[sel] & ((mvs + _U64(2)) % p5 == 0)
-    sel = np.flatnonzero(t.tiny[exponent])
-    if sel.size:
-        vm_tz[sel] = even[sel] & mm_shift[sel]
-        vp[sel] -= ~even[sel]
+    out = c & _ONE  # an odd c's interval leaves out its ends, which round to even
+    s = vb >> _U64(2)
+    # a multiple of ten, one digit shorter, where one of those next to s is
+    # in the interval: tried for every s >= 10, as repr wants the shortest
+    sp10 = s // _TEN * _TEN
+    upin = vbl + out <= sp10 << _U64(2)
+    wpin = (sp10 << _U64(2)) + _U64(40) + out <= vbr
+    shorter = (s >= _TEN) & (upin != wpin)
+    # else s or s + 1: the one in the interval, or the closer, ties to even
+    s4 = s << _U64(2)
+    up = (vbl + out > s4) | (s4 + _U64(4) + out <= vbr) & (vb > s4 + _U64(2) - (s & _ONE))
+    digits = np.where(shorter, np.where(upin, sp10, sp10 + _TEN), s + up)
+    exp10 = t.k[row]
 
-    # drop digits while the interval still holds a shorter number
-    removed = np.zeros(mv.size, dtype=np.int64)
-    last = np.zeros(mv.size, dtype=np.uint64)
-    state = [vr, vp, vm, vr_tz, vm_tz, last, removed]
-    _drop_digits(state, (2, 1))
-    more = np.flatnonzero(vp // _TEN > vm // _TEN)
-    if more.size:
-        part = [x[more] for x in state]
-        _drop_digits(part, (16, 8, 4, 2, 1))
-        for x, y in zip(state, part):
-            x[more] = y
-    # with the lower bound in the interval, its trailing zeros go too
-    active = np.flatnonzero(vm_tz)
-    while active.size:
-        vm_d = vm[active] // _TEN
-        keep = vm[active] - vm_d * _TEN == 0
-        active, vm_d = active[keep], vm_d[keep]
-        vr_a = vr[active]
-        vr_d = vr_a // _TEN
-        vr_tz[active] &= last[active] == 0
-        last[active] = vr_a - vr_d * _TEN
-        vr[active], vp[active], vm[active] = vr_d, vp[active] // _TEN, vm_d
-        removed[active] += 1
-    # round half to even when the exact value ends in 5 0...0
-    tie = vr_tz & (last == _U64(5)) & ((vr & _ONE) == 0)
-    up = ((vr == vm) & (~even | ~vm_tz)) | ((last >= _U64(5)) & ~tie)
-    return vr + up, t.exp10[exponent] + removed
-
-
-def _drop_digits(state: list, steps: tuple[int, ...]) -> None:
-    """Ryū's digit-removal loop on `state` (vr, vp, vm, vr_tz, vm_tz, last,
-    removed), in place, taking the steps largest first.
-
-    Dropping s digits at once is s single steps, as the single-step test
-    (vp / 10 > vm / 10) holds for every smaller count where it holds for s.
-    """
-    vr, vp, vm, vr_tz, vm_tz, last, removed = state
-    track = vr_tz.any() or vm_tz.any()
-    for s in steps:
-        power, below = _U64(10 ** s), _U64(10 ** (s - 1))
-        vp_s, vm_s = vp // power, vm // power
-        go = vp_s > vm_s
-        vr_q = vr // below if s > 1 else vr
-        vr_s = vr_q // _TEN
-        if track:  # the dropped digits, but the last, are zeros
-            vr_tz &= ~go | ((last == 0) & (vr == vr_q * below))
-            vm_tz &= ~go | (vm == vm_s * power)
-        np.copyto(last, vr_q - vr_s * _TEN, where=go)
-        np.copyto(vr, vr_s, where=go)
-        np.copyto(vp, vp_s, where=go)
-        np.copyto(vm, vm_s, where=go)
-        removed += go * s
+    sel = np.flatnonzero(digits % _TEN == 0)
+    if sel.size:  # the trailing zeros, largest steps first
+        d, e = digits[sel], exp10[sel]
+        for n in (16, 8, 4, 2, 1):
+            power = _U64(10 ** n)
+            d_n = d // power
+            go = d_n * power == d
+            np.copyto(d, d_n, where=go)
+            e += go * n
+        digits[sel], exp10[sel] = d, e
+    return digits, exp10
 
 
 def _layout(digits: np.ndarray, exp10: np.ndarray, negative: np.ndarray,

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -699,3 +700,37 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs a cold process about 20 ms to import, and numpy loads
+    # it lazily, on first use of a function such as np.unique
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = textwrap.dedent("""\
+        import json, sys
+        import numpy
+        before = "numpy.ma" in sys.modules
+        from beveridge_accounting.cli import main
+        panel, panel3 = "panel/panel.csv", "panel3/panel.csv"
+        runs = [["simulate", "--horizon", "240", "--du-amplitude", "0.001",
+                 "--output-dir", "panel"],
+                ["simulate", "--three-state", "--horizon", "240", "--output-dir", "panel3"],
+                *([command, "--input", panel, "--format", fmt,
+                   "--output-dir", f"{command}-{fmt}"]
+                  for command in ("estimate", "shifters", "decompose", "efficiency")
+                  for fmt in ("csv", "json")),
+                ["three-state", "--input", panel3, "--output-dir", "three-state"]]
+        loaded_by = None
+        for argv in runs:
+            assert main(argv) == 0, argv
+            if loaded_by is None and "numpy.ma" in sys.modules:
+                loaded_by = argv
+        print(json.dumps({"before": before, "loaded_by": loaded_by}))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True, timeout=120)
+    result = json.loads(out.stdout.splitlines()[-1])
+    if result["before"]:
+        pytest.skip("import numpy loads numpy.ma itself")
+    assert result["loaded_by"] is None

@@ -36,6 +36,8 @@ EXACT_OR_SWITCHING = st.one_of(
     # quarters near 1e15, whose 16 shortest digits can tie: ...2.25 -> ...2.2
     st.integers(2 ** 50, 2 ** 53).map(lambda k: k / 4),
     st.integers(-1074, 1023).map(lambda k: 2.0 ** k),  # a closer lower neighbour
+    # subnormals whose shortest may be one digit less than s, as in the sweep
+    st.integers(1, 4095).map(lambda t: t * 5e-324),
     st.floats(1e-6, 1e-3), st.floats(1e14, 1e18))  # around 1e-4 and 1e16
 
 
@@ -74,9 +76,14 @@ class TestFloatReprs:
                                np.nextafter(edges, -np.inf)], axis=None)
         integers = [float(2 ** 53 - 1), float(2 ** 53 + 1),
                     *(float(10 ** k - 1) for k in range(1, 24))]
+        # every subnormal of mantissa field below 2^12: s of one to five
+        # digits, every s of two digits among them, where repr may take the
+        # multiple of ten one digit shorter (6e-323, not 5.9e-323)
+        tiny = np.arange(1, 2 ** 12, dtype=np.uint64).view(np.float64)
         rng = np.random.default_rng(20181)
         bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64, endpoint=False)
-        assert_same_as_repr(np.concatenate([near, integers, bits.view(np.float64)]))
+        assert_same_as_repr(np.concatenate([near, integers, tiny, -tiny,
+                                            bits.view(np.float64)]))
 
     def test_layout_switches(self):
         # fixed notation for -4 < decpt <= 16, the exponent outside it
