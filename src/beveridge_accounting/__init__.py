@@ -10,12 +10,12 @@ three-state), and computes the slope-dependent efficient unemployment rate.
 from .csvio import SchemaError, read_panel, require_columns, write_panel
 from .curve import (ApproximationPoint, InfeasibleMonthWarning,
                     ThreeStateApproximationPoint, ThreeStateLoglinear, exact_vacancies,
-                    loglinear_slope, loglinear_vacancies, shifter_paths,
-                    steady_state_curve, three_state_exact_vacancies,
-                    three_state_loglinear, two_state_loglinear)
+                    loglinear_slope, shifter_paths, steady_state_curve,
+                    three_state_exact_vacancies, three_state_loglinear,
+                    two_state_loglinear)
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
-                         ms_calibration, steep_calibration, unemployment_gap)
+                         unemployment_gap)
 from .flows_three_state import (RakingError, RakingReport, ThreeStatePanel,
                                 build_three_state_panel, rake_transition_rates,
                                 relative_search_intensity, total_hires)

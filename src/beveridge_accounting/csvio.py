@@ -14,8 +14,8 @@ is read by `csv.reader` one row at a time, each row checked as it is read,
 so the first fault in the file is the one reported.  Emission works a
 column at a time too: it spells every float column of a table in one
 :func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__`` with
-no Python string per cell, its rows packed and only as wide as the longest
-text.  A numpy string column of ASCII text that needs no quoting or
+no Python string per cell, its rows packed and each column cut to its own
+longest text.  A numpy string column of ASCII text that needs no quoting or
 escaping (such as the dates, built as words by the same arithmetic that
 checks them on ingest) becomes cells by one cast of its code points to
 bytes; any other column is turned into string tokens once.  Rows are then
@@ -320,15 +320,16 @@ def _json_tokens(column: Sequence, a: np.ndarray) -> list[str]:
     return ["null" if x is None or x != x else json.dumps(x) for x in a.tolist()]
 
 
-def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]) -> np.ndarray:
+def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The cells of float values: one row of bytes each, the text from its
     first byte and NUL padding after it, with nan, inf and -inf spelled as
-    given."""
+    given; and each text's length."""
     # imported here, so importing the package (for --help, say) compiles
     # and runs none of the kernel
     from .floatrepr import float_reprs
 
-    chars = float_reprs(values)
+    chars, lengths = float_reprs(values)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         width = max(chars.shape[1], *map(len, spelling))
@@ -338,8 +339,10 @@ def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]) -> np
         for row, text in zip(spelled, spelling):
             row[:len(text)] = list(text)
         v = values[bad]
-        chars[bad] = spelled[np.where(np.isnan(v), 0, np.where(v > 0, 1, 2))]
-    return chars
+        kind = np.where(np.isnan(v), 0, np.where(v > 0, 1, 2))
+        chars[bad] = spelled[kind]
+        lengths[bad] = np.array(list(map(len, spelling)))[kind]
+    return chars, lengths
 
 
 def _string_cells(column: Sequence, a: np.ndarray, json_format: bool,
@@ -379,7 +382,8 @@ def _token_cells(tokens: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _column_cells(columns: dict[str, Sequence], n: int, json_format: bool) -> list:
     """Each column's cells for `_write_rows`; every float column goes
-    through one `float_reprs` call, widened to float64."""
+    through one `float_reprs` call, widened to float64, and is cut to its
+    own longest text."""
     arrays = {name: np.asarray(column) for name, column in columns.items()}
     floats = [name for name, a in arrays.items() if a.dtype.kind == "f"]
     cells = {}
@@ -388,10 +392,11 @@ def _column_cells(columns: dict[str, Sequence], n: int, json_format: bool) -> li
             spelling = (b"null", b"Infinity", b"-Infinity")
         else:  # csv quotes a row that is one empty cell
             spelling = (b'""' if len(arrays) == 1 else b"", b"inf", b"-inf")
-        chars = _float_cells(np.concatenate([arrays[name] for name in floats],
-                                            dtype=np.float64), spelling)
+        chars, lengths = _float_cells(np.concatenate([arrays[name] for name in floats],
+                                                     dtype=np.float64), spelling)
         for j, name in enumerate(floats):
-            cells[name] = (chars[j * n:(j + 1) * n], None)
+            rows = slice(j * n, (j + 1) * n)
+            cells[name] = (chars[rows, :lengths[rows].max()], None)
     lone = len(arrays) == 1
     for name, a in arrays.items():
         if name in cells:

@@ -162,35 +162,35 @@ def _vacancy_identity(S, N_tilde, x, dS_next, dN_next, sigma, alpha):
 
 
 def _exact_vacancies(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySeries,
-                     sigma: MonthlySeries, alpha: float, warn: bool) -> MonthlySeries:
+                     sigma: MonthlySeries, alpha: float) -> MonthlySeries:
     """The identity month by month; the last month is missing.  Months whose
     inputs are all observed but whose numerator is nonpositive are missing
-    too, and named in an InfeasibleMonthWarning when `warn`."""
+    too, and named in an InfeasibleMonthWarning."""
     require_aligned(S, N_tilde, x, sigma)
     ds, dnt = delta(S).values, delta(N_tilde).values
     out = _vacancy_identity(S.values, N_tilde.values, x.values, ds, dnt,
                             sigma.values, alpha)
-    if warn:
-        inputs = (S.values, N_tilde.values, x.values, ds, dnt, sigma.values)
-        infeasible = ~np.isnan(np.vstack(inputs)).any(axis=0) & np.isnan(out)
-        if infeasible.any():
-            months = ", ".join(str(S.start.shift(int(t)))
-                               for t in np.flatnonzero(infeasible))
-            warnings.warn(f"infeasible counterfactual (nonpositive numerator) "
-                          f"at {months}", InfeasibleMonthWarning, stacklevel=3)
+    inputs = (S.values, N_tilde.values, x.values, ds, dnt, sigma.values)
+    infeasible = ~np.isnan(np.vstack(inputs)).any(axis=0) & np.isnan(out)
+    if infeasible.any():
+        months = ", ".join(str(S.start.shift(int(t)))
+                           for t in np.flatnonzero(infeasible))
+        warnings.warn(f"infeasible counterfactual (nonpositive numerator) "
+                      f"at {months}", InfeasibleMonthWarning, stacklevel=3)
     return S.with_values(out)
 
 
 def exact_vacancies(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-                    alpha: float, warn: bool = True) -> MonthlySeries:
+                    alpha: float) -> MonthlySeries:
     """Exact vacancy identity month by month: the three-state identity at
     N_tilde = 0, S = U, x = s.  The last month is missing.
 
-    Months with a nonpositive numerator are marked missing (and flagged with
-    InfeasibleMonthWarning when `warn`); all other months are computed.
+    Months with a nonpositive numerator are marked missing and named in an
+    InfeasibleMonthWarning, which a caller that expects them filters; all
+    other months are computed.  No command calls this: it is the reference
+    the decompositions are tested against.
     """
-    return _exact_vacancies(U, U.with_values(np.zeros(len(U))), s, sigma, alpha,
-                            warn)
+    return _exact_vacancies(U, U.with_values(np.zeros(len(U))), s, sigma, alpha)
 
 
 def steady_state_curve(u_grid, point: ApproximationPoint) -> list[tuple[float, float]]:
@@ -206,13 +206,12 @@ def steady_state_curve(u_grid, point: ApproximationPoint) -> list[tuple[float, f
 
 
 def three_state_exact_vacancies(panel: ThreeStatePanel, alpha: float,
-                                sigma: MonthlySeries,
-                                warn: bool = True) -> MonthlySeries:
+                                sigma: MonthlySeries) -> MonthlySeries:
     """Searcher-based exact vacancy identity:
 
         V_t = [ ((1-S-N_tilde) x - dS' - dN_tilde') / (sigma S^(1-alpha)) ]^(1/alpha)
     """
-    return _exact_vacancies(panel.S, panel.N_tilde, panel.x, sigma, alpha, warn)
+    return _exact_vacancies(panel.S, panel.N_tilde, panel.x, sigma, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +322,6 @@ def two_state_loglinear(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries
     zero, missing at the last month like every dynamics term."""
     return _loglinear_expansion(U, U.with_values(np.zeros(len(U))), s, sigma,
                                 _as_three_state(point))
-
-
-def loglinear_vacancies(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-                        point: ApproximationPoint) -> MonthlySeries:
-    """Log vacancy rate from the first-order expansion; missing where any
-    input (or the successor month) is missing."""
-    return two_state_loglinear(U, s, sigma, point).total
 
 
 def three_state_loglinear(panel: ThreeStatePanel, sigma: MonthlySeries,

@@ -31,7 +31,7 @@ from .series import MonthlySeries, require_aligned
 MS_VACANCY_COST = 0.92
 MS_UNEMPLOYMENT_COST = 0.74
 MS_ELASTICITY = 0.9
-STEEP_ELASTICITY = 2.33
+STEEP_ELASTICITY = 2.33  # (1 - alpha) / alpha at alpha = 0.3
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,6 @@ class EfficiencyCalibration:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def ms_calibration() -> EfficiencyCalibration:
-    """The flatter-curve calibration (elasticity 0.9)."""
-    return EfficiencyCalibration(beveridge_elasticity=MS_ELASTICITY)
-
-
-def steep_calibration() -> EfficiencyCalibration:
-    """The steeper-curve calibration (elasticity 2.33, i.e. (1-alpha)/alpha
-    at alpha = 0.3)."""
-    return EfficiencyCalibration(beveridge_elasticity=STEEP_ELASTICITY)
 
 
 def efficient_unemployment(u: MonthlySeries, v: MonthlySeries,

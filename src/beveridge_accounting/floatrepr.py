@@ -177,8 +177,8 @@ def _exponents() -> np.ndarray:
     return text.view("<u8").ravel().astype(np.uint64)
 
 
-def float_reprs(values) -> np.ndarray:
-    """The ``repr`` of each value as a row of ASCII bytes.
+def float_reprs(values) -> tuple[np.ndarray, np.ndarray]:
+    """The ``repr`` of each value as a row of ASCII bytes, and its length.
 
     `values` is converted to float64 (so float16 and float32 widen as
     ``.tolist()`` widens them).  Row i of the returned uint8 matrix is
@@ -187,11 +187,11 @@ def float_reprs(values) -> np.ndarray:
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
     out = np.empty((bits.size, _WINDOW // 8), dtype="<u8")
-    width = 0
+    lengths = np.empty(bits.size, dtype=np.int64)
     for start in range(0, bits.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        width = max(width, int(_format_block(bits[block], out[block]).max()))
-    return out.view(np.uint8)[:, :width]
+        lengths[block] = _format_block(bits[block], out[block])
+    return out.view(np.uint8)[:, :lengths.max(initial=0)], lengths
 
 
 def _format_block(bits: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -103,17 +103,6 @@ class MonthlySeries:
                            f"[{self.start}, {self.end}]")
         return t
 
-    def at(self, month: MonthDate) -> float:
-        """Value for a covered month (possibly NaN); KeyError outside coverage."""
-        return float(self.values[self.index_of(month)])
-
-    def window(self, first: MonthDate, last: MonthDate) -> "MonthlySeries":
-        """Inclusive calendar slice; both endpoints must be covered."""
-        i, j = self.index_of(first), self.index_of(last)
-        if j < i:
-            raise ValueError(f"window end {last} precedes start {first}")
-        return MonthlySeries(first, self.values[i:j + 1])
-
     def with_values(self, values: Iterable[float]) -> "MonthlySeries":
         """A new series on the same calendar grid."""
         arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,

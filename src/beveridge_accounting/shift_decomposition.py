@@ -138,10 +138,6 @@ class SwingSamples:
         """The kept downswing months, one per matched point."""
         return tuple(self.grid_start.shift(int(t)) for t in self.down_index)
 
-    @property
-    def up_months(self) -> tuple[MonthDate, ...]:
-        return tuple(self.grid_start.shift(int(t)) for t in self.up_index)
-
     def _check_grid(self, series: MonthlySeries) -> None:
         if series.start != self.grid_start or len(series) != self.grid_len:
             raise ValueError("series is not on the samples' calendar grid")

@@ -56,11 +56,11 @@ def _require_unit_vacancies(v: np.ndarray, start: MonthDate) -> None:
 class SimulationSpec:
     """Planted two-state configuration.
 
-    Either `delta_u_path` (length horizon - 1; vacancies chosen from the
-    identity) or `v_path` (length horizon; unemployment evolved by the law
-    of motion) drives the dynamics; a zero delta-u path is the default.
-    Optional lognormal noise multiplies the planted efficiency path so the
-    matching regression has mean-zero log residuals by construction.
+    `delta_u_path` (length horizon - 1, zero by default) drives the
+    dynamics: unemployment is u0 plus its running sum, and vacancies are
+    chosen from the identity.  Optional lognormal noise multiplies the
+    planted efficiency path so the matching regression has mean-zero log
+    residuals by construction.
     """
 
     alpha: float
@@ -69,7 +69,6 @@ class SimulationSpec:
     s_path: np.ndarray | float
     sigma_path: np.ndarray | float
     delta_u_path: np.ndarray | None = None
-    v_path: np.ndarray | None = None
     noise_std: float = 0.0
     seed: int = 0
     start: MonthDate = field(default_factory=lambda: MonthDate(2000, 1))
@@ -84,8 +83,6 @@ class SimulationSpec:
         _require_calendar(self.start, self.horizon)
         if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be non-negative")
-        if self.delta_u_path is not None and self.v_path is not None:
-            raise ValueError("specify delta_u_path or v_path, not both")
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,8 @@ class TwoStateSimulation:
 
 
 def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
-    """Generate a two-state panel consistent with the model by construction."""
+    """Generate a two-state panel consistent with the model by construction;
+    ValueError names the first month where U or the planted V is invalid."""
     n = spec.horizon
     s = _as_path(spec.s_path, n, "s_path")
     sigma = _as_path(spec.sigma_path, n, "sigma_path")
@@ -108,36 +106,26 @@ def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
         rng = np.random.default_rng(spec.seed)
         sigma = sigma * np.exp(rng.normal(0.0, spec.noise_std, size=n))
 
-    u = np.empty(n)
-    v = np.empty(n)
-    f = np.empty(n)
-    u[0] = spec.u0
-    if spec.v_path is not None:
-        v = _as_path(spec.v_path, n, "v_path")
-        for t in range(n):
-            f[t] = sigma[t] * (v[t] / u[t]) ** spec.alpha
-            if t < n - 1:
-                u[t + 1] = u[t] + s[t] * (1.0 - u[t]) - f[t] * u[t]
-                if not 0.0 < u[t + 1] < 1.0:
-                    raise ValueError(f"unemployment left (0, 1) at "
-                                     f"{spec.start.shift(t + 1)}: {float(u[t + 1])!r}")
-    else:
-        du = spec.delta_u_path
-        du = np.zeros(n - 1) if du is None else np.asarray(du, dtype=float)
-        if du.shape != (n - 1,):
-            raise ValueError(f"delta_u_path must have length {n - 1}")
-        for t in range(n - 1):
-            u[t + 1] = u[t] + du[t]
-            if not 0.0 < u[t + 1] < 1.0:
-                raise ValueError(f"unemployment left (0, 1) at "
-                                 f"{spec.start.shift(t + 1)}: {float(u[t + 1])!r}")
-        du_next = np.append(du, 0.0)  # last month: steady-state continuation
-        v = _vacancy_identity(u, 0.0, s, du_next, 0.0, sigma, spec.alpha)
-        if np.isnan(v).any():
-            t = int(np.flatnonzero(np.isnan(v))[0])
-            raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
-                             "separation inflow cannot cover the unemployment change")
-        f = sigma * (v / u) ** spec.alpha
+    du = spec.delta_u_path
+    du = np.zeros(n - 1) if du is None else np.asarray(du, dtype=float)
+    if du.shape != (n - 1,):
+        raise ValueError(f"delta_u_path must have length {n - 1}")
+    # added in month order, as a loop would; past the first month outside
+    # (0, 1) the sum may overflow, and only that month is reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.add.accumulate(np.append(spec.u0, du))
+        outside = ~((u > 0.0) & (u < 1.0))
+    if outside.any():
+        t = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"unemployment left (0, 1) at {spec.start.shift(t)}: "
+                         f"{float(u[t])!r}")
+    du_next = np.append(du, 0.0)  # last month: steady-state continuation
+    v = _vacancy_identity(u, 0.0, s, du_next, 0.0, sigma, spec.alpha)
+    if np.isnan(v).any():
+        t = int(np.flatnonzero(np.isnan(v))[0])
+        raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
+                         "separation inflow cannot cover the unemployment change")
+    f = sigma * (v / u) ** spec.alpha
 
     _require_unit_vacancies(v, spec.start)
 

@@ -271,8 +271,10 @@ def test_criterion_9_efficiency_exercise():
     cols = _load_real_panel()
     u = ba.moving_average(cols["u_rate"], 3)
     v = ba.moving_average(cols["v_rate"], 3)
-    flat = ba.efficient_unemployment(u, v, ba.ms_calibration())
-    steep = ba.efficient_unemployment(u, v, ba.steep_calibration())
+    flat = ba.efficient_unemployment(
+        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.MS_ELASTICITY))
+    steep = ba.efficient_unemployment(
+        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.STEEP_ELASTICITY))
     defined = ~np.isnan(flat.values)
     assert (steep.values[defined] > flat.values[defined]).all()
     assert steep.values[defined].min() > 0.035

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from beveridge_accounting import (MonthDate, MonthlySeries, floatrepr, read_panel,
                                   write_panel)
 from beveridge_accounting.cli import main
-from beveridge_accounting.csvio import (SchemaError, _dates, _read_plain, require_columns,
-                                        write_table)
+from beveridge_accounting.csvio import (SchemaError, _column_cells, _dates, _read_plain,
+                                        require_columns, write_table)
 from beveridge_accounting.floatrepr import _BLOCK, parse_floats
 
 MIXED = {"x": np.array([np.nan, 0.1 + 0.2, -0.0, 1e-300]),
@@ -415,6 +415,17 @@ class TestWriteTableMatchesRecordWriter:
             writer.writerows(zip(*[["" if v != v else v for v in c]
                                    for c in columns.values()]))
             assert got == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("json_format, widths", [(False, [3, 19, 4, 0]),
+                                                     (True, [3, 19, 9, 4])])
+    def test_each_float_column_is_as_wide_as_its_longest_text(self, json_format,
+                                                              widths):
+        # nan, inf and -inf take their spelled lengths: CSV's empty cell,
+        # JSON's null and -Infinity
+        columns = {"a": [1.0, 2.5], "b": [0.1 + 0.2, 1.0], "c": [0.5, -math.inf],
+                   "d": [math.nan, math.nan]}
+        cells = _column_cells(columns, 2, json_format)
+        assert [chars.shape[1] for chars, mask in cells] == widths
 
     def test_one_column_missing_cell_is_quoted(self, tmp_path):
         write_table(tmp_path / "t.csv", {"x": [float("nan"), 2.0]})

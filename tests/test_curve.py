@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (ApproximationPoint, MonthDate, MonthlySeries,
                                   ThreeStateApproximationPoint, ThreeStatePanel,
-                                  exact_vacancies, loglinear_slope,
-                                  loglinear_vacancies, shifter_paths,
+                                  exact_vacancies, loglinear_slope, shifter_paths,
                                   steady_state_curve, three_state_exact_vacancies,
                                   three_state_loglinear, tightness,
                                   two_state_loglinear)
@@ -236,8 +235,8 @@ def taylor_paths(point, level_band, step_band, n=160, seed=0):
 
 def max_taylor_error(point, level_band, step_band, seed):
     u, s, sg = taylor_paths(point, level_band, step_band, seed=seed)
-    exact = exact_vacancies(u, s, sg, point.alpha, warn=False)
-    approx = loglinear_vacancies(u, s, sg, point)
+    exact = exact_vacancies(u, s, sg, point.alpha)
+    approx = two_state_loglinear(u, s, sg, point).total
     with np.errstate(invalid="ignore"):
         gap = np.abs(np.log(exact.values) - approx.values)
     return np.nanmax(gap)
@@ -248,7 +247,7 @@ class TestTaylorAccuracy:
         u = series(np.full(3, POINT.U_bar))
         s = series(np.full(3, POINT.s_bar))
         sg = series(np.full(3, POINT.sigma_bar))
-        approx = loglinear_vacancies(u, s, sg, POINT)
+        approx = two_state_loglinear(u, s, sg, POINT).total
         np.testing.assert_allclose(approx.values[:-1], math.log(POINT.V_bar),
                                    rtol=1e-14)
 
@@ -281,9 +280,10 @@ class TestShifterPaths:
         point = recession_pipeline["point"]
         ref = MonthDate(2007, 4)
         paths = two_state_shifters(panel.U, panel.s, sigma, point, ref)
-        assert paths["searcher_dynamics"].at(ref) == 0.0
-        assert paths["separations"].at(ref) == 0.0
-        assert paths["matching"].at(ref) == 0.0
+        t = panel.U.index_of(ref)
+        assert paths["searcher_dynamics"].values[t] == 0.0
+        assert paths["separations"].values[t] == 0.0
+        assert paths["matching"].values[t] == 0.0
         total = (paths["searcher_dynamics"].values + paths["separations"].values
                  + paths["matching"].values)
         np.testing.assert_array_equal(paths["net"].values, total)
@@ -329,7 +329,7 @@ class TestShifterPaths:
         point = recession_pipeline["point"]
         ref = MonthDate(2007, 4)
         paths = two_state_shifters(panel.U, panel.s, sigma, point, ref)
-        loglin = loglinear_vacancies(panel.U, panel.s, sigma, point)
+        loglin = two_state_loglinear(panel.U, panel.s, sigma, point).total
         curve_part = (math.log(point.V_bar) + loglinear_slope(point)
                       * (np.log(panel.U.values) - math.log(point.U_bar)))
         raw_net = loglin.values - curve_part
@@ -432,9 +432,8 @@ class TestThreeState:
             en=zeros, ue=series(np.full(n, 0.25)), un=zeros, ne=zeros, nu=zeros)
         sigma = series(sigma_path)
 
-        exact3 = three_state_exact_vacancies(panel, alpha, sigma, warn=False)
-        exact2 = exact_vacancies(series(u), series(np.full(n, s)), sigma, alpha,
-                                 warn=False)
+        exact3 = three_state_exact_vacancies(panel, alpha, sigma)
+        exact2 = exact_vacancies(series(u), series(np.full(n, s)), sigma, alpha)
         np.testing.assert_allclose(exact3.values, exact2.values, rtol=1e-12)
 
         u_bar, sigma_bar = float(u.mean()), float(sigma_path.mean())
@@ -444,7 +443,7 @@ class TestThreeState:
                                 alpha=alpha)
         assert p3.V_0 == pytest.approx(p2.V_bar, rel=1e-12)
         ll3 = three_state_loglinear(panel, sigma, p3).total
-        ll2 = loglinear_vacancies(series(u), series(np.full(n, s)), sigma, p2)
+        ll2 = two_state_loglinear(series(u), series(np.full(n, s)), sigma, p2).total
         assert not np.isnan(ll2.values[:-1]).any()
         np.testing.assert_allclose(ll3.values, ll2.values, rtol=1e-12)
 

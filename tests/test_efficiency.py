@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from beveridge_accounting import (EfficiencyCalibration, MonthDate, MonthlySeries,
-                                  efficient_unemployment, ms_calibration,
-                                  steep_calibration, unemployment_gap)
+from beveridge_accounting import (MS_ELASTICITY, STEEP_ELASTICITY, EfficiencyCalibration,
+                                  MonthDate, MonthlySeries, efficient_unemployment,
+                                  unemployment_gap)
 
 START = MonthDate(2000, 1)
+FLAT = EfficiencyCalibration(beveridge_elasticity=MS_ELASTICITY)
+STEEP = EfficiencyCalibration(beveridge_elasticity=STEEP_ELASTICITY)
 
 
 def series(values):
@@ -62,8 +64,8 @@ class TestFormulaContract:
         rng = np.random.default_rng(1)
         u = series(rng.uniform(0.035, 0.10, 60))
         v = series(rng.uniform(0.02, 0.05, 60))
-        flat = efficient_unemployment(u, v, ms_calibration())
-        steep = efficient_unemployment(u, v, steep_calibration())
+        flat = efficient_unemployment(u, v, FLAT)
+        steep = efficient_unemployment(u, v, STEEP)
         assert (steep.values > flat.values).all()
 
     def test_validation(self):
@@ -77,8 +79,7 @@ class TestFormulaContract:
             with pytest.raises(ValueError, match="positive"):
                 EfficiencyCalibration(**bad)
         with pytest.raises(ValueError, match="positive"):
-            efficient_unemployment(series([0.0]), series([0.03]),
-                                   ms_calibration())
+            efficient_unemployment(series([0.0]), series([0.03]), FLAT)
 
     @pytest.mark.parametrize("name", ["beveridge_elasticity", "vacancy_cost",
                                       "unemployment_cost"])
@@ -99,14 +100,12 @@ class TestGap:
     def test_gap_decreasing_in_elasticity(self):
         u = series(np.full(5, 0.07))
         v = series(np.full(5, 0.03))
-        gap_flat = unemployment_gap(u, efficient_unemployment(u, v,
-                                                              ms_calibration()))
-        gap_steep = unemployment_gap(u, efficient_unemployment(u, v,
-                                                               steep_calibration()))
+        gap_flat = unemployment_gap(u, efficient_unemployment(u, v, FLAT))
+        gap_steep = unemployment_gap(u, efficient_unemployment(u, v, STEEP))
         assert (gap_steep.values < gap_flat.values).all()
 
     def test_nan_propagates(self):
         u = series([0.05, np.nan])
         v = series([0.03, 0.03])
-        out = efficient_unemployment(u, v, ms_calibration())
+        out = efficient_unemployment(u, v, FLAT)
         assert np.isnan(out.values[1]) and not np.isnan(out.values[0])

@@ -16,9 +16,9 @@ from beveridge_accounting.floatrepr import _BLOCK, _CELLS, float_reprs, parse_fl
 
 def tokens(values) -> list[str]:
     """Each row of `float_reprs`, its NUL slots dropped, as text."""
-    chars = float_reprs(values)
+    chars, lengths = float_reprs(values)
     text = chars[chars != 0].tobytes().decode("ascii")
-    ends = np.cumsum(np.count_nonzero(chars, axis=1)).tolist()
+    ends = np.cumsum(lengths).tolist()
     return [text[start:end] for start, end in zip([0, *ends], ends)]
 
 
@@ -61,10 +61,9 @@ class TestFloatReprs:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(values=float_arrays())
     def test_rows_are_packed(self, values):
-        # each row is its text from the first byte, then NULs, and the
-        # matrix is as wide as the longest text
-        chars = float_reprs(values)
-        lengths = np.count_nonzero(chars, axis=1)
+        # each row is its text from the first byte, then NULs, the length
+        # returned is the text's, and the matrix is as wide as the longest
+        chars, lengths = float_reprs(values)
         assert ((chars != 0) == (np.arange(chars.shape[1]) < lengths[:, None])).all()
         assert chars.shape[1] == lengths.max()
 
@@ -94,7 +93,8 @@ class TestFloatReprs:
 
     def test_non_finite_and_empty(self):
         assert tokens([np.nan, -np.nan, np.inf, -np.inf]) == ["nan", "nan", "inf", "-inf"]
-        assert float_reprs(np.array([])).shape[0] == 0
+        chars, lengths = float_reprs(np.array([]))
+        assert chars.shape[0] == lengths.size == 0
 
 
 # ---------------------------------------------------------------------------

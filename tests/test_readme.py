@@ -42,6 +42,7 @@ def test_library_sketch_runs(tmp_path, monkeypatch):
     paths = scope["paths"]
     assert list(paths) == ["searcher_dynamics", "separations", "matching", "net"]
     ref = MonthDate(2007, 4)
-    assert all(series.at(ref) == 0.0 for series in paths.values())
+    t = scope["panel"].U.index_of(ref)
+    assert all(series.values[t] == 0.0 for series in paths.values())
     assert len(scope["loglin"].months) > 0
     assert len(scope["table"].rows) == 6

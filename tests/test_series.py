@@ -207,11 +207,3 @@ def test_delta_forward_difference():
     assert out.values[0] == 3.0 and out.values[1] == 5.0
     assert np.isnan(out.values[2])
 
-
-def test_window_slicing():
-    s = series(np.arange(12.0))
-    w = s.window(MonthDate(2000, 3), MonthDate(2000, 5))
-    assert w.start == MonthDate(2000, 3)
-    assert w.values.tolist() == [2.0, 3.0, 4.0]
-    with pytest.raises(KeyError):
-        s.window(MonthDate(1999, 1), MonthDate(2000, 5))

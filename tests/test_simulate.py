@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beveridge_accounting as ba
 from beveridge_accounting import (MonthDate, SimulationSpec, exact_vacancies,
@@ -11,6 +14,40 @@ from beveridge_accounting.flows_three_state import RATE_NAMES
 from conftest import make_three_state_steady
 
 START = MonthDate(2000, 1)
+
+
+def loop_unemployment(u0, du, start):
+    """U by the law of motion, one month at a time; ValueError naming the
+    first month outside (0, 1), as `simulate_two_state` reports it."""
+    u = np.empty(len(du) + 1)
+    u[0] = u0
+    for t in range(len(du)):
+        u[t + 1] = u[t] + du[t]
+        if not 0.0 < u[t + 1] < 1.0:
+            raise ValueError(f"unemployment left (0, 1) at {start.shift(t + 1)}: "
+                             f"{float(u[t + 1])!r}")
+    return u
+
+
+SMALL_STEPS = st.floats(-1e-3, 1e-3)
+# each of these leaves (0, 1) from any u in it, or is nan
+LEAVING_STEPS = st.one_of(st.sampled_from([1.0, -1.0, 1e308, -1e308, np.inf, -np.inf,
+                                           np.nan]),
+                          st.floats(1.0, 1e308).flatmap(lambda x: st.sampled_from([x, -x])))
+
+
+@st.composite
+def unemployment_paths(draw):
+    """(u0, delta-u path, whether it leaves (0, 1)).  A kept path stays in
+    [0.05, 0.55]; a leaving one has a step that leaves (0, 1) wherever U is,
+    after steps that may leave first and before steps that may overflow."""
+    if draw(st.booleans()):
+        return (draw(st.floats(0.2, 0.4)),
+                draw(st.lists(SMALL_STEPS, min_size=1, max_size=150)), False)
+    u0 = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    before = draw(st.lists(st.one_of(SMALL_STEPS, st.floats(-2.0, 2.0)), max_size=40))
+    after = draw(st.lists(st.one_of(SMALL_STEPS, LEAVING_STEPS), max_size=40))
+    return u0, [*before, draw(LEAVING_STEPS), *after], True
 
 
 class TestTwoStateSimulation:
@@ -51,15 +88,6 @@ class TestTwoStateSimulation:
         assert est.alpha == pytest.approx(0.3, abs=1e-10)
         assert est.ln_sigma_bar == pytest.approx(math.log(0.36), abs=1e-10)
 
-    def test_planted_v_path_mode(self):
-        v_path = np.linspace(0.028, 0.035, 36)
-        spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=36, s_path=0.02,
-                              sigma_path=0.36, v_path=v_path)
-        sim = simulate_two_state(spec)
-        np.testing.assert_array_equal(sim.panel.V.values, v_path)
-        np.testing.assert_allclose(sim.panel.f.values[:-1],
-                                   sim.f_true.values[:-1], atol=1e-14)
-
     def test_efficiency_break_moves_matching_shifter(self):
         n = 60
         sigma_path = np.full(n, 0.36)
@@ -94,16 +122,33 @@ class TestTwoStateSimulation:
                               sigma_path=0.36, delta_u_path=du)
         with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-0[0-9]"):
             simulate_two_state(spec)
-        # both driving modes name the month and print the value as a plain float
+        # the month is named and the value printed as a plain float
         with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-02: -0\.0") as exc:
             simulate_two_state(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
                                               sigma_path=0.36,
                                               delta_u_path=np.array([-0.06, 0.0])))
         assert "np.float64" not in str(exc.value)
-        with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-02: -") as exc:
-            simulate_two_state(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
-                                              sigma_path=5.0, v_path=np.full(3, 0.5)))
-        assert "np.float64" not in str(exc.value)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(unemployment_paths())
+    def test_unemployment_path_matches_per_month_loop(self, drawn):
+        # bit for bit where U stays in (0, 1), the same text where it leaves,
+        # and no RuntimeWarning from the months past the first one outside
+        u0, du, leaves = drawn
+        spec = SimulationSpec(alpha=0.3, u0=u0, horizon=len(du) + 1, s_path=0.02,
+                              sigma_path=1000.0, delta_u_path=np.array(du))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if leaves:
+                with pytest.raises(ValueError) as want:
+                    loop_unemployment(u0, du, START)
+                with pytest.raises(ValueError) as got:
+                    simulate_two_state(spec)
+                assert str(got.value) == str(want.value)
+            else:
+                got = simulate_two_state(spec).panel.U.values
+                want = loop_unemployment(u0, du, START)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_vacancies_outside_unit_interval_rejected(self):
         # a low efficiency from 2000-07 on needs a vacancy rate above one
@@ -115,18 +160,8 @@ class TestTwoStateSimulation:
                            r"at 2000-07: \d") as exc:
             simulate_two_state(spec)
         assert "np.float64" not in str(exc.value)
-        # both driving modes: a planted vacancy path of zero from 2000-02 on
-        with pytest.raises(ValueError, match=r"planted vacancies left \(0, 1\) "
-                           r"at 2000-02: 0\.0$"):
-            simulate_two_state(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
-                                              sigma_path=0.36,
-                                              v_path=np.array([0.03, 0.0, 0.0])))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="not both"):
-            SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02,
-                           sigma_path=0.36, delta_u_path=np.zeros(11),
-                           v_path=np.full(12, 0.03))
         for noise in (-0.1, np.nan):
             with pytest.raises(ValueError, match="noise_std"):
                 SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02,
@@ -190,7 +225,7 @@ class TestThreeStateSimulation:
         np.testing.assert_allclose(two.s.values[:-1], 0.02, rtol=1e-12)
 
         sigma = sim.sigma_true
-        v2 = exact_vacancies(sim.panel.U, two.s, sigma, 0.3, warn=False)
+        v2 = exact_vacancies(sim.panel.U, two.s, sigma, 0.3)
         np.testing.assert_allclose(v2.values[:-1], sim.V.values[:-1], rtol=1e-12)
 
     def test_vacancies_outside_unit_interval_rejected(self):
