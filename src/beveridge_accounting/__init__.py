@@ -21,7 +21,7 @@ from .flows_three_state import (RakingError, RakingReport, ThreeStatePanel,
                                 relative_search_intensity, total_hires)
 from .flows_two_state import (ProbabilityRangeWarning, TwoStatePanel,
                               build_two_state_panel, implied_separation_probability,
-                              job_finding_probability, unemployment_path)
+                              job_finding_probability)
 from .matching import (DEFAULT_ALPHA, MatchingEstimate, estimate_matching,
                        matching_efficiency_path, searcher_finding_rate, tightness)
 from .series import (MonthDate, MonthlySeries, delta, delta_log, moving_average,

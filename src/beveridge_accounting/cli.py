@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvio import (_dates, _json_safe, read_panel, require_columns, write_panel,
-                    write_table)
+from .csvio import _json_safe, read_panel, require_columns, write_panel, write_table
 from .curve import (ApproximationPoint, ThreeStateApproximationPoint, shifter_paths,
                     three_state_loglinear, two_state_loglinear)
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
@@ -217,8 +216,8 @@ def _approx_point(args: argparse.Namespace, panel,
         if any(v is None for v in overrides):
             raise ConfigError("--u-bar, --s-bar and --sigma-bar must be "
                               "given together")
-        point = ApproximationPoint(U_bar=args.u_bar, s_bar=args.s_bar,
-                                   sigma_bar=args.sigma_bar, alpha=args.alpha)
+        point = _from_flags(ApproximationPoint, U_bar=args.u_bar, s_bar=args.s_bar,
+                            sigma_bar=args.sigma_bar, alpha=args.alpha)
         info = {"approx_window": "overridden"}
     else:
         window = _resolve_approx_window(args, panel.U)
@@ -284,12 +283,11 @@ def cmd_shifters(args: argparse.Namespace) -> int:
         log_v = np.log(panel.V.values)
 
     path = _output_path(args, "shifters")
-    outputs = {path.name: write_table(path, {
-        "date": _dates(panel.U.start, len(panel.U)), "u_rate": panel.U.values,
-        "log_v_observed": log_v, "log_v_loglinear": loglin.total.values,
-        "dynamics": paths["searcher_dynamics"].values,
-        "separations": paths["separations"].values,
-        "matching": paths["matching"].values, "net": paths["net"].values})}
+    outputs = {path.name: write_panel(path, {
+        "u_rate": panel.U, "log_v_observed": panel.V.with_values(log_v),
+        "log_v_loglinear": loglin.total, "dynamics": paths["searcher_dynamics"],
+        "separations": paths["separations"], "matching": paths["matching"],
+        "net": paths["net"]})}
     _write_manifest(args, outputs, notes)
     return EXIT_OK
 
@@ -367,10 +365,8 @@ def cmd_three_state(args: argparse.Namespace) -> int:
     paths = shifter_paths(loglin, args.reference)
 
     path = _output_path(args, "three_state_shifters")
-    outputs = {path.name: write_table(path, {
-        "date": _dates(panel.S.start, len(panel.S)), "searchers": panel.S.values,
-        "log_v_loglinear": loglin.total.values,
-        **{name: series.values for name, series in paths.items()}})}
+    outputs = {path.name: write_panel(path, {
+        "searchers": panel.S, "log_v_loglinear": loglin.total, **paths})}
     _write_manifest(args, outputs, notes)
     return EXIT_OK
 
@@ -381,18 +377,18 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
     costs = {"vacancy_cost": args.vacancy_cost,
              "unemployment_cost": args.unemployment_cost}
-    cal_ms = EfficiencyCalibration(beveridge_elasticity=args.ms_elasticity, **costs)
-    cal_steep = EfficiencyCalibration(beveridge_elasticity=args.steep_elasticity,
-                                      **costs)
+    cal_ms = _from_flags(EfficiencyCalibration, beveridge_elasticity=args.ms_elasticity,
+                         **costs)
+    cal_steep = _from_flags(EfficiencyCalibration,
+                            beveridge_elasticity=args.steep_elasticity, **costs)
     u_star_ms = efficient_unemployment(u, v, cal_ms)
     u_star_steep = efficient_unemployment(u, v, cal_steep)
 
     path = _output_path(args, "efficiency")
-    outputs = {path.name: write_table(path, {
-        "date": _dates(u.start, len(u)), "u_rate": u.values,
-        "u_star_ms": u_star_ms.values, "u_star_steep": u_star_steep.values,
-        "gap_ms": unemployment_gap(u, u_star_ms).values,
-        "gap_steep": unemployment_gap(u, u_star_steep).values})}
+    outputs = {path.name: write_panel(path, {
+        "u_rate": u, "u_star_ms": u_star_ms, "u_star_steep": u_star_steep,
+        "gap_ms": unemployment_gap(u, u_star_ms),
+        "gap_steep": unemployment_gap(u, u_star_steep)})}
     _write_manifest(args, outputs, {})
     return EXIT_OK
 

@@ -72,9 +72,8 @@ class ApproximationPoint:
                              f"got {self.sigma_bar}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        v = _vacancy_identity(self.U_bar, 0.0, self.s_bar, 0.0, 0.0,
-                              self.sigma_bar, self.alpha)
-        object.__setattr__(self, "V_bar", float(v))
+        object.__setattr__(self, "V_bar", _implied_vacancies(
+            "V_bar", self.U_bar, 0.0, self.s_bar, self.sigma_bar, self.alpha))
 
     @classmethod
     def from_series(cls, U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
@@ -110,9 +109,8 @@ class ThreeStateApproximationPoint:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        v = _vacancy_identity(self.S_0, self.N_tilde_0, self.x_0, 0.0, 0.0,
-                              self.sigma_0, self.alpha)
-        object.__setattr__(self, "V_0", float(v))
+        object.__setattr__(self, "V_0", _implied_vacancies(
+            "V_0", self.S_0, self.N_tilde_0, self.x_0, self.sigma_0, self.alpha))
 
     @classmethod
     def from_panel(cls, panel: ThreeStatePanel, sigma: MonthlySeries, alpha: float,
@@ -122,6 +120,18 @@ class ThreeStateApproximationPoint:
         s0, n0, x0, sg0 = _window_means(window, panel.S, panel.N_tilde, panel.x,
                                         sigma)
         return cls(S_0=s0, N_tilde_0=n0, x_0=x0, sigma_0=sg0, alpha=alpha)
+
+
+def _implied_vacancies(name: str, S: float, N_tilde: float, x: float, sigma: float,
+                       alpha: float) -> float:
+    """The identity at a point with dS = dN_tilde = 0; ValueError naming it
+    `name` unless it is positive and finite (it overflows to inf or
+    underflows to 0 at extreme points, whose logs the expansion needs)."""
+    with np.errstate(over="ignore"):
+        v = float(_vacancy_identity(S, N_tilde, x, 0.0, 0.0, sigma, alpha))
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"implied {name} must be positive and finite, got {v}")
+    return v
 
 
 def _window_means(window: tuple[MonthDate, MonthDate],

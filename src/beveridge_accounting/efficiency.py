@@ -47,6 +47,14 @@ class EfficiencyCalibration:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # u* is (scale * v u^eps)^(1 / (1 + eps)) with v u^eps <= 1 and scale
+        # computed as here: an infinite or zero scale gives that u* every month
+        scale = self.beveridge_elasticity * (self.vacancy_cost / self.unemployment_cost)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(
+                "beveridge_elasticity * (vacancy_cost / unemployment_cost) must be "
+                f"positive and finite, got {self.beveridge_elasticity} * "
+                f"({self.vacancy_cost} / {self.unemployment_cost}) = {scale}")
 
 
 def efficient_unemployment(u: MonthlySeries, v: MonthlySeries,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -113,19 +113,32 @@ class ThreeStatePanel:
         return self.eu.with_values(self.eu.values + self.en.values)
 
 
-def _flow_matrices(rows: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stayer_faults(rates: np.ndarray,
+                   month: Callable[[int], MonthDate]) -> dict[int, str]:
+    """{column: message naming ``month(column)``}, in column order, for the
+    columns of `rates` (6, T, in RATE_NAMES order) in which a state's exit
+    rates sum above one beyond rounding, leaving it a negative stayer
+    probability.  Raking and the three-state simulator both refuse them."""
+    exits = rates[0::2] + rates[1::2]
+    over = exits > 1.0 + 1e-12
+    bad = np.flatnonzero(over.any(axis=0))
+    return {k: f"month {month(k)}: negative stayer probability in state {i}: "
+               f"exit rates sum to {float(exits[i, k])!r}"
+            for k, i in zip(bad.tolist(), over[:, bad].argmax(axis=0).tolist())}
+
+
+def _flow_matrices(rows: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Flow cells (3, 3, T) from origin stocks (3, T) and rates (6, T).
 
     Cell (i, j) of month-pair t is ``flows[i, j, t]``: the nine cells are
     the rows of a (9, T) array, cell (i, j) at row 3 * i + j, with the
-    month-pair axis contiguous.  Returns the cells and each state's exit
-    total (3, T); stayers are the origin stock times one minus that total.
+    month-pair axis contiguous.  Stayers are the origin stock times one
+    minus the state's exit probability.
     """
     flows = np.zeros((3, 3, rows.shape[1]))
     flows[_ORIGIN, _DEST] = rows[_ORIGIN] * rates
-    out = rates[0::2] + rates[1::2]
-    flows[_STATES, _STATES] = rows * (1.0 - out)
-    return flows, out
+    flows[_STATES, _STATES] = rows * (1.0 - (rates[0::2] + rates[1::2]))
+    return flows
 
 
 # Sweeps between convergence checks, and month-pairs raked at a time: the
@@ -307,15 +320,14 @@ def rake_transition_rates(
             f"month {month(k)}: total population differs between adjacent "
             f"months ({float(row_total[k])!r} vs {float(col_total[k])!r}); "
             "normalize stocks to shares first", gap[k])
-    flows, exits = _flow_matrices(rows, r)
-    over = exits > 1.0 + 1e-12
-    for k in np.flatnonzero(over.any(axis=0) & ~mismatch):
-        i = int(np.argmax(over[:, k]))
-        failures[pairs[k]] = ValueError(
-            f"month {month(k)}: negative stayer probability in state {i}: "
-            f"exit rates sum to {float(exits[i, k])!r}")
+    usable = ~mismatch
+    for k, message in _stayer_faults(r, month).items():
+        if usable[k]:
+            failures[pairs[k]] = ValueError(message)
+        usable[k] = False
 
-    ok = np.flatnonzero(~mismatch & ~over.any(axis=0))
+    ok = np.flatnonzero(usable)
+    flows = _flow_matrices(rows, r)
     fitted, sweeps, res, ipf_failed = _ipf_pairs(flows[:, :, ok], rows[:, ok],
                                                  cols[:, ok], tol, max_iter)
     for j, (message, worst) in ipf_failed.items():

@@ -105,21 +105,6 @@ def _warn_out_of_range(values: np.ndarray, grid: MonthlySeries, what: str) -> No
                       ProbabilityRangeWarning, stacklevel=3)
 
 
-def unemployment_path(u0: float, f: MonthlySeries, s: MonthlySeries) -> MonthlySeries:
-    """Forward-simulate the law of motion U_{t+1} = U_t + s_t(1-U_t) - f_t U_t.
-
-    Uses f_t, s_t for t = 0..T-2 and returns a path of the same length
-    starting at u0.  Inverse of the probability constructions above.
-    """
-    require_aligned(f, s)
-    n = len(f)
-    u = np.empty(n)
-    u[0] = u0
-    for t in range(n - 1):
-        u[t + 1] = u[t] + s.values[t] * (1.0 - u[t]) - f.values[t] * u[t]
-    return f.with_values(u)
-
-
 def build_two_state_panel(U: MonthlySeries, V: MonthlySeries,
                           U_short: MonthlySeries) -> TwoStatePanel:
     """Construct the full panel: derives f and s from the observed stocks."""

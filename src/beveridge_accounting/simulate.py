@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import _vacancy_identity
-from .flows_three_state import RATE_NAMES, ThreeStatePanel
+from .flows_three_state import RATE_NAMES, ThreeStatePanel, _stayer_faults
 from .flows_two_state import TwoStatePanel, build_two_state_panel
 from .series import MonthDate, MonthlySeries
 
@@ -42,14 +42,21 @@ def _require_calendar(start: MonthDate, horizon: int) -> None:
         raise ValueError(f"{horizon} months from {start} run past 9999-12") from None
 
 
+def _reject_first(bad: np.ndarray, start: MonthDate, message: str,
+                  values: np.ndarray | None = None) -> None:
+    """ValueError(message) at the first month where `bad` holds, its date
+    as ``{month}`` and its entry of `values` as ``{value}``."""
+    if bad.any():
+        t = int(bad.argmax())
+        raise ValueError(message.format(
+            month=start.shift(t), value=None if values is None else float(values[t])))
+
+
 def _require_unit_vacancies(v: np.ndarray, start: MonthDate) -> None:
     """Raise ValueError naming the first month whose planted vacancy rate
     is outside (0, 1); a missing month is not checked."""
-    outside = (v <= 0.0) | (v >= 1.0)
-    if outside.any():
-        t = int(np.flatnonzero(outside)[0])
-        raise ValueError(f"planted vacancies left (0, 1) at {start.shift(t)}: "
-                         f"{float(v[t])!r}")
+    _reject_first((v <= 0.0) | (v >= 1.0), start,
+                  "planted vacancies left (0, 1) at {month}: {value!r}", v)
 
 
 @dataclass(frozen=True)
@@ -115,16 +122,12 @@ def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.add.accumulate(np.append(spec.u0, du))
         outside = ~((u > 0.0) & (u < 1.0))
-    if outside.any():
-        t = int(np.flatnonzero(outside)[0])
-        raise ValueError(f"unemployment left (0, 1) at {spec.start.shift(t)}: "
-                         f"{float(u[t])!r}")
+    _reject_first(outside, spec.start, "unemployment left (0, 1) at {month}: {value!r}",
+                  u)
     du_next = np.append(du, 0.0)  # last month: steady-state continuation
     v = _vacancy_identity(u, 0.0, s, du_next, 0.0, sigma, spec.alpha)
-    if np.isnan(v).any():
-        t = int(np.flatnonzero(np.isnan(v))[0])
-        raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
-                         "separation inflow cannot cover the unemployment change")
+    _reject_first(np.isnan(v), spec.start, "infeasible planted paths at {month}: "
+                  "separation inflow cannot cover the unemployment change")
     f = sigma * (v / u) ** spec.alpha
 
     _require_unit_vacancies(v, spec.start)
@@ -181,25 +184,39 @@ class ThreeStateSimulation:
     alpha: float
 
 
+def _law_of_motion(u0: float, n0: float, rates: dict) -> tuple[np.ndarray, np.ndarray]:
+    """U and N from (u0, n0), month t + 1 from month t's stocks and rates
+    (the last month's go unused).  Python floats keep numpy's float64
+    arithmetic bit for bit; a path leaving the simplex runs on unchecked.
+    The two-state law is n0 = 0 with en, un, ne, nu = 0, eu = s, ue = f."""
+    eu, en, ue, un, ne, nu = (rates[name][:-1].tolist() for name in RATE_NAMES)
+    u, n = float(u0), float(n0)
+    U, N = [u], [n]
+    for eu_t, en_t, ue_t, un_t, ne_t, nu_t in zip(eu, en, ue, un, ne, nu):
+        e = 1.0 - u - n
+        u, n = (u + (e * eu_t + n * nu_t - u * un_t - u * ue_t),
+                n + (e * en_t + u * un_t - n * ne_t - n * nu_t))
+        U.append(u)
+        N.append(n)
+    return np.array(U), np.array(N)
+
+
 def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation:
-    """Generate a stock-consistent three-state panel with planted vacancies."""
+    """Generate a stock-consistent three-state panel with planted vacancies;
+    ValueError names the first month whose exit rates raking would reject,
+    whose stocks leave the simplex, or whose planted V is invalid."""
     n = spec.horizon
     rates = {name: _as_path(spec.rates[name], n, name) for name in RATE_NAMES}
     sigma = _as_path(spec.sigma_path, n, "sigma_path")
 
-    U = np.empty(n)
-    N = np.empty(n)
-    U[0], N[0] = spec.u0, spec.n0
-    for t in range(n - 1):
-        E_t = 1.0 - U[t] - N[t]
-        dU = (E_t * rates["eu"][t] + N[t] * rates["nu"][t]
-              - U[t] * rates["un"][t] - U[t] * rates["ue"][t])
-        dN = (E_t * rates["en"][t] + U[t] * rates["un"][t]
-              - N[t] * rates["ne"][t] - N[t] * rates["nu"][t])
-        U[t + 1] = U[t] + dU
-        N[t + 1] = N[t] + dN
-        if U[t + 1] < 0.0 or N[t + 1] < 0.0 or U[t + 1] + N[t + 1] >= 1.0:
-            raise ValueError(f"stocks left the simplex at {spec.start.shift(t + 1)}")
+    faults = _stayer_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
+                            spec.start.shift)
+    if faults:
+        raise ValueError(next(iter(faults.values())))
+    U, N = _law_of_motion(spec.u0, spec.n0, rates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outside = (U < 0.0) | (N < 0.0) | (U + N >= 1.0)
+    _reject_first(outside, spec.start, "stocks left the simplex at {month}")
     E = 1.0 - U - N
 
     mk = lambda vals: MonthlySeries(spec.start, vals)  # noqa: E731
@@ -210,10 +227,8 @@ def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation
     v = np.full(n, np.nan)
     v[:-1] = _vacancy_identity(S[:-1], Nt[:-1], x[:-1], S[1:] - S[:-1],
                                Nt[1:] - Nt[:-1], sigma[:-1], spec.alpha)
-    if np.isnan(v[:-1]).any():
-        t = int(np.flatnonzero(np.isnan(v[:-1]))[0])
-        raise ValueError(f"infeasible planted paths at {spec.start.shift(t)}: "
-                         "hires implied by the flows are nonpositive")
+    _reject_first(np.isnan(v[:-1]), spec.start, "infeasible planted paths at {month}: "
+                  "hires implied by the flows are nonpositive")
     _require_unit_vacancies(v[:-1], spec.start)
     return ThreeStateSimulation(panel=panel, V=mk(v), sigma_true=mk(sigma),
                                 alpha=spec.alpha)

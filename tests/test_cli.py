@@ -5,11 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beveridge_accounting as ba
 from beveridge_accounting.cli import main
@@ -602,6 +605,69 @@ def test_non_finite_simulate_flag_exits_two(tmp_path, capsys, flags):
         f"beveridge simulate: error: argument {flags[-2]}: "
         f"must be finite, got {flags[-1]}")
     assert not (out / "manifest.json").exists()
+
+
+COST_PRODUCT = ("beveridge_elasticity * (vacancy_cost / unemployment_cost) must be "
+                "positive and finite, got ")
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("simulate", ["--three-state", "--s-bar", 0.99],
+     "month 2000-01: negative stayer probability in state 0: exit rates sum to 1.01"),
+    ("simulate", ["--three-state", "--s-bar", 1e308],
+     "month 2000-01: negative stayer probability in state 0: exit rates sum to 1e+308"),
+    ("shifters", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 5e-324],
+     "implied V_bar must be positive and finite, got inf"),
+    ("shifters", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 1e308],
+     "implied V_bar must be positive and finite, got 0.0"),
+    ("decompose", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 0.3,
+                   "--alpha", 1e-300],
+     "implied V_bar must be positive and finite, got inf"),
+    ("efficiency", ["--vacancy-cost", 1e308],
+     COST_PRODUCT + "2.33 * (1e+308 / 0.74) = inf"),
+    ("efficiency", ["--unemployment-cost", 5e-324],
+     COST_PRODUCT + "0.9 * (0.92 / 5e-324) = inf"),
+    ("efficiency", ["--vacancy-cost", 5e-324, "--unemployment-cost", 1e308],
+     COST_PRODUCT + "0.9 * (5e-324 / 1e+308) = 0.0"),
+], ids=["stayers", "stayers-overflow", "v-bar-inf", "v-bar-zero", "v-bar-alpha",
+        "u-star-inf", "u-star-inf-cost", "u-star-zero"])
+def test_flags_with_no_finite_result_exit_two(tmp_path, recession_sim, capsys, command,
+                                              flags, message):
+    # these had exited 0 (a panel that raking rejects, V_bar or u* of 0) or
+    # 3 (an infinite V_bar or u*), some after a RuntimeWarning
+    data = ([] if command == "simulate"
+            else ["--input", write_recession_csv(tmp_path, recession_sim)])
+    out = tmp_path / "out"
+    assert run([command, *data, "--output-dir", out, *flags]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("decompose", "implied V_bar must be positive and finite, got 0.0"),
+    ("three-state", "implied V_0 must be positive and finite, got inf"),
+], ids=["decompose", "three-state"])
+def test_window_point_with_no_finite_vacancies_exits_three(tmp_path, recession_sim,
+                                                           capsys, command, message):
+    data = (write_steady_three_state_csv(tmp_path) if command == "three-state"
+            else write_recession_csv(tmp_path, recession_sim))
+    assert run([command, "--input", data, "--output-dir", tmp_path / "out",
+                "--alpha", 1e-300]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# en is 0.02, so eu + en crosses raking's bound of 1 + 1e-12 in the band
+@given(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                 st.floats(0.98 - 1e-11, 0.98 + 1e-11)))
+def test_simulated_three_state_panel_is_read_or_refused(s_bar):
+    with tempfile.TemporaryDirectory() as tmp:
+        panel = Path(tmp) / "panel"
+        code = run(["simulate", "--three-state", "--s-bar", s_bar, "--output-dir", panel])
+        if code != 2:
+            assert code == 0
+            assert run(["three-state", "--input", panel / "panel.csv",
+                        "--output-dir", Path(tmp) / "out"]) == 0
 
 
 @pytest.mark.parametrize("flags, message", [

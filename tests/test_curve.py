@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ class TestApproximationPoint:
         with pytest.raises(ValueError, match=f"^{name} must be positive and "
                                              f"finite, got {bad}$"):
             ThreeStateApproximationPoint(**fields)
+
+    @pytest.mark.parametrize("fields, v", [
+        ({"sigma_bar": 5e-324}, "inf"), ({"sigma_bar": 1e308}, "0.0"),
+        ({"alpha": 1e-300}, "inf"),
+    ], ids=["sigma-tiny", "sigma-huge", "alpha-tiny"])
+    def test_implied_vacancies_must_be_positive_and_finite(self, fields, v):
+        # overflow and underflow of the identity, with no RuntimeWarning
+        two = {"U_bar": 0.05, "s_bar": 0.02, "sigma_bar": 0.36, "alpha": 0.3, **fields}
+        three = {"S_0": 0.05, "N_tilde_0": 0.0, "x_0": 0.02,
+                 "sigma_0": two["sigma_bar"], "alpha": two["alpha"]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^implied V_bar must be positive "
+                                                 f"and finite, got {v}$"):
+                ApproximationPoint(**two)
+            with pytest.raises(ValueError, match=f"^implied V_0 must be positive "
+                                                 f"and finite, got {v}$"):
+                ThreeStateApproximationPoint(**three)
 
 
 class TestExactVacancies:

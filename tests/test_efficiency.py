@@ -90,6 +90,19 @@ class TestFormulaContract:
                                              f"finite, got {bad}$"):
             EfficiencyCalibration(**fields)
 
+    @pytest.mark.parametrize("costs, product", [
+        ({"vacancy_cost": 1e308}, "2.33 * (1e+308 / 0.74) = inf"),
+        ({"unemployment_cost": 5e-324}, "2.33 * (0.92 / 5e-324) = inf"),
+        ({"vacancy_cost": 5e-324, "unemployment_cost": 1e308},
+         "2.33 * (5e-324 / 1e+308) = 0.0"),
+    ], ids=["inf", "inf-cost", "zero"])
+    def test_u_star_scale_must_be_positive_and_finite(self, costs, product):
+        with pytest.raises(ValueError) as exc:
+            EfficiencyCalibration(beveridge_elasticity=2.33, **costs)
+        assert str(exc.value) == ("beveridge_elasticity * (vacancy_cost / "
+                                  "unemployment_cost) must be positive and finite, "
+                                  f"got {product}")
+
 
 class TestGap:
     def test_zero_gap_when_equal(self):

@@ -4,8 +4,9 @@ import pytest
 from beveridge_accounting import (MonthDate, MonthlySeries,
                                   build_two_state_panel,
                                   implied_separation_probability,
-                                  job_finding_probability, unemployment_path)
+                                  job_finding_probability)
 from beveridge_accounting.flows_two_state import ProbabilityRangeWarning
+from beveridge_accounting.simulate import _law_of_motion
 
 
 def series(values):
@@ -91,8 +92,11 @@ class TestRoundTrip:
         U, Us = series(u), series(u_short)
         f = job_finding_probability(U, Us)
         s = implied_separation_probability(U, f)
-        regen = unemployment_path(u[0], f, s)
-        np.testing.assert_allclose(regen.values, u, atol=1e-12)
+        # the three-state law of motion with no nonemployment
+        zero = np.zeros(n)
+        regen, _ = _law_of_motion(u[0], 0.0, {"eu": s.values, "en": zero, "ue": f.values,
+                                              "un": zero, "ne": zero, "nu": zero})
+        np.testing.assert_allclose(regen, u, atol=1e-12)
 
 
 def test_panel_construction_and_validation():

@@ -11,6 +11,7 @@ from beveridge_accounting import (MonthDate, SimulationSpec, exact_vacancies,
                                   rake_transition_rates, simulate_two_state,
                                   three_state_exact_vacancies)
 from beveridge_accounting.flows_three_state import RATE_NAMES
+from beveridge_accounting.simulate import _law_of_motion
 from conftest import make_three_state_steady
 
 START = MonthDate(2000, 1)
@@ -48,6 +49,50 @@ def unemployment_paths(draw):
     before = draw(st.lists(st.one_of(SMALL_STEPS, st.floats(-2.0, 2.0)), max_size=40))
     after = draw(st.lists(st.one_of(SMALL_STEPS, LEAVING_STEPS), max_size=40))
     return u0, [*before, draw(LEAVING_STEPS), *after], True
+
+
+def loop_stocks(u0, n0, rates, start):
+    """U and N by the laws of motion, one month at a time on numpy scalars;
+    ValueError naming the first month that leaves the simplex, as
+    `simulate_three_state` reports it."""
+    n = len(rates["eu"])
+    U = np.empty(n)
+    N = np.empty(n)
+    U[0], N[0] = u0, n0
+    for t in range(n - 1):
+        E_t = 1.0 - U[t] - N[t]
+        dU = (E_t * rates["eu"][t] + N[t] * rates["nu"][t]
+              - U[t] * rates["un"][t] - U[t] * rates["ue"][t])
+        dN = (E_t * rates["en"][t] + U[t] * rates["un"][t]
+              - N[t] * rates["ne"][t] - N[t] * rates["nu"][t])
+        U[t + 1] = U[t] + dU
+        N[t + 1] = N[t] + dN
+        if U[t + 1] < 0.0 or N[t + 1] < 0.0 or U[t + 1] + N[t + 1] >= 1.0:
+            raise ValueError(f"stocks left the simplex at {start.shift(t + 1)}")
+    return U, N
+
+
+TAME_RATES = st.floats(0.0, 0.5)
+# negative, above one, or huge, so the stocks may leave the simplex; a huge
+# pair (x, -x) overflows in the months after they leave
+WILD_RATES = st.one_of(st.floats(-2.0, 2.0),
+                       st.floats(1.0, 1e300).flatmap(lambda x: st.sampled_from([x, -x])))
+
+
+@st.composite
+def three_state_paths(draw):
+    """(u0, n0, {rate name: path}), the paths all tame, which keep the stocks
+    in the simplex up to rounding, or all wild.  Where a state's two exit rates sum
+    above one, the second is the first negated, so the simulator's stayer
+    check passes every month."""
+    months = draw(st.integers(2, 30))
+    rates = np.array(draw(st.lists(TAME_RATES if draw(st.booleans()) else WILD_RATES,
+                                   min_size=6 * months, max_size=6 * months)))
+    exits = rates.reshape(months, 3, 2)
+    over = exits.sum(axis=2) > 1.0
+    exits[over, 1] = -exits[over, 0]
+    return (draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.45)),
+            dict(zip(RATE_NAMES, rates.reshape(months, 6).T.copy())))
 
 
 class TestTwoStateSimulation:
@@ -237,6 +282,42 @@ class TestThreeStateSimulation:
             make_three_state_steady(horizon=24, sigma=sigma)
         assert "np.float64" not in str(exc.value)
         assert (make_three_state_steady(horizon=24).V.values[:-1] < 1.0).all()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(three_state_paths())
+    def test_law_of_motion_matches_per_month_loop(self, drawn):
+        # bit for bit where the stocks stay in the simplex, the same text
+        # where they leave, and no RuntimeWarning from the months after
+        u0, n0, rates = drawn
+        spec = ba.ThreeStateSimulationSpec(alpha=0.3, u0=u0, n0=n0,
+                                           horizon=len(rates["eu"]), rates=rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                want = loop_stocks(u0, n0, rates, START)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    ba.simulate_three_state(spec)
+                assert str(got.value) == str(exc)
+            else:
+                for got, path in zip(_law_of_motion(u0, n0, rates), want):
+                    assert got.view(np.uint64).tolist() == path.view(np.uint64).tolist()
+
+    def test_exit_rates_raking_refuses_are_refused(self):
+        # the first month-pair whose exits from a state sum above one; the
+        # last month's rates start no pair, and raking does not read them
+        def spec(*months):
+            un = np.full(12, 0.03)
+            un[list(months)] = 0.8
+            rates = {"eu": 0.02, "en": 0.02, "ue": 0.25, "un": un, "ne": 0.04,
+                     "nu": 0.02}
+            return ba.ThreeStateSimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=12,
+                                               rates=rates, sigma_path=0.36)
+        with pytest.raises(ValueError, match=r"^month 2000-06: negative stayer "
+                           r"probability in state 1: exit rates sum to 1\.05$"):
+            ba.simulate_three_state(spec(5, 8))
+        sim = ba.simulate_three_state(spec(11))
+        rake_transition_rates((sim.panel.E, sim.panel.U, sim.panel.N), sim.panel.rates())
 
     def test_degenerate_paths_rejected(self):
         # total separation of the whole workforce empties employment
