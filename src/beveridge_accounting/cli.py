@@ -338,13 +338,13 @@ def cmd_three_state(args: argparse.Namespace) -> int:
         cols["e_stock"], cols["u_stock"], cols["n_stock"],
         {name: cols[name] for name in RATE_NAMES},
         tol=args.rake_tol, max_iter=args.rake_max_iter)
-    sweeps = report.iterations[report.iterations >= 0]
+    steps = report.iterations[report.iterations >= 0]
     notes = {"raking_worst_residual": report.worst_residual,
              "raking_max_adjustment": float(np.nanmax(report.max_adjustment))
              if np.isfinite(report.max_adjustment).any() else None,
-             "raking_iterations": {"min": int(sweeps.min()),
-                                   "median": float(np.median(sweeps)),
-                                   "max": int(sweeps.max())} if sweeps.size else None,
+             "raking_iterations": {"min": int(steps.min()),
+                                   "median": float(np.median(steps)),
+                                   "max": int(steps.max())} if steps.size else None,
              # rounding moves rates by ~1e-17 even on consistent months
              "raking_months_adjusted": int((report.max_adjustment
                                             > args.rake_tol).sum())}
@@ -423,6 +423,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _simulated_columns(args: argparse.Namespace) -> dict[str, MonthlySeries]:
+    # a three-state panel that starts with no unemployed or no nonemployed
+    # has no exit rates from that state after raking: `three-state` refuses it
+    for flag in ("--u0", "--n0")[:1 + args.three_state]:
+        value = getattr(args, flag[2:])
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"{flag} must be in (0, 1), got {value}")
     if args.three_state:
         _reject_given(args, _TWO_STATE_ONLY, "two-state", "with --three-state")
         rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,

@@ -66,8 +66,12 @@ def efficient_unemployment(u: MonthlySeries, v: MonthlySeries,
     if ((uu[defined] <= 0.0) | (vv[defined] <= 0.0)).any():
         raise ValueError("unemployment and vacancy rates must be positive")
     eps, cost_ratio = cal.beveridge_elasticity, cal.vacancy_cost / cal.unemployment_cost
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         out = (eps * cost_ratio * vv * uu ** eps) ** (1.0 / (1.0 + eps))
+    # in logs where the power under- or overflows, as on a steep curve
+    lost, share = (out == 0.0) | (out == np.inf), 1.0 / (1.0 + eps)
+    out[lost] = np.exp(share * (math.log(eps * cost_ratio) + np.log(vv[lost]))
+                       + eps * share * np.log(uu[lost]))
     return u.with_values(out)
 
 

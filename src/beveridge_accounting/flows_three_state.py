@@ -3,10 +3,10 @@
 States are employment (E), unemployment (U) and nonemployment (N), with six
 monthly transition probabilities between them.  Published gross-flow rates
 are not exactly consistent with the published stocks, so each month-pair's
-3x3 flow matrix is raked by iterative proportional fitting until its row
-sums reproduce this month's stocks and its column sums reproduce next
-month's.  Every panel derives its searcher aggregates from its stocks and
-rates, on first use:
+3x3 flow matrix is raked: scaled by row and column factors, by Newton's
+method, to the fit of least I-divergence whose row sums reproduce this
+month's stocks and column sums next month's.  Every panel derives its
+searcher aggregates from its stocks and rates, on first use:
 
     S = U + xi_N * N        effective searchers
     N_tilde = (1 - xi_N) N  non-searchers
@@ -38,7 +38,7 @@ _STATES = np.arange(3)
 
 
 class RakingError(RuntimeError):
-    """Iterative proportional fitting failed for at least one month-pair."""
+    """Raking found no fit for at least one month-pair."""
 
     def __init__(self, message: str, worst_residual: float):
         super().__init__(message)
@@ -49,7 +49,7 @@ class RakingError(RuntimeError):
 class RakingReport:
     """Per-month-pair convergence diagnostics."""
 
-    iterations: np.ndarray       # IPF sweeps used, -1 where inputs were missing
+    iterations: np.ndarray       # Newton steps taken, -1 where inputs were missing
     residuals: np.ndarray        # worst marginal residual after fitting
     max_adjustment: np.ndarray   # largest absolute change applied to any rate
 
@@ -141,141 +141,129 @@ def _flow_matrices(rows: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return flows
 
 
-# Sweeps between convergence checks, and month-pairs raked at a time: the
-# per-sweep cells and sums kept for a check hold _BATCH * _BLOCK pairs.
-_BATCH = 8
-_BLOCK = 4096
+# Armijo's share: a step must lower the dual potential by this share of the
+# decrease its slope predicts.
+_ARMIJO = 1e-4
 
 
-def _scaling(targets: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Scale factors targets / sums, 1 where a sum is not positive, which is
-    never divided by."""
-    positive = sums > 0.0
-    return np.where(positive, targets / np.where(positive, sums, 1.0), 1.0)
+def _margins(f: np.ndarray, r: np.ndarray, c: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column sums (3, A) of the cells f (3, 3, A), and each pair's
+    worst marginal residual against the targets r and c."""
+    R, C = np.add.reduce(f, axis=1), np.add.reduce(f, axis=0)
+    return R, C, np.maximum.reduce(np.abs(np.concatenate([R - r, C - c])), axis=0)
 
 
-def _sweeps(m: np.ndarray, rows: np.ndarray, cols: np.ndarray, rsum: np.ndarray,
-            csum: np.ndarray, cells: np.ndarray, scaling) -> None:
-    """Sweep len(cells) times from cells m (3, 3, A), whose row sums are in
-    rsum[0].  Sweep k writes its column sums before division to csum[k], its
-    cells to cells[k] and their row sums, the next sweep's, to rsum[k + 1]."""
-    for k, out in enumerate(cells):
-        m = m * scaling(rows, rsum[k])[:, None]
-        np.add.reduce(m, axis=0, out=csum[k])
-        np.multiply(m, scaling(cols, csum[k])[None], out=out)
-        m = out
-        np.add.reduce(m, axis=1, out=rsum[k + 1])
+def _cell_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of the nine cells of each pair in x (3, 3, A), added in order."""
+    return np.add.reduce(x.reshape(9, -1), axis=0)
 
 
-def _worst_gap(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Largest |sums - targets| over the three states (axis -2)."""
-    gap = sums - targets
-    return np.maximum.reduce(np.abs(gap, out=gap), axis=-2)
+def _newton_direction(f: np.ndarray, R: np.ndarray, C: np.ndarray,
+                      r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Newton direction d[i, j] = da[i] + db[j] (3, 3, A) of the log factors
+    of the cells f, whose margins R and C should reach r and c.
+
+    The Hessian of the dual potential is [[diag(R), f], [f^T, diag(C)]],
+    with db[2] = 0.  Eliminating the row factors leaves the 2x2 Schur
+    complement [[w01 + w02, -w01], [-w01, w01 + w12]], where
+    w_jk = sum_i f_ij f_ik / R_i, solved by Cramer's rule.  Its determinant
+    w01 w02 + w01 w12 + w02 w12 cannot cancel, and it is zero just where
+    the columns fall apart into pieces; each piece then keeps its last
+    column's factor.  A row with no flow keeps its factor.
+    """
+    inv = np.divide(1.0, R, out=np.zeros_like(R), where=R > 0.0)
+    share = f * inv[:, None]
+    w01 = np.add.reduce(f[:, 0] * share[:, 1], axis=0)
+    w02 = np.add.reduce(f[:, 0] * share[:, 2], axis=0)
+    w12 = np.add.reduce(f[:, 1] * share[:, 2], axis=0)
+    gap = (R - r) * inv
+    rhs0 = np.add.reduce(f[:, 0] * gap, axis=0) - (C[0] - c[0])
+    rhs1 = np.add.reduce(f[:, 1] * gap, axis=0) - (C[1] - c[1])
+    det = w01 * w02 + w01 * w12 + w02 * w12
+    db = np.zeros_like(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db[0] = (rhs0 * (w01 + w12) + w01 * rhs1) / det
+        db[1] = (rhs1 * (w01 + w02) + w01 * rhs0) / det
+        apart = ~(det > 0.0)
+        if apart.any():
+            for j, (rhs, w) in enumerate(((rhs0, w01 + w02), (rhs1, w12))):
+                db[j] = np.where(apart, np.where(w > 0.0, rhs / w, 0.0), db[j])
+    da = -gap - share[:, 0] * db[0] - share[:, 1] * db[1]
+    return da[:, None] + db[None]
 
 
-def _ipf_block(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               tol: float, max_iter: int, active: np.ndarray, kept: tuple,
-               fitted: np.ndarray, sweeps: np.ndarray, residuals: np.ndarray,
-               failed: dict[int, tuple[str, float]]) -> None:
-    """Rake the cells m of one block of month-pairs, numbered `active`, into
-    the outputs of `_ipf_pairs`."""
-    rs = np.add.reduce(m, axis=1)
-    it = 0
-    while active.size and it < max_iter:
-        b, a = min(_BATCH, max_iter - it), active.size
-        cells = kept[0][:b * 9 * a].reshape(b, 3, 3, a)
-        rsum = kept[1][:(b + 1) * 3 * a].reshape(b + 1, 3, a)
-        csum = kept[2][:b * 3 * a].reshape(b, 3, a)
-        rsum[0] = rs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _sweeps(m, rows, cols, rsum, csum, cells, np.divide)
-        # a sum that is not positive, or NaN, was divided by: sweep again
-        guarded = not (rsum[:b].min() > 0.0 and csum.min() > 0.0)
-        if guarded:
-            _sweeps(m, rows, cols, rsum, csum, cells, _scaling)
-        # a pair can converge only where its rows are within tol, so only
-        # those pairs have their columns summed
-        residual = _worst_gap(rsum[1:], rows)
-        near = np.flatnonzero((residual <= tol).any(axis=0))
-        if near.size:
-            residual[:, near] = np.maximum(residual[:, near], _worst_gap(
-                np.add.reduce(cells.take(near, axis=-1), axis=1), cols.take(near, axis=-1)))
-        event = residual <= tol
-        if guarded:
-            empty_row = ((rsum[:b] == 0.0) & (rows > 0.0)).any(axis=1)
-            empty_col = ((csum == 0.0) & (cols > 0.0)).any(axis=1)
-            event |= empty_row | empty_col
-        hit = event.any(axis=0)
-        if hit.any():
-            # each pair leaves at its first sweep that converged or met an
-            # empty margin, as it would if checked after every sweep
-            left = np.flatnonzero(hit)
-            k = event[:, left].argmax(axis=0)
-            if guarded:
-                # rows last, so a pair with an empty row and column reports the row
-                for empty, margin in ((empty_col, "column"), (empty_row, "row")):
-                    failed.update(dict.fromkeys(active[left[empty[k, left]]].tolist(), (
-                        f"empty flow {margin} with positive target mass", np.inf)))
-                ok = ~(empty_row[k, left] | empty_col[k, left])
-                k, left = k[ok], left[ok]
-            fitted[:, :, active[left]] = cells[k, :, :, left].transpose(1, 2, 0)
-            sweeps[active[left]] = it + 1 + k
-            residuals[active[left]] = residual[k, left]
-            stay = np.flatnonzero(~hit)
-            active, rows, cols = (x.take(stay, axis=-1) for x in (active, rows, cols))
-            # copies, as the next batch overwrites the kept arrays
-            m, rs = cells[-1].take(stay, axis=-1), rsum[-1].take(stay, axis=-1)
-        else:
-            m, rs = cells[-1].copy(), rsum[-1].copy()
-        it += b
-    if active.size:  # these did not converge: their last sweep's residual
-        residual = (np.maximum(_worst_gap(rs, rows), _worst_gap(np.add.reduce(m, axis=0), cols))
-                    if it else np.full(active.size, np.inf))
-        for j, res in zip(active.tolist(), residual):
-            failed[j] = (f"raking did not converge within {max_iter} iterations "
-                         f"(worst residual {res:.3e})", res)
+def _newton_update(f: np.ndarray, R: np.ndarray, C: np.ndarray,
+                   r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The cells f (3, 3, A) after one Newton step on each pair, halved
+    until the dual potential falls by _ARMIJO of the predicted decrease.
+
+    Along t d the potential changes by t g.d + sum f (e^(t d) - 1 - t d),
+    and g.d = -sum f d^2, so the test compares two sums of positive terms,
+    which do not cancel however small the step.
+    """
+    d = _newton_direction(f, R, C, r, c)
+    fd = f * d
+    slope = _cell_sums(fd * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = f * np.expm1(d)
+        short = np.flatnonzero(~(_cell_sums(grow - fd) <= (1.0 - _ARMIJO) * slope))
+        t = 1.0
+        while short.size and t > 1e-18:  # then the pair takes no step
+            t *= 0.5
+            g = f[..., short] * np.expm1(t * d[..., short])
+            ok = _cell_sums(g - t * fd[..., short]) <= (1.0 - _ARMIJO) * t * slope[short]
+            grow[..., short] = np.where(ok, g, 0.0)
+            short = short[~ok]
+    return f + grow
 
 
-def _ipf_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               tol: float, max_iter: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[str, float]]]:
+def _rake_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                tol: float, max_iter: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[str, float]]]:
     """Rake each month-pair's cells in `flows` (3, 3, T) to its own row and
     column targets (3, T).
 
-    A sweep scales rows, then columns, of the pairs still active; a pair
-    leaves the active set at its first sweep whose worst marginal residual
-    is <= tol.  Returns the fitted cells, the sweeps and residuals per pair
-    (NaN, -1 and NaN where the pair failed) and {pair index: (message,
-    worst residual)} for failures.  Each pair sees exactly the arithmetic
-    it would see raked alone: a margin is one `np.add.reduce` over a
-    length-3 axis, which adds left to right.
-
-    A sweep is only its arithmetic.  Sweeps run _BATCH at a time, with
-    plain division, and keep each sweep's cells and its sums before and
-    after division; the batch's residuals are then read at once from the
-    kept sums.  Column sums after a sweep are taken only for the pairs
-    whose rows came within tol, the only ones that can have converged.  A
-    batch that divided by a sum that is not positive (or NaN) is swept
-    again from its starting cells through `_scaling`, and its empty margins
-    are read from the kept sums.  Pairs are raked _BLOCK at a time, so the
-    kept arrays stay small however long the panel.  On 240 noisy month-pairs
-    a sweep costs 23-34 us (2 vCPU Xeon, numpy 2.4), against 39-60 us when
-    each sweep checked convergence.
+    The fit scales cell (i, j) by e^(a_i + b_j), where (a, b) minimises the
+    dual potential sum m_ij e^(a_i + b_j) - rows . a - cols . b.  All pairs
+    take Newton steps at once, and each leaves at its first step (from 0)
+    whose worst marginal residual is <= tol, with that step's cells.  A
+    column whose target is zero is emptied first.  A pair fails where a
+    margin with positive target has no flow to fill it, or when it is still
+    above tol after max_iter steps.  Returns the fitted cells, the steps and
+    residuals per pair (NaN, -1 and NaN where the pair failed) and
+    {pair index: (message, worst residual)} for failures.
     """
-    n = flows.shape[2]
     fitted = np.full_like(flows, np.nan)
-    sweeps = np.full(n, -1)
-    residuals = np.full(n, np.nan)
-    failed: dict[int, tuple[str, float]] = {}
-    size = min(n, _BLOCK)
-    kept = (np.empty(_BATCH * 9 * size), np.empty((_BATCH + 1) * 3 * size),
-            np.empty(_BATCH * 3 * size))
-    for start in range(0, n, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _ipf_block(flows[:, :, block], rows[:, block], cols[:, block], tol, max_iter,
-                   np.arange(start, min(start + _BLOCK, n)), kept,
-                   fitted, sweeps, residuals, failed)
-    return fitted, sweeps, residuals, failed
+    steps, residuals = np.full(flows.shape[2], -1), np.full(flows.shape[2], np.nan)
+    m = np.where(cols[None] == 0.0, 0.0, flows)
+    R, C, res = _margins(m, rows, cols)
+    # the first of three empty margins, in the order row-then-column
+    # scaling meets them: a row with no flow, a column with no flow, a row
+    # whose flow went only to emptied columns
+    row = ((np.add.reduce(flows, axis=1) == 0.0) & (rows > 0.0)).any(axis=0)
+    col = ((np.add.reduce(flows, axis=0) == 0.0) & (cols > 0.0)).any(axis=0) & ~row
+    row |= ((R == 0.0) & (rows > 0.0)).any(axis=0) & ~col
+    failed = {j: (f"empty flow {margin} with positive target mass", np.inf)
+              for margin, empty in (("column", col), ("row", row))
+              for j in np.flatnonzero(empty).tolist()}
+    act = np.flatnonzero(~(row | col))
+    f, R, C, r, c, res = (x[..., act] for x in (m, R, C, rows, cols, res))
+    for k in range(max_iter + 1):
+        done = res <= tol
+        if done.any():
+            fitted[:, :, act[done]] = f[..., done]
+            steps[act[done]] = k
+            residuals[act[done]] = res[done]
+            act, f, R, C, r, c = (x[..., ~done] for x in (act, f, R, C, r, c))
+        if not act.size or k == max_iter:
+            break
+        f = _newton_update(f, R, C, r, c)
+        R, C, res = _margins(f, r, c)
+    for j, worst in zip(act.tolist(), res.tolist()):
+        failed[j] = (f"raking did not converge within {max_iter} iterations "
+                     f"(worst residual {worst:.3e})", worst)
+    return fitted, steps, residuals, failed
 
 
 def rake_transition_rates(
@@ -290,9 +278,11 @@ def rake_transition_rates(
     as the diagonal residual) is raked so row sums equal the month-t stocks
     and column sums the month-(t+1) stocks, both within `tol`.  Raked rates
     are the adjusted off-diagonal flows divided by origin stocks.  Rates that
-    are already stock-consistent pass through unchanged.  Month-pairs with a
-    missing input stay missing.  All month-pairs are raked at once; when any
-    fails, the error names the earliest failing month.
+    are already stock-consistent take no step and pass through up to
+    rounding.  `max_iter` caps the Newton steps of each month-pair.
+    Month-pairs with a missing input stay missing.  All month-pairs are
+    raked at once; when any fails, the error names the earliest failing
+    month.
     """
     E, U, N = stocks
     require_aligned(E, U, N, *[rates[name] for name in RATE_NAMES])
@@ -327,10 +317,9 @@ def rake_transition_rates(
         usable[k] = False
 
     ok = np.flatnonzero(usable)
-    flows = _flow_matrices(rows, r)
-    fitted, sweeps, res, ipf_failed = _ipf_pairs(flows[:, :, ok], rows[:, ok],
-                                                 cols[:, ok], tol, max_iter)
-    for j, (message, worst) in ipf_failed.items():
+    fitted, steps, res, rake_failed = _rake_pairs(
+        _flow_matrices(rows[:, ok], r[:, ok]), rows[:, ok], cols[:, ok], tol, max_iter)
+    for j, (message, worst) in rake_failed.items():
         failures[pairs[ok[j]]] = RakingError(f"month {month(ok[j])}: {message}", worst)
     negative = (fitted[_STATES, _STATES] < -tol).any(axis=0)
     for j in np.flatnonzero(negative):
@@ -346,7 +335,7 @@ def rake_transition_rates(
                      fitted[_ORIGIN, _DEST] / np.where(origin > 0.0, origin, 1.0),
                      0.0)
     out[:, pairs] = raked
-    iterations[pairs] = sweeps
+    iterations[pairs] = steps
     residuals[pairs] = res
     max_adjustment[pairs] = np.abs(raked - r).max(axis=0)
 

@@ -435,11 +435,13 @@ class TestThreeStateCommand:
         _, report = ba.build_three_state_panel(
             cols["e_stock"], cols["u_stock"], cols["n_stock"],
             {name: cols[name] for name in rates})
-        sweeps = report.iterations
-        assert notes["raking_iterations"] == {"min": int(sweeps.min()),
-                                              "median": float(np.median(sweeps)),
-                                              "max": int(sweeps.max())}
-        assert notes["raking_iterations"]["max"] > 10
+        steps = report.iterations
+        assert notes["raking_iterations"] == {"min": int(steps.min()),
+                                              "median": float(np.median(steps)),
+                                              "max": int(steps.max())}
+        # every noisy month-pair takes Newton steps, and some more than one
+        assert notes["raking_iterations"]["min"] >= 1
+        assert notes["raking_iterations"]["max"] > 1
         assert notes["raking_months_adjusted"] == n - 1
 
 
@@ -464,6 +466,18 @@ class TestEfficiencyCommand:
         records = json.loads((out / "efficiency.json").read_text())
         assert len(records) == 180
         assert records[0]["u_star_steep"] > records[0]["u_star_ms"]
+
+    def test_steep_elasticity_that_underflows_u_to_the_eps(self, tmp_path,
+                                                           recession_sim):
+        # u^400 underflows to zero, which wrote u* = 0.0 in every row
+        data = write_recession_csv(tmp_path, recession_sim)
+        out = tmp_path / "eff"
+        assert run(["efficiency", "--input", data, "--output-dir", out,
+                    "--steep-elasticity", 400]) == 0
+        for r in read_csv(out / "efficiency.csv"):
+            if r["u_rate"]:
+                # u* tends to u as the curve steepens
+                assert cell(r, "u_star_steep") == pytest.approx(cell(r, "u_rate"), rel=0.1)
 
 
 def write_steady_three_state_csv(tmp_path) -> Path:
@@ -668,6 +682,22 @@ def test_simulated_three_state_panel_is_read_or_refused(s_bar):
             assert code == 0
             assert run(["three-state", "--input", panel / "panel.csv",
                         "--output-dir", Path(tmp) / "out"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--three-state", "--u0", 0], "--u0 must be in (0, 1), got 0.0"),
+    (["--three-state", "--n0", 0], "--n0 must be in (0, 1), got 0.0"),
+    (["--three-state", "--n0", 1], "--n0 must be in (0, 1), got 1.0"),
+    (["--u0", 0], "--u0 must be in (0, 1), got 0.0"),
+], ids=["three-state-u0", "three-state-n0", "three-state-n0-one", "two-state-u0"])
+def test_initial_share_outside_unit_interval_exits_two(tmp_path, capsys, flags,
+                                                       message):
+    # at --u0 0 or --n0 0 the three-state panel was written with exit 0, and
+    # `three-state` then refused it: no one left the empty state after raking
+    out = tmp_path / "out"
+    assert run(["simulate", "--horizon", 24, *flags, "--output-dir", out]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

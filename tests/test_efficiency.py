@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beveridge_accounting import (MS_ELASTICITY, STEEP_ELASTICITY, EfficiencyCalibration,
                                   MonthDate, MonthlySeries, efficient_unemployment,
@@ -102,6 +107,46 @@ class TestFormulaContract:
         assert str(exc.value) == ("beveridge_elasticity * (vacancy_cost / "
                                   "unemployment_cost) must be positive and finite, "
                                   f"got {product}")
+
+
+    def test_steep_elasticity_computed_in_logs(self):
+        # 0.001^150 and 0.06^400 underflow to zero, which made u* zero
+        cal = EfficiencyCalibration(beveridge_elasticity=150.0)
+        u, v = np.array([0.06, 0.001]), np.array([0.03, 0.04])
+        out = efficient_unemployment(series(u), series(v), cal).values
+        scale = 150.0 * (cal.vacancy_cost / cal.unemployment_cost)
+        # a month whose direct power stays positive keeps its bits
+        assert out[0] == (scale * v[0] * u[0] ** 150.0) ** (1.0 / 151.0)
+        assert out[1] == pytest.approx(math.exp(
+            (math.log(scale) + math.log(0.04) + 150.0 * math.log(0.001)) / 151.0),
+            rel=1e-13)
+        steep = u_star_scalar(0.06, 0.03, EfficiencyCalibration(400.0))
+        assert steep == pytest.approx(math.exp(
+            (math.log(400.0 * 0.92 / 0.74) + math.log(0.03) + 400.0 * math.log(0.06))
+            / 401.0), rel=1e-13)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(costs=st.tuples(*[st.floats(min_value=0.0, exclude_min=True,
+                                       allow_infinity=False)] * 3),
+           u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           v=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_u_star_positive_and_finite(self, costs, u, v):
+        """Any accepted calibration and any 0 < u, v < 1 give 0 < u* < inf,
+        wherever the exact u* is a float: with a tiny elasticity and a tiny
+        scale * v it can lie below the smallest one."""
+        try:
+            cal = EfficiencyCalibration(*costs)
+        except ValueError:
+            assume(False)
+        eps = cal.beveridge_elasticity
+        share = 1.0 / (1.0 + eps)
+        scale = eps * (cal.vacancy_cost / cal.unemployment_cost)
+        assume(share * (math.log(scale) + math.log(v))
+               + (1.0 - share) * math.log(u) > -740.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u_star = u_star_scalar(u, v, cal)
+        assert 0.0 < u_star < math.inf
 
 
 class TestGap:

@@ -11,8 +11,8 @@ from beveridge_accounting import (MonthDate, MonthlySeries, RakingError,
                                   rake_transition_rates,
                                   relative_search_intensity, simulate_three_state,
                                   total_hires)
-from beveridge_accounting import flows_three_state
-from beveridge_accounting.flows_three_state import _BATCH, _BLOCK, RATE_NAMES
+from beveridge_accounting.flows_three_state import RATE_NAMES
+from reference_ipf import reference_rake
 from conftest import make_three_state_steady
 
 START = MonthDate(2000, 1)
@@ -63,103 +63,23 @@ def flow_matrix(stocks, rates):
     ])
 
 
-# The per-month raking loop that the batched sweeps replaced, kept as the
-# reference they must reproduce bit for bit: same flow-matrix arithmetic,
-# same sweep, same first-failing-month error.
-LOOP_EXITS = {0: [("eu", 1), ("en", 2)], 1: [("ue", 0), ("un", 2)],
-              2: [("ne", 0), ("nu", 1)]}
-
-
-def loop_flow_matrix(stocks_t, rates_t):
-    m = np.zeros((3, 3))
-    for i, exits in LOOP_EXITS.items():
-        out = 0.0
-        for name, j in exits:
-            m[i, j] = stocks_t[i] * rates_t[name]
-            out += rates_t[name]
-        if out > 1.0 + 1e-12:
-            raise ValueError(f"negative stayer probability in state {i}: "
-                             f"exit rates sum to {float(out)!r}")
-        m[i, i] = stocks_t[i] * (1.0 - out)
-    return m
-
-
-def loop_ipf(matrix, rows, cols, tol, max_iter):
-    m = matrix.copy()
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        rs = m.sum(axis=1)
-        scale = np.where(rs > 0.0, rows / np.where(rs > 0.0, rs, 1.0), 1.0)
-        if ((rs == 0.0) & (rows > 0.0)).any():
-            raise RakingError("empty flow row with positive target mass", np.inf)
-        m *= scale[:, None]
-        cs = m.sum(axis=0)
-        if ((cs == 0.0) & (cols > 0.0)).any():
-            raise RakingError("empty flow column with positive target mass", np.inf)
-        scale = np.where(cs > 0.0, cols / np.where(cs > 0.0, cs, 1.0), 1.0)
-        m *= scale[None, :]
-        residual = max(np.abs(m.sum(axis=1) - rows).max(),
-                       np.abs(m.sum(axis=0) - cols).max())
-        if residual <= tol:
-            return m, it, residual
-    raise RakingError(f"raking did not converge within {max_iter} iterations "
-                      f"(worst residual {residual:.3e})", residual)
-
-
-def loop_rake(stocks, rates, tol=1e-12, max_iter=1000):
-    """(raked rate arrays, iterations, residuals, max_adjustment), month by month."""
-    E, U, N = stocks
-    n = len(E)
-    stock_mat = np.vstack([E.values, U.values, N.values])
-    out = {name: np.full(n, np.nan) for name in RATE_NAMES}
-    iterations = np.full(n - 1, -1, dtype=int)
-    residuals = np.full(n - 1, np.nan)
-    max_adjustment = np.full(n - 1, np.nan)
-    for t in range(n - 1):
-        rates_t = {name: rates[name].values[t] for name in RATE_NAMES}
-        cells = np.concatenate([stock_mat[:, t], stock_mat[:, t + 1],
-                                list(rates_t.values())])
-        if np.isnan(cells).any():
-            continue
-        rows, cols = stock_mat[:, t], stock_mat[:, t + 1]
-        month = E.start.shift(t)
-        if abs(rows.sum() - cols.sum()) > max(100.0 * tol, 1e-10):
-            raise RakingError(
-                f"month {month}: total population differs between adjacent "
-                f"months ({float(rows.sum())!r} vs {float(cols.sum())!r}); "
-                "normalize stocks to shares first", abs(rows.sum() - cols.sum()))
-        try:
-            m = loop_flow_matrix(rows, rates_t)
-        except ValueError as exc:
-            raise ValueError(f"month {month}: {exc}") from None
-        try:
-            fitted, its, res = loop_ipf(m, rows, cols, tol, max_iter)
-        except RakingError as exc:
-            raise RakingError(f"month {month}: {exc}", exc.worst_residual) from None
-        if (np.diag(fitted) < -tol).any():
-            raise RakingError(f"infeasible flow matrix at {month}: "
-                              "negative stayer mass after adjustment", res)
-        iterations[t] = its
-        residuals[t] = res
-        worst = 0.0
-        for i, exits in LOOP_EXITS.items():
-            for name, j in exits:
-                raked = fitted[i, j] / rows[i] if rows[i] > 0.0 else 0.0
-                out[name][t] = raked
-                worst = max(worst, abs(raked - rates_t[name]))
-        max_adjustment[t] = worst
-    return out, iterations, residuals, max_adjustment
-
-
-def assert_same_as_loop(got, want):
-    """`rake_transition_rates` output equals `loop_rake` output bit for bit."""
-    raked, report = got
-    out, iterations, residuals, max_adjustment = want
+def assert_matches_reference(args, got, want, tol=1e-12):
+    """`rake_transition_rates(*args)` output `got` agrees with
+    `reference_rake(*args)` output `want`: the same month-pairs raked, both
+    within tol of their margins, and the raked flows (origin stock times
+    rate) within 1e-9 relative or 10 tol absolute.  Each fit stops within
+    tol of the exact one, so two fits can differ by about tol, whatever the
+    size of the flow."""
+    (raked, report), (ref, ref_report) = got, want
+    origin = dict(zip(RATE_NAMES, (args[0][k].values for k in (0, 0, 1, 1, 2, 2))))
     for name in RATE_NAMES:
-        assert np.array_equal(raked[name].values, out[name], equal_nan=True), name
-    assert np.array_equal(report.iterations, iterations)
-    assert np.array_equal(report.residuals, residuals, equal_nan=True)
-    assert np.array_equal(report.max_adjustment, max_adjustment, equal_nan=True)
+        np.testing.assert_allclose(origin[name] * raked[name].values,
+                                   origin[name] * ref[name].values, rtol=1e-9,
+                                   atol=10 * tol, equal_nan=True, err_msg=name)
+    assert np.array_equal(report.iterations < 0, ref_report.iterations < 0)
+    done = report.iterations >= 0
+    assert (report.residuals[done] <= tol).all()
+    assert (ref_report.residuals[done] <= tol).all()
 
 
 def noisy_inputs(horizon, noise=1e-3, seed=9, quiet_months=0):
@@ -281,16 +201,19 @@ class TestRaking:
 
 
 class TestBatchedRaking:
-    def test_matches_month_by_month_loop_bit_for_bit(self):
+    """Every month-pair is raked at once; each must still come out as it
+    would alone, and the earliest failing month names the error."""
+
+    def test_matches_reference_ipf(self):
         stocks, rates = noisy_inputs(60)
         rates["ne"][[10, 11]] = np.nan
         stocks["N"][40] = np.nan
         args = as_series(stocks, rates)
-        want = loop_rake(*args)
-        assert_same_as_loop(rake_transition_rates(*args), want)
-        iterations = want[1]
+        iterations = assert_rakes_like_reference(args)[1].iterations
         assert np.flatnonzero(iterations < 0).tolist() == [10, 11, 39, 40]
-        assert iterations.max() > 10  # the noise makes raking sweep many times
+        # the noise makes IPF sweep many times, and Newton's method step twice
+        assert reference_rake(*args)[1].iterations.max() > 10
+        assert iterations.max() == 2
 
     def test_earliest_failing_month_wins(self):
         stocks, rates = noisy_inputs(96)
@@ -304,69 +227,94 @@ class TestBatchedRaking:
     def test_earliest_unconverged_month_and_residual(self):
         stocks, rates = noisy_inputs(96, quiet_months=40)
         args = as_series(stocks, rates)
-        sweeps = loop_rake(*args)[1]
-        max_iter = int(np.median(sweeps[40:]))
-        first = 40 + int(np.flatnonzero(sweeps[40:] > max_iter)[0])
-        with pytest.raises(RakingError) as want:
-            loop_rake(*args, max_iter=max_iter)
+        steps = rake_transition_rates(*args)[1].iterations
+        assert (steps[:40] == 0).all() and (steps[40:] == 2).all()
         with pytest.raises(RakingError) as got:
-            rake_transition_rates(*args, max_iter=max_iter)
-        assert str(got.value).startswith(f"month {START.shift(first)}: raking did not "
-                                         f"converge within {max_iter} iterations")
-        assert str(got.value) == str(want.value)
-        assert got.value.worst_residual == want.value.worst_residual
+            rake_transition_rates(*args, max_iter=1)
+        # the residual after one step, as month-pair 2003-05 raked alone has it
+        alone = as_series({k: v[40:42] for k, v in stocks.items()},
+                          {k: v[40:42] for k, v in rates.items()})
+        with pytest.raises(RakingError) as single:
+            rake_transition_rates(*alone, max_iter=1)
+        worst = got.value.worst_residual
+        assert worst == single.value.worst_residual > 1e-12
+        assert str(got.value) == (f"month {START.shift(40)}: raking did not converge "
+                                  f"within 1 iterations (worst residual {worst:.3e})")
+        with pytest.raises(RakingError) as want:
+            reference_rake(*args, max_iter=1)
+        assert str(want.value).startswith(f"month {START.shift(40)}: raking did not "
+                                          "converge within 1 iterations")
 
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(panel=consistent_panels(),
-           noise=arrays(float, (len(RATE_NAMES), 24), elements=st.floats(-0.01, 0.01)),
+           noise=arrays(float, (len(RATE_NAMES), 24), elements=st.floats(-0.2, 0.2)),
            gaps=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 23)), max_size=4),
-           tol=st.sampled_from([1e-9, 1e-12, 1e-14]),
-           budget=st.floats(0.2, 1.5))
-    def test_property_bit_identical_to_loop(self, panel, noise, gaps, tol, budget):
+           # in the first four months, so that they meet each other
+           zero_stocks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                                max_size=3),
+           zero_rates=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)),
+                               max_size=4),
+           empty=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 22),
+                                    st.sampled_from(["row", "column"])), max_size=2),
+           fault=st.sampled_from([None, None, None, None, "overfull", "mismatch"]),
+           fault_month=st.integers(0, 23),
+           tol=st.sampled_from([1e-9, 1e-12, 1e-14]))
+    def test_property_matches_reference_ipf(self, panel, noise, gaps, zero_stocks,
+                                            zero_rates, empty, fault, fault_month, tol):
         n = len(panel.E)
         stocks = {k: getattr(panel, k).values.copy() for k in "EUN"}
         rates = {name: getattr(panel, name).values * (1.0 + noise[k, :n])
                  for k, name in enumerate(RATE_NAMES)}
+
+        def no_one_in(state, t):  # the state's people move to the next state
+            stocks["EUN"[(state + 1) % 3]][t] += stocks["EUN"[state]][t]
+            stocks["EUN"[state]][t] = 0.0
+
+        for state, t in zero_stocks:
+            if t < n:
+                no_one_in(state, t)
+        for k, t in zero_rates:
+            if t < n:
+                rates[RATE_NAMES[k]][t] = 0.0
+        for state, t, margin in empty:
+            if t + 1 < n:
+                # an empty column: no one in the state and no one entering
+                # it; an empty row: no one leaves it, and next month no one is in it
+                no_one_in(state, t + (margin == "row"))
+                for name in RATE_NAMES:
+                    if name[margin == "column"] == "eun"[state]:
+                        rates[name][t] = 0.0
+        if fault == "overfull":  # with un > 0, exits sum above one
+            rates["ue"][fault_month % (n - 1)] = 1.0
+        if fault == "mismatch":
+            stocks["U"][fault_month % n] += 1e-6
         cells = [stocks[k] for k in "EUN"] + [rates[name] for name in RATE_NAMES]
         for row, t in gaps:
             if t < n:
                 cells[row][t] = np.nan
         args = as_series(stocks, rates)
-        # a sweep budget both below and above what the slowest pair needs
-        try:
-            needed = loop_rake(*args, tol=tol)[1].max()
-        except RakingError:  # a pair that needs more than the default budget
-            needed = 1000
-        max_iter = max(1, round(budget * needed))
-
-        def outcome(rake):
-            try:
-                return rake(*args, tol=tol, max_iter=max_iter)
-            except (ValueError, RakingError) as exc:
-                return exc
-
-        got, want = outcome(rake_transition_rates), outcome(loop_rake)
-        if isinstance(want, Exception):
-            assert type(got) is type(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(args, rake_transition_rates, tol=tol)
+            want = outcome(args, reference_rake, tol=tol)
+        if not isinstance(want, Exception):
+            assert not isinstance(got, Exception), got
+            assert_matches_reference(args, got, want, tol)
+        elif "did not converge" not in str(want):
+            # a population mismatch, a negative stayer or an empty margin
+            assert type(got) is type(want), got
             assert str(got) == str(want)
             assert (getattr(got, "worst_residual", None)
                     == getattr(want, "worst_residual", None))
-            return
-        assert not isinstance(got, Exception), got
-        assert_same_as_loop(got, want)
 
     def test_zero_origin_stock_rakes_without_warnings(self):
         # no one is unemployed in 2002-07, though the rates out of
-        # unemployment are not zero: every guarded division meets a zero
+        # unemployment are not zero: every row factor meets a zero
         stocks, rates = noisy_inputs(96, quiet_months=30)
         stocks["E"][30] += stocks["U"][30]
         stocks["U"][30] = 0.0
         assert rates["ue"][30] > 0.0 and rates["un"][30] > 0.0
-        args = as_series(stocks, rates)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            raked, report = rake_transition_rates(*args)
-            assert_same_as_loop((raked, report), loop_rake(*args))
+        raked, report = assert_rakes_like_reference(as_series(stocks, rates))
         assert raked["ue"].values[30] == raked["un"].values[30] == 0.0
         assert raked["eu"].values[29] == raked["nu"].values[29] == 0.0
         assert (report.iterations[29:31] >= 1).all()
@@ -377,11 +325,10 @@ class TestBatchedRaking:
             warnings.simplefilter("error")
             with pytest.raises(RakingError) as got:
                 self._empty_column(stocks, rates)
-            with pytest.raises(RakingError) as want:
-                loop_rake(*as_series(stocks, rates))
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("month 2002-07: empty flow column")
-        assert got.value.worst_residual == want.value.worst_residual
+        err = assert_rakes_like_reference(as_series(stocks, rates))
+        assert str(got.value) == str(err)
+        assert str(err) == "month 2002-07: empty flow column with positive target mass"
+        assert err.worst_residual == np.inf
 
     @staticmethod
     def _mismatch(stocks, rates):
@@ -395,7 +342,7 @@ class TestBatchedRaking:
 
     @staticmethod
     def _not_converged(stocks, rates):
-        rake_transition_rates(*as_series(stocks, rates), max_iter=2)
+        rake_transition_rates(*as_series(stocks, rates), max_iter=1)
 
     @staticmethod
     def _empty_column(stocks, rates):
@@ -431,13 +378,14 @@ def outcome(args, rake, **kwargs):
         return exc
 
 
-def assert_rakes_like_loop(args, **kwargs):
-    """`rake_transition_rates` on `args` matches `loop_rake` bit for bit, or
-    raises the same error with the same worst residual, without a warning."""
+def assert_rakes_like_reference(args, **kwargs):
+    """`rake_transition_rates` on `args` agrees with `reference_rake`
+    (`assert_matches_reference`), or raises the same error with the same
+    worst residual, without a warning.  Returns Newton's outcome."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(args, rake_transition_rates, **kwargs)
-        want = outcome(args, loop_rake, **kwargs)
+        want = outcome(args, reference_rake, **kwargs)
     if isinstance(want, Exception):
         assert type(got) is type(want), got
         assert str(got) == str(want)
@@ -445,17 +393,27 @@ def assert_rakes_like_loop(args, **kwargs):
                 == getattr(want, "worst_residual", None))
     else:
         assert not isinstance(got, Exception), got
-        assert_same_as_loop(got, want)
-    return want
+        assert_matches_reference(args, got, want, kwargs.get("tol", 1e-12))
+    return got
+
+
+def assert_same_raking(got, want):
+    """Two `rake_transition_rates` results are equal bit for bit."""
+    for name in RATE_NAMES:
+        assert np.array_equal(got[0][name].values, want[0][name].values,
+                              equal_nan=True), name
+    for field in ("iterations", "residuals", "max_adjustment"):
+        assert np.array_equal(getattr(got[1], field), getattr(want[1], field),
+                              equal_nan=True), field
 
 
 def plant_underflow(stocks, rates, t, column, exits):
     """At month-pair t, give the unemployment column the cells `column`
     (from E, U and N), the unemployed the exit rates `exits` (ue, un) and
-    next month's unemployment the stock 5e-324.  The first column scaling
-    then rounds every cell under about half the column sum to zero, so an
-    empty column, or with no exits an empty unemployed row, is met only at
-    the second sweep.  The pairs before and after are left out."""
+    next month's unemployment the stock 5e-324.  IPF's first column scaling
+    then rounds every cell under about half the column sum to zero, so it
+    meets an empty column, or with no exits an empty unemployed row, at its
+    second sweep.  The pairs before and after are left out."""
     e_u, u_u, n_u = column
     rates["ue"][t], rates["un"][t] = exits
     stocks["E"][t] += stocks["U"][t]
@@ -469,23 +427,46 @@ def plant_underflow(stocks, rates, t, column, exits):
 
 
 class TestBatchEdges:
-    """Sweeps run _BATCH at a time and pairs _BLOCK at a time; each pair must
-    still leave at its own first converged (or failing) sweep."""
+    """Step budgets, pairs that leave at different steps, and panels with
+    margins that are empty or next to empty: every month-pair of the one
+    batch must leave at its own first converged step, or fail on its own."""
 
-    @pytest.mark.parametrize("max_iter", sorted({1, _BATCH - 1, _BATCH, _BATCH + 1,
-                                                 2 * _BATCH + 1}))
+    @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 17])
     @pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-12])
     def test_sweep_budget_around_batch_edges(self, max_iter, tol):
+        # a budget at least the most steps any pair needs changes nothing;
+        # a smaller one names the first pair that needs more
         stocks, rates = noisy_inputs(48, quiet_months=20)
-        assert_rakes_like_loop(as_series(stocks, rates), tol=tol, max_iter=max_iter)
+        args = as_series(stocks, rates)
+        full = assert_rakes_like_reference(args, tol=tol)
+        steps = full[1].iterations
+        got = outcome(args, rake_transition_rates, tol=tol, max_iter=max_iter)
+        if steps.max() <= max_iter:
+            assert_same_raking(got, full)
+        else:
+            first = int(np.flatnonzero(steps > max_iter)[0])
+            assert str(got).startswith(f"month {START.shift(first)}: raking did not "
+                                       f"converge within {max_iter} iterations")
 
     def test_pairs_converge_at_different_sweeps_of_one_batch(self):
-        stocks, rates = noisy_inputs(48, quiet_months=20)
-        iterations = assert_rakes_like_loop(as_series(stocks, rates), tol=1e-5)[1]
-        batch = (iterations[20:] - 1) // _BATCH
-        # at least three different sweeps inside the first batch, and more after it
-        assert len(set(iterations[20:][batch == 0].tolist())) >= 3
-        assert (batch > 0).any()
+        # noise that grows month by month: the pairs need 0 to 4 steps, and
+        # each comes out as it does raked alone
+        stocks, rates = noisy_inputs(48, quiet_months=8)
+        calm = noisy_inputs(48, quiet_months=48)[1]
+        scale = 200.0 * np.geomspace(1e-6, 1.0, 48)  # up to 20% noise
+        for name in RATE_NAMES:
+            rates[name] = calm[name] + scale * (rates[name] - calm[name])
+        args = as_series(stocks, rates)
+        raked, report = assert_rakes_like_reference(args)
+        steps = report.iterations
+        assert len(set(steps.tolist())) >= 4
+        for t in np.flatnonzero(np.diff(steps, prepend=-1)).tolist():
+            alone = rake_transition_rates(
+                *as_series({k: v[t:t + 2] for k, v in stocks.items()},
+                           {k: v[t:t + 2] for k, v in rates.items()}))
+            assert alone[1].iterations[0] == steps[t]
+            for name in RATE_NAMES:
+                assert alone[0][name].values[0] == raked[name].values[t]
 
     @pytest.mark.parametrize("column, exits, margin", [
         ((0.01, 0.01, 0.005), (0.5, 0.3), "column"),
@@ -494,77 +475,130 @@ class TestBatchEdges:
         ((0.003, 0.003, 0.003), (0.0, 0.0), "row"),
     ], ids=["column", "row", "row-and-column"])
     def test_margin_first_empty_mid_batch(self, column, exits, margin):
+        # IPF's empty margin comes from underflow.  Newton's method never
+        # rounds a cell to zero: it rakes the column plant; the unemployed
+        # with no exits cannot fit a column of 5e-324, so it does not converge
         stocks, rates = noisy_inputs(96, quiet_months=30)
         plant_underflow(stocks, rates, 40, column, exits)
         rows = np.array([stocks[k][40] for k in "EUN"])
         cols = np.array([stocks[k][41] for k in "EUN"])
-        m = loop_flow_matrix(rows, {name: rates[name][40] for name in RATE_NAMES})
-        # no margin is empty before the first sweep
+        m = flow_matrix(rows, {name: rates[name][40] for name in RATE_NAMES})
+        # no margin is empty before raking
         assert (m.sum(axis=1) > 0).all() and (m.sum(axis=0) > 0).all()
         assert (rows > 0).all() and (cols > 0).all()
-        err = assert_rakes_like_loop(as_series(stocks, rates))
-        assert str(err) == f"month 2003-05: empty flow {margin} with positive target mass"
+        args = as_series(stocks, rates)
+        with pytest.raises(RakingError) as want:
+            reference_rake(*args)
+        assert str(want.value) == f"month 2003-05: empty flow {margin} with positive target mass"
+        got = outcome(args, rake_transition_rates, max_iter=100)
+        if exits == (0.0, 0.0):
+            assert str(got).startswith("month 2003-05: raking did not converge within 100")
+            return
+        raked, report = got
+        assert 2 < report.iterations[40] <= 100
+        fitted = flow_matrix(rows, {name: raked[name].values[40] for name in RATE_NAMES})
+        np.testing.assert_allclose(fitted.sum(axis=1), rows, rtol=0, atol=2e-12)
+        np.testing.assert_allclose(fitted.sum(axis=0), cols, rtol=0, atol=2e-12)
 
     @pytest.mark.parametrize("max_iter", [2, 1000])
     def test_zero_next_month_stock_first_met_at_second_sweep(self, max_iter):
-        # the first column scaling zeroes the column, which then has zero
-        # sum and zero target: scale one from the second sweep on, also
-        # where that sweep is the batch's last
+        # no one is unemployed next month: the column is emptied before the
+        # first step, and this pair needs more steps than the others
         stocks, rates = noisy_inputs(96, quiet_months=40)
         stocks["E"][41] += stocks["U"][41]
         stocks["U"][41] = 0.0
         for name in RATE_NAMES:
             rates[name][41] = np.nan
-        want = assert_rakes_like_loop(as_series(stocks, rates), max_iter=max_iter)
+        args = as_series(stocks, rates)
+        got = outcome(args, rake_transition_rates, max_iter=max_iter)
         if max_iter == 2:
-            assert str(want).startswith("month 2003-05: raking did not converge")
-        else:
-            assert want[1][40] > _BATCH
+            assert str(got).startswith("month 2003-05: raking did not converge within 2")
+            return
+        raked, report = assert_rakes_like_reference(args)
+        assert report.iterations[40] > report.iterations[42] == 2
+        assert raked["eu"].values[40] == raked["nu"].values[40] == 0.0
 
-    def test_zero_origin_stock_in_later_batches_and_blocks(self, monkeypatch):
-        # blocks of 7 pairs: the zero stock's pair sits in the fifth block
-        # and needs many batches, each one of them swept again with guards
-        monkeypatch.setattr(flows_three_state, "_BLOCK", 7)
+    def test_zero_origin_stock_in_later_batches_and_blocks(self):
         stocks, rates = noisy_inputs(60, quiet_months=2)
         stocks["E"][30] += stocks["U"][30]
         stocks["U"][30] = 0.0
-        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
-        assert iterations[30] > 2 * _BATCH
+        iterations = assert_rakes_like_reference(as_series(stocks, rates))[1].iterations
+        assert iterations[30] > iterations[31] == 2
 
-    def test_earliest_failure_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(flows_three_state, "_BLOCK", 7)
+    def test_earliest_failure_across_blocks(self):
+        # the underflow plant at 2003-10 rakes in more steps than the others;
+        # a budget of one step fails first at 2000-03, as IPF's does
         stocks, rates = noisy_inputs(60, quiet_months=2)
         plant_underflow(stocks, rates, 45, (0.01, 0.01, 0.005), (0.5, 0.3))
-        assert_rakes_like_loop(as_series(stocks, rates))
-        # a pair of an earlier block that cannot converge in time comes first
-        err = assert_rakes_like_loop(as_series(stocks, rates), max_iter=2 * _BATCH + 3)
-        assert str(err).startswith("month 2000-03: raking did not converge")
+        args = as_series(stocks, rates)
+        steps = rake_transition_rates(*args)[1].iterations
+        assert steps[45] > 2 and (np.delete(steps, [44, 45, 46])[2:] == 2).all()
+        err = outcome(args, rake_transition_rates, max_iter=2)
+        assert str(err).startswith("month 2003-10: raking did not converge within 2")
+        for rake in (rake_transition_rates, reference_rake):
+            err = outcome(args, rake, max_iter=1)
+            assert str(err).startswith("month 2000-03: raking did not converge within 1")
 
     def test_no_rakeable_pair(self):
         stocks, rates = noisy_inputs(12)
         rates["ue"][:] = np.nan
-        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
+        iterations = assert_rakes_like_reference(as_series(stocks, rates))[1].iterations
         assert (iterations == -1).all()
 
     def test_single_pair(self):
         stocks, rates = noisy_inputs(2)
-        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
-        assert iterations[0] > _BATCH
+        iterations = assert_rakes_like_reference(as_series(stocks, rates))[1].iterations
+        assert iterations[0] >= 1
 
     def test_more_pairs_than_one_block(self):
-        # consistent months converge at the first sweep; noise on the months
-        # around the block edge and at the start makes those sweep on
-        horizon = _BLOCK + 40
+        # consistent months leave at step 0; noise on the months around
+        # month 4,096 and at the start makes those step on
+        horizon = 4096 + 40
         stocks, rates = noisy_inputs(horizon)
         calm = np.ones(horizon, dtype=bool)
-        calm[np.r_[:10, _BLOCK - 10:_BLOCK + 10]] = False
+        calm[np.r_[:10, 4086:4106]] = False
         consistent = noisy_inputs(horizon, quiet_months=horizon)[1]
         for name in RATE_NAMES:
             rates[name][calm] = consistent[name][calm]
-        stocks["U"][_BLOCK + 20] = np.nan
-        iterations = assert_rakes_like_loop(as_series(stocks, rates))[1]
-        assert iterations[_BLOCK - 1] > _BATCH and iterations[_BLOCK] > _BATCH
-        assert (iterations[_BLOCK + 19:_BLOCK + 21] == -1).all()
+        stocks["U"][4116] = np.nan
+        iterations = assert_rakes_like_reference(as_series(stocks, rates))[1].iterations
+        assert (iterations[~calm[:-1]] >= 1).all()
+        assert (iterations[4115:4117] == -1).all()
+
+
+class TestNewtonSteps:
+    """Edges of the step count itself."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_budget_of_one_and_two_steps(self, max_iter):
+        # a pair with 1e-8 noise needs one step, a pair with 1e-3 noise two
+        stocks, rates = noisy_inputs(24, quiet_months=24)
+        for name, noisy in noisy_inputs(24, noise=1e-3)[1].items():
+            rates[name][12] += 1e-5 * (noisy[12] - rates[name][12])
+            rates[name][16] = noisy[16]
+        args = as_series(stocks, rates)
+        full = rake_transition_rates(*args)
+        steps = full[1].iterations
+        assert steps[12] == 1 and steps[16] == 2
+        assert (np.delete(steps, [12, 16]) == 0).all()
+        got = outcome(args, rake_transition_rates, max_iter=max_iter)
+        if max_iter == 1:
+            assert str(got).startswith("month 2001-05: raking did not converge within 1")
+        else:
+            assert_same_raking(got, full)
+
+    @pytest.mark.parametrize("when", ["t", "t+1", "both"])
+    def test_zero_stock_at_t_or_next_month(self, when):
+        stocks, rates = noisy_inputs(24, quiet_months=0)
+        for t in {"t": [10], "t+1": [11], "both": [10, 11]}[when]:
+            stocks["E"][t] += stocks["N"][t]
+            stocks["N"][t] = 0.0
+        raked, report = assert_rakes_like_reference(as_series(stocks, rates))
+        assert (report.iterations[9:12] >= 1).all()
+        if when != "t+1":  # no one leaves an empty state
+            assert raked["ne"].values[10] == raked["nu"].values[10] == 0.0
+        if when != "t":  # and no one enters one
+            assert raked["en"].values[10] == raked["un"].values[10] == 0.0
 
 
 class TestRakingProperties:
@@ -578,7 +612,9 @@ class TestRakingProperties:
             for k, name in enumerate(RATE_NAMES)}
         tol = 1e-12
         raked, report = rake_transition_rates((panel.E, panel.U, panel.N), noisy, tol=tol)
-        assert (report.iterations >= 1).all()
+        # a pair takes no Newton step only where the published rates already fit
+        assert (report.iterations >= 0).all()
+        assert (report.max_adjustment[report.iterations == 0] <= 1e-15).all()
         stocks = np.vstack([panel.E.values, panel.U.values, panel.N.values])
         for t in range(n - 1):
             m = flow_matrix(stocks[:, t], {k: raked[k].values[t] for k in RATE_NAMES})
