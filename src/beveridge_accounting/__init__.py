@@ -18,7 +18,7 @@ from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_C
                          unemployment_gap)
 from .flows_three_state import (RakingError, RakingReport, ThreeStatePanel,
                                 build_three_state_panel, rake_transition_rates,
-                                relative_search_intensity, total_hires)
+                                total_hires)
 from .flows_two_state import (ProbabilityRangeWarning, TwoStatePanel,
                               build_two_state_panel, implied_separation_probability,
                               job_finding_probability)

@@ -41,7 +41,7 @@ from .flows_two_state import build_two_state_panel
 from .matching import (DEFAULT_ALPHA, estimate_matching, matching_efficiency_path,
                        searcher_finding_rate, tightness)
 from .series import MonthDate, MonthlySeries, moving_average
-from .shift_decomposition import (AllPairsInfeasibleError, SwingBounds,
+from .shift_decomposition import (MARGIN_TERMS, AllPairsInfeasibleError, SwingBounds,
                                   all_orderings_report, build_swing_samples,
                                   loglinear_shift_decomposition)
 from .simulate import (SimulationSpec, ThreeStateSimulationSpec,
@@ -205,12 +205,15 @@ def _two_state_pipeline(args: argparse.Namespace):
     panel = build_two_state_panel(cols["u_rate"], cols["v_rate"], cols["u_short"])
     theta = tightness(panel.U, panel.V)
     f_pos, masked = _positive_finding_rate(panel.f)
+    return panel, theta, f_pos, {"nonpositive_finding_months_masked": masked}
+
+
+def _two_state_expansion(args: argparse.Namespace):
+    """The step `shifters` and `decompose` share: the pipeline, the
+    efficiency path, the expansion point (pinned by --u-bar, --s-bar and
+    --sigma-bar, else the window means) and the log-linear expansion there."""
+    panel, theta, f_pos, notes = _two_state_pipeline(args)
     sigma = matching_efficiency_path(f_pos, theta, args.alpha)
-    return panel, theta, f_pos, sigma, {"nonpositive_finding_months_masked": masked}
-
-
-def _approx_point(args: argparse.Namespace, panel,
-                  sigma) -> tuple[ApproximationPoint, dict]:
     overrides = (args.u_bar, args.s_bar, args.sigma_bar)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):
@@ -218,15 +221,16 @@ def _approx_point(args: argparse.Namespace, panel,
                               "given together")
         point = _from_flags(ApproximationPoint, U_bar=args.u_bar, s_bar=args.s_bar,
                             sigma_bar=args.sigma_bar, alpha=args.alpha)
-        info = {"approx_window": "overridden"}
+        notes["approx_window"] = "overridden"
     else:
         window = _resolve_approx_window(args, panel.U)
         point = ApproximationPoint.from_series(panel.U, panel.s, sigma,
                                                args.alpha, window)
-        info = {"approx_window": f"{window[0]}:{window[1]}"}
-    info.update({"U_bar": point.U_bar, "s_bar": point.s_bar,
-                 "sigma_bar": point.sigma_bar, "V_bar": point.V_bar})
-    return point, info
+        notes["approx_window"] = f"{window[0]}:{window[1]}"
+    notes.update({"U_bar": point.U_bar, "s_bar": point.s_bar,
+                  "sigma_bar": point.sigma_bar, "V_bar": point.V_bar})
+    expansion = two_state_loglinear(panel.U, panel.s, sigma, point)
+    return panel, sigma, point, expansion, notes
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def _approx_point(args: argparse.Namespace, panel,
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    panel, theta, f_pos, _, notes = _two_state_pipeline(args)
+    panel, theta, f_pos, notes = _two_state_pipeline(args)
 
     if args.sample:
         windows = list(args.sample)
@@ -271,32 +275,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_shifters(args: argparse.Namespace) -> int:
-    panel, theta, f_pos, sigma, notes = _two_state_pipeline(args)
-    point, info = _approx_point(args, panel, sigma)
-    notes.update(info)
-
+    panel, _, _, expansion, notes = _two_state_expansion(args)
     _require_coverage(panel.U, f"reference month {args.reference}", args.reference)
-    loglin = two_state_loglinear(panel.U, panel.s, sigma, point)
-    paths = shifter_paths(loglin, args.reference,
-                          ("searcher_dynamics", "separations", "matching"))
+    paths = shifter_paths(expansion, args.reference, tuple(MARGIN_TERMS.values()))
     with np.errstate(invalid="ignore", divide="ignore"):
         log_v = np.log(panel.V.values)
 
     path = _output_path(args, "shifters")
     outputs = {path.name: write_panel(path, {
         "u_rate": panel.U, "log_v_observed": panel.V.with_values(log_v),
-        "log_v_loglinear": loglin.total, "dynamics": paths["searcher_dynamics"],
-        "separations": paths["separations"], "matching": paths["matching"],
+        "log_v_loglinear": expansion.total,
+        **{margin: paths[term] for margin, term in MARGIN_TERMS.items()},
         "net": paths["net"]})}
     _write_manifest(args, outputs, notes)
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    panel, theta, f_pos, sigma, notes = _two_state_pipeline(args)
-    point, info = _approx_point(args, panel, sigma)
-    notes.update(info)
-
+    panel, sigma, point, expansion, notes = _two_state_expansion(args)
     for m in (args.down_start, args.down_end, args.up_start, args.up_end):
         if m is not None:
             _require_coverage(panel.U, f"swing bound {m}", m)
@@ -304,16 +300,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                          down_end=args.down_end, up_start=args.up_start,
                          up_end=args.up_end)
     samples = build_swing_samples(panel.U, panel.V, bounds)
-    loglin = loglinear_shift_decomposition(panel.U, panel.V, panel.s, sigma, samples,
-                                           point)
+    loglin = loglinear_shift_decomposition(panel.U, panel.V, expansion, samples)
     table = all_orderings_report(panel.U, panel.V, panel.s, sigma, samples, point)
 
     path = _output_path(args, "vertical_shift_loglinear")
     outputs = {path.name: write_table(path, {
         "month": [str(month) for month in loglin.months], "u_rate": loglin.u,
         "observed_shift": loglin.observed, "total_loglinear": loglin.total,
-        "dynamics": loglin.dynamics, "separations": loglin.separations,
-        "matching": loglin.matching})}
+        **{margin: getattr(loglin, margin) for margin in MARGIN_TERMS}})}
     path = _output_path(args, "orderings")
     outputs[path.name] = write_table(path, {
         "ordering": [" -> ".join(row.ordering) for row in table.rows],
@@ -466,17 +460,21 @@ def _delta_u_path(args: argparse.Namespace) -> np.ndarray | None:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, with_input: bool = True,
+                with_alpha: bool = True) -> None:
+    """The output flags; the input and smoothing flags unless the command
+    reads no panel; --alpha unless it reads no matching elasticity."""
     if with_input:
         sub.add_argument("--input", required=True, help="panel CSV path")
+        sub.add_argument("--smooth", type=_positive_int, default=1, metavar="N",
+                         help="moving-average window applied to inputs (1 = none)")
+        sub.add_argument("--smooth-align", choices=("centered", "trailing"),
+                         default="centered")
     sub.add_argument("--output-dir", required=True, help="directory for outputs")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--alpha", type=_unit_interval, default=DEFAULT_ALPHA,
-                     help="matching elasticity (default %(default)s)")
-    sub.add_argument("--smooth", type=_positive_int, default=1, metavar="N",
-                     help="moving-average window applied to inputs (1 = none)")
-    sub.add_argument("--smooth-align", choices=("centered", "trailing"),
-                     default="centered")
+    if with_alpha:
+        sub.add_argument("--alpha", type=_unit_interval, default=DEFAULT_ALPHA,
+                         help="matching elasticity (default %(default)s)")
 
 
 def _add_approx(sub: argparse.ArgumentParser) -> None:
@@ -504,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("estimate", help="matching-function estimation")
-    _add_common(p)
+    _add_common(p, with_alpha=False)
     p.add_argument("--sample", type=_window, action="append", metavar="START:END",
                    help="estimation window; repeatable (default: pre/post 2008)")
     p.add_argument("--robust", action="store_true",
@@ -539,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_three_state)
 
     p = subs.add_parser("efficiency", help="efficient unemployment series")
-    _add_common(p)
+    _add_common(p, with_alpha=False)
     p.add_argument("--ms-elasticity", type=_positive_float, default=MS_ELASTICITY)
     p.add_argument("--steep-elasticity", type=_positive_float,
                    default=STEEP_ELASTICITY)

@@ -350,10 +350,8 @@ def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,
                   terms: tuple[str, ...] = TERMS) -> dict[str, MonthlySeries]:
     """The expansion's `terms`, each shifted to zero at the reference month,
     plus `net`, the sum of those shifted terms that shift the curve (all but
-    searcher_level).
-
-    The two-state shifters dynamics, separations and matching are the terms
-    searcher_dynamics, separations and matching.
+    searcher_level).  `shift_decomposition.MARGIN_TERMS` names the
+    two-state shifters' terms.
     """
     if not set(terms) <= set(TERMS) or set(terms) <= {"searcher_level"}:
         raise ValueError(f"terms must name at least one shifter of {TERMS}, "

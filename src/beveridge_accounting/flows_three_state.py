@@ -94,8 +94,16 @@ class ThreeStatePanel:
 
     @cached_property
     def xi_N(self) -> MonthlySeries:
-        """Relative search intensity of the nonemployed, ne / ue."""
-        return relative_search_intensity(self.ne, self.ue)
+        """Relative search intensity of the nonemployed, ne / ue; ValueError
+        naming the first month where ue is zero and ne is observed."""
+        ne, ue = self.ne.values, self.ue.values
+        undefined = ~np.isnan(ne) & (ue == 0.0)
+        if undefined.any():
+            t = int(np.flatnonzero(undefined)[0])
+            raise ValueError(f"undefined intensity at {self.ne.start.shift(t)}: "
+                             "zero unemployment-to-employment rate")
+        with np.errstate(invalid="ignore"):
+            return self.ne.with_values(ne / ue)
 
     @cached_property
     def S(self) -> MonthlySeries:
@@ -218,6 +226,25 @@ def _newton_update(f: np.ndarray, R: np.ndarray, C: np.ndarray,
     return f + grow
 
 
+# The seven nonempty subsets of the three states, one per row, as 0/1.
+_SUBSETS = np.vstack([np.eye(3), 1.0 - np.eye(3), np.ones(3)])
+
+
+def _shortfall(m: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each pair's largest shortfall g (A,) of the cells m (3, 3, A) against
+    the targets r and c (3, A): over the nonempty subsets of rows (columns),
+    their targets less those of the columns (rows) their cells reach; for
+    all three rows (columns), that is the gap between the two totals.
+    Scaling keeps zero cells zero, so in every fit the residuals of those at
+    most six margins sum to at least g, and the worst is at least g / 6."""
+    support, n = m > 0.0, m.shape[2]
+    reach = (_SUBSETS @ support.reshape(3, -1)).reshape(7, 3, n) > 0.0
+    come = (_SUBSETS @ support.transpose(1, 0, 2).reshape(3, -1)).reshape(7, 3, n) > 0.0
+    out = _SUBSETS @ r - np.add.reduce(np.where(reach, c, 0.0), axis=1)
+    into = _SUBSETS @ c - np.add.reduce(np.where(come, r, 0.0), axis=1)
+    return np.maximum(out.max(axis=0), into.max(axis=0))
+
+
 def _rake_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                 tol: float, max_iter: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[str, float]]]:
@@ -229,8 +256,9 @@ def _rake_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     take Newton steps at once, and each leaves at its first step (from 0)
     whose worst marginal residual is <= tol, with that step's cells.  A
     column whose target is zero is emptied first.  A pair fails where a
-    margin with positive target has no flow to fill it, or when it is still
-    above tol after max_iter steps.  Returns the fitted cells, the steps and
+    margin with positive target has no flow to fill it, where its shortfall
+    (`_shortfall`) rules out a fit within tol, or when it is still above tol
+    after max_iter steps.  Returns the fitted cells, the steps and
     residuals per pair (NaN, -1 and NaN where the pair failed) and
     {pair index: (message, worst residual)} for failures.
     """
@@ -247,7 +275,15 @@ def _rake_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     failed = {j: (f"empty flow {margin} with positive target mass", np.inf)
               for margin, empty in (("column", col), ("row", row))
               for j in np.flatnonzero(empty).tolist()}
-    act = np.flatnonzero(~(row | col))
+    # a pair whose worst residual stays above tol in every fit, whatever
+    # the rounding of its sums, fails before the first step
+    gap = _shortfall(m, rows, cols)
+    stuck = (gap > 6.0 * tol + 1e-14 * np.add.reduce(rows, axis=0)) & ~(row | col)
+    for j, g in zip(np.flatnonzero(stuck).tolist(), gap[stuck].tolist()):
+        failed[j] = (f"raking cannot converge: some margins' targets exceed "
+                     f"by {g:.3e} those of the margins that hold all their flow",
+                     np.inf)
+    act = np.flatnonzero(~(row | col | stuck))
     f, R, C, r, c, res = (x[..., act] for x in (m, R, C, rows, cols, res))
     for k in range(max_iter + 1):
         done = res <= tol
@@ -343,18 +379,6 @@ def rake_transition_rates(
     report = RakingReport(iterations=iterations, residuals=residuals,
                           max_adjustment=max_adjustment)
     return raked_series, report
-
-
-def relative_search_intensity(ne: MonthlySeries, ue: MonthlySeries) -> MonthlySeries:
-    """Search intensity of the nonemployed relative to the unemployed: ne / ue."""
-    require_aligned(ne, ue)
-    defined = ~np.isnan(ne.values) & ~np.isnan(ue.values)
-    if (defined & (ue.values == 0.0)).any():
-        t = int(np.flatnonzero(defined & (ue.values == 0.0))[0])
-        raise ValueError(f"undefined intensity at {ne.start.shift(t)}: "
-                         "zero unemployment-to-employment rate")
-    with np.errstate(invalid="ignore"):
-        return ne.with_values(ne.values / ue.values)
 
 
 def total_hires(panel: ThreeStatePanel) -> MonthlySeries:

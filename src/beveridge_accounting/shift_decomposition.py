@@ -8,8 +8,9 @@ shift at that unemployment rate is then split into contributions from
 out-of-steady-state dynamics, the separation probability, and matching
 efficiency, two ways:
 
-* log-linear: additive first-order contributions in log-vacancy units,
-  coefficient times the up-down difference of each shifter coordinate;
+* log-linear: additive first-order contributions in log-vacancy units, the
+  up-down shift of each margin's term of the log-linear expansion
+  (`curve.two_state_loglinear`, the terms `shifters` writes);
 * nonlinear: starting from the steady-state curve (which cannot shift),
   margins are set to their observed values one at a time, in each of the
   six orders; each margin's contribution is the change in the up-down shift
@@ -29,14 +30,16 @@ from itertools import combinations, compress, permutations
 
 import numpy as np
 
-from .curve import (ApproximationPoint, _as_three_state, _expansion_coefficients,
-                    _vacancy_identity)
-from .series import MonthDate, MonthlySeries, delta, delta_log, require_aligned
+from .curve import ApproximationPoint, ThreeStateLoglinear, _vacancy_identity
+from .series import MonthDate, MonthlySeries, delta, require_aligned
 
 MARGIN_DYNAMICS = "dynamics"
 MARGIN_SEPARATIONS = "separations"
 MARGIN_MATCHING = "matching"
 MARGINS = (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)
+# Each margin's term of the log-linear expansion (`curve.ThreeStateLoglinear`).
+MARGIN_TERMS = {MARGIN_DYNAMICS: "searcher_dynamics",
+                MARGIN_SEPARATIONS: "separations", MARGIN_MATCHING: "matching"}
 
 
 class IdentityMismatchWarning(UserWarning):
@@ -228,41 +231,27 @@ class ShiftDecomposition:
 
 
 def loglinear_shift_decomposition(
-    U: MonthlySeries, V: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-    samples: SwingSamples, point: ApproximationPoint,
+    U: MonthlySeries, V: MonthlySeries, expansion: ThreeStateLoglinear,
+    samples: SwingSamples,
 ) -> ShiftDecomposition:
-    """First-order additive decomposition of the vertical shift.
-
-    Each contribution is the shifter coefficient times the up-down
-    difference of its coordinate; matched pairs with a missing coordinate
-    are dropped and reported.
-    """
-    require_aligned(U, V, s, sigma)
+    """First-order additive decomposition of the vertical shift: each
+    margin's contribution is the up-down shift of its term (`MARGIN_TERMS`)
+    of the expansion that `curve.two_state_loglinear` returns.  Matched
+    pairs where a term is missing are dropped and reported."""
+    require_aligned(U, V, expansion.total)
     samples._check_grid(U)
+    contrib = np.vstack([samples.vertical_shift(getattr(expansion, term).values)
+                         for term in MARGIN_TERMS.values()])
+    ok = ~np.isnan(contrib).any(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        coords = {
-            MARGIN_DYNAMICS: delta_log(U).values,
-            MARGIN_SEPARATIONS: np.log(s.values),
-            MARGIN_MATCHING: np.log(sigma.values),
-        }
-        log_v = np.log(V.values)
-    # coefficients on (ln S, dln S', ln N_tilde, dln N_tilde', ln x, ln sigma)
-    coef = _expansion_coefficients(_as_three_state(point))
-    coefs = {MARGIN_DYNAMICS: coef[1], MARGIN_SEPARATIONS: coef[4],
-             MARGIN_MATCHING: coef[5]}
-    contrib = {name: coefs[name] * samples.vertical_shift(values)
-               for name, values in coords.items()}
-    ok = ~np.isnan(np.vstack(list(contrib.values()))).any(axis=0)
+        observed = samples.vertical_shift(np.log(V.values))
+    dynamics, separations, matching = contrib[:, ok]
     months = samples.down_months
     return ShiftDecomposition(
-        months=tuple(compress(months, ok)),
-        u=samples.at_down(U.values)[ok],
-        observed=samples.vertical_shift(log_v)[ok],
-        dynamics=contrib[MARGIN_DYNAMICS][ok],
-        separations=contrib[MARGIN_SEPARATIONS][ok],
-        matching=contrib[MARGIN_MATCHING][ok],
-        dropped_months=samples.dropped_months + tuple(compress(months, ~ok)),
-    )
+        months=tuple(compress(months, ok)), u=samples.at_down(U.values)[ok],
+        observed=observed[ok], dynamics=dynamics, separations=separations,
+        matching=matching,
+        dropped_months=samples.dropped_months + tuple(compress(months, ~ok)))
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,36 @@ class TestDecomposeCommand:
             assert cell(r, "dynamics_pct") == pytest.approx(0.0, abs=1e-9)
             assert cell(r, "separations_pct") == pytest.approx(0.0, abs=1e-9)
 
+    def test_loglinear_columns_are_shifts_of_the_shifters(self, tmp_path,
+                                                          recession_sim):
+        # both commands read one expansion: each log-linear contribution is
+        # the up-down shift of the shifter column of the same name, at the
+        # months decompose kept, on smoothed inputs
+        data = write_recession_csv(tmp_path, recession_sim)
+        swing = ["--down-start", "2007-07", "--down-end", "2009-06",
+                 "--up-start", "2010-01"]
+        for command in ("shifters", "decompose"):
+            assert run([command, "--input", data, "--output-dir", tmp_path / command,
+                        "--smooth", 3, *(swing if command == "decompose" else [])]) == 0
+        shifters = read_csv(tmp_path / "shifters" / "shifters.csv")
+        column = {name: np.array([cell(r, name) for r in shifters])
+                  for name in ("u_rate", "log_v_observed", "dynamics", "separations",
+                               "matching")}
+        U = ba.MonthlySeries(ba.MonthDate.parse(shifters[0]["date"]), column["u_rate"])
+        bounds = ba.SwingBounds(down_start=ba.MonthDate(2007, 7),
+                                down_end=ba.MonthDate(2009, 6),
+                                up_start=ba.MonthDate(2010, 1))
+        samples = ba.build_swing_samples(
+            U, U.with_values(np.exp(column["log_v_observed"])), bounds)
+        rows = read_csv(tmp_path / "decompose" / "vertical_shift_loglinear.csv")
+        position = {str(m): k for k, m in enumerate(samples.down_months)}
+        kept = [position[r["month"]] for r in rows]
+        assert kept
+        for name in ("dynamics", "separations", "matching"):
+            got = np.array([cell(r, name) for r in rows])
+            want = samples.vertical_shift(column[name])[kept]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14, err_msg=name)
+
     def test_infeasible_constants_exit_four(self, tmp_path, recession_sim):
         data = write_recession_csv(tmp_path, recession_sim)
         code = run(["decompose", "--input", data, "--output-dir", tmp_path / "x",
@@ -544,6 +574,24 @@ def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, fla
     out = tmp_path / "out"
     assert exit_code([command, *data, "--output-dir", out, *flags]) == 2
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("estimate", ["--alpha", 0.9]),
+    ("efficiency", ["--alpha", 0.9]),
+    ("simulate", ["--smooth", 3]),
+    ("simulate", ["--smooth-align", "trailing"]),
+])
+def test_flag_the_command_does_not_read_exits_two(tmp_path, recession_sim, capsys,
+                                                  command, flags):
+    # estimate estimates alpha, efficiency has none, simulate reads no panel
+    data = ([] if command == "simulate"
+            else ["--input", write_recession_csv(tmp_path, recession_sim)])
+    out = tmp_path / "out"
+    assert exit_code([command, *data, "--output-dir", out, *flags]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {' '.join(map(str, flags))}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, extra", [

@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (MonthDate, MonthlySeries, RakingError,
                                   ThreeStatePanel, ThreeStateSimulationSpec,
-                                  rake_transition_rates,
-                                  relative_search_intensity, simulate_three_state,
+                                  rake_transition_rates, simulate_three_state,
                                   total_hires)
 from beveridge_accounting.flows_three_state import RATE_NAMES
 from reference_ipf import reference_rake
@@ -477,7 +476,8 @@ class TestBatchEdges:
     def test_margin_first_empty_mid_batch(self, column, exits, margin):
         # IPF's empty margin comes from underflow.  Newton's method never
         # rounds a cell to zero: it rakes the column plant; the unemployed
-        # with no exits cannot fit a column of 5e-324, so it does not converge
+        # with no exits cannot fit a column of 5e-324, so their row's whole
+        # target is short, and the pair fails before its first step
         stocks, rates = noisy_inputs(96, quiet_months=30)
         plant_underflow(stocks, rates, 40, column, exits)
         rows = np.array([stocks[k][40] for k in "EUN"])
@@ -492,13 +492,59 @@ class TestBatchEdges:
         assert str(want.value) == f"month 2003-05: empty flow {margin} with positive target mass"
         got = outcome(args, rake_transition_rates, max_iter=100)
         if exits == (0.0, 0.0):
-            assert str(got).startswith("month 2003-05: raking did not converge within 100")
+            assert str(got) == (f"month 2003-05: raking cannot converge: some "
+                                f"margins' targets exceed by {rows[1] - cols[1]:.3e} "
+                                "those of the margins that hold all their flow")
+            assert got.worst_residual == np.inf
             return
         raked, report = got
         assert 2 < report.iterations[40] <= 100
         fitted = flow_matrix(rows, {name: raked[name].values[40] for name in RATE_NAMES})
         np.testing.assert_allclose(fitted.sum(axis=1), rows, rtol=0, atol=2e-12)
         np.testing.assert_allclose(fitted.sum(axis=0), cols, rtol=0, atol=2e-12)
+
+    @pytest.mark.parametrize("exits", [(0.0, 0.0), (0.0, 0.5)], ids=["none", "un"])
+    def test_infeasible_pair_fails_alike_at_any_budget(self, exits):
+        # with no exits the unemployed reach only next month's 5e-324
+        # unemployed: a budget of one step or a thousand gives the same
+        # error.  With un > 0 they reach the nonemployed too, whose target
+        # has room: that pair rakes, in more than one step, and is not refused
+        stocks, rates = noisy_inputs(96, quiet_months=96)
+        plant_underflow(stocks, rates, 40, (0.01, 1e-4, 0.001), exits)
+        args = as_series(stocks, rates)
+        short, full = (outcome(args, rake_transition_rates, max_iter=max_iter)
+                       for max_iter in (1, 1000))
+        if exits == (0.0, 0.0):
+            assert str(short) == str(full)
+            assert str(full).startswith("month 2003-05: raking cannot converge: "
+                                        "some margins' targets exceed by 1.000e-04")
+            return
+        assert str(short).startswith("month 2003-05: raking did not converge within 1")
+        assert full[1].iterations[40] > 1
+
+    @pytest.mark.parametrize("case", ["column", "population"])
+    def test_shortfall_inside_the_population_check(self, case):
+        if case == "column":
+            # no one enters unemployment, yet it grows by 1e-11 while the
+            # population grows by 5.5e-12: the unemployed column's target
+            # exceeds the row that alone feeds it, and no set of rows is short
+            stocks = (series([0.75, 0.75 - 4.5e-12]), series([0.05, 0.05 + 1e-11]),
+                      series([0.20, 0.20]))
+            rates = {"eu": 0.0, "en": 0.02, "ue": 0.25, "un": 0.03, "ne": 0.04,
+                     "nu": 0.0}
+            rates = {name: series([v, np.nan]) for name, v in rates.items()}
+            gap = "1.000e-11"
+        else:
+            # every cell has flow, and next month's population is 5e-11
+            # larger, which the population check allows
+            (E, U, N), rates, _ = consistent_two_month_example()
+            stocks = (E, U.with_values(U.values + [0.0, 5e-11]), N)
+            gap = "5.000e-11"
+        short, full = (outcome((stocks, rates), rake_transition_rates, max_iter=max_iter)
+                       for max_iter in (1, 1000))
+        assert str(short) == str(full) == (
+            f"month 2000-01: raking cannot converge: some margins' targets exceed "
+            f"by {gap} those of the margins that hold all their flow")
 
     @pytest.mark.parametrize("max_iter", [2, 1000])
     def test_zero_next_month_stock_first_met_at_second_sweep(self, max_iter):
@@ -646,16 +692,16 @@ class TestIntensityAndAggregates:
             **{k: series([v, v]) for k, v in cols.items()})
 
     def test_equal_exit_rates(self):
-        xi = relative_search_intensity(series([0.25, 0.25]), series([0.25, 0.25]))
+        xi = self.make_panel(ue=0.25, ne=0.25).xi_N
         np.testing.assert_allclose(xi.values, 1.0)
 
     def test_hand_division(self):
-        xi = relative_search_intensity(series([0.02]), series([0.25]))
+        xi = self.make_panel(ue=0.25, ne=0.02).xi_N
         assert xi.values[0] == pytest.approx(0.08, rel=1e-15)
 
     def test_zero_rate_errors(self):
-        with pytest.raises(ValueError, match="undefined intensity"):
-            relative_search_intensity(series([0.02]), series([0.0]))
+        with pytest.raises(ValueError, match="undefined intensity at 2000-01"):
+            self.make_panel(ue=0.0).xi_N
 
     def test_aggregates_hand_case(self):
         panel = self.make_panel()

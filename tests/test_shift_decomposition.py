@@ -3,21 +3,22 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import beveridge_accounting as ba
 from beveridge_accounting import (ApproximationPoint, InfeasibleMonthWarning,
-                                  MARGIN_DYNAMICS,
+                                  MARGIN_DYNAMICS, MARGINS,
                                   MARGIN_MATCHING, MARGIN_SEPARATIONS, MonthDate,
                                   MonthlySeries, SwingBounds,
                                   all_orderings_report, build_swing_samples,
                                   exact_vacancies, loglinear_shift_decomposition,
-                                  steady_state_curve)
+                                  steady_state_curve, two_state_loglinear)
 from beveridge_accounting.shift_decomposition import (AllPairsInfeasibleError,
                                                       IdentityMismatchWarning,
                                                       _BLOCK, _first_crossings,
                                                       _interp_at_pairs)
+from reference_loglinear import reference_decomposition
 
 START = MonthDate(2000, 1)
 
@@ -230,6 +231,12 @@ class TestVerticalShift:
         np.testing.assert_allclose(shifts, 0.2, atol=1e-12)
 
 
+def loglinear(U, V, s, sigma, samples, point):
+    """The log-linear decomposition from the expansion at `point`."""
+    return loglinear_shift_decomposition(U, V, two_state_loglinear(U, s, sigma, point),
+                                         samples)
+
+
 class TestLoglinearDecomposition:
     POINT = ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36, alpha=0.3)
 
@@ -243,8 +250,7 @@ class TestLoglinearDecomposition:
         bounds = SwingBounds(down_start=START, down_end=START.shift(2),
                              up_start=START, up_end=START.shift(3))
         samples = build_swing_samples(series(u), series(v), bounds)
-        dec = loglinear_shift_decomposition(series(u), series(v), s, sg, samples,
-                                            self.POINT)
+        dec = loglinear(series(u), series(v), s, sg, samples, self.POINT)
         np.testing.assert_allclose(dec.dynamics, 0.0, atol=1e-15)
         np.testing.assert_allclose(dec.separations, 0.0, atol=1e-15)
         np.testing.assert_allclose(dec.matching, 0.0, atol=1e-15)
@@ -261,8 +267,7 @@ class TestLoglinearDecomposition:
         bounds = SwingBounds(down_start=START, down_end=START.shift(3),
                              up_start=START.shift(5), up_end=START.shift(8))
         samples = build_swing_samples(series(u), series(v), bounds)
-        dec = loglinear_shift_decomposition(series(u), series(v), s, series(sigma),
-                                            samples, self.POINT)
+        dec = loglinear(series(u), series(v), s, series(sigma), samples, self.POINT)
         expected = (1 / 0.3) * math.log(2.0)
         np.testing.assert_allclose(dec.matching, expected, rtol=1e-12)
         assert expected == pytest.approx(2.3105, abs=5e-5)
@@ -272,9 +277,8 @@ class TestLoglinearDecomposition:
     def test_additivity_and_method_tag(self, recession_pipeline):
         panel = recession_pipeline["panel"]
         samples = recession_pipeline["samples"]
-        dec = loglinear_shift_decomposition(
-            panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"], samples,
-            recession_pipeline["point"])
+        dec = loglinear(panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"],
+                        samples, recession_pipeline["point"])
         # the observed column is the up-down shift of ln V at the kept pairs
         months = set(dec.months)
         kept = np.array([m in months for m in samples.down_months])
@@ -284,6 +288,74 @@ class TestLoglinearDecomposition:
             dec.total, dec.dynamics + dec.separations + dec.matching, atol=1e-15)
         # first-order decomposition tracks the observed shift closely
         assert np.corrcoef(dec.total, dec.observed)[0, 1] > 0.99
+
+
+@st.composite
+def noisy_swings(draw):
+    """A simulated two-state panel on a cycle, with lognormal noise on the
+    efficiency path and a drawn alpha, optionally smoothed (which leaves the
+    edge months missing), run through the CLI's pipeline: panel, separations
+    and constructed efficiency, each with a few more months missing on its
+    own, the expansion point at the sample means, and swing samples on
+    bounds drawn inside the panel."""
+    n = draw(st.integers(40, 160))
+    alpha = draw(st.floats(0.1, 0.9))
+    t = np.arange(n - 1)
+    du = draw(st.floats(2e-4, 1.5e-3)) * np.sin(
+        2.0 * np.pi * (t / draw(st.floats(12.0, 60.0)) + draw(st.floats(0.0, 1.0))))
+    try:
+        sim = ba.simulate_two_state(ba.SimulationSpec(
+            alpha=alpha, u0=0.06, horizon=n, s_path=draw(st.floats(0.015, 0.025)),
+            sigma_path=draw(st.floats(0.5, 0.8)), delta_u_path=du,
+            noise_std=draw(st.floats(0.0, 0.05)),
+            seed=draw(st.integers(0, 2**32 - 1)), start=START))
+    except ValueError:  # a planted vacancy rate left (0, 1)
+        assume(False)
+    raw = sim.panel
+    window = draw(st.sampled_from([1, 3, 4]))
+    align = draw(st.sampled_from(["centered", "trailing"]))
+    cols = [ba.moving_average(x, window, align) for x in (raw.U, raw.V, raw.U_short)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ba.ProbabilityRangeWarning)
+        panel = ba.build_two_state_panel(*cols)
+    sigma = ba.matching_efficiency_path(panel.f, ba.tightness(panel.U, panel.V), alpha)
+
+    def holed(x):
+        values = x.values.copy()
+        values[draw(st.lists(st.integers(0, n - 1), max_size=4))] = np.nan
+        return x.with_values(values)
+
+    s, sigma = holed(panel.s), holed(sigma)
+    point = ApproximationPoint.from_series(panel.U, s, sigma, alpha,
+                                           (START, START.shift(n - 1)))
+    down_start = draw(st.integers(0, n - 3))
+    down_end = draw(st.integers(down_start, n - 2))
+    up_start = draw(st.integers(down_end + 1, n - 1))
+    up_end = draw(st.one_of(st.none(), st.integers(up_start, n - 1)))
+    bounds = SwingBounds(down_start=START.shift(down_start),
+                         down_end=START.shift(down_end), up_start=START.shift(up_start),
+                         up_end=None if up_end is None else START.shift(up_end))
+    try:
+        samples = build_swing_samples(panel.U, panel.V, bounds)
+    except ValueError:  # no usable or bracketable downswing month
+        assume(False)
+    return panel, s, sigma, point, samples
+
+
+class TestLoglinearMatchesReference:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(case=noisy_swings())
+    def test_terms_shift_as_coefficient_times_coordinate(self, case):
+        panel, s, sigma, point, samples = case
+        got = loglinear(panel.U, panel.V, s, sigma, samples, point)
+        want = reference_decomposition(panel.U, panel.V, s, sigma, samples, point)
+        assert got.months == want.months
+        assert got.dropped_months == want.dropped_months
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.observed, want.observed)
+        for margin in MARGINS:
+            np.testing.assert_allclose(getattr(got, margin), getattr(want, margin),
+                                       rtol=0, atol=1e-14, err_msg=margin)
 
 
 def kept_pairs(samples, table):
@@ -444,7 +516,7 @@ class TestNonlinearDecomposition:
         args = (panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"],
                 recession_pipeline["samples"], recession_pipeline["point"])
         table = all_orderings_report(*args)
-        ll = loglinear_shift_decomposition(*args)
+        ll = loglinear(*args)
         row = {r.ordering: r for r in table.rows}[
             (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)]
         for name in ("dynamics", "separations", "matching"):
