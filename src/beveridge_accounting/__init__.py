@@ -8,11 +8,9 @@ three-state), and computes the slope-dependent efficient unemployment rate.
 """
 
 from .csvio import SchemaError, read_panel, require_columns, write_panel
-from .curve import (ApproximationPoint, InfeasibleMonthWarning,
-                    ThreeStateApproximationPoint, ThreeStateLoglinear, exact_vacancies,
-                    loglinear_slope, shifter_paths, steady_state_curve,
-                    three_state_exact_vacancies, three_state_loglinear,
-                    two_state_loglinear)
+from .curve import (ApproximationPoint, InfeasibleMonthWarning, ThreeStateLoglinear,
+                    exact_vacancies, loglinear_slope, shifter_paths, steady_state_curve,
+                    three_state_exact_vacancies, three_state_loglinear)
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
                          unemployment_gap)

@@ -31,13 +31,13 @@ import numpy as np
 
 from . import __version__
 from .csvio import _json_safe, read_panel, require_columns, write_panel, write_table
-from .curve import (ApproximationPoint, ThreeStateApproximationPoint, shifter_paths,
-                    three_state_loglinear, two_state_loglinear)
+from .curve import ApproximationPoint, shifter_paths, three_state_loglinear
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
                          unemployment_gap)
-from .flows_three_state import RATE_NAMES, RakingError, build_three_state_panel
-from .flows_two_state import build_two_state_panel
+from .flows_three_state import (RATE_NAMES, RakingError, ThreeStatePanel,
+                                build_three_state_panel)
+from .flows_two_state import TwoStatePanel, build_two_state_panel
 from .matching import (DEFAULT_ALPHA, estimate_matching, matching_efficiency_path,
                        searcher_finding_rate, tightness)
 from .series import MonthDate, MonthlySeries, moving_average
@@ -197,40 +197,79 @@ def _echo_value(value):
 
 
 # ---------------------------------------------------------------------------
-# Two-state pipeline shared by several commands
+# One pipeline for both models
 # ---------------------------------------------------------------------------
 
-def _two_state_pipeline(args: argparse.Namespace):
+def _read_two_state(args: argparse.Namespace):
+    """The two-state panel from its columns, with its vacancies and
+    finding rate, and no notes."""
     cols = _read_columns(args, "u_rate", "v_rate", "u_short")
     panel = build_two_state_panel(cols["u_rate"], cols["v_rate"], cols["u_short"])
-    theta = tightness(panel.U, panel.V)
-    f_pos, masked = _positive_finding_rate(panel.f)
-    return panel, theta, f_pos, {"nonpositive_finding_months_masked": masked}
+    return panel, panel.V, panel.f, {}
 
 
-def _two_state_expansion(args: argparse.Namespace):
-    """The step `shifters` and `decompose` share: the pipeline, the
-    efficiency path, the expansion point (pinned by --u-bar, --s-bar and
-    --sigma-bar, else the window means) and the log-linear expansion there."""
-    panel, theta, f_pos, notes = _two_state_pipeline(args)
+def _read_three_state(args: argparse.Namespace):
+    """The raked three-state panel, with the vacancies, the searcher finding
+    rate and the raking notes.  Raking goes through the module-global
+    `build_three_state_panel`, which the benchmark swaps out."""
+    cols = _read_columns(args, "e_stock", "u_stock", "n_stock", "v_rate",
+                         *RATE_NAMES)
+    panel, report = build_three_state_panel(
+        cols["e_stock"], cols["u_stock"], cols["n_stock"],
+        {name: cols[name] for name in RATE_NAMES},
+        tol=args.rake_tol, max_iter=args.rake_max_iter)
+    steps = report.iterations[report.iterations >= 0]
+    notes = {"raking_worst_residual": report.worst_residual,
+             "raking_max_adjustment": float(np.nanmax(report.max_adjustment))
+             if np.isfinite(report.max_adjustment).any() else None,
+             "raking_iterations": {"min": int(steps.min()),
+                                   "median": float(np.median(steps)),
+                                   "max": int(steps.max())} if steps.size else None,
+             # rounding moves rates by ~1e-17 even on consistent months
+             "raking_months_adjusted": int((report.max_adjustment
+                                            > args.rake_tol).sum())}
+    return panel, cols["v_rate"], searcher_finding_rate(panel), notes
+
+
+def _pipeline(args: argparse.Namespace, read):
+    """The panel that `read` (`_read_two_state` or `_read_three_state`)
+    gives, then what both models share up to estimation: tightness V/S and
+    the positive finding rate."""
+    panel, V, f, notes = read(args)
+    theta = tightness(panel.S, V)
+    f_pos, notes["nonpositive_finding_months_masked"] = _positive_finding_rate(f)
+    return panel, V, theta, f_pos, notes
+
+
+# The manifest's names for the point's fields, per model
+_POINT_NOTES = {
+    TwoStatePanel: {"S_0": "U_bar", "x_0": "s_bar", "sigma_0": "sigma_bar",
+                    "V_0": "V_bar"},
+    ThreeStatePanel: {n: n for n in ("S_0", "N_tilde_0", "x_0", "sigma_0", "V_0")}}
+
+
+def _expansion(args: argparse.Namespace, read):
+    """`_pipeline`, then the efficiency path, the expansion point (pinned by
+    --u-bar, --s-bar and --sigma-bar where the command has them, else the
+    window means) and the log-linear expansion there."""
+    panel, V, theta, f_pos, notes = _pipeline(args, read)
     sigma = matching_efficiency_path(f_pos, theta, args.alpha)
-    overrides = (args.u_bar, args.s_bar, args.sigma_bar)
-    if any(v is not None for v in overrides):
-        if any(v is None for v in overrides):
+    pinned = [getattr(args, name, None) for name in ("u_bar", "s_bar", "sigma_bar")]
+    if any(v is not None for v in pinned):
+        if any(v is None for v in pinned):
             raise ConfigError("--u-bar, --s-bar and --sigma-bar must be "
                               "given together")
-        point = _from_flags(ApproximationPoint, U_bar=args.u_bar, s_bar=args.s_bar,
-                            sigma_bar=args.sigma_bar, alpha=args.alpha)
+        point = _from_flags(ApproximationPoint, S_0=args.u_bar, N_tilde_0=0.0,
+                            x_0=args.s_bar, sigma_0=args.sigma_bar, alpha=args.alpha)
         notes["approx_window"] = "overridden"
     else:
-        window = _resolve_approx_window(args, panel.U)
-        point = ApproximationPoint.from_series(panel.U, panel.s, sigma,
-                                               args.alpha, window)
+        window = _resolve_approx_window(args, panel.S)
+        point = ApproximationPoint.from_panel(panel, sigma, args.alpha, window)
         notes["approx_window"] = f"{window[0]}:{window[1]}"
-    notes.update({"U_bar": point.U_bar, "s_bar": point.s_bar,
-                  "sigma_bar": point.sigma_bar, "V_bar": point.V_bar})
-    expansion = two_state_loglinear(panel.U, panel.s, sigma, point)
-    return panel, sigma, point, expansion, notes
+    notes.update({name: getattr(point, field)
+                  for field, name in _POINT_NOTES[type(panel)].items()})
+    expansion = three_state_loglinear(panel, sigma, point)
+    return panel, V, sigma, point, expansion, notes
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +277,19 @@ def _two_state_expansion(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    panel, theta, f_pos, notes = _two_state_pipeline(args)
+    panel, _, theta, f_pos, notes = _pipeline(args, _read_two_state)
+    grid = panel.S
 
     if args.sample:
         windows = list(args.sample)
     else:
         split = MonthDate(2008, 1)
-        if panel.U.covers(split) and split != panel.U.start:
-            windows = [(panel.U.start, split.shift(-1)), (split, panel.U.end)]
+        if grid.covers(split) and split != grid.start:
+            windows = [(grid.start, split.shift(-1)), (split, grid.end)]
         else:
-            windows = [(panel.U.start, panel.U.end)]
+            windows = [(grid.start, grid.end)]
     for lo, hi in windows:
-        _require_coverage(panel.U, f"sample [{lo}, {hi}]", lo, hi)
+        _require_coverage(grid, f"sample [{lo}, {hi}]", lo, hi)
 
     ests = [estimate_matching(f_pos, theta, sample=window, robust=args.robust)
             for window in windows]
@@ -265,7 +305,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "stars_alpha": [star[1] for star in stars],
         "sigma_bar": [e.sigma_bar for e in ests],
         "r_squared": [e.r_squared for e in ests],
-        "n_obs": [float(e.n_obs) for e in ests]})}
+        "n_obs": [e.n_obs for e in ests]})}
     reports = [e.to_dict() for e in ests]
     report_path = Path(args.output_dir) / "matching_estimates_report.json"
     outputs[report_path.name] = write_table(
@@ -275,15 +315,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_shifters(args: argparse.Namespace) -> int:
-    panel, _, _, expansion, notes = _two_state_expansion(args)
+    panel, V, _, _, expansion, notes = _expansion(args, _read_two_state)
     _require_coverage(panel.U, f"reference month {args.reference}", args.reference)
     paths = shifter_paths(expansion, args.reference, tuple(MARGIN_TERMS.values()))
     with np.errstate(invalid="ignore", divide="ignore"):
-        log_v = np.log(panel.V.values)
+        log_v = np.log(V.values)
 
     path = _output_path(args, "shifters")
     outputs = {path.name: write_panel(path, {
-        "u_rate": panel.U, "log_v_observed": panel.V.with_values(log_v),
+        "u_rate": panel.U, "log_v_observed": V.with_values(log_v),
         "log_v_loglinear": expansion.total,
         **{margin: paths[term] for margin, term in MARGIN_TERMS.items()},
         "net": paths["net"]})}
@@ -292,16 +332,16 @@ def cmd_shifters(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    panel, sigma, point, expansion, notes = _two_state_expansion(args)
+    panel, V, sigma, point, expansion, notes = _expansion(args, _read_two_state)
     for m in (args.down_start, args.down_end, args.up_start, args.up_end):
         if m is not None:
             _require_coverage(panel.U, f"swing bound {m}", m)
     bounds = _from_flags(SwingBounds, down_start=args.down_start,
                          down_end=args.down_end, up_start=args.up_start,
                          up_end=args.up_end)
-    samples = build_swing_samples(panel.U, panel.V, bounds)
-    loglin = loglinear_shift_decomposition(panel.U, panel.V, expansion, samples)
-    table = all_orderings_report(panel.U, panel.V, panel.s, sigma, samples, point)
+    samples = build_swing_samples(panel.U, V, bounds)
+    loglin = loglinear_shift_decomposition(panel.U, V, expansion, samples)
+    table = all_orderings_report(panel.U, V, panel.s, sigma, samples, point)
 
     path = _output_path(args, "vertical_shift_loglinear")
     outputs = {path.name: write_table(path, {
@@ -326,35 +366,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_three_state(args: argparse.Namespace) -> int:
-    cols = _read_columns(args, "e_stock", "u_stock", "n_stock", "v_rate",
-                         *RATE_NAMES)
-    panel, report = build_three_state_panel(
-        cols["e_stock"], cols["u_stock"], cols["n_stock"],
-        {name: cols[name] for name in RATE_NAMES},
-        tol=args.rake_tol, max_iter=args.rake_max_iter)
-    steps = report.iterations[report.iterations >= 0]
-    notes = {"raking_worst_residual": report.worst_residual,
-             "raking_max_adjustment": float(np.nanmax(report.max_adjustment))
-             if np.isfinite(report.max_adjustment).any() else None,
-             "raking_iterations": {"min": int(steps.min()),
-                                   "median": float(np.median(steps)),
-                                   "max": int(steps.max())} if steps.size else None,
-             # rounding moves rates by ~1e-17 even on consistent months
-             "raking_months_adjusted": int((report.max_adjustment
-                                            > args.rake_tol).sum())}
-
-    theta = tightness(panel.S, cols["v_rate"])
-    f_rate, masked = _positive_finding_rate(searcher_finding_rate(panel))
-    notes["nonpositive_finding_months_masked"] = masked
-    sigma = matching_efficiency_path(f_rate, theta, args.alpha)
-
-    window = _resolve_approx_window(args, panel.S)
-    point = ThreeStateApproximationPoint.from_panel(panel, sigma, args.alpha, window)
-    notes.update({"approx_window": f"{window[0]}:{window[1]}",
-                  "S_0": point.S_0, "N_tilde_0": point.N_tilde_0,
-                  "x_0": point.x_0, "sigma_0": point.sigma_0, "V_0": point.V_0})
-
-    loglin = three_state_loglinear(panel, sigma, point)
+    panel, _, _, _, loglin, notes = _expansion(args, _read_three_state)
     _require_coverage(panel.S, f"reference month {args.reference}", args.reference)
     paths = shifter_paths(loglin, args.reference)
 

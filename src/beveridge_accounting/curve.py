@@ -14,9 +14,11 @@ The two-state model is the case N_tilde = 0, S = U, x = s:
 
     V_t = [ (s_t (1 - U_t) - dU_{t+1}) / (sigma_t U_t^(1-alpha)) ]^(1/alpha)
 
-so both are computed by one kernel, both log-linearizations by one
-first-order expansion (`ThreeStateLoglinear`), and both shifter paths by one
-normalisation (`shifter_paths`).  With s_t taken from the data and sigma_t
+so both are computed by one kernel.  A `TwoStatePanel` carries S = U,
+N_tilde = 0 and x = s, so the models also share one expansion point
+(`ApproximationPoint`, with N_tilde_0 = 0 in two states), one first-order
+expansion (`three_state_loglinear`, on either panel) and one normalisation
+of its terms (`shifter_paths`).  With s_t taken from the data and sigma_t
 chosen to fit the matching function, the identity reproduces observed
 vacancies exactly.  Freezing s, sigma and setting dU = 0 gives the
 steady-state curve; first-order expansion around a reference point splits
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows_three_state import ThreeStatePanel
+from .flows_two_state import TwoStatePanel
 from .series import MonthDate, MonthlySeries, delta, delta_log, require_aligned
 
 
@@ -51,42 +54,12 @@ class InfeasibleMonthWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ApproximationPoint:
-    """Expansion point (U_bar, s_bar, sigma_bar, alpha) with dU = 0.
+    """Expansion point (S_0, N_tilde_0, x_0, sigma_0, alpha) with
+    dS = dN_tilde = 0, for either model: the two-state point has
+    N_tilde_0 = 0, S_0 = U_bar and x_0 = s_bar.
 
-    V_bar is implied: the exact identity evaluated at the point.
+    V_0 is implied: the exact identity evaluated at the point.
     """
-
-    U_bar: float
-    s_bar: float
-    sigma_bar: float
-    alpha: float
-    V_bar: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.U_bar < 1.0:
-            raise ValueError(f"U_bar must be in (0, 1), got {self.U_bar}")
-        if not 0.0 < self.s_bar < 1.0:
-            raise ValueError(f"s_bar must be in (0, 1), got {self.s_bar}")
-        if not 0.0 < self.sigma_bar < math.inf:
-            raise ValueError(f"sigma_bar must be positive and finite, "
-                             f"got {self.sigma_bar}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "V_bar", _implied_vacancies(
-            "V_bar", self.U_bar, 0.0, self.s_bar, self.sigma_bar, self.alpha))
-
-    @classmethod
-    def from_series(cls, U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-                    alpha: float, window: tuple[MonthDate, MonthDate]) -> "ApproximationPoint":
-        """Point at the sample means over `window` (months where all three
-        series are observed)."""
-        u, sv, sg = _window_means(window, U, s, sigma)
-        return cls(U_bar=u, s_bar=sv, sigma_bar=sg, alpha=alpha)
-
-
-@dataclass(frozen=True)
-class ThreeStateApproximationPoint:
-    """Three-state expansion point (S_0, N_tilde_0, x_0, sigma_0, alpha)."""
 
     S_0: float
     N_tilde_0: float
@@ -109,29 +82,36 @@ class ThreeStateApproximationPoint:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "V_0", _implied_vacancies(
-            "V_0", self.S_0, self.N_tilde_0, self.x_0, self.sigma_0, self.alpha))
+        # the identity at the point; it overflows to inf or underflows to 0
+        # at extreme points, whose logs the expansion needs
+        with np.errstate(over="ignore"):
+            v = float(_vacancy_identity(self.S_0, self.N_tilde_0, self.x_0, 0.0, 0.0,
+                                        self.sigma_0, self.alpha))
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"implied V_0 must be positive and finite, got {v}")
+        object.__setattr__(self, "V_0", v)
 
     @classmethod
-    def from_panel(cls, panel: ThreeStatePanel, sigma: MonthlySeries, alpha: float,
-                   window: tuple[MonthDate, MonthDate]) -> "ThreeStateApproximationPoint":
-        """Point at the sample means of S, N_tilde, x and sigma over `window`
-        (months where all four are observed)."""
+    def from_panel(cls, panel: TwoStatePanel | ThreeStatePanel, sigma: MonthlySeries,
+                   alpha: float, window: tuple[MonthDate, MonthDate]) -> ApproximationPoint:
+        """Point at the sample means of either panel's S, N_tilde and x and
+        of sigma over `window` (months where all four are observed)."""
         s0, n0, x0, sg0 = _window_means(window, panel.S, panel.N_tilde, panel.x,
                                         sigma)
         return cls(S_0=s0, N_tilde_0=n0, x_0=x0, sigma_0=sg0, alpha=alpha)
 
+    @classmethod
+    def from_series(cls, U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
+                    alpha: float, window: tuple[MonthDate, MonthDate]) -> ApproximationPoint:
+        """The two-state point at the window means of U, s and sigma.  The
+        benchmark's tracer times this method by name (`bench/spans.py`)."""
+        u, sv, sg = _window_means(window, U, s, sigma)
+        return cls(S_0=u, N_tilde_0=0.0, x_0=sv, sigma_0=sg, alpha=alpha)
 
-def _implied_vacancies(name: str, S: float, N_tilde: float, x: float, sigma: float,
-                       alpha: float) -> float:
-    """The identity at a point with dS = dN_tilde = 0; ValueError naming it
-    `name` unless it is positive and finite (it overflows to inf or
-    underflows to 0 at extreme points, whose logs the expansion needs)."""
-    with np.errstate(over="ignore"):
-        v = float(_vacancy_identity(S, N_tilde, x, 0.0, 0.0, sigma, alpha))
-    if not 0.0 < v < math.inf:
-        raise ValueError(f"implied {name} must be positive and finite, got {v}")
-    return v
+
+# The one point class under its former three-state name, which the
+# benchmark's tracer wraps methods of (`bench/spans.py`).
+ThreeStateApproximationPoint = ApproximationPoint
 
 
 def _window_means(window: tuple[MonthDate, MonthDate],
@@ -145,13 +125,6 @@ def _window_means(window: tuple[MonthDate, MonthDate],
         raise ValueError(f"no jointly observed months in window "
                          f"[{window[0]}, {window[1]}]")
     return [float(c[ok].mean()) for c in cols]
-
-
-def _as_three_state(point: ApproximationPoint) -> ThreeStateApproximationPoint:
-    """The two-state point as the three-state point with no non-searchers."""
-    return ThreeStateApproximationPoint(S_0=point.U_bar, N_tilde_0=0.0,
-                                        x_0=point.s_bar, sigma_0=point.sigma_bar,
-                                        alpha=point.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +177,21 @@ def exact_vacancies(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
 
 
 def steady_state_curve(u_grid, point: ApproximationPoint) -> list[tuple[float, float]]:
-    """The steady-state locus V(U) at the point's (s_bar, sigma_bar, alpha)."""
+    """The steady-state locus V(S) at the point's (N_tilde_0, x_0, sigma_0,
+    alpha); in two states, V(U) at (x_0, sigma_0, alpha)."""
     out = []
     for u in np.asarray(u_grid, dtype=float):
         if not 0.0 < u < 1.0:
             raise ValueError(f"grid value {u} outside (0, 1)")
-        v = _vacancy_identity(u, 0.0, point.s_bar, 0.0, 0.0, point.sigma_bar,
+        v = _vacancy_identity(u, point.N_tilde_0, point.x_0, 0.0, 0.0, point.sigma_0,
                               point.alpha)
         out.append((float(u), float(v)))
     return out
 
 
-def three_state_exact_vacancies(panel: ThreeStatePanel, alpha: float,
+def three_state_exact_vacancies(panel: TwoStatePanel | ThreeStatePanel, alpha: float,
                                 sigma: MonthlySeries) -> MonthlySeries:
-    """Searcher-based exact vacancy identity:
+    """Searcher-based exact vacancy identity, on either panel:
 
         V_t = [ ((1-S-N_tilde) x - dS' - dN_tilde') / (sigma S^(1-alpha)) ]^(1/alpha)
     """
@@ -243,7 +217,7 @@ def three_state_exact_vacancies(panel: ThreeStatePanel, alpha: float,
 # At N_tilde_0 = 0 (S = U, x = s) the non-searcher terms vanish and this is
 # the two-state expansion around (U_bar, s_bar, sigma_bar, 0).
 
-def _expansion_coefficients(point: ThreeStateApproximationPoint) -> tuple[float, ...]:
+def _expansion_coefficients(point: ApproximationPoint) -> tuple[float, ...]:
     """Coefficients on (ln S, dln S', ln N_tilde, dln N_tilde', ln x, ln sigma)."""
     a, s0, n0, x0 = point.alpha, point.S_0, point.N_tilde_0, point.x_0
     e0 = 1.0 - s0 - n0
@@ -256,8 +230,9 @@ def _expansion_coefficients(point: ThreeStateApproximationPoint) -> tuple[float,
 
 
 def loglinear_slope(point: ApproximationPoint) -> float:
-    """Slope of the log-linear curve in (ln U, ln V) space."""
-    return _expansion_coefficients(_as_three_state(point))[0]
+    """Slope of the log-linear curve in (ln S, ln V) space: (ln U, ln V) in
+    two states."""
+    return _expansion_coefficients(point)[0]
 
 
 @dataclass(frozen=True)
@@ -284,11 +259,18 @@ TERMS = ("searcher_level", "searcher_dynamics", "nonsearcher_level",
          "nonsearcher_dynamics", "separations", "matching")
 
 
-def _loglinear_expansion(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySeries,
-                         sigma: MonthlySeries,
-                         point: ThreeStateApproximationPoint) -> ThreeStateLoglinear:
-    """The expansion above, term by term; each term is missing where its
-    inputs (or the successor month) are missing."""
+def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: MonthlySeries,
+                          point: ApproximationPoint) -> ThreeStateLoglinear:
+    """First-order expansion of the searcher-based identity, on either panel.
+
+    Coefficients are the tangent of the identity at the point; the intercept
+    ln V_0 (the expansion-point level) is included so the expression equals
+    ln V_t at the point.  Each term is missing where its inputs (or the
+    successor month) are missing.  When N_tilde_0 = 0 the non-searcher terms
+    are zero, missing at the last month like every dynamics term; a zero
+    non-searcher pool with N_tilde_0 > 0 is an error.
+    """
+    S, N_tilde, x = panel.S, panel.N_tilde, panel.x
     require_aligned(S, N_tilde, x, sigma)
     c_level, c_dyn, c_n_level, c_n_dyn, c_sep, c_mat = _expansion_coefficients(point)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -309,7 +291,6 @@ def _loglinear_expansion(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySer
     else:
         nonsearcher_level = np.zeros(len(S))
         nonsearcher_dynamics = np.zeros(len(S))
-        # dynamics must still be missing at the last month, like every term
         nonsearcher_dynamics[-1] = np.nan
 
     total = (np.log(point.V_0) + searcher_level + searcher_dynamics
@@ -324,26 +305,6 @@ def _loglinear_expansion(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySer
         separations=mk(separations),
         matching=mk(matching),
     )
-
-
-def two_state_loglinear(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-                        point: ApproximationPoint) -> ThreeStateLoglinear:
-    """The expansion at N_tilde = 0, S = U, x = s: its non-searcher terms are
-    zero, missing at the last month like every dynamics term."""
-    return _loglinear_expansion(U, U.with_values(np.zeros(len(U))), s, sigma,
-                                _as_three_state(point))
-
-
-def three_state_loglinear(panel: ThreeStatePanel, sigma: MonthlySeries,
-                          point: ThreeStateApproximationPoint) -> ThreeStateLoglinear:
-    """First-order expansion of the searcher-based identity.
-
-    Coefficients are the tangent of the identity at the point; the intercept
-    ln V_0 (the expansion-point level) is included so the expression equals
-    ln V_t at the point.  When N_tilde_0 = 0 the non-searcher terms vanish
-    identically; a zero non-searcher pool with N_tilde_0 > 0 is an error.
-    """
-    return _loglinear_expansion(panel.S, panel.N_tilde, panel.x, sigma, point)
 
 
 def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,

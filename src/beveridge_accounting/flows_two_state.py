@@ -6,6 +6,10 @@ the separation probability is then the unique value making the unemployment
 law of motion hold exactly.  Both constructions are identities: feeding the
 resulting (f, s, U_0) through the law of motion regenerates the observed
 unemployment path to machine precision.
+
+The two-state model is the three-state one with no non-searchers, so a
+`TwoStatePanel` also carries the searcher aggregates of a `ThreeStatePanel`:
+S = U, N_tilde = 0 and x = s, which every later step reads in both models.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ def _check_rate_bounds(name: str, s: MonthlySeries) -> None:
 @dataclass(frozen=True)
 class TwoStatePanel:
     """Aligned unemployment, vacancy and short-term-unemployment shares plus
-    the derived monthly job-finding (f) and separation (s) probabilities."""
+    the derived monthly job-finding (f) and separation (s) probabilities,
+    and the three-state searcher aggregates at no non-searchers."""
 
     U: MonthlySeries
     V: MonthlySeries
@@ -53,6 +58,21 @@ class TwoStatePanel:
         if (self.U_short.values[both] > self.U.values[both]).any():
             warnings.warn("short-term unemployment exceeds total unemployment "
                           "in some months", ProbabilityRangeWarning, stacklevel=2)
+
+    @property
+    def S(self) -> MonthlySeries:
+        """Searchers: the unemployed."""
+        return self.U
+
+    @property
+    def N_tilde(self) -> MonthlySeries:
+        """Non-searchers: none."""
+        return self.U.with_values(np.zeros(len(self.U)))
+
+    @property
+    def x(self) -> MonthlySeries:
+        """Separation probability: s."""
+        return self.s
 
 
 def job_finding_probability(U: MonthlySeries, U_short: MonthlySeries) -> MonthlySeries:

@@ -10,7 +10,8 @@ efficiency, two ways:
 
 * log-linear: additive first-order contributions in log-vacancy units, the
   up-down shift of each margin's term of the log-linear expansion
-  (`curve.two_state_loglinear`, the terms `shifters` writes);
+  (`curve.three_state_loglinear` on the two-state panel, the terms
+  `shifters` writes);
 * nonlinear: starting from the steady-state curve (which cannot shift),
   margins are set to their observed values one at a time, in each of the
   six orders; each margin's contribution is the change in the up-down shift
@@ -236,7 +237,7 @@ def loglinear_shift_decomposition(
 ) -> ShiftDecomposition:
     """First-order additive decomposition of the vertical shift: each
     margin's contribution is the up-down shift of its term (`MARGIN_TERMS`)
-    of the expansion that `curve.two_state_loglinear` returns.  Matched
+    of the two-state expansion (`curve.three_state_loglinear`).  Matched
     pairs where a term is missing are dropped and reported."""
     require_aligned(U, V, expansion.total)
     samples._check_grid(U)
@@ -282,7 +283,8 @@ def all_orderings_report(
     values in each order; a margin's contribution is the resulting change in
     the up-down vacancy-level shift, averaged over matched points and
     reported as a percent of the averaged observed shift.  A held margin
-    takes the point's constant (dynamics: dU = 0).  Holding all three gives
+    takes the point's constant (dynamics: dU = 0; separations: x_0;
+    matching: sigma_0), at a two-state point.  Holding all three gives
     the steady-state curve, a function of U alone, so its shift at matched
     unemployment is zero by construction.  Matched pairs infeasible under
     any held subset are dropped (the same pairs in every ordering) and
@@ -290,12 +292,14 @@ def all_orderings_report(
     """
     require_aligned(U, V, s, sigma)
     samples._check_grid(U)
+    if point.N_tilde_0 != 0.0:
+        raise ValueError(f"two-state point needs N_tilde_0 = 0, got {point.N_tilde_0}")
     n = len(U)
     observed = {MARGIN_DYNAMICS: delta(U).values, MARGIN_SEPARATIONS: s.values,
                 MARGIN_MATCHING: sigma.values}
     constant = {MARGIN_DYNAMICS: np.zeros(n),
-                MARGIN_SEPARATIONS: np.full(n, point.s_bar),
-                MARGIN_MATCHING: np.full(n, point.sigma_bar)}
+                MARGIN_SEPARATIONS: np.full(n, point.x_0),
+                MARGIN_MATCHING: np.full(n, point.sigma_0)}
     shifts = {frozenset(MARGINS): np.zeros(len(samples.down_index))}
     for k in range(3):
         for held in map(frozenset, combinations(MARGINS, k)):

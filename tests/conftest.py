@@ -5,11 +5,19 @@ spike and a permanent matching-efficiency drop, giving a Beveridge loop with
 downswing and upswing samples that bracket each other.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import beveridge_accounting as ba
 from beveridge_accounting import MonthDate
+
+
+def two_state(U, s):
+    """What the one point and expansion read of a two-state panel (S = U,
+    N_tilde = 0, x = s, as `TwoStatePanel` gives them), from bare series."""
+    return SimpleNamespace(S=U, N_tilde=U.with_values(np.zeros(len(U))), x=s)
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +44,7 @@ def recession_pipeline(recession_sim):
     panel = recession_sim.panel
     theta = ba.tightness(panel.U, panel.V)
     sigma_hat = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
-    point = ba.ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.30,
+    point = ba.ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=0.020, sigma_0=0.30,
                                   alpha=0.3)
     bounds = ba.SwingBounds(down_start=MonthDate(2007, 7),
                             down_end=MonthDate(2009, 6),

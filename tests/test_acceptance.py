@@ -118,7 +118,7 @@ def test_criterion_3_planted_parameter_recovery():
             alpha=0.3, u0=0.06, horizon=40, s_path=sp, sigma_path=sigma_path))
         theta1 = ba.tightness(sim1.panel.U, sim1.panel.V)
         sigma1 = ba.matching_efficiency_path(sim1.panel.f, theta1, 0.3)
-        point = ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36,
+        point = ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                    alpha=0.3)
         start = sim1.panel.U.start
         bounds = SwingBounds(down_start=start.shift(5), down_end=start.shift(10),
@@ -163,7 +163,7 @@ def test_criterion_5_taylor_accuracy():
     sys.path.insert(0, os.path.dirname(__file__))
     from test_curve import max_taylor_error
 
-    point = ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.359,
+    point = ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=0.020, sigma_0=0.359,
                                alpha=0.3)
     # levels within the band; month-over-month log changes capped at band/20
     # (the identity's curvature in the dynamics coordinate is ~57, so a full
@@ -178,24 +178,24 @@ def test_criterion_5_taylor_accuracy():
 
 
 def test_criterion_6_slope_consistency():
-    point = ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.359,
+    point = ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=0.020, sigma_0=0.359,
                                alpha=0.3)
 
     def log_v_of_log_u(lu):
         u = math.exp(lu)
-        num = point.s_bar * (1.0 - u)
-        return (math.log(num) - math.log(point.sigma_bar)
+        num = point.x_0 * (1.0 - u)
+        return (math.log(num) - math.log(point.sigma_0)
                 - (1 - point.alpha) * math.log(u)) / point.alpha
 
     h = 1e-5
-    lu = math.log(point.U_bar)
+    lu = math.log(point.S_0)
     fd = (log_v_of_log_u(lu + h) - log_v_of_log_u(lu - h)) / (2 * h)
     slope = ba.loglinear_slope(point)
     assert abs(slope / fd - 1.0) < 1e-6
 
-    small_273 = ApproximationPoint(U_bar=1e-9, s_bar=0.02, sigma_bar=0.359,
+    small_273 = ApproximationPoint(S_0=1e-9, N_tilde_0=0.0, x_0=0.02, sigma_0=0.359,
                                    alpha=0.273)
-    small_300 = ApproximationPoint(U_bar=1e-9, s_bar=0.02, sigma_bar=0.359,
+    small_300 = ApproximationPoint(S_0=1e-9, N_tilde_0=0.0, x_0=0.02, sigma_0=0.359,
                                    alpha=0.300)
     assert round(ba.loglinear_slope(small_273), 2) == -2.66
     assert round(ba.loglinear_slope(small_300), 2) == -2.33
@@ -227,12 +227,12 @@ def test_criterion_7_matching_table_reproduction():
     sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
     point = ApproximationPoint.from_series(
         panel.U, panel.s, sigma, 0.3, (MonthDate(2008, 1), panel.U.end))
-    assert abs(point.U_bar - 0.068) <= 0.002
-    assert abs(point.s_bar - 0.020) <= 0.002
-    assert abs(point.sigma_bar - 0.359) <= 0.002
+    assert abs(point.S_0 - 0.068) <= 0.002
+    assert abs(point.x_0 - 0.020) <= 0.002
+    assert abs(point.sigma_0 - 0.359) <= 0.002
     ok(7, f"pre ({pre.ln_sigma_bar:.2f}, {pre.alpha:.2f}), "
           f"post ({post.ln_sigma_bar:.2f}, {post.alpha:.2f}), "
-          f"point ({point.U_bar:.3f}, {point.s_bar:.3f}, {point.sigma_bar:.3f})")
+          f"point ({point.S_0:.3f}, {point.x_0:.3f}, {point.sigma_0:.3f})")
 
 
 @needs_data

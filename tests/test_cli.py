@@ -114,6 +114,24 @@ class TestEstimateCommand:
         report = json.loads((out / "matching_estimates_report.json").read_text())
         assert report[0]["n_obs"] == int(cell(rows[0], "n_obs"))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_n_obs_written_as_an_integer(self, tmp_path, recession_sim, fmt):
+        # a count of months: 96, as in the report, never 96.0
+        data = write_recession_csv(tmp_path, recession_sim)
+        out = tmp_path / "est"
+        assert run(["estimate", "--input", data, "--output-dir", out,
+                    "--format", fmt]) == 0
+        report = json.loads((out / "matching_estimates_report.json").read_text())
+        want = [r["n_obs"] for r in report]
+        assert want == [96, 83] and all(type(n) is int for n in want)
+        if fmt == "csv":
+            assert [r["n_obs"] for r in read_csv(out / "matching_estimates.csv")] \
+                == ["96", "83"]
+        else:
+            records = json.loads((out / "matching_estimates.json").read_text())
+            got = [r["n_obs"] for r in records]
+            assert got == want and all(type(n) is int for n in got)
+
     def test_default_split_produces_two_rows(self, tmp_path, recession_sim):
         data = write_recession_csv(tmp_path, recession_sim)
         out = tmp_path / "est2"
@@ -679,12 +697,12 @@ COST_PRODUCT = ("beveridge_elasticity * (vacancy_cost / unemployment_cost) must 
     ("simulate", ["--three-state", "--s-bar", 1e308],
      "month 2000-01: negative stayer probability in state 0: exit rates sum to 1e+308"),
     ("shifters", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 5e-324],
-     "implied V_bar must be positive and finite, got inf"),
+     "implied V_0 must be positive and finite, got inf"),
     ("shifters", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 1e308],
-     "implied V_bar must be positive and finite, got 0.0"),
+     "implied V_0 must be positive and finite, got 0.0"),
     ("decompose", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 0.3,
                    "--alpha", 1e-300],
-     "implied V_bar must be positive and finite, got inf"),
+     "implied V_0 must be positive and finite, got inf"),
     ("efficiency", ["--vacancy-cost", 1e308],
      COST_PRODUCT + "2.33 * (1e+308 / 0.74) = inf"),
     ("efficiency", ["--unemployment-cost", 5e-324],
@@ -706,7 +724,7 @@ def test_flags_with_no_finite_result_exit_two(tmp_path, recession_sim, capsys, c
 
 
 @pytest.mark.parametrize("command, message", [
-    ("decompose", "implied V_bar must be positive and finite, got 0.0"),
+    ("decompose", "implied V_0 must be positive and finite, got 0.0"),
     ("three-state", "implied V_0 must be positive and finite, got inf"),
 ], ids=["decompose", "three-state"])
 def test_window_point_with_no_finite_vacancies_exits_three(tmp_path, recession_sim,
@@ -827,6 +845,35 @@ def test_json_records_equal_csv_rows(tmp_path, recession_sim, command, flags):
                     assert float(row[name]).hex() == float(value).hex()
     if command in ("shifters", "three-state", "efficiency"):
         assert missing > 0  # smoothing leaves the edge months missing
+
+
+@pytest.mark.parametrize("command", ["shifters", "decompose"])
+@pytest.mark.parametrize("panel", ["recession", "noisy"])
+def test_point_pinned_at_the_window_means_writes_the_same_files(
+        tmp_path, recession_sim, command, panel):
+    # --u-bar, --s-bar and --sigma-bar at the manifest's own U_bar, s_bar and
+    # sigma_bar: the flags and the window means build the same point
+    if panel == "recession":
+        data = write_recession_csv(tmp_path, recession_sim)
+    else:
+        assert run(["simulate", "--horizon", 240, "--du-amplitude", 0.0008,
+                    "--noise", 0.02, "--seed", 5, "--sigma-break-at", 100,
+                    "--output-dir", tmp_path / "sim"]) == 0
+        data = tmp_path / "sim" / "panel.csv"
+    base = [command, "--input", data, "--smooth", 3]
+    assert run([*base, "--output-dir", tmp_path / "window"]) == 0
+    notes = json.loads((tmp_path / "window" / "manifest.json").read_text())["notes"]
+    assert run([*base, "--output-dir", tmp_path / "pinned",
+                "--u-bar", repr(notes["U_bar"]), "--s-bar", repr(notes["s_bar"]),
+                "--sigma-bar", repr(notes["sigma_bar"])]) == 0
+    pinned = json.loads((tmp_path / "pinned" / "manifest.json").read_text())
+    assert pinned["notes"]["approx_window"] == "overridden"
+    assert pinned["notes"]["V_bar"] == notes["V_bar"]
+    assert list(pinned["outputs"]) == list(
+        json.loads((tmp_path / "window" / "manifest.json").read_text())["outputs"])
+    for name in pinned["outputs"]:
+        assert (tmp_path / "pinned" / name).read_bytes() \
+            == (tmp_path / "window" / name).read_bytes(), name
 
 
 def test_bad_month_flag_exits_two(tmp_path):

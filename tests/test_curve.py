@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (ApproximationPoint, MonthDate, MonthlySeries,
-                                  ThreeStateApproximationPoint, ThreeStatePanel,
-                                  exact_vacancies, loglinear_slope, shifter_paths,
-                                  steady_state_curve, three_state_exact_vacancies,
-                                  three_state_loglinear, tightness,
-                                  two_state_loglinear)
+                                  ThreeStatePanel, exact_vacancies, loglinear_slope,
+                                  shifter_paths, steady_state_curve,
+                                  three_state_exact_vacancies, three_state_loglinear,
+                                  tightness)
 from beveridge_accounting.curve import (TERMS, InfeasibleMonthWarning,
-                                        _as_three_state, _expansion_coefficients)
+                                        _expansion_coefficients)
+from conftest import two_state
 
 START = MonthDate(2000, 1)
-POINT = ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.359, alpha=0.3)
+POINT = ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=0.020, sigma_0=0.359,
+                           alpha=0.3)
 
 
 @st.composite
@@ -39,20 +40,20 @@ def series(values):
 
 def dynamics_coefficient(point):
     """Coefficient on the month-ahead change in log unemployment."""
-    return _expansion_coefficients(_as_three_state(point))[1]
+    return _expansion_coefficients(point)[1]
 
 
 def separations_coefficient(point):
-    return _expansion_coefficients(_as_three_state(point))[4]
+    return _expansion_coefficients(point)[4]
 
 
 def matching_coefficient(point):
-    return _expansion_coefficients(_as_three_state(point))[5]
+    return _expansion_coefficients(point)[5]
 
 
 def two_state_shifters(U, s, sigma, point, reference):
     """The two-state shifters dynamics, separations and matching, plus net."""
-    return shifter_paths(two_state_loglinear(U, s, sigma, point), reference,
+    return shifter_paths(three_state_loglinear(two_state(U, s), sigma, point), reference,
                          ("searcher_dynamics", "separations", "matching"))
 
 
@@ -84,7 +85,7 @@ def bisect_vacancies(u, s, sigma, alpha, lo=1e-12, hi=10.0, tol=1e-14):
 class TestApproximationPoint:
     def test_v_bar_matches_bisection_oracle(self):
         oracle = bisect_vacancies(0.068, 0.020, 0.359, 0.3)
-        assert POINT.V_bar == pytest.approx(oracle, rel=1e-10)
+        assert POINT.V_0 == pytest.approx(oracle, rel=1e-10)
 
     def test_from_series_means(self):
         u = series(np.array([0.06, 0.07, 0.08]))
@@ -92,20 +93,35 @@ class TestApproximationPoint:
         sg = series(np.array([0.35, 0.36, np.nan]))
         point = ApproximationPoint.from_series(u, s, sg, 0.3,
                                                (START, START.shift(2)))
-        assert point.U_bar == pytest.approx(0.065)   # joint months only
-        assert point.sigma_bar == pytest.approx(0.355)
+        assert point.S_0 == pytest.approx(0.065)   # joint months only
+        assert point.sigma_0 == pytest.approx(0.355)
+        assert point == ApproximationPoint.from_panel(two_state(u, s), sg, 0.3,
+                                                      (START, START.shift(2)))
+
+    def test_from_panel_on_a_two_state_panel(self, recession_pipeline):
+        panel, sigma = recession_pipeline["panel"], recession_pipeline["sigma_hat"]
+        window = (MonthDate(2008, 1), panel.U.end)
+        point = ApproximationPoint.from_panel(panel, sigma, 0.3, window)
+        assert point.N_tilde_0 == 0.0
+        assert point == ApproximationPoint.from_series(panel.U, panel.s, sigma, 0.3,
+                                                       window)
+        got = three_state_loglinear(panel, sigma, point)
+        want = three_state_loglinear(two_state(panel.U, panel.s), sigma, point)
+        for name in ("total", *TERMS):
+            np.testing.assert_array_equal(getattr(got, name).values,
+                                          getattr(want, name).values)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ApproximationPoint(U_bar=0.0, s_bar=0.02, sigma_bar=0.3, alpha=0.3)
+            ApproximationPoint(S_0=0.0, N_tilde_0=0.0, x_0=0.02, sigma_0=0.3, alpha=0.3)
         with pytest.raises(ValueError):
-            ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.3, alpha=1.2)
+            ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.3, alpha=1.2)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_sigma_bar_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"^sigma_bar must be positive and "
+        with pytest.raises(ValueError, match=f"^sigma_0 must be positive and "
                                              f"finite, got {bad}$"):
-            ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=bad, alpha=0.3)
+            ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=bad, alpha=0.3)
 
     @pytest.mark.parametrize("name", ["x_0", "sigma_0"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -114,25 +130,24 @@ class TestApproximationPoint:
                   "alpha": 0.3, name: bad}
         with pytest.raises(ValueError, match=f"^{name} must be positive and "
                                              f"finite, got {bad}$"):
-            ThreeStateApproximationPoint(**fields)
+            ApproximationPoint(**fields)
 
     @pytest.mark.parametrize("fields, v", [
-        ({"sigma_bar": 5e-324}, "inf"), ({"sigma_bar": 1e308}, "0.0"),
+        ({"sigma_0": 5e-324}, "inf"), ({"sigma_0": 1e308}, "0.0"),
         ({"alpha": 1e-300}, "inf"),
     ], ids=["sigma-tiny", "sigma-huge", "alpha-tiny"])
     def test_implied_vacancies_must_be_positive_and_finite(self, fields, v):
         # overflow and underflow of the identity, with no RuntimeWarning
-        two = {"U_bar": 0.05, "s_bar": 0.02, "sigma_bar": 0.36, "alpha": 0.3, **fields}
-        three = {"S_0": 0.05, "N_tilde_0": 0.0, "x_0": 0.02,
-                 "sigma_0": two["sigma_bar"], "alpha": two["alpha"]}
+        # at a two-state point and at one with non-searchers
+        two = {"S_0": 0.05, "N_tilde_0": 0.0, "x_0": 0.02, "sigma_0": 0.36, "alpha": 0.3,
+               **fields}
+        three = {**two, "N_tilde_0": 0.1, "x_0": 0.03}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match=f"^implied V_bar must be positive "
-                                                 f"and finite, got {v}$"):
-                ApproximationPoint(**two)
-            with pytest.raises(ValueError, match=f"^implied V_0 must be positive "
-                                                 f"and finite, got {v}$"):
-                ThreeStateApproximationPoint(**three)
+            for point in (two, three):
+                with pytest.raises(ValueError, match=f"^implied V_0 must be positive "
+                                                     f"and finite, got {v}$"):
+                    ApproximationPoint(**point)
 
 
 class TestExactVacancies:
@@ -173,8 +188,8 @@ class TestExactVacancies:
 
 class TestSteadyStateCurve:
     def test_passes_through_point(self):
-        (u0, v0), = steady_state_curve([POINT.U_bar], POINT)
-        assert v0 == pytest.approx(POINT.V_bar, rel=1e-14)
+        (u0, v0), = steady_state_curve([POINT.S_0], POINT)
+        assert v0 == pytest.approx(POINT.V_0, rel=1e-14)
 
     def test_strictly_decreasing(self):
         grid = np.linspace(0.02, 0.15, 40)
@@ -185,8 +200,8 @@ class TestSteadyStateCurve:
         u = 0.081
         (_, v), = steady_state_curve([u], POINT)
         got = exact_vacancies(series(np.full(2, u)),
-                              series(np.full(2, POINT.s_bar)),
-                              series(np.full(2, POINT.sigma_bar)), POINT.alpha)
+                              series(np.full(2, POINT.x_0)),
+                              series(np.full(2, POINT.sigma_0)), POINT.alpha)
         assert got.values[0] == pytest.approx(v, rel=1e-14)
 
 
@@ -200,31 +215,32 @@ class TestCoefficients:
         return (g(self.H) - g(-self.H)) / (2 * self.H)
 
     def test_slope(self):
-        got = self.fd(lambda h: exact_log_v(POINT.U_bar * math.exp(h), POINT.s_bar,
-                                            POINT.sigma_bar, 0.0, POINT.alpha))
+        got = self.fd(lambda h: exact_log_v(POINT.S_0 * math.exp(h), POINT.x_0,
+                                            POINT.sigma_0, 0.0, POINT.alpha))
         assert loglinear_slope(POINT) == pytest.approx(got, rel=1e-6)
 
     def test_dynamics(self):
-        got = self.fd(lambda h: exact_log_v(POINT.U_bar, POINT.s_bar,
-                                            POINT.sigma_bar,
-                                            POINT.U_bar * math.expm1(h),
+        got = self.fd(lambda h: exact_log_v(POINT.S_0, POINT.x_0,
+                                            POINT.sigma_0,
+                                            POINT.S_0 * math.expm1(h),
                                             POINT.alpha))
         assert dynamics_coefficient(POINT) == pytest.approx(got, rel=1e-6)
 
     def test_separations(self):
-        got = self.fd(lambda h: exact_log_v(POINT.U_bar, POINT.s_bar * math.exp(h),
-                                            POINT.sigma_bar, 0.0, POINT.alpha))
+        got = self.fd(lambda h: exact_log_v(POINT.S_0, POINT.x_0 * math.exp(h),
+                                            POINT.sigma_0, 0.0, POINT.alpha))
         assert separations_coefficient(POINT) == pytest.approx(got, rel=1e-6)
         assert separations_coefficient(POINT) == pytest.approx(1 / 0.3, rel=1e-14)
 
     def test_matching(self):
-        got = self.fd(lambda h: exact_log_v(POINT.U_bar, POINT.s_bar,
-                                            POINT.sigma_bar * math.exp(h), 0.0,
+        got = self.fd(lambda h: exact_log_v(POINT.S_0, POINT.x_0,
+                                            POINT.sigma_0 * math.exp(h), 0.0,
                                             POINT.alpha))
         assert matching_coefficient(POINT) == pytest.approx(got, rel=1e-6)
 
     def test_frozen_values_at_standard_point(self):
-        p = ApproximationPoint(U_bar=0.068, s_bar=0.020, sigma_bar=0.359, alpha=0.3)
+        p = ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=0.020, sigma_0=0.359,
+                               alpha=0.3)
         assert dynamics_coefficient(p) == pytest.approx(
             -0.068 / (0.3 * 0.020 * (1 - 0.068)), rel=1e-14)
         assert dynamics_coefficient(p) == pytest.approx(-12.160229, abs=5e-7)
@@ -246,16 +262,16 @@ def taylor_paths(point, level_band, step_band, n=160, seed=0):
         phase = rng.uniform(0, 2 * math.pi)
         return offset + amp * np.sin(2 * math.pi * t / period + phase)
 
-    u = series(point.U_bar * np.exp(wiggle()))
-    s = series(point.s_bar * np.exp(wiggle()))
-    sg = series(point.sigma_bar * np.exp(wiggle()))
+    u = series(point.S_0 * np.exp(wiggle()))
+    s = series(point.x_0 * np.exp(wiggle()))
+    sg = series(point.sigma_0 * np.exp(wiggle()))
     return u, s, sg
 
 
 def max_taylor_error(point, level_band, step_band, seed):
     u, s, sg = taylor_paths(point, level_band, step_band, seed=seed)
     exact = exact_vacancies(u, s, sg, point.alpha)
-    approx = two_state_loglinear(u, s, sg, point).total
+    approx = three_state_loglinear(two_state(u, s), sg, point).total
     with np.errstate(invalid="ignore"):
         gap = np.abs(np.log(exact.values) - approx.values)
     return np.nanmax(gap)
@@ -263,11 +279,11 @@ def max_taylor_error(point, level_band, step_band, seed):
 
 class TestTaylorAccuracy:
     def test_expansion_point_exact(self):
-        u = series(np.full(3, POINT.U_bar))
-        s = series(np.full(3, POINT.s_bar))
-        sg = series(np.full(3, POINT.sigma_bar))
-        approx = two_state_loglinear(u, s, sg, POINT).total
-        np.testing.assert_allclose(approx.values[:-1], math.log(POINT.V_bar),
+        u = series(np.full(3, POINT.S_0))
+        s = series(np.full(3, POINT.x_0))
+        sg = series(np.full(3, POINT.sigma_0))
+        approx = three_state_loglinear(two_state(u, s), sg, POINT).total
+        np.testing.assert_allclose(approx.values[:-1], math.log(POINT.V_0),
                                    rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -285,9 +301,9 @@ class TestTaylorAccuracy:
 class TestShifterPaths:
     def test_constant_inputs_give_zero_shifters(self):
         n = 6
-        u = series(np.full(n, POINT.U_bar))
-        s = series(np.full(n, POINT.s_bar))
-        sg = series(np.full(n, POINT.sigma_bar))
+        u = series(np.full(n, POINT.S_0))
+        s = series(np.full(n, POINT.x_0))
+        sg = series(np.full(n, POINT.sigma_0))
         paths = two_state_shifters(u, s, sg, POINT, START.shift(1))
         assert list(paths) == ["searcher_dynamics", "separations", "matching", "net"]
         for term in paths.values():
@@ -308,9 +324,9 @@ class TestShifterPaths:
         np.testing.assert_array_equal(paths["net"].values, total)
 
     def test_missing_reference_rejected(self):
-        u = series(np.full(4, POINT.U_bar))
-        s = series(np.full(4, POINT.s_bar))
-        sg = series(np.full(4, POINT.sigma_bar))
+        u = series(np.full(4, POINT.S_0))
+        s = series(np.full(4, POINT.x_0))
+        sg = series(np.full(4, POINT.sigma_0))
         with pytest.raises(ValueError, match="reference month"):
             two_state_shifters(u, s, sg, POINT, START.shift(3))  # last month: no dU
 
@@ -318,9 +334,9 @@ class TestShifterPaths:
                                        ("matching", "net")])
     def test_terms_must_name_a_shifter(self, terms):
         n = 4
-        expansion = two_state_loglinear(series(np.full(n, POINT.U_bar)),
-                                        series(np.full(n, POINT.s_bar)),
-                                        series(np.full(n, POINT.sigma_bar)), POINT)
+        expansion = three_state_loglinear(two_state(series(np.full(n, POINT.S_0)),
+                                                    series(np.full(n, POINT.x_0))),
+                                          series(np.full(n, POINT.sigma_0)), POINT)
         with pytest.raises(ValueError, match="must name at least one shifter"):
             shifter_paths(expansion, START, terms)
 
@@ -348,9 +364,9 @@ class TestShifterPaths:
         point = recession_pipeline["point"]
         ref = MonthDate(2007, 4)
         paths = two_state_shifters(panel.U, panel.s, sigma, point, ref)
-        loglin = two_state_loglinear(panel.U, panel.s, sigma, point).total
-        curve_part = (math.log(point.V_bar) + loglinear_slope(point)
-                      * (np.log(panel.U.values) - math.log(point.U_bar)))
+        loglin = three_state_loglinear(panel, sigma, point).total
+        curve_part = (math.log(point.V_0) + loglinear_slope(point)
+                      * (np.log(panel.U.values) - math.log(point.S_0)))
         raw_net = loglin.values - curve_part
         ref_idx = panel.U.index_of(ref)
         np.testing.assert_allclose(paths["net"].values,
@@ -359,21 +375,21 @@ class TestShifterPaths:
 
 class TestSlopeValues:
     def test_limit_small_u(self):
-        tiny = ApproximationPoint(U_bar=1e-9, s_bar=0.02, sigma_bar=0.359,
+        tiny = ApproximationPoint(S_0=1e-9, N_tilde_0=0.0, x_0=0.02, sigma_0=0.359,
                                   alpha=0.273)
         assert loglinear_slope(tiny) == pytest.approx(-(1 - 0.273) / 0.273,
                                                       rel=1e-6)
         assert round(loglinear_slope(tiny), 2) == -2.66
 
     def test_alpha_point_three(self):
-        tiny = ApproximationPoint(U_bar=1e-9, s_bar=0.02, sigma_bar=0.359,
+        tiny = ApproximationPoint(S_0=1e-9, N_tilde_0=0.0, x_0=0.02, sigma_0=0.359,
                                   alpha=0.3)
         assert round(loglinear_slope(tiny), 2) == -2.33
 
     def test_matches_finite_difference_of_identity(self):
         h = 1e-5
-        g = lambda lh: exact_log_v(POINT.U_bar * math.exp(lh), POINT.s_bar,  # noqa: E731
-                                   POINT.sigma_bar, 0.0, POINT.alpha)
+        g = lambda lh: exact_log_v(POINT.S_0 * math.exp(lh), POINT.x_0,  # noqa: E731
+                                   POINT.sigma_0, 0.0, POINT.alpha)
         fd = (g(h) - g(-h)) / (2 * h)
         assert loglinear_slope(POINT) == pytest.approx(fd, rel=1e-6)
 
@@ -401,8 +417,8 @@ def constant_aggregate_panel(s_star, nt_star, x_star, n=6, xi=0.1, ue=0.25,
                            **{k: mk(np.full(n, v)) for k, v in rates.items()})
 
 
-THREE_POINT = ThreeStateApproximationPoint(S_0=0.091, N_tilde_0=0.259,
-                                           x_0=0.035, sigma_0=0.36, alpha=0.3)
+THREE_POINT = ApproximationPoint(S_0=0.091, N_tilde_0=0.259, x_0=0.035, sigma_0=0.36,
+                                 alpha=0.3)
 
 
 class TestThreeState:
@@ -456,13 +472,11 @@ class TestThreeState:
         np.testing.assert_allclose(exact3.values, exact2.values, rtol=1e-12)
 
         u_bar, sigma_bar = float(u.mean()), float(sigma_path.mean())
-        p3 = ThreeStateApproximationPoint(S_0=u_bar, N_tilde_0=0.0, x_0=s,
-                                          sigma_0=sigma_bar, alpha=alpha)
-        p2 = ApproximationPoint(U_bar=u_bar, s_bar=s, sigma_bar=sigma_bar,
-                                alpha=alpha)
-        assert p3.V_0 == pytest.approx(p2.V_bar, rel=1e-12)
-        ll3 = three_state_loglinear(panel, sigma, p3).total
-        ll2 = two_state_loglinear(series(u), series(np.full(n, s)), sigma, p2).total
+        point = ApproximationPoint(S_0=u_bar, N_tilde_0=0.0, x_0=s, sigma_0=sigma_bar,
+                                   alpha=alpha)
+        ll3 = three_state_loglinear(panel, sigma, point).total
+        ll2 = three_state_loglinear(two_state(series(u), series(np.full(n, s))), sigma,
+                                    point).total
         assert not np.isnan(ll2.values[:-1]).any()
         np.testing.assert_allclose(ll3.values, ll2.values, rtol=1e-12)
 
@@ -470,17 +484,17 @@ class TestThreeState:
         U, s_series = series(u), series(np.full(n, s))
         window = (START, START.shift(n - 1))
         np.testing.assert_array_equal(exact3.values, exact2.values)
-        point3 = ThreeStateApproximationPoint.from_panel(panel, sigma, alpha, window)
+        point3 = ApproximationPoint.from_panel(panel, sigma, alpha, window)
         point2 = ApproximationPoint.from_series(U, s_series, sigma, alpha, window)
         np.testing.assert_array_equal(
             [point3.S_0, point3.N_tilde_0, point3.x_0, point3.sigma_0,
              point3.alpha, point3.V_0],
-            [point2.U_bar, 0.0, point2.s_bar, point2.sigma_bar, point2.alpha,
-             point2.V_bar])
+            [point2.S_0, 0.0, point2.x_0, point2.sigma_0, point2.alpha,
+             point2.V_0])
         np.testing.assert_array_equal(tightness(panel.S, exact2).values,
                                       tightness(U, exact2).values)
         exp3 = three_state_loglinear(panel, sigma, point3)
-        exp2 = two_state_loglinear(U, s_series, sigma, point2)
+        exp2 = three_state_loglinear(two_state(U, s_series), sigma, point2)
         for name in ("total", *TERMS):
             np.testing.assert_array_equal(getattr(exp3, name).values,
                                           getattr(exp2, name).values)

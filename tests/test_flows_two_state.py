@@ -111,3 +111,12 @@ def test_panel_construction_and_validation():
     with pytest.raises(ValueError, match="misalignment"):
         build_two_state_panel(series(u), series(v),
                               MonthlySeries(MonthDate(2001, 1), us))
+
+
+def test_searcher_aggregates_at_no_nonsearchers(recession_sim):
+    # the two-state panel as the three-state one with N_tilde = 0: S = U, x = s
+    panel = recession_sim.panel
+    assert panel.S is panel.U
+    assert panel.x is panel.s
+    assert (panel.N_tilde.start, len(panel.N_tilde)) == (panel.U.start, len(panel.U))
+    np.testing.assert_array_equal(panel.N_tilde.values, 0.0)

@@ -13,11 +13,12 @@ from beveridge_accounting import (ApproximationPoint, InfeasibleMonthWarning,
                                   MonthlySeries, SwingBounds,
                                   all_orderings_report, build_swing_samples,
                                   exact_vacancies, loglinear_shift_decomposition,
-                                  steady_state_curve, two_state_loglinear)
+                                  steady_state_curve, three_state_loglinear)
 from beveridge_accounting.shift_decomposition import (AllPairsInfeasibleError,
                                                       IdentityMismatchWarning,
                                                       _BLOCK, _first_crossings,
                                                       _interp_at_pairs)
+from conftest import two_state
 from reference_loglinear import reference_decomposition
 
 START = MonthDate(2000, 1)
@@ -233,12 +234,12 @@ class TestVerticalShift:
 
 def loglinear(U, V, s, sigma, samples, point):
     """The log-linear decomposition from the expansion at `point`."""
-    return loglinear_shift_decomposition(U, V, two_state_loglinear(U, s, sigma, point),
-                                         samples)
+    expansion = three_state_loglinear(two_state(U, s), sigma, point)
+    return loglinear_shift_decomposition(U, V, expansion, samples)
 
 
 class TestLoglinearDecomposition:
-    POINT = ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36, alpha=0.3)
+    POINT = ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36, alpha=0.3)
 
     def test_self_matching_gives_zero(self):
         # upswing sample equal to the downswing months: every point matches
@@ -370,9 +371,9 @@ def held_percent(U, s, sigma, samples, point, table, margin):
     through the public `exact_vacancies`."""
     identity = exact_vacancies(U, s, sigma, point.alpha)
     if margin == MARGIN_MATCHING:
-        sigma = U.with_values(np.full(len(U), point.sigma_bar))
+        sigma = U.with_values(np.full(len(U), point.sigma_0))
     else:
-        s = U.with_values(np.full(len(U), point.s_bar))
+        s = U.with_values(np.full(len(U), point.x_0))
     held = exact_vacancies(U, s, sigma, point.alpha)
     gap = samples.vertical_shift(identity.values) - samples.vertical_shift(held.values)
     return 100.0 * float(gap[kept_pairs(samples, table)].mean()) \
@@ -380,6 +381,17 @@ def held_percent(U, s, sigma, samples, point, table, margin):
 
 
 class TestCounterfactuals:
+    def test_point_with_non_searchers_rejected(self, recession_pipeline):
+        # the table holds two-state margins, at a point with N_tilde_0 = 0
+        panel = recession_pipeline["panel"]
+        point = ApproximationPoint(S_0=0.068, N_tilde_0=0.2, x_0=0.02, sigma_0=0.3,
+                                   alpha=0.3)
+        with pytest.raises(ValueError, match="^two-state point needs N_tilde_0 = 0, "
+                                             "got 0.2$"):
+            all_orderings_report(panel.U, panel.V, panel.s,
+                                 recession_pipeline["sigma_hat"],
+                                 recession_pipeline["samples"], point)
+
     def test_holding_nothing_is_the_exact_identity(self, recession_pipeline):
         panel = recession_pipeline["panel"]
         sigma = recession_pipeline["sigma_hat"]
@@ -400,8 +412,8 @@ class TestCounterfactuals:
         point = recession_pipeline["point"]
         u = panel.U.values
         got = [v for _, v in steady_state_curve(u, point)]
-        want = (point.s_bar * (1 - u) /
-                (point.sigma_bar * u ** (1 - point.alpha))) ** (1 / point.alpha)
+        want = (point.x_0 * (1 - u) /
+                (point.sigma_0 * u ** (1 - point.alpha))) ** (1 / point.alpha)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_infeasible_month_raises_infeasible_month_warning(self):
@@ -431,7 +443,7 @@ def single_margin_sim(which, n=40):
     panel = sim.panel
     theta = ba.tightness(panel.U, panel.V)
     sigma_hat = ba.matching_efficiency_path(panel.f, theta, 0.3)
-    point = ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36, alpha=0.3)
+    point = ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36, alpha=0.3)
     bounds = SwingBounds(down_start=START.shift(5), down_end=START.shift(10),
                          up_start=START.shift(n // 2 + 5),
                          up_end=START.shift(n // 2 + 10))
@@ -531,7 +543,7 @@ class TestNonlinearDecomposition:
         samples = recession_pipeline["samples"]
         # a tiny held separation rate cannot cover the downswing's rising
         # unemployment, so those matched pairs become infeasible
-        point = ApproximationPoint(U_bar=0.068, s_bar=1e-6, sigma_bar=0.30,
+        point = ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=1e-6, sigma_0=0.30,
                                    alpha=0.3)
         with pytest.raises(AllPairsInfeasibleError):
             all_orderings_report(panel.U, panel.V, panel.s, sigma_hat,
@@ -577,9 +589,9 @@ def recession_panels(draw):
     panel = sim.panel
     sigma_hat = ba.matching_efficiency_path(
         panel.f, ba.tightness(panel.U, panel.V), alpha)
-    point = ApproximationPoint(U_bar=draw(st.floats(0.04, 0.09)),
-                               s_bar=draw(st.floats(0.015, 0.025)),
-                               sigma_bar=draw(st.floats(0.25, 0.45)), alpha=alpha)
+    point = ApproximationPoint(S_0=draw(st.floats(0.04, 0.09)), N_tilde_0=0.0,
+                               x_0=draw(st.floats(0.015, 0.025)),
+                               sigma_0=draw(st.floats(0.25, 0.45)), alpha=alpha)
     bounds = SwingBounds(down_start=START.shift(flat),
                          down_end=START.shift(flat + rise - 1),
                          up_start=START.shift(flat + rise))

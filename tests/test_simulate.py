@@ -104,7 +104,7 @@ class TestTwoStateSimulation:
         v = sim.panel.V.values
         np.testing.assert_allclose(v, v[0], rtol=1e-14)
         # the constant point lies on the steady-state curve
-        point = ba.ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36,
+        point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                       alpha=0.3)
         (_, v_ss), = ba.steady_state_curve([0.06], point)
         assert v[0] == pytest.approx(v_ss, rel=1e-13)
@@ -142,10 +142,10 @@ class TestTwoStateSimulation:
         sim = simulate_two_state(spec)
         theta = ba.tightness(sim.panel.U, sim.panel.V)
         sigma_hat = ba.matching_efficiency_path(sim.panel.f, theta, 0.3)
-        point = ba.ApproximationPoint(U_bar=0.06, s_bar=0.02, sigma_bar=0.36,
+        point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                       alpha=0.3)
         paths = ba.shifter_paths(
-            ba.two_state_loglinear(sim.panel.U, sim.panel.s, sigma_hat, point),
+            ba.three_state_loglinear(sim.panel, sigma_hat, point),
             START.shift(5))
         jump = paths["matching"].values[40] - paths["matching"].values[10]
         assert jump == pytest.approx(-(1 / 0.3) * math.log(0.75), rel=1e-10)
