@@ -93,6 +93,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _rake_tol(text: str) -> float:
+    """A raking tolerance: no finer than float64 rounding of the margins
+    lets raking reach."""
+    value = _positive_float(text)
+    if value < sys.float_info.epsilon:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {sys.float_info.epsilon} (float64 machine epsilon), "
+            f"got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -133,6 +144,20 @@ def _require_coverage(grid: MonthlySeries, what: str, *months: MonthDate) -> Non
         raise ConfigError(f"{what} outside data coverage [{grid.start}, {grid.end}]")
 
 
+def _require_reference(args: argparse.Namespace, grid: MonthlySeries,
+                       ahead: int) -> None:
+    """ConfigError unless --reference is a month of `grid` that can have a
+    dynamics term: outside the edges --smooth blanks, and `ahead` months
+    before the last (the next month's searchers, and in three states the
+    month-pair that gives them)."""
+    _require_coverage(grid, f"reference month {args.reference}", args.reference)
+    lead = (args.smooth - 1) // 2 if args.smooth_align == "centered" else args.smooth - 1
+    first, last = grid.start.shift(lead), grid.end.shift(lead + 1 - args.smooth - ahead)
+    if not first <= args.reference <= last:
+        raise ConfigError(f"--reference {args.reference} outside [{first}, {last}], "
+                          f"the months with a dynamics term at --smooth {args.smooth}")
+
+
 def _resolve_approx_window(args: argparse.Namespace,
                            grid: MonthlySeries) -> tuple[MonthDate, MonthDate]:
     """Default expansion window: the post-2007 months, else the full sample."""
@@ -160,16 +185,20 @@ def _positive_finding_rate(f: MonthlySeries) -> tuple[MonthlySeries, int]:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _output_path(args: argparse.Namespace, name: str) -> Path:
-    """Path of the named data file in the configured format."""
+def _write(args: argparse.Namespace, tables: dict, notes: dict) -> None:
+    """Make --output-dir and write each table there, as `<name>.<--format>`
+    or, where the name carries its own suffix, as `name`; a table of series
+    is a dated panel (`write_panel`).  The manifest is written last."""
+    out = Path(args.output_dir)
     try:
-        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):  # a file in the way
         raise ConfigError(f"--output-dir {args.output_dir}: not a directory") from None
-    return Path(args.output_dir) / f"{name}.{args.format}"
-
-
-def _write_manifest(args: argparse.Namespace, outputs: dict, notes: dict) -> None:
+    outputs = {}
+    for name, columns in tables.items():
+        path = out / (name if Path(name).suffix else f"{name}.{args.format}")
+        dated = all(isinstance(c, MonthlySeries) for c in columns.values())
+        outputs[path.name] = (write_panel if dated else write_table)(path, columns)
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -182,8 +211,8 @@ def _write_manifest(args: argparse.Namespace, outputs: dict, notes: dict) -> Non
         manifest["input"] = {"path": str(Path(args.input)), "sha256": digest}
     if notes:
         manifest["notes"] = {k: _json_safe(v) for k, v in sorted(notes.items())}
-    path = Path(args.output_dir) / "manifest.json"  # made by _output_path
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                                       + "\n")
 
 
 def _echo_value(value):
@@ -273,10 +302,11 @@ def _expansion(args: argparse.Namespace, read):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its tables, by file stem, and its manifest notes,
+# and `main` writes them (`_write`)
 # ---------------------------------------------------------------------------
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> tuple[dict, dict]:
     panel, _, theta, f_pos, notes = _pipeline(args, _read_two_state)
     grid = panel.S
 
@@ -294,44 +324,38 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     ests = [estimate_matching(f_pos, theta, sample=window, robust=args.robust)
             for window in windows]
     stars = [e.stars() for e in ests]
-    path = _output_path(args, "matching_estimates")
-    outputs = {path.name: write_table(path, {
-        "sample_start": [str(lo) for lo, _ in windows],
-        "sample_end": [str(hi) for _, hi in windows],
-        "ln_sigma_bar": [e.ln_sigma_bar for e in ests],
-        "se_ln_sigma": [e.se_ln_sigma for e in ests],
-        "stars_ln_sigma": [star[0] for star in stars],
-        "alpha": [e.alpha for e in ests], "se_alpha": [e.se_alpha for e in ests],
-        "stars_alpha": [star[1] for star in stars],
-        "sigma_bar": [e.sigma_bar for e in ests],
-        "r_squared": [e.r_squared for e in ests],
-        "n_obs": [e.n_obs for e in ests]})}
     reports = [e.to_dict() for e in ests]
-    report_path = Path(args.output_dir) / "matching_estimates_report.json"
-    outputs[report_path.name] = write_table(
-        report_path, {k: [r[k] for r in reports] for k in reports[0]})
-    _write_manifest(args, outputs, notes)
-    return EXIT_OK
+    return {
+        "matching_estimates": {
+            "sample_start": [str(lo) for lo, _ in windows],
+            "sample_end": [str(hi) for _, hi in windows],
+            "ln_sigma_bar": [e.ln_sigma_bar for e in ests],
+            "se_ln_sigma": [e.se_ln_sigma for e in ests],
+            "stars_ln_sigma": [star[0] for star in stars],
+            "alpha": [e.alpha for e in ests], "se_alpha": [e.se_alpha for e in ests],
+            "stars_alpha": [star[1] for star in stars],
+            "sigma_bar": [e.sigma_bar for e in ests],
+            "r_squared": [e.r_squared for e in ests],
+            "n_obs": [e.n_obs for e in ests]},
+        # always JSON: the name carries its suffix
+        "matching_estimates_report.json": {k: [r[k] for r in reports]
+                                           for k in reports[0]}}, notes
 
 
-def cmd_shifters(args: argparse.Namespace) -> int:
+def cmd_shifters(args: argparse.Namespace) -> tuple[dict, dict]:
     panel, V, _, _, expansion, notes = _expansion(args, _read_two_state)
-    _require_coverage(panel.U, f"reference month {args.reference}", args.reference)
+    _require_reference(args, panel.U, ahead=1)
     paths = shifter_paths(expansion, args.reference, tuple(MARGIN_TERMS.values()))
     with np.errstate(invalid="ignore", divide="ignore"):
         log_v = np.log(V.values)
-
-    path = _output_path(args, "shifters")
-    outputs = {path.name: write_panel(path, {
+    return {"shifters": {
         "u_rate": panel.U, "log_v_observed": V.with_values(log_v),
         "log_v_loglinear": expansion.total,
         **{margin: paths[term] for margin, term in MARGIN_TERMS.items()},
-        "net": paths["net"]})}
-    _write_manifest(args, outputs, notes)
-    return EXIT_OK
+        "net": paths["net"]}}, notes
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict]:
     panel, V, sigma, point, expansion, notes = _expansion(args, _read_two_state)
     for m in (args.down_start, args.down_end, args.up_start, args.up_end):
         if m is not None:
@@ -343,41 +367,33 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     loglin = loglinear_shift_decomposition(panel.U, V, expansion, samples)
     table = all_orderings_report(panel.U, V, panel.s, sigma, samples, point)
 
-    path = _output_path(args, "vertical_shift_loglinear")
-    outputs = {path.name: write_table(path, {
-        "month": [str(month) for month in loglin.months], "u_rate": loglin.u,
-        "observed_shift": loglin.observed, "total_loglinear": loglin.total,
-        **{margin: getattr(loglin, margin) for margin in MARGIN_TERMS}})}
-    path = _output_path(args, "orderings")
-    outputs[path.name] = write_table(path, {
-        "ordering": [" -> ".join(row.ordering) for row in table.rows],
-        "dynamics_pct": [row.dynamics_pct for row in table.rows],
-        "separations_pct": [row.separations_pct for row in table.rows],
-        "matching_pct": [row.matching_pct for row in table.rows]})
-
     notes.update({
         "dropped_months": [str(m) for m in table.dropped_months],
         "n_pairs": table.n_pairs,
         # vacancy-rate units: the nonlinear decomposition works in levels
         "average_observed_shift_level": table.average_observed_shift,
     })
-    _write_manifest(args, outputs, notes)
-    return EXIT_OK
+    return {
+        "vertical_shift_loglinear": {
+            "month": [str(month) for month in loglin.months], "u_rate": loglin.u,
+            "observed_shift": loglin.observed, "total_loglinear": loglin.total,
+            **{margin: getattr(loglin, margin) for margin in MARGIN_TERMS}},
+        "orderings": {
+            "ordering": [" -> ".join(row.ordering) for row in table.rows],
+            "dynamics_pct": [row.dynamics_pct for row in table.rows],
+            "separations_pct": [row.separations_pct for row in table.rows],
+            "matching_pct": [row.matching_pct for row in table.rows]}}, notes
 
 
-def cmd_three_state(args: argparse.Namespace) -> int:
+def cmd_three_state(args: argparse.Namespace) -> tuple[dict, dict]:
     panel, _, _, _, loglin, notes = _expansion(args, _read_three_state)
-    _require_coverage(panel.S, f"reference month {args.reference}", args.reference)
+    _require_reference(args, panel.S, ahead=2)
     paths = shifter_paths(loglin, args.reference)
-
-    path = _output_path(args, "three_state_shifters")
-    outputs = {path.name: write_panel(path, {
-        "searchers": panel.S, "log_v_loglinear": loglin.total, **paths})}
-    _write_manifest(args, outputs, notes)
-    return EXIT_OK
+    return {"three_state_shifters": {
+        "searchers": panel.S, "log_v_loglinear": loglin.total, **paths}}, notes
 
 
-def cmd_efficiency(args: argparse.Namespace) -> int:
+def cmd_efficiency(args: argparse.Namespace) -> tuple[dict, dict]:
     cols = _read_columns(args, "u_rate", "v_rate")
     u, v = cols["u_rate"], cols["v_rate"]
 
@@ -390,13 +406,10 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     u_star_ms = efficient_unemployment(u, v, cal_ms)
     u_star_steep = efficient_unemployment(u, v, cal_steep)
 
-    path = _output_path(args, "efficiency")
-    outputs = {path.name: write_panel(path, {
+    return {"efficiency": {
         "u_rate": u, "u_star_ms": u_star_ms, "u_star_steep": u_star_steep,
         "gap_ms": unemployment_gap(u, u_star_ms),
-        "gap_steep": unemployment_gap(u, u_star_steep)})}
-    _write_manifest(args, outputs, {})
-    return EXIT_OK
+        "gap_steep": unemployment_gap(u, u_star_steep)}}, {}
 
 
 # simulate flags that only one of the two simulators reads, with their defaults
@@ -415,17 +428,13 @@ def _reject_given(args: argparse.Namespace, defaults: dict, model: str,
         raise ConfigError(f"{', '.join(given)}: {model} only, not read {other}")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     try:
-        columns = _simulated_columns(args)
+        return {"panel": _simulated_columns(args)}, {}
     except ValueError as exc:
         # the panel comes from flags alone, so any value the simulation
         # rejects (a spec field or a path it implies) is a flag's fault
         raise ConfigError(str(exc)) from None
-    path = _output_path(args, "panel")
-    outputs = {path.name: write_panel(path, columns)}
-    _write_manifest(args, outputs, {})
-    return EXIT_OK
 
 
 def _simulated_columns(args: argparse.Namespace) -> dict[str, MonthlySeries]:
@@ -544,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_approx(p)
     p.add_argument("--reference", type=_month, default=MonthDate(2007, 4))
-    p.add_argument("--rake-tol", type=_positive_float, default=1e-12)
+    p.add_argument("--rake-tol", type=_rake_tol, default=1e-12)
     p.add_argument("--rake-max-iter", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_three_state)
 
@@ -589,7 +598,8 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            return args.func(args)
+            _write(args, *args.func(args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,12 +15,15 @@ so the first fault in the file is the one reported.  Emission works a
 column at a time too: it spells every float column of a table in one
 :func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__`` with
 no Python string per cell, its rows packed and each column cut to its own
-longest text.  A numpy string column of ASCII text that needs no quoting or
-escaping (such as the dates, built as words by the same arithmetic that
-checks them on ingest) becomes cells by one cast of its code points to
-bytes; any other column is turned into string tokens once.  Rows are then
-laid out a block at a time as one byte matrix (separators and each
-column's cells side by side) and written as its bytes less the padding.
+longest text.  Every other column (integers, booleans or strings, such as
+the dates, built as words by the same arithmetic that checks them on
+ingest) is one string array that becomes cells by one cast of its code
+points to bytes.  The writer takes only tables whose bytes need no quoting
+or escaping: two or more columns, and text of printable ASCII with no ``,``
+``"`` or ``\\``; anything else (an object column, say) is a ValueError
+naming the column.  Rows are then laid out a block at a time as one byte
+matrix (separators and each column's cells side by side) and written as
+its bytes less the padding.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import json
 import math
 from itertools import chain
 from pathlib import Path
@@ -266,58 +268,13 @@ def _dates(start: MonthDate, n: int) -> np.ndarray:
     return text.view(np.uint8).reshape(n, 8)[:, :7].astype(np.uint32).view("U7").ravel()
 
 
-# CSV (excel dialect, minimal quoting) quotes a cell holding any of these
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-# the ASCII bytes a CSV cell (row 0) or a JSON string (row 1) cannot hold as
-# they are: CSV quotes the ones above, and JSON escapes '"', "\\" and every
-# control character; NUL is numpy's padding after a string's text
-_SPECIAL_BYTES = np.zeros((2, 128), dtype=bool)
-_SPECIAL_BYTES[0, list(b',"\r\n')] = True
-_SPECIAL_BYTES[1, [*range(1, 0x20), 0x7F, *b'"\\']] = True
+# the bytes a cell's row may hold: printable ASCII but the ones CSV quotes
+# (',' and '"') or JSON escapes ('"' and '\\'), and NUL, numpy's padding
+# after a string's text
+_CELL_BYTES = np.zeros(128, dtype=bool)
+_CELL_BYTES[[0, *range(0x20, 0x7F)]] = True
+_CELL_BYTES[list(b',"\\')] = False
 _BLOCK_BYTES = 1 << 20  # rows are assembled and written about this much at a time
-
-
-def _csv_quote(text: str) -> str:
-    if any(c in text for c in _CSV_SPECIAL):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _strings(column: Sequence, a: np.ndarray) -> list[str]:
-    """The cells of a string column `a` made from `column`: the given strings
-    where all of them are ``str``, since numpy drops trailing NULs."""
-    if not isinstance(column, np.ndarray) and set(map(type, column)) == {str}:
-        return list(column)
-    return a.tolist()
-
-
-def _csv_tokens(column: Sequence, a: np.ndarray) -> list[str]:
-    """A non-float column's CSV cells: NaN (or None) empty."""
-    kind = a.dtype.kind
-    if kind in "iub":
-        return list(map(str, a.tolist()))
-    if kind == "U":
-        cells = _strings(column, a)
-        joined = "".join(cells)
-        if any(c in joined for c in _CSV_SPECIAL):
-            return list(map(_csv_quote, cells))
-        return cells
-    return ["" if x is None or x != x
-            else _csv_quote(float.__repr__(x) if isinstance(x, float) else str(x))
-            for x in a.tolist()]
-
-
-def _json_tokens(column: Sequence, a: np.ndarray) -> list[str]:
-    """A non-float column's JSON values, as `json.dumps` writes them: NaN (or
-    None) null, infinities as ``Infinity`` and strings ASCII-escaped."""
-    kind = a.dtype.kind
-    if kind in "iu":
-        return list(map(str, a.tolist()))
-    if kind == "b":
-        return ["true" if x else "false" for x in a.tolist()]
-    if kind == "U":
-        return list(map(json.encoder.encode_basestring_ascii, _strings(column, a)))
-    return ["null" if x is None or x != x else json.dumps(x) for x in a.tolist()]
 
 
 def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]
@@ -345,132 +302,121 @@ def _float_cells(values: np.ndarray, spelling: tuple[bytes, bytes, bytes]
     return chars, lengths
 
 
-def _string_cells(column: Sequence, a: np.ndarray, json_format: bool,
-                  lone: bool) -> np.ndarray | None:
-    """The cells of a numpy string column by one cast of its code points to
-    bytes, where every string is ASCII text written as it is (JSON's within
-    quotes); None for any other column."""
-    if not isinstance(column, np.ndarray) or a.dtype.kind != "U" or not a.itemsize:
-        return None
+def _text_cells(what: str, column: Sequence, a: np.ndarray,
+                json_format: bool) -> np.ndarray:
+    """The cells of a column `a`, made from `column`, that holds no floats:
+    one cast of its text's code points to bytes.  Integers are spelled as
+    ``str`` spells them, booleans as ``csv.writer`` or ``json.dumps`` does,
+    and strings as given (JSON's within quotes).  ValueError naming `what`
+    for a column of any other kind, or for text that CSV would quote or
+    JSON escape."""
+    strings = a.dtype.kind == "U"
+    if a.dtype.kind == "b":
+        a = np.where(a, "true", "false") if json_format else np.where(a, "True", "False")
+    elif a.dtype.kind in "iu":
+        a = a.astype(str)
+    elif a.dtype.kind != "U":
+        raise ValueError(f"{what}: {a.dtype} cells are not floats, integers, booleans "
+                         f"or strings")
     codes = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("=")).view(np.uint32)
-    if codes.size and codes.max() >= 128:
-        return None
     chars = codes.astype(np.uint8).reshape(a.size, a.itemsize // 4)
-    if (_SPECIAL_BYTES[int(json_format)].take(chars).any()
+    if ((codes.size and codes.max() >= 128) or not _CELL_BYTES[chars].all()
             or ((chars[:, :-1] == 0) & (chars[:, 1:] != 0)).any()  # a NUL in the text
-            or lone and not json_format and (chars[:, 0] == 0).any()):  # quoted ""
-        return None
-    if not json_format:
+            # numpy drops a string's trailing NULs, so look in the strings
+            or strings and not isinstance(column, np.ndarray)
+            and "\0" in "".join(map(str, column))):
+        raise ValueError(f"{what}: text must be printable ASCII with no ',', "
+                         f"'\"' or '\\'")
+    if not (strings and json_format):
         return chars
-    quoted = np.empty((a.size, chars.shape[1] + 2), dtype=np.uint8)
-    quoted[:, [0, -1]] = ord('"')  # the NULs between text and quote are dropped
-    quoted[:, 1:-1] = chars
-    return quoted
+    cells = np.empty((a.size, chars.shape[1] + 2), dtype=np.uint8)
+    cells[:, [0, -1]] = ord('"')  # the NULs between text and quote are dropped
+    cells[:, 1:-1] = chars
+    return cells
 
 
-def _token_cells(tokens: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
-    """The cells of string tokens: their UTF-8 bytes one row each, NUL
-    padded, and which bytes are the token's (None: the nonzero ones)."""
-    encoded = list(map(str.encode, tokens))
-    chars = np.array(encoded, dtype=bytes)
-    chars = chars.view(np.uint8).reshape(len(encoded), chars.dtype.itemsize)
-    if "\0" not in "".join(tokens):
-        return chars, None
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    return chars, np.arange(chars.shape[1]) < lengths[:, None]
-
-
-def _column_cells(columns: dict[str, Sequence], n: int, json_format: bool) -> list:
+def _column_cells(columns: dict[str, Sequence], n: int, json_format: bool
+                  ) -> list[np.ndarray]:
     """Each column's cells for `_write_rows`; every float column goes
     through one `float_reprs` call, widened to float64, and is cut to its
-    own longest text."""
+    own longest text, and every other column through `_text_cells`."""
     arrays = {name: np.asarray(column) for name, column in columns.items()}
     floats = [name for name, a in arrays.items() if a.dtype.kind == "f"]
     cells = {}
-    if floats and n:
-        if json_format:  # nan, inf and -inf as json.dumps spells them
-            spelling = (b"null", b"Infinity", b"-Infinity")
-        else:  # csv quotes a row that is one empty cell
-            spelling = (b'""' if len(arrays) == 1 else b"", b"inf", b"-inf")
+    if floats:
+        # nan, inf and -inf as csv.writer or json.dumps spells them
+        spelling = (b"null", b"Infinity", b"-Infinity") if json_format \
+            else (b"", b"inf", b"-inf")
         chars, lengths = _float_cells(np.concatenate([arrays[name] for name in floats],
                                                      dtype=np.float64), spelling)
         for j, name in enumerate(floats):
             rows = slice(j * n, (j + 1) * n)
-            cells[name] = (chars[rows, :lengths[rows].max()], None)
-    lone = len(arrays) == 1
-    for name, a in arrays.items():
-        if name in cells:
-            continue
-        chars = _string_cells(columns[name], a, json_format, lone)
-        if chars is not None:
-            cells[name] = (chars, None)
-        else:
-            tokens = (_json_tokens if json_format else _csv_tokens)(columns[name], a)
-            if lone and not json_format:
-                tokens = ['""' if t == "" else t for t in tokens]
-            cells[name] = _token_cells(tokens)
-    return [cells[name] for name in arrays]
+            cells[name] = chars[rows, :lengths[rows].max(initial=0)]
+    return [cells[name] if name in cells
+            else _text_cells(f"column {name!r}", columns[name], a, json_format)
+            for name, a in arrays.items()]
 
 
 def _write_rows(fh, n: int, slots: list, first: int | None = None) -> None:
     """Write `n` rows, each the concatenation of its slots: a string written
-    on every row, or a column's (chars, mask) cells.  `first` replaces the
-    first byte written.
+    on every row, or a column's cells.  `first` replaces the first byte
+    written.
 
     Each block of rows is laid out as one byte matrix, slot by slot, and
     written as its bytes that are not NUL padding, in order.
     """
-    parts = [(np.frombuffer(s.encode(), dtype=np.uint8), None) if isinstance(s, str)
-             else s for s in slots]
-    edges = np.cumsum([0, *(chars.shape[-1] for chars, _ in parts)]).tolist()
+    parts = [np.frombuffer(s.encode(), dtype=np.uint8) if isinstance(s, str) else s
+             for s in slots]
+    edges = np.cumsum([0, *(chars.shape[-1] for chars in parts)]).tolist()
     spans = list(zip(parts, edges, edges[1:]))
     step = max(1, _BLOCK_BYTES // max(edges[-1], 1))
     for start in range(0, n, step):
         stop = min(n, start + step)
         block = np.empty((stop - start, edges[-1]), dtype=np.uint8)
-        for (chars, _), a, b in spans:
+        for chars, a, b in spans:
             block[:, a:b] = chars if chars.ndim == 1 else chars[start:stop]
-        keep = block != 0
-        for (_, mask), a, b in spans:
-            if mask is not None:
-                keep[:, a:b] = mask[start:stop]
         if start == 0 and first is not None:
             block[0, 0] = first
-        fh.write(block[keep])
+        fh.write(block[block != 0])
 
 
 def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> int:
     """Write equal-length named columns as a table; returns the number of rows.
 
-    A column holds strings, written as given, or numbers: floats as their
-    shortest round-trip ``repr``, NaN as a missing value.  A path ending in
-    ``.json`` gets a sorted-key list of records (missing values as null),
-    laid out as ``json.dumps(records, indent=2, sort_keys=True)``; any other
-    path CSV with the columns in order (missing values empty).
+    A table has two or more columns.  A column holds floats, written as
+    their shortest round-trip ``repr`` (NaN as a missing value), or
+    integers, booleans or strings, each column one numpy array.  A column
+    of any other kind (objects, say), text in a cell or a column name that
+    is not printable ASCII, or that holds ',', '"' or '\\', and a table of
+    fewer than two columns raise ValueError naming the column, before the
+    file is opened.  A path ending in ``.json`` gets a sorted-key list of
+    records (missing values as null), laid out as ``json.dumps(records,
+    indent=2, sort_keys=True)``; any other path CSV with the columns in
+    order (missing values empty), as ``csv.writer`` writes it.
     """
     path = Path(path)
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
-    n = next(iter(lengths.values()), 0)
+    if len(columns) < 2:
+        raise ValueError(f"a table needs two or more columns, got {list(columns)}")
+    n = next(iter(lengths.values()))
     json_format = path.suffix == ".json"
     names = sorted(columns) if json_format else list(columns)
+    _text_cells(f"column names {names}", names, np.asarray(names), False)
     cells = _column_cells({name: columns[name] for name in names}, n, json_format)
     with path.open("wb") as fh:
         if json_format and not n:
             fh.write(b"[]\n")
         elif json_format:
-            keys = [json.encoder.encode_basestring_ascii(name) + ": " for name in names]
+            keys = [f'"{name}": ' for name in names]
             # each record opens with ",": the first one's becomes the list's "["
             seps = [",\n  {\n    " + keys[0], *[",\n    " + key for key in keys[1:]]]
             _write_rows(fh, n, [*chain.from_iterable(zip(seps, cells)), "\n  }"],
                         first=ord("["))
             fh.write(b"\n]\n")
         else:
-            head = [_csv_quote(str(name)) for name in names]
-            if head == [""]:  # csv quotes a row that is one empty cell
-                head = ['""']
-            fh.write((",".join(head) + "\r\n").encode())
+            fh.write((",".join(names) + "\r\n").encode())
             seps = [","] * (len(cells) - 1) + ["\r\n"]
             _write_rows(fh, n, [*chain.from_iterable(zip(cells, seps))])
     return n

@@ -581,6 +581,17 @@ def exit_code(args):
     # the last months would be 10000-01 to 10000-12, which YYYY-MM cannot spell
     ("simulate", ["--start", "0001-01", "--horizon", 120_000]),
     ("simulate", ["--three-state", "--start", "0001-01", "--horizon", 120_000]),
+    # reference months with no dynamics term by construction: the panel's
+    # last month (in three states also the one before it, whose next
+    # month has no rates), and edge months that the smoothing leaves blank
+    ("shifters", ["--reference", "2014-12"]),
+    ("shifters", ["--smooth", 3, "--reference", "2000-01"]),
+    ("three-state", ["--reference", "2004-11"]),
+    ("three-state", ["--smooth", 3, "--reference", "2000-01"]),
+    ("three-state", ["--smooth", 4, "--smooth-align", "trailing", "--reference", "2000-03"]),
+    # tolerances below float64 machine epsilon, which raking cannot reach
+    ("three-state", ["--rake-tol", "1e-300"]),
+    ("three-state", ["--rake-tol", "1e-16"]),
 ])
 def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
     if command == "three-state":
@@ -629,6 +640,96 @@ def test_infinite_positive_float_flag_exits_two(tmp_path, capsys, command, flag,
         f"beveridge {command}: error: argument {flag}: "
         "must be positive and finite, got inf")
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flags, first, last", [
+    ("shifters", [], "2000-01", "2014-11"),
+    ("shifters", ["--smooth", 3], "2000-02", "2014-10"),
+    ("shifters", ["--smooth", 4], "2000-02", "2014-09"),
+    ("shifters", ["--smooth", 4, "--smooth-align", "trailing"], "2000-04", "2014-11"),
+    ("three-state", [], "2000-01", "2004-10"),
+    ("three-state", ["--smooth", 3], "2000-02", "2004-09"),
+    ("three-state", ["--smooth", 2, "--smooth-align", "trailing"], "2000-02", "2004-10"),
+])
+def test_reference_needs_a_dynamics_term(tmp_path, recession_sim, capsys, command,
+                                         flags, first, last):
+    # the first and last months that have one run; the months beyond exit 2
+    # naming --reference and that range
+    data = (write_steady_three_state_csv(tmp_path) if command == "three-state"
+            else write_recession_csv(tmp_path, recession_sim))
+    base = [command, "--input", data, *flags]
+    if command == "three-state":
+        base += ["--approx-window", "2000-06:2004-06"]
+    for month in (first, last):
+        assert run([*base, "--reference", month, "--output-dir", tmp_path / month]) == 0
+    capsys.readouterr()
+    smooth = flags[1] if flags else 1
+    for month in (ba.MonthDate.parse(first).shift(-1), ba.MonthDate.parse(last).shift(1)):
+        if month < ba.MonthDate(2000, 1):
+            continue
+        out = tmp_path / f"refused-{month}"
+        assert run([*base, "--reference", month, "--output-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --reference {month} outside [{first}, {last}], "
+            f"the months with a dynamics term at --smooth {smooth}\n")
+        assert not out.exists()
+
+
+def test_reference_month_blank_in_the_data_exits_three(tmp_path, recession_sim, capsys):
+    # a blank input cell, not the configuration, leaves the reference
+    # month's shifters undefined: a data error
+    path = write_recession_csv(tmp_path, recession_sim)
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("2007-04,"))
+    date, u_rate, *rest = lines[k].split(",")
+    lines[k] = ",".join([date, "", *rest])
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(["shifters", "--input", path, "--reference", "2007-04",
+                "--output-dir", out]) == 3
+    assert capsys.readouterr().err == \
+        "data error: shifters undefined at reference month 2007-04\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "1e-16", "2.2e-16"])
+def test_rake_tol_below_machine_epsilon_exits_two_before_raking(tmp_path, capsys,
+                                                                monkeypatch, tol):
+    def never(*args, **kwargs):
+        raise AssertionError("raked")
+
+    monkeypatch.setattr("beveridge_accounting.cli.build_three_state_panel", never)
+    out = tmp_path / "out"
+    assert exit_code(["three-state", "--input", write_steady_three_state_csv(tmp_path),
+                      "--rake-tol", tol, "--output-dir", out]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "beveridge three-state: error: argument --rake-tol: must be at least "
+        f"2.220446049250313e-16 (float64 machine epsilon), got {float(tol)}")
+    assert not out.exists()
+
+
+def test_rake_tol_at_machine_epsilon_rakes_a_noisy_panel(tmp_path):
+    # the smoke run's panel: 0.1% seeded noise on the six rates of a
+    # simulated three-state panel, so every month-pair takes Newton steps
+    assert run(["simulate", "--three-state", "--horizon", 240,
+                "--output-dir", tmp_path / "sim"]) == 0
+    rows = read_csv(tmp_path / "sim" / "panel.csv")
+    rng = np.random.default_rng(7)
+    for name in ("eu", "en", "ue", "un", "ne", "nu"):
+        noise = 1.0 + 1e-3 * rng.standard_normal(len(rows))
+        for row, k in zip(rows, noise):
+            row[name] = repr(float(row[name]) * float(k))
+    path = tmp_path / "noisy.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    assert run(["three-state", "--input", path, "--rake-tol", repr(sys.float_info.epsilon),
+                "--output-dir", out]) == 0
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert notes["raking_worst_residual"] <= sys.float_info.epsilon
+    assert notes["raking_iterations"]["max"] > 1
 
 
 POINT_FLAGS = ["--u-bar", 0.06, "--s-bar", 0.02]

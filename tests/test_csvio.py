@@ -1,9 +1,8 @@
 import codecs
 import csv
-import io
 import json
 import math
-import sys
+import re
 
 import numpy as np
 import pytest
@@ -281,15 +280,17 @@ EDGE_FLOATS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 5e-324,
                -2.225073858507201e-308, 1e16, 9999999999999998.0, 1e-5, 0.0001,
                1e-4 - 1e-20, 0.1 + 0.2, 1e300, -123456789.125]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
-# lone surrogates cannot be encoded, and NUL is left out because the csv
-# module before Python 3.11 refuses to write it
+# the text write_table accepts: printable ASCII that csv.writer writes
+# unquoted and json.dumps unescaped
 TEXT = st.one_of(
-    st.sampled_from(["", ",", '"', 'a"b', "x,y", "\r", "\n", "a\r\nb", " pad ",
-                     "caf\u00e9", "\u65e5\u672c", "%s", "100%", "\U0001f600"]),
-    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
-            max_size=6))
-NAMES = st.one_of(st.sampled_from(["date", "u_rate", "", "a,b", 'q"', "%", "z\n"]),
-                  TEXT)
+    st.sampled_from(["", " pad ", "%s", "100%", "-0.0", "nan", "True", "2000-01"]),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                          blacklist_characters=',"\\'), max_size=6))
+NAMES = st.one_of(st.sampled_from(["date", "u_rate", "", "%", "a b"]), TEXT)
+# what csv.writer quotes or json.dumps escapes: write_table refuses a cell
+# or a name that holds one
+REFUSED_CHARS = [",", '"', "\r", "\n", "\\", "\x01", "\t", "\x1f", "\x7f", "\u00e9",
+                 "\u65e5", "\U0001f600", "\0"]
 
 
 @st.composite
@@ -298,11 +299,11 @@ def tables(draw):
     # a quarter of the tables repeat their drawn rows past one block of the
     # float kernel, which takes every float column in one call
     size = _BLOCK + n if n and draw(st.sampled_from([False, False, False, True])) else n
-    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(NAMES, min_size=2, max_size=4, unique=True))
     columns = {}
     for name in names:
         kind = draw(st.sampled_from(["float", "float_array", "float32", "int",
-                                     "bool", "str", "object"]))
+                                     "bool", "str", "str_array"]))
         if kind == "float":
             col = draw(st.lists(FLOATS, min_size=n, max_size=n))
         elif kind == "float_array":
@@ -316,12 +317,8 @@ def tables(draw):
             col = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         elif kind == "str":
             col = draw(st.lists(TEXT, min_size=n, max_size=n))
-        else:  # a column numpy stores as objects: None next to other values
-            values = st.one_of(st.none(), FLOATS, TEXT, st.integers(-99, 99),
-                               st.booleans())
-            col = draw(st.lists(values, min_size=n, max_size=n))
-            if n:
-                col[0] = None
+        else:
+            col = np.array(draw(st.lists(TEXT, min_size=n, max_size=n)), dtype=str)
         if size > n:
             col = (np.resize(col, size) if isinstance(col, np.ndarray)
                    else (col * (size // n + 1))[:size])
@@ -357,64 +354,58 @@ class TestWriteTableMatchesRecordWriter:
             assert got.read_bytes() == want.read_bytes()
             assert n == len(next(iter(columns.values())))
 
-    @pytest.mark.parametrize("columns", [
-        {"x": [float("nan"), 1.0]},
-        {"s": ["a", ""]},
-        {"": [1.0]},
-        {"x": []},
-        {"x": [], "y": np.array([])},
-        {"a": EDGE_FLOATS, "b": [str(x) for x in EDGE_FLOATS]},
-        {"%": [1.0, 2.0], "%%": ["a", "b"], "%s": [3, 4]},
-        {"x": [0.5], "name": ["one"], "flag": [True]},
-        {"x": [0.1 * k for k in range(7)]},
-        {"date": [f"{2000 + t // 12}-{t % 12 + 1:02d}" for t in range(500)],
-         "u": np.linspace(0.04, 0.1, 500), "gap": [None, *range(499)],
-         "v": np.where(np.arange(500) % 7 == 0, np.nan, np.arange(500) / 3)},
-        stress_table(),
-        {"x": [float("-inf"), 0.5]},
-        {"x": [float("nan")]},
-        {"date": [str(MonthDate(1999, 11).shift(t)) for t in range(14)],
-         "x": np.arange(14.0)},
-        {"date": _dates(MonthDate(1999, 11), 14), "x": np.arange(14.0)},
-        {"s": np.array(["a,b", 'q"', "x\ny", "\r", "caf\u00e9", "", "ok", "a\\b",
-                        "\x7f", "tab\t"])},
-        {"s": np.array(["", "a"]), "x": [1.0, 2.0]},
+    @pytest.mark.parametrize("columns, refused", [
+        ({"x": [float("nan"), 1.0]}, "x"),
+        ({"s": ["a", ""]}, "s"),
+        ({"": [1.0]}, ""),
+        ({"x": []}, "x"),
+        ({"x": [], "y": np.array([])}, None),
+        ({"a": EDGE_FLOATS, "b": [str(x) for x in EDGE_FLOATS]}, None),
+        ({"%": [1.0, 2.0], "%%": ["a", "b"], "%s": [3, 4]}, None),
+        ({"x": [0.5], "name": ["one"], "flag": [True]}, None),
+        ({"x": [0.1 * k for k in range(7)]}, "x"),
+        ({"date": [f"{2000 + t // 12}-{t % 12 + 1:02d}" for t in range(500)],
+          "u": np.linspace(0.04, 0.1, 500), "gap": np.arange(-1, 499),
+          "v": np.where(np.arange(500) % 7 == 0, np.nan, np.arange(500) / 3)}, None),
+        (stress_table(), None),
+        ({"x": [float("-inf"), 0.5], "y": [1.0, 2.0]}, None),
+        ({"x": [float("nan")]}, "x"),
+        ({"date": [str(MonthDate(1999, 11).shift(t)) for t in range(14)],
+          "x": np.arange(14.0)}, None),
+        ({"date": _dates(MonthDate(1999, 11), 14), "x": np.arange(14.0)}, None),
+        ({"s": np.array(["a,b", 'q"', "x\ny", "\r", "caf\u00e9", "", "ok", "a\\b",
+                         "\x7f", "tab\t"]), "x": np.arange(10.0)}, "s"),
+        ({"s": np.array(["", "a"]), "x": [1.0, 2.0]}, None),
     ], ids=["one-column-nan", "one-column-empty-string", "empty-name", "zero-rows",
             "zero-rows-two-columns", "edge-floats", "percent-keys", "one-row",
             "one-column", "500-rows", "24000-rows", "minus-infinity-beside-short",
             "lone-nan", "date-list", "date-array", "string-array-to-quote",
             "string-array-with-empty"])
-    def test_named_cases(self, tmp_path, columns):
+    def test_named_cases(self, tmp_path, columns, refused):
+        # a case that names a column is one write_table refuses, naming it
         for suffix in ("csv", "json"):
-            write_table(tmp_path / f"got.{suffix}", columns)
+            got = tmp_path / f"got.{suffix}"
+            if refused is not None:
+                with pytest.raises(ValueError, match=re.escape(repr(refused))):
+                    write_table(got, columns)
+                assert not got.exists()
+                continue
+            write_table(got, columns)
             write_table_records(tmp_path / f"want.{suffix}", columns)
-            assert ((tmp_path / f"got.{suffix}").read_bytes()
-                    == (tmp_path / f"want.{suffix}").read_bytes())
+            assert got.read_bytes() == (tmp_path / f"want.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("columns", [
-        {"s": ["a\0", "a\0\0", "\0b", ""]},
         {"s": ["a\0", "a\0\0", "\0b", ""], "x": [0.5, 1.0, float("nan"), 2.0]},
+        {"s": ["a\0", "b", "c", ""], "x": [0.5, 1.0, float("nan"), 2.0]},
         {"s": np.array(["a\0b", "c", "\0d", ""]), "x": [0.5, 1.0, float("nan"), 2.0]},
-    ], ids=["one-column", "with-floats", "string-array"])
-    def test_nul_characters_in_strings_are_kept(self, tmp_path, columns):
-        # numpy's string arrays drop trailing NULs, so the cells come from
-        # the given strings
-        write_table(tmp_path / "t.json", columns)
-        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        records = [{k: None if v != v else v for k, v in r.items()} for r in records]
-        assert ((tmp_path / "t.json").read_text()
-                == json.dumps(records, indent=2, sort_keys=True) + "\n")
-        write_table(tmp_path / "t.csv", columns)
-        got = (tmp_path / "t.csv").read_bytes()
-        if len(columns) == 1:
-            assert got == b's\r\na\0\r\na\0\0\r\n\0b\r\n""\r\n'
-        if sys.version_info >= (3, 11):  # before 3.11 csv refuses to write NUL
-            buf = io.StringIO(newline="")
-            writer = csv.writer(buf)
-            writer.writerow(columns)
-            writer.writerows(zip(*[["" if v != v else v for v in c]
-                                   for c in columns.values()]))
-            assert got == buf.getvalue().encode()
+    ], ids=["list", "list-trailing", "string-array"])
+    def test_nul_in_text_is_refused(self, tmp_path, columns):
+        # numpy's string arrays drop trailing NULs, so a list's strings are
+        # searched for them
+        for suffix in ("csv", "json"):
+            with pytest.raises(ValueError, match="column 's'"):
+                write_table(tmp_path / f"t.{suffix}", columns)
+            assert not (tmp_path / f"t.{suffix}").exists()
 
     @pytest.mark.parametrize("json_format, widths", [(False, [3, 19, 4, 0]),
                                                      (True, [3, 19, 9, 4])])
@@ -425,11 +416,62 @@ class TestWriteTableMatchesRecordWriter:
         columns = {"a": [1.0, 2.5], "b": [0.1 + 0.2, 1.0], "c": [0.5, -math.inf],
                    "d": [math.nan, math.nan]}
         cells = _column_cells(columns, 2, json_format)
-        assert [chars.shape[1] for chars, mask in cells] == widths
+        assert [chars.shape[1] for chars in cells] == widths
 
-    def test_one_column_missing_cell_is_quoted(self, tmp_path):
-        write_table(tmp_path / "t.csv", {"x": [float("nan"), 2.0]})
-        assert (tmp_path / "t.csv").read_bytes() == b'x\r\n""\r\n2.0\r\n'
+    @pytest.mark.parametrize("columns", [{"x": [float("nan"), 2.0]}, {}],
+                             ids=["one-column", "no-column"])
+    def test_under_two_columns_refused(self, tmp_path, columns):
+        # csv.writer would quote the empty cell of a one-column row
+        for suffix in ("csv", "json"):
+            with pytest.raises(ValueError, match=r"two or more columns, got "
+                                                 + re.escape(str(list(columns)))):
+                write_table(tmp_path / f"t.{suffix}", columns)
+            assert not (tmp_path / f"t.{suffix}").exists()
+
+    @pytest.mark.parametrize("char", REFUSED_CHARS, ids=ascii)
+    @pytest.mark.parametrize("where", ["list", "array", "name"])
+    def test_text_to_quote_or_escape_is_refused(self, tmp_path, char, where):
+        if where == "name":
+            columns, named = {"x": [1.0, 2.0], f"a{char}b": ["c", "d"]}, f"a{char}b"
+        else:
+            cells = ["ok", f"a{char}b"]
+            columns = {"x": [1.0, 2.0],
+                       "s": np.array(cells) if where == "array" else cells}
+            named = "s"
+        for suffix in ("csv", "json"):
+            with pytest.raises(ValueError, match=re.escape(repr(named))):
+                write_table(tmp_path / f"t.{suffix}", columns)
+            assert not (tmp_path / f"t.{suffix}").exists()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(columns=tables(), data=st.data())
+    def test_planted_cell_is_refused_naming_its_column(self, example_dir, columns, data):
+        # one cell of an accepted table, made text holding a character that
+        # csv.writer quotes or json.dumps escapes
+        name = data.draw(st.sampled_from(sorted(columns)))
+        column = [str(x) for x in np.asarray(columns[name]).tolist()] or [""]
+        row = data.draw(st.integers(0, len(column) - 1))
+        column[row] += data.draw(st.sampled_from(REFUSED_CHARS))
+        columns = {k: np.resize(v, len(column)) if k != name else column
+                   for k, v in columns.items()}
+        for suffix in ("csv", "json"):
+            path = example_dir / f"refused.{suffix}"
+            path.unlink(missing_ok=True)
+            with pytest.raises(ValueError, match=re.escape(f"column {name!r}")):
+                write_table(path, columns)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("column", [
+        [None, 1.0], ["a", None], [True, None], np.array([1, 2], dtype=object),
+        np.array([1 + 2j, 3.0]), np.array(["2000-01", "2000-02"], dtype="datetime64[M]"),
+        [b"a", b"b"],
+    ], ids=["none-beside-float", "none-beside-string", "none-beside-bool", "object-array",
+            "complex", "datetime", "bytes"])
+    def test_column_of_another_kind_is_refused(self, tmp_path, column):
+        for suffix in ("csv", "json"):
+            with pytest.raises(ValueError, match="column 'c': .* cells are not floats"):
+                write_table(tmp_path / f"t.{suffix}", {"x": [1.0, 2.0], "c": column})
+            assert not (tmp_path / f"t.{suffix}").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,36 @@
-"""The README's "Library sketch" runs as written on a simulated panel."""
+"""The README's "Library sketch" runs as written on a simulated panel, and
+its "Output files" table names the files and columns each command writes."""
 
+import csv
+import json
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import beveridge_accounting as ba
 from beveridge_accounting import MonthDate
+from beveridge_accounting.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_sketch() -> str:
+def section(title: str) -> str:
     text = README.read_text()
-    section = text[text.index("## Library sketch"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
 
 
-def test_library_sketch_runs(tmp_path, monkeypatch):
-    # 240 months from 2000-01 with a recession loop around the sketch's
-    # default swing bounds: unemployment rises through 2009-06 and recovers
+def library_sketch() -> str:
+    return re.search(r"```python\n(.*?)```", section("Library sketch"), re.S).group(1)
+
+
+@pytest.fixture
+def recession_panel(tmp_path):
+    """240 months from 2000-01 with a recession loop around the default
+    swing bounds: unemployment rises through 2009-06 and recovers."""
     n = 240
     du = np.zeros(n - 1)
     du[90:114] += 0.0012
@@ -29,14 +40,19 @@ def test_library_sketch_runs(tmp_path, monkeypatch):
     sim = ba.simulate_two_state(ba.SimulationSpec(
         alpha=0.3, u0=0.055, horizon=n, s_path=0.02, sigma_path=sigma_path,
         delta_u_path=du, start=MonthDate(2000, 1)))
-    ba.write_panel(tmp_path / "cps_jolts.csv", {"u_rate": sim.panel.U,
-                                                "v_rate": sim.panel.V,
-                                                "u_short": sim.panel.U_short})
-    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cps_jolts.csv"
+    ba.write_panel(path, {"u_rate": sim.panel.U, "v_rate": sim.panel.V,
+                          "u_short": sim.panel.U_short})
+    return path
+
+
+def test_library_sketch_runs(recession_panel, monkeypatch):
+    monkeypatch.chdir(recession_panel.parent)
 
     scope: dict = {}
     exec(compile(library_sketch(), str(README), "exec"), scope)
 
+    n = 240
     assert len(scope["panel"].U) == n
     assert abs(scope["est"].alpha - 0.3) < 1e-8  # planted, noise-free
     paths = scope["paths"]
@@ -46,3 +62,44 @@ def test_library_sketch_runs(tmp_path, monkeypatch):
     assert all(series.values[t] == 0.0 for series in paths.values())
     assert len(scope["loglin"].months) > 0
     assert len(scope["table"].rows) == 6
+
+
+def output_table() -> dict[str, dict[str, list[str]]]:
+    """The README output table: per command line, each file it writes and
+    that file's columns in the order the table gives."""
+    table: dict[str, dict[str, list[str]]] = {}
+    for line in section("Output files").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`"):
+            continue
+        command, file, columns = (re.match(r"`([^`]*)`", cell).group(1)
+                                  for cell in cells[:3])
+        name = file if Path(file).suffix else f"{file}.csv"
+        table.setdefault(command, {})[name] = columns.split(", ")
+    return table
+
+
+def test_output_table_matches_what_each_command_writes(recession_panel, tmp_path):
+    # each command at its defaults, in CSV, on the simulated fixtures: the
+    # files it writes and their columns in the order written
+    assert main(["simulate", "--three-state", "--horizon", "240",
+                 "--output-dir", str(tmp_path / "three")]) == 0
+    panels = {"three-state": tmp_path / "three" / "panel.csv"}
+    table = output_table()
+    assert set(table) == {"estimate", "shifters", "decompose", "three-state",
+                          "efficiency", "simulate", "simulate --three-state"}
+    for command, files in table.items():
+        out = tmp_path / command.replace(" ", "")
+        argv = command.split()
+        if argv[0] != "simulate":
+            argv += ["--input", str(panels.get(command, recession_panel))]
+        assert main([*argv, "--output-dir", str(out)]) == 0, command
+        written = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert set(written) == set(files), command
+        for name, columns in files.items():
+            if name.endswith(".json"):
+                header = list(json.loads((out / name).read_text())[0])
+            else:
+                with open(out / name, newline="") as fh:
+                    header = next(csv.reader(fh))
+            assert header == columns, (command, name)
