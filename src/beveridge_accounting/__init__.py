@@ -2,15 +2,16 @@
 
 From observed unemployment and vacancy series this package constructs
 monthly flow probabilities and matching efficiency, decomposes shifts of the
-Beveridge curve into dynamics, separations and matching-efficiency
-contributions (log-linear and exact nonlinear variants, two-state and
-three-state), and computes the slope-dependent efficient unemployment rate.
+Beveridge curve into the contributions of the margins in `MARGINS`
+(dynamics, separations and matching efficiency), log-linearly and exactly
+from the counterfactual vacancy paths of `counterfactual_vacancies`, gives
+the shifter paths in two and three states, and computes the
+slope-dependent efficient unemployment rate.
 """
 
 from .csvio import SchemaError, read_panel, require_columns, write_panel
-from .curve import (ApproximationPoint, InfeasibleMonthWarning, ThreeStateLoglinear,
-                    exact_vacancies, loglinear_slope, shifter_paths, steady_state_curve,
-                    three_state_exact_vacancies, three_state_loglinear)
+from .curve import (ApproximationPoint, ThreeStateLoglinear, loglinear_slope,
+                    shifter_paths, three_state_loglinear)
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
                          unemployment_gap)
@@ -29,6 +30,7 @@ from .shift_decomposition import (AllPairsInfeasibleError, MARGIN_DYNAMICS,
                                   OrderingRow, OrderingTable, ShiftDecomposition,
                                   SwingBounds, SwingSamples, all_orderings_report,
                                   build_swing_samples,
+                                  counterfactual_vacancies,
                                   loglinear_shift_decomposition)
 from .simulate import (SimulationSpec, ThreeStateSimulation,
                        ThreeStateSimulationSpec, TwoStateSimulation,

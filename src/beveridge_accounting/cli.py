@@ -38,10 +38,10 @@ from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_C
 from .flows_three_state import (RATE_NAMES, RakingError, ThreeStatePanel,
                                 build_three_state_panel)
 from .flows_two_state import TwoStatePanel, build_two_state_panel
-from .matching import (DEFAULT_ALPHA, estimate_matching, matching_efficiency_path,
-                       searcher_finding_rate, tightness)
+from .matching import (DEFAULT_ALPHA, MIN_MONTHS, estimate_matching,
+                       matching_efficiency_path, searcher_finding_rate, tightness)
 from .series import MonthDate, MonthlySeries, moving_average
-from .shift_decomposition import (MARGIN_TERMS, AllPairsInfeasibleError, SwingBounds,
+from .shift_decomposition import (MARGINS, AllPairsInfeasibleError, SwingBounds,
                                   all_orderings_report, build_swing_samples,
                                   loglinear_shift_decomposition)
 from .simulate import (SimulationSpec, ThreeStateSimulationSpec,
@@ -320,6 +320,10 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[dict, dict]:
             windows = [(grid.start, grid.end)]
     for lo, hi in windows:
         _require_coverage(grid, f"sample [{lo}, {hi}]", lo, hi)
+        if lo.months_until(hi) + 1 < MIN_MONTHS:
+            flag = "--sample" if args.sample else "default --sample"
+            raise ConfigError(f"{flag} {lo}:{hi} is shorter than the {MIN_MONTHS} "
+                              "months estimation needs")
 
     ests = [estimate_matching(f_pos, theta, sample=window, robust=args.robust)
             for window in windows]
@@ -345,13 +349,14 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[dict, dict]:
 def cmd_shifters(args: argparse.Namespace) -> tuple[dict, dict]:
     panel, V, _, _, expansion, notes = _expansion(args, _read_two_state)
     _require_reference(args, panel.U, ahead=1)
-    paths = shifter_paths(expansion, args.reference, tuple(MARGIN_TERMS.values()))
+    paths = shifter_paths(expansion, args.reference,
+                          tuple(margin.term for margin in MARGINS.values()))
     with np.errstate(invalid="ignore", divide="ignore"):
         log_v = np.log(V.values)
     return {"shifters": {
         "u_rate": panel.U, "log_v_observed": V.with_values(log_v),
         "log_v_loglinear": expansion.total,
-        **{margin: paths[term] for margin, term in MARGIN_TERMS.items()},
+        **{name: paths[margin.term] for name, margin in MARGINS.items()},
         "net": paths["net"]}}, notes
 
 
@@ -365,7 +370,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict]:
                          up_end=args.up_end)
     samples = build_swing_samples(panel.U, V, bounds)
     loglin = loglinear_shift_decomposition(panel.U, V, expansion, samples)
-    table = all_orderings_report(panel.U, V, panel.s, sigma, samples, point)
+    table = all_orderings_report(panel, V, sigma, samples, point)
 
     notes.update({
         "dropped_months": [str(m) for m in table.dropped_months],
@@ -377,12 +382,11 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict]:
         "vertical_shift_loglinear": {
             "month": [str(month) for month in loglin.months], "u_rate": loglin.u,
             "observed_shift": loglin.observed, "total_loglinear": loglin.total,
-            **{margin: getattr(loglin, margin) for margin in MARGIN_TERMS}},
+            **loglin.contributions},
         "orderings": {
             "ordering": [" -> ".join(row.ordering) for row in table.rows],
-            "dynamics_pct": [row.dynamics_pct for row in table.rows],
-            "separations_pct": [row.separations_pct for row in table.rows],
-            "matching_pct": [row.matching_pct for row in table.rows]}}, notes
+            **{f"{margin}_pct": [row.percent[margin] for row in table.rows]
+               for margin in MARGINS}}}, notes
 
 
 def cmd_three_state(args: argparse.Namespace) -> tuple[dict, dict]:

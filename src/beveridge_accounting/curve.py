@@ -1,5 +1,5 @@
-"""The Beveridge-curve core: exact vacancy identity, steady-state curve,
-log-linearization with shifter terms, slope, and the three-state analogues.
+"""The Beveridge-curve core: the exact vacancy identity, the expansion
+point, log-linearization with shifter terms, and the slope, for both models.
 
 The exact identity inverts the matching function and the law of motion to
 give the vacancy rate consistent with the observed stocks, the separation
@@ -14,38 +14,31 @@ The two-state model is the case N_tilde = 0, S = U, x = s:
 
     V_t = [ (s_t (1 - U_t) - dU_{t+1}) / (sigma_t U_t^(1-alpha)) ]^(1/alpha)
 
-so both are computed by one kernel.  A `TwoStatePanel` carries S = U,
-N_tilde = 0 and x = s, so the models also share one expansion point
-(`ApproximationPoint`, with N_tilde_0 = 0 in two states), one first-order
-expansion (`three_state_loglinear`, on either panel) and one normalisation
-of its terms (`shifter_paths`).  With s_t taken from the data and sigma_t
-chosen to fit the matching function, the identity reproduces observed
-vacancies exactly.  Freezing s, sigma and setting dU = 0 gives the
-steady-state curve; first-order expansion around a reference point splits
-log vacancies into a slope term plus additive shifters (dynamics,
-separations, matching efficiency, and in three states the non-searcher
-pool).
+so both are computed by one kernel (`_vacancy_identity`).  A `TwoStatePanel`
+carries S = U, N_tilde = 0 and x = s, so the models also share one
+expansion point (`ApproximationPoint`, with N_tilde_0 = 0 in two states),
+one first-order expansion (`three_state_loglinear`, on either panel) and
+one normalisation of its terms (`shifter_paths`).  With s_t taken from the
+data and sigma_t chosen to fit the matching function, the identity
+reproduces observed vacancies exactly.  The identity on a panel, with any
+set of margins held at the point, is
+`shift_decomposition.counterfactual_vacancies`: holding none gives the
+identity on the data, holding all (x, sigma at the point, dS = 0) the
+steady-state curve.  First-order expansion around the point splits log
+vacancies into a slope term plus additive shifters (dynamics, separations,
+matching efficiency, and in three states the non-searcher pool).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .flows_three_state import ThreeStatePanel
 from .flows_two_state import TwoStatePanel
-from .series import MonthDate, MonthlySeries, delta, delta_log, require_aligned
-
-
-class InfeasibleMonthWarning(UserWarning):
-    """The vacancy identity had a nonpositive numerator in some months.
-
-    Those months are reported as missing; counterfactual exercises
-    legitimately visit infeasible regions, so the run continues.
-    """
+from .series import MonthDate, MonthlySeries, delta_log, require_aligned
 
 
 # ---------------------------------------------------------------------------
@@ -142,60 +135,6 @@ def _vacancy_identity(S, N_tilde, x, dS_next, dN_next, sigma, alpha):
         return np.where(numerator > 0.0,
                         (numerator / (sigma * S ** (1.0 - alpha))) ** (1.0 / alpha),
                         np.nan)
-
-
-def _exact_vacancies(S: MonthlySeries, N_tilde: MonthlySeries, x: MonthlySeries,
-                     sigma: MonthlySeries, alpha: float) -> MonthlySeries:
-    """The identity month by month; the last month is missing.  Months whose
-    inputs are all observed but whose numerator is nonpositive are missing
-    too, and named in an InfeasibleMonthWarning."""
-    require_aligned(S, N_tilde, x, sigma)
-    ds, dnt = delta(S).values, delta(N_tilde).values
-    out = _vacancy_identity(S.values, N_tilde.values, x.values, ds, dnt,
-                            sigma.values, alpha)
-    inputs = (S.values, N_tilde.values, x.values, ds, dnt, sigma.values)
-    infeasible = ~np.isnan(np.vstack(inputs)).any(axis=0) & np.isnan(out)
-    if infeasible.any():
-        months = ", ".join(str(S.start.shift(int(t)))
-                           for t in np.flatnonzero(infeasible))
-        warnings.warn(f"infeasible counterfactual (nonpositive numerator) "
-                      f"at {months}", InfeasibleMonthWarning, stacklevel=3)
-    return S.with_values(out)
-
-
-def exact_vacancies(U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
-                    alpha: float) -> MonthlySeries:
-    """Exact vacancy identity month by month: the three-state identity at
-    N_tilde = 0, S = U, x = s.  The last month is missing.
-
-    Months with a nonpositive numerator are marked missing and named in an
-    InfeasibleMonthWarning, which a caller that expects them filters; all
-    other months are computed.  No command calls this: it is the reference
-    the decompositions are tested against.
-    """
-    return _exact_vacancies(U, U.with_values(np.zeros(len(U))), s, sigma, alpha)
-
-
-def steady_state_curve(u_grid, point: ApproximationPoint) -> list[tuple[float, float]]:
-    """The steady-state locus V(S) at the point's (N_tilde_0, x_0, sigma_0,
-    alpha); in two states, V(U) at (x_0, sigma_0, alpha)."""
-    out = []
-    for u in np.asarray(u_grid, dtype=float):
-        if not 0.0 < u < 1.0:
-            raise ValueError(f"grid value {u} outside (0, 1)")
-        v = _vacancy_identity(u, point.N_tilde_0, point.x_0, 0.0, 0.0, point.sigma_0,
-                              point.alpha)
-        out.append((float(u), float(v)))
-    return out
-
-
-def three_state_exact_vacancies(panel: TwoStatePanel | ThreeStatePanel, alpha: float,
-                                sigma: MonthlySeries) -> MonthlySeries:
-    """Searcher-based exact vacancy identity, on either panel:
-
-        V_t = [ ((1-S-N_tilde) x - dS' - dN_tilde') / (sigma S^(1-alpha)) ]^(1/alpha)
-    """
-    return _exact_vacancies(panel.S, panel.N_tilde, panel.x, sigma, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +250,8 @@ def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,
                   terms: tuple[str, ...] = TERMS) -> dict[str, MonthlySeries]:
     """The expansion's `terms`, each shifted to zero at the reference month,
     plus `net`, the sum of those shifted terms that shift the curve (all but
-    searcher_level).  `shift_decomposition.MARGIN_TERMS` names the
-    two-state shifters' terms.
+    searcher_level).  `shift_decomposition.MARGINS` names the two-state
+    shifters' terms.
     """
     if not set(terms) <= set(TERMS) or set(terms) <= {"searcher_level"}:
         raise ValueError(f"terms must name at least one shifter of {TERMS}, "

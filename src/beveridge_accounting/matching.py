@@ -25,6 +25,8 @@ from .flows_three_state import ThreeStatePanel, total_hires
 from .series import MonthDate, MonthlySeries, require_aligned
 
 DEFAULT_ALPHA = 0.3
+# Usable months a regression of two coefficients needs
+MIN_MONTHS = 3
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,9 @@ def estimate_matching(
     fv, tv = f.values, tightness.values
     usable = mask & ~np.isnan(fv) & ~np.isnan(tv) & (fv > 0.0) & (tv > 0.0)
     n = int(usable.sum())
-    if n < 3:
+    if n < MIN_MONTHS:
         raise ValueError(f"only {n} usable months in sample "
-                         f"[{sample[0]}, {sample[1]}]; need at least 3")
+                         f"[{sample[0]}, {sample[1]}]; need at least {MIN_MONTHS}")
 
     y = np.log(fv[usable])
     x = np.log(tv[usable])

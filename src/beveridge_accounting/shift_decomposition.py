@@ -4,43 +4,60 @@ and an upswing sample.
 Each downswing month is matched to the point on the upswing with the same
 unemployment rate (linear interpolation in the level of U, first temporal
 crossing; every series is interpolated with the same weights).  The vertical
-shift at that unemployment rate is then split into contributions from
-out-of-steady-state dynamics, the separation probability, and matching
-efficiency, two ways:
+shift at that unemployment rate is then split into contributions from the
+margins in `MARGINS` (out-of-steady-state dynamics, the separation
+probability and matching efficiency), two ways:
 
 * log-linear: additive first-order contributions in log-vacancy units, the
   up-down shift of each margin's term of the log-linear expansion
   (`curve.three_state_loglinear` on the two-state panel, the terms
   `shifters` writes);
 * nonlinear: starting from the steady-state curve (which cannot shift),
-  margins are set to their observed values one at a time, in each of the
-  six orders; each margin's contribution is the change in the up-down shift
-  of the vacancy *level* when it is switched on.  Contributions telescope to
-  the observed level shift for every ordering, and a margin's contribution
+  margins are set to their observed values one at a time, in every order;
+  each margin's contribution is the change in the up-down shift of the
+  vacancy *level* when it is switched on.  Contributions telescope to the
+  observed level shift for every ordering, and a margin's contribution
   depends only on the set of margins switched on before it, so the whole
-  table follows from the shifts with each subset of margins held constant.
+  table follows from the shifts with each subset of margins held at the
+  point, which `counterfactual_vacancies` gives as vacancy paths.
   (Levels matter: in logs the efficiency margin would separate additively
   and its contribution could not depend on the preceding margins at all.)
+
+`counterfactual_vacancies` also gives the identity on the data (no margin
+held) and the steady-state curve (every margin held).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, compress, permutations
 
 import numpy as np
 
 from .curve import ApproximationPoint, ThreeStateLoglinear, _vacancy_identity
+from .flows_three_state import ThreeStatePanel
+from .flows_two_state import TwoStatePanel
 from .series import MonthDate, MonthlySeries, delta, require_aligned
 
-MARGIN_DYNAMICS = "dynamics"
-MARGIN_SEPARATIONS = "separations"
-MARGIN_MATCHING = "matching"
-MARGINS = (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)
-# Each margin's term of the log-linear expansion (`curve.ThreeStateLoglinear`).
-MARGIN_TERMS = {MARGIN_DYNAMICS: "searcher_dynamics",
-                MARGIN_SEPARATIONS: "separations", MARGIN_MATCHING: "matching"}
+
+@dataclass(frozen=True)
+class Margin:
+    """A margin of the decomposition: its term of the log-linear expansion
+    (a field of `curve.ThreeStateLoglinear`) and the inputs of the vacancy
+    identity (`curve._vacancy_identity`) that holding it fixes at their
+    values at the expansion point, where dS' = dN_tilde' = 0."""
+
+    term: str
+    inputs: tuple[str, ...]
+
+
+# The margins, in the order of every table.
+MARGINS = {"dynamics": Margin("searcher_dynamics", ("dS_next", "dN_next")),
+           "separations": Margin("separations", ("x",)),
+           "matching": Margin("matching", ("sigma",))}
+MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING = MARGINS
 
 
 class IdentityMismatchWarning(UserWarning):
@@ -220,15 +237,14 @@ class ShiftDecomposition:
     months: tuple[MonthDate, ...]
     u: np.ndarray
     observed: np.ndarray
-    dynamics: np.ndarray
-    separations: np.ndarray
-    matching: np.ndarray
+    contributions: dict[str, np.ndarray]  # per margin, in `MARGINS` order
     dropped_months: tuple[MonthDate, ...] = ()
 
     @property
     def total(self) -> np.ndarray:
-        """Sum of the three contributions (the decomposed shift)."""
-        return self.dynamics + self.separations + self.matching
+        """Sum of the contributions in `MARGINS` order (the decomposed shift)."""
+        first, *rest = (self.contributions[margin] for margin in MARGINS)
+        return sum(rest, first)
 
 
 def loglinear_shift_decomposition(
@@ -236,36 +252,67 @@ def loglinear_shift_decomposition(
     samples: SwingSamples,
 ) -> ShiftDecomposition:
     """First-order additive decomposition of the vertical shift: each
-    margin's contribution is the up-down shift of its term (`MARGIN_TERMS`)
-    of the two-state expansion (`curve.three_state_loglinear`).  Matched
+    margin's contribution is the up-down shift of its term (`MARGINS`) of
+    the two-state expansion (`curve.three_state_loglinear`).  Matched
     pairs where a term is missing are dropped and reported."""
     require_aligned(U, V, expansion.total)
     samples._check_grid(U)
-    contrib = np.vstack([samples.vertical_shift(getattr(expansion, term).values)
-                         for term in MARGIN_TERMS.values()])
+    contrib = np.vstack([samples.vertical_shift(getattr(expansion, margin.term).values)
+                         for margin in MARGINS.values()])
     ok = ~np.isnan(contrib).any(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         observed = samples.vertical_shift(np.log(V.values))
-    dynamics, separations, matching = contrib[:, ok]
     months = samples.down_months
     return ShiftDecomposition(
         months=tuple(compress(months, ok)), u=samples.at_down(U.values)[ok],
-        observed=observed[ok], dynamics=dynamics, separations=separations,
-        matching=matching,
+        observed=observed[ok], contributions=dict(zip(MARGINS, contrib[:, ok])),
         dropped_months=samples.dropped_months + tuple(compress(months, ~ok)))
+
+
+def counterfactual_vacancies(
+    panel: TwoStatePanel | ThreeStatePanel, sigma: MonthlySeries,
+    point: ApproximationPoint, subsets: Iterable[Iterable[str]],
+) -> dict[frozenset[str], np.ndarray]:
+    """The vacancy identity with each subset of margins held: one vacancy
+    path on the panel's calendar grid per subset, keyed by the subset as a
+    frozenset.
+
+    The identity's inputs are the panel's S, N_tilde and x, their next-month
+    changes dS' and dN_tilde', and sigma; a held margin fixes its inputs
+    (`MARGINS`) at the point's values.  Holding nothing gives the identity
+    on the data, missing at the last month (no successor); holding every
+    margin gives the steady-state curve at the panel's S.  A month is
+    missing where an input is, or where the identity's numerator is
+    nonpositive (an infeasible counterfactual).
+    """
+    S, N_tilde, x = panel.S, panel.N_tilde, panel.x
+    require_aligned(S, N_tilde, x, sigma)
+    observed = {"S": S.values, "N_tilde": N_tilde.values, "x": x.values,
+                "dS_next": delta(S).values, "dN_next": delta(N_tilde).values,
+                "sigma": sigma.values}
+    at_point = {"dS_next": 0.0, "dN_next": 0.0, "x": point.x_0,
+                "sigma": point.sigma_0}
+    paths = {}
+    for subset in subsets:
+        held = frozenset(subset)
+        if not held <= MARGINS.keys():
+            raise ValueError(f"unknown margins {sorted(held - MARGINS.keys())}; "
+                             f"the margins are {list(MARGINS)}")
+        inputs = {**observed, **{name: at_point[name]
+                                 for margin in held for name in MARGINS[margin].inputs}}
+        paths[held] = _vacancy_identity(**inputs, alpha=point.alpha)
+    return paths
 
 
 @dataclass(frozen=True)
 class OrderingRow:
-    ordering: tuple[str, str, str]
-    dynamics_pct: float
-    separations_pct: float
-    matching_pct: float
+    ordering: tuple[str, ...]
+    percent: dict[str, float]  # per margin, in `MARGINS` order
 
 
 @dataclass(frozen=True)
 class OrderingTable:
-    """Percent contributions for all six margin orderings."""
+    """Percent contributions for every ordering of the margins."""
 
     rows: tuple[OrderingRow, ...]
     average_observed_shift: float
@@ -274,7 +321,7 @@ class OrderingTable:
 
 
 def all_orderings_report(
-    U: MonthlySeries, V: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
+    panel: TwoStatePanel | ThreeStatePanel, V: MonthlySeries, sigma: MonthlySeries,
     samples: SwingSamples, point: ApproximationPoint,
 ) -> OrderingTable:
     """Exact (nonlinear) decomposition for every ordering of the margins.
@@ -282,32 +329,27 @@ def all_orderings_report(
     Starting from the steady-state curve, margins are set to their observed
     values in each order; a margin's contribution is the resulting change in
     the up-down vacancy-level shift, averaged over matched points and
-    reported as a percent of the averaged observed shift.  A held margin
-    takes the point's constant (dynamics: dU = 0; separations: x_0;
-    matching: sigma_0), at a two-state point.  Holding all three gives
-    the steady-state curve, a function of U alone, so its shift at matched
-    unemployment is zero by construction.  Matched pairs infeasible under
-    any held subset are dropped (the same pairs in every ordering) and
-    reported.
+    reported as a percent of the averaged observed shift.  The shifts come
+    from `counterfactual_vacancies`, one per proper subset of held margins.
+    Holding every margin gives the steady-state curve, a function of S
+    alone when N_tilde = 0, so its shift at matched unemployment is zero by
+    construction: the panel and the point must have no non-searchers.
+    Matched pairs infeasible under any held subset are dropped (the same
+    pairs in every ordering) and reported.
     """
-    require_aligned(U, V, s, sigma)
-    samples._check_grid(U)
+    require_aligned(panel.S, V)
+    samples._check_grid(panel.S)
     if point.N_tilde_0 != 0.0:
         raise ValueError(f"two-state point needs N_tilde_0 = 0, got {point.N_tilde_0}")
-    n = len(U)
-    observed = {MARGIN_DYNAMICS: delta(U).values, MARGIN_SEPARATIONS: s.values,
-                MARGIN_MATCHING: sigma.values}
-    constant = {MARGIN_DYNAMICS: np.zeros(n),
-                MARGIN_SEPARATIONS: np.full(n, point.x_0),
-                MARGIN_MATCHING: np.full(n, point.sigma_0)}
-    shifts = {frozenset(MARGINS): np.zeros(len(samples.down_index))}
-    for k in range(3):
-        for held in map(frozenset, combinations(MARGINS, k)):
-            x = {m: constant[m] if m in held else observed[m] for m in MARGINS}
-            v = _vacancy_identity(U.values, 0.0, x[MARGIN_SEPARATIONS],
-                                  x[MARGIN_DYNAMICS], 0.0, x[MARGIN_MATCHING],
-                                  point.alpha)
-            shifts[held] = samples.vertical_shift(v)
+    nonzero = panel.N_tilde.values != 0.0
+    if nonzero.any():
+        t = int(nonzero.argmax())
+        raise ValueError(f"two-state panel needs N_tilde = 0, got "
+                         f"{panel.N_tilde.values[t]} at {panel.S.start.shift(t)}")
+    subsets = [held for k in range(len(MARGINS)) for held in combinations(MARGINS, k)]
+    shifts = {held: samples.vertical_shift(v) for held, v in
+              counterfactual_vacancies(panel, sigma, point, subsets).items()}
+    shifts[frozenset(MARGINS)] = np.zeros(len(samples.down_index))
     mask = ~np.isnan(np.vstack(list(shifts.values()))).any(axis=0)
     if not mask.any():
         raise AllPairsInfeasibleError(
@@ -331,9 +373,7 @@ def all_orderings_report(
                 100.0 * float((shifts[held] - shifts[before])[mask].mean()) / denom
                 if denom != 0.0 else float("nan"))
         rows.append(OrderingRow(ordering=ordering,
-                                dynamics_pct=percent[MARGIN_DYNAMICS],
-                                separations_pct=percent[MARGIN_SEPARATIONS],
-                                matching_pct=percent[MARGIN_MATCHING]))
+                                percent={margin: percent[margin] for margin in MARGINS}))
     return OrderingTable(
         rows=tuple(rows),
         average_observed_shift=denom,

@@ -204,7 +204,8 @@ def _law_of_motion(u0: float, n0: float, rates: dict) -> tuple[np.ndarray, np.nd
 def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation:
     """Generate a stock-consistent three-state panel with planted vacancies;
     ValueError names the first month whose exit rates raking would reject,
-    whose stocks leave the simplex, or whose planted V is invalid."""
+    whose stocks leave the simplex, whose U -> E flow rounds to zero, or
+    whose planted V is invalid."""
     n = spec.horizon
     rates = {name: _as_path(spec.rates[name], n, name) for name in RATE_NAMES}
     sigma = _as_path(spec.sigma_path, n, "sigma_path")
@@ -217,6 +218,12 @@ def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation
     with np.errstate(over="ignore", invalid="ignore"):
         outside = (U < 0.0) | (N < 0.0) | (U + N >= 1.0)
     _reject_first(outside, spec.start, "stocks left the simplex at {month}")
+    # raking scales each flow, so a flow that rounds to zero stays zero: no
+    # job finding would be left for the month
+    ue = rates["ue"][:-1]
+    _reject_first((U[:-1] * ue == 0.0) & (ue > 0.0), spec.start,
+                  "unemployment-to-employment flow U * ue rounds to zero at {month}: "
+                  "U = {value!r}", U)
     E = 1.0 - U - N
 
     mk = lambda vals: MonthlySeries(spec.start, vals)  # noqa: E731

@@ -20,6 +20,15 @@ def two_state(U, s):
     return SimpleNamespace(S=U, N_tilde=U.with_values(np.zeros(len(U))), x=s)
 
 
+def identity(panel, sigma, alpha):
+    """The vacancy identity on either panel's data, month by month: no
+    margin held, so the point gives only alpha."""
+    point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
+                                  alpha=alpha)
+    (path,) = ba.counterfactual_vacancies(panel, sigma, point, [()]).values()
+    return panel.S.with_values(path)
+
+
 @pytest.fixture(scope="session")
 def recession_sim():
     n = 180

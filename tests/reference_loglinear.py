@@ -40,6 +40,6 @@ def reference_decomposition(U, V, s, sigma, samples, point) -> ShiftDecompositio
         months=tuple(compress(months, ok)),
         u=samples.at_down(U.values)[ok],
         observed=samples.vertical_shift(log_v)[ok],
+        contributions={name: c[ok] for name, c in contrib.items()},
         dropped_months=samples.dropped_months + tuple(compress(months, ~ok)),
-        **{name: c[ok] for name, c in contrib.items()},
     )

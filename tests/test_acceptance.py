@@ -19,6 +19,7 @@ import pytest
 import beveridge_accounting as ba
 from beveridge_accounting import (ApproximationPoint, EfficiencyCalibration,
                                   MonthDate, MonthlySeries, SwingBounds)
+from conftest import identity
 
 DATA_ENV = "BEVERIDGE_DATA_CSV"
 
@@ -36,7 +37,7 @@ def test_criterion_1_two_state_identity_roundtrip(recession_sim):
     panel = recession_sim.panel
     theta = ba.tightness(panel.U, panel.V)
     sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
-    v_hat = ba.exact_vacancies(panel.U, panel.s, sigma, alpha=0.3)
+    v_hat = identity(panel, sigma, alpha=0.3)
     elapsed = time.perf_counter() - started
 
     defined = ~np.isnan(v_hat.values)
@@ -52,7 +53,7 @@ def test_criterion_1_two_state_identity_roundtrip(recession_sim):
     sim2 = ba.simulate_two_state(spec)
     theta2 = ba.tightness(sim2.panel.U, sim2.panel.V)
     sigma2 = ba.matching_efficiency_path(sim2.panel.f, theta2, alpha=0.42)
-    v2 = ba.exact_vacancies(sim2.panel.U, sim2.panel.s, sigma2, alpha=0.42)
+    v2 = identity(sim2.panel, sigma2, alpha=0.42)
     defined2 = ~np.isnan(v2.values)
     rel2 = np.abs(v2.values[defined2] / sim2.panel.V.values[defined2] - 1.0)
     assert rel2.max() < 1e-12
@@ -65,7 +66,7 @@ def test_criterion_2_three_state_identity_roundtrip():
 
     started = time.perf_counter()
     sim = make_three_state_steady(horizon=60)
-    got = ba.three_state_exact_vacancies(sim.panel, sim.alpha, sim.sigma_true)
+    got = identity(sim.panel, sim.sigma_true, sim.alpha)
     defined = ~np.isnan(sim.V.values) & ~np.isnan(got.values)
     rel_sim = np.abs(got.values[defined] / sim.V.values[defined] - 1.0).max()
     assert rel_sim < 1e-10
@@ -81,7 +82,7 @@ def test_criterion_2_three_state_identity_roundtrip():
     theta = ba.tightness(panel.S, sim.V)
     f_rate = ba.searcher_finding_rate(panel)
     sigma = ba.matching_efficiency_path(f_rate, theta, alpha=sim.alpha)
-    v_hat = ba.three_state_exact_vacancies(panel, sim.alpha, sigma)
+    v_hat = identity(panel, sigma, sim.alpha)
     defined = ~np.isnan(v_hat.values) & ~np.isnan(sim.V.values)
     rel_raked = np.abs(v_hat.values[defined] / sim.V.values[defined] - 1.0).max()
     elapsed = time.perf_counter() - started
@@ -124,13 +125,10 @@ def test_criterion_3_planted_parameter_recovery():
         bounds = SwingBounds(down_start=start.shift(5), down_end=start.shift(10),
                              up_start=start.shift(25), up_end=start.shift(30))
         samples = ba.build_swing_samples(sim1.panel.U, sim1.panel.V, bounds)
-        table = ba.all_orderings_report(sim1.panel.U, sim1.panel.V, sim1.panel.s,
-                                        sigma1, samples, point)
+        table = ba.all_orderings_report(sim1.panel, sim1.panel.V, sigma1, samples,
+                                        point)
         for row in table.rows:
-            got = {"dynamics": row.dynamics_pct,
-                   "separations": row.separations_pct,
-                   "matching": row.matching_pct}
-            for name, value in got.items():
+            for name, value in row.percent.items():
                 want = 100.0 if name == margin else 0.0
                 assert abs(value - want) < 1e-9, (margin, row.ordering, name)
                 worst = max(worst, abs(value - want))
@@ -140,20 +138,20 @@ def test_criterion_3_planted_parameter_recovery():
 
 def test_criterion_4_telescoping_and_first_margin_invariance(recession_pipeline):
     panel = recession_pipeline["panel"]
-    table = ba.all_orderings_report(panel.U, panel.V, panel.s,
+    table = ba.all_orderings_report(panel, panel.V,
                                     recession_pipeline["sigma_hat"],
                                     recession_pipeline["samples"],
                                     recession_pipeline["point"])
     worst = 0.0
     for row in table.rows:
-        total = row.dynamics_pct + row.separations_pct + row.matching_pct
+        total = sum(row.percent.values())
         assert abs(total - 100.0) < 1e-9
         worst = max(worst, abs(total - 100.0))
     rows = {r.ordering: r for r in table.rows}
     d, s, m = "dynamics", "separations", "matching"
-    assert rows[(d, s, m)].dynamics_pct == rows[(d, m, s)].dynamics_pct
-    assert rows[(s, d, m)].separations_pct == rows[(s, m, d)].separations_pct
-    assert rows[(m, d, s)].matching_pct == rows[(m, s, d)].matching_pct
+    assert rows[(d, s, m)].percent[d] == rows[(d, m, s)].percent[d]
+    assert rows[(s, d, m)].percent[s] == rows[(s, m, d)].percent[s]
+    assert rows[(m, d, s)].percent[m] == rows[(m, s, d)].percent[m]
     ok(4, f"six orderings telescope to 100% (worst gap {worst:.1e}); "
           "first-margin contributions repeat exactly")
 
@@ -246,8 +244,7 @@ def test_criterion_8_ordering_table_reproduction():
     point = ApproximationPoint.from_series(
         panel.U, panel.s, sigma, 0.3, (MonthDate(2008, 1), panel.U.end))
     samples = ba.build_swing_samples(panel.U, panel.V, SwingBounds())
-    table = ba.all_orderings_report(panel.U, panel.V, panel.s, sigma, samples,
-                                    point)
+    table = ba.all_orderings_report(panel, panel.V, sigma, samples, point)
     printed = {
         ("dynamics", "separations", "matching"): (115.26, -177.18, 161.92),
         ("dynamics", "matching", "separations"): (115.26, -444.82, 429.55),
@@ -258,8 +255,7 @@ def test_criterion_8_ordering_table_reproduction():
     }
     rows = {r.ordering: r for r in table.rows}
     for ordering, want in printed.items():
-        got = (rows[ordering].dynamics_pct, rows[ordering].separations_pct,
-               rows[ordering].matching_pct)
+        got = tuple(rows[ordering].percent.values())
         for g, w in zip(got, want):
             assert abs(g - w) <= 1.0, (ordering, got, want)
         assert got[0] > 0 and got[1] < 0 and got[2] > 0

@@ -146,6 +146,38 @@ class TestEstimateCommand:
                     "--sample", "1990-01:1995-12"])
         assert code == 2
 
+    @pytest.mark.parametrize("start, flags, window", [
+        ("2007-11", [], "default --sample 2007-11:2007-12"),
+        ("2000-01", ["--sample", "2010-01:2010-02"], "--sample 2010-01:2010-02"),
+        ("2000-01", ["--sample", "2000-01:2007-12", "--sample", "2010-01:2010-01"],
+         "--sample 2010-01:2010-01"),
+    ], ids=["default-before-2008", "given", "given-second"])
+    def test_window_under_three_months_is_config_error(self, tmp_path, capsys, start,
+                                                       flags, window):
+        # the regression needs three usable months: a window shorter than
+        # that can never have them, whatever the data (it exited 3)
+        assert run(["simulate", "--horizon", 240, "--start", start,
+                    "--output-dir", tmp_path / "panel"]) == 0
+        out = tmp_path / "out"
+        assert run(["estimate", "--input", tmp_path / "panel" / "panel.csv",
+                    "--output-dir", out, *flags]) == 2
+        assert capsys.readouterr().err == (f"configuration error: {window} is shorter "
+                                           "than the 3 months estimation needs\n")
+        assert not out.exists()
+
+    def test_three_month_window_with_two_usable_months_is_data_error(
+            self, tmp_path, recession_sim, capsys):
+        panel = recession_sim.panel
+        v = panel.V.values.copy()
+        v[panel.V.index_of(ba.MonthDate(2010, 2))] = np.nan
+        data = tmp_path / "panel.csv"
+        ba.write_panel(data, {"u_rate": panel.U, "v_rate": panel.V.with_values(v),
+                              "u_short": panel.U_short})
+        assert run(["estimate", "--input", data, "--output-dir", tmp_path / "out",
+                    "--sample", "2010-01:2010-03"]) == 3
+        assert capsys.readouterr().err == ("data error: only 2 usable months in sample "
+                                           "[2010-01, 2010-03]; need at least 3\n")
+
     @pytest.mark.parametrize("flag", ["--down-start", "--down-end", "--up-start",
                                       "--up-end"])
     def test_swing_bound_outside_coverage_is_config_error(self, tmp_path,
@@ -865,6 +897,30 @@ def test_initial_share_outside_unit_interval_exits_two(tmp_path, capsys, flags,
     assert run(["simulate", "--horizon", 24, *flags, "--output-dir", out]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("u0", ["5e-324", "1e-323"])
+def test_unemployment_outflow_rounding_to_zero_exits_two(tmp_path, capsys, u0):
+    # raking scales each flow, so a U -> E flow that rounds to zero stayed
+    # zero: the panel was written with exit 0, and `three-state` exited 3
+    # with no job finding at 2000-01
+    out = tmp_path / "out"
+    assert run(["simulate", "--three-state", "--horizon", 24, "--u0", u0,
+                "--output-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unemployment-to-employment flow U * ue rounds to zero "
+        f"at 2000-01: U = {float(u0)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--u0", "1e-310"], ["--n0", "5e-324"]],
+                         ids=["u0", "n0"])
+def test_tiny_initial_share_with_flows_is_read(tmp_path, flags):
+    panel = tmp_path / "panel"
+    assert run(["simulate", "--three-state", "--horizon", 24, *flags,
+                "--output-dir", panel]) == 0
+    assert run(["three-state", "--input", panel / "panel.csv", "--reference", "2000-06",
+                "--output-dir", tmp_path / "out"]) == 0
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -9,6 +9,10 @@ panel moves every output in a known way.
   moves every date by k and leaves every other cell byte-identical.
 * Switching --format between csv and json changes no value: every command's
   tables carry the same cells, numbers compared as their text.
+* Respelling the input changes no output byte: permuting its value
+  columns, writing every value as %.17e, CRLF line ends and quoting every
+  cell (which sends the file down the csv.reader path) leave every data
+  file identical.
 
 Each command runs in process on a noisy simulated panel of its model, with
 every calendar default pinned by a flag, so that relabelling reaches it.
@@ -231,3 +235,48 @@ def test_csv_and_json_carry_the_same_cells(panels, tmp_path, command, smooth):
             missing += sum(value is None for value in row.values())
     if smooth > 1 and command in ("shifters", "three-state", "efficiency"):
         assert missing > 0  # smoothing leaves the edge months missing
+
+
+def data_files(argv, fmt, out):
+    """Run `argv` writing to `out` in `fmt`; the bytes of each data file."""
+    assert run([*argv, "--output-dir", out, "--format", fmt]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {name: (out / name).read_bytes() for name in manifest["outputs"]}
+
+
+def respell(source, target, order, sci, crlf, quote):
+    """Write the panel at `source` to `target` with its value columns in
+    `order`, and each value as %.17e, CRLF line ends or every cell quoted
+    where asked."""
+    header, rows = read_panel_text(source)
+    lines = []
+    for row in [header, *rows]:
+        cells = [row[0], *(row[k] for k in order)]
+        if sci and row is not header:
+            cells[1:] = ["%.17e" % float(c) if c else "" for c in cells[1:]]
+        if quote:
+            cells = [f'"{c}"' for c in cells]
+        lines.append(",".join(cells))
+    eol = "\r\n" if crlf else "\n"
+    with open(target, "w", newline="") as fh:
+        fh.write(eol.join(lines) + eol)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(command=st.sampled_from([*sorted(COMMANDS), "efficiency"]),
+       fmt=st.sampled_from(["csv", "json"]), data=st.data(),
+       sci=st.booleans(), crlf=st.booleans(), quote=st.booleans())
+def test_input_spelling_changes_no_output_byte(panels, command, fmt, data, sci, crlf,
+                                               quote):
+    model, flags = COMMANDS.get(command, ("two", []))
+    header, _ = read_panel_text(panels[model])
+    order = data.draw(st.permutations(range(1, len(header))), label="order")
+    with tempfile.TemporaryDirectory() as tmp:
+        respelled = Path(tmp) / "panel.csv"
+        respell(panels[model], respelled, order, sci, crlf, quote)
+        argv = [command, *flags]
+        base = data_files([*argv, "--input", panels[model]], fmt, Path(tmp) / "base")
+        moved = data_files([*argv, "--input", respelled], fmt, Path(tmp) / "moved")
+    assert base.keys() == moved.keys()
+    for name in base:
+        assert moved[name] == base[name], name

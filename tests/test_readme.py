@@ -62,6 +62,10 @@ def test_library_sketch_runs(recession_panel, monkeypatch):
     assert all(series.values[t] == 0.0 for series in paths.values())
     assert len(scope["loglin"].months) > 0
     assert len(scope["table"].rows) == 6
+    v = scope["panel"].V.values
+    np.testing.assert_allclose(scope["identity"][:-1], v[:-1], rtol=1e-12)
+    assert np.isnan(scope["identity"][-1])
+    assert np.isfinite(scope["steady_state"]).all()
 
 
 def output_table() -> dict[str, dict[str, list[str]]]:

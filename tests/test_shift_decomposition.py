@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,18 +8,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import beveridge_accounting as ba
-from beveridge_accounting import (ApproximationPoint, InfeasibleMonthWarning,
-                                  MARGIN_DYNAMICS, MARGINS,
+from beveridge_accounting import (ApproximationPoint, MARGIN_DYNAMICS, MARGINS,
                                   MARGIN_MATCHING, MARGIN_SEPARATIONS, MonthDate,
                                   MonthlySeries, SwingBounds,
                                   all_orderings_report, build_swing_samples,
-                                  exact_vacancies, loglinear_shift_decomposition,
-                                  steady_state_curve, three_state_loglinear)
+                                  counterfactual_vacancies,
+                                  loglinear_shift_decomposition, three_state_loglinear)
 from beveridge_accounting.shift_decomposition import (AllPairsInfeasibleError,
                                                       IdentityMismatchWarning,
                                                       _BLOCK, _first_crossings,
                                                       _interp_at_pairs)
-from conftest import two_state
+import reference_orderings
+from conftest import identity, two_state
 from reference_loglinear import reference_decomposition
 
 START = MonthDate(2000, 1)
@@ -252,9 +253,8 @@ class TestLoglinearDecomposition:
                              up_start=START, up_end=START.shift(3))
         samples = build_swing_samples(series(u), series(v), bounds)
         dec = loglinear(series(u), series(v), s, sg, samples, self.POINT)
-        np.testing.assert_allclose(dec.dynamics, 0.0, atol=1e-15)
-        np.testing.assert_allclose(dec.separations, 0.0, atol=1e-15)
-        np.testing.assert_allclose(dec.matching, 0.0, atol=1e-15)
+        for margin in MARGINS:
+            np.testing.assert_allclose(dec.contributions[margin], 0.0, atol=1e-15)
 
     def test_halved_efficiency_hand_value(self):
         # constant everything except matching efficiency, which halves in the
@@ -270,10 +270,12 @@ class TestLoglinearDecomposition:
         samples = build_swing_samples(series(u), series(v), bounds)
         dec = loglinear(series(u), series(v), s, series(sigma), samples, self.POINT)
         expected = (1 / 0.3) * math.log(2.0)
-        np.testing.assert_allclose(dec.matching, expected, rtol=1e-12)
+        np.testing.assert_allclose(dec.contributions[MARGIN_MATCHING], expected,
+                                   rtol=1e-12)
         assert expected == pytest.approx(2.3105, abs=5e-5)
-        np.testing.assert_allclose(dec.dynamics, 0.0, atol=1e-15)
-        np.testing.assert_allclose(dec.separations, 0.0, atol=1e-15)
+        np.testing.assert_allclose(dec.contributions[MARGIN_DYNAMICS], 0.0, atol=1e-15)
+        np.testing.assert_allclose(dec.contributions[MARGIN_SEPARATIONS], 0.0,
+                                   atol=1e-15)
 
     def test_additivity_and_method_tag(self, recession_pipeline):
         panel = recession_pipeline["panel"]
@@ -285,8 +287,10 @@ class TestLoglinearDecomposition:
         kept = np.array([m in months for m in samples.down_months])
         np.testing.assert_array_equal(
             dec.observed, samples.vertical_shift(np.log(panel.V.values))[kept])
+        contrib = dec.contributions
         np.testing.assert_allclose(
-            dec.total, dec.dynamics + dec.separations + dec.matching, atol=1e-15)
+            dec.total, contrib[MARGIN_DYNAMICS] + contrib[MARGIN_SEPARATIONS]
+            + contrib[MARGIN_MATCHING], atol=1e-15)
         # first-order decomposition tracks the observed shift closely
         assert np.corrcoef(dec.total, dec.observed)[0, 1] > 0.99
 
@@ -355,7 +359,8 @@ class TestLoglinearMatchesReference:
         assert np.array_equal(got.u, want.u)
         assert np.array_equal(got.observed, want.observed)
         for margin in MARGINS:
-            np.testing.assert_allclose(getattr(got, margin), getattr(want, margin),
+            np.testing.assert_allclose(got.contributions[margin],
+                                       want.contributions[margin],
                                        rtol=0, atol=1e-14, err_msg=margin)
 
 
@@ -367,15 +372,16 @@ def kept_pairs(samples, table):
 
 def held_percent(U, s, sigma, samples, point, table, margin):
     """Percent of the last-placed `margin`: the mean gap between the identity
-    shift and the shift with `margin` held at the point's constant, computed
-    through the public `exact_vacancies`."""
-    identity = exact_vacancies(U, s, sigma, point.alpha)
+    shift and the shift with `margin`'s series replaced by the point's
+    constant, both through the identity with nothing held."""
+    observed = identity(two_state(U, s), sigma, point.alpha)
     if margin == MARGIN_MATCHING:
         sigma = U.with_values(np.full(len(U), point.sigma_0))
     else:
         s = U.with_values(np.full(len(U), point.x_0))
-    held = exact_vacancies(U, s, sigma, point.alpha)
-    gap = samples.vertical_shift(identity.values) - samples.vertical_shift(held.values)
+    held = identity(two_state(U, s), sigma, point.alpha)
+    gap = (samples.vertical_shift(observed.values)
+           - samples.vertical_shift(held.values))
     return 100.0 * float(gap[kept_pairs(samples, table)].mean()) \
         / table.average_observed_shift
 
@@ -388,22 +394,44 @@ class TestCounterfactuals:
                                    alpha=0.3)
         with pytest.raises(ValueError, match="^two-state point needs N_tilde_0 = 0, "
                                              "got 0.2$"):
-            all_orderings_report(panel.U, panel.V, panel.s,
-                                 recession_pipeline["sigma_hat"],
+            all_orderings_report(panel, panel.V, recession_pipeline["sigma_hat"],
                                  recession_pipeline["samples"], point)
+
+    def test_panel_with_non_searchers_rejected(self, recession_pipeline):
+        # holding every margin leaves N_tilde observed, so the all-held shift
+        # is zero only on a panel without non-searchers
+        panel = recession_pipeline["panel"]
+        n_tilde = np.zeros(len(panel.U))
+        n_tilde[100] = 0.25
+        with_pool = SimpleNamespace(S=panel.U, N_tilde=panel.U.with_values(n_tilde),
+                                    x=panel.s)
+        with pytest.raises(ValueError, match=r"^two-state panel needs N_tilde = 0, "
+                                             r"got 0\.25 at 2008-05$"):
+            all_orderings_report(with_pool, panel.V, recession_pipeline["sigma_hat"],
+                                 recession_pipeline["samples"],
+                                 recession_pipeline["point"])
+
+    def test_unknown_margin_rejected(self, recession_pipeline):
+        panel = recession_pipeline["panel"]
+        with pytest.raises(ValueError, match=r"^unknown margins \['slope'\]"):
+            counterfactual_vacancies(panel, recession_pipeline["sigma_hat"],
+                                     recession_pipeline["point"],
+                                     [(), ("matching", "slope")])
 
     def test_holding_nothing_is_the_exact_identity(self, recession_pipeline):
         panel = recession_pipeline["panel"]
         sigma = recession_pipeline["sigma_hat"]
         point = recession_pipeline["point"]
         samples = recession_pipeline["samples"]
-        table = all_orderings_report(panel.U, panel.V, panel.s, sigma, samples, point)
-        ev = exact_vacancies(panel.U, panel.s, sigma, point.alpha).values
+        table = all_orderings_report(panel, panel.V, sigma, samples, point)
+        ev = counterfactual_vacancies(panel, sigma, point, [()])[frozenset()]
         shift = samples.interp_up(ev) - samples.at_down(ev)
         kept = kept_pairs(samples, table)
         # the empty-held subset shift is the exact identity's shift, bit for bit
         assert table.average_observed_shift == float(shift[kept].mean())
-        # and the identity reproduces observed vacancies
+        # and the identity reproduces observed vacancies, with the last
+        # month missing (it has no successor)
+        assert np.isnan(ev[-1])
         ok = ~np.isnan(ev)
         np.testing.assert_allclose(ev[ok], panel.V.values[ok], rtol=1e-12)
 
@@ -411,22 +439,22 @@ class TestCounterfactuals:
         panel = recession_pipeline["panel"]
         point = recession_pipeline["point"]
         u = panel.U.values
-        got = [v for _, v in steady_state_curve(u, point)]
+        (got,) = counterfactual_vacancies(panel, recession_pipeline["sigma_hat"], point,
+                                          [MARGINS]).values()
         want = (point.x_0 * (1 - u) /
                 (point.sigma_0 * u ** (1 - point.alpha))) ** (1 / point.alpha)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
-    def test_infeasible_month_raises_infeasible_month_warning(self):
-        u = series(np.array([0.05, 0.10, 0.10]))  # jump bigger than inflows
-        s = series(np.full(3, 0.02))
-        held_sigma = series(np.full(3, 0.36))  # matching held at sigma_bar
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", InfeasibleMonthWarning)
-            with pytest.raises(InfeasibleMonthWarning, match="2000-01"):
-                exact_vacancies(u, s, held_sigma, 0.3)
-        with pytest.warns(InfeasibleMonthWarning) as record:
-            exact_vacancies(u, s, held_sigma, 0.3)
-        assert record[0].filename == __file__  # attributed to the caller
+    def test_one_path_per_subset_on_the_panel_grid(self, recession_pipeline):
+        panel = recession_pipeline["panel"]
+        subsets = [(), (MARGIN_MATCHING,), (MARGIN_SEPARATIONS, MARGIN_DYNAMICS),
+                   (MARGIN_DYNAMICS, MARGIN_SEPARATIONS)]
+        paths = counterfactual_vacancies(panel, recession_pipeline["sigma_hat"],
+                                         recession_pipeline["point"], subsets)
+        assert list(paths) == [frozenset(), frozenset({MARGIN_MATCHING}),
+                               frozenset({MARGIN_SEPARATIONS, MARGIN_DYNAMICS})]
+        for path in paths.values():
+            assert path.shape == panel.U.values.shape
 
 
 def single_margin_sim(which, n=40):
@@ -455,57 +483,53 @@ class TestNonlinearDecomposition:
     def test_single_margin_full_attribution(self):
         for margin in (MARGIN_MATCHING, MARGIN_SEPARATIONS):
             panel, sigma_hat, point, samples = single_margin_sim(margin)
-            table = all_orderings_report(panel.U, panel.V, panel.s, sigma_hat,
-                                         samples, point)
+            table = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
             for row in table.rows:
-                got = {MARGIN_DYNAMICS: row.dynamics_pct,
-                       MARGIN_SEPARATIONS: row.separations_pct,
-                       MARGIN_MATCHING: row.matching_pct}
-                for name, value in got.items():
+                assert list(row.percent) == list(MARGINS)
+                for name, value in row.percent.items():
                     want = 100.0 if name == margin else 0.0
                     assert value == pytest.approx(want, abs=1e-9), \
                         f"{margin}-only sim, ordering {row.ordering}, {name}"
 
     def test_telescoping_all_orderings(self, recession_pipeline):
         panel = recession_pipeline["panel"]
-        table = all_orderings_report(panel.U, panel.V, panel.s,
+        table = all_orderings_report(panel, panel.V,
                                      recession_pipeline["sigma_hat"],
                                      recession_pipeline["samples"],
                                      recession_pipeline["point"])
         for row in table.rows:
-            total = row.dynamics_pct + row.separations_pct + row.matching_pct
-            assert total == pytest.approx(100.0, abs=1e-9)
+            assert sum(row.percent.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_recession_fixture_sign_pattern(self, recession_pipeline):
         # net shift up; dynamics and matching push the curve up between the
         # swings while separations push it down, in every ordering
         panel = recession_pipeline["panel"]
-        table = ba.all_orderings_report(panel.U, panel.V, panel.s,
+        table = ba.all_orderings_report(panel, panel.V,
                                         recession_pipeline["sigma_hat"],
                                         recession_pipeline["samples"],
                                         recession_pipeline["point"])
         assert table.average_observed_shift > 0
         for row in table.rows:
-            assert row.dynamics_pct > 0, row
-            assert row.separations_pct < 0, row
-            assert row.matching_pct > 0, row
+            assert row.percent[MARGIN_DYNAMICS] > 0, row
+            assert row.percent[MARGIN_SEPARATIONS] < 0, row
+            assert row.percent[MARGIN_MATCHING] > 0, row
 
     def test_margin_first_and_prefix_set_invariance(self, recession_pipeline):
         panel = recession_pipeline["panel"]
-        table = all_orderings_report(panel.U, panel.V, panel.s,
+        table = all_orderings_report(panel, panel.V,
                                      recession_pipeline["sigma_hat"],
                                      recession_pipeline["samples"],
                                      recession_pipeline["point"])
         rows = {r.ordering: r for r in table.rows}
         d, s, m = MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING
         # a margin placed first gets the same contribution in both orderings
-        assert rows[(d, s, m)].dynamics_pct == rows[(d, m, s)].dynamics_pct
-        assert rows[(s, d, m)].separations_pct == rows[(s, m, d)].separations_pct
-        assert rows[(m, d, s)].matching_pct == rows[(m, s, d)].matching_pct
+        assert rows[(d, s, m)].percent[d] == rows[(d, m, s)].percent[d]
+        assert rows[(s, d, m)].percent[s] == rows[(s, m, d)].percent[s]
+        assert rows[(m, d, s)].percent[m] == rows[(m, s, d)].percent[m]
         # more generally, only the preceding *set* matters
-        assert rows[(d, s, m)].matching_pct == rows[(s, d, m)].matching_pct
-        assert rows[(d, m, s)].separations_pct == rows[(m, d, s)].separations_pct
-        assert rows[(s, m, d)].dynamics_pct == rows[(m, s, d)].dynamics_pct
+        assert rows[(d, s, m)].percent[m] == rows[(s, d, m)].percent[m]
+        assert rows[(d, m, s)].percent[s] == rows[(m, d, s)].percent[s]
+        assert rows[(s, m, d)].percent[d] == rows[(m, s, d)].percent[d]
 
     def test_last_margin_is_difference_from_held_counterfactual(
             self, recession_pipeline):
@@ -515,27 +539,26 @@ class TestNonlinearDecomposition:
         samples = recession_pipeline["samples"]
         point = recession_pipeline["point"]
         sigma_hat = recession_pipeline["sigma_hat"]
-        table = all_orderings_report(panel.U, panel.V, panel.s, sigma_hat,
-                                     samples, point)
+        table = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
         rows = {r.ordering: r for r in table.rows}
         want = held_percent(panel.U, panel.s, sigma_hat, samples, point, table,
                             MARGIN_MATCHING)
         row = rows[(MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)]
-        assert row.matching_pct == want
+        assert row.percent[MARGIN_MATCHING] == want
 
     def test_sign_agreement_with_loglinear(self, recession_pipeline):
         panel = recession_pipeline["panel"]
-        args = (panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"],
-                recession_pipeline["samples"], recession_pipeline["point"])
-        table = all_orderings_report(*args)
-        ll = loglinear(*args)
+        rest = (recession_pipeline["sigma_hat"], recession_pipeline["samples"],
+                recession_pipeline["point"])
+        table = all_orderings_report(panel, panel.V, *rest)
+        ll = loglinear(panel.U, panel.V, panel.s, *rest)
         row = {r.ordering: r for r in table.rows}[
             (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)]
-        for name in ("dynamics", "separations", "matching"):
+        for name in MARGINS:
             # the percent's sign times the observed shift's sign is the sign
             # of the mean level contribution
-            level = getattr(row, f"{name}_pct") * table.average_observed_shift
-            assert np.sign(level) == np.sign(np.mean(getattr(ll, name))), name
+            level = row.percent[name] * table.average_observed_shift
+            assert np.sign(level) == np.sign(np.mean(ll.contributions[name])), name
 
     def test_partial_infeasibility_drops_and_reports(self, recession_pipeline):
         panel = recession_pipeline["panel"]
@@ -546,8 +569,7 @@ class TestNonlinearDecomposition:
         point = ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=1e-6, sigma_0=0.30,
                                    alpha=0.3)
         with pytest.raises(AllPairsInfeasibleError):
-            all_orderings_report(panel.U, panel.V, panel.s, sigma_hat,
-                                 samples, point)
+            all_orderings_report(panel, panel.V, sigma_hat, samples, point)
 
     def test_identity_mismatch_warns(self, recession_pipeline):
         panel = recession_pipeline["panel"]
@@ -556,7 +578,7 @@ class TestNonlinearDecomposition:
                                          recession_pipeline["bounds"])
         with pytest.warns(IdentityMismatchWarning,
                           match="deviate from the vacancy identity") as record:
-            all_orderings_report(panel.U, scaled_v, panel.s,
+            all_orderings_report(panel, scaled_v,
                                  recession_pipeline["sigma_hat"], samples,
                                  recession_pipeline["point"])
         assert record[0].filename == __file__  # attributed to the caller
@@ -604,24 +626,73 @@ class TestOrderingTableProperties:
     @given(case=recession_panels())
     def test_telescoping_prefix_sets_and_last_margin(self, case):
         panel, sigma_hat, point, samples = case
-        table = all_orderings_report(panel.U, panel.V, panel.s, sigma_hat,
-                                     samples, point)
+        table = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
         rows = {r.ordering: r for r in table.rows}
         assert len(rows) == 6
         for row in table.rows:
-            total = row.dynamics_pct + row.separations_pct + row.matching_pct
-            assert total == pytest.approx(100.0, abs=1e-9), row
+            assert sum(row.percent.values()) == pytest.approx(100.0, abs=1e-9), row
 
         # a margin's percent depends only on the set switched on before it
-        pct = {(frozenset(o[:k]), m): getattr(rows[o], f"{m}_pct")
+        pct = {(frozenset(o[:k]), m): rows[o].percent[m]
                for o in rows for k, m in enumerate(o)}
         for o in rows:
             for k, m in enumerate(o):
-                assert getattr(rows[o], f"{m}_pct") == pct[frozenset(o[:k]), m]
+                assert rows[o].percent[m] == pct[frozenset(o[:k]), m]
 
         for margin in (MARGIN_SEPARATIONS, MARGIN_MATCHING):
             want = held_percent(panel.U, panel.s, sigma_hat, samples, point,
                                 table, margin)
             for o, row in rows.items():
                 if o[-1] == margin:
-                    assert getattr(row, f"{margin}_pct") == want, o
+                    assert row.percent[margin] == want, o
+
+
+def outcome(report, *args):
+    """What `report(*args)` gives: its table or its ValueError's type and
+    text, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = report(*args)
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def same_float(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestOrderingTableMatchesReference:
+    """The loop over `MARGINS` gives the table of the margins spelled out
+    one by one (`reference_orderings`), bit for bit, on the recession
+    panels and on noisy, smoothed swings with missing months."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(case=st.one_of(
+        recession_panels().map(lambda c: (c[0].U, c[0].V, c[0].s, *c[1:])),
+        noisy_swings().map(lambda c: (c[0].U, c[0].V, c[1], c[2], c[3], c[4]))))
+    def test_same_table_bit_for_bit(self, case):
+        U, V, s, sigma, point, samples = case
+        got, got_warnings = outcome(all_orderings_report, two_state(U, s), V, sigma,
+                                    samples, point)
+        want, want_warnings = outcome(reference_orderings.all_orderings_report,
+                                      U, V, s, sigma, samples, point)
+        assert got_warnings == want_warnings
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert same_float(got.average_observed_shift, want.average_observed_shift)
+        assert got.n_pairs == want.n_pairs
+        assert got.dropped_months == want.dropped_months
+        assert [row.ordering for row in got.rows] == [row.ordering for row in want.rows]
+        for g, w in zip(got.rows, want.rows):
+            assert list(g.percent) == list(MARGINS)
+            assert same_float([g.percent[m] for m in MARGINS],
+                              [w.dynamics_pct, w.separations_pct, w.matching_pct])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", reference_orderings.InfeasibleMonthWarning)
+            exact = reference_orderings.exact_vacancies(U, s, sigma, point.alpha)
+        assert same_float(identity(two_state(U, s), sigma, point.alpha).values,
+                          exact.values)

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beveridge_accounting as ba
-from beveridge_accounting import (MonthDate, SimulationSpec, exact_vacancies,
-                                  rake_transition_rates, simulate_two_state,
-                                  three_state_exact_vacancies)
+from beveridge_accounting import (MonthDate, SimulationSpec, rake_transition_rates,
+                                  simulate_two_state)
 from beveridge_accounting.flows_three_state import RATE_NAMES
 from beveridge_accounting.simulate import _law_of_motion
-from conftest import make_three_state_steady
+from conftest import identity, make_three_state_steady
 
 START = MonthDate(2000, 1)
 
@@ -106,8 +105,9 @@ class TestTwoStateSimulation:
         # the constant point lies on the steady-state curve
         point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                       alpha=0.3)
-        (_, v_ss), = ba.steady_state_curve([0.06], point)
-        assert v[0] == pytest.approx(v_ss, rel=1e-13)
+        v_ss, = ba.counterfactual_vacancies(sim.panel, sim.sigma_true, point,
+                                            [ba.MARGINS]).values()
+        np.testing.assert_allclose(v, v_ss, rtol=1e-13)
 
     def test_pipeline_recovers_planted_truths(self, recession_sim):
         panel = recession_sim.panel
@@ -244,7 +244,7 @@ class TestThreeStateSimulation:
 
     def test_identity_reproduces_planted_vacancies(self):
         sim = make_three_state_steady(horizon=12)
-        got = three_state_exact_vacancies(sim.panel, sim.alpha, sim.sigma_true)
+        got = identity(sim.panel, sim.sigma_true, sim.alpha)
         ok = ~np.isnan(sim.V.values)
         np.testing.assert_allclose(got.values[ok], sim.V.values[ok], rtol=1e-12)
 
@@ -270,7 +270,7 @@ class TestThreeStateSimulation:
         np.testing.assert_allclose(two.s.values[:-1], 0.02, rtol=1e-12)
 
         sigma = sim.sigma_true
-        v2 = exact_vacancies(sim.panel.U, two.s, sigma, 0.3)
+        v2 = identity(two, sigma, 0.3)
         np.testing.assert_allclose(v2.values[:-1], sim.V.values[:-1], rtol=1e-12)
 
     def test_vacancies_outside_unit_interval_rejected(self):
