@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,12 @@ EXIT_INFEASIBLE = 4
 
 class ConfigError(Exception):
     """Invalid run configuration (bad windows, unparseable dates, ...)."""
+
+
+# The default normalization month, and the first post-2007 month: where
+# `estimate` splits its default samples and the default expansion window starts
+_REFERENCE = MonthDate(2007, 4)
+_POST_2007 = MonthDate(2008, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +172,7 @@ def _resolve_approx_window(args: argparse.Namespace,
         lo, hi = args.approx_window
         _require_coverage(grid, f"approximation window [{lo}, {hi}]", lo, hi)
         return lo, hi
-    post = MonthDate(2008, 1)
-    if grid.covers(post):
-        return post, grid.end
-    return grid.start, grid.end
+    return (_POST_2007 if grid.covers(_POST_2007) else grid.start), grid.end
 
 
 def _positive_finding_rate(f: MonthlySeries) -> tuple[MonthlySeries, int]:
@@ -312,12 +316,10 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[dict, dict]:
 
     if args.sample:
         windows = list(args.sample)
+    elif grid.covers(_POST_2007) and _POST_2007 != grid.start:
+        windows = [(grid.start, _POST_2007.shift(-1)), (_POST_2007, grid.end)]
     else:
-        split = MonthDate(2008, 1)
-        if grid.covers(split) and split != grid.start:
-            windows = [(grid.start, split.shift(-1)), (split, grid.end)]
-        else:
-            windows = [(grid.start, grid.end)]
+        windows = [(grid.start, grid.end)]
     for lo, hi in windows:
         _require_coverage(grid, f"sample [{lo}, {hi}]", lo, hi)
         if lo.months_until(hi) + 1 < MIN_MONTHS:
@@ -416,18 +418,12 @@ def cmd_efficiency(args: argparse.Namespace) -> tuple[dict, dict]:
         "gap_steep": unemployment_gap(u, u_star_steep)}}, {}
 
 
-# simulate flags that only one of the two simulators reads, with their defaults
-_TWO_STATE_ONLY = {"--du-amplitude": 0.0, "--du-period": 48.0, "--noise": 0.0,
-                   "--seed": 0}
-_THREE_STATE_ONLY = {"--n0": 0.30}
-
-
-def _reject_given(args: argparse.Namespace, defaults: dict, model: str,
-                  other: str) -> None:
-    """ConfigError naming every flag of `defaults` set away from its default
-    (NaN included): the `model` simulation never reads it."""
-    given = [flag for flag, default in defaults.items()
-             if getattr(args, flag[2:].replace("-", "_")) != default]
+def _reject_given(args: argparse.Namespace, model: str, other: str) -> None:
+    """ConfigError naming every `simulate` flag of `_FLAGS` that only the
+    `model` simulation reads and that is set away from its default (NaN
+    included): the simulation that runs never reads it."""
+    given = [flag.name for flag in _FLAGS if flag.model == model and
+             getattr(args, flag.name[2:].replace("-", "_")) != flag.kwargs["default"]]
     if given:
         raise ConfigError(f"{', '.join(given)}: {model} only, not read {other}")
 
@@ -449,7 +445,7 @@ def _simulated_columns(args: argparse.Namespace) -> dict[str, MonthlySeries]:
         if not 0.0 < value < 1.0:
             raise ConfigError(f"{flag} must be in (0, 1), got {value}")
     if args.three_state:
-        _reject_given(args, _TWO_STATE_ONLY, "two-state", "with --three-state")
+        _reject_given(args, "two-state", "with --three-state")
         rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
                  "ne": 0.04, "nu": 0.02}
         sim = simulate_three_state(ThreeStateSimulationSpec(
@@ -457,7 +453,7 @@ def _simulated_columns(args: argparse.Namespace) -> dict[str, MonthlySeries]:
             rates=rates, sigma_path=_sigma_path(args), start=args.start))
         return {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
                 "n_stock": sim.panel.N, "v_rate": sim.V, **sim.panel.rates()}
-    _reject_given(args, _THREE_STATE_ONLY, "three-state", "without --three-state")
+    _reject_given(args, "three-state", "without --three-state")
     sim = simulate_two_state(SimulationSpec(
         alpha=args.alpha, u0=args.u0, horizon=args.horizon, s_path=args.s_bar,
         sigma_path=_sigma_path(args), delta_u_path=_delta_u_path(args),
@@ -482,117 +478,117 @@ def _delta_u_path(args: argparse.Namespace) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: one row per flag meaning
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, with_input: bool = True,
-                with_alpha: bool = True) -> None:
-    """The output flags; the input and smoothing flags unless the command
-    reads no panel; --alpha unless it reads no matching elasticity."""
-    if with_input:
-        sub.add_argument("--input", required=True, help="panel CSV path")
-        sub.add_argument("--smooth", type=_positive_int, default=1, metavar="N",
-                         help="moving-average window applied to inputs (1 = none)")
-        sub.add_argument("--smooth-align", choices=("centered", "trailing"),
-                         default="centered")
-    sub.add_argument("--output-dir", required=True, help="directory for outputs")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    if with_alpha:
-        sub.add_argument("--alpha", type=_unit_interval, default=DEFAULT_ALPHA,
-                         help="matching elasticity (default %(default)s)")
+# A row of `_FLAGS`: a flag, the commands that take it, its `add_argument`
+# keywords and, for a `simulate` flag that only one model reads, that model
+_Flag = namedtuple("_Flag", "name commands kwargs model", defaults=(None,))
 
+_READERS = ("estimate", "shifters", "decompose", "three-state", "efficiency")
+_ALL = (*_READERS, "simulate")
+_EXPANDERS = ("shifters", "decompose", "three-state")
+_SIM = ("simulate",)
+_SWING = SwingBounds()
 
-def _add_approx(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--approx-window", type=_window, metavar="START:END",
-                     help="expansion-point window (default: post-2007 months)")
+# Each command takes its rows in table order
+_FLAGS = (
+    _Flag("--input", _READERS, dict(required=True, help="panel CSV path")),
+    _Flag("--smooth", _READERS, dict(
+        type=_positive_int, default=1, metavar="N",
+        help="moving-average window applied to inputs (1 = none)")),
+    _Flag("--smooth-align", _READERS, dict(choices=("centered", "trailing"),
+                                           default="centered")),
+    _Flag("--output-dir", _ALL, dict(required=True, help="directory for outputs")),
+    _Flag("--format", _ALL, dict(choices=("csv", "json"), default="csv")),
+    _Flag("--alpha", (*_EXPANDERS, *_SIM), dict(
+        type=_unit_interval, default=DEFAULT_ALPHA,
+        help="matching elasticity (default %(default)s)")),
+    _Flag("--sample", ("estimate",), dict(
+        type=_window, action="append", metavar="START:END",
+        help="estimation window; repeatable (default: pre/post 2008)")),
+    _Flag("--robust", ("estimate",), dict(
+        action="store_true", help="HC1 heteroskedasticity-robust standard errors")),
+    _Flag("--approx-window", _EXPANDERS, dict(
+        type=_window, metavar="START:END",
+        help="expansion-point window (default: post-2007 months)")),
+    _Flag("--u-bar", ("shifters", "decompose"), dict(
+        type=_unit_interval, default=None,
+        help="override the expansion-point unemployment share")),
+    _Flag("--s-bar", ("shifters", "decompose"), dict(
+        type=_unit_interval, default=None,
+        help="override the expansion-point separation probability")),
+    _Flag("--sigma-bar", ("shifters", "decompose"), dict(
+        type=_positive_float, default=None,
+        help="override the expansion-point matching efficiency")),
+    _Flag("--reference", ("shifters",), dict(
+        type=_month, default=_REFERENCE, metavar="YYYY-MM",
+        help=f"normalization month (default {_REFERENCE})")),
+    _Flag("--reference", ("three-state",), dict(type=_month, default=_REFERENCE)),
+    _Flag("--down-start", ("decompose",), dict(type=_month, default=_SWING.down_start)),
+    _Flag("--down-end", ("decompose",), dict(type=_month, default=_SWING.down_end)),
+    _Flag("--up-start", ("decompose",), dict(type=_month, default=_SWING.up_start)),
+    _Flag("--up-end", ("decompose",), dict(
+        type=_month, default=_SWING.up_end,
+        help="optional upswing end (default: unemployment recovery)")),
+    _Flag("--rake-tol", ("three-state",), dict(type=_rake_tol, default=1e-12)),
+    _Flag("--rake-max-iter", ("three-state",), dict(type=_positive_int, default=1000)),
+    _Flag("--ms-elasticity", ("efficiency",), dict(type=_positive_float,
+                                                   default=MS_ELASTICITY)),
+    _Flag("--steep-elasticity", ("efficiency",), dict(type=_positive_float,
+                                                      default=STEEP_ELASTICITY)),
+    _Flag("--vacancy-cost", ("efficiency",), dict(type=_positive_float,
+                                                  default=MS_VACANCY_COST)),
+    _Flag("--unemployment-cost", ("efficiency",), dict(type=_positive_float,
+                                                       default=MS_UNEMPLOYMENT_COST)),
+    _Flag("--horizon", _SIM, dict(type=_positive_int, default=120)),
+    _Flag("--start", _SIM, dict(type=_month, default=MonthDate(2000, 1))),
+    _Flag("--u0", _SIM, dict(type=float, default=0.06)),
+    _Flag("--n0", _SIM, dict(type=float, default=0.30,
+                             help="initial nonemployment share (three-state only)"),
+          "three-state"),
+    _Flag("--s-bar", _SIM, dict(type=_finite_float, default=0.02)),
+    _Flag("--sigma-bar", _SIM, dict(type=_finite_float, default=0.36)),
+    _Flag("--du-amplitude", _SIM, dict(type=_finite_float, default=0.0,
+                                       help="sinusoidal unemployment-change amplitude"),
+          "two-state"),
+    _Flag("--du-period", _SIM, dict(type=_positive_float, default=48.0), "two-state"),
+    _Flag("--sigma-break-at", _SIM, dict(type=int, default=None, metavar="T",
+                                         help="month index at which efficiency jumps")),
+    _Flag("--sigma-break-factor", _SIM, dict(type=_positive_float, default=0.75)),
+    _Flag("--noise", _SIM, dict(type=_finite_float, default=0.0,
+                                help="lognormal noise std on the efficiency path"),
+          "two-state"),
+    _Flag("--seed", _SIM, dict(type=int, default=0), "two-state"),
+    _Flag("--three-state", _SIM, dict(action="store_true")),
+)
 
-
-def _add_point_overrides(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--u-bar", type=_unit_interval, default=None,
-                     help="override the expansion-point unemployment share")
-    sub.add_argument("--s-bar", type=_unit_interval, default=None,
-                     help="override the expansion-point separation probability")
-    sub.add_argument("--sigma-bar", type=_positive_float, default=None,
-                     help="override the expansion-point matching efficiency")
+_COMMANDS = {
+    "estimate": ("matching-function estimation", cmd_estimate),
+    "shifters": ("shifter time paths", cmd_shifters),
+    "decompose": ("vertical-shift decomposition", cmd_decompose),
+    "three-state": ("three-state shifter paths", cmd_three_state),
+    "efficiency": ("efficient unemployment series", cmd_efficiency),
+    "simulate": ("synthetic panel generation", cmd_simulate),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    `main` call (parsing leaves it unchanged)."""
+    """The command-line parser, built once per process from `_FLAGS` and
+    `_COMMANDS` and shared by every `main` call (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="beveridge",
         description="Dynamic Beveridge-curve accounting toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("estimate", help="matching-function estimation")
-    _add_common(p, with_alpha=False)
-    p.add_argument("--sample", type=_window, action="append", metavar="START:END",
-                   help="estimation window; repeatable (default: pre/post 2008)")
-    p.add_argument("--robust", action="store_true",
-                   help="HC1 heteroskedasticity-robust standard errors")
-    p.set_defaults(func=cmd_estimate)
-
-    p = subs.add_parser("shifters", help="shifter time paths")
-    _add_common(p)
-    _add_approx(p)
-    _add_point_overrides(p)
-    p.add_argument("--reference", type=_month, default=MonthDate(2007, 4),
-                   metavar="YYYY-MM", help="normalization month (default 2007-04)")
-    p.set_defaults(func=cmd_shifters)
-
-    p = subs.add_parser("decompose", help="vertical-shift decomposition")
-    _add_common(p)
-    _add_approx(p)
-    _add_point_overrides(p)
-    p.add_argument("--down-start", type=_month, default=MonthDate(2007, 4))
-    p.add_argument("--down-end", type=_month, default=MonthDate(2009, 6))
-    p.add_argument("--up-start", type=_month, default=MonthDate(2010, 4))
-    p.add_argument("--up-end", type=_month, default=None,
-                   help="optional upswing end (default: unemployment recovery)")
-    p.set_defaults(func=cmd_decompose)
-
-    p = subs.add_parser("three-state", help="three-state shifter paths")
-    _add_common(p)
-    _add_approx(p)
-    p.add_argument("--reference", type=_month, default=MonthDate(2007, 4))
-    p.add_argument("--rake-tol", type=_rake_tol, default=1e-12)
-    p.add_argument("--rake-max-iter", type=_positive_int, default=1000)
-    p.set_defaults(func=cmd_three_state)
-
-    p = subs.add_parser("efficiency", help="efficient unemployment series")
-    _add_common(p, with_alpha=False)
-    p.add_argument("--ms-elasticity", type=_positive_float, default=MS_ELASTICITY)
-    p.add_argument("--steep-elasticity", type=_positive_float,
-                   default=STEEP_ELASTICITY)
-    p.add_argument("--vacancy-cost", type=_positive_float, default=MS_VACANCY_COST)
-    p.add_argument("--unemployment-cost", type=_positive_float,
-                   default=MS_UNEMPLOYMENT_COST)
-    p.set_defaults(func=cmd_efficiency)
-
-    p = subs.add_parser("simulate", help="synthetic panel generation")
-    _add_common(p, with_input=False)
-    p.add_argument("--horizon", type=_positive_int, default=120)
-    p.add_argument("--start", type=_month, default=MonthDate(2000, 1))
-    p.add_argument("--u0", type=float, default=0.06)
-    p.add_argument("--n0", type=float, default=_THREE_STATE_ONLY["--n0"],
-                   help="initial nonemployment share (three-state only)")
-    p.add_argument("--s-bar", type=_finite_float, default=0.02)
-    p.add_argument("--sigma-bar", type=_finite_float, default=0.36)
-    p.add_argument("--du-amplitude", type=_finite_float,
-                   default=_TWO_STATE_ONLY["--du-amplitude"],
-                   help="sinusoidal unemployment-change amplitude")
-    p.add_argument("--du-period", type=_positive_float,
-                   default=_TWO_STATE_ONLY["--du-period"])
-    p.add_argument("--sigma-break-at", type=int, default=None, metavar="T",
-                   help="month index at which efficiency jumps")
-    p.add_argument("--sigma-break-factor", type=_positive_float, default=0.75)
-    p.add_argument("--noise", type=_finite_float, default=_TWO_STATE_ONLY["--noise"],
-                   help="lognormal noise std on the efficiency path")
-    p.add_argument("--seed", type=int, default=_TWO_STATE_ONLY["--seed"])
-    p.add_argument("--three-state", action="store_true")
-    p.set_defaults(func=cmd_simulate)
+    for command, (help_text, func) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        for flag in _FLAGS:
+            if command in flag.commands:
+                p.add_argument(flag.name, **flag.kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -610,7 +606,7 @@ def main(argv=None) -> int:
     except AllPairsInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, KeyError, RakingError, FileNotFoundError) as exc:
+    except (ValueError, RakingError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

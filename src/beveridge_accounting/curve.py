@@ -38,7 +38,8 @@ import numpy as np
 
 from .flows_three_state import ThreeStatePanel
 from .flows_two_state import TwoStatePanel
-from .series import MonthDate, MonthlySeries, delta_log, require_aligned
+from .series import (MonthDate, MonthlySeries, _reject_first, delta_log,
+                     require_aligned)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +220,8 @@ def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: Monthly
         matching = c_mat * (np.log(sigma.values) - np.log(point.sigma_0))
 
     if point.N_tilde_0 > 0.0:
-        zero = N_tilde.values == 0.0
-        if zero.any():
-            t = int(np.flatnonzero(zero)[0])
-            raise ValueError(f"log of zero non-searcher pool at {S.start.shift(t)}")
+        _reject_first(N_tilde.values == 0.0, S.start,
+                      "log of zero non-searcher pool at {month}")
         with np.errstate(invalid="ignore", divide="ignore"):
             nonsearcher_level = c_n_level * (np.log(N_tilde.values)
                                              - np.log(point.N_tilde_0))

@@ -25,7 +25,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .series import MonthDate, MonthlySeries, normalize_shares, require_aligned
+from .series import (MonthDate, MonthlySeries, _reject_first, normalize_shares,
+                     require_aligned)
 
 RATE_NAMES = ("eu", "en", "ue", "un", "ne", "nu")
 
@@ -78,11 +79,9 @@ class ThreeStatePanel:
     def __post_init__(self) -> None:
         require_aligned(self.E, self.U, self.N, *(getattr(self, r) for r in RATE_NAMES))
         total = self.E.values + self.U.values + self.N.values
-        ok = np.isnan(total) | (np.abs(total - 1.0) < 1e-12)
-        if not ok.all():
-            t = int(np.flatnonzero(~ok)[0])
-            raise ValueError(f"stocks do not sum to one at {self.E.start.shift(t)} "
-                             f"(total {float(total[t])!r}); normalize first")
+        _reject_first(~(np.isnan(total) | (np.abs(total - 1.0) < 1e-12)), self.E.start,
+                      "stocks do not sum to one at {month} (total {value!r}); "
+                      "normalize first", total)
         for name in RATE_NAMES:
             v = getattr(self, name).values
             v = v[~np.isnan(v)]
@@ -97,11 +96,9 @@ class ThreeStatePanel:
         """Relative search intensity of the nonemployed, ne / ue; ValueError
         naming the first month where ue is zero and ne is observed."""
         ne, ue = self.ne.values, self.ue.values
-        undefined = ~np.isnan(ne) & (ue == 0.0)
-        if undefined.any():
-            t = int(np.flatnonzero(undefined)[0])
-            raise ValueError(f"undefined intensity at {self.ne.start.shift(t)}: "
-                             "zero unemployment-to-employment rate")
+        _reject_first(~np.isnan(ne) & (ue == 0.0), self.ne.start,
+                      "undefined intensity at {month}: "
+                      "zero unemployment-to-employment rate")
         with np.errstate(invalid="ignore"):
             return self.ne.with_values(ne / ue)
 

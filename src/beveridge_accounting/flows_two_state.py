@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .series import MonthlySeries, require_aligned
+from .series import MonthlySeries, _reject_first, require_aligned
 
 
 class ProbabilityRangeWarning(UserWarning):
@@ -64,7 +65,7 @@ class TwoStatePanel:
         """Searchers: the unemployed."""
         return self.U
 
-    @property
+    @cached_property
     def N_tilde(self) -> MonthlySeries:
         """Non-searchers: none."""
         return self.U.with_values(np.zeros(len(self.U)))
@@ -87,9 +88,8 @@ def job_finding_probability(U: MonthlySeries, U_short: MonthlySeries) -> Monthly
     if len(u) >= 2:
         u_t = u[:-1]
         defined = ~np.isnan(u_t) & ~np.isnan(u[1:]) & ~np.isnan(us[1:])
-        if (defined & (u_t == 0.0)).any():
-            t = int(np.flatnonzero(defined & (u_t == 0.0))[0])
-            raise ValueError(f"division by zero unemployment at {U.start.shift(t)}")
+        _reject_first(defined & (u_t == 0.0), U.start,
+                      "division by zero unemployment at {month}")
         with np.errstate(invalid="ignore"):
             out[:-1] = 1.0 - (u[1:] - us[1:]) / u_t
     _warn_out_of_range(out, U, "job-finding probability")
@@ -108,9 +108,8 @@ def implied_separation_probability(U: MonthlySeries, f: MonthlySeries) -> Monthl
     if len(u) >= 2:
         u_t = u[:-1]
         defined = ~np.isnan(u_t) & ~np.isnan(u[1:]) & ~np.isnan(f.values[:-1])
-        if (defined & (u_t >= 1.0)).any():
-            t = int(np.flatnonzero(defined & (u_t >= 1.0))[0])
-            raise ValueError(f"unemployment share at or above one at {U.start.shift(t)}")
+        _reject_first(defined & (u_t >= 1.0), U.start,
+                      "unemployment share at or above one at {month}")
         with np.errstate(invalid="ignore"):
             out[:-1] = (u[1:] - u_t + f.values[:-1] * u_t) / (1.0 - u_t)
     _warn_out_of_range(out, U, "separation probability")

@@ -112,6 +112,16 @@ class MonthlySeries:
         return MonthlySeries(self.start, arr)
 
 
+def _reject_first(bad: np.ndarray, start: MonthDate, message: str,
+                  values: np.ndarray | None = None) -> None:
+    """ValueError(message) at the first month where `bad` holds, its date
+    as ``{month}`` and its entry of `values` as ``{value}``."""
+    if bad.any():
+        t = int(bad.argmax())
+        raise ValueError(message.format(
+            month=start.shift(t), value=None if values is None else float(values[t])))
+
+
 def require_aligned(*series: MonthlySeries) -> None:
     """Raise unless all series share the same start month and length."""
     first = series[0]
@@ -163,10 +173,8 @@ def normalize_shares(stocks: Sequence[MonthlySeries]) -> list[MonthlySeries]:
     if observed.size and observed.min() < 0:
         raise ValueError("negative stock value")
     total = mat.sum(axis=0)
-    bad = ~np.isnan(total) & (total <= 0.0)
-    if bad.any():
-        month = stocks[0].start.shift(int(np.flatnonzero(bad)[0]))
-        raise ValueError(f"empty population month {month}")
+    _reject_first(~np.isnan(total) & (total <= 0.0), stocks[0].start,
+                  "empty population month {month}")
     return [s.with_values(s.values / total) for s in stocks]
 
 

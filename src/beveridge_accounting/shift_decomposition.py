@@ -39,7 +39,7 @@ import numpy as np
 from .curve import ApproximationPoint, ThreeStateLoglinear, _vacancy_identity
 from .flows_three_state import ThreeStatePanel
 from .flows_two_state import TwoStatePanel
-from .series import MonthDate, MonthlySeries, delta, require_aligned
+from .series import MonthDate, MonthlySeries, _reject_first, delta, require_aligned
 
 
 @dataclass(frozen=True)
@@ -341,11 +341,9 @@ def all_orderings_report(
     samples._check_grid(panel.S)
     if point.N_tilde_0 != 0.0:
         raise ValueError(f"two-state point needs N_tilde_0 = 0, got {point.N_tilde_0}")
-    nonzero = panel.N_tilde.values != 0.0
-    if nonzero.any():
-        t = int(nonzero.argmax())
-        raise ValueError(f"two-state panel needs N_tilde = 0, got "
-                         f"{panel.N_tilde.values[t]} at {panel.S.start.shift(t)}")
+    _reject_first(panel.N_tilde.values != 0.0, panel.S.start,
+                  "two-state panel needs N_tilde = 0, got {value} at {month}",
+                  panel.N_tilde.values)
     subsets = [held for k in range(len(MARGINS)) for held in combinations(MARGINS, k)]
     shifts = {held: samples.vertical_shift(v) for held, v in
               counterfactual_vacancies(panel, sigma, point, subsets).items()}

@@ -19,7 +19,7 @@ import numpy as np
 from .curve import _vacancy_identity
 from .flows_three_state import RATE_NAMES, ThreeStatePanel, _stayer_faults
 from .flows_two_state import TwoStatePanel, build_two_state_panel
-from .series import MonthDate, MonthlySeries
+from .series import MonthDate, MonthlySeries, _reject_first
 
 
 def _as_path(value, horizon: int, name: str) -> np.ndarray:
@@ -40,16 +40,6 @@ def _require_calendar(start: MonthDate, horizon: int) -> None:
         start.shift(horizon - 1)
     except ValueError:
         raise ValueError(f"{horizon} months from {start} run past 9999-12") from None
-
-
-def _reject_first(bad: np.ndarray, start: MonthDate, message: str,
-                  values: np.ndarray | None = None) -> None:
-    """ValueError(message) at the first month where `bad` holds, its date
-    as ``{month}`` and its entry of `values` as ``{value}``."""
-    if bad.any():
-        t = int(bad.argmax())
-        raise ValueError(message.format(
-            month=start.shift(t), value=None if values is None else float(values[t])))
 
 
 def _require_unit_vacancies(v: np.ndarray, start: MonthDate) -> None:

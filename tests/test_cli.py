@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beveridge_accounting as ba
+from beveridge_accounting import cli
 from beveridge_accounting.cli import main
 
 START_FLAGS = ["--start", "2000-01"]
@@ -653,6 +655,147 @@ def test_flag_the_command_does_not_read_exits_two(tmp_path, recession_sim, capsy
     assert capsys.readouterr().err.endswith(
         f"error: unrecognized arguments: {' '.join(map(str, flags))}\n")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Cases drawn from the flag table, `cli._FLAGS`
+# ---------------------------------------------------------------------------
+
+FLAG_NAMES = list(dict.fromkeys(flag.name for flag in cli._FLAGS))
+
+
+def takes(command, name):
+    return any(flag.name == name and command in flag.commands for flag in cli._FLAGS)
+
+
+def reads(argv):
+    """The attributes of the parsed namespace that running and writing
+    `argv` reads, each at most once."""
+    seen = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            seen.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args([str(a) for a in argv], namespace=Recorder())
+    seen.clear()
+    cli._write(args, *args.func(args))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def reads_by_command(tmp_path_factory, recession_sim):
+    # runs that reach every flag the command takes: --smooth 3 for
+    # --smooth-align, and a cycle and an efficiency break for their shape flags
+    tmp = tmp_path_factory.mktemp("reads")
+    panel = ["--input", write_recession_csv(tmp, recession_sim), "--smooth", 3]
+    runs = {command: [[command, *panel]]
+            for command in ("estimate", "shifters", "decompose", "efficiency")}
+    runs["three-state"] = [["three-state", "--input", write_steady_three_state_csv(tmp),
+                            "--smooth", 3, "--reference", "2002-01"]]
+    runs["simulate"] = [["simulate", "--horizon", 24, "--du-amplitude", 0.001,
+                         "--sigma-break-at", 3],
+                        ["simulate", "--horizon", 24, "--three-state"]]
+    return {command: set().union(*(reads([*argv, "--output-dir", tmp / f"out{k}"])
+                                   for k, argv in enumerate(argvs)))
+            for command, argvs in runs.items()}
+
+
+@pytest.mark.parametrize("command, flag", [(command, name) for command in cli._COMMANDS
+                                           for name in FLAG_NAMES])
+def test_a_command_takes_exactly_the_flags_it_reads(tmp_path, capsys, reads_by_command,
+                                                    command, flag):
+    # a flag the table lists for a command is read by it; any other exits 2
+    # as argparse's unrecognized argument, before any work
+    if takes(command, flag):
+        assert flag[2:].replace("-", "_") in reads_by_command[command]
+        return
+    out = tmp_path / "out"
+    data = [] if command == "simulate" else ["--input", tmp_path / "absent.csv"]
+    assert exit_code([command, *data, "--output-dir", out, flag, "1"]) == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 1\n")
+    assert not out.exists()
+
+
+# a value away from the default of each flag that only one simulate model reads
+AWAY = {"--n0": 0.2, "--du-amplitude": 0.002, "--du-period": 12, "--noise": 0.02,
+        "--seed": 5}
+
+
+@pytest.mark.parametrize("flag", [flag for flag in cli._FLAGS if flag.model],
+                         ids=lambda flag: flag.name)
+def test_model_only_flag_is_read_by_its_model_and_refused_by_the_other(tmp_path, capsys,
+                                                                       flag):
+    given = [flag.name, AWAY[flag.name]]
+    three = flag.model == "two-state"  # so the other model is the three-state one
+    out = tmp_path / "refused"
+    assert run(["simulate", "--horizon", 24, *["--three-state"] * three, *given,
+                "--output-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {flag.name}: {flag.model} only, "
+        f"not read {'with' if three else 'without'} --three-state\n")
+    assert not out.exists()
+    # under its own model the value changes the panel; the two-state runs
+    # have a cycle and noise, so --du-period and --seed show
+    own = ["--du-amplitude", 0.001, "--noise", 0.01] if three else ["--three-state"]
+    panels = []
+    for name, extra in (("default", []), ("given", given)):
+        assert run(["simulate", "--horizon", 24, *own, *extra,
+                    "--output-dir", tmp_path / name]) == 0
+        panels.append((tmp_path / name / "panel.csv").read_bytes())
+    assert panels[0] != panels[1]
+
+
+EDGES = ("nan", "inf", "-inf", "0", "-0.0", "-1", "1", "5e-324", "1e-300", "1e308")
+# the edge values each numeric domain admits
+INSIDE = {"_positive_int": {"1"},
+          "_positive_float": {"1", "5e-324", "1e-300", "1e308"},
+          "_unit_interval": {"5e-324", "1e-300"},
+          "_finite_float": {"0", "-0.0", "-1", "1", "5e-324", "1e-300", "1e308"},
+          "_rake_tol": {"1", "1e308"}}
+OUTSIDE = {**{kind: [e for e in EDGES if e not in inside]
+              for kind, inside in INSIDE.items()},
+           "_month": ["2007-13", "0000-00"],
+           "_window": ["2007-13:2008-01", "0000-00:2008-01", "2008-01:2007-12"]}
+
+
+def kind(flag):
+    return getattr(flag.kwargs.get("type"), "__name__", None)
+
+
+def test_flags_with_no_domain_type():
+    # text (paths), choices, switches, and simulate values checked after
+    # parsing: --u0 and --n0 against the model, --sigma-break-at against
+    # --horizon; --seed goes to numpy's generator as given
+    assert {flag.name for flag in cli._FLAGS if kind(flag) not in OUTSIDE} == {
+        "--input", "--output-dir", "--format", "--smooth-align", "--robust",
+        "--u0", "--n0", "--sigma-break-at", "--seed", "--three-state"}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag.name, value) for flag in cli._FLAGS if kind(flag) in OUTSIDE
+    for command in flag.commands for value in OUTSIDE[kind(flag)]])
+def test_value_outside_the_flag_domain_exits_two_naming_it(tmp_path, capsys, command,
+                                                           flag, value):
+    out = tmp_path / "out"
+    data = [] if command == "simulate" else ["--input", tmp_path / "absent.csv"]
+    assert exit_code([command, *data, "--output-dir", out, f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"beveridge {command}: error: argument {flag}: ")
+    assert not out.exists()
+
+
+def test_key_error_is_a_bug_not_a_data_error(tmp_path, recession_sim, monkeypatch):
+    # no data fault raises KeyError: months are checked against the data's
+    # coverage and columns by name before any lookup
+    def broken(*args, **kwargs):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "estimate_matching", broken)
+    with pytest.raises(KeyError, match="a bug"):
+        run(["estimate", "--input", write_recession_csv(tmp_path, recession_sim),
+             "--output-dir", tmp_path / "out"])
 
 
 @pytest.mark.parametrize("command, flag, extra", [

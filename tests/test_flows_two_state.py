@@ -120,3 +120,13 @@ def test_searcher_aggregates_at_no_nonsearchers(recession_sim):
     assert panel.x is panel.s
     assert (panel.N_tilde.start, len(panel.N_tilde)) == (panel.U.start, len(panel.U))
     np.testing.assert_array_equal(panel.N_tilde.values, 0.0)
+
+
+def test_non_searchers_built_once(recession_sim):
+    # every read is the same read-only all-zero series on the panel's grid
+    panel = recession_sim.panel
+    first = panel.N_tilde
+    assert panel.N_tilde is first
+    assert (first.start, len(first)) == (panel.U.start, len(panel.U))
+    np.testing.assert_array_equal(first.values, 0.0)
+    assert not first.values.flags.writeable

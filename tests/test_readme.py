@@ -1,5 +1,7 @@
-"""The README's "Library sketch" runs as written on a simulated panel, and
-its "Output files" table names the files and columns each command writes."""
+"""The README's "Library sketch" runs as written on a simulated panel, its
+"Command line" table gives each flag's commands and default as the parser's
+table does, and its "Output files" table names the files and columns each
+command writes."""
 
 import csv
 import json
@@ -11,6 +13,7 @@ import pytest
 
 import beveridge_accounting as ba
 from beveridge_accounting import MonthDate
+from beveridge_accounting import cli
 from beveridge_accounting.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -107,3 +110,43 @@ def test_output_table_matches_what_each_command_writes(recession_panel, tmp_path
                 with open(out / name, newline="") as fh:
                     header = next(csv.reader(fh))
             assert header == columns, (command, name)
+
+
+
+def flag_table() -> list[tuple[str, frozenset, str | None, str]]:
+    """The README flag table: per row, the flag, its commands, the one
+    `simulate` model that alone reads it (or None) and its default cell."""
+    rows = []
+    for line in section("Command line").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`--"):
+            continue
+        model = re.search(r"\((\S+) only\)", cells[1])
+        rows.append((cells[0].strip("`"), frozenset(re.findall(r"`([^`]*)`", cells[1])),
+                     model and model.group(1), cells[2]))
+    return rows
+
+
+def default_cell(kwargs: dict) -> str | None:
+    """A flag's README default: "required", its default's text as code, or
+    None where the command works it out (a None default, or off for a
+    switch), which the README says in words."""
+    default = kwargs.get("default")
+    if kwargs.get("required"):
+        return "required"
+    return None if default is None or default is False else f"`{default}`"
+
+
+def test_flag_table_matches_the_parser_table():
+    # rows of the parser's table that differ only in help text are one row here
+    expected: dict = {}
+    for flag in cli._FLAGS:
+        key = (flag.name, flag.model, default_cell(flag.kwargs))
+        expected[key] = expected.get(key, frozenset()) | set(flag.commands)
+    documented = {}
+    for name, commands, model, cell in flag_table():
+        words = cell != "required" and not cell.startswith("`")
+        key = (name, model, None if words else cell)
+        assert cell and key not in documented, (name, cell)
+        documented[key] = commands
+    assert documented == expected
