@@ -86,15 +86,38 @@ def _window(text: str) -> tuple[MonthDate, MonthDate]:
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _number(kind, text: str):
+    """int(text) or float(text), with argparse's message for text that is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _int_at_least(least: int, text: str) -> int:
+    value = _number(int, text)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
 
 
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _non_negative_int(text: str) -> int:
+    """A seed, which numpy's generator takes from 0 up."""
+    return _int_at_least(0, text)
+
+
+def _horizon(text: str) -> int:
+    """A simulated horizon: the two months of one transition or more."""
+    return _int_at_least(2, text)
+
+
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
@@ -112,14 +135,14 @@ def _rake_tol(text: str) -> float:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
 def _unit_interval(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
     return value
@@ -541,7 +564,7 @@ _FLAGS = (
                                                   default=MS_VACANCY_COST)),
     _Flag("--unemployment-cost", ("efficiency",), dict(type=_positive_float,
                                                        default=MS_UNEMPLOYMENT_COST)),
-    _Flag("--horizon", _SIM, dict(type=_positive_int, default=120)),
+    _Flag("--horizon", _SIM, dict(type=_horizon, default=120)),
     _Flag("--start", _SIM, dict(type=_month, default=MonthDate(2000, 1))),
     _Flag("--u0", _SIM, dict(type=float, default=0.06)),
     _Flag("--n0", _SIM, dict(type=float, default=0.30,
@@ -559,7 +582,7 @@ _FLAGS = (
     _Flag("--noise", _SIM, dict(type=_finite_float, default=0.0,
                                 help="lognormal noise std on the efficiency path"),
           "two-state"),
-    _Flag("--seed", _SIM, dict(type=int, default=0), "two-state"),
+    _Flag("--seed", _SIM, dict(type=_non_negative_int, default=0), "two-state"),
     _Flag("--three-state", _SIM, dict(action="store_true")),
 )
 
@@ -577,14 +600,15 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process from `_FLAGS` and
     `_COMMANDS` and shared by every `main` call (parsing leaves it
-    unchanged)."""
+    unchanged).  It takes a flag only as spelled in full, so a new row
+    cannot make a prefix that worked ambiguous."""
     parser = argparse.ArgumentParser(
-        prog="beveridge",
-        description="Dynamic Beveridge-curve accounting toolkit")
+        prog="beveridge", description="Dynamic Beveridge-curve accounting toolkit",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, func) in _COMMANDS.items():
-        p = subs.add_parser(command, help=help_text)
+        p = subs.add_parser(command, help=help_text, allow_abbrev=False)
         for flag in _FLAGS:
             if command in flag.commands:
                 p.add_argument(flag.name, **flag.kwargs)

@@ -9,21 +9,22 @@ Ingest reads a plain file's bytes once, a column at a time: one array scan
 finds every comma and line end, one comparison of 8-byte words checks every
 date, and :func:`floatrepr.parse_floats` parses the value cells with no
 Python object per cell, leaving ``float`` only the cells outside its
-grammar.  Any other file (quoting, blank or ragged lines, a failed check)
-is read by `csv.reader` one row at a time, each row checked as it is read,
-so the first fault in the file is the one reported.  Emission works a
-column at a time too: it spells every float column of a table in one
+grammar (an exponent, padding, ``nan``).  Any other file (quoting, no final
+line end, padded dates, blank or ragged lines, a failed check) is read by
+`csv.reader` one row at a time, each row checked as it is read, so the
+first fault in the file is the one reported.  Emission works a column at a
+time too: it spells every float column of a table in one
 :func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__`` with
-no Python string per cell, its rows packed and each column cut to its own
-longest text.  Every other column (integers, booleans or strings, such as
-the dates, built as words by the same arithmetic that checks them on
-ingest) is one string array that becomes cells by one cast of its code
-points to bytes.  The writer takes only tables whose bytes need no quoting
-or escaping: two or more columns, and text of printable ASCII with no ``,``
-``"`` or ``\\``; anything else (an object column, say) is a ValueError
-naming the column.  Rows are then laid out a block at a time as one byte
-matrix (separators and each column's cells side by side) and written as
-its bytes less the padding.
+no Python string per cell in fixed notation, its rows packed and each
+column cut to its own longest text.  Every other column (integers, booleans
+or strings, such as the dates, built as words by the same arithmetic that
+checks them on ingest) is one string array that becomes cells by one cast
+of its code points to bytes.  The writer takes only tables whose bytes need
+no quoting or escaping: two or more columns, and text of printable ASCII
+with no ``,`` ``"`` or ``\\``; anything else (an object column, say) is a
+ValueError naming the column.  Rows are then laid out a block at a time as
+one byte matrix (separators and each column's cells side by side) and
+written as its bytes less the padding.
 """
 
 from __future__ import annotations
@@ -68,27 +69,22 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
 def _read_plain(path: Path, data: bytes) -> dict[str, MonthlySeries] | None:
     """The panel of a CSV file's bytes that need no CSV parsing, or None.
 
-    Bytes with no quote or NUL, whose lines all end in LF or all in CRLF,
-    are one cell list per line split on commas, which is what `csv.reader`
-    returns for them.  Line ends and commas are found by array scans, and
-    when every data line has the header's number of cells, the cells are
-    read a column at a time (`_month_start`, `_values`).  Anything else
-    (quoting, a lone CR, blank or ragged lines, a failing check) returns
-    None for the `csv.reader` path.
+    Bytes with no quote or NUL, whose lines all end in LF or all in CRLF
+    (the last included), are one cell list per line split on commas, which
+    is what `csv.reader` returns for them.  Line ends and commas are found
+    by array scans, and when every data line has the header's number of
+    cells, the cells are read a column at a time (`_month_start`,
+    `_values`).  Anything else (quoting, a lone CR, no final line end, blank
+    or ragged lines, a failing check) returns None for the `csv.reader` path.
     """
-    if b'"' in data or b"\0" in data:
+    if b'"' in data or b"\0" in data or not data.endswith(b"\n"):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((buf == _COMMA) | (buf == _LF))
     kinds = buf[seps]
-    unended = not data.endswith(b"\n")
-    if unended:  # the last line ends with the data
-        seps, kinds = np.append(seps, len(data)), np.append(kinds, _LF)
     crlf = b"\r" in data
     if crlf:  # then every line end is CRLF, and there is no other CR
         breaks = seps[kinds == _LF]
-        if unended:
-            breaks = breaks[:-1]
         if (np.count_nonzero(buf == _CR) != breaks.size
                 or (buf[breaks - 1] != _CR).any()):
             return None
@@ -106,8 +102,6 @@ def _read_plain(path: Path, data: bytes) -> dict[str, MonthlySeries] | None:
         return None
     starts = np.append(seps[head], lines[:-1, -1]) + 1
     ends = lines[:, -1] - crlf
-    if unended:  # no CR before the end of data
-        ends[-1] = len(data)
     try:
         start = _month_start(data, starts, lines[:, 0])
         values = _values(data, (lines[:, :-1] + 1).ravel(),
@@ -136,22 +130,16 @@ def _month_words(first: int, n: int) -> np.ndarray:
 
 def _month_start(data: bytes, starts: np.ndarray, ends: np.ndarray) -> MonthDate:
     """The month of the first date cell ``data[starts[i]:ends[i]]``;
-    ValueError unless each cell is its month's YYYY-MM, padding aside.
-
-    A valid cell is exactly that text, so one comparison checks the format
-    and contiguity of every row: of 8-byte words (the cell and the comma
-    after it) when no cell is padded.
-    """
+    ValueError unless each cell is exactly its month's YYYY-MM, which one
+    comparison of 8-byte words (each cell and the comma after it) checks."""
+    if (ends - starts != 7).any():
+        raise ValueError("bad date")
     start = MonthDate.parse(data[starts[0]:ends[0]].decode())
     first, n = 12 * start.year + start.month - 1, starts.size
     if first + n > 12 * 10000:  # past 9999-12, which YYYY-MM cannot spell
         raise ValueError("bad date")
-    if (ends - starts == 7).all():
-        words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-        if not np.array_equal(words[starts], _month_words(first, n) | _COMMA_BYTE):
-            raise ValueError("bad date")
-    elif [data[a:b].decode().strip() for a, b in zip(starts.tolist(), ends.tolist())] \
-            != _dates(start, n).tolist():
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    if not np.array_equal(words[starts], _month_words(first, n) | _COMMA_BYTE):
         raise ValueError("bad date")
     return start
 
@@ -165,9 +153,9 @@ def _values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     values, undecided = parse_floats(data, starts, ends)
     for i in np.flatnonzero(undecided & (starts != ends)).tolist():
-        # float keeps the number grammar beyond the kernel's (padding, nan,
-        # underscores, non-ASCII digits); it rejects a whitespace-only
-        # cell, which the csv.reader path reads as missing
+        # float keeps the number grammar beyond the kernel's (an exponent,
+        # padding, nan, underscores, non-ASCII digits); it rejects a
+        # whitespace-only cell, which the csv.reader path reads as missing
         values[i] = float(data[starts[i]:ends[i]].decode())
     return values
 

@@ -1,34 +1,37 @@
-"""Float64 arrays to and from decimal text, computed with array code.
+"""Float64 arrays to and from decimal text, computed with array code for
+the numbers a panel holds: shares and probabilities in fixed notation.
 
-`float_reprs` writes each value's ``float.__repr__`` text.  The digits come
-from Schubfach's shortest round-trip search (Giulietti, "The Schubfach way
-to render doubles", 2020), run on uint64 arrays.  A value c 2^q is scaled
+`float_reprs` writes each value's ``float.__repr__`` text.  Zeros and the
+finite values from 1e-4 up to 1e16, which ``repr`` writes in fixed
+notation, are spelled by array code; the rest (exponent notation, nan and
+the infinities) by ``float.__repr__``, in one batch.  The digits come from
+Schubfach's shortest round-trip search (Giulietti, "The Schubfach way to
+render doubles", 2020), run on uint64 arrays.  A value c 2^q is scaled
 once by a fixed 126-bit multiple g of 10^-k: one 64 x 126-bit product,
 rounded to odd, gives 4 v / 10^k, and the two interval bounds follow from
 it by adding or subtracting g shifted, with no more multiplies.  The
 shortest digits are then s = floor(v / 10^k), s + 1, or one of the
 multiples of ten next to s, by comparisons with the bounds; only values
 whose digits end in zeros take a few steps more to remove them.  The text
-is laid out as ``repr`` lays it out: fixed notation for -4 < decpt <= 16
-(``0.`` padding below one, ``.0`` after integers), otherwise
-``d[.ddd]e±XX``.  Each row holds its text packed from its first byte,
-built as three little-endian words with no Python object per value: the
-digits, split at the point by arithmetic so that a zero digit keeps its
-place, are spelled four at a time from a table, moved up past the head
+is laid out as ``repr`` lays out fixed notation: ``0.`` padding below one,
+``.0`` after integers.  Each row holds its text packed from its first
+byte, built as three little-endian words with no Python object per value:
+the digits, split at the point by arithmetic so that a zero digit keeps
+its place, are spelled four at a time from a table, moved up past the head
 (``-``, ``0.``, ``0.000``) by one shift across the words, and or-ed into
-ASCII words looked up by sign, digit count and point position; the
-exponent is or-ed in on the values written with one.
+ASCII words looked up by sign, digit count and point position.
 
 `parse_floats` reads decimal cells of a byte string as ``float`` reads them.
-Each cell's last 24 bytes (or its mantissa's, before an exponent) are taken
-as three little-endian words from an overlapping view: the point is closed
-up, every byte checked to be a digit, and eight digits at a time made a
-number (SWAR).  The double nearest w * 10^q then follows by Eisel–Lemire
-(Lemire, "Number parsing at a gigabyte per second", Software: Practice and
-Experience 2021): one 64 x 128-bit product with a power of five truncated
-to 128 bits, and its second word only where the first leaves the kept bits
-open.  A cell outside that grammar, with more than 19 digits, subnormal,
-infinite or of an ambiguous product is flagged for ``float``.
+Each cell's last 24 bytes are taken as three little-endian words from an
+overlapping view: the point is closed up, every byte checked to be a digit,
+and eight digits at a time made a number (SWAR).  The double nearest
+w * 10^q then follows by Eisel–Lemire (Lemire, "Number parsing at a
+gigabyte per second", Software: Practice and Experience 2021): one
+64 x 128-bit product with a power of five truncated to 128 bits, and its
+second word only where the first leaves the kept bits open.  A cell that is
+not a sign and digits with at most one point (an exponent, padding,
+``nan``), longer than 24 bytes, with more than 19 digits or of an
+ambiguous product is flagged for ``float``.
 
 Integer operands are uint64 (or int64 indices and digit chunks kept apart
 from them), with explicit uint64 constants, so numpy 1.x value-based
@@ -49,19 +52,17 @@ _LOW32 = _U64(0xFFFFFFFF)
 _MANTISSA = _U64((1 << 52) - 1)
 _HIDDEN = _U64(1 << 52)
 _LOW63 = _U64((1 << 63) - 1)
-_ZERO, _POINT, _E, _PLUS, _MINUS = b"0.e+-"
+_ZERO, _POINT, _PLUS, _MINUS = b"0.+-"
 
 _BLOCK = 4096  # values per pass, so temporaries stay cache-sized
 # Both directions hold a text as three little-endian words, byte i in byte
 # i % 8 of word i // 8: 24 bytes, which is the longest repr
 # ("-2.2250738585072014e-308") and the most of a cell the parser reads
 _WINDOW = 24
-_INF_NAN = np.array([int.from_bytes(b"inf", "little"), int.from_bytes(b"nan", "little")],
-                    dtype=np.uint64)
-# A text's layout depends on its sign, its digit count n and the class of
-# its decimal point position decpt: -4 or less, each of -3..16, or 17 or more
-_CLASSES = 22
-_CLASS_KEYS = 34 * np.arange(_CLASSES)  # by decpt + 4, clipped
+# A text's layout depends on its sign, its digit count n and its decimal
+# point position decpt, -3..16 in fixed notation
+_CLASSES = 20
+_CLASS_KEYS = 34 * np.arange(_CLASSES)  # by decpt + 3, clipped
 
 
 class _Tables(NamedTuple):
@@ -80,8 +81,6 @@ class _Tables(NamedTuple):
     layout: np.ndarray  # by `_layout`'s key: the ASCII words a text's digit
     # bytes are or-ed into, its head shift in bits, its length and the
     # divisor that splits the digits at its point
-    exponents: np.ndarray  # by decpt + 323: "e", the sign and the digits of
-    # decpt - 1 where repr writes them, as a little-endian word; else 0
 
 
 @cache
@@ -125,28 +124,27 @@ def _tables() -> _Tables:
                    np.where(field[:2048] == 0, _U64(0), _HIDDEN),
                    np.array([10 ** k for k in range(18)], dtype=np.uint64),
                    digits.reshape(10000, 4).view("<u4").ravel().astype(np.uint64),
-                   _layouts(), _exponents())
+                   _layouts())
 
 
 def _layouts() -> np.ndarray:
-    """`_Tables.layout`: column 34 c + 17 s + n - 1 for the decpt class c,
-    the sign s (1 for a minus) and the digit count n.
+    """`_Tables.layout`: column 34 c + 17 s + n - 1 for decpt c - 3, the
+    sign s (1 for a minus) and the digit count n.
 
-    The digits go after a head (the sign, then "0." and the zeros of
-    0.000ddd), and a point goes after p of them: decpt of them in fixed
-    notation, one in exponent notation, none (p = 17) after "0.".
-    `_layout` splits the digits at p with the divisor 10^(17 - p), which
-    leaves a zero digit there for the point.
+    The digits go after a head (the sign, then below one "0." and the
+    zeros of 0.000ddd), and a point goes after p of them: decpt of them
+    from one up, none (p = 17) after "0.".  `_layout` splits the digits at
+    p with the divisor 10^(17 - p), which leaves a zero digit there for the
+    point.
     """
-    decpt = np.arange(_CLASSES)[:, None, None] - 4
+    decpt = np.arange(_CLASSES)[:, None, None] - 3
     sign = np.arange(2)[:, None]
     n = np.arange(1, 18)
-    fixed, frac = (decpt >= 1) & (decpt <= 16), (decpt >= -3) & (decpt <= 0)
-    point = np.where(fixed, decpt, np.where(frac, 17, 1))
-    head = sign + np.where(frac, 2 - decpt, 0)
-    # the digit bytes kept: whole numbers end in ".0", and a single digit
-    # in exponent notation has no point
-    kept = np.where(fixed, np.maximum(decpt + 2, n + 1), n + (~frac & (n > 1)))
+    whole = decpt >= 1
+    point = np.where(whole, decpt, 17)
+    head = sign + np.where(whole, 0, 2 - decpt)
+    # the digit bytes kept: whole numbers end in ".0"
+    kept = np.where(whole, np.maximum(decpt + 2, n + 1), n)
     head, kept = np.broadcast_arrays(head, kept)
     i = np.arange(_WINDOW)
     text = np.where(i < head[..., None],
@@ -161,22 +159,6 @@ def _layouts() -> np.ndarray:
                                for x in (8 * head, head + kept, divisor))])
 
 
-def _exponents() -> np.ndarray:
-    """`_Tables.exponents`: "e" and decpt - 1 as ``%+03d`` by decpt + 323,
-    for the decpt of exponent notation (0 elsewhere)."""
-    e = np.arange(-323, 310) - 1
-    mag = np.abs(e)
-    text = np.zeros((e.size, 8), dtype=np.uint8)
-    text[:, 0] = _E
-    text[:, 1] = np.where(e < 0, _MINUS, _PLUS)
-    three = mag >= 100
-    text[:, 2] = np.where(three, mag // 100, mag // 10) % 10 + _ZERO
-    text[:, 3] = np.where(three, mag // 10, mag) % 10 + _ZERO
-    text[:, 4] = np.where(three, mag % 10 + _ZERO, 0)
-    text[(e >= -4) & (e <= 15)] = 0  # fixed notation
-    return text.view("<u8").ravel().astype(np.uint64)
-
-
 def float_reprs(values) -> tuple[np.ndarray, np.ndarray]:
     """The ``repr`` of each value as a row of ASCII bytes, and its length.
 
@@ -185,18 +167,25 @@ def float_reprs(values) -> tuple[np.ndarray, np.ndarray]:
     ``repr(float(values[i]))`` from its first byte, then NUL padding; the
     matrix is as wide as the longest of them, at most 24 bytes.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits = values.view(np.uint64)
     out = np.empty((bits.size, _WINDOW // 8), dtype="<u8")
     lengths = np.empty(bits.size, dtype=np.int64)
     for start in range(0, bits.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         lengths[block] = _format_block(bits[block], out[block])
+    magnitude = np.abs(values)
+    rest = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0))
+    if rest.size:  # exponent notation, nan and the infinities: written over
+        texts = list(map(repr, values[rest].tolist()))
+        out.view(f"S{_WINDOW}")[rest, 0] = np.array(texts, dtype=f"S{_WINDOW}")
+        lengths[rest] = list(map(len, texts))
     return out.view(np.uint8)[:, :lengths.max(initial=0)], lengths
 
 
 def _format_block(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the repr text of each float64 of `bits` to its row of `out`, as
-    three words; return the texts' lengths."""
+    """Write the fixed-notation repr text of each float64 of `bits` to its
+    row of `out`, as three words; return the texts' lengths."""
     exponent = (bits >> _U64(52)).astype(np.int64) & 0x7FF
     mantissa = bits & _MANTISSA
     other = np.flatnonzero((exponent == 0x7FF) | ((bits << _ONE) == 0))
@@ -208,17 +197,7 @@ def _format_block(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     digits, exp10 = _shortest(mantissa, exponent)
     digits[other] = 0
     exp10[other] = 0
-    negative = (bits >> _U64(63)).astype(bool)
-    bad = other[(bits[other] << _ONE) >= _U64(0xFFE0000000000000)]  # infinities, nan
-    nan = (bits[bad] & _MANTISSA) != 0
-    negative[bad[nan]] = False
-    length = _layout(digits, exp10, negative, out)
-    if bad.size:  # the sign, then "inf" or "nan"
-        sign = negative[bad].astype(np.uint64)
-        out[bad, 0] = _INF_NAN[nan.astype(np.intp)] << (sign << _U64(3)) | sign * _U64(_MINUS)
-        out[bad, 1:] = 0
-        length[bad] = 3 + sign
-    return length
+    return _layout(digits, exp10, (bits >> _U64(63)).astype(bool), out)
 
 
 def _umul128(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray):
@@ -307,8 +286,9 @@ def _shortest(mantissa: np.ndarray, exponent: np.ndarray):
 
 def _layout(digits: np.ndarray, exp10: np.ndarray, negative: np.ndarray,
             out: np.ndarray) -> np.ndarray:
-    """Write the repr text of each digits * 10^exp10, with a minus sign where
-    `negative`, to its row of `out` as three words; return the lengths.
+    """Write the fixed-notation repr text of each digits * 10^exp10, with a
+    minus sign where `negative`, to its row of `out` as three words; return
+    the lengths.
 
     The digits are split at the point by arithmetic: z has a zero digit
     there.  Its 18 digits become byte values from the four-digit table,
@@ -324,7 +304,7 @@ def _layout(digits: np.ndarray, exp10: np.ndarray, negative: np.ndarray,
     lead = log2 * _U64(1233) >> _U64(12)  # floor(log2 * log10 2)
     lead = (lead + (digits >= t.pow10.take(lead + _ONE))).view(np.int64)
     decpt = exp10 + lead + 1
-    key = _CLASS_KEYS.take(decpt + 4, mode="clip") + 17 * negative + lead
+    key = _CLASS_KEYS.take(decpt + 3, mode="clip") + 17 * negative + lead
     layout = t.layout.take(key, axis=1)
     shift, length, divisor = layout[3], layout[4], layout[5]
     # z: the digits left-aligned in 17 places, with a zero digit after the
@@ -348,18 +328,6 @@ def _layout(digits: np.ndarray, exp10: np.ndarray, negative: np.ndarray,
     np.bitwise_or(w2 << shift | w1 >> back >> _ONE, layout[2], out=out[:, 2])
     np.bitwise_or(w1 << shift | w0 >> back >> _ONE, layout[1], out=out[:, 1])
     np.bitwise_or(w0 << shift, layout[0], out=out[:, 0])
-
-    sel = np.flatnonzero((decpt < -3) | (decpt > 16))
-    if sel.size:  # the exponent after the mantissa, in one word or two
-        word = t.exponents.take(decpt[sel] + 323)
-        end = length[sel]
-        at = (sel * 3).astype(np.uint64) + (end >> _U64(3))
-        bit = (end & _U64(7)) << _U64(3)
-        words = out.reshape(-1)
-        words[at] |= word << bit
-        # the next word, where the exponent does not start in the last
-        words[at + (end < _U64(16))] |= word >> (_U64(63) - bit) >> _ONE
-        length[sel] = end + _U64(4) + (word > _LOW32)
     return length
 
 
@@ -375,7 +343,6 @@ _PAST_NINE = _U64(0x4646464646464646)  # added to a byte, sets its top bit from 
 _PAIRS = _U64(0x000000FF000000FF)
 _MUL1 = _U64(100 + (10 ** 6 << 32))
 _MUL2 = _U64(1 + (10 ** 4 << 32))
-_E_LOWER = 0x20  # or-ed into a byte, turns "E" into "e"
 _CELLS = 2 * _BLOCK  # cells per pass, so their words stay cache-sized
 # _BEFORE[k, i]: the bytes of word k that come before byte i of a window
 _BEFORE = np.array([[(1 << 8 * min(max(i - 8 * k, 0), 8)) - 1 for i in range(_WINDOW + 1)]
@@ -384,28 +351,24 @@ _BEFORE = np.array([[(1 << 8 * min(max(i - 8 * k, 0), 8)) - 1 for i in range(_WI
 # of each marked byte (`_count_and_place`)
 _RAMPS = np.array([[0x0102030405060708 + 8 * k * 0x0101010101010101]
                    for k in range(_WINDOW // 8)], dtype=np.uint64)
-_Q_MIN, _Q_MAX = -342, 308  # w * 10^q is 0 below and infinite above these
+# a cell's q, less the digits after its point: at most 23 of its 24 bytes,
+# so that w * 10^q, w below 10^19, is neither subnormal nor infinite
+_Q_MIN = 1 - _WINDOW
 _ROUND_BITS = _U64(0x1FF)  # below the 55 bits kept when the top bit is clear
 
 
 @cache
 def _powers_of_five() -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of 5^q, q from _Q_MIN to _Q_MAX, scaled by a
-    power of two to exactly 128 bits (Lemire 2021): truncated for q >= 0,
-    and for q < 0 floor(2^b / 5^-q) + 1 truncated, with b = z + 127 for
-    q >= -27 and 2z + 128 below, z the bit length of 5^-q."""
+    """High and low words of 5^q, q from _Q_MIN to 0, scaled by a power of
+    two to exactly 128 bits (Lemire 2021): floor(2^(z + 127) / 5^-q) + 1,
+    z the bit length of 5^-q, then 2^127 for q = 0."""
     words = []
     p = 1
-    for k in range(1, 1 - _Q_MIN):
+    for _ in range(-_Q_MIN):
         p *= 5
-        z = p.bit_length()
-        c = (1 << (z + 127 if k <= 27 else 2 * z + 128)) // p + 1
-        words.append(c >> (c.bit_length() - 128))
+        words.append((1 << (p.bit_length() + 127)) // p + 1)
     words.reverse()
-    p = 1
-    for _ in range(_Q_MAX + 1):
-        words.append(p << 128 >> p.bit_length())
-        p *= 5
+    words.append(1 << 127)
     return (np.array([w >> 64 for w in words], dtype=np.uint64),
             np.array([w & 0xFFFFFFFFFFFFFFFF for w in words], dtype=np.uint64))
 
@@ -414,14 +377,12 @@ def parse_floats(data: bytes, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     """The float64 value of each decimal cell ``data[starts[i]:ends[i]]``,
     and which cells the array code left undecided (their value is NaN).
 
-    A cell is decided when it has at most 24 bytes and reads
-    ``[+-]m[(e|E)[+-]x]``, m one or more digits with at most one point
-    among them and x one to 8 digits; when m's digits, read as an integer
-    w, are below 10^19; and when w is 0 or its value w * 10^q (q the
-    exponent less the digits after the point) has q from -342 to 308 and
-    is neither subnormal nor 2^1024 or more before rounding, nor ambiguous
-    to `_eisel_lemire`.  A decided value is the one ``float`` gives the
-    cell, bit for bit; every other cell (a blank, padding, ``nan``,
+    A cell is decided when it has at most 24 bytes and reads ``[+-]m``, m
+    one or more digits with at most one point among them; when m's digits,
+    read as an integer w, are below 10^19; and when w is 0 or its value
+    w * 10^q (q less the digits after the point) is not ambiguous to
+    `_eisel_lemire`.  A decided value is the one ``float`` gives the cell,
+    bit for bit; every other cell (a blank, padding, an exponent, ``nan``,
     ``1_000``, more digits) is left for ``float``.
     """
     starts = np.asarray(starts, dtype=np.int64)
@@ -502,44 +463,21 @@ def _parse_block(data: bytes, windows: np.ndarray, starts: np.ndarray,
     first = buf[np.minimum(starts, buf.size - 1)]  # a blank last cell has none
     negative = first == _MINUS
     signed = negative | (first == _PLUS)
-    words = _words(windows, ends)
-    undecided = length > _WINDOW
-    exp10 = np.zeros(starts.size, dtype=np.int64)
-
-    lo, hi = starts.min(), ends.max()
-    if data.find(b"e", lo, hi) >= 0 or data.find(b"E", lo, hi) >= 0:
-        n_e, e_at = _count_and_place(_marks(_fill(words, _WINDOW - length)
-                                            | _ONES * _U64(_E_LOWER), _E))
-        undecided |= n_e > 1
-        sel = np.flatnonzero(n_e == 1)
-        # the exponent ends the window, and the mantissa ends at the e
-        at = e_at[sel]
-        lead = buf[np.minimum(ends[sel] - _WINDOW + at + 1, buf.size - 1)]  # after the e
-        minus = lead == _MINUS
-        n_x = _WINDOW - 1 - at - (minus | (lead == _PLUS))
-        ok, x = _digit_values(_fill(words[:, sel], _WINDOW - n_x)[-1:])
-        x = x[0].astype(np.int64)
-        exp10[sel] = np.where(minus, -x, x)
-        undecided[sel] |= ~ok | (n_x < 1) | (n_x > 8)
-        mantissa_end = ends[sel] - _WINDOW + at
-        words[:, sel] = _words(windows, mantissa_end)
-        length[sel] = mantissa_end - starts[sel]
-
-    words = _fill(words, _WINDOW - length + signed)
+    words = _fill(_words(windows, ends), _WINDOW - length + signed)
     points = _marks(words, _POINT)
     n_points, point_at = _count_and_place(points)
     ok, v = _digit_values(_close_up(words ^ points * _U64(_POINT ^ _ZERO), point_at))
     w = (v[0] * _U64(10 ** 8) + v[1]) * _U64(10 ** 8) + v[2]
-    exp10 -= np.where(n_points == 1, _WINDOW - 1 - point_at, 0)
+    # less the digits after the point
+    q = np.where(n_points == 1, point_at + 1 - _WINDOW, 0)
     nonzero = w != 0
-    undecided |= (~ok | (v[0] >= _U64(1000)) | (n_points > 1)
-                  | (length - signed - n_points < 1)
-                  | nonzero & ((exp10 < _Q_MIN) | (exp10 > _Q_MAX)))
+    undecided = ((length > _WINDOW) | ~ok | (v[0] >= _U64(1000)) | (n_points > 1)
+                 | (length - signed - n_points < 1))
 
     bits = negative.astype(np.uint64) << _U64(63)
     sel = np.flatnonzero(nonzero & ~undecided)
     if sel.size:
-        magnitude, undecided[sel] = _eisel_lemire(w[sel], exp10[sel])
+        magnitude, undecided[sel] = _eisel_lemire(w[sel], q[sel])
         bits[sel] |= magnitude
     values = bits.view(np.float64)
     values[undecided] = np.nan
@@ -551,7 +489,7 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     which of them are undecided (Lemire, "Number parsing at a gigabyte per
     second", 2021).
 
-    w is uint64 from 1 to 10^19 - 1 and q from _Q_MIN to _Q_MAX.  A value
+    w is uint64 from 1 to 10^19 - 1 and q from _Q_MIN to 0.  A value
     is undecided where it is subnormal or at least 2^1024 before rounding,
     or where the product's bits below those kept are all ones even after
     the second word of the power of five is added, so that the rest of 5^q
@@ -582,8 +520,7 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     sel = np.flatnonzero(lo <= _ONE)
     if sel.size:  # an exact tie, possible only where 5^|q| fits a word
         m, q_s = mantissa[sel], q[sel]
-        tie = ((q_s >= -4) & (q_s <= 23) & (m & _U64(3) == _ONE)
-               & (m << shift[sel] == hi[sel]))
+        tie = (q_s >= -4) & (m & _U64(3) == _ONE) & (m << shift[sel] == hi[sel])
         mantissa[sel] = m & ~tie.astype(np.uint64)  # round down to even
     mantissa += mantissa & _ONE
     mantissa >>= _ONE  # with the hidden bit, 2^53 where rounding carried

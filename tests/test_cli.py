@@ -750,14 +750,16 @@ def test_model_only_flag_is_read_by_its_model_and_refused_by_the_other(tmp_path,
 EDGES = ("nan", "inf", "-inf", "0", "-0.0", "-1", "1", "5e-324", "1e-300", "1e308")
 # the edge values each numeric domain admits
 INSIDE = {"_positive_int": {"1"},
+          "_non_negative_int": {"0", "1"},
+          "_horizon": set(),
           "_positive_float": {"1", "5e-324", "1e-300", "1e308"},
           "_unit_interval": {"5e-324", "1e-300"},
           "_finite_float": {"0", "-0.0", "-1", "1", "5e-324", "1e-300", "1e308"},
           "_rake_tol": {"1", "1e308"}}
-OUTSIDE = {**{kind: [e for e in EDGES if e not in inside]
+OUTSIDE = {**{kind: [*(e for e in EDGES if e not in inside), "abc"]
               for kind, inside in INSIDE.items()},
-           "_month": ["2007-13", "0000-00"],
-           "_window": ["2007-13:2008-01", "0000-00:2008-01", "2008-01:2007-12"]}
+           "_month": ["2007-13", "0000-00", "abc"],
+           "_window": ["2007-13:2008-01", "0000-00:2008-01", "2008-01:2007-12", "abc"]}
 
 
 def kind(flag):
@@ -767,10 +769,10 @@ def kind(flag):
 def test_flags_with_no_domain_type():
     # text (paths), choices, switches, and simulate values checked after
     # parsing: --u0 and --n0 against the model, --sigma-break-at against
-    # --horizon; --seed goes to numpy's generator as given
+    # --horizon
     assert {flag.name for flag in cli._FLAGS if kind(flag) not in OUTSIDE} == {
         "--input", "--output-dir", "--format", "--smooth-align", "--robust",
-        "--u0", "--n0", "--sigma-break-at", "--seed", "--three-state"}
+        "--u0", "--n0", "--sigma-break-at", "--three-state"}
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -781,8 +783,23 @@ def test_value_outside_the_flag_domain_exits_two_naming_it(tmp_path, capsys, com
     out = tmp_path / "out"
     data = [] if command == "simulate" else ["--input", tmp_path / "absent.csv"]
     assert exit_code([command, *data, "--output-dir", out, f"{flag}={value}"]) == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith(
-        f"beveridge {command}: error: argument {flag}: ")
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"beveridge {command}: error: argument {flag}: ")
+    # a value that is no number names its kind, not the private type
+    assert not re.search(r"(?<![\w-])_\w", last), last
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", list(dict.fromkeys(
+    (command, flag.name) for flag in cli._FLAGS for command in flag.commands)))
+def test_a_prefix_of_a_flag_is_not_taken_for_it(tmp_path, capsys, command, flag):
+    # flags are taken only as spelled in the table, so a new row cannot
+    # make a prefix that worked ambiguous
+    out = tmp_path / "out"
+    data = [] if command == "simulate" else ["--input", tmp_path / "absent.csv"]
+    assert exit_code([command, *data, "--output-dir", out, flag[:-1], "1"]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {flag[:-1]} 1\n")
     assert not out.exists()
 
 

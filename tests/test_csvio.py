@@ -621,8 +621,8 @@ class TestReadPanelMatchesRowReader:
 
     @pytest.mark.parametrize("text, plain", [
         ("date,u,v\n2000-01,1,2\n2000-02,,4\n", True),
-        ("date , u\r\n 2000-01 ,\u00a01.5 \r\n2000-02,2\r\n", True),
-        ("date,u\n2000-01,1\n2000-02,2", True),
+        ("date , u\r\n 2000-01 ,\u00a01.5 \r\n2000-02,2\r\n", False),
+        ("date,u\n2000-01,1\n2000-02,2", False),
         # ragged lines whose cells add up to whole rows
         ("date,u,v\n2000-01,1,2,2000-02\n3,4\n", False),
         ("date,u\r2000-01,1\r2000-02,2\r", False),

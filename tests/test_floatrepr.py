@@ -1,7 +1,6 @@
 """`float_reprs` against ``float.__repr__``, and `parse_floats` against
 ``float``, value by value."""
 
-import math
 import re
 import struct
 from decimal import Decimal
@@ -109,9 +108,8 @@ def parse(texts):
     return parse_floats(b",".join(cells), ends - lengths, ends)
 
 
-# the kernel's grammar, in ASCII: sign, mantissa, exponent of one to 8 digits
-GRAMMAR = re.compile(r"[+-]?([0-9]*)\.?([0-9]*)(?:[eE]([+-]?[0-9]{1,8}))?")
-SMALLEST_NORMAL = Fraction(2) ** -1022
+# the kernel's grammar, in ASCII: sign, then digits with at most one point
+GRAMMAR = re.compile(r"[+-]?([0-9]*)\.?([0-9]*)")
 
 
 def why_undecided(text):
@@ -121,18 +119,11 @@ def why_undecided(text):
     if len(text.encode()) > 24 or match is None or not (match[1] or match[2]):
         return "grammar"
     w = int(match[1] + match[2])
-    q = int(match[3] or 0) - len(match[2])
     if w >= 10 ** 19:
         return "more than 19 digits"
     if w == 0:
         return None
-    if not -342 <= q <= 308:
-        return "exponent out of range"
-    exact = w * Fraction(10) ** q
-    if exact < SMALLEST_NORMAL:
-        return "subnormal"
-    if math.isinf(float(text)):
-        return "overflow"
+    exact = w * Fraction(10) ** -len(match[2])
     # ambiguous: on the grid of 54-bit mantissas (a double or a midpoint)
     # to within far less than the rounding needs
     e = exact.numerator.bit_length() - exact.denominator.bit_length()
@@ -204,8 +195,9 @@ class TestParseFloats:
         texts = tokens(values)
         parsed, undecided = parse(texts)
         assert parsed[~undecided].tobytes() == values[~undecided].tobytes()
-        # reprs are in the grammar and short: only subnormals are left
-        assert (np.abs(values[undecided]) < 2.0 ** -1022).all()
+        # only reprs in exponent notation are left
+        left = np.abs(values[undecided])
+        assert ((left < 1e-4) | (left >= 1e16)).all()
         assert_same_as_float(texts)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -231,13 +223,15 @@ class TestParseFloats:
                  *(midpoint(m, e) for m, e in zip(ulps, rng.integers(-3, 12, n).tolist()))]
         assert len(texts) >= 10 ** 5 > _CELLS
         undecided = assert_same_as_float(texts)
-        # a repr is left only when subnormal
-        assert not undecided[:bits.size][np.abs(bits) >= 2.0 ** -1022].any()
+        # a repr is left only when in exponent notation
+        fixed = (np.abs(bits) >= 1e-4) & (np.abs(bits) < 1e16)
+        assert not undecided[:bits.size][fixed].any()
 
     def test_outside_the_grammar_is_left_for_float(self):
         texts = ["", " 1", "1 ", "nan", "-inf", "1_000", "0x10", "\u0661", ".", "-",
                  "e5", "1e", "1e+", "1e5e3", "1.2.3", "--1", "1-2", "1e5.0",
-                 "1e123456789", "1" * 25, "0." + "0" * 22 + "1"]
+                 "1e123456789", "1" * 25, "0." + "0" * 22 + "1", "1e5", "1E+05",
+                 "-2.5e-07"]
         values, undecided = parse(texts)
         assert undecided.all()
         assert np.isnan(values).all()
