@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvio import _json_safe, read_panel, require_columns, write_panel, write_table
+from .csvio import (_dates, _json_safe, read_panel, require_columns, write_panel,
+                    write_table)
 from .curve import ApproximationPoint, shifter_paths, three_state_loglinear
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
@@ -396,16 +397,17 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict]:
     samples = build_swing_samples(panel.U, V, bounds)
     loglin = loglinear_shift_decomposition(panel.U, V, expansion, samples)
     table = all_orderings_report(panel, V, sigma, samples, point)
+    dates = _dates(panel.U.start, len(panel.U))
 
     notes.update({
-        "dropped_months": [str(m) for m in table.dropped_months],
+        "dropped_months": dates[table.dropped_months].tolist(),
         "n_pairs": table.n_pairs,
         # vacancy-rate units: the nonlinear decomposition works in levels
         "average_observed_shift_level": table.average_observed_shift,
     })
     return {
         "vertical_shift_loglinear": {
-            "month": [str(month) for month in loglin.months], "u_rate": loglin.u,
+            "month": dates[loglin.months], "u_rate": loglin.u,
             "observed_shift": loglin.observed, "total_loglinear": loglin.total,
             **loglin.contributions},
         "orderings": {

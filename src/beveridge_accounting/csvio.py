@@ -17,14 +17,14 @@ time too: it spells every float column of a table in one
 :func:`floatrepr.float_reprs` call, byte for byte ``float.__repr__`` with
 no Python string per cell in fixed notation, its rows packed and each
 column cut to its own longest text.  Every other column (integers, booleans
-or strings, such as the dates, built as words by the same arithmetic that
-checks them on ingest) is one string array that becomes cells by one cast
-of its code points to bytes.  The writer takes only tables whose bytes need
-no quoting or escaping: two or more columns, and text of printable ASCII
-with no ``,`` ``"`` or ``\\``; anything else (an object column, say) is a
-ValueError naming the column.  Rows are then laid out a block at a time as
-one byte matrix (separators and each column's cells side by side) and
-written as its bytes less the padding.
+or strings, such as the dates and the months a decomposition keeps, built as
+words by the same arithmetic that checks dates on ingest, see `_dates`) is
+one string array that becomes cells by one cast of its code points to bytes.
+The writer takes only tables whose bytes need no quoting or escaping: two or
+more columns, and text of printable ASCII with no ``,`` ``"`` or ``\\``;
+anything else (an object column, say) is a ValueError naming the column.
+Rows are then laid out a block at a time as one byte matrix (separators and
+each column's cells side by side) and written as its bytes less the padding.
 """
 
 from __future__ import annotations
@@ -251,7 +251,8 @@ def _json_safe(x):
 
 
 def _dates(start: MonthDate, n: int) -> np.ndarray:
-    """The `n` months from `start` as an array of YYYY-MM strings."""
+    """The `n` months from `start` as an array of YYYY-MM strings, which a
+    grid index array picks months from (`decompose`'s, say)."""
     text = _month_words(12 * start.year + start.month - 1, n).astype("<u8")
     return text.view(np.uint8).reshape(n, 8)[:, :7].astype(np.uint32).view("U7").ravel()
 

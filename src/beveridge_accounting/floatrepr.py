@@ -19,7 +19,9 @@ byte, built as three little-endian words with no Python object per value:
 the digits, split at the point by arithmetic so that a zero digit keeps
 its place, are spelled four at a time from a table, moved up past the head
 (``-``, ``0.``, ``0.000``) by one shift across the words, and or-ed into
-ASCII words looked up by sign, digit count and point position.
+ASCII words looked up by sign, digit count and point position.  The
+tables cover only the exponent fields of 1e-4 <= |v| < 1e16: any other
+field is clipped into them, to a text the ``repr`` batch writes over.
 
 `parse_floats` reads decimal cells of a byte string as ``float`` reads them.
 Each cell's last 24 bytes are taken as three little-endian words from an
@@ -51,6 +53,9 @@ _TEN = _U64(10)
 _LOW32 = _U64(0xFFFFFFFF)
 _MANTISSA = _U64((1 << 52) - 1)
 _HIDDEN = _U64(1 << 52)
+# the biased exponent fields of 1e-4 <= |v| < 1e16 (1.64 2^-14 to 1.11 2^53)
+_FIELD_MIN, _FIELD_MAX = 1009, 1076
+_FIELDS = _FIELD_MAX - _FIELD_MIN + 1
 _LOW63 = _U64((1 << 63) - 1)
 _ZERO, _POINT, _PLUS, _MINUS = b"0.+-"
 
@@ -74,7 +79,6 @@ class _Tables(NamedTuple):
     left: np.ndarray  # h + 1, or h with a closer lower neighbour: the left
     # bound's (4c - 2) << h or (4c - 1) << h is the centre's less 1 << left
     k: np.ndarray  # the decimal exponent of s
-    hidden: np.ndarray  # per biased exponent: the implicit leading mantissa bit
     pow10: np.ndarray  # 10^k, k <= 17
     fours: np.ndarray  # the four digits of 0..9999 as byte values 0-9, the
     # first lowest
@@ -87,33 +91,28 @@ class _Tables(NamedTuple):
 def _tables() -> _Tables:
     """The lookup tables, built on first use.
 
-    A row of `_shortest` is a biased exponent field, plus 2048 where the
-    value has a closer lower neighbour (a zero mantissa field above 1).  Its
-    entries follow from the value's q (v = c 2^q): k = floor(q log10 2), or
-    floor(log10(3/4 2^q)) with the closer neighbour, h = q + floor(-k log2
-    10) + 2, and g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1
-    (Giulietti 2020), which is built once for each k from -324 to 292.
+    A row of `_shortest` is a biased exponent field less `_FIELD_MIN`, plus
+    `_FIELDS` where the value has a closer lower neighbour (a zero mantissa
+    field).  Its entries follow from the value's q (v = c 2^q): k = floor(q
+    log10 2), or floor(log10(3/4 2^q)) with the closer neighbour, h = q +
+    floor(-k log2 10) + 2, and g = floor(10^-k 2^(125 - floor(-k log2 10)))
+    + 1 (Giulietti 2020), which is built once for each k from -20 to 0.
     """
     g = []
-    for k in range(-324, 293):
-        p = 10 ** abs(k)
-        if k <= 0:  # 10^-k << 125 - floor(log2 10^-k), or >> where that is negative
-            shift = 126 - p.bit_length()
-            g.append((p << shift if shift >= 0 else p >> -shift) + 1)
-        else:  # floor(log2 10^-k) is -bitlen(10^k)
-            g.append((1 << (125 + p.bit_length())) // p + 1)
+    for k in range(-20, 1):  # 10^-k << 125 - floor(log2 10^-k)
+        p = 10 ** -k
+        g.append((p << 126 - p.bit_length()) + 1)
     g1 = np.array([x >> 63 for x in g], dtype=np.uint64)
     g0 = np.array([x & 0x7FFFFFFFFFFFFFFF for x in g], dtype=np.uint64)
 
-    row = np.arange(4096)
-    field = row & 2047
-    q = np.maximum(field, 1) - 1075
-    closer = row >> 11
+    row = np.arange(2 * _FIELDS)
+    q = row % _FIELDS + _FIELD_MIN - 1075
+    closer = row // _FIELDS
     # floor(q log10 2) or floor(log10(3/4 2^q)), and floor(-k log2 10), in
     # Giulietti's fixed point
     k = (q * 661_971_961_083 - closer * 274_743_187_321) >> 41
     h = q + (-k * 913_124_641_741 >> 38) + 2
-    i = k + 324
+    i = k + 20
 
     digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # of 0000..9999
     for place in range(4):
@@ -121,7 +120,6 @@ def _tables() -> _Tables:
         digits[..., place] = np.arange(10, dtype=np.uint8).reshape(shape)
     return _Tables(g1[i], g0[i], (h + 2).astype(np.uint64), (h + 1).astype(np.uint64),
                    (h + 1 - closer).astype(np.uint64), k,
-                   np.where(field[:2048] == 0, _U64(0), _HIDDEN),
                    np.array([10 ** k for k in range(18)], dtype=np.uint64),
                    digits.reshape(10000, 4).view("<u4").ravel().astype(np.uint64),
                    _layouts())
@@ -185,18 +183,15 @@ def float_reprs(values) -> tuple[np.ndarray, np.ndarray]:
 
 def _format_block(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the fixed-notation repr text of each float64 of `bits` to its
-    row of `out`, as three words; return the texts' lengths."""
-    exponent = (bits >> _U64(52)).astype(np.int64) & 0x7FF
-    mantissa = bits & _MANTISSA
-    other = np.flatnonzero((exponent == 0x7FF) | ((bits << _ONE) == 0))
-    # 0.1 + 0.2, whose 17 digits end in a 4 and so take no trailing-zero
-    # steps, stands in for zeros, infinities and nan; then zero is 0 * 10^0,
-    # "0.0"
-    mantissa[other] = 0x3333333333334
-    exponent[other] = 1021
-    digits, exp10 = _shortest(mantissa, exponent)
-    digits[other] = 0
-    exp10[other] = 0
+    row of `out`, as three words; return the texts' lengths.  Zero is "0.0";
+    any other field than the tables' is clipped into them, to a text that
+    `float_reprs` writes over."""
+    exponent = np.clip((bits >> _U64(52)).astype(np.int64) & 0x7FF,
+                       _FIELD_MIN, _FIELD_MAX)
+    digits, exp10 = _shortest(bits & _MANTISSA, exponent)
+    zero = (bits << _ONE) == 0
+    digits[zero] = 0
+    exp10[zero] = 0
     return _layout(digits, exp10, (bits >> _U64(63)).astype(bool), out)
 
 
@@ -238,13 +233,12 @@ def _offset(lo: np.ndarray, hi: np.ndarray, g: np.ndarray, n: np.ndarray,
 
 def _shortest(mantissa: np.ndarray, exponent: np.ndarray):
     """Schubfach's shortest decimal (digits, exp10), digits * 10^exp10, of
-    the nonzero finite doubles with these IEEE mantissa and biased exponent
-    fields, as ``repr`` chooses it: the closest of the shortest, ties to an
-    even last digit."""
+    the doubles with these IEEE mantissa and biased exponent fields, the
+    fields from `_FIELD_MIN` to `_FIELD_MAX`, as ``repr`` chooses it: the
+    closest of the shortest, ties to an even last digit."""
     t = _tables()
-    c = mantissa | t.hidden[exponent]
-    # int64 before the shift, as numpy 1.x keeps a bool << 11 in 8 bits
-    row = exponent | ((mantissa == 0) & (exponent > 1)).astype(np.int64) << 11
+    c = mantissa | _HIDDEN
+    row = exponent - _FIELD_MIN + np.where(mantissa == 0, _FIELDS, 0)
     g0, g1 = t.g0[row], t.g1[row]
     # vb, vbr and vbl: the value and its interval's bounds, (4c, 4c + 2 and
     # 4c - 2 or 4c - 1) 2^q, over 10^k and times 4

@@ -25,6 +25,9 @@ probability and matching efficiency), two ways:
 
 `counterfactual_vacancies` also gives the identity on the data (no margin
 held) and the steady-state curve (every margin held).
+
+Months are int arrays of indices on the panel's calendar grid, never one
+`MonthDate` each; the CLI spells them with `csvio._dates`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -138,9 +141,10 @@ class SwingBounds:
 class SwingSamples:
     """Matched downswing/upswing samples on a fixed calendar grid.
 
-    The samples hold month indices and matching weights only; values are
-    taken from any grid-length array.  `pair_left[k]` and `pair_lam[k]` give
-    the interpolation weights on the upswing for downswing point k, from the
+    The samples hold month indices (`dropped_months` those of the downswing
+    no upswing pair brackets) and matching weights only; values are taken
+    from any grid-length array.  `pair_left[k]` and `pair_lam[k]` give the
+    interpolation weights on the upswing for downswing point k, from the
     first upswing pair in time that brackets its unemployment rate (see
     `_first_crossings`): interpolated values are
     ``up[i] + lam * (up[i+1] - up[i])``.
@@ -152,12 +156,7 @@ class SwingSamples:
     up_index: np.ndarray
     pair_left: np.ndarray
     pair_lam: np.ndarray
-    dropped_months: tuple[MonthDate, ...]
-
-    @property
-    def down_months(self) -> tuple[MonthDate, ...]:
-        """The kept downswing months, one per matched point."""
-        return tuple(self.grid_start.shift(int(t)) for t in self.down_index)
+    dropped_months: np.ndarray
 
     def _check_grid(self, series: MonthlySeries) -> None:
         if series.start != self.grid_start or len(series) != self.grid_len:
@@ -185,7 +184,7 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
     """Select the downswing and upswing samples and freeze the matching weights.
 
     Downswing points whose unemployment rate is not bracketable on the
-    upswing are dropped and recorded in `dropped_months`.
+    upswing are dropped and their grid indices recorded in `dropped_months`.
     """
     require_aligned(U, V)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -225,7 +224,7 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
         up_index=up_arr,
         pair_left=left[hit],
         pair_lam=lam[hit],
-        dropped_months=tuple(U.start.shift(int(t)) for t in down_idx[~hit]),
+        dropped_months=down_idx[~hit],
     )
 
 
@@ -234,11 +233,11 @@ class ShiftDecomposition:
     """Per-point log-linear contributions to the vertical Beveridge-curve
     shift, in log-vacancy units (first-order contributions)."""
 
-    months: tuple[MonthDate, ...]
+    months: np.ndarray  # grid indices of the kept points' downswing months
     u: np.ndarray
     observed: np.ndarray
     contributions: dict[str, np.ndarray]  # per margin, in `MARGINS` order
-    dropped_months: tuple[MonthDate, ...] = ()
+    dropped_months: np.ndarray  # the swing's, then those with a term missing
 
     @property
     def total(self) -> np.ndarray:
@@ -262,11 +261,11 @@ def loglinear_shift_decomposition(
     ok = ~np.isnan(contrib).any(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         observed = samples.vertical_shift(np.log(V.values))
-    months = samples.down_months
+    months = samples.down_index
     return ShiftDecomposition(
-        months=tuple(compress(months, ok)), u=samples.at_down(U.values)[ok],
+        months=months[ok], u=samples.at_down(U.values)[ok],
         observed=observed[ok], contributions=dict(zip(MARGINS, contrib[:, ok])),
-        dropped_months=samples.dropped_months + tuple(compress(months, ~ok)))
+        dropped_months=np.concatenate([samples.dropped_months, months[~ok]]))
 
 
 def counterfactual_vacancies(
@@ -317,7 +316,7 @@ class OrderingTable:
     rows: tuple[OrderingRow, ...]
     average_observed_shift: float
     n_pairs: int
-    dropped_months: tuple[MonthDate, ...]
+    dropped_months: np.ndarray  # grid indices: the swing's, then the infeasible
 
 
 def all_orderings_report(
@@ -376,6 +375,6 @@ def all_orderings_report(
         rows=tuple(rows),
         average_observed_shift=denom,
         n_pairs=int(mask.sum()),
-        dropped_months=samples.dropped_months
-        + tuple(compress(samples.down_months, ~mask)),
+        dropped_months=np.concatenate([samples.dropped_months,
+                                       samples.down_index[~mask]]),
     )

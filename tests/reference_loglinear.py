@@ -15,8 +15,6 @@ takes the up-down shift of each term of the expansion instead, which is the
 same number up to rounding.
 """
 
-from itertools import compress
-
 import numpy as np
 
 from beveridge_accounting import ShiftDecomposition, delta_log
@@ -35,11 +33,11 @@ def reference_decomposition(U, V, s, sigma, samples, point) -> ShiftDecompositio
     contrib = {name: coefs[name] * samples.vertical_shift(values)
                for name, values in coords.items()}
     ok = ~np.isnan(np.vstack(list(contrib.values()))).any(axis=0)
-    months = samples.down_months
+    months = samples.down_index
     return ShiftDecomposition(
-        months=tuple(compress(months, ok)),
+        months=months[ok],
         u=samples.at_down(U.values)[ok],
         observed=samples.vertical_shift(log_v)[ok],
         contributions={name: c[ok] for name, c in contrib.items()},
-        dropped_months=samples.dropped_months + tuple(compress(months, ~ok)),
+        dropped_months=np.concatenate([samples.dropped_months, months[~ok]]),
     )

@@ -12,13 +12,12 @@ nonpositive.
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from beveridge_accounting import (MARGIN_DYNAMICS, MARGIN_MATCHING, MARGIN_SEPARATIONS,
-                                  MARGINS, MonthDate, MonthlySeries, delta,
-                                  require_aligned)
+                                  MARGINS, MonthlySeries, delta, require_aligned)
 from beveridge_accounting.curve import _vacancy_identity
 from beveridge_accounting.shift_decomposition import (AllPairsInfeasibleError,
                                                       IdentityMismatchWarning)
@@ -65,7 +64,7 @@ class OrderingTable:
     rows: tuple[OrderingRow, ...]
     average_observed_shift: float
     n_pairs: int
-    dropped_months: tuple[MonthDate, ...]
+    dropped_months: np.ndarray  # grid indices
 
 
 def all_orderings_report(U, V, s, sigma, samples, point) -> OrderingTable:
@@ -119,6 +118,6 @@ def all_orderings_report(U, V, s, sigma, samples, point) -> OrderingTable:
         rows=tuple(rows),
         average_observed_shift=denom,
         n_pairs=int(mask.sum()),
-        dropped_months=samples.dropped_months
-        + tuple(compress(samples.down_months, ~mask)),
+        dropped_months=np.concatenate([samples.dropped_months,
+                                       samples.down_index[~mask]]),
     )

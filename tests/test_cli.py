@@ -310,7 +310,8 @@ class TestDecomposeCommand:
         right = np.minimum(left + 1, len(up_v) - 1)
         up = up_v[left] + lam * (up_v[right] - up_v[left])
         dropped = set(notes["dropped_months"])
-        kept = np.array([str(m) not in dropped for m in samples.down_months])
+        kept = np.array([str(panel.U.start.shift(int(t))) not in dropped
+                         for t in samples.down_index])
         assert kept.sum() == notes["n_pairs"] > 0
         want = float(np.mean((up - down_v)[kept]))
         assert notes["average_observed_shift_level"] == pytest.approx(want,
@@ -359,13 +360,72 @@ class TestDecomposeCommand:
         samples = ba.build_swing_samples(
             U, U.with_values(np.exp(column["log_v_observed"])), bounds)
         rows = read_csv(tmp_path / "decompose" / "vertical_shift_loglinear.csv")
-        position = {str(m): k for k, m in enumerate(samples.down_months)}
+        position = {str(U.start.shift(int(t))): k
+                    for k, t in enumerate(samples.down_index)}
         kept = [position[r["month"]] for r in rows]
         assert kept
         for name in ("dynamics", "separations", "matching"):
             got = np.array([cell(r, name) for r in rows])
             want = samples.vertical_shift(column[name])[kept]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("up_start, dropped", [
+        ("2010-01", []),
+        # an upswing that starts below the downswing's last months: those
+        # are not bracketable and are dropped
+        ("2010-09", ["2009-04", "2009-05", "2009-06"])])
+    def test_months_are_spelled_from_grid_indices(self, tmp_path, recession_sim,
+                                                  up_start, dropped):
+        data = write_recession_csv(tmp_path, recession_sim)
+        out = tmp_path / "dec"
+        assert run(["decompose", "--input", data, "--output-dir", out,
+                    "--down-start", "2007-07", "--down-end", "2009-06",
+                    "--up-start", up_start]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert notes["dropped_months"] == dropped
+        kept = [f"{y}-{m:02d}" for y in (2007, 2008, 2009) for m in range(1, 13)
+                if "2007-07" <= f"{y}-{m:02d}" <= "2009-06"
+                and f"{y}-{m:02d}" not in dropped]
+        rows = read_csv(out / "vertical_shift_loglinear.csv")
+        assert [r["month"] for r in rows] == kept
+        assert notes["n_pairs"] == len(kept)
+
+    def test_month_objects_do_not_grow_with_the_swing(self, tmp_path, monkeypatch):
+        # months reach the outputs as grid indices: a decompose run builds
+        # as many MonthDate objects on a 240-month downswing as on a
+        # 12-month one of a panel as long
+        built = []
+        post_init = ba.MonthDate.__post_init__
+
+        def counted(month):
+            built.append(month)
+            post_init(month)
+
+        def month_dates(rise, n=740):
+            du = np.zeros(n - 1)
+            du[10:10 + rise] = 0.02 / rise  # U rises by two points
+            du[10 + rise:10 + 3 * rise] = -0.01 / rise  # and falls back
+            sim = ba.simulate_two_state(ba.SimulationSpec(
+                alpha=0.3, u0=0.05, horizon=n, s_path=0.02, sigma_path=0.36,
+                delta_u_path=du))
+            data = tmp_path / f"rise-{rise}.csv"
+            ba.write_panel(data, {"u_rate": sim.panel.U, "v_rate": sim.panel.V,
+                                  "u_short": sim.panel.U_short})
+            start, out = ba.MonthDate(2000, 1), tmp_path / f"dec-{rise}"
+            argv = ["decompose", "--input", data, "--output-dir", out,
+                    "--down-start", start.shift(10), "--down-end", start.shift(10 + rise),
+                    "--up-start", start.shift(11 + rise),
+                    "--up-end", start.shift(10 + 3 * rise)]
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ba.MonthDate, "__post_init__", counted)
+                assert run(argv) == 0
+            notes = json.loads((out / "manifest.json").read_text())["notes"]
+            return len(built), notes["n_pairs"]
+
+        short, long = month_dates(12), month_dates(240)
+        assert long[1] >= 10 * short[1]
+        assert long[0] == short[0]
 
     def test_infeasible_constants_exit_four(self, tmp_path, recession_sim):
         data = write_recession_csv(tmp_path, recession_sim)

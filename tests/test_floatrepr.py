@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beveridge_accounting.floatrepr import _BLOCK, _CELLS, float_reprs, parse_floats
+from beveridge_accounting.floatrepr import (_BLOCK, _CELLS, _FIELD_MAX, _FIELD_MIN,
+                                            _tables, float_reprs, parse_floats)
 
 
 def tokens(values) -> list[str]:
@@ -89,6 +90,31 @@ class TestFloatReprs:
                        0.0, -0.0, 5e-324, 1e22, 123.0, 0.5]) == [
             "1e+16", "9999999999999998.0", "0.0001", "9.999999999999999e-05",
             "0.0", "-0.0", "5e-324", "1e+22", "123.0", "0.5"]
+
+    def test_edges_of_the_kept_range(self):
+        # the tables cover the exponent fields of 1e-4 <= |v| < 1e16; every
+        # other field is clipped into them and its text written over
+        def field(e, last):
+            """The first or last double of biased exponent field e."""
+            return np.uint64(e << 52 | (1 << 52) - 1 if last else e << 52).view(np.float64)
+
+        assert [field(e, last) for e, last in ((1009, False), (1076, True))] == [
+            2.0 ** -14, 2.0 ** 54 - 2.0]
+        edges = np.array([
+            1e-4, np.nextafter(1e-4, 0), np.nextafter(1e16, 0), 1e16,
+            *(field(e, last) for e in (1008, 1009, 1076, 1077) for last in (False, True)),
+            *2.0 ** np.arange(-15, 55),  # a closer lower neighbour, each
+            0.0, 5e-324, 2.2250738585072014e-308 / 3, np.inf, np.nan])
+        assert_same_as_repr(np.concatenate([edges, -edges]))
+        assert tokens([1e-4, -0.0, -np.inf]) == ["0.0001", "-0.0", "-inf"]
+
+    def test_tables_hold_the_kept_fields_only(self):
+        fields = (np.array([1e-4, np.nextafter(1e16, 0)]).view(np.uint64) >> 52).tolist()
+        assert fields == [_FIELD_MIN, _FIELD_MAX]
+        t = _tables()
+        rows = 2 * (_FIELD_MAX - _FIELD_MIN + 1)  # and the closer-neighbour rows
+        assert [len(x) for x in (t.g1, t.g0, t.centre, t.right, t.left, t.k)] == [rows] * 6
+        assert sorted(set(t.k.tolist())) == list(range(-20, 1))
 
     def test_non_finite_and_empty(self):
         assert tokens([np.nan, -np.nan, np.inf, -np.inf]) == ["nan", "nan", "inf", "-inf"]

@@ -29,6 +29,12 @@ def series(values):
     return MonthlySeries(START, values)
 
 
+def assert_months(got, want):
+    """`got` is an int array of the grid indices `want`."""
+    assert isinstance(got, np.ndarray) and got.dtype.kind == "i", got
+    assert got.tolist() == list(want)
+
+
 def hump(offset=0.0):
     """U rises then falls through the same range; ln V is linear in U so
     interpolation on the upswing is exact.  `offset` lifts upswing log V.
@@ -44,8 +50,8 @@ def hump(offset=0.0):
 class TestSwingSamples:
     def test_membership_and_stop_rule(self):
         samples, _ = hump()
-        assert [str(m) for m in samples.down_months] == \
-            ["2000-01", "2000-02", "2000-03", "2000-04"]
+        assert_months(samples.down_index, [0, 1, 2, 3])  # 2000-01 to 2000-04
+        assert_months(samples.dropped_months, [])
         # upswing stops at the first month below the downswing minimum (0.050)
         assert samples.up_index.tolist() == [4, 5, 6, 7]  # 2000-05 to 2000-08
 
@@ -55,8 +61,8 @@ class TestSwingSamples:
         bounds = SwingBounds(down_start=START, down_end=START.shift(1),
                              up_start=START.shift(2))
         samples = build_swing_samples(series(u), series(v), bounds)
-        assert [str(m) for m in samples.dropped_months] == ["2000-02"]
-        assert [str(m) for m in samples.down_months] == ["2000-01"]
+        assert_months(samples.dropped_months, [1])  # 2000-02
+        assert_months(samples.down_index, [0])  # 2000-01
 
     def test_bounds_must_be_covered(self):
         u = series(np.full(6, 0.06))
@@ -175,7 +181,7 @@ class TestSwingMatchingProperties:
         kept, dropped, up, left, lam = want
         got = build_swing_samples(series(u), series(v), bounds)
         assert np.array_equal(got.down_index, kept)
-        assert got.dropped_months == tuple(START.shift(t) for t in dropped)
+        assert_months(got.dropped_months, dropped)
         assert np.array_equal(got.up_index, up)
         assert np.array_equal(got.pair_left, left)
         assert np.array_equal(got.pair_lam, lam)
@@ -283,8 +289,7 @@ class TestLoglinearDecomposition:
         dec = loglinear(panel.U, panel.V, panel.s, recession_pipeline["sigma_hat"],
                         samples, recession_pipeline["point"])
         # the observed column is the up-down shift of ln V at the kept pairs
-        months = set(dec.months)
-        kept = np.array([m in months for m in samples.down_months])
+        kept = np.isin(samples.down_index, dec.months)
         np.testing.assert_array_equal(
             dec.observed, samples.vertical_shift(np.log(panel.V.values))[kept])
         contrib = dec.contributions
@@ -354,8 +359,8 @@ class TestLoglinearMatchesReference:
         panel, s, sigma, point, samples = case
         got = loglinear(panel.U, panel.V, s, sigma, samples, point)
         want = reference_decomposition(panel.U, panel.V, s, sigma, samples, point)
-        assert got.months == want.months
-        assert got.dropped_months == want.dropped_months
+        assert_months(got.months, want.months)
+        assert_months(got.dropped_months, want.dropped_months)
         assert np.array_equal(got.u, want.u)
         assert np.array_equal(got.observed, want.observed)
         for margin in MARGINS:
@@ -366,8 +371,7 @@ class TestLoglinearMatchesReference:
 
 def kept_pairs(samples, table):
     """Mask of the matched points the ordering table kept."""
-    dropped = set(table.dropped_months)
-    return np.array([m not in dropped for m in samples.down_months])
+    return ~np.isin(samples.down_index, table.dropped_months)
 
 
 def held_percent(U, s, sigma, samples, point, table, margin):
@@ -384,6 +388,41 @@ def held_percent(U, s, sigma, samples, point, table, margin):
            - samples.vertical_shift(held.values))
     return 100.0 * float(gap[kept_pairs(samples, table)].mean()) \
         / table.average_observed_shift
+
+
+class TestMonthIndices:
+    """Months are int arrays of grid indices (2007-07 is 90), the empty ones
+    too: the unbracketable downswing months, then the points a result drops
+    itself."""
+
+    @pytest.mark.parametrize("up_start, hole, unbracketable", [
+        (MonthDate(2010, 1), None, []),
+        # 2009-04..2009-06 lie above the upswing from 2010-09, and a missing
+        # efficiency month at 2007-09 drops that point from both results
+        (MonthDate(2010, 9), 92, [111, 112, 113])])
+    def test_month_fields_are_int_grid_indices(self, recession_pipeline, up_start,
+                                               hole, unbracketable):
+        panel = recession_pipeline["panel"]
+        sigma = recession_pipeline["sigma_hat"]
+        point = recession_pipeline["point"]
+        if hole is not None:
+            values = sigma.values.copy()
+            values[hole] = np.nan
+            sigma = sigma.with_values(values)
+        bounds = SwingBounds(down_start=MonthDate(2007, 7), down_end=MonthDate(2009, 6),
+                             up_start=up_start)
+        samples = build_swing_samples(panel.U, panel.V, bounds)
+        assert_months(samples.dropped_months, unbracketable)
+        assert_months(samples.down_index,
+                      [t for t in range(90, 114) if t not in unbracketable])
+        dropped = unbracketable + ([] if hole is None else [hole])
+        kept = [t for t in range(90, 114) if t not in dropped]
+        dec = loglinear(panel.U, panel.V, panel.s, sigma, samples, point)
+        assert_months(dec.months, kept)
+        assert_months(dec.dropped_months, dropped)
+        table = all_orderings_report(panel, panel.V, sigma, samples, point)
+        assert_months(table.dropped_months, dropped)
+        assert table.n_pairs == len(kept)
 
 
 class TestCounterfactuals:
@@ -684,7 +723,7 @@ class TestOrderingTableMatchesReference:
             return
         assert same_float(got.average_observed_shift, want.average_observed_shift)
         assert got.n_pairs == want.n_pairs
-        assert got.dropped_months == want.dropped_months
+        assert_months(got.dropped_months, want.dropped_months)
         assert [row.ordering for row in got.rows] == [row.ordering for row in want.rows]
         for g, w in zip(got.rows, want.rows):
             assert list(g.percent) == list(MARGINS)
