@@ -32,8 +32,6 @@ from .shift_decomposition import (AllPairsInfeasibleError, MARGIN_DYNAMICS,
                                   build_swing_samples,
                                   counterfactual_vacancies,
                                   loglinear_shift_decomposition)
-from .simulate import (SimulationSpec, ThreeStateSimulation,
-                       ThreeStateSimulationSpec, TwoStateSimulation,
-                       simulate_three_state, simulate_two_state)
+from .simulate import Simulation, SimulationSpec, simulate
 
 __version__ = "0.1.0"

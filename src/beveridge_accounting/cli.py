@@ -46,8 +46,7 @@ from .series import MonthDate, MonthlySeries, moving_average
 from .shift_decomposition import (MARGINS, AllPairsInfeasibleError, SwingBounds,
                                   all_orderings_report, build_swing_samples,
                                   loglinear_shift_decomposition)
-from .simulate import (SimulationSpec, ThreeStateSimulationSpec,
-                       simulate_three_state, simulate_two_state)
+from .simulate import SimulationSpec, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -443,47 +442,40 @@ def cmd_efficiency(args: argparse.Namespace) -> tuple[dict, dict]:
         "gap_steep": unemployment_gap(u, u_star_steep)}}, {}
 
 
-def _reject_given(args: argparse.Namespace, model: str, other: str) -> None:
-    """ConfigError naming every `simulate` flag of `_FLAGS` that only the
-    `model` simulation reads and that is set away from its default (NaN
-    included): the simulation that runs never reads it."""
-    given = [flag.name for flag in _FLAGS if flag.model == model and
-             getattr(args, flag.name[2:].replace("-", "_")) != flag.kwargs["default"]]
-    if given:
-        raise ConfigError(f"{', '.join(given)}: {model} only, not read {other}")
+# The planted three-state rates beside --s-bar's eu; ue is solved instead
+# where --du-amplitude plants an unemployment cycle
+_THREE_STATE_RATES = {"en": 0.02, "ue": 0.25, "un": 0.03, "ne": 0.04, "nu": 0.02}
+_N0 = 0.30  # the --n0 default: away from it, two-state `simulate` refuses the flag
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
-    try:
-        return {"panel": _simulated_columns(args)}, {}
-    except ValueError as exc:
-        # the panel comes from flags alone, so any value the simulation
-        # rejects (a spec field or a path it implies) is a flag's fault
-        raise ConfigError(str(exc)) from None
-
-
-def _simulated_columns(args: argparse.Namespace) -> dict[str, MonthlySeries]:
     # a three-state panel that starts with no unemployed or no nonemployed
     # has no exit rates from that state after raking: `three-state` refuses it
     for flag in ("--u0", "--n0")[:1 + args.three_state]:
         value = getattr(args, flag[2:])
         if not 0.0 < value < 1.0:
             raise ConfigError(f"{flag} must be in (0, 1), got {value}")
-    if args.three_state:
-        _reject_given(args, "two-state", "with --three-state")
-        rates = {"eu": args.s_bar, "en": 0.02, "ue": 0.25, "un": 0.03,
-                 "ne": 0.04, "nu": 0.02}
-        sim = simulate_three_state(ThreeStateSimulationSpec(
-            alpha=args.alpha, u0=args.u0, n0=args.n0, horizon=args.horizon,
-            rates=rates, sigma_path=_sigma_path(args), start=args.start))
-        return {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
-                "n_stock": sim.panel.N, "v_rate": sim.V, **sim.panel.rates()}
-    _reject_given(args, "three-state", "without --three-state")
-    sim = simulate_two_state(SimulationSpec(
-        alpha=args.alpha, u0=args.u0, horizon=args.horizon, s_path=args.s_bar,
-        sigma_path=_sigma_path(args), delta_u_path=_delta_u_path(args),
-        noise_std=args.noise, seed=args.seed, start=args.start))
-    return {"u_rate": sim.panel.U, "v_rate": sim.panel.V, "u_short": sim.panel.U_short}
+    if not args.three_state and args.n0 != _N0:  # NaN included
+        raise ConfigError("--n0: three-state only, not read without --three-state")
+    du = None if args.du_amplitude == 0.0 else args.du_amplitude * np.sin(
+        2.0 * np.pi * np.arange(args.horizon - 1) / args.du_period)
+    rates = dict(_THREE_STATE_RATES) if args.three_state else {}
+    if du is not None:
+        rates.pop("ue", None)  # solved to meet the cycle
+    try:
+        sim = simulate(SimulationSpec(
+            alpha=args.alpha, u0=args.u0, n0=args.n0 if args.three_state else 0.0,
+            horizon=args.horizon, s_path=args.s_bar, rates=rates,
+            sigma_path=_sigma_path(args), delta_u_path=du, noise_std=args.noise,
+            seed=args.seed, start=args.start))
+    except ValueError as exc:
+        # the panel comes from flags alone, so any value the simulation
+        # rejects (a spec field or a path it implies) is a flag's fault
+        raise ConfigError(str(exc)) from None
+    panel = sim.panel
+    return {"panel": {"e_stock": panel.E, "u_stock": panel.U, "n_stock": panel.N,
+                      "v_rate": sim.V, **panel.rates()} if args.three_state else
+            {"u_rate": panel.U, "v_rate": panel.V, "u_short": panel.U_short}}, {}
 
 
 def _sigma_path(args: argparse.Namespace) -> np.ndarray:
@@ -495,20 +487,13 @@ def _sigma_path(args: argparse.Namespace) -> np.ndarray:
     return path
 
 
-def _delta_u_path(args: argparse.Namespace) -> np.ndarray | None:
-    if args.du_amplitude == 0.0:
-        return None
-    t = np.arange(args.horizon - 1)
-    return args.du_amplitude * np.sin(2.0 * np.pi * t / args.du_period)
-
-
 # ---------------------------------------------------------------------------
 # Parser: one row per flag meaning
 # ---------------------------------------------------------------------------
 
-# A row of `_FLAGS`: a flag, the commands that take it, its `add_argument`
-# keywords and, for a `simulate` flag that only one model reads, that model
-_Flag = namedtuple("_Flag", "name commands kwargs model", defaults=(None,))
+# A row of `_FLAGS`: a flag, the commands that take it and its `add_argument`
+# keywords
+_Flag = namedtuple("_Flag", "name commands kwargs")
 
 _READERS = ("estimate", "shifters", "decompose", "three-state", "efficiency")
 _ALL = (*_READERS, "simulate")
@@ -569,22 +554,19 @@ _FLAGS = (
     _Flag("--horizon", _SIM, dict(type=_horizon, default=120)),
     _Flag("--start", _SIM, dict(type=_month, default=MonthDate(2000, 1))),
     _Flag("--u0", _SIM, dict(type=float, default=0.06)),
-    _Flag("--n0", _SIM, dict(type=float, default=0.30,
-                             help="initial nonemployment share (three-state only)"),
-          "three-state"),
+    _Flag("--n0", _SIM, dict(type=float, default=_N0,
+                             help="initial nonemployment share (three-state only)")),
     _Flag("--s-bar", _SIM, dict(type=_finite_float, default=0.02)),
     _Flag("--sigma-bar", _SIM, dict(type=_finite_float, default=0.36)),
     _Flag("--du-amplitude", _SIM, dict(type=_finite_float, default=0.0,
-                                       help="sinusoidal unemployment-change amplitude"),
-          "two-state"),
-    _Flag("--du-period", _SIM, dict(type=_positive_float, default=48.0), "two-state"),
+                                       help="sinusoidal unemployment-change amplitude")),
+    _Flag("--du-period", _SIM, dict(type=_positive_float, default=48.0)),
     _Flag("--sigma-break-at", _SIM, dict(type=int, default=None, metavar="T",
                                          help="month index at which efficiency jumps")),
     _Flag("--sigma-break-factor", _SIM, dict(type=_positive_float, default=0.75)),
     _Flag("--noise", _SIM, dict(type=_finite_float, default=0.0,
-                                help="lognormal noise std on the efficiency path"),
-          "two-state"),
-    _Flag("--seed", _SIM, dict(type=_non_negative_int, default=0), "two-state"),
+                                help="lognormal noise std on the efficiency path")),
+    _Flag("--seed", _SIM, dict(type=_non_negative_int, default=0)),
     _Flag("--three-state", _SIM, dict(action="store_true")),
 )
 

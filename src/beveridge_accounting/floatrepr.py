@@ -73,11 +73,8 @@ _CLASS_KEYS = 34 * np.arange(_CLASSES)  # by decpt + 3, clipped
 class _Tables(NamedTuple):
     g1: np.ndarray  # by `_shortest`'s row: Schubfach's 126-bit g, high 63 bits
     g0: np.ndarray  # its low 63 bits
-    centre: np.ndarray  # h + 2, which shifts c to the centre's 4c << h
-    right: np.ndarray  # h + 1: the right bound's (4c + 2) << h is the centre's
-    # plus 1 << right
-    left: np.ndarray  # h + 1, or h with a closer lower neighbour: the left
-    # bound's (4c - 2) << h or (4c - 1) << h is the centre's less 1 << left
+    centre: np.ndarray  # h + 2, which shifts c to the centre's 4c << h; the
+    # bounds' (4c -+ 2) << h are the centre's less and plus 1 << (h + 1)
     k: np.ndarray  # the decimal exponent of s
     pow10: np.ndarray  # 10^k, k <= 17
     fours: np.ndarray  # the four digits of 0..9999 as byte values 0-9, the
@@ -91,12 +88,14 @@ class _Tables(NamedTuple):
 def _tables() -> _Tables:
     """The lookup tables, built on first use.
 
-    A row of `_shortest` is a biased exponent field less `_FIELD_MIN`, plus
-    `_FIELDS` where the value has a closer lower neighbour (a zero mantissa
-    field).  Its entries follow from the value's q (v = c 2^q): k = floor(q
-    log10 2), or floor(log10(3/4 2^q)) with the closer neighbour, h = q +
-    floor(-k log2 10) + 2, and g = floor(10^-k 2^(125 - floor(-k log2 10)))
-    + 1 (Giulietti 2020), which is built once for each k from -20 to 0.
+    A row of `_shortest` is a biased exponent field less `_FIELD_MIN`.  Its
+    entries follow from the value's q (v = c 2^q): k = floor(q log10 2),
+    h = q + floor(-k log2 10) + 2, and g = floor(10^-k 2^(125 - floor(-k
+    log2 10))) + 1 (Giulietti 2020), which is built once for each k from
+    -20 to 0.  No row is kept for a closer lower neighbour (a zero mantissa
+    field): in the kept fields that is a power of two, whose text the
+    symmetric interval gives as well, as `tests/test_floatrepr.py` checks
+    for all of them.
     """
     g = []
     for k in range(-20, 1):  # 10^-k << 125 - floor(log2 10^-k)
@@ -105,12 +104,9 @@ def _tables() -> _Tables:
     g1 = np.array([x >> 63 for x in g], dtype=np.uint64)
     g0 = np.array([x & 0x7FFFFFFFFFFFFFFF for x in g], dtype=np.uint64)
 
-    row = np.arange(2 * _FIELDS)
-    q = row % _FIELDS + _FIELD_MIN - 1075
-    closer = row // _FIELDS
-    # floor(q log10 2) or floor(log10(3/4 2^q)), and floor(-k log2 10), in
-    # Giulietti's fixed point
-    k = (q * 661_971_961_083 - closer * 274_743_187_321) >> 41
+    q = np.arange(_FIELDS) + _FIELD_MIN - 1075
+    # floor(q log10 2) and floor(-k log2 10), in Giulietti's fixed point
+    k = (q * 661_971_961_083) >> 41
     h = q + (-k * 913_124_641_741 >> 38) + 2
     i = k + 20
 
@@ -118,8 +114,7 @@ def _tables() -> _Tables:
     for place in range(4):
         shape = [10 if p == place else 1 for p in range(4)]
         digits[..., place] = np.arange(10, dtype=np.uint8).reshape(shape)
-    return _Tables(g1[i], g0[i], (h + 2).astype(np.uint64), (h + 1).astype(np.uint64),
-                   (h + 1 - closer).astype(np.uint64), k,
+    return _Tables(g1[i], g0[i], (h + 2).astype(np.uint64), k,
                    np.array([10 ** k for k in range(18)], dtype=np.uint64),
                    digits.reshape(10000, 4).view("<u4").ravel().astype(np.uint64),
                    _layouts())
@@ -238,18 +233,18 @@ def _shortest(mantissa: np.ndarray, exponent: np.ndarray):
     closest of the shortest, ties to an even last digit."""
     t = _tables()
     c = mantissa | _HIDDEN
-    row = exponent - _FIELD_MIN + np.where(mantissa == 0, _FIELDS, 0)
+    row = exponent - _FIELD_MIN
     g0, g1 = t.g0[row], t.g1[row]
     # vb, vbr and vbl: the value and its interval's bounds, (4c, 4c + 2 and
-    # 4c - 2 or 4c - 1) 2^q, over 10^k and times 4
+    # 4c - 2) 2^q, over 10^k and times 4
     cp = c << t.centre[row]
     cp_lo, cp_hi = cp & _LOW32, cp >> _U64(32)
     x0, x1 = _umul128(cp_lo, cp_hi, g0)
     y0, y1 = _umul128(cp_lo, cp_hi, g1)
     vb = _rop(x1, y0, y1)
-    right, left = t.right[row], t.left[row]
-    vbr = _rop(_offset(x0, x1, g0, right, 1)[1], *_offset(y0, y1, g1, right, 1))
-    vbl = _rop(_offset(x0, x1, g0, left, -1)[1], *_offset(y0, y1, g1, left, -1))
+    half = t.centre[row] - _ONE
+    vbr = _rop(_offset(x0, x1, g0, half, 1)[1], *_offset(y0, y1, g1, half, 1))
+    vbl = _rop(_offset(x0, x1, g0, half, -1)[1], *_offset(y0, y1, g1, half, -1))
 
     out = c & _ONE  # an odd c's interval leaves out its ends, which round to even
     s = vb >> _U64(2)

@@ -123,7 +123,7 @@ def _stayer_faults(rates: np.ndarray,
     """{column: message naming ``month(column)``}, in column order, for the
     columns of `rates` (6, T, in RATE_NAMES order) in which a state's exit
     rates sum above one beyond rounding, leaving it a negative stayer
-    probability.  Raking and the three-state simulator both refuse them."""
+    probability.  Raking and the simulator both refuse them."""
     exits = rates[0::2] + rates[1::2]
     over = exits > 1.0 + 1e-12
     bad = np.flatnonzero(over.any(axis=0))

@@ -1,19 +1,16 @@
 """Synthetic labor-market panels with planted ground truth.
 
-Panels are generated directly from the model's law of motion and matching
-function, so every pipeline stage has an exact oracle: flow construction
-recovers the planted probabilities, the matching regression recovers the
-planted elasticity, raking leaves planted three-state rates unchanged, and
-the vacancy identities reproduce the planted vacancy path to machine
-precision.  Short-term unemployment is emitted as the gross inflow
-s_t * (1 - U_t), which is exactly the accounting the job-finding
-construction presumes.
+One spec, one generator (`simulate`) and one result serve both models: two
+states are the three-state case N = 0, with en = un = ne = nu = 0 and
+eu = s.  Panels come from the laws of motion and the vacancy identity, so
+every pipeline stage has an exact oracle.  A two-state panel's short-term
+unemployment is the gross inflow s_t (1 - U_t), the accounting the
+job-finding construction presumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
 import numpy as np
 
 from .curve import _vacancy_identity
@@ -24,8 +21,8 @@ from .series import MonthDate, MonthlySeries, _reject_first
 
 def _as_path(value, horizon: int, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(horizon, float(arr))
+    if arr.ndim == 0:  # a read-only view, which takes no memory per month
+        arr = np.broadcast_to(arr, horizon)
     if arr.shape != (horizon,):
         raise ValueError(f"{name} must be a scalar or length-{horizon} path")
     if (arr <= 0.0).any() and name in ("s_path", "sigma_path"):
@@ -33,31 +30,17 @@ def _as_path(value, horizon: int, name: str) -> np.ndarray:
     return arr
 
 
-def _require_calendar(start: MonthDate, horizon: int) -> None:
-    """Raise ValueError unless `horizon` months from `start` all have a
-    YYYY-MM date (none past 9999-12)."""
-    try:
-        start.shift(horizon - 1)
-    except ValueError:
-        raise ValueError(f"{horizon} months from {start} run past 9999-12") from None
-
-
-def _require_unit_vacancies(v: np.ndarray, start: MonthDate) -> None:
-    """Raise ValueError naming the first month whose planted vacancy rate
-    is outside (0, 1); a missing month is not checked."""
-    _reject_first((v <= 0.0) | (v >= 1.0), start,
-                  "planted vacancies left (0, 1) at {month}: {value!r}", v)
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Planted two-state configuration.
+    """Planted configuration of either model.
 
-    `delta_u_path` (length horizon - 1, zero by default) drives the
-    dynamics: unemployment is u0 plus its running sum, and vacancies are
-    chosen from the identity.  Optional lognormal noise multiplies the
-    planted efficiency path so the matching regression has mean-zero log
-    residuals by construction.
+    `s_path` is eu, the separation probability s in two states; `rates`
+    gives any of en, ue, un, ne and nu, each a scalar or a length-horizon
+    path, and a missing one is zero.  With n0 = 0 and en = un = ne = nu = 0
+    the panel is two-state.  Where `rates` gives no ue, ue is solved so
+    that U moves by `delta_u_path` (length horizon - 1, zero by default).
+    Lognormal noise multiplies the efficiency path, so the matching
+    regression has mean-zero log residuals by construction.
     """
 
     alpha: float
@@ -69,88 +52,8 @@ class SimulationSpec:
     noise_std: float = 0.0
     seed: int = 0
     start: MonthDate = field(default_factory=lambda: MonthDate(2000, 1))
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if not 0.0 < self.u0 < 1.0:
-            raise ValueError("u0 must be in (0, 1)")
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2 months")
-        _require_calendar(self.start, self.horizon)
-        if not self.noise_std >= 0.0:
-            raise ValueError("noise_std must be non-negative")
-
-
-@dataclass(frozen=True)
-class TwoStateSimulation:
-    """Panel built through the production constructors plus planted truths."""
-
-    panel: TwoStatePanel
-    f_true: MonthlySeries
-    s_true: MonthlySeries
-    sigma_true: MonthlySeries
-    alpha: float
-
-
-def simulate_two_state(spec: SimulationSpec) -> TwoStateSimulation:
-    """Generate a two-state panel consistent with the model by construction;
-    ValueError names the first month where U or the planted V is invalid."""
-    n = spec.horizon
-    s = _as_path(spec.s_path, n, "s_path")
-    sigma = _as_path(spec.sigma_path, n, "sigma_path")
-    if spec.noise_std > 0.0:
-        rng = np.random.default_rng(spec.seed)
-        sigma = sigma * np.exp(rng.normal(0.0, spec.noise_std, size=n))
-
-    du = spec.delta_u_path
-    du = np.zeros(n - 1) if du is None else np.asarray(du, dtype=float)
-    if du.shape != (n - 1,):
-        raise ValueError(f"delta_u_path must have length {n - 1}")
-    # added in month order, as a loop would; past the first month outside
-    # (0, 1) the sum may overflow, and only that month is reported
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.add.accumulate(np.append(spec.u0, du))
-        outside = ~((u > 0.0) & (u < 1.0))
-    _reject_first(outside, spec.start, "unemployment left (0, 1) at {month}: {value!r}",
-                  u)
-    du_next = np.append(du, 0.0)  # last month: steady-state continuation
-    v = _vacancy_identity(u, 0.0, s, du_next, 0.0, sigma, spec.alpha)
-    _reject_first(np.isnan(v), spec.start, "infeasible planted paths at {month}: "
-                  "separation inflow cannot cover the unemployment change")
-    f = sigma * (v / u) ** spec.alpha
-
-    _require_unit_vacancies(v, spec.start)
-
-    # Gross inflow into unemployment observed as short-term unemployed next
-    # month; the first month has no predecessor and is missing.
-    u_short = np.empty(n)
-    u_short[0] = np.nan
-    u_short[1:] = s[:-1] * (1.0 - u[:-1])
-
-    mk = lambda vals: MonthlySeries(spec.start, vals)  # noqa: E731
-    panel = build_two_state_panel(mk(u), mk(v), mk(u_short))
-    f_true, s_true = f.copy(), s.copy()
-    # constructions cannot identify the last month (no successor observed)
-    f_true[-1] = np.nan
-    s_true[-1] = np.nan
-    return TwoStateSimulation(panel=panel, f_true=mk(f_true), s_true=mk(s_true),
-                              sigma_true=mk(sigma), alpha=spec.alpha)
-
-
-@dataclass(frozen=True)
-class ThreeStateSimulationSpec:
-    """Planted three-state configuration: initial stocks, six rate paths and
-    an efficiency path; stocks evolve by the laws of motion so the rates are
-    exactly stock-consistent and raking is a no-op."""
-
-    alpha: float
-    u0: float
-    n0: float
-    horizon: int
-    rates: dict  # name -> scalar or length-horizon path, keys RATE_NAMES
-    sigma_path: np.ndarray | float = 1.0
-    start: MonthDate = field(default_factory=lambda: MonthDate(2000, 1))
+    n0: float = 0.0
+    rates: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -158,74 +61,152 @@ class ThreeStateSimulationSpec:
         if not (self.u0 >= 0.0 and self.n0 >= 0.0 and self.u0 + self.n0 < 1.0):
             raise ValueError("initial stocks must be nonnegative with room "
                              "for employment")
-        missing = set(RATE_NAMES) - set(self.rates)
-        if missing:
-            raise ValueError(f"missing rate paths: {sorted(missing)}")
+        if set(self.rates) - set(RATE_NAMES[1:]):
+            raise ValueError(f"rates takes {', '.join(RATE_NAMES[1:])}, not "
+                             f"{sorted(self.rates)} (eu is s_path)")
+        if "ue" in self.rates and self.delta_u_path is not None:
+            raise ValueError("delta_u_path is met by solving for ue, "
+                             "so rates cannot give ue as well")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 months")
-        _require_calendar(self.start, self.horizon)
+        try:  # every month must have a YYYY-MM date
+            self.start.shift(self.horizon - 1)
+        except ValueError:
+            raise ValueError(f"{self.horizon} months from {self.start} run past "
+                             "9999-12") from None
+        if not self.noise_std >= 0.0:
+            raise ValueError("noise_std must be non-negative")
 
 
 @dataclass(frozen=True)
-class ThreeStateSimulation:
-    panel: ThreeStatePanel
+class Simulation:
+    """The panel, built through the production constructors (a
+    `TwoStatePanel` where N = 0, else a `ThreeStatePanel`), and the planted
+    truths: vacancies, efficiency and the model's rates, planted or solved
+    (eu and ue in two states, all six in three)."""
+
+    panel: TwoStatePanel | ThreeStatePanel
     V: MonthlySeries
+    rates: dict[str, MonthlySeries]
     sigma_true: MonthlySeries
     alpha: float
 
 
-def _law_of_motion(u0: float, n0: float, rates: dict) -> tuple[np.ndarray, np.ndarray]:
+def _law_of_motion(u0: float, n0: float, rates: dict,
+                   du: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """U and N from (u0, n0), month t + 1 from month t's stocks and rates
-    (the last month's go unused).  Python floats keep numpy's float64
-    arithmetic bit for bit; a path leaving the simplex runs on unchecked.
-    The two-state law is n0 = 0 with en, un, ne, nu = 0, eu = s, ue = f."""
+    (the last month's go unused), U by the planted change `du` where given.
+    Python floats keep numpy's float64 arithmetic bit for bit; a path
+    leaving the simplex runs on unchecked."""
     eu, en, ue, un, ne, nu = (rates[name][:-1].tolist() for name in RATE_NAMES)
+    steps = [None] * len(eu) if du is None else du.tolist()
     u, n = float(u0), float(n0)
     U, N = [u], [n]
-    for eu_t, en_t, ue_t, un_t, ne_t, nu_t in zip(eu, en, ue, un, ne, nu):
+    for eu_t, en_t, ue_t, un_t, ne_t, nu_t, du_t in zip(eu, en, ue, un, ne, nu, steps):
         e = 1.0 - u - n
-        u, n = (u + (e * eu_t + n * nu_t - u * un_t - u * ue_t),
-                n + (e * en_t + u * un_t - n * ne_t - n * nu_t))
+        u, n = (u + (e * eu_t + n * nu_t - u * un_t - u * ue_t) if du_t is None
+                else u + du_t, n + (e * en_t + u * un_t - n * ne_t - n * nu_t))
         U.append(u)
         N.append(n)
     return np.array(U), np.array(N)
 
 
-def simulate_three_state(spec: ThreeStateSimulationSpec) -> ThreeStateSimulation:
-    """Generate a stock-consistent three-state panel with planted vacancies;
-    ValueError names the first month whose exit rates raking would reject,
-    whose stocks leave the simplex, whose U -> E flow rounds to zero, or
-    whose planted V is invalid."""
+def _planted_stocks(spec: SimulationSpec, rates: dict,
+                    two_state: bool) -> tuple[np.ndarray, ...]:
+    """U (u0 plus the running sum of the planted change dU), N and dU, with
+    ue_t = (E_t eu_t + N_t nu_t - U_t un_t - dU_t) / U_t solved into `rates`,
+    the last month's at E constant.  ValueError names the first month where
+    U leaves (0, 1) or the solved ue is not positive."""
     n = spec.horizon
-    rates = {name: _as_path(spec.rates[name], n, name) for name in RATE_NAMES}
-    sigma = _as_path(spec.sigma_path, n, "sigma_path")
+    du = _as_path(0.0 if spec.delta_u_path is None else spec.delta_u_path, n - 1,
+                  "delta_u_path")
+    # N = 0 in two states: U is a running sum in month order, as the loop adds
+    # it.  Only the first month outside (0, 1) is reported; later ones may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, N = ((np.add.accumulate(np.append(spec.u0, du)), np.zeros(n)) if two_state
+                else _law_of_motion(spec.u0, spec.n0, rates, du))
+        outside = ~((U > 0.0) & (U < 1.0))
+    _reject_first(outside, spec.start, "unemployment left (0, 1) at {month}: {value!r}",
+                  U)
+    E, (eu, en, _, un, ne, nu) = 1.0 - U - N, (rates[name] for name in RATE_NAMES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates["ue"] = ue = (E * eu + N * nu - U * un - np.append(du, 0.0)) / U
+        # the last month continues in steady state: hires U ue + N ne = E x
+        ue[-1] = (E[-1] * (eu[-1] + en[-1]) - N[-1] * ne[-1]) / U[-1]
+    _reject_first(~(ue > 0.0), spec.start, "infeasible planted paths at {month}: "
+                  "the inflow cannot cover the unemployment change (solved ue = "
+                  "{value!r})", ue)
+    return U, N, du
 
-    faults = _stayer_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
-                            spec.start.shift)
+
+def simulate(spec: SimulationSpec) -> Simulation:
+    """A panel of either model, consistent with it by construction: V from
+    the vacancy identity, the last month continuing in steady state
+    (dS' = dN_tilde' = 0).  ValueError names the first month whose stocks
+    leave their bounds, whose exit rates raking would refuse (solved ones in
+    every month), whose U -> E flow rounds to zero, or whose V is
+    infeasible or outside (0, 1)."""
+    n, start = spec.horizon, spec.start
+    rates = {"eu": _as_path(spec.s_path, n, "s_path"),
+             **{name: _as_path(spec.rates.get(name, 0.0), n, name)
+                for name in RATE_NAMES[1:]}}
+    two_state = spec.n0 == 0.0 and not any(rates[name].any()
+                                           for name in ("en", "un", "ne", "nu"))
+    sigma = _as_path(spec.sigma_path, n, "sigma_path")
+    if spec.noise_std > 0.0:
+        rng = np.random.default_rng(spec.seed)
+        sigma = sigma * np.exp(rng.normal(0.0, spec.noise_std, size=n))
+
+    if "ue" in spec.rates:
+        (U, N), du = _law_of_motion(spec.u0, spec.n0, rates), None
+    else:
+        U, N, du = _planted_stocks(spec, rates, two_state)
+    # the last month's rates start no month-pair, and raking skips them
+    faults = _stayer_faults(np.vstack([rates[name][:n - (du is None)]
+                                       for name in RATE_NAMES]), start.shift)
     if faults:
         raise ValueError(next(iter(faults.values())))
-    U, N = _law_of_motion(spec.u0, spec.n0, rates)
     with np.errstate(over="ignore", invalid="ignore"):
         outside = (U < 0.0) | (N < 0.0) | (U + N >= 1.0)
-    _reject_first(outside, spec.start, "stocks left the simplex at {month}")
+    _reject_first(outside, start, "stocks left the simplex at {month}")
     # raking scales each flow, so a flow that rounds to zero stays zero: no
     # job finding would be left for the month
     ue = rates["ue"][:-1]
-    _reject_first((U[:-1] * ue == 0.0) & (ue > 0.0), spec.start,
+    _reject_first((U[:-1] * ue == 0.0) & (ue > 0.0), start,
                   "unemployment-to-employment flow U * ue rounds to zero at {month}: "
                   "U = {value!r}", U)
-    E = 1.0 - U - N
 
-    mk = lambda vals: MonthlySeries(spec.start, vals)  # noqa: E731
-    panel = ThreeStatePanel(E=mk(E), U=mk(U), N=mk(N),
-                            **{name: mk(rates[name]) for name in RATE_NAMES})
-
-    S, Nt, x = panel.S.values, panel.N_tilde.values, panel.x.values
-    v = np.full(n, np.nan)
-    v[:-1] = _vacancy_identity(S[:-1], Nt[:-1], x[:-1], S[1:] - S[:-1],
-                               Nt[1:] - Nt[:-1], sigma[:-1], spec.alpha)
-    _reject_first(np.isnan(v[:-1]), spec.start, "infeasible planted paths at {month}: "
+    mk = lambda vals: MonthlySeries(start, vals)  # noqa: E731
+    if two_state:  # N = 0: the searchers S = U + xi_N N are U, and N_tilde is N
+        S, Nt, x, searching = U, N, rates["eu"], N
+    else:
+        panel = ThreeStatePanel(E=mk(1.0 - U - N), U=mk(U), N=mk(N),
+                                **{name: mk(rates[name]) for name in RATE_NAMES})
+        S, Nt, x = panel.S.values, panel.N_tilde.values, panel.x.values
+        searching = panel.xi_N.values * N
+    # a planted change is met as planted: S-differences would round it anew
+    dS = np.diff(S) if du is None else du + np.diff(searching)
+    v = _vacancy_identity(S, Nt, x, np.append(dS, 0.0), np.append(np.diff(Nt), 0.0),
+                          sigma, spec.alpha)
+    _reject_first(np.isnan(v), start, "infeasible planted paths at {month}: "
                   "hires implied by the flows are nonpositive")
-    _require_unit_vacancies(v[:-1], spec.start)
-    return ThreeStateSimulation(panel=panel, V=mk(v), sigma_true=mk(sigma),
-                                alpha=spec.alpha)
+    _reject_first((v <= 0.0) | (v >= 1.0), start,
+                  "planted vacancies left (0, 1) at {month}: {value!r}", v)
+    V, sigma = mk(v), mk(sigma)
+    if not two_state:
+        return Simulation(panel, V, panel.rates(), sigma, spec.alpha)
+    # the gross inflow into unemployment, observed as short-term unemployed
+    # next month; the first month has no predecessor
+    u_short = np.append(np.nan, rates["eu"][:-1] * (1.0 - U[:-1]))
+    return Simulation(build_two_state_panel(mk(U), V, mk(u_short)), V,
+                      {name: mk(rates[name]) for name in ("eu", "ue")}, sigma, spec.alpha)
+
+
+# The former two-model API, kept only because `bench/workloads.py` builds
+# its panels with it; drop it once the benchmark calls `simulate`.
+simulate_two_state = simulate_three_state = simulate
+
+
+def ThreeStateSimulationSpec(*, rates: dict, sigma_path=1.0, **kwargs) -> SimulationSpec:
+    return SimulationSpec(s_path=rates["eu"], sigma_path=sigma_path, **kwargs,
+                          rates={name: rates[name] for name in RATE_NAMES[1:]})

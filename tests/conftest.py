@@ -44,7 +44,7 @@ def recession_sim():
     spec = ba.SimulationSpec(alpha=0.3, u0=0.055, horizon=n, s_path=s_path,
                              sigma_path=sigma_path, delta_u_path=du,
                              start=MonthDate(2000, 1))
-    return ba.simulate_two_state(spec)
+    return ba.simulate(spec)
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +70,14 @@ def recession_pipeline(recession_sim):
     }
 
 
+def three_state_spec(rates, sigma=1.0, alpha=0.3, **kwargs):
+    """The spec of six planted rates: eu as `s_path`, the other five as
+    `rates`."""
+    return ba.SimulationSpec(alpha=alpha, s_path=rates["eu"], sigma_path=sigma,
+                             rates={k: v for k, v in rates.items() if k != "eu"},
+                             **kwargs)
+
+
 def make_three_state_steady(horizon=24, ue=0.25, eu=0.015, en=0.02,
                             u0=0.05, n0=0.30, un=0.03, sigma=0.36,
                             start=MonthDate(2000, 1)):
@@ -83,6 +91,5 @@ def make_three_state_steady(horizon=24, ue=0.25, eu=0.015, en=0.02,
     ne = (e0 * x - u0 * ue) / n0
     nu = (u0 * un + u0 * ue - e0 * eu) / n0
     rates = {"eu": eu, "en": en, "ue": ue, "un": un, "ne": ne, "nu": nu}
-    spec = ba.ThreeStateSimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=horizon,
-                                       rates=rates, sigma_path=sigma, start=start)
-    return ba.simulate_three_state(spec)
+    return ba.simulate(three_state_spec(u0=u0, n0=n0, horizon=horizon, rates=rates,
+                                        sigma=sigma, start=start))

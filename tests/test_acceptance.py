@@ -50,7 +50,7 @@ def test_criterion_1_two_state_identity_roundtrip(recession_sim):
                              s_path=0.025 * np.ones(90), sigma_path=0.5,
                              delta_u_path=0.002 * np.sin(np.arange(89) / 4.0),
                              noise_std=0.05, seed=3)
-    sim2 = ba.simulate_two_state(spec)
+    sim2 = ba.simulate(spec)
     theta2 = ba.tightness(sim2.panel.U, sim2.panel.V)
     sigma2 = ba.matching_efficiency_path(sim2.panel.f, theta2, alpha=0.42)
     v2 = identity(sim2.panel, sigma2, alpha=0.42)
@@ -98,13 +98,13 @@ def test_criterion_3_planted_parameter_recovery():
     s_path = 0.02 * (1 + 0.15 * np.sin(2 * np.pi * np.arange(120) / 31))
     spec = ba.SimulationSpec(alpha=0.3, u0=0.06, horizon=120, s_path=s_path,
                              sigma_path=0.36, delta_u_path=du)
-    sim = ba.simulate_two_state(spec)
+    sim = ba.simulate(spec)
     theta = ba.tightness(sim.panel.U, sim.panel.V)
     est = ba.estimate_matching(sim.panel.f, theta)
     assert abs(est.alpha - 0.3) < 1e-10
     sigma = ba.matching_efficiency_path(sim.panel.f, theta, alpha=0.3)
     assert np.nanmax(np.abs(sigma.values[:-1] - 0.36)) < 1e-12
-    assert np.nanmax(np.abs(sim.panel.s.values - sim.s_true.values)) < 1e-12
+    assert np.nanmax(np.abs(sim.panel.s.values - sim.rates["eu"].values)) < 1e-12
 
     # single-margin shifts: full attribution for all six orderings
     worst = 0.0
@@ -115,7 +115,7 @@ def test_criterion_3_planted_parameter_recovery():
             sigma_path[20:] *= 0.75
         else:
             sp[20:] *= 1.3
-        sim1 = ba.simulate_two_state(ba.SimulationSpec(
+        sim1 = ba.simulate(ba.SimulationSpec(
             alpha=0.3, u0=0.06, horizon=40, s_path=sp, sigma_path=sigma_path))
         theta1 = ba.tightness(sim1.panel.U, sim1.panel.V)
         sigma1 = ba.matching_efficiency_path(sim1.panel.f, theta1, 0.3)

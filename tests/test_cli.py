@@ -78,17 +78,17 @@ class TestSimulateCommand:
         assert {"e_stock", "u_stock", "n_stock", "v_rate", "eu", "en", "ue",
                 "un", "ne", "nu"} <= set(rows[0])
 
-    @pytest.mark.parametrize("flag, value", [("--noise", 0.01),
-                                             ("--du-amplitude", 0.001),
-                                             ("--du-period", 12), ("--seed", 5)])
-    def test_three_state_rejects_two_state_only_flags(self, tmp_path, capsys,
-                                                      flag, value):
-        out = tmp_path / "out3"
-        code = run(["simulate", "--output-dir", out, "--horizon", 24,
-                    "--three-state", flag, value, *START_FLAGS])
-        assert code == 2
-        assert flag in capsys.readouterr().err
-        assert not out.exists()
+    def test_three_state_cycle_and_noise_panel_reads_back(self, tmp_path):
+        # ue is solved to meet the cycle, so the rates reproduce the stocks
+        # and raking leaves them as they are
+        panel = tmp_path / "panel"
+        assert run(["simulate", "--three-state", "--du-amplitude", 0.001, "--noise", 0.02,
+                    "--seed", 5, "--horizon", 240, "--output-dir", panel]) == 0
+        out = tmp_path / "out"
+        assert run(["three-state", "--input", panel / "panel.csv", "--output-dir", out]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert notes["raking_months_adjusted"] == 0
+        assert notes["raking_iterations"]["max"] == 0
 
     @pytest.mark.parametrize("value", [0.5, "nan"])
     def test_two_state_rejects_three_state_only_flag(self, tmp_path, capsys, value):
@@ -323,7 +323,7 @@ class TestDecomposeCommand:
         sigma_path[20:] *= 0.75
         spec = ba.SimulationSpec(alpha=0.3, u0=0.06, horizon=n, s_path=0.02,
                                  sigma_path=sigma_path)
-        sim = ba.simulate_two_state(spec)
+        sim = ba.simulate(spec)
         data = tmp_path / "single.csv"
         ba.write_panel(data, {"u_rate": sim.panel.U, "v_rate": sim.panel.V,
                               "u_short": sim.panel.U_short})
@@ -405,7 +405,7 @@ class TestDecomposeCommand:
             du = np.zeros(n - 1)
             du[10:10 + rise] = 0.02 / rise  # U rises by two points
             du[10 + rise:10 + 3 * rise] = -0.01 / rise  # and falls back
-            sim = ba.simulate_two_state(ba.SimulationSpec(
+            sim = ba.simulate(ba.SimulationSpec(
                 alpha=0.3, u0=0.05, horizon=n, s_path=0.02, sigma_path=0.36,
                 delta_u_path=du))
             data = tmp_path / f"rise-{rise}.csv"
@@ -490,7 +490,7 @@ class TestThreeStateCommand:
         sigma_path[60:] *= 0.8
         spec = ba.SimulationSpec(alpha=0.3, u0=0.06, horizon=n, s_path=s_path,
                                  sigma_path=sigma_path, delta_u_path=du)
-        sim = ba.simulate_two_state(spec)
+        sim = ba.simulate(spec)
         panel = sim.panel
 
         two_csv = tmp_path / "two.csv"
@@ -778,30 +778,33 @@ def test_a_command_takes_exactly_the_flags_it_reads(tmp_path, capsys, reads_by_c
     assert not out.exists()
 
 
-# a value away from the default of each flag that only one simulate model reads
-AWAY = {"--n0": 0.2, "--du-amplitude": 0.002, "--du-period": 12, "--noise": 0.02,
-        "--seed": 5}
+# a value away from the default of each flag that shapes the planted cycle
+# or the efficiency noise, which both simulate models read
+AWAY = {"--du-amplitude": 0.002, "--du-period": 12, "--noise": 0.02, "--seed": 5}
 
 
-@pytest.mark.parametrize("flag", [flag for flag in cli._FLAGS if flag.model],
-                         ids=lambda flag: flag.name)
-def test_model_only_flag_is_read_by_its_model_and_refused_by_the_other(tmp_path, capsys,
-                                                                       flag):
-    given = [flag.name, AWAY[flag.name]]
-    three = flag.model == "two-state"  # so the other model is the three-state one
-    out = tmp_path / "refused"
-    assert run(["simulate", "--horizon", 24, *["--three-state"] * three, *given,
-                "--output-dir", out]) == 2
-    assert capsys.readouterr().err == (
-        f"configuration error: {flag.name}: {flag.model} only, "
-        f"not read {'with' if three else 'without'} --three-state\n")
-    assert not out.exists()
-    # under its own model the value changes the panel; the two-state runs
-    # have a cycle and noise, so --du-period and --seed show
-    own = ["--du-amplitude", 0.001, "--noise", 0.01] if three else ["--three-state"]
+@pytest.mark.parametrize("three", [False, True], ids=["two-state", "three-state"])
+@pytest.mark.parametrize("flag", list(AWAY))
+def test_cycle_and_noise_flags_move_either_model(tmp_path, flag, three):
+    # the runs have a cycle and noise, so --du-period and --seed show
+    own = ["--du-amplitude", 0.001, "--noise", 0.01, *["--three-state"] * three]
     panels = []
-    for name, extra in (("default", []), ("given", given)):
+    for name, extra in (("default", []), ("given", [flag, AWAY[flag]])):
         assert run(["simulate", "--horizon", 24, *own, *extra,
+                    "--output-dir", tmp_path / name]) == 0
+        panels.append((tmp_path / name / "panel.csv").read_bytes())
+    assert panels[0] != panels[1]
+
+
+def test_n0_is_read_with_three_state_and_refused_without(tmp_path, capsys):
+    out = tmp_path / "refused"
+    assert run(["simulate", "--horizon", 24, "--n0", 0.2, "--output-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --n0: three-state only, not read without --three-state\n")
+    assert not out.exists()
+    panels = []
+    for name, extra in (("default", []), ("given", ["--n0", 0.2])):
+        assert run(["simulate", "--horizon", 24, "--three-state", *extra,
                     "--output-dir", tmp_path / name]) == 0
         panels.append((tmp_path / name / "panel.csv").read_bytes())
     assert panels[0] != panels[1]

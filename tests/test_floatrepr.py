@@ -112,8 +112,8 @@ class TestFloatReprs:
         fields = (np.array([1e-4, np.nextafter(1e16, 0)]).view(np.uint64) >> 52).tolist()
         assert fields == [_FIELD_MIN, _FIELD_MAX]
         t = _tables()
-        rows = 2 * (_FIELD_MAX - _FIELD_MIN + 1)  # and the closer-neighbour rows
-        assert [len(x) for x in (t.g1, t.g0, t.centre, t.right, t.left, t.k)] == [rows] * 6
+        rows = _FIELD_MAX - _FIELD_MIN + 1  # one per field, none for a closer neighbour
+        assert [len(x) for x in (t.g1, t.g0, t.centre, t.k)] == [rows] * 4
         assert sorted(set(t.k.tolist())) == list(range(-20, 1))
 
     def test_non_finite_and_empty(self):

@@ -314,7 +314,7 @@ def noisy_swings(draw):
     du = draw(st.floats(2e-4, 1.5e-3)) * np.sin(
         2.0 * np.pi * (t / draw(st.floats(12.0, 60.0)) + draw(st.floats(0.0, 1.0))))
     try:
-        sim = ba.simulate_two_state(ba.SimulationSpec(
+        sim = ba.simulate(ba.SimulationSpec(
             alpha=alpha, u0=0.06, horizon=n, s_path=draw(st.floats(0.015, 0.025)),
             sigma_path=draw(st.floats(0.5, 0.8)), delta_u_path=du,
             noise_std=draw(st.floats(0.0, 0.05)),
@@ -506,7 +506,7 @@ def single_margin_sim(which, n=40):
         s_path[n // 2:] *= 1.3
     spec = ba.SimulationSpec(alpha=0.3, u0=0.06, horizon=n, s_path=s_path,
                              sigma_path=sigma_path, start=START)
-    sim = ba.simulate_two_state(spec)
+    sim = ba.simulate(spec)
     panel = sim.panel
     theta = ba.tightness(panel.U, panel.V)
     sigma_hat = ba.matching_efficiency_path(panel.f, theta, 0.3)
@@ -644,7 +644,7 @@ def recession_panels(draw):
     s_path[draw(st.integers(1, n - 1)):] *= draw(st.floats(0.85, 1.2))
     sigma_path = np.full(n, 0.36)
     sigma_path[draw(st.integers(1, n - 1)):] *= draw(st.floats(0.75, 1.3))
-    sim = ba.simulate_two_state(ba.SimulationSpec(
+    sim = ba.simulate(ba.SimulationSpec(
         alpha=alpha, u0=0.05, horizon=n, s_path=s_path, sigma_path=sigma_path,
         delta_u_path=du, start=START))
     panel = sim.panel
@@ -735,3 +735,68 @@ class TestOrderingTableMatchesReference:
             exact = reference_orderings.exact_vacancies(U, s, sigma, point.alpha)
         assert same_float(identity(two_state(U, s), sigma, point.alpha).values,
                           exact.values)
+
+
+# ---------------------------------------------------------------------------
+# The abstract's pattern on planted recessions
+# ---------------------------------------------------------------------------
+
+# One 44-year panel with three recessions, each 18 months of rising and 36 of
+# falling unemployment: the first with a separations spike on the way up,
+# the second with its dynamics alone, the third with the spike and a
+# permanent 20% fall in matching efficiency from its peak on
+RECESSION_START = MonthDate(1970, 1)
+RECESSION_DOWN, RECESSION_UP = 18, 36
+RECESSIONS = {"separations": 60, "dynamics": 220, "matching": 380}
+
+
+@pytest.fixture(scope="module")
+def planted_recessions():
+    n = 44 * 12
+    du, s, sigma = np.zeros(n - 1), np.full(n, 0.02), np.full(n, 0.36)
+    for kind, start in RECESSIONS.items():
+        peak = start + RECESSION_DOWN
+        du[start:peak] = 0.002
+        du[peak:peak + RECESSION_UP] = -0.001
+        if kind != "dynamics":
+            s[start:peak] *= 1.3
+        if kind == "matching":
+            sigma[peak:] *= 0.8
+    sim = ba.simulate(ba.SimulationSpec(alpha=0.3, u0=0.05, horizon=n, s_path=s,
+                                        sigma_path=sigma, delta_u_path=du,
+                                        start=RECESSION_START))
+    panel = sim.panel
+    sigma_hat = ba.matching_efficiency_path(panel.f, ba.tightness(panel.U, panel.V), 0.3)
+    tables = {}
+    for kind, start in RECESSIONS.items():
+        # each recession with its own swing bounds and its own expansion point
+        month = RECESSION_START.shift
+        peak = start + RECESSION_DOWN
+        bounds = SwingBounds(down_start=month(start), down_end=month(peak - 1),
+                             up_start=month(peak), up_end=month(peak + RECESSION_UP - 1))
+        point = ApproximationPoint.from_panel(panel, sigma_hat, 0.3,
+                                              (bounds.down_start, bounds.up_end))
+        samples = build_swing_samples(panel.U, panel.V, bounds)
+        tables[kind] = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
+    return tables
+
+
+def test_planted_recessions_show_the_abstracts_pattern(planted_recessions):
+    # matching matters only where efficiency fell; where it did not,
+    # separations and dynamics do the work and offset each other in part
+    shares = {kind: {margin: [row.percent[margin] for row in table.rows]
+                     for margin in MARGINS}
+              for kind, table in planted_recessions.items()}
+    for kind in ("separations", "dynamics"):
+        assert max(map(abs, shares[kind]["matching"])) < 1e-9, kind
+    assert min(shares["separations"]["separations"]) > 100.0
+    assert max(shares["separations"]["dynamics"]) < 0.0
+    assert shares["dynamics"]["dynamics"] == pytest.approx([100.0] * 6, abs=1e-9)
+    assert max(map(abs, shares["dynamics"]["separations"])) < 1e-9
+    assert min(shares["matching"]["matching"]) > 0.0
+    assert max(shares["matching"]["separations"]) < 0.0
+    # in every ordering the three shares add up to the observed shift
+    for table in planted_recessions.values():
+        assert table.n_pairs > 0
+        for row in table.rows:
+            assert sum(row.percent.values()) == pytest.approx(100.0, abs=1e-9)

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 import beveridge_accounting as ba
 from beveridge_accounting import (MonthDate, SimulationSpec, rake_transition_rates,
-                                  simulate_two_state)
+                                  simulate)
 from beveridge_accounting.flows_three_state import RATE_NAMES
 from beveridge_accounting.simulate import _law_of_motion
-from conftest import identity, make_three_state_steady
+from conftest import identity, make_three_state_steady, three_state_spec
+import reference_simulate
 
 START = MonthDate(2000, 1)
 
 
 def loop_unemployment(u0, du, start):
     """U by the law of motion, one month at a time; ValueError naming the
-    first month outside (0, 1), as `simulate_two_state` reports it."""
+    first month outside (0, 1), as `simulate` reports it."""
     u = np.empty(len(du) + 1)
     u[0] = u0
     for t in range(len(du)):
@@ -53,7 +54,7 @@ def unemployment_paths(draw):
 def loop_stocks(u0, n0, rates, start):
     """U and N by the laws of motion, one month at a time on numpy scalars;
     ValueError naming the first month that leaves the simplex, as
-    `simulate_three_state` reports it."""
+    `simulate` reports it."""
     n = len(rates["eu"])
     U = np.empty(n)
     N = np.empty(n)
@@ -98,7 +99,7 @@ class TestTwoStateSimulation:
     def test_steady_state_is_constant(self):
         spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=24, s_path=0.02,
                               sigma_path=0.36)
-        sim = simulate_two_state(spec)
+        sim = simulate(spec)
         np.testing.assert_allclose(sim.panel.U.values, 0.06, rtol=1e-14)
         v = sim.panel.V.values
         np.testing.assert_allclose(v, v[0], rtol=1e-14)
@@ -112,9 +113,9 @@ class TestTwoStateSimulation:
     def test_pipeline_recovers_planted_truths(self, recession_sim):
         panel = recession_sim.panel
         np.testing.assert_allclose(panel.f.values[:-1],
-                                   recession_sim.f_true.values[:-1], atol=1e-12)
+                                   recession_sim.rates["ue"].values[:-1], atol=1e-12)
         np.testing.assert_allclose(panel.s.values[:-1],
-                                   recession_sim.s_true.values[:-1], atol=1e-12)
+                                   recession_sim.rates["eu"].values[:-1], atol=1e-12)
         theta = ba.tightness(panel.U, panel.V)
         sigma = ba.matching_efficiency_path(panel.f, theta, 0.3)
         np.testing.assert_allclose(sigma.values[:-1],
@@ -127,7 +128,7 @@ class TestTwoStateSimulation:
         s_path = 0.02 * (1 + 0.15 * np.sin(2 * np.pi * np.arange(120) / 31))
         spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=120, s_path=s_path,
                               sigma_path=0.36, delta_u_path=du)
-        sim = simulate_two_state(spec)
+        sim = simulate(spec)
         theta = ba.tightness(sim.panel.U, sim.panel.V)
         est = ba.estimate_matching(sim.panel.f, theta)
         assert est.alpha == pytest.approx(0.3, abs=1e-10)
@@ -139,7 +140,7 @@ class TestTwoStateSimulation:
         sigma_path[30:] *= 0.75
         spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=n, s_path=0.02,
                               sigma_path=sigma_path)
-        sim = simulate_two_state(spec)
+        sim = simulate(spec)
         theta = ba.tightness(sim.panel.U, sim.panel.V)
         sigma_hat = ba.matching_efficiency_path(sim.panel.f, theta, 0.3)
         point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
@@ -153,10 +154,10 @@ class TestTwoStateSimulation:
     def test_noise_is_seeded_and_reproducible(self):
         spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=40, s_path=0.02,
                               sigma_path=0.36, noise_std=0.02, seed=42)
-        a = simulate_two_state(spec)
-        b = simulate_two_state(spec)
+        a = simulate(spec)
+        b = simulate(spec)
         np.testing.assert_array_equal(a.panel.V.values, b.panel.V.values)
-        c = simulate_two_state(SimulationSpec(alpha=0.3, u0=0.06, horizon=40,
+        c = simulate(SimulationSpec(alpha=0.3, u0=0.06, horizon=40,
                                               s_path=0.02, sigma_path=0.36,
                                               noise_std=0.02, seed=43))
         assert not np.array_equal(a.panel.V.values, c.panel.V.values)
@@ -166,10 +167,10 @@ class TestTwoStateSimulation:
         spec = SimulationSpec(alpha=0.3, u0=0.9, horizon=24, s_path=0.02,
                               sigma_path=0.36, delta_u_path=du)
         with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-0[0-9]"):
-            simulate_two_state(spec)
+            simulate(spec)
         # the month is named and the value printed as a plain float
         with pytest.raises(ValueError, match=r"left \(0, 1\) at 2000-02: -0\.0") as exc:
-            simulate_two_state(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
+            simulate(SimulationSpec(alpha=0.3, u0=0.05, horizon=3, s_path=0.02,
                                               sigma_path=0.36,
                                               delta_u_path=np.array([-0.06, 0.0])))
         assert "np.float64" not in str(exc.value)
@@ -188,10 +189,10 @@ class TestTwoStateSimulation:
                 with pytest.raises(ValueError) as want:
                     loop_unemployment(u0, du, START)
                 with pytest.raises(ValueError) as got:
-                    simulate_two_state(spec)
+                    simulate(spec)
                 assert str(got.value) == str(want.value)
             else:
-                got = simulate_two_state(spec).panel.U.values
+                got = simulate(spec).panel.U.values
                 want = loop_unemployment(u0, du, START)
                 assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -203,7 +204,7 @@ class TestTwoStateSimulation:
                               sigma_path=sigma)
         with pytest.raises(ValueError, match=r"planted vacancies left \(0, 1\) "
                            r"at 2000-07: \d") as exc:
-            simulate_two_state(spec)
+            simulate(spec)
         assert "np.float64" not in str(exc.value)
 
     def test_spec_validation(self):
@@ -212,13 +213,13 @@ class TestTwoStateSimulation:
                 SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02,
                                sigma_path=0.36, noise_std=noise)
         with pytest.raises(ValueError, match="positive"):
-            simulate_two_state(SimulationSpec(alpha=0.3, u0=0.06, horizon=12,
+            simulate(SimulationSpec(alpha=0.3, u0=0.06, horizon=12,
                                               s_path=-0.02, sigma_path=0.36))
         # NaN initial stocks fail the comparisons, so they are rejected too
         for u0, n0 in ((np.nan, 0.3), (0.06, np.nan)):
             with pytest.raises(ValueError, match="initial stocks"):
-                ba.ThreeStateSimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=12,
-                                            rates={})
+                SimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=12, s_path=0.02,
+                               sigma_path=0.36)
         # every month must have a YYYY-MM date: 9999-01 plus 12 is the last
         SimulationSpec(alpha=0.3, u0=0.06, horizon=12, s_path=0.02, sigma_path=0.36,
                        start=MonthDate(9999, 1))
@@ -226,9 +227,9 @@ class TestTwoStateSimulation:
             SimulationSpec(alpha=0.3, u0=0.06, horizon=13, s_path=0.02,
                            sigma_path=0.36, start=MonthDate(9999, 1))
         with pytest.raises(ValueError, match="13 months from 9999-01 run past 9999-12"):
-            ba.ThreeStateSimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=13,
-                                        rates=dict.fromkeys(RATE_NAMES, 0.02),
-                                        start=MonthDate(9999, 1))
+            three_state_spec(u0=0.06, n0=0.3, horizon=13,
+                             rates=dict.fromkeys(RATE_NAMES, 0.02),
+                             start=MonthDate(9999, 1))
 
 
 class TestThreeStateSimulation:
@@ -243,35 +244,30 @@ class TestThreeStateSimulation:
         assert report.worst_residual < 1e-12
 
     def test_identity_reproduces_planted_vacancies(self):
+        # the identity has no next month at the panel's last; the planted V
+        # continues there in steady state
         sim = make_three_state_steady(horizon=12)
         got = identity(sim.panel, sim.sigma_true, sim.alpha)
-        ok = ~np.isnan(sim.V.values)
-        np.testing.assert_allclose(got.values[ok], sim.V.values[ok], rtol=1e-12)
+        np.testing.assert_allclose(got.values[:-1], sim.V.values[:-1], rtol=1e-12)
+        assert np.isnan(got.values[-1]) and 0.0 < sim.V.values[-1] < 1.0
 
-    def test_reduction_to_two_state(self):
-        # no nonemployment: the three-state panel runs through the two-state
-        # machinery and reproduces the same vacancies and flows
-        rates = {"eu": 0.02, "en": 0.0, "ue": 0.25, "un": 0.0, "ne": 0.0,
-                 "nu": 0.0}
-        spec = ba.ThreeStateSimulationSpec(alpha=0.3, u0=0.06, n0=0.0,
-                                           horizon=24, rates=rates,
-                                           sigma_path=0.36)
-        sim = ba.simulate_three_state(spec)
-        np.testing.assert_array_equal(sim.panel.N.values, 0.0)
-        np.testing.assert_allclose(sim.panel.x.values, 0.02, rtol=1e-15)
-
-        u_short = np.empty(24)
-        u_short[0] = np.nan
-        u_short[1:] = 0.02 * (1 - sim.panel.U.values[:-1])
-        two = ba.build_two_state_panel(
-            sim.panel.U, sim.V.with_values(np.nan_to_num(sim.V.values, nan=0.03)),
-            sim.panel.U.with_values(u_short))
-        np.testing.assert_allclose(two.f.values[:-1], 0.25, rtol=1e-12)
-        np.testing.assert_allclose(two.s.values[:-1], 0.02, rtol=1e-12)
-
-        sigma = sim.sigma_true
-        v2 = identity(two, sigma, 0.3)
+    def test_no_nonemployment_gives_the_two_state_panel(self):
+        # N = 0 with en = un = ne = nu = 0: the two-state panel, whose
+        # constructed flows and identity recover the planted rates and V
+        sim = simulate(three_state_spec(
+            u0=0.06, n0=0.0, horizon=24, sigma=0.36,
+            rates={"eu": 0.02, "en": 0.0, "ue": 0.25, "un": 0.0, "ne": 0.0, "nu": 0.0}))
+        assert isinstance(sim.panel, ba.TwoStatePanel)
+        assert sim.panel.V is sim.V
+        np.testing.assert_allclose(sim.panel.f.values[:-1], 0.25, rtol=1e-12)
+        np.testing.assert_allclose(sim.panel.s.values[:-1], 0.02, rtol=1e-12)
+        v2 = identity(sim.panel, sim.sigma_true, 0.3)
         np.testing.assert_allclose(v2.values[:-1], sim.V.values[:-1], rtol=1e-12)
+        # any nonemployment makes it a three-state panel
+        for n0, rates in ((0.1, {}), (0.0, {"un": 0.01}), (0.0, {"nu": 0.01})):
+            sim = simulate(SimulationSpec(alpha=0.3, u0=0.06, n0=n0, horizon=12,
+                                          s_path=0.02, sigma_path=0.36, rates=rates))
+            assert isinstance(sim.panel, ba.ThreeStatePanel)
 
     def test_vacancies_outside_unit_interval_rejected(self):
         # a low efficiency from 2000-07 on needs a vacancy rate above one
@@ -281,24 +277,25 @@ class TestThreeStateSimulation:
                            r"at 2000-07: \d") as exc:
             make_three_state_steady(horizon=24, sigma=sigma)
         assert "np.float64" not in str(exc.value)
-        assert (make_three_state_steady(horizon=24).V.values[:-1] < 1.0).all()
+        assert (make_three_state_steady(horizon=24).V.values < 1.0).all()
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(three_state_paths())
     def test_law_of_motion_matches_per_month_loop(self, drawn):
         # bit for bit where the stocks stay in the simplex, the same text
-        # where they leave, and no RuntimeWarning from the months after
+        # where they leave, and no RuntimeWarning from the months after; an
+        # eu that is not positive is refused first, as the spec's s_path
         u0, n0, rates = drawn
-        spec = ba.ThreeStateSimulationSpec(alpha=0.3, u0=u0, n0=n0,
-                                           horizon=len(rates["eu"]), rates=rates)
+        spec = three_state_spec(u0=u0, n0=n0, horizon=len(rates["eu"]), rates=rates)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
                 want = loop_stocks(u0, n0, rates, START)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
-                    ba.simulate_three_state(spec)
-                assert str(got.value) == str(exc)
+                    simulate(spec)
+                assert str(got.value) == ("s_path must be strictly positive"
+                                          if (rates["eu"] <= 0.0).any() else str(exc))
             else:
                 for got, path in zip(_law_of_motion(u0, n0, rates), want):
                     assert got.view(np.uint64).tolist() == path.view(np.uint64).tolist()
@@ -311,23 +308,199 @@ class TestThreeStateSimulation:
             un[list(months)] = 0.8
             rates = {"eu": 0.02, "en": 0.02, "ue": 0.25, "un": un, "ne": 0.04,
                      "nu": 0.02}
-            return ba.ThreeStateSimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=12,
-                                               rates=rates, sigma_path=0.36)
+            return three_state_spec(u0=0.06, n0=0.3, horizon=12, rates=rates, sigma=0.36)
         with pytest.raises(ValueError, match=r"^month 2000-06: negative stayer "
                            r"probability in state 1: exit rates sum to 1\.05$"):
-            ba.simulate_three_state(spec(5, 8))
-        sim = ba.simulate_three_state(spec(11))
+            simulate(spec(5, 8))
+        sim = simulate(spec(11))
         rake_transition_rates((sim.panel.E, sim.panel.U, sim.panel.N), sim.panel.rates())
 
     def test_degenerate_paths_rejected(self):
         # total separation of the whole workforce empties employment
         rates = {"eu": 0.5, "en": 0.5, "ue": 0.0, "un": 0.0, "ne": 0.0,
                  "nu": 0.0}
-        spec = ba.ThreeStateSimulationSpec(alpha=0.3, u0=0.05, n0=0.05,
-                                           horizon=12, rates=rates,
-                                           sigma_path=0.36)
         with pytest.raises(ValueError, match="simplex"):
-            ba.simulate_three_state(spec)
+            simulate(three_state_spec(u0=0.05, n0=0.05, horizon=12, rates=rates,
+                                      sigma=0.36))
+
+
+# ---------------------------------------------------------------------------
+# A planted unemployment change in three states: ue solved month by month
+# ---------------------------------------------------------------------------
+
+CYCLE_RATES = {"en": 0.02, "un": 0.03, "ne": 0.04, "nu": 0.02}
+
+
+def cycle_spec(horizon=240, amplitude=0.001, **kwargs):
+    du = amplitude * np.sin(2.0 * np.pi * np.arange(horizon - 1) / 48.0)
+    return SimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=horizon, s_path=0.02,
+                          sigma_path=0.36, rates=CYCLE_RATES, delta_u_path=du, **kwargs)
+
+
+class TestPlantedChange:
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_planted_change_is_met_exactly(self, noise):
+        spec = cycle_spec(noise_std=noise, seed=5)
+        sim = simulate(spec)
+        want = np.add.accumulate(np.append(0.06, spec.delta_u_path))
+        assert sim.panel.U.values.view(np.uint64).tolist() == \
+            want.view(np.uint64).tolist()
+        # and by the solved rates, through the law of motion, to rounding
+        U, N = _law_of_motion(0.06, 0.3, {k: v.values for k, v in sim.rates.items()})
+        np.testing.assert_allclose(U, sim.panel.U.values, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(N, sim.panel.N.values, rtol=0, atol=1e-15)
+
+    def test_raking_is_a_noop_on_the_planted_panel(self):
+        sim = simulate(cycle_spec(noise_std=0.02, seed=5))
+        raked, report = rake_transition_rates(
+            (sim.panel.E, sim.panel.U, sim.panel.N), sim.panel.rates())
+        assert np.nanmax(report.max_adjustment) <= 1e-15
+        assert (report.iterations == 0).all()
+
+    def test_identity_reproduces_planted_vacancies(self):
+        sim = simulate(cycle_spec(noise_std=0.02, seed=5))
+        got = identity(sim.panel, sim.sigma_true, sim.alpha)
+        np.testing.assert_allclose(got.values[:-1], sim.V.values[:-1], rtol=1e-12)
+        # the searcher finding rate is sigma (V / S)^alpha, as planted, in
+        # every month: the last month's ue keeps E constant, as its V does
+        theta = ba.tightness(sim.panel.S, sim.V)
+        f = ba.searcher_finding_rate(sim.panel)
+        np.testing.assert_allclose(ba.matching_efficiency_path(f, theta, 0.3).values,
+                                   sim.sigma_true.values, rtol=1e-12)
+
+    def test_the_cycle_moves_the_searcher_finding_rate(self):
+        # so ln(H/S) on ln(V/S) has variation to fit, and alpha is recovered
+        sim = simulate(cycle_spec())
+        f = ba.searcher_finding_rate(sim.panel)
+        assert np.nanstd(np.log(f.values)) > 0.01
+        # the last month too: its ue keeps E constant, as its V does
+        est = ba.estimate_matching(f, ba.tightness(sim.panel.S, sim.V))
+        assert est.alpha == pytest.approx(0.3, abs=1e-10)
+
+    def test_solved_rate_not_positive_is_infeasible(self):
+        du = np.zeros(11)
+        du[4] = 0.05  # more than the month's whole inflow into unemployment
+        for n0, rates in ((0.0, {}), (0.3, CYCLE_RATES)):
+            spec = SimulationSpec(alpha=0.3, u0=0.06, n0=n0, horizon=12, s_path=0.02,
+                                  sigma_path=0.36, rates=rates, delta_u_path=du)
+            with pytest.raises(ValueError, match=r"^infeasible planted paths at 2000-05: "
+                               r"the inflow cannot cover the unemployment change "
+                               r"\(solved ue = -0\.\d+\)$"):
+                simulate(spec)
+
+    def test_solved_rate_raking_refuses_is_refused(self):
+        # a fall in U larger than U itself asks for ue above one
+        du = np.zeros(11)
+        du[2] = -0.059
+        spec = SimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=12, s_path=0.02,
+                              sigma_path=0.36, rates=CYCLE_RATES, delta_u_path=du)
+        with pytest.raises(ValueError, match=r"^month 2000-03: negative stayer "
+                           r"probability in state 1: exit rates sum to 1\.\d+$"):
+            simulate(spec)
+
+    def test_spec_refuses_a_change_beside_ue_and_unknown_rates(self):
+        base = dict(alpha=0.3, u0=0.06, horizon=12, s_path=0.02, sigma_path=0.36)
+        with pytest.raises(ValueError, match="cannot give ue as well"):
+            SimulationSpec(**base, rates={"ue": 0.25}, delta_u_path=np.zeros(11))
+        for rates in ({"eu": 0.02}, {"xx": 0.1}):
+            with pytest.raises(ValueError, match=r"rates takes en, ue, un, ne, nu, not"):
+                SimulationSpec(**base, rates=rates)
+
+
+# ---------------------------------------------------------------------------
+# The one generator against the two it replaced (`reference_simulate`)
+# ---------------------------------------------------------------------------
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@st.composite
+def two_state_specs(draw):
+    """Keywords of a two-state spec: a drawn U cycle, separation and
+    efficiency paths, and noise, each a scalar or a path."""
+    n = draw(st.integers(2, 60))
+    path = lambda lo, hi: st.one_of(  # noqa: E731
+        st.floats(lo, hi), st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array))
+    du = draw(st.one_of(st.none(), st.lists(st.floats(-2e-3, 2e-3), min_size=n - 1,
+                                            max_size=n - 1).map(np.array)))
+    return dict(alpha=draw(st.floats(0.1, 0.9)), u0=draw(st.floats(0.03, 0.2)),
+                horizon=n, s_path=draw(path(0.005, 0.05)),
+                sigma_path=draw(path(0.2, 0.8)), delta_u_path=du,
+                noise_std=draw(st.sampled_from([0.0, 0.02])),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.filterwarnings("ignore::beveridge_accounting.ProbabilityRangeWarning")
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(two_state_specs())
+def test_two_state_equals_the_former_generator(kwargs):
+    # every field bit for bit, where the former generator builds a panel;
+    # its finding rate sigma (V / U)^alpha is the solved ue to rounding
+    try:
+        want = reference_simulate.simulate_two_state(**kwargs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            simulate(SimulationSpec(**kwargs))
+        return
+    try:
+        got = simulate(SimulationSpec(**kwargs))
+    except ValueError as exc:
+        # the former generator wrote a finding probability above one, in the
+        # last month at dU = 0
+        assert "negative stayer probability in state 1" in str(exc)
+        u = want.panel.U.values
+        s_last = np.broadcast_to(kwargs["s_path"], u.shape)[-1]
+        assert max(np.nanmax(want.f_true.values), (1 - u[-1]) * s_last / u[-1]) > 1.0
+        return
+    for name in ("U", "V", "U_short", "f", "s"):
+        assert bits(getattr(got.panel, name).values) == \
+            bits(getattr(want.panel, name).values), name
+    assert bits(got.V.values) == bits(want.panel.V.values)
+    assert bits(got.sigma_true.values) == bits(want.sigma_true.values)
+    assert bits(got.rates["eu"].values[:-1]) == bits(want.s_true.values[:-1])
+    np.testing.assert_allclose(got.rates["ue"].values[:-1], want.f_true.values[:-1],
+                               rtol=0, atol=4.5e-16)
+    assert list(got.rates) == ["eu", "ue"]
+    assert got.alpha == want.alpha
+
+
+@st.composite
+def three_state_specs(draw):
+    """(u0, n0, six rates, sigma) of a planted three-state panel near the
+    US flows, each rate a scalar or a path."""
+    n = draw(st.integers(2, 60))
+    centres = {"eu": 0.015, "en": 0.02, "ue": 0.25, "un": 0.03, "ne": 0.04, "nu": 0.02}
+    rates = {name: draw(st.one_of(
+        st.floats(0.5 * c, 1.5 * c),
+        st.lists(st.floats(0.5 * c, 1.5 * c), min_size=n, max_size=n).map(np.array)))
+        for name, c in centres.items()}
+    return (draw(st.floats(0.03, 0.1)), draw(st.floats(0.2, 0.4)), n, rates,
+            draw(st.floats(0.2, 0.8)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(three_state_specs())
+def test_three_state_equals_the_former_generator(drawn):
+    # stocks, rates and V bit for bit over every month the former generator
+    # planted a V for; its last month's V was missing
+    u0, n0, n, rates, sigma = drawn
+    try:
+        want = reference_simulate.simulate_three_state(
+            alpha=0.3, u0=u0, n0=n0, horizon=n, rates=rates, sigma_path=sigma)
+    except ValueError:
+        with pytest.raises(ValueError):
+            simulate(three_state_spec(u0=u0, n0=n0, horizon=n, rates=rates, sigma=sigma))
+        return
+    got = simulate(three_state_spec(u0=u0, n0=n0, horizon=n, rates=rates, sigma=sigma))
+    for name in ("E", "U", "N", *RATE_NAMES):
+        assert bits(getattr(got.panel, name).values) == \
+            bits(getattr(want.panel, name).values), name
+        if name in RATE_NAMES:
+            assert bits(got.rates[name].values) == bits(getattr(want.panel, name).values)
+    assert bits(got.V.values[:-1]) == bits(want.V.values[:-1])
+    assert np.isnan(want.V.values[-1]) and 0.0 < got.V.values[-1] < 1.0
+    assert bits(got.sigma_true.values) == bits(want.sigma_true.values)
 
 
 def test_csv_roundtrip_fidelity(tmp_path, recession_sim):
