@@ -148,11 +148,11 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _from_flags(cls, **fields):
-    """``cls(**fields)`` for values given on the command line: a value that
-    `cls` rejects is a configuration error, not a data error."""
+def _from_flags(make, *args, **fields):
+    """``make(*args, **fields)`` for values given on the command line: a
+    value that `make` rejects is a configuration error, not a data error."""
     try:
-        return cls(**fields)
+        return make(*args, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -459,19 +459,14 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
         raise ConfigError("--n0: three-state only, not read without --three-state")
     du = None if args.du_amplitude == 0.0 else args.du_amplitude * np.sin(
         2.0 * np.pi * np.arange(args.horizon - 1) / args.du_period)
-    rates = dict(_THREE_STATE_RATES) if args.three_state else {}
-    if du is not None:
-        rates.pop("ue", None)  # solved to meet the cycle
-    try:
-        sim = simulate(SimulationSpec(
-            alpha=args.alpha, u0=args.u0, n0=args.n0 if args.three_state else 0.0,
-            horizon=args.horizon, s_path=args.s_bar, rates=rates,
-            sigma_path=_sigma_path(args), delta_u_path=du, noise_std=args.noise,
-            seed=args.seed, start=args.start))
-    except ValueError as exc:
-        # the panel comes from flags alone, so any value the simulation
-        # rejects (a spec field or a path it implies) is a flag's fault
-        raise ConfigError(str(exc)) from None
+    rates = {name: rate for name, rate in _THREE_STATE_RATES.items()
+             if args.three_state and (du is None or name != "ue")}
+    spec = _from_flags(
+        SimulationSpec, alpha=args.alpha, u0=args.u0,
+        n0=args.n0 if args.three_state else 0.0, horizon=args.horizon, s_path=args.s_bar,
+        rates=rates, sigma_path=_sigma_path(args), delta_u_path=du, noise_std=args.noise,
+        seed=args.seed, start=args.start)
+    sim = _from_flags(simulate, spec)  # and so is a path that the flags imply
     panel = sim.panel
     return {"panel": {"e_stock": panel.E, "u_stock": panel.U, "n_stock": panel.N,
                       "v_rate": sim.V, **panel.rates()} if args.three_state else

@@ -80,10 +80,9 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class Simulation:
-    """The panel, built through the production constructors (a
-    `TwoStatePanel` where N = 0, else a `ThreeStatePanel`), and the planted
-    truths: vacancies, efficiency and the model's rates, planted or solved
-    (eu and ue in two states, all six in three)."""
+    """The panel (a `TwoStatePanel` where N = 0, else a `ThreeStatePanel`)
+    and the planted truths: vacancies, efficiency and the model's rates,
+    planted or solved (eu and ue in two states, all six in three)."""
 
     panel: TwoStatePanel | ThreeStatePanel
     V: MonthlySeries
@@ -116,7 +115,7 @@ def _planted_stocks(spec: SimulationSpec, rates: dict,
     """U (u0 plus the running sum of the planted change dU), N and dU, with
     ue_t = (E_t eu_t + N_t nu_t - U_t un_t - dU_t) / U_t solved into `rates`,
     the last month's at E constant.  ValueError names the first month where
-    U leaves (0, 1) or the solved ue is not positive."""
+    U leaves (0, 1) or a solved ue that starts a month-pair is not positive."""
     n = spec.horizon
     du = _as_path(0.0 if spec.delta_u_path is None else spec.delta_u_path, n - 1,
                   "delta_u_path")
@@ -133,7 +132,7 @@ def _planted_stocks(spec: SimulationSpec, rates: dict,
         rates["ue"] = ue = (E * eu + N * nu - U * un - np.append(du, 0.0)) / U
         # the last month continues in steady state: hires U ue + N ne = E x
         ue[-1] = (E[-1] * (eu[-1] + en[-1]) - N[-1] * ne[-1]) / U[-1]
-    _reject_first(~(ue > 0.0), spec.start, "infeasible planted paths at {month}: "
+    _reject_first(~(ue[:-1] > 0.0), spec.start, "infeasible planted paths at {month}: "
                   "the inflow cannot cover the unemployment change (solved ue = "
                   "{value!r})", ue)
     return U, N, du
@@ -141,11 +140,11 @@ def _planted_stocks(spec: SimulationSpec, rates: dict,
 
 def simulate(spec: SimulationSpec) -> Simulation:
     """A panel of either model, consistent with it by construction: V from
-    the vacancy identity, the last month continuing in steady state
-    (dS' = dN_tilde' = 0).  ValueError names the first month whose stocks
-    leave their bounds, whose exit rates raking would refuse (solved ones in
-    every month), whose U -> E flow rounds to zero, or whose V is
-    infeasible or outside (0, 1)."""
+    the vacancy identity, the last month in steady state (dS' = dN_tilde' =
+    0).  ValueError names the first month whose stocks leave their bounds,
+    whose exit rates raking would refuse, whose U -> E flow rounds to zero,
+    or whose V is infeasible or outside (0, 1), skipping the last month's
+    rates (they start no month-pair) and its V in three states (unread)."""
     n, start = spec.horizon, spec.start
     rates = {"eu": _as_path(spec.s_path, n, "s_path"),
              **{name: _as_path(spec.rates.get(name, 0.0), n, name)
@@ -161,9 +160,8 @@ def simulate(spec: SimulationSpec) -> Simulation:
         (U, N), du = _law_of_motion(spec.u0, spec.n0, rates), None
     else:
         U, N, du = _planted_stocks(spec, rates, two_state)
-    # the last month's rates start no month-pair, and raking skips them
-    faults = _stayer_faults(np.vstack([rates[name][:n - (du is None)]
-                                       for name in RATE_NAMES]), start.shift)
+    faults = _stayer_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
+                            start.shift)
     if faults:
         raise ValueError(next(iter(faults.values())))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,10 +186,11 @@ def simulate(spec: SimulationSpec) -> Simulation:
     dS = np.diff(S) if du is None else du + np.diff(searching)
     v = _vacancy_identity(S, Nt, x, np.append(dS, 0.0), np.append(np.diff(Nt), 0.0),
                           sigma, spec.alpha)
-    _reject_first(np.isnan(v), start, "infeasible planted paths at {month}: "
+    read = v if two_state else v[:-1]  # no three-state output reads V_T
+    _reject_first(np.isnan(read), start, "infeasible planted paths at {month}: "
                   "hires implied by the flows are nonpositive")
-    _reject_first((v <= 0.0) | (v >= 1.0), start,
-                  "planted vacancies left (0, 1) at {month}: {value!r}", v)
+    _reject_first((read <= 0.0) | (read >= 1.0), start,
+                  "planted vacancies left (0, 1) at {month}: {value!r}", read)
     V, sigma = mk(v), mk(sigma)
     if not two_state:
         return Simulation(panel, V, panel.rates(), sigma, spec.alpha)
@@ -203,8 +202,14 @@ def simulate(spec: SimulationSpec) -> Simulation:
 
 
 # The former two-model API, kept only because `bench/workloads.py` builds
-# its panels with it; drop it once the benchmark calls `simulate`.
-simulate_two_state = simulate_three_state = simulate
+# its panels with it; drop it once the benchmark calls `simulate`.  Each
+# name is its own function, so that a trace tells the two models apart.
+def simulate_two_state(spec: SimulationSpec) -> Simulation:
+    return simulate(spec)
+
+
+def simulate_three_state(spec: SimulationSpec) -> Simulation:
+    return simulate(spec)
 
 
 def ThreeStateSimulationSpec(*, rates: dict, sigma_path=1.0, **kwargs) -> SimulationSpec:

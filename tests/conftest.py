@@ -70,14 +70,6 @@ def recession_pipeline(recession_sim):
     }
 
 
-def three_state_spec(rates, sigma=1.0, alpha=0.3, **kwargs):
-    """The spec of six planted rates: eu as `s_path`, the other five as
-    `rates`."""
-    return ba.SimulationSpec(alpha=alpha, s_path=rates["eu"], sigma_path=sigma,
-                             rates={k: v for k, v in rates.items() if k != "eu"},
-                             **kwargs)
-
-
 def make_three_state_steady(horizon=24, ue=0.25, eu=0.015, en=0.02,
                             u0=0.05, n0=0.30, un=0.03, sigma=0.36,
                             start=MonthDate(2000, 1)):
@@ -90,6 +82,7 @@ def make_three_state_steady(horizon=24, ue=0.25, eu=0.015, en=0.02,
     x = eu + en
     ne = (e0 * x - u0 * ue) / n0
     nu = (u0 * un + u0 * ue - e0 * eu) / n0
-    rates = {"eu": eu, "en": en, "ue": ue, "un": un, "ne": ne, "nu": nu}
-    return ba.simulate(three_state_spec(u0=u0, n0=n0, horizon=horizon, rates=rates,
-                                        sigma=sigma, start=start))
+    rates = {"en": en, "ue": ue, "un": un, "ne": ne, "nu": nu}
+    return ba.simulate(ba.SimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=horizon,
+                                         s_path=eu, sigma_path=sigma, rates=rates,
+                                         start=start))

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beveridge_accounting import (MonthDate, MonthlySeries, RakingError,
-                                  ThreeStatePanel, rake_transition_rates, simulate,
-                                  total_hires)
+                                  SimulationSpec, ThreeStatePanel, rake_transition_rates,
+                                  simulate, total_hires)
 from beveridge_accounting.flows_three_state import RATE_NAMES
 from reference_ipf import reference_rake
-from conftest import make_three_state_steady, three_state_spec
+from conftest import make_three_state_steady
 
 START = MonthDate(2000, 1)
 
@@ -107,14 +107,13 @@ RATE_RANGES = {"eu": (0.005, 0.03), "en": (0.005, 0.04), "ue": (0.1, 0.5),
 @st.composite
 def consistent_panels(draw):
     """Stock-consistent panels from `simulate`: generated rate
-    paths of up to 24 months from generated initial stocks, at an efficiency
-    high enough that the planted V, which raking does not read, stays below
-    one in every month."""
+    paths of up to 24 months from generated initial stocks."""
     n = draw(st.integers(2, 24))
     rates = {name: draw(arrays(float, n, elements=st.floats(lo, hi)))
              for name, (lo, hi) in RATE_RANGES.items()}
-    spec = three_state_spec(u0=draw(st.floats(0.02, 0.15)), n0=draw(st.floats(0.1, 0.4)),
-                            horizon=n, rates=rates, sigma=4.0)
+    spec = SimulationSpec(alpha=0.3, u0=draw(st.floats(0.02, 0.15)),
+                          n0=draw(st.floats(0.1, 0.4)), horizon=n, s_path=rates.pop("eu"),
+                          sigma_path=0.36, rates=rates)
     return simulate(spec).panel
 
 

@@ -112,6 +112,13 @@ def test_output_table_matches_what_each_command_writes(recession_panel, tmp_path
             assert header == columns, (command, name)
 
 
+def model_only(text: str) -> str | None:
+    """The `simulate` model named by "(<model> only)" in a README cell or in
+    the parser table's help text: the one model that reads the flag, which
+    `simulate` refuses under the other."""
+    match = re.search(r"\((\S+) only\)", text)
+    return match and match.group(1)
+
 
 def flag_table() -> list[tuple[str, frozenset, str | None, str]]:
     """The README flag table: per row, the flag, its commands, the one
@@ -121,9 +128,8 @@ def flag_table() -> list[tuple[str, frozenset, str | None, str]]:
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         if len(cells) != 4 or not cells[0].startswith("`--"):
             continue
-        model = re.search(r"\((\S+) only\)", cells[1])
         rows.append((cells[0].strip("`"), frozenset(re.findall(r"`([^`]*)`", cells[1])),
-                     model and model.group(1), cells[2]))
+                     model_only(cells[1]), cells[2]))
     return rows
 
 
@@ -137,16 +143,12 @@ def default_cell(kwargs: dict) -> str | None:
     return None if default is None or default is False else f"`{default}`"
 
 
-# The one flag that only one `simulate` model reads: `simulate` without
-# --three-state refuses it
-MODEL_ONLY = {"--n0": "three-state"}
-
-
 def test_flag_table_matches_the_parser_table():
     # rows of the parser's table that differ only in help text are one row here
     expected: dict = {}
     for flag in cli._FLAGS:
-        key = (flag.name, MODEL_ONLY.get(flag.name), default_cell(flag.kwargs))
+        key = (flag.name, model_only(flag.kwargs.get("help", "")),
+               default_cell(flag.kwargs))
         expected[key] = expected.get(key, frozenset()) | set(flag.commands)
     documented = {}
     for name, commands, model, cell in flag_table():

@@ -11,7 +11,7 @@ from beveridge_accounting import (MonthDate, SimulationSpec, rake_transition_rat
                                   simulate)
 from beveridge_accounting.flows_three_state import RATE_NAMES
 from beveridge_accounting.simulate import _law_of_motion
-from conftest import identity, make_three_state_steady, three_state_spec
+from conftest import identity, make_three_state_steady
 import reference_simulate
 
 START = MonthDate(2000, 1)
@@ -82,12 +82,16 @@ WILD_RATES = st.one_of(st.floats(-2.0, 2.0),
 @st.composite
 def three_state_paths(draw):
     """(u0, n0, {rate name: path}), the paths all tame, which keep the stocks
-    in the simplex up to rounding, or all wild.  Where a state's two exit rates sum
-    above one, the second is the first negated, so the simulator's stayer
-    check passes every month."""
+    in the simplex up to rounding, or all wild but eu, which stays positive.
+    Where a state's two exit rates sum above one, the second is the first
+    negated, so the simulator's stayer check passes every month."""
     months = draw(st.integers(2, 30))
-    rates = np.array(draw(st.lists(TAME_RATES if draw(st.booleans()) else WILD_RATES,
+    tame = draw(st.booleans())
+    rates = np.array(draw(st.lists(TAME_RATES if tame else WILD_RATES,
                                    min_size=6 * months, max_size=6 * months)))
+    # eu is the spec's s_path, which must be positive; huge, it still overflows
+    rates[::6] = draw(st.lists(st.floats(0.0, 0.5 if tame else 1e300, exclude_min=True),
+                               min_size=months, max_size=months))
     exits = rates.reshape(months, 3, 2)
     over = exits.sum(axis=2) > 1.0
     exits[over, 1] = -exits[over, 0]
@@ -227,9 +231,9 @@ class TestTwoStateSimulation:
             SimulationSpec(alpha=0.3, u0=0.06, horizon=13, s_path=0.02,
                            sigma_path=0.36, start=MonthDate(9999, 1))
         with pytest.raises(ValueError, match="13 months from 9999-01 run past 9999-12"):
-            three_state_spec(u0=0.06, n0=0.3, horizon=13,
-                             rates=dict.fromkeys(RATE_NAMES, 0.02),
-                             start=MonthDate(9999, 1))
+            SimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=13, s_path=0.02,
+                           sigma_path=0.36, rates=dict.fromkeys(RATE_NAMES[1:], 0.02),
+                           start=MonthDate(9999, 1))
 
 
 class TestThreeStateSimulation:
@@ -254,9 +258,9 @@ class TestThreeStateSimulation:
     def test_no_nonemployment_gives_the_two_state_panel(self):
         # N = 0 with en = un = ne = nu = 0: the two-state panel, whose
         # constructed flows and identity recover the planted rates and V
-        sim = simulate(three_state_spec(
-            u0=0.06, n0=0.0, horizon=24, sigma=0.36,
-            rates={"eu": 0.02, "en": 0.0, "ue": 0.25, "un": 0.0, "ne": 0.0, "nu": 0.0}))
+        sim = simulate(SimulationSpec(
+            alpha=0.3, u0=0.06, n0=0.0, horizon=24, s_path=0.02, sigma_path=0.36,
+            rates={"en": 0.0, "ue": 0.25, "un": 0.0, "ne": 0.0, "nu": 0.0}))
         assert isinstance(sim.panel, ba.TwoStatePanel)
         assert sim.panel.V is sim.V
         np.testing.assert_allclose(sim.panel.f.values[:-1], 0.25, rtol=1e-12)
@@ -283,10 +287,11 @@ class TestThreeStateSimulation:
     @given(three_state_paths())
     def test_law_of_motion_matches_per_month_loop(self, drawn):
         # bit for bit where the stocks stay in the simplex, the same text
-        # where they leave, and no RuntimeWarning from the months after; an
-        # eu that is not positive is refused first, as the spec's s_path
+        # where they leave, and no RuntimeWarning from the months after
         u0, n0, rates = drawn
-        spec = three_state_spec(u0=u0, n0=n0, horizon=len(rates["eu"]), rates=rates)
+        spec = SimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=len(rates["eu"]),
+                              s_path=rates["eu"], sigma_path=1.0,
+                              rates={name: rates[name] for name in RATE_NAMES[1:]})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -294,11 +299,17 @@ class TestThreeStateSimulation:
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
                     simulate(spec)
-                assert str(got.value) == ("s_path must be strictly positive"
-                                          if (rates["eu"] <= 0.0).any() else str(exc))
+                assert str(got.value) == str(exc)
             else:
                 for got, path in zip(_law_of_motion(u0, n0, rates), want):
                     assert got.view(np.uint64).tolist() == path.view(np.uint64).tolist()
+
+    def test_eu_not_positive_is_refused(self):
+        # eu is the spec's s_path, in three states as in two, in every month
+        for eu in (0.0, -0.02, np.r_[np.full(11, 0.02), 0.0]):
+            with pytest.raises(ValueError, match="^s_path must be strictly positive$"):
+                simulate(SimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=12,
+                                        s_path=eu, sigma_path=0.36, rates=CYCLE_RATES))
 
     def test_exit_rates_raking_refuses_are_refused(self):
         # the first month-pair whose exits from a state sum above one; the
@@ -306,9 +317,9 @@ class TestThreeStateSimulation:
         def spec(*months):
             un = np.full(12, 0.03)
             un[list(months)] = 0.8
-            rates = {"eu": 0.02, "en": 0.02, "ue": 0.25, "un": un, "ne": 0.04,
-                     "nu": 0.02}
-            return three_state_spec(u0=0.06, n0=0.3, horizon=12, rates=rates, sigma=0.36)
+            return SimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=12, s_path=0.02,
+                                  sigma_path=0.36, rates={"en": 0.02, "ue": 0.25,
+                                                          "un": un, "ne": 0.04, "nu": 0.02})
         with pytest.raises(ValueError, match=r"^month 2000-06: negative stayer "
                            r"probability in state 1: exit rates sum to 1\.05$"):
             simulate(spec(5, 8))
@@ -317,11 +328,10 @@ class TestThreeStateSimulation:
 
     def test_degenerate_paths_rejected(self):
         # total separation of the whole workforce empties employment
-        rates = {"eu": 0.5, "en": 0.5, "ue": 0.0, "un": 0.0, "ne": 0.0,
-                 "nu": 0.0}
+        rates = {"en": 0.5, "ue": 0.0, "un": 0.0, "ne": 0.0, "nu": 0.0}
         with pytest.raises(ValueError, match="simplex"):
-            simulate(three_state_spec(u0=0.05, n0=0.05, horizon=12, rates=rates,
-                                      sigma=0.36))
+            simulate(SimulationSpec(alpha=0.3, u0=0.05, n0=0.05, horizon=12, s_path=0.5,
+                                    sigma_path=0.36, rates=rates))
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +456,9 @@ def test_two_state_equals_the_former_generator(kwargs):
     try:
         got = simulate(SimulationSpec(**kwargs))
     except ValueError as exc:
-        # the former generator wrote a finding probability above one, in the
-        # last month at dU = 0
+        # the former generator wrote a finding probability above one
         assert "negative stayer probability in state 1" in str(exc)
-        u = want.panel.U.values
-        s_last = np.broadcast_to(kwargs["s_path"], u.shape)[-1]
-        assert max(np.nanmax(want.f_true.values), (1 - u[-1]) * s_last / u[-1]) > 1.0
+        assert np.nanmax(want.f_true.values) > 1.0
         return
     for name in ("U", "V", "U_short", "f", "s"):
         assert bits(getattr(got.panel, name).values) == \
@@ -485,14 +492,18 @@ def test_three_state_equals_the_former_generator(drawn):
     # stocks, rates and V bit for bit over every month the former generator
     # planted a V for; its last month's V was missing
     u0, n0, n, rates, sigma = drawn
+    spec = SimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=n, s_path=rates["eu"],
+                          sigma_path=sigma,
+                          rates={name: rates[name] for name in RATE_NAMES[1:]})
     try:
         want = reference_simulate.simulate_three_state(
             alpha=0.3, u0=u0, n0=n0, horizon=n, rates=rates, sigma_path=sigma)
-    except ValueError:
-        with pytest.raises(ValueError):
-            simulate(three_state_spec(u0=u0, n0=n0, horizon=n, rates=rates, sigma=sigma))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            simulate(spec)
+        assert str(refused.value) == str(exc)
         return
-    got = simulate(three_state_spec(u0=u0, n0=n0, horizon=n, rates=rates, sigma=sigma))
+    got = simulate(spec)
     for name in ("E", "U", "N", *RATE_NAMES):
         assert bits(getattr(got.panel, name).values) == \
             bits(getattr(want.panel, name).values), name
