@@ -22,7 +22,7 @@ from .flows_two_state import (ProbabilityRangeWarning, TwoStatePanel,
                               build_two_state_panel, implied_separation_probability,
                               job_finding_probability)
 from .matching import (DEFAULT_ALPHA, MatchingEstimate, estimate_matching,
-                       matching_efficiency_path, searcher_finding_rate, tightness)
+                       matching_efficiency_path, tightness)
 from .series import (MonthDate, MonthlySeries, delta, delta_log, moving_average,
                      normalize_shares, require_aligned)
 from .shift_decomposition import (AllPairsInfeasibleError, MARGIN_DYNAMICS,

@@ -41,7 +41,7 @@ from .flows_three_state import (RATE_NAMES, RakingError, ThreeStatePanel,
                                 build_three_state_panel)
 from .flows_two_state import TwoStatePanel, build_two_state_panel
 from .matching import (DEFAULT_ALPHA, MIN_MONTHS, estimate_matching,
-                       matching_efficiency_path, searcher_finding_rate, tightness)
+                       matching_efficiency_path, tightness)
 from .series import MonthDate, MonthlySeries, moving_average
 from .shift_decomposition import (MARGINS, AllPairsInfeasibleError, SwingBounds,
                                   all_orderings_report, build_swing_samples,
@@ -200,12 +200,8 @@ def _resolve_approx_window(args: argparse.Namespace,
 
 def _positive_finding_rate(f: MonthlySeries) -> tuple[MonthlySeries, int]:
     """Mask nonpositive finding-rate months (flagged, not usable in logs)."""
-    bad = ~np.isnan(f.values) & (f.values <= 0.0)
-    if bad.any():
-        vals = f.values.copy()
-        vals[bad] = np.nan
-        return f.with_values(vals), int(bad.sum())
-    return f, 0
+    bad = f.values <= 0.0
+    return f.with_values(np.where(bad, np.nan, f.values)), int(bad.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +253,15 @@ def _echo_value(value):
 # ---------------------------------------------------------------------------
 
 def _read_two_state(args: argparse.Namespace):
-    """The two-state panel from its columns, with its vacancies and
-    finding rate, and no notes."""
+    """The two-state panel from its columns, its vacancies and no notes."""
     cols = _read_columns(args, "u_rate", "v_rate", "u_short")
     panel = build_two_state_panel(cols["u_rate"], cols["v_rate"], cols["u_short"])
-    return panel, panel.V, panel.f, {}
+    return panel, panel.V, {}
 
 
 def _read_three_state(args: argparse.Namespace):
-    """The raked three-state panel, with the vacancies, the searcher finding
-    rate and the raking notes.  Raking goes through the module-global
-    `build_three_state_panel`, which the benchmark swaps out."""
+    """The raked three-state panel, its vacancies and the raking notes, by
+    the module-global `build_three_state_panel`, which the benchmark swaps."""
     cols = _read_columns(args, "e_stock", "u_stock", "n_stock", "v_rate",
                          *RATE_NAMES)
     panel, report = build_three_state_panel(
@@ -284,16 +278,16 @@ def _read_three_state(args: argparse.Namespace):
              # rounding moves rates by ~1e-17 even on consistent months
              "raking_months_adjusted": int((report.max_adjustment
                                             > args.rake_tol).sum())}
-    return panel, cols["v_rate"], searcher_finding_rate(panel), notes
+    return panel, cols["v_rate"], notes
 
 
 def _pipeline(args: argparse.Namespace, read):
-    """The panel that `read` (`_read_two_state` or `_read_three_state`)
-    gives, then what both models share up to estimation: tightness V/S and
-    the positive finding rate."""
-    panel, V, f, notes = read(args)
+    """The panel that `read` (`_read_two_state` or `_read_three_state`, the
+    one step that depends on the model) gives, then what both models share
+    up to estimation: tightness V/S and the positive finding rate."""
+    panel, V, notes = read(args)
     theta = tightness(panel.S, V)
-    f_pos, notes["nonpositive_finding_months_masked"] = _positive_finding_rate(f)
+    f_pos, notes["nonpositive_finding_months_masked"] = _positive_finding_rate(panel.f)
     return panel, V, theta, f_pos, notes
 
 
@@ -445,18 +439,20 @@ def cmd_efficiency(args: argparse.Namespace) -> tuple[dict, dict]:
 # The planted three-state rates beside --s-bar's eu; ue is solved instead
 # where --du-amplitude plants an unemployment cycle
 _THREE_STATE_RATES = {"en": 0.02, "ue": 0.25, "un": 0.03, "ne": 0.04, "nu": 0.02}
-_N0 = 0.30  # the --n0 default: away from it, two-state `simulate` refuses the flag
+_N0 = 0.30  # the initial nonemployment share planted where --n0 is not given
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.n0 is None:
+        args.n0 = _N0  # and so the manifest echoes it
+    elif not args.three_state:
+        raise ConfigError("--n0: three-state only, not read without --three-state")
     # a three-state panel that starts with no unemployed or no nonemployed
     # has no exit rates from that state after raking: `three-state` refuses it
     for flag in ("--u0", "--n0")[:1 + args.three_state]:
         value = getattr(args, flag[2:])
         if not 0.0 < value < 1.0:
             raise ConfigError(f"{flag} must be in (0, 1), got {value}")
-    if not args.three_state and args.n0 != _N0:  # NaN included
-        raise ConfigError("--n0: three-state only, not read without --three-state")
     du = None if args.du_amplitude == 0.0 else args.du_amplitude * np.sin(
         2.0 * np.pi * np.arange(args.horizon - 1) / args.du_period)
     rates = {name: rate for name, rate in _THREE_STATE_RATES.items()
@@ -549,8 +545,9 @@ _FLAGS = (
     _Flag("--horizon", _SIM, dict(type=_horizon, default=120)),
     _Flag("--start", _SIM, dict(type=_month, default=MonthDate(2000, 1))),
     _Flag("--u0", _SIM, dict(type=float, default=0.06)),
-    _Flag("--n0", _SIM, dict(type=float, default=_N0,
-                             help="initial nonemployment share (three-state only)")),
+    _Flag("--n0", _SIM, dict(type=float, default=None,
+                             help=f"initial nonemployment share, {_N0} if not "
+                                  "given (three-state only)")),
     _Flag("--s-bar", _SIM, dict(type=_finite_float, default=0.02)),
     _Flag("--sigma-bar", _SIM, dict(type=_finite_float, default=0.36)),
     _Flag("--du-amplitude", _SIM, dict(type=_finite_float, default=0.0,

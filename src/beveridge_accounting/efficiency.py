@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MonthlySeries, require_aligned
+from .series import MonthlySeries, _reject_nonshares, require_aligned
 
 # Calibrated statistics transcribed from the sufficient-statistic welfare
 # literature: recruiting cost per vacancy and net social cost per unemployed
@@ -62,9 +62,8 @@ def efficient_unemployment(u: MonthlySeries, v: MonthlySeries,
     """Per-month efficient unemployment rate u* (the formula above)."""
     require_aligned(u, v)
     uu, vv = u.values, v.values
-    defined = ~np.isnan(uu) & ~np.isnan(vv)
-    if ((uu[defined] <= 0.0) | (vv[defined] <= 0.0)).any():
-        raise ValueError("unemployment and vacancy rates must be positive")
+    _reject_nonshares("unemployment rate", uu, u.start)
+    _reject_nonshares("vacancy rate", vv, v.start)
     eps, cost_ratio = cal.beveridge_elasticity, cal.vacancy_cost / cal.unemployment_cost
     with np.errstate(invalid="ignore", over="ignore"):
         out = (eps * cost_ratio * vv * uu ** eps) ** (1.0 / (1.0 + eps))

@@ -5,16 +5,18 @@ monthly transition probabilities between them.  Published gross-flow rates
 are not exactly consistent with the published stocks, so each month-pair's
 3x3 flow matrix is raked: scaled by row and column factors, by Newton's
 method, to the fit of least I-divergence whose row sums reproduce this
-month's stocks and column sums next month's.  Every panel derives its
-searcher aggregates from its stocks and rates, on first use:
+month's stocks and column sums next month's; a month with a negative rate
+is refused before any step.  Every panel derives its searcher aggregates
+from its stocks and rates, on first use:
 
     S = U + xi_N * N        effective searchers
     N_tilde = (1 - xi_N) N  non-searchers
     x = eu + en             total separation probability
+    f = (U ue + N ne) / S   finding rate: hires per effective searcher
 
 where xi_N = ne / ue is the relative search intensity of the nonemployed
 under balanced matching.  A panel with no nonemployment (N = 0) has S = U,
-N_tilde = 0 and, with en = 0, x = eu: the two-state model.
+N_tilde = 0, f = ue and, with en = 0, x = eu: the two-state model.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class RakingReport:
 
 @dataclass(frozen=True)
 class ThreeStatePanel:
-    """Stocks and transition rates; the searcher aggregates xi_N, S, N_tilde
-    and x are derived from them when first read (a panel whose aggregates
+    """Stocks and transition rates; the searcher aggregates xi_N, S, N_tilde,
+    x and f are derived from them when first read (a panel whose aggregates
     are undefined, such as one with ue = 0, still builds)."""
 
     E: MonthlySeries
@@ -117,19 +119,29 @@ class ThreeStatePanel:
         """Total separation probability eu + en."""
         return self.eu.with_values(self.eu.values + self.en.values)
 
+    @cached_property
+    def f(self) -> MonthlySeries:
+        """Finding rate: hires per effective searcher, H / S."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self.U.with_values(total_hires(self).values / self.S.values)
 
-def _stayer_faults(rates: np.ndarray,
-                   month: Callable[[int], MonthDate]) -> dict[int, str]:
+
+def _rate_faults(rates: np.ndarray,
+                 month: Callable[[int], MonthDate]) -> dict[int, str]:
     """{column: message naming ``month(column)``}, in column order, for the
-    columns of `rates` (6, T, in RATE_NAMES order) in which a state's exit
-    rates sum above one beyond rounding, leaving it a negative stayer
-    probability.  Raking and the simulator both refuse them."""
+    columns of `rates` (6, T, in RATE_NAMES order) that hold a negative
+    rate, or in which a state's exit rates sum above one beyond rounding,
+    leaving it a negative stayer probability.  Raking and the simulator
+    both refuse them."""
     exits = rates[0::2] + rates[1::2]
-    over = exits > 1.0 + 1e-12
-    bad = np.flatnonzero(over.any(axis=0))
-    return {k: f"month {month(k)}: negative stayer probability in state {i}: "
-               f"exit rates sum to {float(exits[i, k])!r}"
-            for k, i in zip(bad.tolist(), over[:, bad].argmax(axis=0).tolist())}
+    # rows 0-5 a negative rate, rows 6-8 a state's exits: the first named
+    faults = np.vstack([rates < 0.0, exits > 1.0 + 1e-12])
+    bad = np.flatnonzero(faults.any(axis=0))
+    return {k: f"month {month(k)}: " + (
+                f"negative transition rate {RATE_NAMES[i]}: {float(rates[i, k])!r}"
+                if i < 6 else f"negative stayer probability in state {i - 6}: "
+                f"exit rates sum to {float(exits[i - 6, k])!r}")
+            for k, i in zip(bad.tolist(), faults[:, bad].argmax(axis=0).tolist())}
 
 
 def _flow_matrices(rows: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -344,7 +356,7 @@ def rake_transition_rates(
             f"months ({float(row_total[k])!r} vs {float(col_total[k])!r}); "
             "normalize stocks to shares first", gap[k])
     usable = ~mismatch
-    for k, message in _stayer_faults(r, month).items():
+    for k, message in _rate_faults(r, month).items():
         if usable[k]:
             failures[pairs[k]] = ValueError(message)
         usable[k] = False

@@ -15,12 +15,12 @@ S = U, N_tilde = 0 and x = s, which every later step reads in both models.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .series import MonthlySeries, _reject_first, require_aligned
+from .series import MonthlySeries, _reject_first, _reject_nonshares, require_aligned
 
 
 class ProbabilityRangeWarning(UserWarning):
@@ -31,30 +31,26 @@ class ProbabilityRangeWarning(UserWarning):
     """
 
 
-def _check_rate_bounds(name: str, s: MonthlySeries) -> None:
-    """Raise ValueError unless every observed value of `s` is inside (0, 1)."""
-    v = s.values[~np.isnan(s.values)]
-    if ((v <= 0.0) | (v >= 1.0)).any():
-        raise ValueError(f"{name} must lie strictly inside (0, 1)")
-
-
 @dataclass(frozen=True)
 class TwoStatePanel:
-    """Aligned unemployment, vacancy and short-term-unemployment shares plus
-    the derived monthly job-finding (f) and separation (s) probabilities,
-    and the three-state searcher aggregates at no non-searchers."""
+    """Aligned unemployment, vacancy and short-term-unemployment shares, the
+    job-finding (f) and separation (s) probabilities derived from U and
+    U_short once both are checked to be shares (V is checked where it is
+    read, by `tightness`), and the searcher aggregates at no non-searchers."""
 
     U: MonthlySeries
     V: MonthlySeries
     U_short: MonthlySeries
-    f: MonthlySeries
-    s: MonthlySeries
+    f: MonthlySeries = field(init=False)
+    s: MonthlySeries = field(init=False)
 
     def __post_init__(self) -> None:
-        require_aligned(self.U, self.V, self.U_short, self.f, self.s)
-        _check_rate_bounds("U", self.U)
-        _check_rate_bounds("V", self.V)
-        _check_rate_bounds("U_short", self.U_short)
+        require_aligned(self.U, self.V, self.U_short)
+        _reject_nonshares("unemployment rate", self.U.values, self.U.start)
+        _reject_nonshares("short-term unemployment", self.U_short.values, self.U_short.start)
+        f = job_finding_probability(self.U, self.U_short)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "s", implied_separation_probability(self.U, f))
         both = ~np.isnan(self.U.values) & ~np.isnan(self.U_short.values)
         if (self.U_short.values[both] > self.U.values[both]).any():
             warnings.warn("short-term unemployment exceeds total unemployment "
@@ -127,6 +123,4 @@ def _warn_out_of_range(values: np.ndarray, grid: MonthlySeries, what: str) -> No
 def build_two_state_panel(U: MonthlySeries, V: MonthlySeries,
                           U_short: MonthlySeries) -> TwoStatePanel:
     """Construct the full panel: derives f and s from the observed stocks."""
-    f = job_finding_probability(U, U_short)
-    s = implied_separation_probability(U, f)
-    return TwoStatePanel(U=U, V=V, U_short=U_short, f=f, s=s)
+    return TwoStatePanel(U=U, V=V, U_short=U_short)

@@ -7,10 +7,10 @@ job-finding probability is linear in log labor-market tightness:
 
 Ordinary least squares on that equation identifies the elasticity alpha and
 average efficiency sigma_bar; the residuals identify the month-by-month
-efficiency path sigma_t = f_t * theta_t^(-alpha).  Tightness is vacancies
-per searcher: per unemployed (V / U) in the two-state model, per effective
-searcher (V / S) in three states, where the finding rate is hires per
-effective searcher (H / S).
+efficiency path sigma_t = f_t * theta_t^(-alpha).  Both models pass their
+panel's aggregates: the finding rate `panel.f` (hires per effective
+searcher, H / S, in three states) and tightness V / S (S = U in two
+states), where every command reads V and refuses it outside (0, 1).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows_three_state import ThreeStatePanel, total_hires
-from .series import MonthDate, MonthlySeries, require_aligned
+from .series import (MonthDate, MonthlySeries, _reject_first, _reject_nonshares,
+                     require_aligned)
 
 DEFAULT_ALPHA = 0.3
 # Usable months a regression of two coefficients needs
@@ -208,26 +208,19 @@ def matching_efficiency_path(f: MonthlySeries, tightness: MonthlySeries,
     require_aligned(f, tightness)
     fv, tv = f.values, tightness.values
     defined = ~np.isnan(fv) & ~np.isnan(tv)
-    if ((fv[defined] <= 0.0) | (tv[defined] <= 0.0)).any():
-        raise ValueError("nonpositive finding rate or tightness; "
-                         "efficiency path undefined")
+    _reject_first(defined & ((fv <= 0.0) | (tv <= 0.0)), f.start, "nonpositive finding "
+                  "rate or tightness at {month}; efficiency path undefined")
     with np.errstate(invalid="ignore"):
         return f.with_values(fv * tv ** (-alpha))
 
 
 def tightness(searchers: MonthlySeries, V: MonthlySeries) -> MonthlySeries:
-    """Vacancies per searcher, theta = V / searchers: pass the unemployed U
-    in the two-state model and the effective searchers S in three states."""
+    """Vacancies per searcher, theta = V / S, for either panel's searchers S;
+    ValueError names the first month whose vacancy rate is outside (0, 1)."""
     require_aligned(searchers, V)
-    defined = ~np.isnan(searchers.values) & ~np.isnan(V.values)
-    if (searchers.values[defined] == 0.0).any():
-        raise ValueError("zero searcher pool; tightness undefined")
+    _reject_nonshares("vacancy rate", V.values, V.start)
+    _reject_first((searchers.values == 0.0) & ~np.isnan(V.values), searchers.start,
+                  "zero searcher pool at {month}; tightness undefined")
     with np.errstate(invalid="ignore"):
         return searchers.with_values(V.values / searchers.values)
 
-
-def searcher_finding_rate(panel: ThreeStatePanel) -> MonthlySeries:
-    """Hires per effective searcher, H / S: the three-state finding rate."""
-    hires = total_hires(panel)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return hires.with_values(hires.values / panel.S.values)

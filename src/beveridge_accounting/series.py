@@ -122,6 +122,12 @@ def _reject_first(bad: np.ndarray, start: MonthDate, message: str,
             month=start.shift(t), value=None if values is None else float(values[t])))
 
 
+def _reject_nonshares(name: str, values: np.ndarray, start: MonthDate) -> None:
+    """ValueError naming `name`, and the first month and value outside (0, 1)."""
+    _reject_first((values <= 0.0) | (values >= 1.0), start,
+                  name + " outside (0, 1) at {month}: {value!r}", values)
+
+
 def require_aligned(*series: MonthlySeries) -> None:
     """Raise unless all series share the same start month and length."""
     first = series[0]

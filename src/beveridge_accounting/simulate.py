@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import _vacancy_identity
-from .flows_three_state import RATE_NAMES, ThreeStatePanel, _stayer_faults
+from .flows_three_state import RATE_NAMES, ThreeStatePanel, _rate_faults
 from .flows_two_state import TwoStatePanel, build_two_state_panel
-from .series import MonthDate, MonthlySeries, _reject_first
+from .series import MonthDate, MonthlySeries, _reject_first, _reject_nonshares
 
 
 def _as_path(value, horizon: int, name: str) -> np.ndarray:
@@ -142,9 +142,9 @@ def simulate(spec: SimulationSpec) -> Simulation:
     """A panel of either model, consistent with it by construction: V from
     the vacancy identity, the last month in steady state (dS' = dN_tilde' =
     0).  ValueError names the first month whose stocks leave their bounds,
-    whose exit rates raking would refuse, whose U -> E flow rounds to zero,
-    or whose V is infeasible or outside (0, 1), skipping the last month's
-    rates (they start no month-pair) and its V in three states (unread)."""
+    whose rates raking would refuse, whose U -> E flow rounds to zero, or
+    whose V is infeasible or outside (0, 1), skipping the last month's
+    rates (they start no month-pair)."""
     n, start = spec.horizon, spec.start
     rates = {"eu": _as_path(spec.s_path, n, "s_path"),
              **{name: _as_path(spec.rates.get(name, 0.0), n, name)
@@ -160,8 +160,8 @@ def simulate(spec: SimulationSpec) -> Simulation:
         (U, N), du = _law_of_motion(spec.u0, spec.n0, rates), None
     else:
         U, N, du = _planted_stocks(spec, rates, two_state)
-    faults = _stayer_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
-                            start.shift)
+    faults = _rate_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
+                          start.shift)
     if faults:
         raise ValueError(next(iter(faults.values())))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,11 +186,9 @@ def simulate(spec: SimulationSpec) -> Simulation:
     dS = np.diff(S) if du is None else du + np.diff(searching)
     v = _vacancy_identity(S, Nt, x, np.append(dS, 0.0), np.append(np.diff(Nt), 0.0),
                           sigma, spec.alpha)
-    read = v if two_state else v[:-1]  # no three-state output reads V_T
-    _reject_first(np.isnan(read), start, "infeasible planted paths at {month}: "
+    _reject_first(np.isnan(v), start, "infeasible planted paths at {month}: "
                   "hires implied by the flows are nonpositive")
-    _reject_first((read <= 0.0) | (read >= 1.0), start,
-                  "planted vacancies left (0, 1) at {month}: {value!r}", read)
+    _reject_nonshares("planted vacancy rate", v, start)  # as `tightness` reads it
     V, sigma = mk(v), mk(sigma)
     if not two_state:
         return Simulation(panel, V, panel.rates(), sigma, spec.alpha)

@@ -14,7 +14,7 @@ import numpy as np
 
 from beveridge_accounting import MonthDate, MonthlySeries, ThreeStatePanel
 from beveridge_accounting.curve import _vacancy_identity
-from beveridge_accounting.flows_three_state import RATE_NAMES, _stayer_faults
+from beveridge_accounting.flows_three_state import RATE_NAMES, _rate_faults
 from beveridge_accounting.flows_two_state import build_two_state_panel
 from beveridge_accounting.series import _reject_first
 from beveridge_accounting.simulate import _as_path, _law_of_motion
@@ -66,8 +66,8 @@ def simulate_three_state(alpha, u0, n0, horizon, rates, sigma_path=1.0, start=ST
     rates = {name: _as_path(rates[name], n, name) for name in RATE_NAMES}
     sigma = _as_path(sigma_path, n, "sigma_path")
 
-    faults = _stayer_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
-                            start.shift)
+    faults = _rate_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
+                          start.shift)
     if faults:
         raise ValueError(next(iter(faults.values())))
     U, N = _law_of_motion(u0, n0, rates)

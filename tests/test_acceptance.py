@@ -80,8 +80,7 @@ def test_criterion_2_three_state_identity_roundtrip():
     panel, report = ba.build_three_state_panel(sim.panel.E, sim.panel.U,
                                                sim.panel.N, noisy, tol=1e-13)
     theta = ba.tightness(panel.S, sim.V)
-    f_rate = ba.searcher_finding_rate(panel)
-    sigma = ba.matching_efficiency_path(f_rate, theta, alpha=sim.alpha)
+    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=sim.alpha)
     v_hat = identity(panel, sigma, sim.alpha)
     defined = ~np.isnan(v_hat.values) & ~np.isnan(sim.V.values)
     rel_raked = np.abs(v_hat.values[defined] / sim.V.values[defined] - 1.0).max()

@@ -90,7 +90,9 @@ class TestSimulateCommand:
         assert notes["raking_months_adjusted"] == 0
         assert notes["raking_iterations"]["max"] == 0
 
-    @pytest.mark.parametrize("value", [0.5, "nan"])
+    # 0.3, the share planted where --n0 is not given, was accepted, and a
+    # value a rounding away from it refused
+    @pytest.mark.parametrize("value", [0.5, "nan", 0.3, 0.30000001])
     def test_two_state_rejects_three_state_only_flag(self, tmp_path, capsys, value):
         out = tmp_path / "out2"
         code = run(["simulate", "--output-dir", out, "--horizon", 24,
@@ -622,13 +624,16 @@ class TestEfficiencyCommand:
                 assert cell(r, "u_star_steep") == pytest.approx(cell(r, "u_rate"), rel=0.1)
 
 
-def write_steady_three_state_csv(tmp_path) -> Path:
+def steady_three_state_columns() -> dict:
     from conftest import make_three_state_steady
     sim = make_three_state_steady(horizon=60)
+    return {"e_stock": sim.panel.E, "u_stock": sim.panel.U, "n_stock": sim.panel.N,
+            "v_rate": sim.V, **sim.panel.rates()}
+
+
+def write_steady_three_state_csv(tmp_path) -> Path:
     path = tmp_path / "three.csv"
-    ba.write_panel(path, {"e_stock": sim.panel.E, "u_stock": sim.panel.U,
-                          "n_stock": sim.panel.N, "v_rate": sim.V,
-                          **sim.panel.rates()})
+    ba.write_panel(path, steady_three_state_columns())
     return path
 
 
@@ -803,11 +808,16 @@ def test_n0_is_read_with_three_state_and_refused_without(tmp_path, capsys):
         "configuration error: --n0: three-state only, not read without --three-state\n")
     assert not out.exists()
     panels = []
-    for name, extra in (("default", []), ("given", ["--n0", 0.2])):
+    for name, extra in (("default", []), ("given", ["--n0", 0.2]), ("0.3", ["--n0", 0.3]),
+                        ("near", ["--n0", 0.30000001])):
         assert run(["simulate", "--horizon", 24, "--three-state", *extra,
                     "--output-dir", tmp_path / name]) == 0
         panels.append((tmp_path / name / "panel.csv").read_bytes())
-    assert panels[0] != panels[1]
+    # 0.3 is the default share, and the manifest echoes it either way
+    assert panels[0] == panels[2] and len(set(panels)) == 3
+    for name in ("default", "0.3"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"]["n0"] == 0.3
 
 
 EDGES = ("nan", "inf", "-inf", "0", "-0.0", "-1", "1", "5e-324", "1e-300", "1e308")
@@ -1093,13 +1103,18 @@ def test_window_point_with_no_finite_vacancies_exits_three(tmp_path, recession_s
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-# en is 0.02, so eu + en crosses raking's bound of 1 + 1e-12 in the band
+# en is 0.02, so eu + en crosses raking's bound of 1 + 1e-12 in the band; a
+# low efficiency or a deep cycle plants vacancy rates outside (0, 1), in
+# any month, the last among them
 @given(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
-                 st.floats(0.98 - 1e-11, 0.98 + 1e-11)))
-def test_simulated_three_state_panel_is_read_or_refused(s_bar):
+                 st.floats(0.98 - 1e-11, 0.98 + 1e-11)),
+       st.one_of(st.just(0.36), st.floats(0.0, 2.0, exclude_min=True)),
+       st.one_of(st.just(0.0), st.floats(-0.01, 0.01)))
+def test_simulated_three_state_panel_is_read_or_refused(s_bar, sigma_bar, du_amplitude):
     with tempfile.TemporaryDirectory() as tmp:
         panel = Path(tmp) / "panel"
-        code = run(["simulate", "--three-state", "--s-bar", s_bar, "--output-dir", panel])
+        code = run(["simulate", "--three-state", "--s-bar", s_bar, "--sigma-bar", sigma_bar,
+                    f"--du-amplitude={du_amplitude}", "--output-dir", panel])
         if code != 2:
             assert code == 0
             assert run(["three-state", "--input", panel / "panel.csv",
@@ -1181,8 +1196,106 @@ def test_simulate_vacancy_bound_names_month_and_value(tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert run(["simulate", *flags, "--horizon", 24, "--sigma-bar", 0.01,
                 "--output-dir", out]) == 2
-    assert re.fullmatch(r"configuration error: planted vacancies left \(0, 1\) "
+    assert re.fullmatch(r"configuration error: planted vacancy rate outside \(0, 1\) "
                         r"at 2000-01: \d+\.\d+\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def write_planted(path, columns, name, month, value) -> Path:
+    """`columns` written to `path` with column `name` set to `value` in `month`."""
+    vals = columns[name].values.copy()
+    vals[columns[name].index_of(month)] = value
+    ba.write_panel(path, {**columns, name: columns[name].with_values(vals)})
+    return path
+
+
+def two_state_columns(sim):
+    return {"u_rate": sim.panel.U, "v_rate": sim.panel.V, "u_short": sim.panel.U_short}
+
+
+SHARE_NAMES = {"u_rate": "unemployment rate", "v_rate": "vacancy rate",
+               "u_short": "short-term unemployment"}
+PLANTED = ba.MonthDate(2003, 5)
+
+
+@pytest.mark.parametrize("value", [1.5, 0.0, -0.1])
+@pytest.mark.parametrize("command, column", [
+    *((command, column) for command in ("estimate", "shifters", "decompose", "efficiency")
+      for column in ("u_rate", "v_rate", "u_short")),
+    ("three-state", "v_rate")])
+def test_a_share_outside_the_unit_interval_exits_three_naming_its_month(
+        tmp_path, recession_sim, capsys, command, column, value):
+    # every reader holds each share it reads to one rule; a three-state
+    # v_rate of 1.5 and an efficiency v_rate of 1.5 were written with exit 0
+    columns = (steady_three_state_columns() if command == "three-state"
+               else two_state_columns(recession_sim))
+    data = write_planted(tmp_path / "panel.csv", columns, column, PLANTED, value)
+    out = tmp_path / "out"
+    code = run([command, "--input", data, "--output-dir", out])
+    if command == "efficiency" and column == "u_short":
+        assert code == 0  # a column the command does not read
+        return
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"data error: {SHARE_NAMES[column]} outside (0, 1) at {PLANTED}: {value!r}\n")
+    assert not out.exists()
+
+
+def test_negative_rate_exits_three_before_any_newton_step(tmp_path, capsys,
+                                                          monkeypatch):
+    # it took 1,000 Newton steps and then read as a raking failure
+    from beveridge_accounting import flows_three_state
+    data = write_planted(tmp_path / "panel.csv", steady_three_state_columns(), "en",
+                         PLANTED, -0.1)
+    steps = []
+    update = flows_three_state._newton_update
+    monkeypatch.setattr(flows_three_state, "_newton_update",
+                        lambda *a: steps.append(1) or update(*a))
+    assert run(["three-state", "--input", data, "--output-dir", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: month {PLANTED}: negative transition rate en: -0.1\n")
+    assert steps == []
+
+
+def test_nonpositive_finding_month_is_masked(tmp_path, recession_sim):
+    # 2008-01 -> 2008-02 is a month of rising unemployment: with fewer
+    # short-term unemployed in 2008-02 than the rise, f in 2008-01 is negative
+    panel, month = recession_sim.panel, ba.MonthDate(2008, 1)
+    t = panel.U.index_of(month)
+    rise = panel.U.values[t + 1] - panel.U.values[t]
+    clean = write_recession_csv(tmp_path, recession_sim)
+    data = write_planted(tmp_path / "planted.csv", two_state_columns(recession_sim),
+                         "u_short", month.shift(1), rise / 2)
+    n_obs, notes = [], []
+    for name, path in (("clean", clean), ("planted", data)):
+        for command in ("estimate", "shifters"):
+            out = tmp_path / f"{command}-{name}"  # f < 0 warns, and is masked
+            assert run([command, "--input", path, "--output-dir", out]) == 0
+            notes.append(json.loads((out / "manifest.json").read_text())["notes"])
+        n_obs.append([int(r["n_obs"]) for r in
+                      read_csv(tmp_path / f"estimate-{name}" / "matching_estimates.csv")])
+    assert [n["nonpositive_finding_months_masked"] for n in notes] == [0, 0, 1, 1]
+    # the month is left out of the post-2008 sample, and its sigma is missing
+    assert n_obs[1] == [n_obs[0][0], n_obs[0][1] - 1]
+    rows = {r["date"]: r for r in read_csv(tmp_path / "shifters-planted" / "shifters.csv")}
+    assert rows[str(month)]["matching"] == ""
+    assert rows[str(month.shift(-1))]["matching"] != ""
+    assert rows[str(month.shift(1))]["matching"] != ""
+
+
+def test_approximation_window_with_no_observed_month_exits_three(tmp_path, recession_sim,
+                                                                 capsys):
+    columns = two_state_columns(recession_sim)
+    u = columns["u_rate"].values.copy()
+    u[columns["u_rate"].index_of(ba.MonthDate(2003, 1)):
+      columns["u_rate"].index_of(ba.MonthDate(2003, 6)) + 1] = np.nan
+    data = tmp_path / "panel.csv"
+    ba.write_panel(data, {**columns, "u_rate": columns["u_rate"].with_values(u)})
+    out = tmp_path / "out"
+    assert run(["shifters", "--input", data, "--approx-window", "2003-01:2003-06",
+                "--output-dir", out]) == 3
+    assert capsys.readouterr().err == (
+        "data error: no jointly observed months in window [2003-01, 2003-06]\n")
     assert not out.exists()
 
 

@@ -83,8 +83,12 @@ class TestFormulaContract:
                     {"beveridge_elasticity": 1.0, "unemployment_cost": np.nan}):
             with pytest.raises(ValueError, match="positive"):
                 EfficiencyCalibration(**bad)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^unemployment rate outside \(0, 1\) at "
+                                             r"2000-01: 0\.0$"):
             efficient_unemployment(series([0.0]), series([0.03]), FLAT)
+        with pytest.raises(ValueError, match=r"^vacancy rate outside \(0, 1\) at "
+                                             r"2000-02: 1\.5$"):
+            efficient_unemployment(series([0.05, 0.05]), series([0.03, 1.5]), FLAT)
 
     @pytest.mark.parametrize("name", ["beveridge_elasticity", "vacancy_cost",
                                       "unemployment_cost"])

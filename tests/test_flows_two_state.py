@@ -105,9 +105,14 @@ def test_panel_construction_and_validation():
     v = np.array([0.03, 0.031, 0.032])
     panel = build_two_state_panel(series(u), series(v), series(us))
     assert np.isnan(panel.f.values[-1]) and np.isnan(panel.s.values[-1])
-    with pytest.raises(ValueError, match="inside|above one"):
+    # each share is checked before f and s are derived from it
+    with pytest.raises(ValueError, match=r"^unemployment rate outside \(0, 1\) at "
+                                         r"2000-01: 1\.5$"):
         build_two_state_panel(series(np.array([1.5, 0.058, 0.057])),
                               series(v), series(us))
+    with pytest.raises(ValueError, match=r"^short-term unemployment outside \(0, 1\) "
+                                         r"at 2000-02: 0\.0$"):
+        build_two_state_panel(series(u), series(v), series(np.array([np.nan, 0.0, 0.011])))
     with pytest.raises(ValueError, match="misalignment"):
         build_two_state_panel(series(u), series(v),
                               MonthlySeries(MonthDate(2001, 1), us))

@@ -7,7 +7,7 @@ import pytest
 
 from beveridge_accounting import (MonthDate, MonthlySeries, ThreeStatePanel,
                                   estimate_matching, matching_efficiency_path,
-                                  searcher_finding_rate, tightness)
+                                  tightness)
 from beveridge_accounting.matching import _stars, _t_two_sided_p
 
 START = MonthDate(2000, 1)
@@ -186,8 +186,12 @@ class TestEfficiencyPath:
                                    f.values, rtol=1e-14)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            matching_efficiency_path(series([0.0]), series([0.5]), alpha=0.3)
+        with pytest.raises(ValueError, match="^nonpositive finding rate or tightness "
+                                             "at 2000-02; efficiency path undefined$"):
+            matching_efficiency_path(series([0.3, 0.0]), series([0.5, 0.5]), alpha=0.3)
+        # a month missing either input is missing, not refused
+        sigma = matching_efficiency_path(series([0.3, 0.0]), series([0.5, np.nan]), 0.3)
+        assert np.isnan(sigma.values[1])
 
 
 def three_state_panel(u=0.05, n=0.30, ue=0.25, ne=0.025):
@@ -217,8 +221,16 @@ class TestThreeStateTightness:
         high = tightness(three_state_panel(ne=0.05).S, v)
         assert (high.values <= low.values).all()
 
+    def test_refusals_name_the_month(self):
+        v = series([0.03, 1.5])
+        with pytest.raises(ValueError, match=r"^vacancy rate outside \(0, 1\) at "
+                                             r"2000-02: 1\.5$"):
+            tightness(series([0.05, 0.05]), v)
+        with pytest.raises(ValueError, match="^zero searcher pool at 2000-02; "
+                                             "tightness undefined$"):
+            tightness(series([0.05, 0.0]), series([0.03, 0.03]))
+
     def test_searcher_finding_rate(self):
         panel = three_state_panel()
-        rate = searcher_finding_rate(panel)
         hires = 0.05 * 0.25 + 0.30 * 0.025
-        assert rate.values[0] == pytest.approx(hires / 0.08, rel=1e-14)
+        assert panel.f.values[0] == pytest.approx(hires / 0.08, rel=1e-14)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,9 +54,15 @@ def unemployment_paths(draw):
 
 def loop_stocks(u0, n0, rates, start):
     """U and N by the laws of motion, one month at a time on numpy scalars;
-    ValueError naming the first month that leaves the simplex, as
-    `simulate` reports it."""
+    ValueError naming the first month that starts a month-pair with a
+    negative rate, else the first month that leaves the simplex, as
+    `simulate` reports them."""
     n = len(rates["eu"])
+    for t in range(n - 1):
+        for name in RATE_NAMES:
+            if rates[name][t] < 0.0:
+                raise ValueError(f"month {start.shift(t)}: negative transition rate "
+                                 f"{name}: {float(rates[name][t])!r}")
     U = np.empty(n)
     N = np.empty(n)
     U[0], N[0] = u0, n0
@@ -84,7 +91,7 @@ def three_state_paths(draw):
     """(u0, n0, {rate name: path}), the paths all tame, which keep the stocks
     in the simplex up to rounding, or all wild but eu, which stays positive.
     Where a state's two exit rates sum above one, the second is the first
-    negated, so the simulator's stayer check passes every month."""
+    negated, so such a month fails as a negative rate, not as a stayer."""
     months = draw(st.integers(2, 30))
     tame = draw(st.booleans())
     rates = np.array(draw(st.lists(TAME_RATES if tame else WILD_RATES,
@@ -206,7 +213,7 @@ class TestTwoStateSimulation:
         sigma = np.r_[np.full(6, 0.36), np.full(18, 0.01)]
         spec = SimulationSpec(alpha=0.3, u0=0.06, horizon=24, s_path=0.02,
                               sigma_path=sigma)
-        with pytest.raises(ValueError, match=r"planted vacancies left \(0, 1\) "
+        with pytest.raises(ValueError, match=r"planted vacancy rate outside \(0, 1\) "
                            r"at 2000-07: \d") as exc:
             simulate(spec)
         assert "np.float64" not in str(exc.value)
@@ -277,7 +284,7 @@ class TestThreeStateSimulation:
         # a low efficiency from 2000-07 on needs a vacancy rate above one
         # to produce the planted hires
         sigma = np.r_[np.full(6, 0.36), np.full(18, 0.01)]
-        with pytest.raises(ValueError, match=r"planted vacancies left \(0, 1\) "
+        with pytest.raises(ValueError, match=r"planted vacancy rate outside \(0, 1\) "
                            r"at 2000-07: \d") as exc:
             make_three_state_steady(horizon=24, sigma=sigma)
         assert "np.float64" not in str(exc.value)
@@ -287,7 +294,8 @@ class TestThreeStateSimulation:
     @given(three_state_paths())
     def test_law_of_motion_matches_per_month_loop(self, drawn):
         # bit for bit where the stocks stay in the simplex, the same text
-        # where they leave, and no RuntimeWarning from the months after
+        # where a rate is negative or they leave, and no RuntimeWarning from
+        # the months after
         u0, n0, rates = drawn
         spec = SimulationSpec(alpha=0.3, u0=u0, n0=n0, horizon=len(rates["eu"]),
                               s_path=rates["eu"], sigma_path=1.0,
@@ -374,18 +382,36 @@ class TestPlantedChange:
         # the searcher finding rate is sigma (V / S)^alpha, as planted, in
         # every month: the last month's ue keeps E constant, as its V does
         theta = ba.tightness(sim.panel.S, sim.V)
-        f = ba.searcher_finding_rate(sim.panel)
-        np.testing.assert_allclose(ba.matching_efficiency_path(f, theta, 0.3).values,
+        np.testing.assert_allclose(ba.matching_efficiency_path(sim.panel.f, theta,
+                                                               0.3).values,
                                    sim.sigma_true.values, rtol=1e-12)
 
     def test_the_cycle_moves_the_searcher_finding_rate(self):
         # so ln(H/S) on ln(V/S) has variation to fit, and alpha is recovered
         sim = simulate(cycle_spec())
-        f = ba.searcher_finding_rate(sim.panel)
+        f = sim.panel.f
         assert np.nanstd(np.log(f.values)) > 0.01
         # the last month too: its ue keeps E constant, as its V does
         est = ba.estimate_matching(f, ba.tightness(sim.panel.S, sim.V))
         assert est.alpha == pytest.approx(0.3, abs=1e-10)
+
+    @pytest.mark.parametrize("solved", [False, True], ids=["ue-planted", "ue-solved"])
+    def test_negative_rate_is_refused_as_raking_refuses_it(self, solved):
+        # the stocks left the simplex some months later, and raking took
+        # 1,000 Newton steps on the same rates
+        en = np.full(48, 0.02)
+        en[16] = -0.1
+        rates = {**CYCLE_RATES, "en": en, **({} if solved else {"ue": 0.25})}
+        spec = SimulationSpec(alpha=0.3, u0=0.06, n0=0.3, horizon=48, s_path=0.02,
+                              sigma_path=0.36, rates=rates,
+                              delta_u_path=np.zeros(47) if solved else None)
+        message = "month 2001-05: negative transition rate en: -0.1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate(spec)
+        panel = simulate(replace(spec, rates={**rates, "en": 0.02})).panel
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rake_transition_rates((panel.E, panel.U, panel.N),
+                                  {**panel.rates(), "en": panel.en.with_values(en)})
 
     def test_solved_rate_not_positive_is_infeasible(self):
         du = np.zeros(11)
