@@ -26,7 +26,8 @@ set of margins held at the point, is
 identity on the data, holding all (x, sigma at the point, dS = 0) the
 steady-state curve.  First-order expansion around the point splits log
 vacancies into a slope term plus additive shifters (dynamics, separations,
-matching efficiency, and in three states the non-searcher pool).
+matching efficiency, and in three states the non-searcher pool), each
+term and its coefficient keyed by its name in `TERMS`.
 """
 
 from __future__ import annotations
@@ -76,11 +77,9 @@ class ApproximationPoint:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        # the identity at the point; it overflows to inf or underflows to 0
-        # at extreme points, whose logs the expansion needs
-        with np.errstate(over="ignore"):
-            v = float(_vacancy_identity(self.S_0, self.N_tilde_0, self.x_0, 0.0, 0.0,
-                                        self.sigma_0, self.alpha))
+        # inf or 0 at extreme points, whose logs the expansion would need
+        v = float(_vacancy_identity(self.S_0, self.N_tilde_0, self.x_0, 0.0, 0.0,
+                                    self.sigma_0, self.alpha))
         if not 0.0 < v < math.inf:
             raise ValueError(f"implied V_0 must be positive and finite, got {v}")
         object.__setattr__(self, "V_0", v)
@@ -127,12 +126,12 @@ def _window_means(window: tuple[MonthDate, MonthDate],
 
 def _vacancy_identity(S, N_tilde, x, dS_next, dN_next, sigma, alpha):
     """Vacancy rate from the inverted matching function and laws of motion;
-    NaN where the numerator is nonpositive.  Two-state callers pass zero
-    for N_tilde and dN_next, which leaves the arithmetic of
-    ``s (1 - U) - dU`` unchanged bit for bit."""
+    NaN where the numerator is nonpositive, inf where the rate overflows.
+    Two-state callers pass zero for N_tilde and dN_next, which leaves the
+    arithmetic of ``s (1 - U) - dU`` unchanged bit for bit."""
     # array semantics keep negative**fractional at NaN even for scalar input
     numerator = np.asarray((1.0 - S - N_tilde) * x - dS_next - dN_next, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return np.where(numerator > 0.0,
                         (numerator / (sigma * S ** (1.0 - alpha))) ** (1.0 / alpha),
                         np.nan)
@@ -157,46 +156,42 @@ def _vacancy_identity(S, N_tilde, x, dS_next, dN_next, sigma, alpha):
 # At N_tilde_0 = 0 (S = U, x = s) the non-searcher terms vanish and this is
 # the two-state expansion around (U_bar, s_bar, sigma_bar, 0).
 
-def _expansion_coefficients(point: ApproximationPoint) -> tuple[float, ...]:
-    """Coefficients on (ln S, dln S', ln N_tilde, dln N_tilde', ln x, ln sigma)."""
+# The expansion's terms, in the order they are summed.  searcher_level is
+# the movement along the curve; the other five shift it.
+TERMS = ("searcher_level", "searcher_dynamics", "nonsearcher_level",
+         "nonsearcher_dynamics", "separations", "matching")
+
+
+def _expansion_coefficients(point: ApproximationPoint) -> dict[str, float]:
+    """Each term's coefficient, by name (`TERMS`), on its input: ln S,
+    dln S', ln N_tilde, dln N_tilde', ln x and ln sigma."""
     a, s0, n0, x0 = point.alpha, point.S_0, point.N_tilde_0, point.x_0
     e0 = 1.0 - s0 - n0
-    return (-(s0 / (a * e0) + (1.0 - a) / a),
-            -s0 / (a * x0 * e0),
-            -n0 / (a * e0),
-            -n0 / (a * x0 * e0),
-            1.0 / a,
-            -1.0 / a)
+    return {"searcher_level": -(s0 / (a * e0) + (1.0 - a) / a),
+            "searcher_dynamics": -s0 / (a * x0 * e0),
+            "nonsearcher_level": -n0 / (a * e0),
+            "nonsearcher_dynamics": -n0 / (a * x0 * e0),
+            "separations": 1.0 / a,
+            "matching": -1.0 / a}
 
 
 def loglinear_slope(point: ApproximationPoint) -> float:
     """Slope of the log-linear curve in (ln S, ln V) space: (ln U, ln V) in
     two states."""
-    return _expansion_coefficients(point)[0]
+    return _expansion_coefficients(point)["searcher_level"]
 
 
 @dataclass(frozen=True)
 class ThreeStateLoglinear:
     """Log vacancies from the three-state expansion, term by term.
 
-    total = intercept ln V_0 plus the six terms (`TERMS`), exactly
-    (additivity by construction).  `shifter_paths` normalises them to a
-    reference month for shifter plots.
+    total = intercept ln V_0 plus the six `terms`, keyed by `TERMS` in its
+    order, exactly (additivity by construction).  `shifter_paths`
+    normalises them to a reference month for shifter plots.
     """
 
     total: MonthlySeries
-    searcher_level: MonthlySeries
-    searcher_dynamics: MonthlySeries
-    nonsearcher_level: MonthlySeries
-    nonsearcher_dynamics: MonthlySeries
-    separations: MonthlySeries
-    matching: MonthlySeries
-
-
-# The expansion's terms, in the order of its fields.  searcher_level is the
-# movement along the curve; the other five shift it.
-TERMS = ("searcher_level", "searcher_dynamics", "nonsearcher_level",
-         "nonsearcher_dynamics", "separations", "matching")
+    terms: dict[str, MonthlySeries]
 
 
 def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: MonthlySeries,
@@ -212,37 +207,30 @@ def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: Monthly
     """
     S, N_tilde, x = panel.S, panel.N_tilde, panel.x
     require_aligned(S, N_tilde, x, sigma)
-    c_level, c_dyn, c_n_level, c_n_dyn, c_sep, c_mat = _expansion_coefficients(point)
+    # each term's input: a log gap from the point or a log change ahead
     with np.errstate(invalid="ignore", divide="ignore"):
-        searcher_level = c_level * (np.log(S.values) - np.log(point.S_0))
-        searcher_dynamics = c_dyn * delta_log(S).values
-        separations = c_sep * (np.log(x.values) - np.log(point.x_0))
-        matching = c_mat * (np.log(sigma.values) - np.log(point.sigma_0))
+        gaps = {"searcher_level": np.log(S.values) - np.log(point.S_0),
+                "searcher_dynamics": delta_log(S).values,
+                "separations": np.log(x.values) - np.log(point.x_0),
+                "matching": np.log(sigma.values) - np.log(point.sigma_0)}
+        if point.N_tilde_0 > 0.0:
+            _reject_first(N_tilde.values == 0.0, S.start,
+                          "log of zero non-searcher pool at {month}")
+            gaps["nonsearcher_level"] = np.log(N_tilde.values) - np.log(point.N_tilde_0)
+            gaps["nonsearcher_dynamics"] = delta_log(N_tilde).values
+    # with no non-searchers at the point, their terms are exact zeros (not
+    # -0.0 times a log), and the dynamics term is missing at the last month
+    n = len(S)
+    absent = {"nonsearcher_level": np.zeros(n),
+              "nonsearcher_dynamics": np.where(np.arange(n) < n - 1, 0.0, np.nan)}
+    coefficients = _expansion_coefficients(point)
+    terms = {name: coefficients[name] * gaps[name] if name in gaps else absent[name]
+             for name in TERMS}
 
-    if point.N_tilde_0 > 0.0:
-        _reject_first(N_tilde.values == 0.0, S.start,
-                      "log of zero non-searcher pool at {month}")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nonsearcher_level = c_n_level * (np.log(N_tilde.values)
-                                             - np.log(point.N_tilde_0))
-            nonsearcher_dynamics = c_n_dyn * delta_log(N_tilde).values
-    else:
-        nonsearcher_level = np.zeros(len(S))
-        nonsearcher_dynamics = np.zeros(len(S))
-        nonsearcher_dynamics[-1] = np.nan
-
-    total = (np.log(point.V_0) + searcher_level + searcher_dynamics
-             + nonsearcher_level + nonsearcher_dynamics + separations + matching)
-    mk = S.with_values
+    total = sum(terms.values(), np.log(point.V_0))
     return ThreeStateLoglinear(
-        total=mk(total),
-        searcher_level=mk(searcher_level),
-        searcher_dynamics=mk(searcher_dynamics),
-        nonsearcher_level=mk(nonsearcher_level),
-        nonsearcher_dynamics=mk(nonsearcher_dynamics),
-        separations=mk(separations),
-        matching=mk(matching),
-    )
+        total=S.with_values(total),
+        terms={name: S.with_values(v) for name, v in terms.items()})
 
 
 def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,
@@ -256,7 +244,7 @@ def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,
         raise ValueError(f"terms must name at least one shifter of {TERMS}, "
                          f"got {terms}")
     ref = expansion.total.index_of(reference_month)
-    values = {name: getattr(expansion, name).values for name in terms}
+    values = {name: expansion.terms[name].values for name in terms}
     if any(np.isnan(v[ref]) for v in values.values()):
         raise ValueError(f"shifters undefined at reference month {reference_month}")
     values = {name: v - v[ref] for name, v in values.items()}

@@ -6,17 +6,18 @@ are not exactly consistent with the published stocks, so each month-pair's
 3x3 flow matrix is raked: scaled by row and column factors, by Newton's
 method, to the fit of least I-divergence whose row sums reproduce this
 month's stocks and column sums next month's; a month with a negative rate
-is refused before any step.  Every panel derives its searcher aggregates
-from its stocks and rates, on first use:
+is refused before any step, and a rate in a month that starts no pair is
+held to the panel's rule, [0, 1].  Every panel derives its searcher
+aggregates from its stocks and rates, on first use:
 
     S = U + xi_N * N        effective searchers
     N_tilde = (1 - xi_N) N  non-searchers
     x = eu + en             total separation probability
-    f = (U ue + N ne) / S   finding rate: hires per effective searcher
+    f = H / S = ue          finding rate: hires H = U ue + N ne per searcher
 
 where xi_N = ne / ue is the relative search intensity of the nonemployed
-under balanced matching.  A panel with no nonemployment (N = 0) has S = U,
-N_tilde = 0, f = ue and, with en = 0, x = eu: the two-state model.
+under balanced matching, so S = H / ue.  A panel with no nonemployment
+(N = 0) has S = U, N_tilde = 0 and, with en = 0, x = eu: the two-state model.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ class RakingReport:
 
 @dataclass(frozen=True)
 class ThreeStatePanel:
-    """Stocks and transition rates; the searcher aggregates xi_N, S, N_tilde,
-    x and f are derived from them when first read (a panel whose aggregates
-    are undefined, such as one with ue = 0, still builds)."""
+    """Stocks and transition rates; the searcher aggregates xi_N, S, N_tilde
+    and x are derived from them when first read (a panel whose aggregates
+    are undefined, such as one with ue = 0, still builds), and f is ue."""
 
     E: MonthlySeries
     U: MonthlySeries
@@ -84,11 +85,7 @@ class ThreeStatePanel:
         _reject_first(~(np.isnan(total) | (np.abs(total - 1.0) < 1e-12)), self.E.start,
                       "stocks do not sum to one at {month} (total {value!r}); "
                       "normalize first", total)
-        for name in RATE_NAMES:
-            v = getattr(self, name).values
-            v = v[~np.isnan(v)]
-            if v.size and ((v < 0.0) | (v > 1.0)).any():
-                raise ValueError(f"transition rate {name} outside [0, 1]")
+        _reject_nonprobabilities(self.rates())
 
     def rates(self) -> dict[str, MonthlySeries]:
         return {name: getattr(self, name) for name in RATE_NAMES}
@@ -119,11 +116,21 @@ class ThreeStatePanel:
         """Total separation probability eu + en."""
         return self.eu.with_values(self.eu.values + self.en.values)
 
-    @cached_property
+    @property
     def f(self) -> MonthlySeries:
-        """Finding rate: hires per effective searcher, H / S."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return self.U.with_values(total_hires(self).values / self.S.values)
+        """Finding rate: hires per effective searcher, H / S, which is ue."""
+        return self.ue
+
+
+def _reject_nonprobabilities(rates: Mapping[str, MonthlySeries],
+                             where: np.ndarray | bool = True) -> None:
+    """ValueError naming the first rate, in RATE_NAMES order, outside [0, 1]
+    in a month where `where` holds, its first such month and the value."""
+    for name in RATE_NAMES:
+        v = rates[name]
+        _reject_first(where & ((v.values < 0.0) | (v.values > 1.0)), v.start,
+                      f"transition rate {name} outside [0, 1] at {{month}}: {{value!r}}",
+                      v.values)
 
 
 def _rate_faults(rates: np.ndarray,
@@ -406,7 +413,10 @@ def build_three_state_panel(
     tol: float = 1e-12,
     max_iter: int = 1000,
 ) -> tuple[ThreeStatePanel, RakingReport]:
-    """Normalize stocks and rake the rates against them."""
+    """Normalize stocks and rake the rates against them; the rates of the
+    months that start no month-pair, which raking leaves missing, are held
+    to the panel's rule."""
     E, U, N = normalize_shares([E, U, N])
     raked, report = rake_transition_rates((E, U, N), rates, tol=tol, max_iter=max_iter)
+    _reject_nonprobabilities(rates, np.isnan(raked["eu"].values))
     return ThreeStatePanel(E=E, U=U, N=N, **raked), report

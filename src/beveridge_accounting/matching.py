@@ -8,8 +8,8 @@ job-finding probability is linear in log labor-market tightness:
 Ordinary least squares on that equation identifies the elasticity alpha and
 average efficiency sigma_bar; the residuals identify the month-by-month
 efficiency path sigma_t = f_t * theta_t^(-alpha).  Both models pass their
-panel's aggregates: the finding rate `panel.f` (hires per effective
-searcher, H / S, in three states) and tightness V / S (S = U in two
+panel's aggregates: the finding rate `panel.f` (in three states hires per
+effective searcher, H / S, which is ue) and tightness V / S (S = U in two
 states), where every command reads V and refuses it outside (0, 1).
 """
 

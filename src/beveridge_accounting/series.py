@@ -168,16 +168,16 @@ def moving_average(series: MonthlySeries, window: int,
 def normalize_shares(stocks: Sequence[MonthlySeries]) -> list[MonthlySeries]:
     """Divide each stock by the per-month total so shares sum to one.
 
-    A month with any missing stock is missing in every output; a month whose
-    total is zero (or negative) is an error.
+    A month with any missing stock is missing in every output; a negative
+    stock or a zero total is an error naming the first such month.
     """
     if len(stocks) == 0:
         raise ValueError("empty input")
     require_aligned(*stocks)
     mat = np.vstack([s.values for s in stocks])
-    observed = mat[~np.isnan(mat)]
-    if observed.size and observed.min() < 0:
-        raise ValueError("negative stock value")
+    least = np.fmin.reduce(mat, axis=0)  # each month's least observed stock
+    _reject_first(least < 0.0, stocks[0].start,
+                  "negative stock value at {month}: {value!r}", least)
     total = mat.sum(axis=0)
     _reject_first(~np.isnan(total) & (total <= 0.0), stocks[0].start,
                   "empty population month {month}")

@@ -48,7 +48,7 @@ from .series import MonthDate, MonthlySeries, _reject_first, delta, require_alig
 @dataclass(frozen=True)
 class Margin:
     """A margin of the decomposition: its term of the log-linear expansion
-    (a field of `curve.ThreeStateLoglinear`) and the inputs of the vacancy
+    (a key of `curve.ThreeStateLoglinear.terms`) and the inputs of the vacancy
     identity (`curve._vacancy_identity`) that holding it fixes at their
     values at the expansion point, where dS' = dN_tilde' = 0."""
 
@@ -256,7 +256,7 @@ def loglinear_shift_decomposition(
     pairs where a term is missing are dropped and reported."""
     require_aligned(U, V, expansion.total)
     samples._check_grid(U)
-    contrib = np.vstack([samples.vertical_shift(getattr(expansion, margin.term).values)
+    contrib = np.vstack([samples.vertical_shift(expansion.terms[margin.term].values)
                          for margin in MARGINS.values()])
     ok = ~np.isnan(contrib).any(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):

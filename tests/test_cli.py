@@ -1075,17 +1075,24 @@ COST_PRODUCT = ("beveridge_elasticity * (vacancy_cost / unemployment_cost) must 
      COST_PRODUCT + "0.9 * (0.92 / 5e-324) = inf"),
     ("efficiency", ["--vacancy-cost", 5e-324, "--unemployment-cost", 1e308],
      COST_PRODUCT + "0.9 * (5e-324 / 1e+308) = 0.0"),
+    ("simulate", ["--sigma-bar", 1e-100],
+     "planted vacancy rate outside (0, 1) at 2000-01: inf"),
+    ("simulate", ["--three-state", "--sigma-bar", 1e-100],
+     "planted vacancy rate outside (0, 1) at 2000-01: inf"),
 ], ids=["stayers", "stayers-overflow", "v-bar-inf", "v-bar-zero", "v-bar-alpha",
-        "u-star-inf", "u-star-inf-cost", "u-star-zero"])
-def test_flags_with_no_finite_result_exit_two(tmp_path, recession_sim, capsys, command,
-                                              flags, message):
+        "u-star-inf", "u-star-inf-cost", "u-star-zero", "planted-v-inf",
+        "planted-v-inf-three-state"])
+def test_flags_with_no_finite_result_exit_two(tmp_path, recession_sim, capsys, recwarn,
+                                              command, flags, message):
     # these had exited 0 (a panel that raking rejects, V_bar or u* of 0) or
-    # 3 (an infinite V_bar or u*), some after a RuntimeWarning
+    # 3 (an infinite V_bar or u*), some after a RuntimeWarning, which a
+    # planted vacancy rate that overflows also printed first
     data = ([] if command == "simulate"
             else ["--input", write_recession_csv(tmp_path, recession_sim)])
     out = tmp_path / "out"
     assert run([command, *data, "--output-dir", out, *flags]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (out / "manifest.json").exists()
 
 
@@ -1255,6 +1262,23 @@ def test_negative_rate_exits_three_before_any_newton_step(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"data error: month {PLANTED}: negative transition rate en: -0.1\n")
     assert steps == []
+
+
+@pytest.mark.parametrize("column, value, last, message", [
+    ("u_stock", -0.01, False, "negative stock value at {month}: -0.01"),
+    ("ue", 1.5, True, "transition rate ue outside [0, 1] at {month}: 1.5")],
+    ids=["negative-stock", "ue-last-month"])
+def test_three_state_input_fault_exits_three_naming_its_month(tmp_path, capsys, column,
+                                                              value, last, message):
+    # a negative stock was refused naming no month, and an ue of 1.5 in the
+    # last month, which starts no month-pair, was accepted with exit 0
+    columns = steady_three_state_columns()
+    month = columns[column].end if last else PLANTED
+    data = write_planted(tmp_path / "panel.csv", columns, column, month, value)
+    out = tmp_path / "out"
+    assert run(["three-state", "--input", data, "--output-dir", out]) == 3
+    assert capsys.readouterr().err == f"data error: {message.format(month=month)}\n"
+    assert not out.exists()
 
 
 def test_nonpositive_finding_month_is_masked(tmp_path, recession_sim):

@@ -53,15 +53,15 @@ def steady_state_curve(u_grid, point):
 
 def dynamics_coefficient(point):
     """Coefficient on the month-ahead change in log unemployment."""
-    return _expansion_coefficients(point)[1]
+    return _expansion_coefficients(point)["searcher_dynamics"]
 
 
 def separations_coefficient(point):
-    return _expansion_coefficients(point)[4]
+    return _expansion_coefficients(point)["separations"]
 
 
 def matching_coefficient(point):
-    return _expansion_coefficients(point)[5]
+    return _expansion_coefficients(point)["matching"]
 
 
 def two_state_shifters(U, s, sigma, point, reference):
@@ -120,9 +120,10 @@ class TestApproximationPoint:
                                                        window)
         got = three_state_loglinear(panel, sigma, point)
         want = three_state_loglinear(two_state(panel.U, panel.s), sigma, point)
-        for name in ("total", *TERMS):
-            np.testing.assert_array_equal(getattr(got, name).values,
-                                          getattr(want, name).values)
+        np.testing.assert_array_equal(got.total.values, want.total.values)
+        for name in TERMS:
+            np.testing.assert_array_equal(got.terms[name].values,
+                                          want.terms[name].values)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -447,7 +448,7 @@ class TestThreeState:
         panel = constant_aggregate_panel(0.095, 0.25, 0.037)
         sigma = series(np.full(6, 0.34))
         out = three_state_loglinear(panel, sigma, THREE_POINT)
-        total = math.log(THREE_POINT.V_0) + sum(getattr(out, name).values
+        total = math.log(THREE_POINT.V_0) + sum(out.terms[name].values
                                                 for name in TERMS)
         np.testing.assert_array_equal(out.total.values, total)
 
@@ -512,9 +513,10 @@ class TestThreeState:
         np.testing.assert_array_equal(*outcomes)
         exp3 = three_state_loglinear(panel, sigma, point3)
         exp2 = three_state_loglinear(two_state(U, s_series), sigma, point2)
-        for name in ("total", *TERMS):
-            np.testing.assert_array_equal(getattr(exp3, name).values,
-                                          getattr(exp2, name).values)
+        np.testing.assert_array_equal(exp3.total.values, exp2.total.values)
+        for name in TERMS:
+            np.testing.assert_array_equal(exp3.terms[name].values,
+                                          exp2.terms[name].values)
         for terms in (TERMS, ("searcher_dynamics", "separations", "matching")):
             paths3 = shifter_paths(exp3, START, terms)
             paths2 = shifter_paths(exp2, START, terms)
@@ -522,6 +524,21 @@ class TestThreeState:
             for name in paths3:
                 np.testing.assert_array_equal(paths3[name].values,
                                               paths2[name].values)
+
+    @pytest.mark.parametrize("model", ["two-state", "three-state"])
+    def test_terms_are_data_keyed_by_name(self, recession_pipeline, model):
+        # the expansion is its total and one mapping of terms in TERMS
+        # order; the coefficients and every margin's term read by name
+        if model == "two-state":
+            panel, sigma = recession_pipeline["panel"], recession_pipeline["sigma_hat"]
+            point = recession_pipeline["point"]
+        else:
+            panel = constant_aggregate_panel(0.095, 0.25, 0.037)
+            sigma, point = series(np.full(6, 0.34)), THREE_POINT
+        out = three_state_loglinear(panel, sigma, point)
+        assert [f.name for f in dataclasses.fields(out)] == ["total", "terms"]
+        assert tuple(out.terms) == TERMS == tuple(_expansion_coefficients(point))
+        assert {margin.term for margin in MARGINS.values()} <= out.terms.keys()
 
     def test_zero_nonsearcher_pool_error(self):
         panel = constant_aggregate_panel(0.091, 0.259, 0.035)

@@ -726,6 +726,25 @@ class TestIntensityAndAggregates:
                                    hires.values * panel.U.values / panel.S.values,
                                    rtol=1e-13)
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(consistent_panels())
+    def test_finding_rate_is_ue(self, panel):
+        # xi_N = ne / ue makes S = H / ue, so hires per searcher are ue,
+        # which H / S reproduces only up to rounding
+        assert panel.f is panel.ue
+        np.testing.assert_allclose(total_hires(panel).values / panel.S.values,
+                                   panel.ue.values, rtol=1e-15)
+
+    @pytest.mark.parametrize("name", RATE_NAMES)
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_rate_outside_unit_interval_names_rate_month_and_value(self, name, value):
+        panel = self.make_panel()
+        rates = panel.rates()
+        rates[name] = rates[name].with_values([rates[name].values[0], value])
+        with pytest.raises(ValueError, match=rf"^transition rate {name} outside "
+                                             rf"\[0, 1\] at 2000-02: {value}$"):
+            ThreeStatePanel(E=panel.E, U=panel.U, N=panel.N, **rates)
+
     def test_total_hires_cases(self):
         panel = self.make_panel(ue=0.25, ne=0.02)
         assert total_hires(panel).values[0] == pytest.approx(0.0185, rel=1e-14)
@@ -734,6 +753,32 @@ class TestIntensityAndAggregates:
         np.testing.assert_allclose(total_hires(zero).values, 0.0)
         with pytest.raises(ValueError, match="undefined intensity at 2000-01"):
             zero.S
+
+
+@pytest.mark.parametrize("gap", ["last month", "next month's stocks missing"])
+def test_rates_of_months_that_start_no_pair_are_held_to_the_unit_interval(gap):
+    # raking reads no rate of a month that starts no month-pair; such a
+    # rate above one was accepted, and now the panel's own rule refuses it
+    from beveridge_accounting import build_three_state_panel
+
+    sim = make_three_state_steady(horizon=12)
+    stocks = [sim.panel.E, sim.panel.U, sim.panel.N]
+    month = 11 if gap == "last month" else 6
+    if gap != "last month":
+        stocks = [x.with_values(np.where(np.arange(12) == 7, np.nan, x.values))
+                  for x in stocks]
+    rates = sim.panel.rates()
+    ue = rates["ue"].values.copy()
+    ue[month] = 1.5
+    with pytest.raises(ValueError, match=rf"^transition rate ue outside \[0, 1\] "
+                                         rf"at {START.shift(month)}: 1\.5$"):
+        build_three_state_panel(*stocks, {**rates, "ue": rates["ue"].with_values(ue)})
+    # each rate inside [0, 1] but exits that sum above one: raking would
+    # refuse them in a month that starts a pair, and the rule here does not
+    un = rates["un"].values.copy()
+    un[month] = 0.8
+    panel, _ = build_three_state_panel(*stocks, {**rates, "un": rates["un"].with_values(un)})
+    assert np.isnan(panel.un.values[month])
 
 
 def test_raked_panel_hires_identity():

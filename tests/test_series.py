@@ -198,8 +198,13 @@ class TestNormalizeShares:
             normalize_shares([series([1.0, 0.0]), series([1.0, 0.0])])
 
     def test_negative_stock(self):
-        with pytest.raises(ValueError, match="negative"):
-            normalize_shares([series([1.0, -0.5]), series([1.0, 1.0])])
+        # the first month with a negative stock and its least stock, a
+        # missing stock beside it or not
+        with pytest.raises(ValueError, match=r"^negative stock value at 2000-02: -0\.5$"):
+            normalize_shares([series([1.0, -0.5, -2.0]), series([1.0, 1.0, 1.0])])
+        with pytest.raises(ValueError, match=r"^negative stock value at 2000-02: -0\.5$"):
+            normalize_shares([series([1.0, np.nan]), series([1.0, -0.5]),
+                              series([np.nan, -0.25])])
 
 
 def test_delta_forward_difference():

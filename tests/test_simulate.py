@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beveridge_accounting as ba
-from beveridge_accounting import (MonthDate, SimulationSpec, rake_transition_rates,
-                                  simulate)
+from beveridge_accounting import (MonthDate, SimulationSpec, build_three_state_panel,
+                                  rake_transition_rates, simulate)
 from beveridge_accounting.flows_three_state import RATE_NAMES
 from beveridge_accounting.simulate import _law_of_motion
 from conftest import identity, make_three_state_steady
@@ -321,7 +321,8 @@ class TestThreeStateSimulation:
 
     def test_exit_rates_raking_refuses_are_refused(self):
         # the first month-pair whose exits from a state sum above one; the
-        # last month's rates start no pair, and raking does not read them
+        # last month's rates start no pair, and raking does not read them,
+        # nor does the panel's rule that each rate lies in [0, 1] refuse them
         def spec(*months):
             un = np.full(12, 0.03)
             un[list(months)] = 0.8
@@ -333,6 +334,7 @@ class TestThreeStateSimulation:
             simulate(spec(5, 8))
         sim = simulate(spec(11))
         rake_transition_rates((sim.panel.E, sim.panel.U, sim.panel.N), sim.panel.rates())
+        build_three_state_panel(sim.panel.E, sim.panel.U, sim.panel.N, sim.panel.rates())
 
     def test_degenerate_paths_rejected(self):
         # total separation of the whole workforce empties employment
