@@ -473,7 +473,8 @@ def _sigma_path(args: argparse.Namespace) -> np.ndarray:
     path = np.full(args.horizon, args.sigma_bar)
     if args.sigma_break_at is not None:
         if not 0 <= args.sigma_break_at < args.horizon:
-            raise ConfigError("--sigma-break-at outside the horizon")
+            raise ConfigError(f"--sigma-break-at {args.sigma_break_at} outside the "
+                              f"horizon [0, {args.horizon - 1}]")
         path[args.sigma_break_at:] *= args.sigma_break_factor
     return path
 

@@ -5,6 +5,8 @@ spike and a permanent matching-efficiency drop, giving a Beveridge loop with
 downswing and upswing samples that bracket each other.
 """
 
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,10 @@ import pytest
 
 import beveridge_accounting as ba
 from beveridge_accounting import MonthDate
+
+# the case table and its runners, which tests import as `cases`, `smoke`
+# and `sweep`
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 
 def two_state(U, s):
@@ -45,6 +51,22 @@ def recession_sim():
                              sigma_path=sigma_path, delta_u_path=du,
                              start=MonthDate(2000, 1))
     return ba.simulate(spec)
+
+
+@pytest.fixture(scope="session")
+def paper_sim():
+    """240 months, 2000-01 to 2019-12, the paper's span, with a recession
+    loop around the default swing bounds: unemployment rises through 2009-06
+    and recovers, and efficiency drops for good from 2008-01."""
+    n = 240
+    du = np.zeros(n - 1)
+    du[90:114] += 0.0012
+    du[120:168] -= 0.0006
+    sigma_path = np.full(n, 0.36)
+    sigma_path[96:] *= 0.8
+    return ba.simulate(ba.SimulationSpec(
+        alpha=0.3, u0=0.055, horizon=n, s_path=0.02, sigma_path=sigma_path,
+        delta_u_path=du, start=MonthDate(2000, 1)))
 
 
 @pytest.fixture(scope="session")

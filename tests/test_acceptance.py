@@ -206,24 +206,67 @@ def _load_real_panel():
     return panel
 
 
-@needs_data
-def test_criterion_7_matching_table_reproduction():
-    cols = _load_real_panel()
-    panel = ba.build_two_state_panel(cols["u_rate"], cols["v_rate"],
-                                     cols["u_short"])
+# Criteria 7-9's call chains, from a panel's u_rate, v_rate and u_short
+# columns: the real-data tests assert the published magnitudes on them, and
+# `test_criteria_7_to_9_run_on_a_simulated_panel` runs them in every tier-1
+# run, so an API change that breaks them shows there
+
+def matching_table(cols):
+    """Criterion 7: the pre-2008 and post-2007 estimates, and the post-2007
+    expansion point."""
+    panel = ba.build_two_state_panel(cols["u_rate"], cols["v_rate"], cols["u_short"])
     theta = ba.tightness(panel.U, panel.V)
     pre = ba.estimate_matching(panel.f, theta,
                                sample=(panel.U.start, MonthDate(2007, 12)))
     post = ba.estimate_matching(panel.f, theta,
                                 sample=(MonthDate(2008, 1), panel.U.end))
+    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
+    point = ApproximationPoint.from_panel(panel, sigma, 0.3,
+                                          (MonthDate(2008, 1), panel.U.end))
+    return pre, post, point
+
+
+def ordering_table(cols):
+    """Criterion 8: the six-ordering table on 3-month averages."""
+    smoothed = {k: ba.moving_average(v, 3) for k, v in cols.items()}
+    panel = ba.build_two_state_panel(smoothed["u_rate"], smoothed["v_rate"],
+                                     smoothed["u_short"])
+    theta = ba.tightness(panel.U, panel.V)
+    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
+    point = ApproximationPoint.from_panel(panel, sigma, 0.3,
+                                          (MonthDate(2008, 1), panel.U.end))
+    samples = ba.build_swing_samples(panel.U, panel.V, SwingBounds())
+    return ba.all_orderings_report(panel, panel.V, sigma, samples, point)
+
+
+def efficiency_exercise(cols):
+    """Criterion 9: u on 3-month averages, and u* under the flat and the
+    steep slope."""
+    u = ba.moving_average(cols["u_rate"], 3)
+    v = ba.moving_average(cols["v_rate"], 3)
+    flat = ba.efficient_unemployment(
+        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.MS_ELASTICITY))
+    steep = ba.efficient_unemployment(
+        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.STEEP_ELASTICITY))
+    return u, flat, steep
+
+
+def test_criteria_7_to_9_run_on_a_simulated_panel(paper_sim):
+    panel = paper_sim.panel
+    cols = {"u_rate": panel.U, "v_rate": panel.V, "u_short": panel.U_short}
+    pre, post, point = matching_table(cols)
+    assert pre.n_obs > 0 and post.n_obs > 0 and point.N_tilde_0 == 0.0
+    assert len(ordering_table(cols).rows) == 6
+    assert all(len(series) == len(panel.U) for series in efficiency_exercise(cols))
+
+
+@needs_data
+def test_criterion_7_matching_table_reproduction():
+    pre, post, point = matching_table(_load_real_panel())
     assert abs(pre.ln_sigma_bar - (-0.77)) <= 0.02
     assert abs(pre.alpha - 0.27) <= 0.03
     assert abs(post.ln_sigma_bar - (-1.00)) <= 0.02
     assert abs(post.alpha - 0.34) <= 0.03
-
-    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
-    point = ApproximationPoint.from_series(
-        panel.U, panel.s, sigma, 0.3, (MonthDate(2008, 1), panel.U.end))
     assert abs(point.S_0 - 0.068) <= 0.002
     assert abs(point.x_0 - 0.020) <= 0.002
     assert abs(point.sigma_0 - 0.359) <= 0.002
@@ -234,16 +277,7 @@ def test_criterion_7_matching_table_reproduction():
 
 @needs_data
 def test_criterion_8_ordering_table_reproduction():
-    cols = _load_real_panel()
-    smoothed = {k: ba.moving_average(v, 3) for k, v in cols.items()}
-    panel = ba.build_two_state_panel(smoothed["u_rate"], smoothed["v_rate"],
-                                     smoothed["u_short"])
-    theta = ba.tightness(panel.U, panel.V)
-    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
-    point = ApproximationPoint.from_series(
-        panel.U, panel.s, sigma, 0.3, (MonthDate(2008, 1), panel.U.end))
-    samples = ba.build_swing_samples(panel.U, panel.V, SwingBounds())
-    table = ba.all_orderings_report(panel, panel.V, sigma, samples, point)
+    table = ordering_table(_load_real_panel())
     printed = {
         ("dynamics", "separations", "matching"): (115.26, -177.18, 161.92),
         ("dynamics", "matching", "separations"): (115.26, -444.82, 429.55),
@@ -263,13 +297,7 @@ def test_criterion_8_ordering_table_reproduction():
 
 @needs_data
 def test_criterion_9_efficiency_exercise():
-    cols = _load_real_panel()
-    u = ba.moving_average(cols["u_rate"], 3)
-    v = ba.moving_average(cols["v_rate"], 3)
-    flat = ba.efficient_unemployment(
-        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.MS_ELASTICITY))
-    steep = ba.efficient_unemployment(
-        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.STEEP_ELASTICITY))
+    u, flat, steep = efficiency_exercise(_load_real_panel())
     defined = ~np.isnan(flat.values)
     assert (steep.values[defined] > flat.values[defined]).all()
     assert steep.values[defined].min() > 0.035

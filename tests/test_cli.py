@@ -10,6 +10,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import cases
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,17 +91,6 @@ class TestSimulateCommand:
         assert notes["raking_months_adjusted"] == 0
         assert notes["raking_iterations"]["max"] == 0
 
-    # 0.3, the share planted where --n0 is not given, was accepted, and a
-    # value a rounding away from it refused
-    @pytest.mark.parametrize("value", [0.5, "nan", 0.3, 0.30000001])
-    def test_two_state_rejects_three_state_only_flag(self, tmp_path, capsys, value):
-        out = tmp_path / "out2"
-        code = run(["simulate", "--output-dir", out, "--horizon", 24,
-                    "--n0", value, *START_FLAGS])
-        assert code == 2
-        assert "--n0: three-state only" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestEstimateCommand:
     def test_recovers_planted_coefficients(self, tmp_path, recession_sim):
@@ -143,71 +133,11 @@ class TestEstimateCommand:
         rows = read_csv(out / "matching_estimates.csv")
         assert [r["sample_start"] for r in rows] == ["2000-01", "2008-01"]
 
-    def test_sample_outside_coverage_is_config_error(self, tmp_path,
-                                                     recession_sim):
-        data = write_recession_csv(tmp_path, recession_sim)
-        code = run(["estimate", "--input", data, "--output-dir", tmp_path / "x",
-                    "--sample", "1990-01:1995-12"])
-        assert code == 2
-
-    @pytest.mark.parametrize("start, flags, window", [
-        ("2007-11", [], "default --sample 2007-11:2007-12"),
-        ("2000-01", ["--sample", "2010-01:2010-02"], "--sample 2010-01:2010-02"),
-        ("2000-01", ["--sample", "2000-01:2007-12", "--sample", "2010-01:2010-01"],
-         "--sample 2010-01:2010-01"),
-    ], ids=["default-before-2008", "given", "given-second"])
-    def test_window_under_three_months_is_config_error(self, tmp_path, capsys, start,
-                                                       flags, window):
-        # the regression needs three usable months: a window shorter than
-        # that can never have them, whatever the data (it exited 3)
-        assert run(["simulate", "--horizon", 240, "--start", start,
-                    "--output-dir", tmp_path / "panel"]) == 0
-        out = tmp_path / "out"
-        assert run(["estimate", "--input", tmp_path / "panel" / "panel.csv",
-                    "--output-dir", out, *flags]) == 2
-        assert capsys.readouterr().err == (f"configuration error: {window} is shorter "
-                                           "than the 3 months estimation needs\n")
-        assert not out.exists()
-
-    def test_three_month_window_with_two_usable_months_is_data_error(
-            self, tmp_path, recession_sim, capsys):
-        panel = recession_sim.panel
-        v = panel.V.values.copy()
-        v[panel.V.index_of(ba.MonthDate(2010, 2))] = np.nan
-        data = tmp_path / "panel.csv"
-        ba.write_panel(data, {"u_rate": panel.U, "v_rate": panel.V.with_values(v),
-                              "u_short": panel.U_short})
-        assert run(["estimate", "--input", data, "--output-dir", tmp_path / "out",
-                    "--sample", "2010-01:2010-03"]) == 3
-        assert capsys.readouterr().err == ("data error: only 2 usable months in sample "
-                                           "[2010-01, 2010-03]; need at least 3\n")
-
-    @pytest.mark.parametrize("flag", ["--down-start", "--down-end", "--up-start",
-                                      "--up-end"])
-    def test_swing_bound_outside_coverage_is_config_error(self, tmp_path,
-                                                          recession_sim, flag,
-                                                          capsys):
-        data = write_recession_csv(tmp_path, recession_sim)  # 2000-01..2014-12
-        code = run(["decompose", "--input", data, "--output-dir", tmp_path / "x",
-                    flag, "2020-01"])
-        assert code == 2
-        assert "swing bound 2020-01 outside data coverage" in capsys.readouterr().err
-
     def test_missing_column_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,u_rate\n2000-01,0.05\n2000-02,0.05\n")
         assert run(["estimate", "--input", bad,
                     "--output-dir", tmp_path / "x"]) == 3
-
-    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
-    def test_infinite_cell_is_data_error_with_its_line(self, tmp_path, capsys, cell):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("date,u_rate,v_rate,u_short\n2000-01,0.05,0.03,\n"
-                       f"2000-02,0.05,{cell},0.01\n")
-        assert run(["estimate", "--input", bad,
-                    "--output-dir", tmp_path / "x"]) == 3
-        assert (f"bad.csv:3: non-finite cell '{cell}' in column 'v_rate'"
-                in capsys.readouterr().err)
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["estimate", "--input", tmp_path / "nope.csv",
@@ -263,12 +193,6 @@ class TestShiftersCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["notes"]["s_bar"] == 0.020
         assert manifest["notes"]["approx_window"] == "overridden"
-
-    def test_partial_override_is_config_error(self, tmp_path, recession_sim):
-        data = write_recession_csv(tmp_path, recession_sim)
-        code = run(["shifters", "--input", data, "--output-dir", tmp_path / "x",
-                    "--u-bar", 0.068])
-        assert code == 2
 
 
 class TestDecomposeCommand:
@@ -428,14 +352,6 @@ class TestDecomposeCommand:
         short, long = month_dates(12), month_dates(240)
         assert long[1] >= 10 * short[1]
         assert long[0] == short[0]
-
-    def test_infeasible_constants_exit_four(self, tmp_path, recession_sim):
-        data = write_recession_csv(tmp_path, recession_sim)
-        code = run(["decompose", "--input", data, "--output-dir", tmp_path / "x",
-                    "--down-start", "2007-07", "--down-end", "2009-06",
-                    "--up-start", "2010-01", "--u-bar", 0.068,
-                    "--s-bar", 1e-06, "--sigma-bar", 0.30])
-        assert code == 4
 
 
 class TestSmoothingAndFormats:
@@ -645,83 +561,6 @@ def exit_code(args):
         return exc.code
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("estimate", ["--smooth", 0]),
-    ("estimate", ["--smooth", -3]),
-    ("shifters", ["--smooth", 1000]),
-    ("estimate", ["--alpha", 1.5]),
-    ("shifters", ["--alpha", 1.5]),
-    ("shifters", ["--alpha", 0]),
-    ("shifters", ["--u-bar", 1.5, "--s-bar", 0.02, "--sigma-bar", 0.3]),
-    ("simulate", ["--horizon", 1]),
-    ("simulate", ["--u0", 1.5]),
-    ("efficiency", ["--ms-elasticity", -1]),
-    ("three-state", ["--rake-max-iter", 0]),
-    ("shifters", ["--reference", "1990-01"]),
-    ("three-state", ["--reference", "1990-01"]),
-    ("three-state", ["--rake-tol", 0]),
-    ("three-state", ["--rake-tol", -1]),
-    ("three-state", ["--rake-tol", "nan"]),
-    ("simulate", ["--du-period", 0, "--du-amplitude", 0.001]),
-    ("simulate", ["--sigma-break-factor", 0, "--sigma-break-at", 3]),
-    ("efficiency", ["--vacancy-cost", "nan"]),
-    ("efficiency", ["--ms-elasticity", "nan"]),
-    ("simulate", ["--noise", -1]),
-    ("simulate", ["--noise", "nan"]),
-    ("simulate", ["--three-state", "--horizon", 24, "--noise", -1,
-                  "--du-amplitude", 0.01, "--seed", 5]),
-    ("simulate", ["--horizon", 24, "--n0", 0.5]),
-    ("simulate", ["--horizon", 24, "--n0", "nan"]),
-    ("simulate", ["--three-state", "--horizon", 24, "--u0", "nan"]),
-    ("simulate", ["--three-state", "--horizon", 24, "--n0", "nan"]),
-    # the efficiency these imply puts the planted vacancy rate far above one
-    ("simulate", ["--three-state", "--horizon", 24, "--sigma-bar", 0.01]),
-    ("simulate", ["--horizon", 24, "--sigma-bar", 0.01]),
-    # the last months would be 10000-01 to 10000-12, which YYYY-MM cannot spell
-    ("simulate", ["--start", "0001-01", "--horizon", 120_000]),
-    ("simulate", ["--three-state", "--start", "0001-01", "--horizon", 120_000]),
-    # reference months with no dynamics term by construction: the panel's
-    # last month (in three states also the one before it, whose next
-    # month has no rates), and edge months that the smoothing leaves blank
-    ("shifters", ["--reference", "2014-12"]),
-    ("shifters", ["--smooth", 3, "--reference", "2000-01"]),
-    ("three-state", ["--reference", "2004-11"]),
-    ("three-state", ["--smooth", 3, "--reference", "2000-01"]),
-    ("three-state", ["--smooth", 4, "--smooth-align", "trailing", "--reference", "2000-03"]),
-    # tolerances below float64 machine epsilon, which raking cannot reach
-    ("three-state", ["--rake-tol", "1e-300"]),
-    ("three-state", ["--rake-tol", "1e-16"]),
-])
-def test_bad_configuration_value_exits_two(tmp_path, recession_sim, command, flags):
-    if command == "three-state":
-        data = ["--input", write_steady_three_state_csv(tmp_path)]
-    elif command == "simulate":
-        data = []
-    else:
-        data = ["--input", write_recession_csv(tmp_path, recession_sim)]
-    out = tmp_path / "out"
-    assert exit_code([command, *data, "--output-dir", out, *flags]) == 2
-    assert not (out / "manifest.json").exists()
-
-
-@pytest.mark.parametrize("command, flags", [
-    ("estimate", ["--alpha", 0.9]),
-    ("efficiency", ["--alpha", 0.9]),
-    ("simulate", ["--smooth", 3]),
-    ("simulate", ["--smooth-align", "trailing"]),
-])
-def test_flag_the_command_does_not_read_exits_two(tmp_path, recession_sim, capsys,
-                                                  command, flags):
-    # estimate estimates alpha, efficiency has none, simulate reads no panel
-    data = ([] if command == "simulate"
-            else ["--input", write_recession_csv(tmp_path, recession_sim)])
-    out = tmp_path / "out"
-    assert exit_code([command, *data, "--output-dir", out, *flags]) == 2
-    assert capsys.readouterr().err.endswith(
-        f"error: unrecognized arguments: {' '.join(map(str, flags))}\n")
-    assert not out.exists()
-
-
 # ---------------------------------------------------------------------------
 # Cases drawn from the flag table, `cli._FLAGS`
 # ---------------------------------------------------------------------------
@@ -888,25 +727,6 @@ def test_key_error_is_a_bug_not_a_data_error(tmp_path, recession_sim, monkeypatc
              "--output-dir", tmp_path / "out"])
 
 
-@pytest.mark.parametrize("command, flag, extra", [
-    ("three-state", "--rake-tol", []),
-    ("simulate", "--du-period", ["--du-amplitude", 0.001]),
-    ("simulate", "--sigma-break-factor", ["--sigma-break-at", 3]),
-])
-def test_infinite_positive_float_flag_exits_two(tmp_path, capsys, command, flag,
-                                                extra):
-    # an infinite tolerance would accept any raking and switch off the
-    # population check; an infinite period would flatten the cycle
-    data = (["--input", write_steady_three_state_csv(tmp_path)]
-            if command == "three-state" else [])
-    out = tmp_path / "out"
-    assert exit_code([command, *data, "--output-dir", out, *extra, flag, "inf"]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"beveridge {command}: error: argument {flag}: "
-        "must be positive and finite, got inf")
-    assert not (out / "manifest.json").exists()
-
-
 @pytest.mark.parametrize("command, flags, first, last", [
     ("shifters", [], "2000-01", "2014-11"),
     ("shifters", ["--smooth", 3], "2000-02", "2014-10"),
@@ -940,23 +760,6 @@ def test_reference_needs_a_dynamics_term(tmp_path, recession_sim, capsys, comman
         assert not out.exists()
 
 
-def test_reference_month_blank_in_the_data_exits_three(tmp_path, recession_sim, capsys):
-    # a blank input cell, not the configuration, leaves the reference
-    # month's shifters undefined: a data error
-    path = write_recession_csv(tmp_path, recession_sim)
-    lines = path.read_text().splitlines()
-    k = next(i for i, line in enumerate(lines) if line.startswith("2007-04,"))
-    date, u_rate, *rest = lines[k].split(",")
-    lines[k] = ",".join([date, "", *rest])
-    path.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    assert run(["shifters", "--input", path, "--reference", "2007-04",
-                "--output-dir", out]) == 3
-    assert capsys.readouterr().err == \
-        "data error: shifters undefined at reference month 2007-04\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("tol", ["1e-300", "1e-16", "2.2e-16"])
 def test_rake_tol_below_machine_epsilon_exits_two_before_raking(tmp_path, capsys,
                                                                 monkeypatch, tol):
@@ -974,21 +777,12 @@ def test_rake_tol_below_machine_epsilon_exits_two_before_raking(tmp_path, capsys
 
 
 def test_rake_tol_at_machine_epsilon_rakes_a_noisy_panel(tmp_path):
-    # the smoke run's panel: 0.1% seeded noise on the six rates of a
-    # simulated three-state panel, so every month-pair takes Newton steps
+    # the case table's noisy panel (`cases.noisy`), so every month-pair
+    # takes Newton steps
     assert run(["simulate", "--three-state", "--horizon", 240,
                 "--output-dir", tmp_path / "sim"]) == 0
-    rows = read_csv(tmp_path / "sim" / "panel.csv")
-    rng = np.random.default_rng(7)
-    for name in ("eu", "en", "ue", "un", "ne", "nu"):
-        noise = 1.0 + 1e-3 * rng.standard_normal(len(rows))
-        for row, k in zip(rows, noise):
-            row[name] = repr(float(row[name]) * float(k))
     path = tmp_path / "noisy.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    path.write_text(cases.noisy((tmp_path / "sim" / "panel.csv").read_text()), newline="")
     out = tmp_path / "out"
     assert run(["three-state", "--input", path, "--rake-tol", repr(sys.float_info.epsilon),
                 "--output-dir", out]) == 0
@@ -998,102 +792,6 @@ def test_rake_tol_at_machine_epsilon_rakes_a_noisy_panel(tmp_path):
 
 
 POINT_FLAGS = ["--u-bar", 0.06, "--s-bar", 0.02]
-
-
-@pytest.mark.parametrize("command, flags, message", [
-    ("efficiency", ["--ms-elasticity", "inf"], "must be positive and finite, got inf"),
-    ("efficiency", ["--steep-elasticity", "inf"], "must be positive and finite, got inf"),
-    ("efficiency", ["--unemployment-cost", "inf"],
-     "must be positive and finite, got inf"),
-    ("efficiency", ["--vacancy-cost", "inf"], "must be positive and finite, got inf"),
-    ("shifters", [*POINT_FLAGS, "--sigma-bar", "inf"],
-     "must be positive and finite, got inf"),
-    ("shifters", [*POINT_FLAGS, "--sigma-bar", "nan"],
-     "must be positive and finite, got nan"),
-    ("decompose", [*POINT_FLAGS, "--sigma-bar", "inf"],
-     "must be positive and finite, got inf"),
-    ("decompose", [*POINT_FLAGS, "--sigma-bar", "nan"],
-     "must be positive and finite, got nan"),
-    ("shifters", ["--s-bar", 0.02, "--sigma-bar", 0.3, "--u-bar", "nan"],
-     "must be in (0, 1), got nan"),
-    ("decompose", ["--u-bar", 0.06, "--sigma-bar", 0.3, "--s-bar", "inf"],
-     "must be in (0, 1), got inf"),
-], ids=["ms-elasticity-inf", "steep-elasticity-inf", "unemployment-cost-inf",
-        "vacancy-cost-inf", "shifters-sigma-bar-inf", "shifters-sigma-bar-nan",
-        "decompose-sigma-bar-inf", "decompose-sigma-bar-nan", "shifters-u-bar-nan",
-        "decompose-s-bar-inf"])
-def test_non_finite_calibration_flag_exits_two(tmp_path, capsys, command, flags,
-                                               message):
-    # an infinite elasticity or cost gave u* of 1.0 or 0.0 with exit 0, an
-    # infinite vacancy cost or sigma_bar read as bad data (exit 3), and a
-    # NaN sigma_bar as an undefined shifter (3) or infeasible pairs (4);
-    # then the library's check named the dataclass field, not the flag
-    out = tmp_path / "out"
-    assert exit_code([command, "--input", tmp_path / "panel.csv", "--output-dir", out,
-                      *flags]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"beveridge {command}: error: argument {flags[-2]}: {message}")
-    assert not (out / "manifest.json").exists()
-
-
-@pytest.mark.parametrize("flags", [
-    ["--sigma-bar", "nan"], ["--sigma-bar", "inf"], ["--s-bar", "inf"],
-    ["--three-state", "--s-bar", "inf"], ["--du-amplitude", "inf"], ["--noise", "inf"],
-    ["--noise", "nan"],
-], ids=["sigma-bar-nan", "sigma-bar-inf", "s-bar-inf", "three-state-s-bar-inf",
-        "du-amplitude-inf", "noise-inf", "noise-nan"])
-def test_non_finite_simulate_flag_exits_two(tmp_path, capsys, flags):
-    # these had exited 2 only through a downstream bound on the planted
-    # paths, with a message that named neither the flag nor the value
-    out = tmp_path / "out"
-    assert exit_code(["simulate", "--horizon", 24, "--output-dir", out, *flags]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"beveridge simulate: error: argument {flags[-2]}: "
-        f"must be finite, got {flags[-1]}")
-    assert not (out / "manifest.json").exists()
-
-
-COST_PRODUCT = ("beveridge_elasticity * (vacancy_cost / unemployment_cost) must be "
-                "positive and finite, got ")
-
-
-@pytest.mark.parametrize("command, flags, message", [
-    ("simulate", ["--three-state", "--s-bar", 0.99],
-     "month 2000-01: negative stayer probability in state 0: exit rates sum to 1.01"),
-    ("simulate", ["--three-state", "--s-bar", 1e308],
-     "month 2000-01: negative stayer probability in state 0: exit rates sum to 1e+308"),
-    ("shifters", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 5e-324],
-     "implied V_0 must be positive and finite, got inf"),
-    ("shifters", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 1e308],
-     "implied V_0 must be positive and finite, got 0.0"),
-    ("decompose", ["--u-bar", 0.05, "--s-bar", 0.02, "--sigma-bar", 0.3,
-                   "--alpha", 1e-300],
-     "implied V_0 must be positive and finite, got inf"),
-    ("efficiency", ["--vacancy-cost", 1e308],
-     COST_PRODUCT + "2.33 * (1e+308 / 0.74) = inf"),
-    ("efficiency", ["--unemployment-cost", 5e-324],
-     COST_PRODUCT + "0.9 * (0.92 / 5e-324) = inf"),
-    ("efficiency", ["--vacancy-cost", 5e-324, "--unemployment-cost", 1e308],
-     COST_PRODUCT + "0.9 * (5e-324 / 1e+308) = 0.0"),
-    ("simulate", ["--sigma-bar", 1e-100],
-     "planted vacancy rate outside (0, 1) at 2000-01: inf"),
-    ("simulate", ["--three-state", "--sigma-bar", 1e-100],
-     "planted vacancy rate outside (0, 1) at 2000-01: inf"),
-], ids=["stayers", "stayers-overflow", "v-bar-inf", "v-bar-zero", "v-bar-alpha",
-        "u-star-inf", "u-star-inf-cost", "u-star-zero", "planted-v-inf",
-        "planted-v-inf-three-state"])
-def test_flags_with_no_finite_result_exit_two(tmp_path, recession_sim, capsys, recwarn,
-                                              command, flags, message):
-    # these had exited 0 (a panel that raking rejects, V_bar or u* of 0) or
-    # 3 (an infinite V_bar or u*), some after a RuntimeWarning, which a
-    # planted vacancy rate that overflows also printed first
-    data = ([] if command == "simulate"
-            else ["--input", write_recession_csv(tmp_path, recession_sim)])
-    out = tmp_path / "out"
-    assert run([command, *data, "--output-dir", out, *flags]) == 2
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command, message", [
@@ -1128,36 +826,6 @@ def test_simulated_three_state_panel_is_read_or_refused(s_bar, sigma_bar, du_amp
                         "--output-dir", Path(tmp) / "out"]) == 0
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--three-state", "--u0", 0], "--u0 must be in (0, 1), got 0.0"),
-    (["--three-state", "--n0", 0], "--n0 must be in (0, 1), got 0.0"),
-    (["--three-state", "--n0", 1], "--n0 must be in (0, 1), got 1.0"),
-    (["--u0", 0], "--u0 must be in (0, 1), got 0.0"),
-], ids=["three-state-u0", "three-state-n0", "three-state-n0-one", "two-state-u0"])
-def test_initial_share_outside_unit_interval_exits_two(tmp_path, capsys, flags,
-                                                       message):
-    # at --u0 0 or --n0 0 the three-state panel was written with exit 0, and
-    # `three-state` then refused it: no one left the empty state after raking
-    out = tmp_path / "out"
-    assert run(["simulate", "--horizon", 24, *flags, "--output-dir", out]) == 2
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert not (out / "manifest.json").exists()
-
-
-@pytest.mark.parametrize("u0", ["5e-324", "1e-323"])
-def test_unemployment_outflow_rounding_to_zero_exits_two(tmp_path, capsys, u0):
-    # raking scales each flow, so a U -> E flow that rounds to zero stayed
-    # zero: the panel was written with exit 0, and `three-state` exited 3
-    # with no job finding at 2000-01
-    out = tmp_path / "out"
-    assert run(["simulate", "--three-state", "--horizon", 24, "--u0", u0,
-                "--output-dir", out]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: unemployment-to-employment flow U * ue rounds to zero "
-        f"at 2000-01: U = {float(u0)!r}\n")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("flags", [["--u0", "1e-310"], ["--n0", "5e-324"]],
                          ids=["u0", "n0"])
 def test_tiny_initial_share_with_flows_is_read(tmp_path, flags):
@@ -1166,21 +834,6 @@ def test_tiny_initial_share_with_flows_is_read(tmp_path, flags):
                 "--output-dir", panel]) == 0
     assert run(["three-state", "--input", panel / "panel.csv", "--reference", "2000-06",
                 "--output-dir", tmp_path / "out"]) == 0
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--down-start", "2009-06", "--down-end", "2007-04"],
-     "downswing end 2007-04 precedes start 2009-06"),
-    (["--up-start", "2012-01", "--up-end", "2011-01"],
-     "upswing end 2011-01 precedes start 2012-01"),
-], ids=["downswing", "upswing"])
-def test_reversed_swing_bounds_exit_two(tmp_path, recession_sim, capsys, flags,
-                                        message):
-    data = write_recession_csv(tmp_path, recession_sim)
-    out = tmp_path / "out"
-    assert run(["decompose", "--input", data, "--output-dir", out, *flags]) == 2
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert not (out / "manifest.json").exists()
 
 
 def test_swing_window_empty_for_missing_data_exits_three(tmp_path, recession_sim,
@@ -1198,16 +851,6 @@ def test_swing_window_empty_for_missing_data_exits_three(tmp_path, recession_sim
     assert capsys.readouterr().err == "data error: empty downswing sample\n"
 
 
-@pytest.mark.parametrize("flags", [[], ["--three-state"]], ids=["two-state", "three-state"])
-def test_simulate_vacancy_bound_names_month_and_value(tmp_path, capsys, flags):
-    out = tmp_path / "out"
-    assert run(["simulate", *flags, "--horizon", 24, "--sigma-bar", 0.01,
-                "--output-dir", out]) == 2
-    assert re.fullmatch(r"configuration error: planted vacancy rate outside \(0, 1\) "
-                        r"at 2000-01: \d+\.\d+\n", capsys.readouterr().err)
-    assert not out.exists()
-
-
 def write_planted(path, columns, name, month, value) -> Path:
     """`columns` written to `path` with column `name` set to `value` in `month`."""
     vals = columns[name].values.copy()
@@ -1220,32 +863,7 @@ def two_state_columns(sim):
     return {"u_rate": sim.panel.U, "v_rate": sim.panel.V, "u_short": sim.panel.U_short}
 
 
-SHARE_NAMES = {"u_rate": "unemployment rate", "v_rate": "vacancy rate",
-               "u_short": "short-term unemployment"}
 PLANTED = ba.MonthDate(2003, 5)
-
-
-@pytest.mark.parametrize("value", [1.5, 0.0, -0.1])
-@pytest.mark.parametrize("command, column", [
-    *((command, column) for command in ("estimate", "shifters", "decompose", "efficiency")
-      for column in ("u_rate", "v_rate", "u_short")),
-    ("three-state", "v_rate")])
-def test_a_share_outside_the_unit_interval_exits_three_naming_its_month(
-        tmp_path, recession_sim, capsys, command, column, value):
-    # every reader holds each share it reads to one rule; a three-state
-    # v_rate of 1.5 and an efficiency v_rate of 1.5 were written with exit 0
-    columns = (steady_three_state_columns() if command == "three-state"
-               else two_state_columns(recession_sim))
-    data = write_planted(tmp_path / "panel.csv", columns, column, PLANTED, value)
-    out = tmp_path / "out"
-    code = run([command, "--input", data, "--output-dir", out])
-    if command == "efficiency" and column == "u_short":
-        assert code == 0  # a column the command does not read
-        return
-    assert code == 3
-    assert capsys.readouterr().err == (
-        f"data error: {SHARE_NAMES[column]} outside (0, 1) at {PLANTED}: {value!r}\n")
-    assert not out.exists()
 
 
 def test_negative_rate_exits_three_before_any_newton_step(tmp_path, capsys,
@@ -1262,23 +880,6 @@ def test_negative_rate_exits_three_before_any_newton_step(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"data error: month {PLANTED}: negative transition rate en: -0.1\n")
     assert steps == []
-
-
-@pytest.mark.parametrize("column, value, last, message", [
-    ("u_stock", -0.01, False, "negative stock value at {month}: -0.01"),
-    ("ue", 1.5, True, "transition rate ue outside [0, 1] at {month}: 1.5")],
-    ids=["negative-stock", "ue-last-month"])
-def test_three_state_input_fault_exits_three_naming_its_month(tmp_path, capsys, column,
-                                                              value, last, message):
-    # a negative stock was refused naming no month, and an ue of 1.5 in the
-    # last month, which starts no month-pair, was accepted with exit 0
-    columns = steady_three_state_columns()
-    month = columns[column].end if last else PLANTED
-    data = write_planted(tmp_path / "panel.csv", columns, column, month, value)
-    out = tmp_path / "out"
-    assert run(["three-state", "--input", data, "--output-dir", out]) == 3
-    assert capsys.readouterr().err == f"data error: {message.format(month=month)}\n"
-    assert not out.exists()
 
 
 def test_nonpositive_finding_month_is_masked(tmp_path, recession_sim):

@@ -31,21 +31,10 @@ def library_sketch() -> str:
 
 
 @pytest.fixture
-def recession_panel(tmp_path):
-    """240 months from 2000-01 with a recession loop around the default
-    swing bounds: unemployment rises through 2009-06 and recovers."""
-    n = 240
-    du = np.zeros(n - 1)
-    du[90:114] += 0.0012
-    du[120:168] -= 0.0006
-    sigma_path = np.full(n, 0.36)
-    sigma_path[96:] *= 0.8
-    sim = ba.simulate(ba.SimulationSpec(
-        alpha=0.3, u0=0.055, horizon=n, s_path=0.02, sigma_path=sigma_path,
-        delta_u_path=du, start=MonthDate(2000, 1)))
+def recession_panel(tmp_path, paper_sim):
     path = tmp_path / "cps_jolts.csv"
-    ba.write_panel(path, {"u_rate": sim.panel.U, "v_rate": sim.panel.V,
-                          "u_short": sim.panel.U_short})
+    ba.write_panel(path, {"u_rate": paper_sim.panel.U, "v_rate": paper_sim.panel.V,
+                          "u_short": paper_sim.panel.U_short})
     return path
 
 
