@@ -23,8 +23,9 @@ from .flows_two_state import (ProbabilityRangeWarning, TwoStatePanel,
                               job_finding_probability)
 from .matching import (DEFAULT_ALPHA, MatchingEstimate, estimate_matching,
                        matching_efficiency_path, tightness)
-from .series import (MonthDate, MonthlySeries, delta, delta_log, moving_average,
-                     normalize_shares, require_aligned)
+from .series import (ConfigError, DataError, InfeasibleError, MonthDate, MonthlySeries,
+                     Refusal, delta, delta_log, moving_average, normalize_shares,
+                     require_aligned)
 from .shift_decomposition import (AllPairsInfeasibleError, MARGIN_DYNAMICS,
                                   MARGIN_MATCHING, MARGIN_SEPARATIONS, MARGINS,
                                   OrderingRow, OrderingTable, ShiftDecomposition,

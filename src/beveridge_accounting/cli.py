@@ -13,7 +13,9 @@ Commands::
 Outputs are plot-ready flat files (CSV by default, JSON optional) plus a
 ``manifest.json`` echoing the configuration, so every output is reproducible
 from its manifest alone.  Exit codes: 0 success, 2 configuration error,
-3 data error, 4 infeasibility with an empty result.
+3 data error, 4 infeasibility with an empty result (`series.Refusal`);
+any other exception is a fault of the program and exits 1 with its
+traceback.
 """
 
 from __future__ import annotations
@@ -37,26 +39,15 @@ from .curve import ApproximationPoint, shifter_paths, three_state_loglinear
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
                          unemployment_gap)
-from .flows_three_state import (RATE_NAMES, RakingError, ThreeStatePanel,
-                                build_three_state_panel)
+from .flows_three_state import RATE_NAMES, ThreeStatePanel, build_three_state_panel
 from .flows_two_state import TwoStatePanel, build_two_state_panel
 from .matching import (DEFAULT_ALPHA, MIN_MONTHS, estimate_matching,
                        matching_efficiency_path, tightness)
-from .series import MonthDate, MonthlySeries, moving_average
-from .shift_decomposition import (MARGINS, AllPairsInfeasibleError, SwingBounds,
-                                  all_orderings_report, build_swing_samples,
-                                  loglinear_shift_decomposition)
+from .series import (ConfigError, DataError, MonthDate, MonthlySeries, Refusal,
+                     moving_average)
+from .shift_decomposition import (MARGINS, SwingBounds, all_orderings_report,
+                                  build_swing_samples, loglinear_shift_decomposition)
 from .simulate import SimulationSpec, simulate
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_INFEASIBLE = 4
-
-
-class ConfigError(Exception):
-    """Invalid run configuration (bad windows, unparseable dates, ...)."""
-
 
 # The default normalization month, and the first post-2007 month: where
 # `estimate` splits its default samples and the default expansion window starts
@@ -150,10 +141,10 @@ def _unit_interval(text: str) -> float:
 
 def _from_flags(make, *args, **fields):
     """``make(*args, **fields)`` for values given on the command line: a
-    value that `make` rejects is a configuration error, not a data error."""
+    value that `make` refuses (a DataError) is a configuration error."""
     try:
         return make(*args, **fields)
-    except ValueError as exc:
+    except DataError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -594,22 +585,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: 0 on success, and for a refused input its exit code
+    (`Refusal`) after its label and message on stderr.  Any other
+    exception is a fault of the program and propagates."""
+    args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             _write(args, *args.func(args))
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AllPairsInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ValueError, RakingError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except Refusal as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,29 +39,35 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .series import MonthDate, MonthlySeries, require_aligned
+from .series import DataError, MonthDate, MonthlySeries, require_aligned
 
 
 _LF, _CR, _COMMA, _ZERO = b"\n\r,0"
 
 
-class SchemaError(ValueError):
-    """Input file violates the panel CSV schema."""
+class SchemaError(DataError):
+    """Input file violates the panel CSV schema, or cannot be read as text."""
 
 
 def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
     """Read a panel CSV into one MonthlySeries per value column.
 
-    A leading UTF-8 byte-order mark is skipped.
+    A leading UTF-8 byte-order mark is skipped.  A missing file, a
+    directory and bytes that are not UTF-8 are each a SchemaError.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise SchemaError(str(exc)) from None
     except IsADirectoryError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None
     data = data.removeprefix(codecs.BOM_UTF8)
     if not data.isascii():
-        data.decode()  # a file that is not UTF-8 fails here, as a text read does
+        try:
+            data.decode()  # a file that is not UTF-8 fails here, as a text read does
+        except UnicodeDecodeError as exc:
+            raise SchemaError(str(exc)) from None
     panel = _read_plain(path, data)
     return _read_rows(path, data.decode()) if panel is None else panel
 

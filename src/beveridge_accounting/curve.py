@@ -39,7 +39,7 @@ import numpy as np
 
 from .flows_three_state import ThreeStatePanel
 from .flows_two_state import TwoStatePanel
-from .series import (MonthDate, MonthlySeries, _reject_first, delta_log,
+from .series import (DataError, MonthDate, MonthlySeries, _reject_first, delta_log,
                      require_aligned)
 
 
@@ -53,7 +53,9 @@ class ApproximationPoint:
     dS = dN_tilde = 0, for either model: the two-state point has
     N_tilde_0 = 0, S_0 = U_bar and x_0 = s_bar.
 
-    V_0 is implied: the exact identity evaluated at the point.
+    V_0 is implied: the exact identity evaluated at the point.  A point
+    that window means or flags can give is refused with a DataError, an
+    alpha outside (0, 1) with a ValueError.
     """
 
     S_0: float
@@ -65,23 +67,23 @@ class ApproximationPoint:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.S_0 < 1.0:
-            raise ValueError(f"S_0 must be in (0, 1), got {self.S_0}")
+            raise DataError(f"S_0 must be in (0, 1), got {self.S_0}")
         if not 0.0 <= self.N_tilde_0 < 1.0:
-            raise ValueError(f"N_tilde_0 must be in [0, 1), got {self.N_tilde_0}")
+            raise DataError(f"N_tilde_0 must be in [0, 1), got {self.N_tilde_0}")
         if self.S_0 + self.N_tilde_0 >= 1.0:
-            raise ValueError("searchers plus non-searchers must leave room "
-                             "for employment")
+            raise DataError("searchers plus non-searchers must leave room "
+                            "for employment")
         for name in ("x_0", "sigma_0"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise DataError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         # inf or 0 at extreme points, whose logs the expansion would need
         v = float(_vacancy_identity(self.S_0, self.N_tilde_0, self.x_0, 0.0, 0.0,
                                     self.sigma_0, self.alpha))
         if not 0.0 < v < math.inf:
-            raise ValueError(f"implied V_0 must be positive and finite, got {v}")
+            raise DataError(f"implied V_0 must be positive and finite, got {v}")
         object.__setattr__(self, "V_0", v)
 
     @classmethod
@@ -115,8 +117,8 @@ def _window_means(window: tuple[MonthDate, MonthDate],
     cols = np.vstack([x.values[lo:hi + 1] for x in series])
     ok = ~np.isnan(cols).any(axis=0)
     if not ok.any():
-        raise ValueError(f"no jointly observed months in window "
-                         f"[{window[0]}, {window[1]}]")
+        raise DataError(f"no jointly observed months in window "
+                        f"[{window[0]}, {window[1]}]")
     return [float(c[ok].mean()) for c in cols]
 
 
@@ -246,7 +248,7 @@ def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,
     ref = expansion.total.index_of(reference_month)
     values = {name: expansion.terms[name].values for name in terms}
     if any(np.isnan(v[ref]) for v in values.values()):
-        raise ValueError(f"shifters undefined at reference month {reference_month}")
+        raise DataError(f"shifters undefined at reference month {reference_month}")
     values = {name: v - v[ref] for name, v in values.items()}
     shifts = [v for name, v in values.items() if name != "searcher_level"]
     values["net"] = sum(shifts[1:], shifts[0])

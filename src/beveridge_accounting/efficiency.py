@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MonthlySeries, _reject_nonshares, require_aligned
+from .series import DataError, MonthlySeries, _reject_nonshares, require_aligned
 
 # Calibrated statistics transcribed from the sufficient-statistic welfare
 # literature: recruiting cost per vacancy and net social cost per unemployed
@@ -50,8 +50,8 @@ class EfficiencyCalibration:
         # u* is (scale * v u^eps)^(1 / (1 + eps)) with v u^eps <= 1 and scale
         # computed as here: an infinite or zero scale gives that u* every month
         scale = self.beveridge_elasticity * (self.vacancy_cost / self.unemployment_cost)
-        if not 0.0 < scale < math.inf:
-            raise ValueError(
+        if not 0.0 < scale < math.inf:  # flags within their domain can give it
+            raise DataError(
                 "beveridge_elasticity * (vacancy_cost / unemployment_cost) must be "
                 f"positive and finite, got {self.beveridge_elasticity} * "
                 f"({self.vacancy_cost} / {self.unemployment_cost}) = {scale}")

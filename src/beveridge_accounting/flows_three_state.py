@@ -28,8 +28,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .series import (MonthDate, MonthlySeries, _reject_first, normalize_shares,
-                     require_aligned)
+from .series import (DataError, MonthDate, MonthlySeries, _reject_first,
+                     normalize_shares, require_aligned)
 
 RATE_NAMES = ("eu", "en", "ue", "un", "ne", "nu")
 
@@ -41,8 +41,9 @@ _DEST = np.array([1, 2, 0, 2, 0, 1])
 _STATES = np.arange(3)
 
 
-class RakingError(RuntimeError):
-    """Raking found no fit for at least one month-pair."""
+class RakingError(DataError, RuntimeError):
+    """Raking found no fit for at least one month-pair: a data error, and a
+    RuntimeError to library callers."""
 
     def __init__(self, message: str, worst_residual: float):
         super().__init__(message)
@@ -92,7 +93,7 @@ class ThreeStatePanel:
 
     @cached_property
     def xi_N(self) -> MonthlySeries:
-        """Relative search intensity of the nonemployed, ne / ue; ValueError
+        """Relative search intensity of the nonemployed, ne / ue; DataError
         naming the first month where ue is zero and ne is observed."""
         ne, ue = self.ne.values, self.ue.values
         _reject_first(~np.isnan(ne) & (ue == 0.0), self.ne.start,
@@ -124,7 +125,7 @@ class ThreeStatePanel:
 
 def _reject_nonprobabilities(rates: Mapping[str, MonthlySeries],
                              where: np.ndarray | bool = True) -> None:
-    """ValueError naming the first rate, in RATE_NAMES order, outside [0, 1]
+    """DataError naming the first rate, in RATE_NAMES order, outside [0, 1]
     in a month where `where` holds, its first such month and the value."""
     for name in RATE_NAMES:
         v = rates[name]
@@ -365,7 +366,7 @@ def rake_transition_rates(
     usable = ~mismatch
     for k, message in _rate_faults(r, month).items():
         if usable[k]:
-            failures[pairs[k]] = ValueError(message)
+            failures[pairs[k]] = DataError(message)
         usable[k] = False
 
     ok = np.flatnonzero(usable)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (MonthDate, MonthlySeries, _reject_first, _reject_nonshares,
-                     require_aligned)
+from .series import (DataError, MonthDate, MonthlySeries, _reject_first,
+                     _reject_nonshares, require_aligned)
 
 DEFAULT_ALPHA = 0.3
 # Usable months a regression of two coefficients needs
@@ -50,14 +50,15 @@ class MatchingEstimate:
     def p_values(self) -> tuple[float, float]:
         """Two-sided p-values for (ln_sigma_bar, alpha) against zero.
 
-        A zero standard error gives 0.0; a NaN coefficient or standard error
-        gives NaN.
+        A zero standard error gives 0.0, and NaN on a zero coefficient, whose
+        t is 0 / 0; a NaN coefficient or standard error gives NaN.
         """
         dof = self.n_obs - 2
         ps = []
         for coef, se in ((self.ln_sigma_bar, self.se_ln_sigma),
                          (self.alpha, self.se_alpha)):
-            ps.append(_t_two_sided_p(coef / se, dof) if se != 0 else 0.0)
+            ps.append(_t_two_sided_p(coef / se, dof) if se != 0
+                      else 0.0 if coef != 0 else math.nan)
         return ps[0], ps[1]
 
     def stars(self) -> tuple[str, str]:
@@ -147,9 +148,12 @@ def estimate_matching(
     """Regress ln f on a constant and ln tightness over the sample window.
 
     Months with missing or nonpositive values are unusable and dropped;
-    fewer than three usable months is an error, as is a regressor with no
-    variance.  Standard errors are conventional homoskedastic OLS by
-    default; `robust` switches to HC1 heteroskedasticity-robust errors.
+    fewer than three usable months is a DataError, as is a regressor with
+    no variance.  The fit is taken on the centered regressor, so a
+    regressor with a small spread about a large mean keeps its slope.
+    Standard errors are conventional homoskedastic OLS by default; `robust`
+    switches to HC1 heteroskedasticity-robust errors.  R^2 is NaN where
+    ln f takes one value in the window.
     """
     require_aligned(f, tightness)
     if sample is None:
@@ -161,38 +165,41 @@ def estimate_matching(
     usable = mask & ~np.isnan(fv) & ~np.isnan(tv) & (fv > 0.0) & (tv > 0.0)
     n = int(usable.sum())
     if n < MIN_MONTHS:
-        raise ValueError(f"only {n} usable months in sample "
-                         f"[{sample[0]}, {sample[1]}]; need at least {MIN_MONTHS}")
+        raise DataError(f"only {n} usable months in sample "
+                        f"[{sample[0]}, {sample[1]}]; need at least {MIN_MONTHS}")
 
     y = np.log(fv[usable])
     x = np.log(tv[usable])
     if np.ptp(x) == 0.0:
-        raise ValueError("degenerate design: log tightness has zero variance")
+        raise DataError("degenerate design: log tightness has zero variance")
 
-    X = np.column_stack([np.ones(n), x])
-    xtx = X.T @ X
-    beta = np.linalg.solve(xtx, X.T @ y)
-    resid = y - X @ beta
+    x_bar, y_bar = x.mean(), y.mean()
+    z, y_dev = x - x_bar, y - y_bar
+    s_zz = float(z @ z)
+    alpha = float(z @ y_dev) / s_zz
+    resid = y_dev - alpha * z
     rss = float(resid @ resid)
-    tss = float(((y - y.mean()) ** 2).sum())
-    xtx_inv = np.linalg.inv(xtx)
+    # where ln f takes one value, its total sum of squares is rounding alone
+    tss = float(y_dev @ y_dev) if np.ptp(y) > 0.0 else math.nan
+    # ln sigma_bar and alpha are each a weighted sum of y over the months,
+    # so each variance is its squared weights against the error variances
+    sq_weights = np.vstack([1.0 / n - x_bar * z / s_zz, z / s_zz]) ** 2
     if robust:
-        meat = X.T @ (X * (resid ** 2)[:, None])
-        cov = xtx_inv @ meat @ xtx_inv * (n / (n - 2))
+        var = sq_weights @ resid ** 2 * (n / (n - 2))
     else:
-        cov = xtx_inv * (rss / (n - 2))
-    se = np.sqrt(np.diag(cov))
+        var = sq_weights.sum(axis=1) * (rss / (n - 2))
+    se = np.sqrt(var)
 
     resid_series = np.full(len(f), np.nan)
     resid_series[usable] = resid
     return MatchingEstimate(
-        alpha=float(beta[1]),
-        ln_sigma_bar=float(beta[0]),
+        alpha=alpha,
+        ln_sigma_bar=float(y_bar - alpha * x_bar),
         se_alpha=float(se[1]),
         se_ln_sigma=float(se[0]),
         sample=sample,
         residuals=f.with_values(resid_series),
-        r_squared=1.0 - rss / tss if tss > 0 else float("nan"),
+        r_squared=1.0 - rss / tss,
         n_obs=n,
         robust=robust,
     )
@@ -216,7 +223,7 @@ def matching_efficiency_path(f: MonthlySeries, tightness: MonthlySeries,
 
 def tightness(searchers: MonthlySeries, V: MonthlySeries) -> MonthlySeries:
     """Vacancies per searcher, theta = V / S, for either panel's searchers S;
-    ValueError names the first month whose vacancy rate is outside (0, 1)."""
+    DataError names the first month whose vacancy rate is outside (0, 1)."""
     require_aligned(searchers, V)
     _reject_nonshares("vacancy rate", V.values, V.start)
     _reject_first((searchers.values == 0.0) & ~np.isnan(V.values), searchers.start,

@@ -18,6 +18,35 @@ import numpy as np
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 
 
+class Refusal(Exception):
+    """An input the program refuses, as opposed to a fault of the program:
+    `cli.main` writes ``f"{label}: {message}"`` on stderr and returns
+    `exit_code`, the README's exit-code contract."""
+
+    exit_code: int
+    label: str
+
+
+class ConfigError(Refusal):
+    """A run configuration the program cannot use: a flag's value, or a
+    month or window outside the data."""
+
+    exit_code, label = 2, "configuration error"
+
+
+class DataError(Refusal, ValueError):
+    """Input data the program refuses, which a panel file or a flag can
+    reach; to a library caller it is a ValueError."""
+
+    exit_code, label = 3, "data error"
+
+
+class InfeasibleError(DataError):
+    """Data that leave the result empty."""
+
+    exit_code, label = 4, "infeasible"
+
+
 @dataclass(frozen=True, order=True)
 class MonthDate:
     """A Gregorian calendar month, totally ordered by (year, month), in the
@@ -73,8 +102,8 @@ class MonthlySeries:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        if np.isinf(arr).any():
-            raise ValueError("non-finite (infinite) value in series")
+        if np.isinf(arr).any():  # a computed value that overflowed, say
+            raise DataError("non-finite (infinite) value in series")
         if self.start.months_until(_LAST_MONTH) < arr.size - 1:
             raise ValueError(f"{arr.size} months from {self.start} run past {_LAST_MONTH}")
         arr.flags.writeable = False
@@ -114,16 +143,16 @@ class MonthlySeries:
 
 def _reject_first(bad: np.ndarray, start: MonthDate, message: str,
                   values: np.ndarray | None = None) -> None:
-    """ValueError(message) at the first month where `bad` holds, its date
+    """DataError(message) at the first month where `bad` holds, its date
     as ``{month}`` and its entry of `values` as ``{value}``."""
     if bad.any():
         t = int(bad.argmax())
-        raise ValueError(message.format(
+        raise DataError(message.format(
             month=start.shift(t), value=None if values is None else float(values[t])))
 
 
 def _reject_nonshares(name: str, values: np.ndarray, start: MonthDate) -> None:
-    """ValueError naming `name`, and the first month and value outside (0, 1)."""
+    """DataError naming `name`, and the first month and value outside (0, 1)."""
     _reject_first((values <= 0.0) | (values >= 1.0), start,
                   name + " outside (0, 1) at {month}: {value!r}", values)
 

@@ -42,7 +42,8 @@ import numpy as np
 from .curve import ApproximationPoint, ThreeStateLoglinear, _vacancy_identity
 from .flows_three_state import ThreeStatePanel
 from .flows_two_state import TwoStatePanel
-from .series import MonthDate, MonthlySeries, _reject_first, delta, require_aligned
+from .series import (DataError, InfeasibleError, MonthDate, MonthlySeries, _reject_first,
+                     delta, require_aligned)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class IdentityMismatchWarning(UserWarning):
     """
 
 
-class AllPairsInfeasibleError(ValueError):
+class AllPairsInfeasibleError(InfeasibleError):
     """Every matched pair hit an infeasible counterfactual; no result."""
 
 
@@ -130,11 +131,11 @@ class SwingBounds:
 
     def __post_init__(self) -> None:
         if self.down_end < self.down_start:
-            raise ValueError(f"downswing end {self.down_end} precedes start "
-                             f"{self.down_start}")
+            raise DataError(f"downswing end {self.down_end} precedes start "
+                            f"{self.down_start}")
         if self.up_end is not None and self.up_end < self.up_start:
-            raise ValueError(f"upswing end {self.up_end} precedes start "
-                             f"{self.up_start}")
+            raise DataError(f"upswing end {self.up_end} precedes start "
+                            f"{self.up_start}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
     lo, hi = U.index_of(bounds.down_start), U.index_of(bounds.down_end)
     down_idx = lo + np.flatnonzero(usable[lo:hi + 1])
     if not down_idx.size:
-        raise ValueError("empty downswing sample")
+        raise DataError("empty downswing sample")
 
     start = U.index_of(bounds.up_start)
     stop = U.index_of(bounds.up_end) if bounds.up_end is not None else len(U) - 1
@@ -210,12 +211,12 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
         if below.size:
             up_arr = up_arr[:below[0] + 1]
     if not up_arr.size:
-        raise ValueError("empty upswing sample")
+        raise DataError("empty upswing sample")
 
     left, lam = _first_crossings(U.values[up_arr], U.values[down_idx])
     hit = left >= 0
     if not hit.any():
-        raise ValueError("no downswing point is bracketable on the upswing")
+        raise DataError("no downswing point is bracketable on the upswing")
 
     return SwingSamples(
         grid_start=U.start,

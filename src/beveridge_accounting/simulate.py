@@ -16,7 +16,7 @@ import numpy as np
 from .curve import _vacancy_identity
 from .flows_three_state import RATE_NAMES, ThreeStatePanel, _rate_faults
 from .flows_two_state import TwoStatePanel, build_two_state_panel
-from .series import MonthDate, MonthlySeries, _reject_first, _reject_nonshares
+from .series import DataError, MonthDate, MonthlySeries, _reject_first, _reject_nonshares
 
 
 def _as_path(value, horizon: int, name: str) -> np.ndarray:
@@ -26,7 +26,7 @@ def _as_path(value, horizon: int, name: str) -> np.ndarray:
     if arr.shape != (horizon,):
         raise ValueError(f"{name} must be a scalar or length-{horizon} path")
     if (arr <= 0.0).any() and name in ("s_path", "sigma_path"):
-        raise ValueError(f"{name} must be strictly positive")
+        raise DataError(f"{name} must be strictly positive")
     return arr
 
 
@@ -59,8 +59,8 @@ class SimulationSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if not (self.u0 >= 0.0 and self.n0 >= 0.0 and self.u0 + self.n0 < 1.0):
-            raise ValueError("initial stocks must be nonnegative with room "
-                             "for employment")
+            raise DataError("initial stocks must be nonnegative with room "
+                            "for employment")
         if set(self.rates) - set(RATE_NAMES[1:]):
             raise ValueError(f"rates takes {', '.join(RATE_NAMES[1:])}, not "
                              f"{sorted(self.rates)} (eu is s_path)")
@@ -72,10 +72,10 @@ class SimulationSpec:
         try:  # every month must have a YYYY-MM date
             self.start.shift(self.horizon - 1)
         except ValueError:
-            raise ValueError(f"{self.horizon} months from {self.start} run past "
-                             "9999-12") from None
+            raise DataError(f"{self.horizon} months from {self.start} run past "
+                            "9999-12") from None
         if not self.noise_std >= 0.0:
-            raise ValueError("noise_std must be non-negative")
+            raise DataError("noise_std must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def _planted_stocks(spec: SimulationSpec, rates: dict,
                     two_state: bool) -> tuple[np.ndarray, ...]:
     """U (u0 plus the running sum of the planted change dU), N and dU, with
     ue_t = (E_t eu_t + N_t nu_t - U_t un_t - dU_t) / U_t solved into `rates`,
-    the last month's at E constant.  ValueError names the first month where
+    the last month's at E constant.  DataError names the first month where
     U leaves (0, 1) or a solved ue that starts a month-pair is not positive."""
     n = spec.horizon
     du = _as_path(0.0 if spec.delta_u_path is None else spec.delta_u_path, n - 1,
@@ -141,7 +141,7 @@ def _planted_stocks(spec: SimulationSpec, rates: dict,
 def simulate(spec: SimulationSpec) -> Simulation:
     """A panel of either model, consistent with it by construction: V from
     the vacancy identity, the last month in steady state (dS' = dN_tilde' =
-    0).  ValueError names the first month whose stocks leave their bounds,
+    0).  DataError names the first month whose stocks leave their bounds,
     whose rates raking would refuse, whose U -> E flow rounds to zero, or
     whose V is infeasible or outside (0, 1), skipping the last month's
     rates (they start no month-pair)."""
@@ -163,7 +163,7 @@ def simulate(spec: SimulationSpec) -> Simulation:
     faults = _rate_faults(np.vstack([rates[name][:-1] for name in RATE_NAMES]),
                           start.shift)
     if faults:
-        raise ValueError(next(iter(faults.values())))
+        raise DataError(next(iter(faults.values())))
     with np.errstate(over="ignore", invalid="ignore"):
         outside = (U < 0.0) | (N < 0.0) | (U + N >= 1.0)
     _reject_first(outside, start, "stocks left the simplex at {month}")

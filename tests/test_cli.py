@@ -715,18 +715,6 @@ def test_a_prefix_of_a_flag_is_not_taken_for_it(tmp_path, capsys, command, flag)
     assert not out.exists()
 
 
-def test_key_error_is_a_bug_not_a_data_error(tmp_path, recession_sim, monkeypatch):
-    # no data fault raises KeyError: months are checked against the data's
-    # coverage and columns by name before any lookup
-    def broken(*args, **kwargs):
-        raise KeyError("a bug")
-
-    monkeypatch.setattr(cli, "estimate_matching", broken)
-    with pytest.raises(KeyError, match="a bug"):
-        run(["estimate", "--input", write_recession_csv(tmp_path, recession_sim),
-             "--output-dir", tmp_path / "out"])
-
-
 @pytest.mark.parametrize("command, flags, first, last", [
     ("shifters", [], "2000-01", "2014-11"),
     ("shifters", ["--smooth", 3], "2000-02", "2014-10"),

@@ -82,6 +82,39 @@ class TestEstimate:
         assert robust.se_alpha > 0
         assert robust.alpha == est.alpha  # point estimates unchanged
 
+    def test_errors_match_the_normal_equations_where_those_are_well_conditioned(self):
+        f, theta = planted_regression(noise=0.05, seed=3)
+        y, x = np.log(f.values), np.log(theta.values)
+        X = np.column_stack([np.ones(len(x)), x])
+        inv = np.linalg.inv(X.T @ X)
+        beta = inv @ (X.T @ y)
+        e, n = y - X @ beta, len(y)
+        meat = X.T @ (X * (e ** 2)[:, None])
+        for robust, cov in ((False, inv * (e @ e) / (n - 2)),
+                            (True, inv @ meat @ inv * (n / (n - 2)))):
+            est = estimate_matching(f, theta, robust=robust)
+            assert [est.ln_sigma_bar, est.alpha] == pytest.approx(beta, rel=1e-12)
+            assert [est.se_ln_sigma, est.se_alpha] == pytest.approx(
+                np.sqrt(np.diag(cov)), rel=1e-10)
+
+    def test_a_regressor_with_a_small_spread_keeps_its_slope(self):
+        # ln theta = c (1 + 1e-6 z): X'X's condition number is near 1e12,
+        # and its normal equations missed the slope by about 1e-3
+        z = np.random.default_rng(0).uniform(-1.0, 1.0, 60)
+        for c in (1.0, -2.0, 0.5):
+            x = c * (1.0 + 1e-6 * z)
+            est = estimate_matching(series(np.exp(-1.0 + 0.3 * x)), series(np.exp(x)))
+            assert est.alpha == pytest.approx(0.3, abs=1e-9)
+            assert est.ln_sigma_bar == pytest.approx(-1.0, abs=1e-9)
+            assert est.r_squared == pytest.approx(1.0, abs=1e-9)
+
+    def test_r_squared_is_missing_where_ln_f_takes_one_value(self):
+        # its total sum of squares is then rounding of the mean alone
+        theta = planted_regression(seed=2)[1]
+        est = estimate_matching(series(np.full(len(theta), 0.3)), theta)
+        assert math.isnan(est.r_squared)
+        assert abs(est.alpha) < 1e-12 and est.stars()[1] == ""
+
     def test_report_dict(self):
         f, theta = planted_regression()
         d = estimate_matching(f, theta).to_dict()
@@ -144,6 +177,7 @@ class TestPValues:
         assert replace(est, alpha=0.0).p_values()[1] == 1.0
         assert _t_two_sided_p(0.0, 1) == 1.0
         assert replace(est, se_alpha=0.0).p_values()[1] == 0.0
+        assert math.isnan(replace(est, alpha=0.0, se_alpha=0.0).p_values()[1])
         p_sigma, p_alpha = replace(est, alpha=float("nan")).p_values()
         assert math.isnan(p_alpha) and not math.isnan(p_sigma)
         assert replace(est, alpha=float("nan")).stars()[1] == ""

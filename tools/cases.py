@@ -160,6 +160,7 @@ SHORT = "{} is shorter than the 3 months estimation needs"
 SHARES = {"u_rate": "unemployment rate", "v_rate": "vacancy rate",
           "u_short": "short-term unemployment"}
 PLANTED = "2000-05"
+NOISE = ("1e-13", "1e-11", "0.01")
 
 CASES = (
     # the panels the other cases read
@@ -171,6 +172,10 @@ CASES = (
          "--noise 0.02 --seed 5"),
     Case("panel-60", "simulate --horizon 60 --du-amplitude 0.001"),  # ends before 2008-01
     Case("panel-2007-11", "simulate --horizon 240 --start 2007-11"),
+    # steady panels with efficiency noise of these sizes: ln f takes one
+    # value, and ln tightness spreads by about the noise
+    *(Case(f"panel-noise-{noise}", f"simulate --horizon 120 --noise {noise} --seed 1")
+      for noise in NOISE),
     # past the table writer's 1 MB row blocks and the float kernel's
     # 4,096-value blocks, so the checks read multi-block output in both
     # formats, the 10-column three-state table among it
@@ -183,6 +188,7 @@ CASES = (
     Case("estimate", "estimate", "panel"),
     Case("estimate-json", "estimate --format json", "panel"),
     Case("estimate-one-window", "estimate", "panel-60"),
+    *(Case(f"estimate-noise-{noise}", "estimate", f"panel-noise-{noise}") for noise in NOISE),
     Case("decompose", "decompose", "panel"),
     Case("decompose-json", "decompose --format json", "panel"),
     Case("shifters-json", "shifters --format json", "panel"),
@@ -370,6 +376,10 @@ CASES = (
          cell("v_rate", "2010-02", "")),
     Case("reference-blank", "shifters --reference 2007-04", "panel", 3,
          "shifters undefined at reference month 2007-04", cell("u_rate", "2007-04", "")),
+    # a window whose one month has no employment: its point leaves none
+    Case("point-no-room", "three-state --approx-window 2000-01:2000-01", "panel3", 3,
+         "searchers plus non-searchers must leave room for employment",
+         cell("e_stock", "2000-01", "0")),
 
     # exit 4: every matched pair infeasible, as separations held near zero
     # cannot carry a downswing of rising unemployment

@@ -21,7 +21,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from cases import CASES, PREFIX, Case
+from cases import CASES, NOISE, PREFIX, Case
 
 
 @dataclass
@@ -183,8 +183,18 @@ def check_one_window(runs: dict[str, Run]) -> None:
             rows)
 
 
+def check_noise_estimates(runs: dict[str, Run]) -> None:
+    """On the steady panels with efficiency noise, where ln f takes one
+    value, alpha is zero to 1e-6 with no stars, and R^2 is missing."""
+    for noise in NOISE:
+        rows = read_records(runs[f"estimate-noise-{noise}"].out / "matching_estimates.csv")
+        _expect(len(rows) == 2 and all(
+            abs(float(r["alpha"])) < 1e-6 and r["stars_alpha"] == r["r_squared"] == ""
+            for r in rows), noise, rows)
+
+
 CHECKS = (check_orderings, check_json_constants, check_reprs, check_steep_u_star,
-          check_noisy_raking, check_one_window)
+          check_noisy_raking, check_one_window, check_noise_estimates)
 
 
 def check_rake_budget(runs: dict[str, Run], run) -> None:
