@@ -33,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvio import (_dates, _json_safe, read_panel, require_columns, write_panel,
-                    write_table)
+from .csvio import _dates, read_panel, require_columns, write_panel, write_table
 from .curve import ApproximationPoint, shifter_paths, three_state_loglinear
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
@@ -173,7 +172,11 @@ def _require_reference(args: argparse.Namespace, grid: MonthlySeries,
     month-pair that gives them)."""
     _require_coverage(grid, f"reference month {args.reference}", args.reference)
     lead = (args.smooth - 1) // 2 if args.smooth_align == "centered" else args.smooth - 1
-    first, last = grid.start.shift(lead), grid.end.shift(lead + 1 - args.smooth - ahead)
+    last = len(grid) + lead - args.smooth - ahead  # a grid index, as lead is
+    if last < lead:
+        raise ConfigError(f"--reference {args.reference}: no month of the data has a "
+                          f"dynamics term at --smooth {args.smooth}")
+    first, last = grid.start.shift(lead), grid.start.shift(last)
     if not first <= args.reference <= last:
         raise ConfigError(f"--reference {args.reference} outside [{first}, {last}], "
                           f"the months with a dynamics term at --smooth {args.smooth}")
@@ -206,8 +209,8 @@ def _write(args: argparse.Namespace, tables: dict, notes: dict) -> None:
     out = Path(args.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):  # a file in the way
-        raise ConfigError(f"--output-dir {args.output_dir}: not a directory") from None
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"--output-dir {args.output_dir}: {exc.strerror}") from None
     outputs = {}
     for name, columns in tables.items():
         path = out / (name if Path(name).suffix else f"{name}.{args.format}")
@@ -224,9 +227,10 @@ def _write(args: argparse.Namespace, tables: dict, notes: dict) -> None:
         digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
         manifest["input"] = {"path": str(Path(args.input)), "sha256": digest}
     if notes:
-        manifest["notes"] = {k: _json_safe(v) for k, v in sorted(notes.items())}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                                       + "\n")
+        manifest["notes"] = notes
+    # every value is finite: a NaN here is a fault of the program
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True,
+                                                  allow_nan=False) + "\n")
 
 
 def _echo_value(value):
@@ -236,7 +240,7 @@ def _echo_value(value):
         return ":".join(str(v) for v in value)
     if isinstance(value, list):
         return [_echo_value(v) for v in value]
-    return _json_safe(value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,14 @@ class SchemaError(DataError):
 def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
     """Read a panel CSV into one MonthlySeries per value column.
 
-    A leading UTF-8 byte-order mark is skipped.  A missing file, a
-    directory and bytes that are not UTF-8 are each a SchemaError.
+    A leading UTF-8 byte-order mark is skipped.  A path that cannot be read
+    (missing, a directory, under a file, not permitted) and bytes that are
+    not UTF-8 are each a SchemaError.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
-    except FileNotFoundError as exc:
-        raise SchemaError(str(exc)) from None
-    except IsADirectoryError as exc:
+    except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None
     data = data.removeprefix(codecs.BOM_UTF8)
     if not data.isascii():
@@ -245,15 +244,6 @@ def require_columns(panel: Mapping[str, MonthlySeries], *names: str) -> None:
     missing = [n for n in names if n not in panel]
     if missing:
         raise SchemaError(f"missing required columns: {', '.join(missing)}")
-
-
-def _json_safe(x):
-    """A JSON-ready scalar: NaN becomes null, numpy scalars Python ones."""
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    if isinstance(x, (np.floating, np.integer)):
-        return _json_safe(x.item())
-    return x
 
 
 def _dates(start: MonthDate, n: int) -> np.ndarray:

@@ -3,11 +3,13 @@ refusal has its type, and a fault of the program leaves `cli.main` as the
 exception it is, so the console script exits 1 with a traceback."""
 
 import csv
+import errno
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +90,15 @@ def _negative_stayers():
     ba.rake_transition_rates(stocks, rates)
 
 
+def _unreadable(tmp):
+    # a file whose mode forbids reading, which a root user would read anyway
+    def refuse(path):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    with mock.patch.object(Path, "read_bytes", refuse):
+        ba.read_panel(tmp / "p.csv")
+
+
 def _swing_samples():
     return ba.build_swing_samples(_series(0.05, 0.06, 0.07, 0.06, 0.05),
                                   _series(0.04, 0.03, 0.02, 0.03, 0.04),
@@ -104,8 +115,12 @@ REFUSALS = {
         _write(tmp / "p.csv", b"date\n2000-01\n"))),
     "not-utf-8": (ba.DataError, "can't decode byte 0xff", lambda tmp: ba.read_panel(
         _write(tmp / "p.csv", b"date,u\n2000-01,\xff\n"))),
-    "missing-file": (ba.DataError, r"^\[Errno 2\] No such file or directory: ",
+    # a path that cannot be read, each named with its reason
+    "missing-file": (ba.DataError, r"absent\.csv: No such file or directory$",
                      lambda tmp: ba.read_panel(tmp / "absent.csv")),
+    "under-a-file": (ba.DataError, r"p\.csv/x\.csv: Not a directory$",
+                     lambda tmp: ba.read_panel(_write(tmp / "p.csv", b"date,u\n") / "x.csv")),
+    "not-permitted": (ba.DataError, r"p\.csv: Permission denied$", _unreadable),
     "bad-date-width": (ValueError, "bad date", lambda tmp: _month_start(
         b"2000-01x,1\n", np.array([0]), np.array([8]))),
     "bad-date-past-9999": (ValueError, "bad date", lambda tmp: _month_start(

@@ -32,10 +32,12 @@ OUTPUTS = {"estimate": ("matching_estimates", "matching_estimates_report.json"),
 @dataclass(frozen=True)
 class Case:
     """One run.  `input` is the id of the case whose panel.csv it reads,
-    after `transform` where one is given.  `stderr` is what follows the exit
-    code's prefix and is the whole of stderr; a line that starts with
-    "beveridge " or "beveridge:" is argparse's, and only stderr's last line,
-    after the usage text.  "{input}" in it stands for the input path.
+    after `transform` where one is given; an `input` that names no case is
+    a path where no file is, and "<id>/panel.csv" one under a file.
+    `stderr` is what follows the exit code's prefix and is the whole of
+    stderr; a line that starts with "beveridge " or "beveridge:" is
+    argparse's, and only stderr's last line, after the usage text.
+    "{input}" in it stands for the input path.
     `same_as` names a case whose output files this one must write byte for
     byte."""
 
@@ -94,17 +96,29 @@ def past_9999(text: str) -> str:
     return "\n".join([header, "9999-12" + first[7:], "10000-01" + second[7:]]) + "\n"
 
 
-def cell(column: str, month: str, value: str):
-    """The panel with one cell spelled `value`."""
+def cell(column: str, months: str, value: str):
+    """The panel with the cells of `column` spelled `value` in `months`, one
+    month or a range "YYYY-MM:YYYY-MM"."""
+    first, _, last = months.partition(":")
+
     def transform(text: str) -> str:
         header, *rows = text.splitlines()
         j = header.split(",").index(column)
         for k, row in enumerate(rows):
-            if row.startswith(month + ","):
+            if first <= row[:7] <= (last or first):
                 cells = row.split(",")
                 cells[j] = value
                 rows[k] = ",".join(cells)
         return "\n".join([header, *rows]) + "\n"
+    return transform
+
+
+def drop(column: str):
+    """The panel without `column`."""
+    def transform(text: str) -> str:
+        rows = [line.split(",") for line in text.splitlines()]
+        j = rows[0].index(column)
+        return "".join(",".join(row[:j] + row[j + 1:]) + "\n" for row in rows)
     return transform
 
 
@@ -156,6 +170,7 @@ V_0 = "implied V_0 must be positive and finite, got "
 COSTS = ("beveridge_elasticity * (vacancy_cost / unemployment_cost) must be positive and "
          "finite, got ")
 REFERENCE = "--reference {} outside [{}, {}], the months with a dynamics term at --smooth {}"
+NO_DYNAMICS = "--reference {}: no month of the data has a dynamics term at --smooth {}"
 SHORT = "{} is shorter than the 3 months estimation needs"
 SHARES = {"u_rate": "unemployment rate", "v_rate": "vacancy rate",
           "u_short": "short-term unemployment"}
@@ -182,6 +197,17 @@ CASES = (
     Case("panel-24k", "simulate --horizon 24000 --du-amplitude 0.001"),
     Case("panel3-24k", "simulate --three-state --horizon 24000"),
     Case("simulate-json", "simulate --horizon 24 --format json"),
+    # a seeded panel with noise, written again byte for byte
+    *(Case(name, "simulate --horizon 36 --noise 0.01 --seed 7 --du-amplitude 0.001",
+           same_as=same) for name, same in (("panel-seeded", None),
+                                            ("panel-seeded-again", "panel-seeded"))),
+    # initial shares whose flows are tiny but do not round to zero
+    *(Case(f"panel3-{flag}-{value}", f"simulate --three-state --horizon 24 --{flag} {value}")
+      for flag, value in (("u0", "1e-310"), ("n0", "5e-324"))),
+    # two, three and four months from 0000-01: none, one and, at --smooth 3,
+    # none again has a three-state dynamics term
+    *(Case(f"panel3-0000{suffix}", f"simulate --three-state --horizon {n} --start 0000-01")
+      for suffix, n in (("", 2), ("-3", 3), ("-4", 4))),
 
     # runs that write their files
     Case("three-state-cycle", "three-state", "panel3-cycle"),
@@ -201,6 +227,9 @@ CASES = (
     Case("efficiency-steep", "efficiency --steep-elasticity 400", "panel"),
     Case("three-state-json", "three-state --format json", "panel3"),
     Case("three-state-noisy", "three-state", "panel3", transform=noisy),
+    *(Case(f"three-state-{panel}", "three-state --reference 2000-06", panel)
+      for panel in ("panel3-u0-1e-310", "panel3-n0-5e-324")),
+    Case("three-state-0000-one", "three-state --reference 0000-01", "panel3-0000-3"),
     *(Case(f"{command}-24k-{fmt}", f"{command} --format {fmt}",
            "panel3-24k" if command == "three-state" else "panel-24k")
       for fmt in ("csv", "json")
@@ -296,6 +325,14 @@ CASES = (
          "upswing end 2011-01 precedes start 2012-01"))),
     Case("estimate-default-short", "estimate", "panel-2007-11", 2,
          SHORT.format("default --sample 2007-11:2007-12")),
+    Case("three-state-0000", "three-state --reference 0000-01", "panel3-0000", 2,
+         NO_DYNAMICS.format("0000-01", 1)),
+    Case("three-state-0000-beyond", "three-state --reference 0000-02", "panel3-0000-3", 2,
+         REFERENCE.format("0000-02", "0000-01", "0000-01", 1)),
+    *(Case(f"three-state-0000-smooth-3-{align}",
+           f"three-state --reference 0000-02 --smooth 3 --smooth-align {align}",
+           "panel3-0000-4", 2, NO_DYNAMICS.format("0000-02", 3))
+      for align in ("centered", "trailing")),
 
     # exit 2 at parsing: argparse's usage text, then the value refused
     *refusals(2, ((argv, usage(argv, why)) for argv, why in (
@@ -305,7 +342,9 @@ CASES = (
         ("three-state --rake-max-iter 0", "must be at least 1, got 0"),
         *((f"three-state --rake-tol {tol}", POSITIVE + why)
           for tol, why in (("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"))),
-        *((f"three-state --rake-tol {tol}", EPS + tol) for tol in ("1e-300", "1e-16")),
+        *((f"three-state --rake-tol {tol}", EPS + tol)
+          for tol in ("1e-300", "1e-16", "2.2e-16")),
+        ("shifters --reference April-2007", "expected YYYY-MM, got 'April-2007'"),
         ("shifters --alpha 1.5", UNIT + "1.5"),
         ("shifters --alpha 0", UNIT + "0.0"),
         ("shifters --s-bar 0.02 --sigma-bar 0.3 --u-bar 1.5", UNIT + "1.5"),
@@ -339,7 +378,15 @@ CASES = (
                       ("efficiency", "--alpha 0.9"), ("simulate", "--smooth 3"),
                       ("simulate", "--smooth-align trailing")))),
 
-    # exit 3, faults in the data
+    # exit 3, faults in the data: an input that cannot be read, a column
+    # missing, and a quoted cell over csv's field size limit
+    Case("missing-file", "estimate", "absent", 3, "{input}: No such file or directory"),
+    Case("input-under-a-file", "estimate", "panel/panel.csv", 3, "{input}: Not a directory"),
+    Case("missing-column", "estimate", "panel", 3, "missing required columns: u_short",
+         drop("u_short")),
+    Case("over-field-limit", "estimate", "panel", 3,
+         "{input}:2: field larger than field limit (131072)",
+         cell("u_rate", "2000-01", '"' + "9" * 140_001 + '"')),
     Case("bad-quoted", "estimate", "panel", 3,
          "{input}:5: non-numeric cell 'x' in column 'u_rate'",
          lambda text: quoted(cell("u_rate", "2000-04", "x")(text))),
@@ -376,6 +423,14 @@ CASES = (
          cell("v_rate", "2010-02", "")),
     Case("reference-blank", "shifters --reference 2007-04", "panel", 3,
          "shifters undefined at reference month 2007-04", cell("u_rate", "2007-04", "")),
+    # a downswing and an expansion window with no observed unemployment
+    Case("empty-downswing", "decompose --u-bar 0.06 --s-bar 0.02 --sigma-bar 0.36", "panel",
+         3, "empty downswing sample", cell("u_rate", "2007-04:2009-06", "")),
+    Case("window-unobserved", "shifters --approx-window 2003-01:2003-06", "panel", 3,
+         "no jointly observed months in window [2003-01, 2003-06]",
+         cell("u_rate", "2003-01:2003-06", "")),
+    # a window point at an alpha whose implied vacancies underflow
+    *refusals(3, (("decompose --alpha 1e-300", V_0 + "0.0"),)),
     # a window whose one month has no employment: its point leaves none
     Case("point-no-room", "three-state --approx-window 2000-01:2000-01", "panel3", 3,
          "searchers plus non-searchers must leave room for employment",

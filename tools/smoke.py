@@ -1,20 +1,21 @@
-"""Run the case table of `cases.py` through the `beveridge` console script,
-then the checks that no single case can make.
+"""Run the case table of `cases.py`, one process per case, then the checks
+that no single case can make.
 
     python tools/smoke.py
 
-runs every case in a temporary directory and exits 1, naming each failure,
-if a case or a check fails.  It needs `beveridge` on PATH (`pip install -e
-.`).  `tests/test_cases.py` runs the same table and checks in process
-through `cli.main`, and `tools/sweep.py` runs the table once per source
-tree; all three run it with `run_table`.
+runs every case in a temporary directory as `python -m
+beveridge_accounting.cli` on this tree's `src/` (`runner`), so it needs no
+install, and exits 1, naming each failure, if a case or a check fails.
+`tests/test_cases.py` runs the same table and checks in process through
+`cli.main`, and `tools/sweep.py` runs the table once per source tree with
+`runner`; all three run it with `run_table`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import shutil
+import os
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from cases import CASES, NOISE, PREFIX, Case
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass
@@ -215,22 +218,26 @@ def check_rake_budget(runs: dict[str, Run], run) -> None:
             stderr)
 
 
-def run_console(argv: list[str], cwd: Path) -> tuple[int, str]:
-    proc = subprocess.run(["beveridge", *argv], cwd=cwd, capture_output=True, text=True)
-    return proc.returncode, proc.stderr
+def runner(tree: Path):
+    """A `run(argv, cwd)` for `run_table`: `python -m beveridge_accounting.cli`
+    on the package under `tree/src`, the command the benchmark's cold ops
+    time."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+    def run(argv: list[str], cwd: Path) -> tuple[int, str]:
+        proc = subprocess.run([sys.executable, "-m", "beveridge_accounting.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True, text=True)
+        return proc.returncode, proc.stderr
+    return run
 
 
 def main() -> int:
-    if shutil.which("beveridge") is None:
-        print("smoke: no `beveridge` on PATH; install the package (pip install -e .)",
-              file=sys.stderr)
-        return 2
-    failures = []
+    failures, run = [], runner(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
-        runs = run_table(CASES, Path(tmp), run_console)
+        runs = run_table(CASES, Path(tmp), run)
         checks = [(case.id, lambda case=case: check_case(case, runs)) for case in CASES]
         checks += [(check.__name__, lambda check=check: check(runs)) for check in CHECKS]
-        checks.append(("check_rake_budget", lambda: check_rake_budget(runs, run_console)))
+        checks.append(("check_rake_budget", lambda: check_rake_budget(runs, run)))
         for name, check in checks:
             try:
                 check()

@@ -5,13 +5,13 @@
 builds the inputs once with the first tree: the table's panels, and the
 panels of the benchmark's three workloads at seeds 1-3 through that tree's
 `bench/workloads.py`.  It then runs every case of `cases.CASES`, with the
-sweep-only cases below, in each tree: one process per case, `python -m
-beveridge_accounting.cli` with `PYTHONPATH=<tree>/src`.  It writes
-`sweep.json` in the current directory, with each run's exit code, stderr and
-the sha256 of each file it wrote.  Where a file differs, the report gives
-the largest absolute and relative difference per column and the first row
-that differs; manifests are compared key by key, and only the path keys may
-differ.  It exits 1 if any run differs.
+sweep-only cases below, in each tree: one process per case, through
+`smoke.runner(tree)`.  It writes `sweep.json` in the current directory,
+with each run's exit code, stderr and the sha256 of each file it wrote.
+Where a file differs, the report gives the largest absolute and relative
+difference per column and the first row that differs; manifests are
+compared key by key, and only the path keys may differ.  It exits 1 if any
+run differs.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -29,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from cases import CASES, Case
-from smoke import input_path, read_records, run_table
+from smoke import input_path, read_records, run_table, runner
 
 PATH_KEYS = {"config.input", "config.output_dir", "input.path"}
 SEEDS = (1, 2, 3)
@@ -75,16 +73,6 @@ def bench_cases(tree: Path, inputs: Path) -> list[Case]:
             for name in WORKLOADS for seed in SEEDS
             for k, op in enumerate(workloads.build(name, seed,
                                                    inputs / f"bench-{name}-{seed}").ops)]
-
-
-def runner(tree: Path):
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-
-    def run(argv: list[str], cwd: Path) -> tuple[int, str]:
-        proc = subprocess.run([sys.executable, "-m", "beveridge_accounting.cli", *argv],
-                              cwd=cwd, env=env, capture_output=True, text=True)
-        return proc.returncode, proc.stderr
-    return run
 
 
 # ---------------------------------------------------------------------------
