@@ -15,14 +15,14 @@ Outputs are plot-ready flat files (CSV by default, JSON optional) plus a
 from its manifest alone.  Exit codes: 0 success, 2 configuration error,
 3 data error, 4 infeasibility with an empty result (`series.Refusal`);
 any other exception is a fault of the program and exits 1 with its
-traceback.
+traceback.  A command wraps each array result it writes into a series, and
+checks the others for infinities, where it computes them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvio import _dates, read_panel, require_columns, write_panel, write_table
+from .csvio import Panel, _dates, read_panel, require_columns, write_panel, write_table
 from .curve import ApproximationPoint, shifter_paths, three_state_loglinear
 from .efficiency import (EfficiencyCalibration, MS_ELASTICITY, MS_UNEMPLOYMENT_COST,
                          MS_VACANCY_COST, STEEP_ELASTICITY, efficient_unemployment,
@@ -43,7 +43,7 @@ from .flows_two_state import TwoStatePanel, build_two_state_panel
 from .matching import (DEFAULT_ALPHA, MIN_MONTHS, estimate_matching,
                        matching_efficiency_path, tightness)
 from .series import (ConfigError, DataError, MonthDate, MonthlySeries, Refusal,
-                     moving_average)
+                     moving_average, reject_infinite)
 from .shift_decomposition import (MARGINS, SwingBounds, all_orderings_report,
                                   build_swing_samples, loglinear_shift_decomposition)
 from .simulate import SimulationSpec, simulate
@@ -147,8 +147,8 @@ def _from_flags(make, *args, **fields):
         raise ConfigError(str(exc)) from None
 
 
-def _read_columns(args: argparse.Namespace, *names: str) -> dict[str, MonthlySeries]:
-    panel = read_panel(args.input)
+def _read_columns(args: argparse.Namespace, panel: Panel,
+                  *names: str) -> dict[str, MonthlySeries]:
     require_columns(panel, *names)
     if args.smooth == 1:
         return {name: panel[name] for name in names}
@@ -202,7 +202,14 @@ def _positive_finding_rate(f: MonthlySeries) -> tuple[MonthlySeries, int]:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _write(args: argparse.Namespace, tables: dict, notes: dict) -> None:
+def _run(args: argparse.Namespace) -> None:
+    """Read --input once, where the command takes it, and run and write."""
+    source = read_panel(args.input) if args.command in _READERS else None
+    _write(args, *args.func(args, source), source)
+
+
+def _write(args: argparse.Namespace, tables: dict, notes: dict,
+           source: Panel | None) -> None:
     """Make --output-dir and write each table there, as `<name>.<--format>`
     or, where the name carries its own suffix, as `name`; a table of series
     is a dated panel (`write_panel`).  The manifest is written last."""
@@ -223,9 +230,8 @@ def _write(args: argparse.Namespace, tables: dict, notes: dict) -> None:
                    if k not in ("func", "command")},
         "outputs": outputs,
     }
-    if getattr(args, "input", None) is not None:  # simulate has no --input
-        digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
-        manifest["input"] = {"path": str(Path(args.input)), "sha256": digest}
+    if source is not None:  # simulate has no --input
+        manifest["input"] = {"path": str(Path(args.input)), "sha256": source.sha256}
     if notes:
         manifest["notes"] = notes
     # every value is finite: a NaN here is a fault of the program
@@ -247,17 +253,17 @@ def _echo_value(value):
 # One pipeline for both models
 # ---------------------------------------------------------------------------
 
-def _read_two_state(args: argparse.Namespace):
+def _read_two_state(args: argparse.Namespace, source: Panel):
     """The two-state panel from its columns, its vacancies and no notes."""
-    cols = _read_columns(args, "u_rate", "v_rate", "u_short")
+    cols = _read_columns(args, source, "u_rate", "v_rate", "u_short")
     panel = build_two_state_panel(cols["u_rate"], cols["v_rate"], cols["u_short"])
     return panel, panel.V, {}
 
 
-def _read_three_state(args: argparse.Namespace):
+def _read_three_state(args: argparse.Namespace, source: Panel):
     """The raked three-state panel, its vacancies and the raking notes, by
     the module-global `build_three_state_panel`, which the benchmark swaps."""
-    cols = _read_columns(args, "e_stock", "u_stock", "n_stock", "v_rate",
+    cols = _read_columns(args, source, "e_stock", "u_stock", "n_stock", "v_rate",
                          *RATE_NAMES)
     panel, report = build_three_state_panel(
         cols["e_stock"], cols["u_stock"], cols["n_stock"],
@@ -276,11 +282,11 @@ def _read_three_state(args: argparse.Namespace):
     return panel, cols["v_rate"], notes
 
 
-def _pipeline(args: argparse.Namespace, read):
+def _pipeline(args: argparse.Namespace, source: Panel, read):
     """The panel that `read` (`_read_two_state` or `_read_three_state`, the
     one step that depends on the model) gives, then what both models share
     up to estimation: tightness V/S and the positive finding rate."""
-    panel, V, notes = read(args)
+    panel, V, notes = read(args, source)
     theta = tightness(panel.S, V)
     f_pos, notes["nonpositive_finding_months_masked"] = _positive_finding_rate(panel.f)
     return panel, V, theta, f_pos, notes
@@ -293,12 +299,17 @@ _POINT_NOTES = {
     ThreeStatePanel: {n: n for n in ("S_0", "N_tilde_0", "x_0", "sigma_0", "V_0")}}
 
 
-def _expansion(args: argparse.Namespace, read):
+def _expansion(args: argparse.Namespace, source: Panel, read):
     """`_pipeline`, then the efficiency path, the expansion point (pinned by
     --u-bar, --s-bar and --sigma-bar where the command has them, else the
     window means) and the log-linear expansion there."""
-    panel, V, theta, f_pos, notes = _pipeline(args, read)
-    sigma = matching_efficiency_path(f_pos, theta, args.alpha)
+    panel, V, theta, f_pos, notes = _pipeline(args, source, read)
+    sigma = matching_efficiency_path(f_pos.values, theta.values, args.alpha,
+                                     start=theta.start)
+    # sigma and the expansion are arrays that no command writes whole, so no
+    # series refuses an overflow in them: refuse it here, as soon as each is
+    # computed and with a series' text, before the point or a shift reads it
+    reject_infinite(sigma)
     pinned = [getattr(args, name, None) for name in ("u_bar", "s_bar", "sigma_bar")]
     if any(v is not None for v in pinned):
         if any(v is None for v in pinned):
@@ -314,16 +325,17 @@ def _expansion(args: argparse.Namespace, read):
     notes.update({name: getattr(point, field)
                   for field, name in _POINT_NOTES[type(panel)].items()})
     expansion = three_state_loglinear(panel, sigma, point)
+    reject_infinite(expansion.total, *expansion.terms.values())
     return panel, V, sigma, point, expansion, notes
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns its tables, by file stem, and its manifest notes,
-# and `main` writes them (`_write`)
+# Commands: each takes the panel read from --input, returns its tables, by
+# file stem, and its manifest notes, and `_run` writes them (`_write`)
 # ---------------------------------------------------------------------------
 
-def cmd_estimate(args: argparse.Namespace) -> tuple[dict, dict]:
-    panel, _, theta, f_pos, notes = _pipeline(args, _read_two_state)
+def cmd_estimate(args: argparse.Namespace, source: Panel) -> tuple[dict, dict]:
+    panel, _, theta, f_pos, notes = _pipeline(args, source, _read_two_state)
     grid = panel.S
 
     if args.sample:
@@ -360,22 +372,24 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[dict, dict]:
                                            for k in reports[0]}}, notes
 
 
-def cmd_shifters(args: argparse.Namespace) -> tuple[dict, dict]:
-    panel, V, _, _, expansion, notes = _expansion(args, _read_two_state)
+def cmd_shifters(args: argparse.Namespace, source: Panel) -> tuple[dict, dict]:
+    panel, V, _, _, expansion, notes = _expansion(args, source, _read_two_state)
     _require_reference(args, panel.U, ahead=1)
-    paths = shifter_paths(expansion, args.reference,
-                          tuple(margin.term for margin in MARGINS.values()))
+    paths = shifter_paths(expansion, panel.U.index_of(args.reference),
+                          tuple(margin.term for margin in MARGINS.values()),
+                          start=panel.U.start)
     with np.errstate(invalid="ignore", divide="ignore"):
         log_v = np.log(V.values)
     return {"shifters": {
         "u_rate": panel.U, "log_v_observed": V.with_values(log_v),
-        "log_v_loglinear": expansion.total,
-        **{name: paths[margin.term] for name, margin in MARGINS.items()},
-        "net": paths["net"]}}, notes
+        "log_v_loglinear": panel.U.with_values(expansion.total),
+        **{name: panel.U.with_values(paths[margin.term])
+           for name, margin in MARGINS.items()},
+        "net": panel.U.with_values(paths["net"])}}, notes
 
 
-def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict]:
-    panel, V, sigma, point, expansion, notes = _expansion(args, _read_two_state)
+def cmd_decompose(args: argparse.Namespace, source: Panel) -> tuple[dict, dict]:
+    panel, V, sigma, point, expansion, notes = _expansion(args, source, _read_two_state)
     for m in (args.down_start, args.down_end, args.up_start, args.up_end):
         if m is not None:
             _require_coverage(panel.U, f"swing bound {m}", m)
@@ -383,8 +397,8 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict]:
                          down_end=args.down_end, up_start=args.up_start,
                          up_end=args.up_end)
     samples = build_swing_samples(panel.U, V, bounds)
-    loglin = loglinear_shift_decomposition(panel.U, V, expansion, samples)
-    table = all_orderings_report(panel, V, sigma, samples, point)
+    loglin = loglinear_shift_decomposition(panel.U.values, V.values, expansion, samples)
+    table = all_orderings_report(panel, V.values, sigma, samples, point)
     dates = _dates(panel.U.start, len(panel.U))
 
     notes.update({
@@ -404,16 +418,17 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict]:
                for margin in MARGINS}}}, notes
 
 
-def cmd_three_state(args: argparse.Namespace) -> tuple[dict, dict]:
-    panel, _, _, _, loglin, notes = _expansion(args, _read_three_state)
+def cmd_three_state(args: argparse.Namespace, source: Panel) -> tuple[dict, dict]:
+    panel, _, _, _, loglin, notes = _expansion(args, source, _read_three_state)
     _require_reference(args, panel.S, ahead=2)
-    paths = shifter_paths(loglin, args.reference)
+    paths = shifter_paths(loglin, panel.S.index_of(args.reference), start=panel.S.start)
     return {"three_state_shifters": {
-        "searchers": panel.S, "log_v_loglinear": loglin.total, **paths}}, notes
+        "searchers": panel.S, "log_v_loglinear": panel.S.with_values(loglin.total),
+        **{name: panel.S.with_values(path) for name, path in paths.items()}}}, notes
 
 
-def cmd_efficiency(args: argparse.Namespace) -> tuple[dict, dict]:
-    cols = _read_columns(args, "u_rate", "v_rate")
+def cmd_efficiency(args: argparse.Namespace, source: Panel) -> tuple[dict, dict]:
+    cols = _read_columns(args, source, "u_rate", "v_rate")
     u, v = cols["u_rate"], cols["v_rate"]
 
     costs = {"vacancy_cost": args.vacancy_cost,
@@ -422,13 +437,15 @@ def cmd_efficiency(args: argparse.Namespace) -> tuple[dict, dict]:
                          **costs)
     cal_steep = _from_flags(EfficiencyCalibration,
                             beveridge_elasticity=args.steep_elasticity, **costs)
-    u_star_ms = efficient_unemployment(u, v, cal_ms)
-    u_star_steep = efficient_unemployment(u, v, cal_steep)
+    u_star_ms = u.with_values(efficient_unemployment(u.values, v.values, cal_ms,
+                                                     start=u.start))
+    u_star_steep = u.with_values(efficient_unemployment(u.values, v.values, cal_steep,
+                                                        start=u.start))
 
     return {"efficiency": {
         "u_rate": u, "u_star_ms": u_star_ms, "u_star_steep": u_star_steep,
-        "gap_ms": unemployment_gap(u, u_star_ms),
-        "gap_steep": unemployment_gap(u, u_star_steep)}}, {}
+        "gap_ms": u.with_values(unemployment_gap(u.values, u_star_ms.values)),
+        "gap_steep": u.with_values(unemployment_gap(u.values, u_star_steep.values))}}, {}
 
 
 # The planted three-state rates beside --s-bar's eu; ue is solved instead
@@ -437,7 +454,7 @@ _THREE_STATE_RATES = {"en": 0.02, "ue": 0.25, "un": 0.03, "ne": 0.04, "nu": 0.02
 _N0 = 0.30  # the initial nonemployment share planted where --n0 is not given
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
+def cmd_simulate(args: argparse.Namespace, source: None) -> tuple[dict, dict]:
     if args.n0 is None:
         args.n0 = _N0  # and so the manifest echoes it
     elif not args.three_state:
@@ -596,7 +613,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            _write(args, *args.func(args))
+            _run(args)
     except Refusal as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

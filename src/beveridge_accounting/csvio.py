@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
 import io
 import math
 from itertools import chain
@@ -49,8 +50,12 @@ class SchemaError(DataError):
     """Input file violates the panel CSV schema, or cannot be read as text."""
 
 
-def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
-    """Read a panel CSV into one MonthlySeries per value column.
+class Panel(dict):
+    """Series by column name, and `sha256`, the digest of the bytes parsed."""
+
+
+def read_panel(path: str | Path) -> Panel:
+    """Read a panel CSV, once, into one MonthlySeries per value column.
 
     A leading UTF-8 byte-order mark is skipped.  A path that cannot be read
     (missing, a directory, under a file, not permitted) and bytes that are
@@ -61,6 +66,7 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
         data = path.read_bytes()
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None
+    digest = hashlib.sha256(data).hexdigest()
     data = data.removeprefix(codecs.BOM_UTF8)
     if not data.isascii():
         try:
@@ -68,7 +74,9 @@ def read_panel(path: str | Path) -> dict[str, MonthlySeries]:
         except UnicodeDecodeError as exc:
             raise SchemaError(str(exc)) from None
     panel = _read_plain(path, data)
-    return _read_rows(path, data.decode()) if panel is None else panel
+    panel = Panel(_read_rows(path, data.decode()) if panel is None else panel)
+    panel.sha256 = digest
+    return panel
 
 
 def _read_plain(path: Path, data: bytes) -> dict[str, MonthlySeries] | None:

@@ -27,7 +27,8 @@ identity on the data, holding all (x, sigma at the point, dS = 0) the
 steady-state curve.  First-order expansion around the point splits log
 vacancies into a slope term plus additive shifters (dynamics, separations,
 matching efficiency, and in three states the non-searcher pool), each
-term and its coefficient keyed by its name in `TERMS`.
+term and its coefficient keyed by its name in `TERMS`.  Only the point's
+window means select months; the rest is array code that broadcasts.
 """
 
 from __future__ import annotations
@@ -87,20 +88,19 @@ class ApproximationPoint:
         object.__setattr__(self, "V_0", v)
 
     @classmethod
-    def from_panel(cls, panel: TwoStatePanel | ThreeStatePanel, sigma: MonthlySeries,
+    def from_panel(cls, panel: TwoStatePanel | ThreeStatePanel, sigma: np.ndarray,
                    alpha: float, window: tuple[MonthDate, MonthDate]) -> ApproximationPoint:
         """Point at the sample means of either panel's S, N_tilde and x and
-        of sigma over `window` (months where all four are observed)."""
-        s0, n0, x0, sg0 = _window_means(window, panel.S, panel.N_tilde, panel.x,
-                                        sigma)
+        of the array sigma over `window` (months where all four are observed)."""
+        s0, n0, x0, sg0 = _window_means(window, sigma, panel.S, panel.N_tilde, panel.x)
         return cls(S_0=s0, N_tilde_0=n0, x_0=x0, sigma_0=sg0, alpha=alpha)
 
     @classmethod
-    def from_series(cls, U: MonthlySeries, s: MonthlySeries, sigma: MonthlySeries,
+    def from_series(cls, U: MonthlySeries, s: MonthlySeries, sigma: np.ndarray,
                     alpha: float, window: tuple[MonthDate, MonthDate]) -> ApproximationPoint:
-        """The two-state point at the window means of U, s and sigma.  The
-        benchmark's tracer times this method by name (`bench/spans.py`)."""
-        u, sv, sg = _window_means(window, U, s, sigma)
+        """The two-state point at the window means of U, s and the array
+        sigma.  The benchmark's tracer times it by name (`bench/spans.py`)."""
+        u, sv, sg = _window_means(window, sigma, U, s)
         return cls(S_0=u, N_tilde_0=0.0, x_0=sv, sigma_0=sg, alpha=alpha)
 
 
@@ -109,12 +109,15 @@ class ApproximationPoint:
 ThreeStateApproximationPoint = ApproximationPoint
 
 
-def _window_means(window: tuple[MonthDate, MonthDate],
+def _window_means(window: tuple[MonthDate, MonthDate], sigma: np.ndarray,
                   *series: MonthlySeries) -> list[float]:
-    """Mean of each series over the months of `window` where all are observed."""
+    """Mean of each series, then of sigma, over the months of `window` where
+    all are observed."""
     require_aligned(*series)
+    if np.shape(sigma) != series[0].values.shape:
+        raise ValueError(f"sigma is not on the series' calendar grid: {np.shape(sigma)}")
     lo, hi = series[0].index_of(window[0]), series[0].index_of(window[1])
-    cols = np.vstack([x.values[lo:hi + 1] for x in series])
+    cols = np.vstack([*(x.values[lo:hi + 1] for x in series), sigma[lo:hi + 1]])
     ok = ~np.isnan(cols).any(axis=0)
     if not ok.any():
         raise DataError(f"no jointly observed months in window "
@@ -188,15 +191,15 @@ class ThreeStateLoglinear:
     """Log vacancies from the three-state expansion, term by term.
 
     total = intercept ln V_0 plus the six `terms`, keyed by `TERMS` in its
-    order, exactly (additivity by construction).  `shifter_paths`
-    normalises them to a reference month for shifter plots.
+    order, exactly (additivity by construction), each an array shaped by
+    its inputs.  `shifter_paths` normalises them to a reference month.
     """
 
-    total: MonthlySeries
-    terms: dict[str, MonthlySeries]
+    total: np.ndarray
+    terms: dict[str, np.ndarray]
 
 
-def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: MonthlySeries,
+def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: np.ndarray,
                           point: ApproximationPoint) -> ThreeStateLoglinear:
     """First-order expansion of the searcher-based identity, on either panel.
 
@@ -207,22 +210,21 @@ def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: Monthly
     are zero, missing at the last month like every dynamics term; a zero
     non-searcher pool with N_tilde_0 > 0 is an error.
     """
-    S, N_tilde, x = panel.S, panel.N_tilde, panel.x
-    require_aligned(S, N_tilde, x, sigma)
+    S, N_tilde, x = panel.S.values, panel.N_tilde.values, panel.x.values
     # each term's input: a log gap from the point or a log change ahead
     with np.errstate(invalid="ignore", divide="ignore"):
-        gaps = {"searcher_level": np.log(S.values) - np.log(point.S_0),
-                "searcher_dynamics": delta_log(S).values,
-                "separations": np.log(x.values) - np.log(point.x_0),
-                "matching": np.log(sigma.values) - np.log(point.sigma_0)}
+        gaps = {"searcher_level": np.log(S) - np.log(point.S_0),
+                "searcher_dynamics": delta_log(S),
+                "separations": np.log(x) - np.log(point.x_0),
+                "matching": np.log(sigma) - np.log(point.sigma_0)}
         if point.N_tilde_0 > 0.0:
-            _reject_first(N_tilde.values == 0.0, S.start,
+            _reject_first(N_tilde == 0.0, panel.S.start,
                           "log of zero non-searcher pool at {month}")
-            gaps["nonsearcher_level"] = np.log(N_tilde.values) - np.log(point.N_tilde_0)
-            gaps["nonsearcher_dynamics"] = delta_log(N_tilde).values
+            gaps["nonsearcher_level"] = np.log(N_tilde) - np.log(point.N_tilde_0)
+            gaps["nonsearcher_dynamics"] = delta_log(N_tilde)
     # with no non-searchers at the point, their terms are exact zeros (not
     # -0.0 times a log), and the dynamics term is missing at the last month
-    n = len(S)
+    n = S.shape[-1]
     absent = {"nonsearcher_level": np.zeros(n),
               "nonsearcher_dynamics": np.where(np.arange(n) < n - 1, 0.0, np.nan)}
     coefficients = _expansion_coefficients(point)
@@ -230,26 +232,29 @@ def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: Monthly
              for name in TERMS}
 
     total = sum(terms.values(), np.log(point.V_0))
-    return ThreeStateLoglinear(
-        total=S.with_values(total),
-        terms={name: S.with_values(v) for name, v in terms.items()})
+    return ThreeStateLoglinear(total=total, terms=terms)
 
 
-def shifter_paths(expansion: ThreeStateLoglinear, reference_month: MonthDate,
-                  terms: tuple[str, ...] = TERMS) -> dict[str, MonthlySeries]:
-    """The expansion's `terms`, each shifted to zero at the reference month,
-    plus `net`, the sum of those shifted terms that shift the curve (all but
-    searcher_level).  `shift_decomposition.MARGINS` names the two-state
-    shifters' terms.
+def shifter_paths(expansion: ThreeStateLoglinear, reference: int,
+                  terms: tuple[str, ...] = TERMS, *,
+                  start: MonthDate) -> dict[str, np.ndarray]:
+    """The expansion's `terms`, each shifted to zero at the grid index
+    `reference` (month `start` is index 0), plus `net`, the sum of those
+    shifted terms that shift the curve (all but searcher_level).
+    `shift_decomposition.MARGINS` names the two-state shifters' terms.
     """
     if not set(terms) <= set(TERMS) or set(terms) <= {"searcher_level"}:
         raise ValueError(f"terms must name at least one shifter of {TERMS}, "
                          f"got {terms}")
-    ref = expansion.total.index_of(reference_month)
-    values = {name: expansion.terms[name].values for name in terms}
-    if any(np.isnan(v[ref]) for v in values.values()):
-        raise DataError(f"shifters undefined at reference month {reference_month}")
-    values = {name: v - v[ref] for name, v in values.items()}
+    n = expansion.total.shape[-1]
+    if not 0 <= reference < n:  # a month may not exist there: name the index
+        raise KeyError(f"grid index {reference} outside series coverage "
+                       f"[{start}, {start.shift(n - 1)}]")
+    values = {name: expansion.terms[name] for name in terms}
+    if any(np.isnan(v[..., reference]).any() for v in values.values()):
+        raise DataError(f"shifters undefined at reference month "
+                        f"{start.shift(reference)}")
+    values = {name: v - v[..., reference, None] for name, v in values.items()}
     shifts = [v for name, v in values.items() if name != "searcher_level"]
     values["net"] = sum(shifts[1:], shifts[0])
-    return {name: expansion.total.with_values(v) for name, v in values.items()}
+    return values

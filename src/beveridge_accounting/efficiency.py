@@ -12,7 +12,7 @@ sufficient-statistic formula
 which depends on the costs only through their ratio and returns the observed
 u when the observed point already satisfies the planner's condition.  A
 steeper curve (larger eps) makes low unemployment costlier in vacancies and
-raises u*.
+raises u*.  Both functions take and give arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DataError, MonthlySeries, _reject_nonshares, require_aligned
+from .series import DataError, MonthDate, _reject_nonshares
 
 # Calibrated statistics transcribed from the sufficient-statistic welfare
 # literature: recruiting cost per vacancy and net social cost per unemployed
@@ -57,24 +57,21 @@ class EfficiencyCalibration:
                 f"({self.vacancy_cost} / {self.unemployment_cost}) = {scale}")
 
 
-def efficient_unemployment(u: MonthlySeries, v: MonthlySeries,
-                           cal: EfficiencyCalibration) -> MonthlySeries:
+def efficient_unemployment(u: np.ndarray, v: np.ndarray, cal: EfficiencyCalibration,
+                           *, start: MonthDate) -> np.ndarray:
     """Per-month efficient unemployment rate u* (the formula above)."""
-    require_aligned(u, v)
-    uu, vv = u.values, v.values
-    _reject_nonshares("unemployment rate", uu, u.start)
-    _reject_nonshares("vacancy rate", vv, v.start)
+    _reject_nonshares("unemployment rate", u, start)
+    _reject_nonshares("vacancy rate", v, start)
     eps, cost_ratio = cal.beveridge_elasticity, cal.vacancy_cost / cal.unemployment_cost
     with np.errstate(invalid="ignore", over="ignore"):
-        out = (eps * cost_ratio * vv * uu ** eps) ** (1.0 / (1.0 + eps))
+        out = (eps * cost_ratio * v * u ** eps) ** (1.0 / (1.0 + eps))
     # in logs where the power under- or overflows, as on a steep curve
     lost, share = (out == 0.0) | (out == np.inf), 1.0 / (1.0 + eps)
-    out[lost] = np.exp(share * (math.log(eps * cost_ratio) + np.log(vv[lost]))
-                       + eps * share * np.log(uu[lost]))
-    return u.with_values(out)
+    out[lost] = np.exp(share * (math.log(eps * cost_ratio) + np.log(v[lost]))
+                       + eps * share * np.log(u[lost]))
+    return out
 
 
-def unemployment_gap(u: MonthlySeries, u_star: MonthlySeries) -> MonthlySeries:
+def unemployment_gap(u: np.ndarray, u_star: np.ndarray) -> np.ndarray:
     """Observed minus efficient unemployment."""
-    require_aligned(u, u_star)
-    return u.with_values(u.values - u_star.values)
+    return u - u_star

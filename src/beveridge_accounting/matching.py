@@ -10,7 +10,8 @@ average efficiency sigma_bar; the residuals identify the month-by-month
 efficiency path sigma_t = f_t * theta_t^(-alpha).  Both models pass their
 panel's aggregates: the finding rate `panel.f` (in three states hires per
 effective searcher, H / S, which is ue) and tightness V / S (S = U in two
-states), where every command reads V and refuses it outside (0, 1).
+states), where every command reads V and refuses it outside (0, 1).  The
+efficiency path is array code that broadcasts (over a column of alphas).
 """
 
 from __future__ import annotations
@@ -205,20 +206,19 @@ def estimate_matching(
     )
 
 
-def matching_efficiency_path(f: MonthlySeries, tightness: MonthlySeries,
-                             alpha: float) -> MonthlySeries:
-    """Month-by-month matching efficiency sigma_t = f_t * tightness_t^(-alpha).
+def matching_efficiency_path(f: np.ndarray, theta: np.ndarray, alpha,
+                             *, start: MonthDate) -> np.ndarray:
+    """Month-by-month matching efficiency sigma_t = f_t * theta_t^(-alpha).
 
-    Composing with the matching function returns f exactly:
-    sigma_t * tightness_t^alpha = f_t.
+    An `alpha` of shape (K, 1) gives K paths; a nonpositive f or theta is a
+    DataError naming its month, counted from `start`.  Composing with the
+    matching function returns f exactly: sigma_t * theta_t^alpha = f_t.
     """
-    require_aligned(f, tightness)
-    fv, tv = f.values, tightness.values
-    defined = ~np.isnan(fv) & ~np.isnan(tv)
-    _reject_first(defined & ((fv <= 0.0) | (tv <= 0.0)), f.start, "nonpositive finding "
+    defined = ~np.isnan(f) & ~np.isnan(theta)
+    _reject_first(defined & ((f <= 0.0) | (theta <= 0.0)), start, "nonpositive finding "
                   "rate or tightness at {month}; efficiency path undefined")
     with np.errstate(invalid="ignore"):
-        return f.with_values(fv * tv ** (-alpha))
+        return f * theta ** (-alpha)
 
 
 def tightness(searchers: MonthlySeries, V: MonthlySeries) -> MonthlySeries:

@@ -1,7 +1,7 @@
 """Calendar-indexed monthly series and the basic transformations applied to them.
 
-Everything downstream (flow construction, matching estimation, curve
-decompositions) consumes :class:`MonthlySeries` built here.  Missing
+Readers, panels, month selectors, writers and the CLI hold `MonthlySeries`;
+the core between them computes on arrays, months on the last axis.  Missing
 observations are carried as NaN and propagate through every transformation:
 a window that touches a missing value yields a missing result, never a
 fabricated one.
@@ -102,8 +102,7 @@ class MonthlySeries:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        if np.isinf(arr).any():  # a computed value that overflowed, say
-            raise DataError("non-finite (infinite) value in series")
+        reject_infinite(arr)
         if self.start.months_until(_LAST_MONTH) < arr.size - 1:
             raise ValueError(f"{arr.size} months from {self.start} run past {_LAST_MONTH}")
         arr.flags.writeable = False
@@ -141,14 +140,20 @@ class MonthlySeries:
         return MonthlySeries(self.start, arr)
 
 
+def reject_infinite(*arrays: np.ndarray) -> None:
+    """DataError if any entry is infinite: a value that overflowed, say."""
+    if any(np.isinf(a).any() for a in arrays):
+        raise DataError("non-finite (infinite) value in series")
+
+
 def _reject_first(bad: np.ndarray, start: MonthDate, message: str,
                   values: np.ndarray | None = None) -> None:
-    """DataError(message) at the first month where `bad` holds, its date
-    as ``{month}`` and its entry of `values` as ``{value}``."""
+    """DataError(message) at the first entry where `bad` holds, the date of
+    its last index as ``{month}`` and its entry of `values` as ``{value}``."""
     if bad.any():
-        t = int(bad.argmax())
-        raise DataError(message.format(
-            month=start.shift(t), value=None if values is None else float(values[t])))
+        at = np.unravel_index(int(bad.argmax()), bad.shape)
+        value = None if values is None else float(values[at])
+        raise DataError(message.format(month=start.shift(int(at[-1])), value=value))
 
 
 def _reject_nonshares(name: str, values: np.ndarray, start: MonthDate) -> None:
@@ -213,17 +218,17 @@ def normalize_shares(stocks: Sequence[MonthlySeries]) -> list[MonthlySeries]:
     return [s.with_values(s.values / total) for s in stocks]
 
 
-def delta(series: MonthlySeries) -> MonthlySeries:
-    """Forward difference placed at t: value[t+1] - value[t]; last month missing."""
-    out = np.full(len(series), np.nan)
-    out[:-1] = series.values[1:] - series.values[:-1]
-    return series.with_values(out)
+def delta(values: np.ndarray) -> np.ndarray:
+    """Forward difference placed at t: values[..., t+1] - values[..., t]; last
+    month missing."""
+    values = np.asarray(values, dtype=float)
+    out = np.full(values.shape, np.nan)
+    out[..., :-1] = values[..., 1:] - values[..., :-1]
+    return out
 
 
-def delta_log(series: MonthlySeries) -> MonthlySeries:
+def delta_log(values: np.ndarray) -> np.ndarray:
     """Forward log difference placed at t; last month missing."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        logs = np.log(series.values)
-    out = np.full(len(series), np.nan)
-    out[:-1] = logs[1:] - logs[:-1]
-    return series.with_values(out)
+        logs = np.log(values)
+    return delta(logs)

@@ -27,7 +27,9 @@ probability and matching efficiency), two ways:
 held) and the steady-state curve (every margin held).
 
 Months are int arrays of indices on the panel's calendar grid, never one
-`MonthDate` each; the CLI spells them with `csvio._dates`.
+`MonthDate` each; the CLI spells them with `csvio._dates`.  Only
+`build_swing_samples` reads the calendar; the rest is array code, and the
+two reports take one path each (1-D arrays).
 """
 
 from __future__ import annotations
@@ -109,10 +111,10 @@ def _first_crossings(x: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _interp_at_pairs(up: np.ndarray, left: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``up[i] + lam * (up[i+1] - up[i])`` per pair; exactly ``up[i]`` where
-    lam is 0, even when ``up[i+1]`` is missing or does not exist."""
-    right = np.minimum(left + 1, len(up) - 1)
-    return np.where(lam == 0.0, up[left], up[left] + lam * (up[right] - up[left]))
+    """``up[..., i] + lam * (up[..., i+1] - up[..., i])`` per pair; exactly
+    ``up[..., i]`` where lam is 0, even when ``i+1`` is missing or absent."""
+    a, b = up[..., left], up[..., np.minimum(left + 1, up.shape[-1] - 1)]
+    return np.where(lam == 0.0, a, a + lam * (b - a))
 
 
 @dataclass(frozen=True)
@@ -140,43 +142,37 @@ class SwingBounds:
 
 @dataclass(frozen=True)
 class SwingSamples:
-    """Matched downswing/upswing samples on a fixed calendar grid.
+    """Matched downswing/upswing samples: indices on a calendar grid.
 
     The samples hold month indices (`dropped_months` those of the downswing
     no upswing pair brackets) and matching weights only; values are taken
-    from any grid-length array.  `pair_left[k]` and `pair_lam[k]` give the
-    interpolation weights on the upswing for downswing point k, from the
-    first upswing pair in time that brackets its unemployment rate (see
-    `_first_crossings`): interpolated values are
+    from the last axis of any array on the grid.  `pair_left[k]` and
+    `pair_lam[k]` give the interpolation weights on the upswing for
+    downswing point k, from the first upswing pair in time that brackets
+    its unemployment rate (see `_first_crossings`): interpolated values are
     ``up[i] + lam * (up[i+1] - up[i])``.
     """
 
-    grid_start: MonthDate
-    grid_len: int
     down_index: np.ndarray
     up_index: np.ndarray
     pair_left: np.ndarray
     pair_lam: np.ndarray
     dropped_months: np.ndarray
 
-    def _check_grid(self, series: MonthlySeries) -> None:
-        if series.start != self.grid_start or len(series) != self.grid_len:
-            raise ValueError("series is not on the samples' calendar grid")
-
     def at_down(self, values: np.ndarray) -> np.ndarray:
-        """Grid-length value array sampled at the kept downswing months."""
-        return np.asarray(values, dtype=float)[self.down_index]
+        """Values on the grid sampled at the kept downswing months."""
+        return np.asarray(values, dtype=float)[..., self.down_index]
 
     def at_up(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float)[self.up_index]
+        return np.asarray(values, dtype=float)[..., self.up_index]
 
     def interp_up(self, values: np.ndarray) -> np.ndarray:
-        """Interpolate a grid-length value array on the upswing at each
-        matched downswing point, using the frozen first-crossing weights."""
+        """Interpolate values on the grid on the upswing at each matched
+        downswing point, using the frozen first-crossing weights."""
         return _interp_at_pairs(self.at_up(values), self.pair_left, self.pair_lam)
 
     def vertical_shift(self, values: np.ndarray) -> np.ndarray:
-        """Up-down shift of a grid-length value array at each matched point."""
+        """Up-down shift of values on the grid at each matched point."""
         return self.interp_up(values) - self.at_down(values)
 
 
@@ -219,8 +215,6 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
         raise DataError("no downswing point is bracketable on the upswing")
 
     return SwingSamples(
-        grid_start=U.start,
-        grid_len=len(U),
         down_index=down_idx[hit],
         up_index=up_arr,
         pair_left=left[hit],
@@ -247,30 +241,38 @@ class ShiftDecomposition:
         return sum(rest, first)
 
 
+def _require_one_path(*arrays: np.ndarray) -> None:
+    """ValueError unless each array is a single path (1-D): the two reports
+    pool matched pairs, so a leading axis would mix paths."""
+    if any(np.ndim(a) != 1 for a in arrays):
+        raise ValueError(f"one path per report: arrays must be 1-D, got shapes "
+                         f"{[np.shape(a) for a in arrays]}")
+
+
 def loglinear_shift_decomposition(
-    U: MonthlySeries, V: MonthlySeries, expansion: ThreeStateLoglinear,
+    U: np.ndarray, V: np.ndarray, expansion: ThreeStateLoglinear,
     samples: SwingSamples,
 ) -> ShiftDecomposition:
     """First-order additive decomposition of the vertical shift: each
     margin's contribution is the up-down shift of its term (`MARGINS`) of
     the two-state expansion (`curve.three_state_loglinear`).  Matched
-    pairs where a term is missing are dropped and reported."""
-    require_aligned(U, V, expansion.total)
-    samples._check_grid(U)
-    contrib = np.vstack([samples.vertical_shift(expansion.terms[margin.term].values)
+    pairs where a term is missing are dropped and reported.  One swing of
+    one path: every array is 1-D."""
+    _require_one_path(U, V, expansion.total, *expansion.terms.values())
+    contrib = np.vstack([samples.vertical_shift(expansion.terms[margin.term])
                          for margin in MARGINS.values()])
     ok = ~np.isnan(contrib).any(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        observed = samples.vertical_shift(np.log(V.values))
+        observed = samples.vertical_shift(np.log(V))
     months = samples.down_index
     return ShiftDecomposition(
-        months=months[ok], u=samples.at_down(U.values)[ok],
+        months=months[ok], u=samples.at_down(U)[ok],
         observed=observed[ok], contributions=dict(zip(MARGINS, contrib[:, ok])),
         dropped_months=np.concatenate([samples.dropped_months, months[~ok]]))
 
 
 def counterfactual_vacancies(
-    panel: TwoStatePanel | ThreeStatePanel, sigma: MonthlySeries,
+    panel: TwoStatePanel | ThreeStatePanel, sigma: np.ndarray,
     point: ApproximationPoint, subsets: Iterable[Iterable[str]],
 ) -> dict[frozenset[str], np.ndarray]:
     """The vacancy identity with each subset of margins held: one vacancy
@@ -278,18 +280,16 @@ def counterfactual_vacancies(
     frozenset.
 
     The identity's inputs are the panel's S, N_tilde and x, their next-month
-    changes dS' and dN_tilde', and sigma; a held margin fixes its inputs
-    (`MARGINS`) at the point's values.  Holding nothing gives the identity
-    on the data, missing at the last month (no successor); holding every
-    margin gives the steady-state curve at the panel's S.  A month is
-    missing where an input is, or where the identity's numerator is
-    nonpositive (an infeasible counterfactual).
+    changes dS' and dN_tilde', and sigma (whose leading axes broadcast); a
+    held margin fixes its inputs (`MARGINS`) at the point's values.  Holding
+    nothing gives the identity on the data, missing at the last month (no
+    successor); holding every margin gives the steady-state curve at the
+    panel's S.  A month is missing where an input is, or where the
+    identity's numerator is nonpositive (an infeasible counterfactual).
     """
-    S, N_tilde, x = panel.S, panel.N_tilde, panel.x
-    require_aligned(S, N_tilde, x, sigma)
-    observed = {"S": S.values, "N_tilde": N_tilde.values, "x": x.values,
-                "dS_next": delta(S).values, "dN_next": delta(N_tilde).values,
-                "sigma": sigma.values}
+    S, N_tilde = panel.S.values, panel.N_tilde.values
+    observed = {"S": S, "N_tilde": N_tilde, "x": panel.x.values,
+                "dS_next": delta(S), "dN_next": delta(N_tilde), "sigma": sigma}
     at_point = {"dS_next": 0.0, "dN_next": 0.0, "x": point.x_0,
                 "sigma": point.sigma_0}
     paths = {}
@@ -321,7 +321,7 @@ class OrderingTable:
 
 
 def all_orderings_report(
-    panel: TwoStatePanel | ThreeStatePanel, V: MonthlySeries, sigma: MonthlySeries,
+    panel: TwoStatePanel | ThreeStatePanel, V: np.ndarray, sigma: np.ndarray,
     samples: SwingSamples, point: ApproximationPoint,
 ) -> OrderingTable:
     """Exact (nonlinear) decomposition for every ordering of the margins.
@@ -335,10 +335,9 @@ def all_orderings_report(
     alone when N_tilde = 0, so its shift at matched unemployment is zero by
     construction: the panel and the point must have no non-searchers.
     Matched pairs infeasible under any held subset are dropped (the same
-    pairs in every ordering) and reported.
+    pairs in every ordering) and reported.  One path: V and sigma are 1-D.
     """
-    require_aligned(panel.S, V)
-    samples._check_grid(panel.S)
+    _require_one_path(V, sigma)
     if point.N_tilde_0 != 0.0:
         raise ValueError(f"two-state point needs N_tilde_0 = 0, got {point.N_tilde_0}")
     _reject_first(panel.N_tilde.values != 0.0, panel.S.start,
@@ -353,7 +352,7 @@ def all_orderings_report(
         raise AllPairsInfeasibleError(
             "all matched pairs infeasible under some counterfactual")
     identity = shifts[frozenset()]
-    gap = np.abs(identity[mask] - samples.vertical_shift(V.values)[mask])
+    gap = np.abs(identity[mask] - samples.vertical_shift(V)[mask])
     if gap.max() > 1e-8:
         warnings.warn(
             f"observed vacancies deviate from the vacancy identity by up to "

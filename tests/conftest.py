@@ -27,12 +27,12 @@ def two_state(U, s):
 
 
 def identity(panel, sigma, alpha):
-    """The vacancy identity on either panel's data, month by month: no
-    margin held, so the point gives only alpha."""
+    """The vacancy identity on either panel's data, month by month, as an
+    array: no margin held, so the point gives only alpha."""
     point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                   alpha=alpha)
     (path,) = ba.counterfactual_vacancies(panel, sigma, point, [()]).values()
-    return panel.S.with_values(path)
+    return path
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +74,8 @@ def recession_pipeline(recession_sim):
     """Panel plus constructed tightness/efficiency, point, and swing samples."""
     panel = recession_sim.panel
     theta = ba.tightness(panel.U, panel.V)
-    sigma_hat = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
+    sigma_hat = ba.matching_efficiency_path(panel.f.values, theta.values, alpha=0.3,
+                                            start=panel.U.start)
     point = ba.ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=0.020, sigma_0=0.30,
                                   alpha=0.3)
     bounds = ba.SwingBounds(down_start=MonthDate(2007, 7),

@@ -21,12 +21,13 @@ from beveridge_accounting import ShiftDecomposition, delta_log
 
 
 def reference_decomposition(U, V, s, sigma, samples, point) -> ShiftDecomposition:
-    """Contributions as coefficient times the shift of each coordinate; a
-    matched pair with a missing contribution is dropped and reported."""
+    """Contributions as coefficient times the shift of each coordinate, from
+    the series U, V and s and the array sigma; a matched pair with a missing
+    contribution is dropped and reported."""
     a, u0 = point.alpha, point.S_0
     with np.errstate(invalid="ignore", divide="ignore"):
-        coords = {"dynamics": delta_log(U).values, "separations": np.log(s.values),
-                  "matching": np.log(sigma.values)}
+        coords = {"dynamics": delta_log(U.values), "separations": np.log(s.values),
+                  "matching": np.log(sigma)}
         log_v = np.log(V.values)
     coefs = {"dynamics": -u0 / (a * point.x_0 * (1.0 - u0)),
              "separations": 1.0 / a, "matching": -1.0 / a}

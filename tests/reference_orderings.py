@@ -2,10 +2,11 @@
 out one by one, the reference that the tests hold the generic loop over
 `MARGINS` (`all_orderings_report`, `counterfactual_vacancies`) to.
 
-`all_orderings_report` here takes the two-state series (U, V, s, sigma) and
-holds each margin at a grid-length constant: dynamics at dU = 0,
+`all_orderings_report` here takes the two-state series (U, V, s) and the
+efficiency path sigma, an array, and holds each margin at a grid-length
+constant: dynamics at dU = 0,
 separations at x_0 and matching at sigma_0.  `exact_vacancies` is the
-identity month by month on those series, with an InfeasibleMonthWarning
+identity month by month on those inputs, with an InfeasibleMonthWarning
 naming the months whose inputs are all observed but whose numerator is
 nonpositive.
 """
@@ -17,7 +18,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from beveridge_accounting import (MARGIN_DYNAMICS, MARGIN_MATCHING, MARGIN_SEPARATIONS,
-                                  MARGINS, MonthlySeries, delta, require_aligned)
+                                  MARGINS, delta, require_aligned)
 from beveridge_accounting.curve import _vacancy_identity
 from beveridge_accounting.shift_decomposition import (AllPairsInfeasibleError,
                                                       IdentityMismatchWarning)
@@ -28,24 +29,23 @@ class InfeasibleMonthWarning(UserWarning):
 
 
 def _exact_vacancies(S, N_tilde, x, sigma, alpha):
-    """The identity month by month; the last month is missing.  Months whose
-    inputs are all observed but whose numerator is nonpositive are missing
-    too, and named in an InfeasibleMonthWarning."""
-    require_aligned(S, N_tilde, x, sigma)
-    ds, dnt = delta(S).values, delta(N_tilde).values
-    out = _vacancy_identity(S.values, N_tilde.values, x.values, ds, dnt,
-                            sigma.values, alpha)
-    inputs = (S.values, N_tilde.values, x.values, ds, dnt, sigma.values)
+    """The identity month by month, as an array; the last month is missing.
+    Months whose inputs are all observed but whose numerator is nonpositive
+    are missing too, and named in an InfeasibleMonthWarning."""
+    require_aligned(S, N_tilde, x)
+    ds, dnt = delta(S.values), delta(N_tilde.values)
+    out = _vacancy_identity(S.values, N_tilde.values, x.values, ds, dnt, sigma, alpha)
+    inputs = (S.values, N_tilde.values, x.values, ds, dnt, sigma)
     infeasible = ~np.isnan(np.vstack(inputs)).any(axis=0) & np.isnan(out)
     if infeasible.any():
         months = ", ".join(str(S.start.shift(int(t)))
                            for t in np.flatnonzero(infeasible))
         warnings.warn(f"infeasible counterfactual (nonpositive numerator) "
                       f"at {months}", InfeasibleMonthWarning, stacklevel=3)
-    return S.with_values(out)
+    return out
 
 
-def exact_vacancies(U, s, sigma, alpha) -> MonthlySeries:
+def exact_vacancies(U, s, sigma, alpha) -> np.ndarray:
     """Exact vacancy identity month by month: the three-state identity at
     N_tilde = 0, S = U, x = s.  The last month is missing."""
     return _exact_vacancies(U, U.with_values(np.zeros(len(U))), s, sigma, alpha)
@@ -70,13 +70,12 @@ class OrderingTable:
 def all_orderings_report(U, V, s, sigma, samples, point) -> OrderingTable:
     """Exact (nonlinear) decomposition for every ordering of the three
     margins, each held at the point's constant in turn."""
-    require_aligned(U, V, s, sigma)
-    samples._check_grid(U)
+    require_aligned(U, V, s)
     if point.N_tilde_0 != 0.0:
         raise ValueError(f"two-state point needs N_tilde_0 = 0, got {point.N_tilde_0}")
     n = len(U)
-    observed = {MARGIN_DYNAMICS: delta(U).values, MARGIN_SEPARATIONS: s.values,
-                MARGIN_MATCHING: sigma.values}
+    observed = {MARGIN_DYNAMICS: delta(U.values), MARGIN_SEPARATIONS: s.values,
+                MARGIN_MATCHING: sigma}
     constant = {MARGIN_DYNAMICS: np.zeros(n),
                 MARGIN_SEPARATIONS: np.full(n, point.x_0),
                 MARGIN_MATCHING: np.full(n, point.sigma_0)}

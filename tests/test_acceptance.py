@@ -18,7 +18,7 @@ import pytest
 
 import beveridge_accounting as ba
 from beveridge_accounting import (ApproximationPoint, EfficiencyCalibration,
-                                  MonthDate, MonthlySeries, SwingBounds)
+                                  MonthDate, SwingBounds)
 from conftest import identity
 
 DATA_ENV = "BEVERIDGE_DATA_CSV"
@@ -36,12 +36,13 @@ def test_criterion_1_two_state_identity_roundtrip(recession_sim):
     started = time.perf_counter()
     panel = recession_sim.panel
     theta = ba.tightness(panel.U, panel.V)
-    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
+    sigma = ba.matching_efficiency_path(panel.f.values, theta.values, alpha=0.3,
+                                        start=theta.start)
     v_hat = identity(panel, sigma, alpha=0.3)
     elapsed = time.perf_counter() - started
 
-    defined = ~np.isnan(v_hat.values)
-    rel = np.abs(v_hat.values[defined] / panel.V.values[defined] - 1.0)
+    defined = ~np.isnan(v_hat)
+    rel = np.abs(v_hat[defined] / panel.V.values[defined] - 1.0)
     assert rel.max() < 1e-12
     assert elapsed < 1.0
 
@@ -52,10 +53,11 @@ def test_criterion_1_two_state_identity_roundtrip(recession_sim):
                              noise_std=0.05, seed=3)
     sim2 = ba.simulate(spec)
     theta2 = ba.tightness(sim2.panel.U, sim2.panel.V)
-    sigma2 = ba.matching_efficiency_path(sim2.panel.f, theta2, alpha=0.42)
+    sigma2 = ba.matching_efficiency_path(sim2.panel.f.values, theta2.values, alpha=0.42,
+                                         start=theta2.start)
     v2 = identity(sim2.panel, sigma2, alpha=0.42)
-    defined2 = ~np.isnan(v2.values)
-    rel2 = np.abs(v2.values[defined2] / sim2.panel.V.values[defined2] - 1.0)
+    defined2 = ~np.isnan(v2)
+    rel2 = np.abs(v2[defined2] / sim2.panel.V.values[defined2] - 1.0)
     assert rel2.max() < 1e-12
     ok(1, f"two-state identity max rel err {max(rel.max(), rel2.max()):.2e} "
           f"in {elapsed * 1e3:.0f} ms")
@@ -66,9 +68,9 @@ def test_criterion_2_three_state_identity_roundtrip():
 
     started = time.perf_counter()
     sim = make_three_state_steady(horizon=60)
-    got = identity(sim.panel, sim.sigma_true, sim.alpha)
-    defined = ~np.isnan(sim.V.values) & ~np.isnan(got.values)
-    rel_sim = np.abs(got.values[defined] / sim.V.values[defined] - 1.0).max()
+    got = identity(sim.panel, sim.sigma_true.values, sim.alpha)
+    defined = ~np.isnan(sim.V.values) & ~np.isnan(got)
+    rel_sim = np.abs(got[defined] / sim.V.values[defined] - 1.0).max()
     assert rel_sim < 1e-10
 
     # raked variant: perturb the rates, rake them back against the stocks,
@@ -80,10 +82,11 @@ def test_criterion_2_three_state_identity_roundtrip():
     panel, report = ba.build_three_state_panel(sim.panel.E, sim.panel.U,
                                                sim.panel.N, noisy, tol=1e-13)
     theta = ba.tightness(panel.S, sim.V)
-    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=sim.alpha)
+    sigma = ba.matching_efficiency_path(panel.f.values, theta.values, alpha=sim.alpha,
+                                        start=theta.start)
     v_hat = identity(panel, sigma, sim.alpha)
-    defined = ~np.isnan(v_hat.values) & ~np.isnan(sim.V.values)
-    rel_raked = np.abs(v_hat.values[defined] / sim.V.values[defined] - 1.0).max()
+    defined = ~np.isnan(v_hat) & ~np.isnan(sim.V.values)
+    rel_raked = np.abs(v_hat[defined] / sim.V.values[defined] - 1.0).max()
     elapsed = time.perf_counter() - started
     assert rel_raked < 1e-10
     assert elapsed < 1.0
@@ -101,8 +104,9 @@ def test_criterion_3_planted_parameter_recovery():
     theta = ba.tightness(sim.panel.U, sim.panel.V)
     est = ba.estimate_matching(sim.panel.f, theta)
     assert abs(est.alpha - 0.3) < 1e-10
-    sigma = ba.matching_efficiency_path(sim.panel.f, theta, alpha=0.3)
-    assert np.nanmax(np.abs(sigma.values[:-1] - 0.36)) < 1e-12
+    sigma = ba.matching_efficiency_path(sim.panel.f.values, theta.values, alpha=0.3,
+                                        start=theta.start)
+    assert np.nanmax(np.abs(sigma[:-1] - 0.36)) < 1e-12
     assert np.nanmax(np.abs(sim.panel.s.values - sim.rates["eu"].values)) < 1e-12
 
     # single-margin shifts: full attribution for all six orderings
@@ -117,15 +121,16 @@ def test_criterion_3_planted_parameter_recovery():
         sim1 = ba.simulate(ba.SimulationSpec(
             alpha=0.3, u0=0.06, horizon=40, s_path=sp, sigma_path=sigma_path))
         theta1 = ba.tightness(sim1.panel.U, sim1.panel.V)
-        sigma1 = ba.matching_efficiency_path(sim1.panel.f, theta1, 0.3)
+        sigma1 = ba.matching_efficiency_path(sim1.panel.f.values, theta1.values, 0.3,
+                                             start=theta1.start)
         point = ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                    alpha=0.3)
         start = sim1.panel.U.start
         bounds = SwingBounds(down_start=start.shift(5), down_end=start.shift(10),
                              up_start=start.shift(25), up_end=start.shift(30))
         samples = ba.build_swing_samples(sim1.panel.U, sim1.panel.V, bounds)
-        table = ba.all_orderings_report(sim1.panel, sim1.panel.V, sigma1, samples,
-                                        point)
+        table = ba.all_orderings_report(sim1.panel, sim1.panel.V.values, sigma1,
+                                        samples, point)
         for row in table.rows:
             for name, value in row.percent.items():
                 want = 100.0 if name == margin else 0.0
@@ -137,7 +142,7 @@ def test_criterion_3_planted_parameter_recovery():
 
 def test_criterion_4_telescoping_and_first_margin_invariance(recession_pipeline):
     panel = recession_pipeline["panel"]
-    table = ba.all_orderings_report(panel, panel.V,
+    table = ba.all_orderings_report(panel, panel.V.values,
                                     recession_pipeline["sigma_hat"],
                                     recession_pipeline["samples"],
                                     recession_pipeline["point"])
@@ -220,7 +225,8 @@ def matching_table(cols):
                                sample=(panel.U.start, MonthDate(2007, 12)))
     post = ba.estimate_matching(panel.f, theta,
                                 sample=(MonthDate(2008, 1), panel.U.end))
-    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
+    sigma = ba.matching_efficiency_path(panel.f.values, theta.values, alpha=0.3,
+                                        start=theta.start)
     point = ApproximationPoint.from_panel(panel, sigma, 0.3,
                                           (MonthDate(2008, 1), panel.U.end))
     return pre, post, point
@@ -232,11 +238,12 @@ def ordering_table(cols):
     panel = ba.build_two_state_panel(smoothed["u_rate"], smoothed["v_rate"],
                                      smoothed["u_short"])
     theta = ba.tightness(panel.U, panel.V)
-    sigma = ba.matching_efficiency_path(panel.f, theta, alpha=0.3)
+    sigma = ba.matching_efficiency_path(panel.f.values, theta.values, alpha=0.3,
+                                        start=theta.start)
     point = ApproximationPoint.from_panel(panel, sigma, 0.3,
                                           (MonthDate(2008, 1), panel.U.end))
     samples = ba.build_swing_samples(panel.U, panel.V, SwingBounds())
-    return ba.all_orderings_report(panel, panel.V, sigma, samples, point)
+    return ba.all_orderings_report(panel, panel.V.values, sigma, samples, point)
 
 
 def efficiency_exercise(cols):
@@ -244,11 +251,10 @@ def efficiency_exercise(cols):
     steep slope."""
     u = ba.moving_average(cols["u_rate"], 3)
     v = ba.moving_average(cols["v_rate"], 3)
-    flat = ba.efficient_unemployment(
-        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.MS_ELASTICITY))
-    steep = ba.efficient_unemployment(
-        u, v, ba.EfficiencyCalibration(beveridge_elasticity=ba.STEEP_ELASTICITY))
-    return u, flat, steep
+    flat, steep = (ba.efficient_unemployment(
+        u.values, v.values, ba.EfficiencyCalibration(beveridge_elasticity=eps),
+        start=u.start) for eps in (ba.MS_ELASTICITY, ba.STEEP_ELASTICITY))
+    return u.values, flat, steep
 
 
 def test_criteria_7_to_9_run_on_a_simulated_panel(paper_sim):
@@ -298,29 +304,28 @@ def test_criterion_8_ordering_table_reproduction():
 @needs_data
 def test_criterion_9_efficiency_exercise():
     u, flat, steep = efficiency_exercise(_load_real_panel())
-    defined = ~np.isnan(flat.values)
-    assert (steep.values[defined] > flat.values[defined]).all()
-    assert steep.values[defined].min() > 0.035
-    assert steep.values[defined].max() < 0.065
-    gap_flat = np.abs(u.values[defined] - flat.values[defined]).mean()
-    gap_steep = np.abs(u.values[defined] - steep.values[defined]).mean()
+    defined = ~np.isnan(flat)
+    assert (steep[defined] > flat[defined]).all()
+    assert steep[defined].min() > 0.035
+    assert steep[defined].max() < 0.065
+    gap_flat = np.abs(u[defined] - flat[defined]).mean()
+    gap_steep = np.abs(u[defined] - steep[defined]).mean()
     ratio = gap_steep / gap_flat
     assert abs(ratio - 0.5) <= 0.125
-    ok(9, f"u* in [{steep.values[defined].min():.3f}, "
-          f"{steep.values[defined].max():.3f}]; gap ratio {ratio:.2f}")
+    ok(9, f"u* in [{steep[defined].min():.3f}, "
+          f"{steep[defined].max():.3f}]; gap ratio {ratio:.2f}")
 
 
 def test_criterion_10_efficiency_property_grid():
     grid_eps = np.linspace(0.5, 2.5, 10)
     grid_cost = np.linspace(0.5, 1.5, 10)
-    u = MonthlySeries(MonthDate(2000, 1), [0.06])
-    v = MonthlySeries(MonthDate(2000, 1), [0.03])
+    u, v = np.array([0.06]), np.array([0.03])
     violations = 0
 
     def u_star(eps, cv, cu):
         cal = EfficiencyCalibration(beveridge_elasticity=eps, vacancy_cost=cv,
                                     unemployment_cost=cu)
-        return float(ba.efficient_unemployment(u, v, cal).values[0])
+        return float(ba.efficient_unemployment(u, v, cal, start=MonthDate(2000, 1))[0])
 
     for cv in grid_cost:
         stars = [u_star(e, cv, 0.74) for e in grid_eps]

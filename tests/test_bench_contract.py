@@ -57,6 +57,11 @@ def test_run_swaps_the_cli_raking_entry():
     assert cli.build_three_state_panel is flows_three_state.build_three_state_panel
 
 
+# per-layer metrics whose span names no function of the package has, so
+# they read 0 on every run (ROADMAP item 1 lists them as stale names)
+STALE = {"curve.loglinear_s", "series.months_s"}
+
+
 def test_traced_commands_record_every_probe(spans, tmp_path):
     two, three = tmp_path / "two", tmp_path / "three"
     assert cli.main(["simulate", "--horizon", "240", "--du-amplitude", "0.001",
@@ -68,10 +73,12 @@ def test_traced_commands_record_every_probe(spans, tmp_path):
     tracer.install()
     try:
         assert not any(a is b for a, b in zip(raw_methods(spans), originals))
-        for op, argv in enumerate((
-                ["estimate", "--input", str(two / "panel.csv")],
-                ["decompose", "--input", str(two / "panel.csv")],
-                ["three-state", "--input", str(three / "panel.csv")])):
+        argvs = (["estimate", "--input", str(two / "panel.csv")],
+                 ["shifters", "--input", str(two / "panel.csv")],
+                 ["decompose", "--input", str(two / "panel.csv")],
+                 ["efficiency", "--input", str(two / "panel.csv"), "--smooth", "3"],
+                 ["three-state", "--input", str(three / "panel.csv")])
+        for op, argv in enumerate(argvs):
             tracer.op = op
             assert cli.main([*argv, "--output-dir", str(tmp_path / f"out{op}")]) == 0
     finally:
@@ -79,7 +86,9 @@ def test_traced_commands_record_every_probe(spans, tmp_path):
     assert all(a is b for a, b in zip(raw_methods(spans), originals))
 
     assert {name for name, op, facts in tracer.facts} == set(spans.PROBES)
-    metrics = spans.layer_metrics(tracer.spans, [], tracer.facts, 3)
+    metrics = spans.layer_metrics(tracer.spans, [], tracer.facts, len(argvs))
     assert metrics["csvio.rows_read"] == 240
     assert metrics["flows_three_state.month_pairs"] == 239
     assert metrics["shift_decomposition.down_points"] > 0
+    # a kernel renamed or bypassed would leave its layer's time at zero
+    assert {metric for metric in spans.INCLUSIVE if not metrics[metric] > 0} <= STALE

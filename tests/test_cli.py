@@ -1,6 +1,8 @@
 import argparse
+import builtins
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
@@ -498,6 +500,46 @@ def exit_code(args):
         return exc.code
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate"], ["shifters"], ["decompose"], ["efficiency"],
+    ["three-state", "--reference", "2002-01"]], ids=lambda argv: argv[0])
+def test_manifest_names_the_bytes_parsed_and_input_is_read_once(tmp_path, monkeypatch,
+                                                                recession_sim, argv):
+    # the file is replaced as soon as read_panel returns: the manifest's
+    # digest is still that of the bytes the command parsed
+    path = (write_steady_three_state_csv(tmp_path) if argv[0] == "three-state"
+            else write_recession_csv(tmp_path, recession_sim))
+    parsed = path.read_bytes()
+    read_panel, opened = cli.read_panel, []
+
+    def read_then_replace(source):
+        panel = read_panel(source)
+        other = tmp_path / "other.csv"
+        other.write_bytes(b"date,u_rate\n2000-01,0.05\n")
+        os.replace(other, path)
+        return panel
+
+    def counting(open_):
+        def wrapper(file, *args, **kwargs):
+            if Path(file) == path:
+                opened.append(file)
+            return open_(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "read_panel", read_then_replace)
+    # Path.read_bytes opens through Path.open on every supported Python
+    # (3.10's Path.open goes through an accessor bound to io.open at import,
+    # so a patched io.open is not seen there); a bare open() is counted too
+    monkeypatch.setattr(Path, "open", counting(Path.open))
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    out = tmp_path / "out"
+    assert run([*argv, "--input", path, "--output-dir", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input"] == {"path": str(path),
+                                 "sha256": hashlib.sha256(parsed).hexdigest()}
+    assert len(opened) == 1  # read_panel's read, and no other
+
+
 # ---------------------------------------------------------------------------
 # Cases drawn from the flag table, `cli._FLAGS`
 # ---------------------------------------------------------------------------
@@ -521,7 +563,7 @@ def reads(argv):
 
     args = cli.build_parser().parse_args([str(a) for a in argv], namespace=Recorder())
     seen.clear()
-    cli._write(args, *args.func(args))
+    cli._run(args)
     return seen
 
 

@@ -37,7 +37,8 @@ def series(values):
 
 
 def exact_vacancies(U, s, sigma, alpha):
-    """The identity on two-state series (S = U, N_tilde = 0, x = s)."""
+    """The identity on two-state series (S = U, N_tilde = 0, x = s) and the
+    array sigma, as an array."""
     return identity(two_state(U, s), sigma, alpha)
 
 
@@ -46,7 +47,7 @@ def steady_state_curve(u_grid, point):
     held, so the observed s and sigma (missing here) are never read."""
     u = series(np.asarray(u_grid, dtype=float))
     unread = series(np.full(len(u), np.nan))
-    (v,) = counterfactual_vacancies(two_state(u, unread), unread, point,
+    (v,) = counterfactual_vacancies(two_state(u, unread), unread.values, point,
                                     [MARGINS]).values()
     return v
 
@@ -65,9 +66,11 @@ def matching_coefficient(point):
 
 
 def two_state_shifters(U, s, sigma, point, reference):
-    """The two-state shifters dynamics, separations and matching, plus net."""
-    return shifter_paths(three_state_loglinear(two_state(U, s), sigma, point), reference,
-                         ("searcher_dynamics", "separations", "matching"))
+    """The two-state shifters dynamics, separations and matching, plus net,
+    normalised at the month `reference`."""
+    return shifter_paths(three_state_loglinear(two_state(U, s), sigma, point),
+                         U.index_of(reference),
+                         ("searcher_dynamics", "separations", "matching"), start=U.start)
 
 
 def exact_log_v(u, s, sigma, du_next, alpha):
@@ -103,7 +106,7 @@ class TestApproximationPoint:
     def test_from_series_means(self):
         u = series(np.array([0.06, 0.07, 0.08]))
         s = series(np.array([0.019, 0.020, 0.021]))
-        sg = series(np.array([0.35, 0.36, np.nan]))
+        sg = np.array([0.35, 0.36, np.nan])
         point = ApproximationPoint.from_series(u, s, sg, 0.3,
                                                (START, START.shift(2)))
         assert point.S_0 == pytest.approx(0.065)   # joint months only
@@ -120,10 +123,9 @@ class TestApproximationPoint:
                                                        window)
         got = three_state_loglinear(panel, sigma, point)
         want = three_state_loglinear(two_state(panel.U, panel.s), sigma, point)
-        np.testing.assert_array_equal(got.total.values, want.total.values)
+        np.testing.assert_array_equal(got.total, want.total)
         for name in TERMS:
-            np.testing.assert_array_equal(got.terms[name].values,
-                                          want.terms[name].values)
+            np.testing.assert_array_equal(got.terms[name], want.terms[name])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -168,28 +170,27 @@ class TestExactVacancies:
     def test_constant_inputs_match_bisection(self):
         u, s, sg, a = 0.05, 0.02, 0.359, 0.3
         got = exact_vacancies(series(np.full(3, u)), series(np.full(3, s)),
-                              series(np.full(3, sg)), a)
+                              np.full(3, sg), a)
         oracle = bisect_vacancies(u, s, sg, a)
-        np.testing.assert_allclose(got.values[:-1], oracle, rtol=1e-10)
-        assert np.isnan(got.values[-1])
+        np.testing.assert_allclose(got[:-1], oracle, rtol=1e-10)
+        assert np.isnan(got[-1])
 
     def test_sigma_homogeneity(self):
         u = series(np.array([0.05, 0.052, 0.051, 0.05]))
         s = series(np.full(4, 0.02))
-        sg = series(np.full(4, 0.36))
+        sg = np.full(4, 0.36)
         base = exact_vacancies(u, s, sg, 0.3)
-        doubled = exact_vacancies(u, s, sg.with_values(2 * sg.values), 0.3)
-        np.testing.assert_allclose(doubled.values[:-1],
-                                   base.values[:-1] * 2.0 ** (-1 / 0.3),
+        doubled = exact_vacancies(u, s, 2 * sg, 0.3)
+        np.testing.assert_allclose(doubled[:-1], base[:-1] * 2.0 ** (-1 / 0.3),
                                    rtol=1e-12)
 
     def test_infeasible_month_flagged(self):
         u = series(np.array([0.05, 0.10, 0.10]))  # jump bigger than inflows
         s = series(np.full(3, 0.02))
-        sg = series(np.full(3, 0.36))
+        sg = np.full(3, 0.36)
         got = exact_vacancies(u, s, sg, 0.3)
-        assert np.isnan(got.values[0])
-        assert not np.isnan(got.values[1])
+        assert np.isnan(got[0])
+        assert not np.isnan(got[1])
 
     def test_sign_structure(self):
         base = exact_log_v(0.068, 0.020, 0.359, 0.0, 0.3)
@@ -213,8 +214,8 @@ class TestSteadyStateCurve:
         v, = steady_state_curve([u], POINT)
         got = exact_vacancies(series(np.full(2, u)),
                               series(np.full(2, POINT.x_0)),
-                              series(np.full(2, POINT.sigma_0)), POINT.alpha)
-        assert got.values[0] == pytest.approx(v, rel=1e-14)
+                              np.full(2, POINT.sigma_0), POINT.alpha)
+        assert got[0] == pytest.approx(v, rel=1e-14)
 
 
 class TestCoefficients:
@@ -276,7 +277,7 @@ def taylor_paths(point, level_band, step_band, n=160, seed=0):
 
     u = series(point.S_0 * np.exp(wiggle()))
     s = series(point.x_0 * np.exp(wiggle()))
-    sg = series(point.sigma_0 * np.exp(wiggle()))
+    sg = point.sigma_0 * np.exp(wiggle())
     return u, s, sg
 
 
@@ -285,7 +286,7 @@ def max_taylor_error(point, level_band, step_band, seed):
     exact = exact_vacancies(u, s, sg, point.alpha)
     approx = three_state_loglinear(two_state(u, s), sg, point).total
     with np.errstate(invalid="ignore"):
-        gap = np.abs(np.log(exact.values) - approx.values)
+        gap = np.abs(np.log(exact) - approx)
     return np.nanmax(gap)
 
 
@@ -293,10 +294,9 @@ class TestTaylorAccuracy:
     def test_expansion_point_exact(self):
         u = series(np.full(3, POINT.S_0))
         s = series(np.full(3, POINT.x_0))
-        sg = series(np.full(3, POINT.sigma_0))
+        sg = np.full(3, POINT.sigma_0)
         approx = three_state_loglinear(two_state(u, s), sg, POINT).total
-        np.testing.assert_allclose(approx.values[:-1], math.log(POINT.V_0),
-                                   rtol=1e-14)
+        np.testing.assert_allclose(approx[:-1], math.log(POINT.V_0), rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_percent_band(self, seed):
@@ -315,11 +315,11 @@ class TestShifterPaths:
         n = 6
         u = series(np.full(n, POINT.S_0))
         s = series(np.full(n, POINT.x_0))
-        sg = series(np.full(n, POINT.sigma_0))
+        sg = np.full(n, POINT.sigma_0)
         paths = two_state_shifters(u, s, sg, POINT, START.shift(1))
         assert list(paths) == ["searcher_dynamics", "separations", "matching", "net"]
         for term in paths.values():
-            np.testing.assert_array_equal(term.values[:-1], 0.0)
+            np.testing.assert_array_equal(term[:-1], 0.0)
 
     def test_zero_at_reference_and_additive(self, recession_pipeline):
         panel = recession_pipeline["panel"]
@@ -328,18 +328,18 @@ class TestShifterPaths:
         ref = MonthDate(2007, 4)
         paths = two_state_shifters(panel.U, panel.s, sigma, point, ref)
         t = panel.U.index_of(ref)
-        assert paths["searcher_dynamics"].values[t] == 0.0
-        assert paths["separations"].values[t] == 0.0
-        assert paths["matching"].values[t] == 0.0
-        total = (paths["searcher_dynamics"].values + paths["separations"].values
-                 + paths["matching"].values)
-        np.testing.assert_array_equal(paths["net"].values, total)
+        assert paths["searcher_dynamics"][t] == 0.0
+        assert paths["separations"][t] == 0.0
+        assert paths["matching"][t] == 0.0
+        total = paths["searcher_dynamics"] + paths["separations"] + paths["matching"]
+        np.testing.assert_array_equal(paths["net"], total)
 
     def test_missing_reference_rejected(self):
         u = series(np.full(4, POINT.S_0))
         s = series(np.full(4, POINT.x_0))
-        sg = series(np.full(4, POINT.sigma_0))
-        with pytest.raises(ValueError, match="reference month"):
+        sg = np.full(4, POINT.sigma_0)
+        with pytest.raises(ValueError, match="^shifters undefined at reference month "
+                                             "2000-04$"):
             two_state_shifters(u, s, sg, POINT, START.shift(3))  # last month: no dU
 
     @pytest.mark.parametrize("terms", [(), ("searcher_level",), ("total",),
@@ -348,9 +348,21 @@ class TestShifterPaths:
         n = 4
         expansion = three_state_loglinear(two_state(series(np.full(n, POINT.S_0)),
                                                     series(np.full(n, POINT.x_0))),
-                                          series(np.full(n, POINT.sigma_0)), POINT)
+                                          np.full(n, POINT.sigma_0), POINT)
         with pytest.raises(ValueError, match="must name at least one shifter"):
-            shifter_paths(expansion, START, terms)
+            shifter_paths(expansion, 0, terms, start=START)
+
+    @pytest.mark.parametrize("reference", [-1, 4])
+    def test_reference_outside_grid_rejected(self, reference):
+        # a grid index before the first month or past the last is refused,
+        # not wrapped to a month counted from the end
+        n = 4
+        expansion = three_state_loglinear(two_state(series(np.full(n, POINT.S_0)),
+                                                    series(np.full(n, POINT.x_0))),
+                                          np.full(n, POINT.sigma_0), POINT)
+        with pytest.raises(KeyError, match=rf"grid index {reference} outside series "
+                                           r"coverage \[2000-01, 2000-04\]"):
+            shifter_paths(expansion, reference, start=START)
 
     def test_recession_sign_pattern(self, recession_pipeline):
         # planted recession: separations spike while unemployment rises, and
@@ -364,9 +376,9 @@ class TestShifterPaths:
                        panel.U.index_of(MonthDate(2009, 6)))
         post = slice(panel.U.index_of(MonthDate(2010, 1)),
                      panel.U.index_of(MonthDate(2013, 1)))
-        assert (paths["separations"].values[spike] > 0).all()
-        assert (paths["searcher_dynamics"].values[rising] < 0).all()
-        assert (paths["matching"].values[post] > 0).all()
+        assert (paths["separations"][spike] > 0).all()
+        assert (paths["searcher_dynamics"][rising] < 0).all()
+        assert (paths["matching"][post] > 0).all()
 
     def test_net_tracks_deviation_from_steady_curve(self, recession_pipeline):
         # net shift equals (loglinear lnV minus the steady-curve component),
@@ -379,10 +391,9 @@ class TestShifterPaths:
         loglin = three_state_loglinear(panel, sigma, point).total
         curve_part = (math.log(point.V_0) + loglinear_slope(point)
                       * (np.log(panel.U.values) - math.log(point.S_0)))
-        raw_net = loglin.values - curve_part
+        raw_net = loglin - curve_part
         ref_idx = panel.U.index_of(ref)
-        np.testing.assert_allclose(paths["net"].values,
-                                   raw_net - raw_net[ref_idx], atol=1e-12)
+        np.testing.assert_allclose(paths["net"], raw_net - raw_net[ref_idx], atol=1e-12)
 
 
 class TestSlopeValues:
@@ -437,20 +448,18 @@ class TestThreeState:
     def test_expansion_point_value(self):
         panel = constant_aggregate_panel(THREE_POINT.S_0, THREE_POINT.N_tilde_0,
                                          THREE_POINT.x_0)
-        sigma = series(np.full(6, THREE_POINT.sigma_0))
+        sigma = np.full(6, THREE_POINT.sigma_0)
         out = three_state_loglinear(panel, sigma, THREE_POINT)
-        np.testing.assert_allclose(out.total.values[:-1],
-                                   math.log(THREE_POINT.V_0), rtol=1e-12)
+        np.testing.assert_allclose(out.total[:-1], math.log(THREE_POINT.V_0), rtol=1e-12)
         exact = identity(panel, sigma, 0.3)
-        np.testing.assert_allclose(exact.values[:-1], THREE_POINT.V_0, rtol=1e-12)
+        np.testing.assert_allclose(exact[:-1], THREE_POINT.V_0, rtol=1e-12)
 
     def test_term_additivity_exact(self):
         panel = constant_aggregate_panel(0.095, 0.25, 0.037)
-        sigma = series(np.full(6, 0.34))
+        sigma = np.full(6, 0.34)
         out = three_state_loglinear(panel, sigma, THREE_POINT)
-        total = math.log(THREE_POINT.V_0) + sum(out.terms[name].values
-                                                for name in TERMS)
-        np.testing.assert_array_equal(out.total.values, total)
+        total = math.log(THREE_POINT.V_0) + sum(out.terms[name] for name in TERMS)
+        np.testing.assert_array_equal(out.total, total)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_second_order_agreement(self, seed):
@@ -459,10 +468,10 @@ class TestThreeState:
         panel = constant_aggregate_panel(THREE_POINT.S_0 * scale[0],
                                          THREE_POINT.N_tilde_0 * scale[1],
                                          THREE_POINT.x_0 * scale[2])
-        sigma = series(np.full(6, THREE_POINT.sigma_0 * scale[3]))
+        sigma = np.full(6, THREE_POINT.sigma_0 * scale[3])
         approx = three_state_loglinear(panel, sigma, THREE_POINT).total
         exact = identity(panel, sigma, THREE_POINT.alpha)
-        gap = np.abs(approx.values[:-1] - np.log(exact.values[:-1]))
+        gap = np.abs(approx[:-1] - np.log(exact[:-1]))
         assert gap.max() < 1e-3
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -477,11 +486,11 @@ class TestThreeState:
         panel = ThreeStatePanel(
             E=series(1.0 - u), U=series(u), N=zeros, eu=series(np.full(n, s)),
             en=zeros, ue=series(np.full(n, 0.25)), un=zeros, ne=zeros, nu=zeros)
-        sigma = series(sigma_path)
+        sigma = sigma_path
 
         exact3 = identity(panel, sigma, alpha)
         exact2 = exact_vacancies(series(u), series(np.full(n, s)), sigma, alpha)
-        np.testing.assert_allclose(exact3.values, exact2.values, rtol=1e-12)
+        np.testing.assert_allclose(exact3, exact2, rtol=1e-12)
 
         u_bar, sigma_bar = float(u.mean()), float(sigma_path.mean())
         point = ApproximationPoint(S_0=u_bar, N_tilde_0=0.0, x_0=s, sigma_0=sigma_bar,
@@ -489,13 +498,13 @@ class TestThreeState:
         ll3 = three_state_loglinear(panel, sigma, point).total
         ll2 = three_state_loglinear(two_state(series(u), series(np.full(n, s))), sigma,
                                     point).total
-        assert not np.isnan(ll2.values[:-1]).any()
-        np.testing.assert_allclose(ll3.values, ll2.values, rtol=1e-12)
+        assert not np.isnan(ll2[:-1]).any()
+        np.testing.assert_allclose(ll3, ll2, rtol=1e-12)
 
         # the same steps through the public API, equal bit for bit
         U, s_series = series(u), series(np.full(n, s))
         window = (START, START.shift(n - 1))
-        np.testing.assert_array_equal(exact3.values, exact2.values)
+        np.testing.assert_array_equal(exact3, exact2)
         point3 = ApproximationPoint.from_panel(panel, sigma, alpha, window)
         point2 = ApproximationPoint.from_series(U, s_series, sigma, alpha, window)
         np.testing.assert_array_equal(
@@ -507,23 +516,21 @@ class TestThreeState:
         outcomes = []
         for searchers in (panel.S, U):
             try:
-                outcomes.append(tightness(searchers, exact2).values)
+                outcomes.append(tightness(searchers, series(exact2)).values)
             except ValueError as exc:
                 outcomes.append(str(exc))
         np.testing.assert_array_equal(*outcomes)
         exp3 = three_state_loglinear(panel, sigma, point3)
         exp2 = three_state_loglinear(two_state(U, s_series), sigma, point2)
-        np.testing.assert_array_equal(exp3.total.values, exp2.total.values)
+        np.testing.assert_array_equal(exp3.total, exp2.total)
         for name in TERMS:
-            np.testing.assert_array_equal(exp3.terms[name].values,
-                                          exp2.terms[name].values)
+            np.testing.assert_array_equal(exp3.terms[name], exp2.terms[name])
         for terms in (TERMS, ("searcher_dynamics", "separations", "matching")):
-            paths3 = shifter_paths(exp3, START, terms)
-            paths2 = shifter_paths(exp2, START, terms)
+            paths3 = shifter_paths(exp3, 0, terms, start=START)
+            paths2 = shifter_paths(exp2, 0, terms, start=START)
             assert list(paths3) == list(paths2) == [*terms, "net"]
             for name in paths3:
-                np.testing.assert_array_equal(paths3[name].values,
-                                              paths2[name].values)
+                np.testing.assert_array_equal(paths3[name], paths2[name])
 
     @pytest.mark.parametrize("model", ["two-state", "three-state"])
     def test_terms_are_data_keyed_by_name(self, recession_pipeline, model):
@@ -534,7 +541,7 @@ class TestThreeState:
             point = recession_pipeline["point"]
         else:
             panel = constant_aggregate_panel(0.095, 0.25, 0.037)
-            sigma, point = series(np.full(6, 0.34)), THREE_POINT
+            sigma, point = np.full(6, 0.34), THREE_POINT
         out = three_state_loglinear(panel, sigma, point)
         assert [f.name for f in dataclasses.fields(out)] == ["total", "terms"]
         assert tuple(out.terms) == TERMS == tuple(_expansion_coefficients(point))
@@ -548,6 +555,7 @@ class TestThreeState:
         ne[2] = panel.ue.values[2]
         broken = dataclasses.replace(panel, ne=panel.ne.with_values(ne))
         assert broken.N_tilde.values[2] == 0.0
-        sigma = series(np.full(6, 0.36))
-        with pytest.raises(ValueError, match="non-searcher pool"):
+        sigma = np.full(6, 0.36)
+        with pytest.raises(ValueError,
+                           match="^log of zero non-searcher pool at 2000-03$"):
             three_state_loglinear(broken, sigma, THREE_POINT)

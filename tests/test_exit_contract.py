@@ -76,8 +76,17 @@ def _sim(**fields):
 def _nonsearchers_below_zero():
     # ne above ue makes xi_N above one, so N_tilde is negative
     sim = _sim(n0=0.3, rates={"en": 0.02, "ue": 0.25, "un": 0.03, "ne": 0.3, "nu": 0.02})
-    sigma = ba.matching_efficiency_path(sim.panel.f, ba.tightness(sim.panel.S, sim.V), 0.3)
+    theta = ba.tightness(sim.panel.S, sim.V)
+    sigma = ba.matching_efficiency_path(sim.panel.f.values, theta.values, 0.3,
+                                        start=START)
     ba.ApproximationPoint.from_panel(sim.panel, sigma, 0.3, (START, START.shift(10)))
+
+
+def _sigma_off_the_grid():
+    # an efficiency path one month short of the panel it is averaged with
+    sim = _sim()
+    ba.ApproximationPoint.from_panel(sim.panel, sim.sigma_true.values[:-1], 0.3,
+                                     (START, START.shift(10)))
 
 
 def _negative_stayers():
@@ -97,12 +106,6 @@ def _unreadable(tmp):
 
     with mock.patch.object(Path, "read_bytes", refuse):
         ba.read_panel(tmp / "p.csv")
-
-
-def _swing_samples():
-    return ba.build_swing_samples(_series(0.05, 0.06, 0.07, 0.06, 0.05),
-                                  _series(0.04, 0.03, 0.02, 0.03, 0.04),
-                                  ba.SwingBounds(START, START.shift(2), START.shift(3)))
 
 
 REFUSALS = {
@@ -152,9 +155,10 @@ REFUSALS = {
     # flows_three_state
     "negative-stayer-mass": (ba.DataError, "negative stayer mass after adjustment",
                              lambda tmp: _negative_stayers()),
+    # curve: an array that meets a calendar must lie on its grid; `cli`
+    # computes sigma on the panel's
+    "grid-mismatch": (ValueError, "calendar grid", lambda tmp: _sigma_off_the_grid()),
     # shift_decomposition: `cli` checks the bounds against the data first
-    "grid-mismatch": (ValueError, "calendar grid", lambda tmp: _swing_samples().
-                      _check_grid(_series(0.05, 0.06))),
     "up-end-outside": (ValueError, "do not cover bound 2000-07",
                        lambda tmp: ba.build_swing_samples(
                            _series(0.05, 0.06, 0.07, 0.06, 0.05),
@@ -328,3 +332,99 @@ def test_edge_flags_exit_by_the_contract(panels, run):
                 _reads_back(path)
         else:
             assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Faults in the input's bytes: any command on a mutated panel file exits 0,
+# 2, 3 or 4, and no exception leaves `cli.main`
+# ---------------------------------------------------------------------------
+
+def _lines(data: bytes, at: float) -> tuple[list[bytes], int]:
+    """The file's lines, each with its end, and the index of a data line
+    at the share `at` of them."""
+    lines = data.splitlines(keepends=True)
+    return lines, 1 + int(at * (len(lines) - 1))
+
+
+def _truncated(data, at):
+    lines, k = _lines(data, at)
+    cut = sum(map(len, lines[:k])) + max(1, len(lines[k]) // 2)  # mid-row
+    return data[:cut]
+
+
+def _bom(data, at):
+    return b"\xef\xbb\xbf" + data
+
+
+def _duplicated_month(data, at):
+    lines, k = _lines(data, at)
+    return b"".join(lines[:k + 1] + lines[k:])
+
+
+def _months_swapped(data, at):
+    lines, k = _lines(data, at)
+    k = min(k, len(lines) - 2)
+    return b"".join(lines[:k] + [lines[k + 1], lines[k]] + lines[k + 2:])
+
+
+def _ends(line: bytes) -> tuple[bytes, bytes]:
+    """A line's text and its end (CRLF, as the writer writes, or LF)."""
+    text = line.rstrip(b"\r\n")
+    return text, line[len(text):]
+
+
+def _columns(data, make):
+    """Each line's cells rewritten by `make(cells, line index)`, its end kept."""
+    return b"".join(b",".join(make(text.split(b","), k)) + end
+                    for k, (text, end) in enumerate(map(_ends, data.splitlines(True))))
+
+
+def _extra_column(data, at):
+    return _columns(data, lambda cells, k: [*cells, b"extra" if k == 0 else b"0.5"])
+
+
+def _duplicated_column(data, at):
+    # the value column at the share `at` of the header's, name and cells
+    j = 1 + int(at * data.count(b",", 0, data.index(b"\n")))
+    return _columns(data, lambda cells, k: [*cells, cells[j]])
+
+
+def _nul(data, at):
+    k = int(at * len(data))
+    return data[:k] + b"\0" + data[k:]
+
+
+def _mixed_line_ends(data, at):
+    # the lines from the k-th on end in the other kind of line end
+    lines, k = _lines(data, at)
+    other = {b"\r\n": b"\n", b"\n": b"\r\n"}
+    return b"".join(lines[:k] + [text + other[end]
+                                 for text, end in map(_ends, lines[k:])])
+
+
+def _lone_cr(data, at):
+    lines, k = _lines(data, at)
+    return b"".join(lines[:k] + [_ends(lines[k])[0] + b"\r"] + lines[k + 1:])
+
+
+def _not_utf8(data, at):
+    k = int(at * len(data))
+    return data[:k] + b"\xff" + data[k:]
+
+
+BYTE_FAULTS = (_truncated, _bom, _duplicated_month, _months_swapped, _extra_column,
+               _duplicated_column, _nul, _mixed_line_ends, _lone_cr, _not_utf8)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(fault=st.sampled_from(BYTE_FAULTS), at=st.floats(0.0, 0.999),
+       command=st.sampled_from(("estimate", "shifters", "decompose", "efficiency",
+                                "three-state")))
+def test_input_byte_faults_exit_by_the_contract(panels, fault, at, command):
+    source = panels["paper-240", command == "three-state"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_bytes(fault(source.read_bytes(), at))
+        code = cli.main([command, "--input", str(path),
+                         "--output-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)

@@ -201,31 +201,38 @@ class TestPValues:
 
 class TestEfficiencyPath:
     def test_unit_efficiency(self):
-        theta = series(np.linspace(0.4, 0.8, 12))
-        f = series(theta.values ** 0.3)
-        sigma = matching_efficiency_path(f, theta, alpha=0.3)
-        np.testing.assert_allclose(sigma.values, 1.0, rtol=1e-14)
+        theta = np.linspace(0.4, 0.8, 12)
+        f = theta ** 0.3
+        sigma = matching_efficiency_path(f, theta, alpha=0.3, start=START)
+        np.testing.assert_allclose(sigma, 1.0, rtol=1e-14)
 
     def test_hand_value(self):
-        sigma = matching_efficiency_path(series([0.3]), series([0.5]), alpha=0.3)
-        assert sigma.values[0] == pytest.approx(0.3 * 0.5 ** -0.3, rel=1e-15)
-        assert sigma.values[0] == pytest.approx(0.3693433, abs=5e-8)
+        sigma = matching_efficiency_path(np.array([0.3]), np.array([0.5]), alpha=0.3,
+                                         start=START)
+        assert sigma[0] == pytest.approx(0.3 * 0.5 ** -0.3, rel=1e-15)
+        assert sigma[0] == pytest.approx(0.3693433, abs=5e-8)
 
     def test_composition_roundtrip(self):
         rng = np.random.default_rng(8)
-        theta = series(rng.uniform(0.3, 1.0, 50))
-        f = series(rng.uniform(0.2, 0.5, 50))
-        sigma = matching_efficiency_path(f, theta, alpha=0.42)
-        np.testing.assert_allclose(sigma.values * theta.values ** 0.42,
-                                   f.values, rtol=1e-14)
+        theta = rng.uniform(0.3, 1.0, 50)
+        f = rng.uniform(0.2, 0.5, 50)
+        sigma = matching_efficiency_path(f, theta, alpha=0.42, start=START)
+        np.testing.assert_allclose(sigma * theta ** 0.42, f, rtol=1e-14)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="^nonpositive finding rate or tightness "
                                              "at 2000-02; efficiency path undefined$"):
-            matching_efficiency_path(series([0.3, 0.0]), series([0.5, 0.5]), alpha=0.3)
+            matching_efficiency_path(np.array([0.3, 0.0]), np.array([0.5, 0.5]),
+                                     alpha=0.3, start=START)
         # a month missing either input is missing, not refused
-        sigma = matching_efficiency_path(series([0.3, 0.0]), series([0.5, np.nan]), 0.3)
-        assert np.isnan(sigma.values[1])
+        sigma = matching_efficiency_path(np.array([0.3, 0.0]), np.array([0.5, np.nan]),
+                                         0.3, start=START)
+        assert np.isnan(sigma[1])
+        # with a leading axis, the month named is the bad entry's last index
+        with pytest.raises(ValueError, match="^nonpositive finding rate or tightness "
+                                             "at 2000-03; efficiency path undefined$"):
+            matching_efficiency_path(np.array([[0.3, 0.3, 0.3], [0.3, 0.3, -0.1]]),
+                                     np.full(3, 0.5), 0.3, start=START)
 
 
 def three_state_panel(u=0.05, n=0.30, ue=0.25, ne=0.025):

@@ -38,7 +38,7 @@ def recession_panel(tmp_path, paper_sim):
     return path
 
 
-def test_library_sketch_runs(recession_panel, monkeypatch):
+def test_library_sketch_runs(recession_panel, monkeypatch, tmp_path):
     monkeypatch.chdir(recession_panel.parent)
 
     scope: dict = {}
@@ -51,7 +51,9 @@ def test_library_sketch_runs(recession_panel, monkeypatch):
     assert list(paths) == ["searcher_dynamics", "separations", "matching", "net"]
     ref = MonthDate(2007, 4)
     t = scope["panel"].U.index_of(ref)
-    assert all(series.values[t] == 0.0 for series in paths.values())
+    assert all(path[t] == 0.0 for path in paths.values())
+    assert (tmp_path / "shifters.csv").is_file()
+    assert scope["matching_shifts"].shape == (3, len(scope["samples"].down_index))
     assert len(scope["loglin"].months) > 0
     assert len(scope["table"].rows) == 6
     v = scope["panel"].V.values

@@ -208,7 +208,7 @@ class TestNormalizeShares:
 
 
 def test_delta_forward_difference():
-    out = delta(series([1.0, 4.0, 9.0]))
-    assert out.values[0] == 3.0 and out.values[1] == 5.0
-    assert np.isnan(out.values[2])
+    out = delta(np.array([1.0, 4.0, 9.0]))
+    assert out[0] == 3.0 and out[1] == 5.0
+    assert np.isnan(out[2])
 

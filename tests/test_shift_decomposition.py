@@ -240,9 +240,10 @@ class TestVerticalShift:
 
 
 def loglinear(U, V, s, sigma, samples, point):
-    """The log-linear decomposition from the expansion at `point`."""
+    """The log-linear decomposition from the expansion at `point`, of the
+    series U, V and s and the array sigma."""
     expansion = three_state_loglinear(two_state(U, s), sigma, point)
-    return loglinear_shift_decomposition(U, V, expansion, samples)
+    return loglinear_shift_decomposition(U.values, V.values, expansion, samples)
 
 
 class TestLoglinearDecomposition:
@@ -254,7 +255,7 @@ class TestLoglinearDecomposition:
         u = np.array([0.050, 0.060, 0.070, 0.080])
         v = np.exp(-1.0 - 10.0 * u)
         s = series(np.full(4, 0.02))
-        sg = series(np.full(4, 0.36))
+        sg = np.full(4, 0.36)
         bounds = SwingBounds(down_start=START, down_end=START.shift(2),
                              up_start=START, up_end=START.shift(3))
         samples = build_swing_samples(series(u), series(v), bounds)
@@ -274,7 +275,7 @@ class TestLoglinearDecomposition:
         bounds = SwingBounds(down_start=START, down_end=START.shift(3),
                              up_start=START.shift(5), up_end=START.shift(8))
         samples = build_swing_samples(series(u), series(v), bounds)
-        dec = loglinear(series(u), series(v), s, series(sigma), samples, self.POINT)
+        dec = loglinear(series(u), series(v), s, sigma, samples, self.POINT)
         expected = (1 / 0.3) * math.log(2.0)
         np.testing.assert_allclose(dec.contributions[MARGIN_MATCHING], expected,
                                    rtol=1e-12)
@@ -328,14 +329,15 @@ def noisy_swings(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ba.ProbabilityRangeWarning)
         panel = ba.build_two_state_panel(*cols)
-    sigma = ba.matching_efficiency_path(panel.f, ba.tightness(panel.U, panel.V), alpha)
+    theta = ba.tightness(panel.U, panel.V)
+    sigma = ba.matching_efficiency_path(panel.f.values, theta.values, alpha, start=START)
 
-    def holed(x):
-        values = x.values.copy()
+    def holed(values):
+        values = values.copy()
         values[draw(st.lists(st.integers(0, n - 1), max_size=4))] = np.nan
-        return x.with_values(values)
+        return values
 
-    s, sigma = holed(panel.s), holed(sigma)
+    s, sigma = panel.s.with_values(holed(panel.s.values)), holed(sigma)
     point = ApproximationPoint.from_series(panel.U, s, sigma, alpha,
                                            (START, START.shift(n - 1)))
     down_start = draw(st.integers(0, n - 3))
@@ -380,12 +382,11 @@ def held_percent(U, s, sigma, samples, point, table, margin):
     constant, both through the identity with nothing held."""
     observed = identity(two_state(U, s), sigma, point.alpha)
     if margin == MARGIN_MATCHING:
-        sigma = U.with_values(np.full(len(U), point.sigma_0))
+        sigma = np.full(len(U), point.sigma_0)
     else:
         s = U.with_values(np.full(len(U), point.x_0))
     held = identity(two_state(U, s), sigma, point.alpha)
-    gap = (samples.vertical_shift(observed.values)
-           - samples.vertical_shift(held.values))
+    gap = samples.vertical_shift(observed) - samples.vertical_shift(held)
     return 100.0 * float(gap[kept_pairs(samples, table)].mean()) \
         / table.average_observed_shift
 
@@ -406,9 +407,8 @@ class TestMonthIndices:
         sigma = recession_pipeline["sigma_hat"]
         point = recession_pipeline["point"]
         if hole is not None:
-            values = sigma.values.copy()
-            values[hole] = np.nan
-            sigma = sigma.with_values(values)
+            sigma = sigma.copy()
+            sigma[hole] = np.nan
         bounds = SwingBounds(down_start=MonthDate(2007, 7), down_end=MonthDate(2009, 6),
                              up_start=up_start)
         samples = build_swing_samples(panel.U, panel.V, bounds)
@@ -420,7 +420,7 @@ class TestMonthIndices:
         dec = loglinear(panel.U, panel.V, panel.s, sigma, samples, point)
         assert_months(dec.months, kept)
         assert_months(dec.dropped_months, dropped)
-        table = all_orderings_report(panel, panel.V, sigma, samples, point)
+        table = all_orderings_report(panel, panel.V.values, sigma, samples, point)
         assert_months(table.dropped_months, dropped)
         assert table.n_pairs == len(kept)
 
@@ -433,7 +433,7 @@ class TestCounterfactuals:
                                    alpha=0.3)
         with pytest.raises(ValueError, match="^two-state point needs N_tilde_0 = 0, "
                                              "got 0.2$"):
-            all_orderings_report(panel, panel.V, recession_pipeline["sigma_hat"],
+            all_orderings_report(panel, panel.V.values, recession_pipeline["sigma_hat"],
                                  recession_pipeline["samples"], point)
 
     def test_panel_with_non_searchers_rejected(self, recession_pipeline):
@@ -446,9 +446,22 @@ class TestCounterfactuals:
                                     x=panel.s)
         with pytest.raises(ValueError, match=r"^two-state panel needs N_tilde = 0, "
                                              r"got 0\.25 at 2008-05$"):
-            all_orderings_report(with_pool, panel.V, recession_pipeline["sigma_hat"],
+            all_orderings_report(with_pool, panel.V.values,
+                                 recession_pipeline["sigma_hat"],
                                  recession_pipeline["samples"],
                                  recession_pipeline["point"])
+
+    def test_batched_sigma_rejected_by_both_reports(self, recession_pipeline):
+        # the reports pool matched pairs: a leading axis would mix paths
+        panel, point = recession_pipeline["panel"], recession_pipeline["point"]
+        samples = recession_pipeline["samples"]
+        rows = np.stack([recession_pipeline["sigma_hat"]] * 2)
+        expansion = three_state_loglinear(panel, rows, point)
+        with pytest.raises(ValueError, match="^one path per report: arrays must be 1-D"):
+            loglinear_shift_decomposition(panel.U.values, panel.V.values, expansion,
+                                          samples)
+        with pytest.raises(ValueError, match="^one path per report: arrays must be 1-D"):
+            all_orderings_report(panel, panel.V.values, rows, samples, point)
 
     def test_unknown_margin_rejected(self, recession_pipeline):
         panel = recession_pipeline["panel"]
@@ -462,7 +475,7 @@ class TestCounterfactuals:
         sigma = recession_pipeline["sigma_hat"]
         point = recession_pipeline["point"]
         samples = recession_pipeline["samples"]
-        table = all_orderings_report(panel, panel.V, sigma, samples, point)
+        table = all_orderings_report(panel, panel.V.values, sigma, samples, point)
         ev = counterfactual_vacancies(panel, sigma, point, [()])[frozenset()]
         shift = samples.interp_up(ev) - samples.at_down(ev)
         kept = kept_pairs(samples, table)
@@ -509,7 +522,8 @@ def single_margin_sim(which, n=40):
     sim = ba.simulate(spec)
     panel = sim.panel
     theta = ba.tightness(panel.U, panel.V)
-    sigma_hat = ba.matching_efficiency_path(panel.f, theta, 0.3)
+    sigma_hat = ba.matching_efficiency_path(panel.f.values, theta.values, 0.3,
+                                            start=START)
     point = ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36, alpha=0.3)
     bounds = SwingBounds(down_start=START.shift(5), down_end=START.shift(10),
                          up_start=START.shift(n // 2 + 5),
@@ -522,7 +536,8 @@ class TestNonlinearDecomposition:
     def test_single_margin_full_attribution(self):
         for margin in (MARGIN_MATCHING, MARGIN_SEPARATIONS):
             panel, sigma_hat, point, samples = single_margin_sim(margin)
-            table = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
+            table = all_orderings_report(panel, panel.V.values, sigma_hat, samples,
+                                         point)
             for row in table.rows:
                 assert list(row.percent) == list(MARGINS)
                 for name, value in row.percent.items():
@@ -532,7 +547,7 @@ class TestNonlinearDecomposition:
 
     def test_telescoping_all_orderings(self, recession_pipeline):
         panel = recession_pipeline["panel"]
-        table = all_orderings_report(panel, panel.V,
+        table = all_orderings_report(panel, panel.V.values,
                                      recession_pipeline["sigma_hat"],
                                      recession_pipeline["samples"],
                                      recession_pipeline["point"])
@@ -543,7 +558,7 @@ class TestNonlinearDecomposition:
         # net shift up; dynamics and matching push the curve up between the
         # swings while separations push it down, in every ordering
         panel = recession_pipeline["panel"]
-        table = ba.all_orderings_report(panel, panel.V,
+        table = ba.all_orderings_report(panel, panel.V.values,
                                         recession_pipeline["sigma_hat"],
                                         recession_pipeline["samples"],
                                         recession_pipeline["point"])
@@ -555,7 +570,7 @@ class TestNonlinearDecomposition:
 
     def test_margin_first_and_prefix_set_invariance(self, recession_pipeline):
         panel = recession_pipeline["panel"]
-        table = all_orderings_report(panel, panel.V,
+        table = all_orderings_report(panel, panel.V.values,
                                      recession_pipeline["sigma_hat"],
                                      recession_pipeline["samples"],
                                      recession_pipeline["point"])
@@ -578,7 +593,7 @@ class TestNonlinearDecomposition:
         samples = recession_pipeline["samples"]
         point = recession_pipeline["point"]
         sigma_hat = recession_pipeline["sigma_hat"]
-        table = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
+        table = all_orderings_report(panel, panel.V.values, sigma_hat, samples, point)
         rows = {r.ordering: r for r in table.rows}
         want = held_percent(panel.U, panel.s, sigma_hat, samples, point, table,
                             MARGIN_MATCHING)
@@ -589,7 +604,7 @@ class TestNonlinearDecomposition:
         panel = recession_pipeline["panel"]
         rest = (recession_pipeline["sigma_hat"], recession_pipeline["samples"],
                 recession_pipeline["point"])
-        table = all_orderings_report(panel, panel.V, *rest)
+        table = all_orderings_report(panel, panel.V.values, *rest)
         ll = loglinear(panel.U, panel.V, panel.s, *rest)
         row = {r.ordering: r for r in table.rows}[
             (MARGIN_DYNAMICS, MARGIN_SEPARATIONS, MARGIN_MATCHING)]
@@ -608,7 +623,7 @@ class TestNonlinearDecomposition:
         point = ApproximationPoint(S_0=0.068, N_tilde_0=0.0, x_0=1e-6, sigma_0=0.30,
                                    alpha=0.3)
         with pytest.raises(AllPairsInfeasibleError):
-            all_orderings_report(panel, panel.V, sigma_hat, samples, point)
+            all_orderings_report(panel, panel.V.values, sigma_hat, samples, point)
 
     def test_identity_mismatch_warns(self, recession_pipeline):
         panel = recession_pipeline["panel"]
@@ -617,7 +632,7 @@ class TestNonlinearDecomposition:
                                          recession_pipeline["bounds"])
         with pytest.warns(IdentityMismatchWarning,
                           match="deviate from the vacancy identity") as record:
-            all_orderings_report(panel, scaled_v,
+            all_orderings_report(panel, scaled_v.values,
                                  recession_pipeline["sigma_hat"], samples,
                                  recession_pipeline["point"])
         assert record[0].filename == __file__  # attributed to the caller
@@ -649,7 +664,7 @@ def recession_panels(draw):
         delta_u_path=du, start=START))
     panel = sim.panel
     sigma_hat = ba.matching_efficiency_path(
-        panel.f, ba.tightness(panel.U, panel.V), alpha)
+        panel.f.values, ba.tightness(panel.U, panel.V).values, alpha, start=START)
     point = ApproximationPoint(S_0=draw(st.floats(0.04, 0.09)), N_tilde_0=0.0,
                                x_0=draw(st.floats(0.015, 0.025)),
                                sigma_0=draw(st.floats(0.25, 0.45)), alpha=alpha)
@@ -665,7 +680,7 @@ class TestOrderingTableProperties:
     @given(case=recession_panels())
     def test_telescoping_prefix_sets_and_last_margin(self, case):
         panel, sigma_hat, point, samples = case
-        table = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
+        table = all_orderings_report(panel, panel.V.values, sigma_hat, samples, point)
         rows = {r.ordering: r for r in table.rows}
         assert len(rows) == 6
         for row in table.rows:
@@ -713,8 +728,8 @@ class TestOrderingTableMatchesReference:
         noisy_swings().map(lambda c: (c[0].U, c[0].V, c[1], c[2], c[3], c[4]))))
     def test_same_table_bit_for_bit(self, case):
         U, V, s, sigma, point, samples = case
-        got, got_warnings = outcome(all_orderings_report, two_state(U, s), V, sigma,
-                                    samples, point)
+        got, got_warnings = outcome(all_orderings_report, two_state(U, s), V.values,
+                                    sigma, samples, point)
         want, want_warnings = outcome(reference_orderings.all_orderings_report,
                                       U, V, s, sigma, samples, point)
         assert got_warnings == want_warnings
@@ -733,8 +748,7 @@ class TestOrderingTableMatchesReference:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", reference_orderings.InfeasibleMonthWarning)
             exact = reference_orderings.exact_vacancies(U, s, sigma, point.alpha)
-        assert same_float(identity(two_state(U, s), sigma, point.alpha).values,
-                          exact.values)
+        assert same_float(identity(two_state(U, s), sigma, point.alpha), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +780,9 @@ def planted_recessions():
                                         sigma_path=sigma, delta_u_path=du,
                                         start=RECESSION_START))
     panel = sim.panel
-    sigma_hat = ba.matching_efficiency_path(panel.f, ba.tightness(panel.U, panel.V), 0.3)
+    theta = ba.tightness(panel.U, panel.V)
+    sigma_hat = ba.matching_efficiency_path(panel.f.values, theta.values, 0.3,
+                                            start=RECESSION_START)
     tables = {}
     for kind, start in RECESSIONS.items():
         # each recession with its own swing bounds and its own expansion point
@@ -777,7 +793,8 @@ def planted_recessions():
         point = ApproximationPoint.from_panel(panel, sigma_hat, 0.3,
                                               (bounds.down_start, bounds.up_end))
         samples = build_swing_samples(panel.U, panel.V, bounds)
-        tables[kind] = all_orderings_report(panel, panel.V, sigma_hat, samples, point)
+        tables[kind] = all_orderings_report(panel, panel.V.values, sigma_hat, samples,
+                                            point)
     return tables
 
 

@@ -117,7 +117,7 @@ class TestTwoStateSimulation:
         # the constant point lies on the steady-state curve
         point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                       alpha=0.3)
-        v_ss, = ba.counterfactual_vacancies(sim.panel, sim.sigma_true, point,
+        v_ss, = ba.counterfactual_vacancies(sim.panel, sim.sigma_true.values, point,
                                             [ba.MARGINS]).values()
         np.testing.assert_allclose(v, v_ss, rtol=1e-13)
 
@@ -128,8 +128,9 @@ class TestTwoStateSimulation:
         np.testing.assert_allclose(panel.s.values[:-1],
                                    recession_sim.rates["eu"].values[:-1], atol=1e-12)
         theta = ba.tightness(panel.U, panel.V)
-        sigma = ba.matching_efficiency_path(panel.f, theta, 0.3)
-        np.testing.assert_allclose(sigma.values[:-1],
+        sigma = ba.matching_efficiency_path(panel.f.values, theta.values, 0.3,
+                                            start=theta.start)
+        np.testing.assert_allclose(sigma[:-1],
                                    recession_sim.sigma_true.values[:-1],
                                    atol=1e-12)
 
@@ -153,13 +154,14 @@ class TestTwoStateSimulation:
                               sigma_path=sigma_path)
         sim = simulate(spec)
         theta = ba.tightness(sim.panel.U, sim.panel.V)
-        sigma_hat = ba.matching_efficiency_path(sim.panel.f, theta, 0.3)
+        sigma_hat = ba.matching_efficiency_path(sim.panel.f.values, theta.values, 0.3,
+                                                start=theta.start)
         point = ba.ApproximationPoint(S_0=0.06, N_tilde_0=0.0, x_0=0.02, sigma_0=0.36,
                                       alpha=0.3)
         paths = ba.shifter_paths(
             ba.three_state_loglinear(sim.panel, sigma_hat, point),
-            START.shift(5))
-        jump = paths["matching"].values[40] - paths["matching"].values[10]
+            theta.index_of(START.shift(5)), start=theta.start)
+        jump = paths["matching"][40] - paths["matching"][10]
         assert jump == pytest.approx(-(1 / 0.3) * math.log(0.75), rel=1e-10)
 
     def test_noise_is_seeded_and_reproducible(self):
@@ -258,9 +260,9 @@ class TestThreeStateSimulation:
         # the identity has no next month at the panel's last; the planted V
         # continues there in steady state
         sim = make_three_state_steady(horizon=12)
-        got = identity(sim.panel, sim.sigma_true, sim.alpha)
-        np.testing.assert_allclose(got.values[:-1], sim.V.values[:-1], rtol=1e-12)
-        assert np.isnan(got.values[-1]) and 0.0 < sim.V.values[-1] < 1.0
+        got = identity(sim.panel, sim.sigma_true.values, sim.alpha)
+        np.testing.assert_allclose(got[:-1], sim.V.values[:-1], rtol=1e-12)
+        assert np.isnan(got[-1]) and 0.0 < sim.V.values[-1] < 1.0
 
     def test_no_nonemployment_gives_the_two_state_panel(self):
         # N = 0 with en = un = ne = nu = 0: the two-state panel, whose
@@ -272,8 +274,8 @@ class TestThreeStateSimulation:
         assert sim.panel.V is sim.V
         np.testing.assert_allclose(sim.panel.f.values[:-1], 0.25, rtol=1e-12)
         np.testing.assert_allclose(sim.panel.s.values[:-1], 0.02, rtol=1e-12)
-        v2 = identity(sim.panel, sim.sigma_true, 0.3)
-        np.testing.assert_allclose(v2.values[:-1], sim.V.values[:-1], rtol=1e-12)
+        v2 = identity(sim.panel, sim.sigma_true.values, 0.3)
+        np.testing.assert_allclose(v2[:-1], sim.V.values[:-1], rtol=1e-12)
         # any nonemployment makes it a three-state panel
         for n0, rates in ((0.1, {}), (0.0, {"un": 0.01}), (0.0, {"nu": 0.01})):
             sim = simulate(SimulationSpec(alpha=0.3, u0=0.06, n0=n0, horizon=12,
@@ -379,13 +381,14 @@ class TestPlantedChange:
 
     def test_identity_reproduces_planted_vacancies(self):
         sim = simulate(cycle_spec(noise_std=0.02, seed=5))
-        got = identity(sim.panel, sim.sigma_true, sim.alpha)
-        np.testing.assert_allclose(got.values[:-1], sim.V.values[:-1], rtol=1e-12)
+        got = identity(sim.panel, sim.sigma_true.values, sim.alpha)
+        np.testing.assert_allclose(got[:-1], sim.V.values[:-1], rtol=1e-12)
         # the searcher finding rate is sigma (V / S)^alpha, as planted, in
         # every month: the last month's ue keeps E constant, as its V does
         theta = ba.tightness(sim.panel.S, sim.V)
-        np.testing.assert_allclose(ba.matching_efficiency_path(sim.panel.f, theta,
-                                                               0.3).values,
+        np.testing.assert_allclose(ba.matching_efficiency_path(sim.panel.f.values,
+                                                               theta.values, 0.3,
+                                                               start=theta.start),
                                    sim.sigma_true.values, rtol=1e-12)
 
     def test_the_cycle_moves_the_searcher_finding_rate(self):
