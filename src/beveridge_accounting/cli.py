@@ -15,8 +15,8 @@ Outputs are plot-ready flat files (CSV by default, JSON optional) plus a
 from its manifest alone.  Exit codes: 0 success, 2 configuration error,
 3 data error, 4 infeasibility with an empty result (`series.Refusal`);
 any other exception is a fault of the program and exits 1 with its
-traceback.  A command wraps each array result it writes into a series, and
-checks the others for infinities, where it computes them.
+traceback.  A command wraps each array result it writes into a series
+where it computes it; each kernel refuses the overflows it computes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .flows_two_state import TwoStatePanel, build_two_state_panel
 from .matching import (DEFAULT_ALPHA, MIN_MONTHS, estimate_matching,
                        matching_efficiency_path, tightness)
 from .series import (ConfigError, DataError, MonthDate, MonthlySeries, Refusal,
-                     moving_average, reject_infinite)
+                     moving_average)
 from .shift_decomposition import (MARGINS, SwingBounds, all_orderings_report,
                                   build_swing_samples, loglinear_shift_decomposition)
 from .simulate import SimulationSpec, simulate
@@ -306,10 +306,6 @@ def _expansion(args: argparse.Namespace, source: Panel, read):
     panel, V, theta, f_pos, notes = _pipeline(args, source, read)
     sigma = matching_efficiency_path(f_pos.values, theta.values, args.alpha,
                                      start=theta.start)
-    # sigma and the expansion are arrays that no command writes whole, so no
-    # series refuses an overflow in them: refuse it here, as soon as each is
-    # computed and with a series' text, before the point or a shift reads it
-    reject_infinite(sigma)
     pinned = [getattr(args, name, None) for name in ("u_bar", "s_bar", "sigma_bar")]
     if any(v is not None for v in pinned):
         if any(v is None for v in pinned):
@@ -325,7 +321,6 @@ def _expansion(args: argparse.Namespace, source: Panel, read):
     notes.update({name: getattr(point, field)
                   for field, name in _POINT_NOTES[type(panel)].items()})
     expansion = three_state_loglinear(panel, sigma, point)
-    reject_infinite(expansion.total, *expansion.terms.values())
     return panel, V, sigma, point, expansion, notes
 
 
@@ -378,10 +373,8 @@ def cmd_shifters(args: argparse.Namespace, source: Panel) -> tuple[dict, dict]:
     paths = shifter_paths(expansion, panel.U.index_of(args.reference),
                           tuple(margin.term for margin in MARGINS.values()),
                           start=panel.U.start)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_v = np.log(V.values)
     return {"shifters": {
-        "u_rate": panel.U, "log_v_observed": V.with_values(log_v),
+        "u_rate": panel.U, "log_v_observed": V.with_values(np.log(V.values)),
         "log_v_loglinear": panel.U.with_values(expansion.total),
         **{name: panel.U.with_values(paths[margin.term])
            for name, margin in MARGINS.items()},

@@ -208,7 +208,8 @@ def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: np.ndar
     ln V_t at the point.  Each term is missing where its inputs (or the
     successor month) are missing.  When N_tilde_0 = 0 the non-searcher terms
     are zero, missing at the last month like every dynamics term; a zero
-    non-searcher pool with N_tilde_0 > 0 is an error.
+    non-searcher pool with N_tilde_0 > 0, or an infinite term or total, is
+    a DataError naming its month.
     """
     S, N_tilde, x = panel.S.values, panel.N_tilde.values, panel.x.values
     # each term's input: a log gap from the point or a log change ahead
@@ -232,6 +233,9 @@ def three_state_loglinear(panel: TwoStatePanel | ThreeStatePanel, sigma: np.ndar
              for name in TERMS}
 
     total = sum(terms.values(), np.log(point.V_0))
+    for name, values in (*terms.items(), ("total", total)):
+        _reject_first(np.isinf(values), panel.S.start,
+                      f"infinite log-linear {name} at {{month}}: {{value!r}}", values)
     return ThreeStateLoglinear(total=total, terms=terms)
 
 

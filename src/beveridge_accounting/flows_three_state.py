@@ -99,7 +99,7 @@ class ThreeStatePanel:
         _reject_first(~np.isnan(ne) & (ue == 0.0), self.ne.start,
                       "undefined intensity at {month}: "
                       "zero unemployment-to-employment rate")
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             return self.ne.with_values(ne / ue)
 
     @cached_property
@@ -197,25 +197,26 @@ def _newton_direction(f: np.ndarray, R: np.ndarray, C: np.ndarray,
     the columns fall apart into pieces; each piece then keeps its last
     column's factor.  A row with no flow keeps its factor.
     """
-    inv = np.divide(1.0, R, out=np.zeros_like(R), where=R > 0.0)
-    share = f * inv[:, None]
-    w01 = np.add.reduce(f[:, 0] * share[:, 1], axis=0)
-    w02 = np.add.reduce(f[:, 0] * share[:, 2], axis=0)
-    w12 = np.add.reduce(f[:, 1] * share[:, 2], axis=0)
-    gap = (R - r) * inv
-    rhs0 = np.add.reduce(f[:, 0] * gap, axis=0) - (C[0] - c[0])
-    rhs1 = np.add.reduce(f[:, 1] * gap, axis=0) - (C[1] - c[1])
-    det = w01 * w02 + w01 * w12 + w02 * w12
-    db = np.zeros_like(R)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # 1 / R overflows on a row whose flow is subnormal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = np.divide(1.0, R, out=np.zeros_like(R), where=R > 0.0)
+        share = f * inv[:, None]
+        w01 = np.add.reduce(f[:, 0] * share[:, 1], axis=0)
+        w02 = np.add.reduce(f[:, 0] * share[:, 2], axis=0)
+        w12 = np.add.reduce(f[:, 1] * share[:, 2], axis=0)
+        gap = (R - r) * inv
+        rhs0 = np.add.reduce(f[:, 0] * gap, axis=0) - (C[0] - c[0])
+        rhs1 = np.add.reduce(f[:, 1] * gap, axis=0) - (C[1] - c[1])
+        det = w01 * w02 + w01 * w12 + w02 * w12
+        db = np.zeros_like(R)
         db[0] = (rhs0 * (w01 + w12) + w01 * rhs1) / det
         db[1] = (rhs1 * (w01 + w02) + w01 * rhs0) / det
         apart = ~(det > 0.0)
         if apart.any():
             for j, (rhs, w) in enumerate(((rhs0, w01 + w02), (rhs1, w12))):
                 db[j] = np.where(apart, np.where(w > 0.0, rhs / w, 0.0), db[j])
-    da = -gap - share[:, 0] * db[0] - share[:, 1] * db[1]
-    return da[:, None] + db[None]
+        da = -gap - share[:, 0] * db[0] - share[:, 1] * db[1]
+        return da[:, None] + db[None]
 
 
 def _newton_update(f: np.ndarray, R: np.ndarray, C: np.ndarray,

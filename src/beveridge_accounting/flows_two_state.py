@@ -86,10 +86,11 @@ def job_finding_probability(U: MonthlySeries, U_short: MonthlySeries) -> Monthly
         defined = ~np.isnan(u_t) & ~np.isnan(u[1:]) & ~np.isnan(us[1:])
         _reject_first(defined & (u_t == 0.0), U.start,
                       "division by zero unemployment at {month}")
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             out[:-1] = 1.0 - (u[1:] - us[1:]) / u_t
+    f = U.with_values(out)  # refuses an overflow before any month is flagged
     _warn_out_of_range(out, U, "job-finding probability")
-    return U.with_values(out)
+    return f
 
 
 def implied_separation_probability(U: MonthlySeries, f: MonthlySeries) -> MonthlySeries:

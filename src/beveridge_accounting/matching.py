@@ -210,15 +210,19 @@ def matching_efficiency_path(f: np.ndarray, theta: np.ndarray, alpha,
                              *, start: MonthDate) -> np.ndarray:
     """Month-by-month matching efficiency sigma_t = f_t * theta_t^(-alpha).
 
-    An `alpha` of shape (K, 1) gives K paths; a nonpositive f or theta is a
-    DataError naming its month, counted from `start`.  Composing with the
-    matching function returns f exactly: sigma_t * theta_t^alpha = f_t.
+    An `alpha` of shape (K, 1) gives K paths; a nonpositive f or theta, or
+    a sigma that overflows, is a DataError naming its month, counted from
+    `start`.  Composing with the matching function returns f exactly:
+    sigma_t * theta_t^alpha = f_t.
     """
     defined = ~np.isnan(f) & ~np.isnan(theta)
     _reject_first(defined & ((f <= 0.0) | (theta <= 0.0)), start, "nonpositive finding "
                   "rate or tightness at {month}; efficiency path undefined")
-    with np.errstate(invalid="ignore"):
-        return f * theta ** (-alpha)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sigma = f * theta ** (-alpha)
+    _reject_first(np.isinf(sigma), start,
+                  "infinite matching efficiency at {month}: {value!r}", sigma)
+    return sigma
 
 
 def tightness(searchers: MonthlySeries, V: MonthlySeries) -> MonthlySeries:
@@ -228,6 +232,5 @@ def tightness(searchers: MonthlySeries, V: MonthlySeries) -> MonthlySeries:
     _reject_nonshares("vacancy rate", V.values, V.start)
     _reject_first((searchers.values == 0.0) & ~np.isnan(V.values), searchers.start,
                   "zero searcher pool at {month}; tightness undefined")
-    with np.errstate(invalid="ignore"):
-        return searchers.with_values(V.values / searchers.values)
+    return searchers.with_values(V.values / searchers.values)
 

@@ -91,8 +91,8 @@ class MonthlySeries:
 
     Index t corresponds to the calendar month ``start + t``, so the series
     ends by 9999-12.  Values are a read-only float array; NaN marks a
-    missing entry.  Infinities are rejected so that "finite unless
-    explicitly missing" holds by construction.
+    missing entry.  An infinite entry is a DataError naming its month and
+    value, so "finite unless explicitly missing" holds by construction.
     """
 
     start: MonthDate
@@ -102,9 +102,10 @@ class MonthlySeries:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        reject_infinite(arr)
         if self.start.months_until(_LAST_MONTH) < arr.size - 1:
             raise ValueError(f"{arr.size} months from {self.start} run past {_LAST_MONTH}")
+        _reject_first(np.isinf(arr), self.start, "infinite value at {month}: {value!r}",
+                      arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -138,12 +139,6 @@ class MonthlySeries:
         if arr.shape != self.values.shape:
             raise ValueError("replacement values must match series length")
         return MonthlySeries(self.start, arr)
-
-
-def reject_infinite(*arrays: np.ndarray) -> None:
-    """DataError if any entry is infinite: a value that overflowed, say."""
-    if any(np.isinf(a).any() for a in arrays):
-        raise DataError("non-finite (infinite) value in series")
 
 
 def _reject_first(bad: np.ndarray, start: MonthDate, message: str,

@@ -184,8 +184,6 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
     upswing are dropped and their grid indices recorded in `dropped_months`.
     """
     require_aligned(U, V)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_v = np.log(V.values)
 
     for m in (bounds.down_start, bounds.down_end, bounds.up_start):
         if not U.covers(m):
@@ -193,7 +191,7 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
     if bounds.up_end is not None and not U.covers(bounds.up_end):
         raise ValueError(f"series do not cover bound {bounds.up_end}")
 
-    usable = ~(np.isnan(U.values) | np.isnan(log_v))
+    usable = ~np.isnan(U.values) & (V.values >= 0.0)  # NaN >= 0 is False
     lo, hi = U.index_of(bounds.down_start), U.index_of(bounds.down_end)
     down_idx = lo + np.flatnonzero(usable[lo:hi + 1])
     if not down_idx.size:
@@ -317,7 +315,7 @@ class OrderingTable:
     rows: tuple[OrderingRow, ...]
     average_observed_shift: float
     n_pairs: int
-    dropped_months: np.ndarray  # grid indices: the swing's, then the infeasible
+    dropped_months: np.ndarray  # grid indices: the swing's, then the dropped pairs'
 
 
 def all_orderings_report(
@@ -334,8 +332,9 @@ def all_orderings_report(
     Holding every margin gives the steady-state curve, a function of S
     alone when N_tilde = 0, so its shift at matched unemployment is zero by
     construction: the panel and the point must have no non-searchers.
-    Matched pairs infeasible under any held subset are dropped (the same
-    pairs in every ordering) and reported.  One path: V and sigma are 1-D.
+    Matched pairs with a missing (infeasible) or infinite (overflowed)
+    shift under any held subset are dropped, the same pairs in every
+    ordering, and reported.  One path: V and sigma are 1-D.
     """
     _require_one_path(V, sigma)
     if point.N_tilde_0 != 0.0:
@@ -347,19 +346,20 @@ def all_orderings_report(
     shifts = {held: samples.vertical_shift(v) for held, v in
               counterfactual_vacancies(panel, sigma, point, subsets).items()}
     shifts[frozenset(MARGINS)] = np.zeros(len(samples.down_index))
-    mask = ~np.isnan(np.vstack(list(shifts.values()))).any(axis=0)
+    mask = np.isfinite(np.vstack(list(shifts.values()))).all(axis=0)
     if not mask.any():
         raise AllPairsInfeasibleError(
             "all matched pairs infeasible under some counterfactual")
+    shifts = {held: shift[mask] for held, shift in shifts.items()}
     identity = shifts[frozenset()]
-    gap = np.abs(identity[mask] - samples.vertical_shift(V)[mask])
+    gap = np.abs(identity - samples.vertical_shift(V)[mask])
     if gap.max() > 1e-8:
         warnings.warn(
             f"observed vacancies deviate from the vacancy identity by up to "
             f"{gap.max():.2e}; contributions telescope to the identity-implied "
             "shift", IdentityMismatchWarning, stacklevel=2)
 
-    denom = float(identity[mask].mean())
+    denom = float(identity.mean())
     rows = []
     for ordering in permutations(MARGINS):
         held = frozenset(MARGINS)
@@ -367,7 +367,7 @@ def all_orderings_report(
         for margin in ordering:
             before, held = held, held - {margin}
             percent[margin] = (
-                100.0 * float((shifts[held] - shifts[before])[mask].mean()) / denom
+                100.0 * float((shifts[held] - shifts[before]).mean()) / denom
                 if denom != 0.0 else float("nan"))
         rows.append(OrderingRow(ordering=ordering,
                                 percent={margin: percent[margin] for margin in MARGINS}))

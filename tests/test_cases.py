@@ -7,10 +7,12 @@ import json
 import math
 import os
 import re
+import traceback
 import warnings
 from pathlib import Path
 
 import cases
+import numpy as np
 import pytest
 import smoke
 import sweep
@@ -22,15 +24,23 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run_in_process(argv, cwd):
     """`cli.main`'s exit code, or argparse's, and its stderr, with each
-    warning raised written first, as the console script prints it."""
+    warning raised written first, as the console script prints it.  A
+    floating-point fault that no kernel handles raises, where the console
+    script would print numpy's warning; like any exception that leaves
+    `cli.main`, it exits 1 with its traceback, as the console script does,
+    and so fails its case alone."""
     err, here = io.StringIO(), os.getcwd()
     os.chdir(cwd)
     try:
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                np.errstate(divide="raise", over="raise", invalid="raise"):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception:
+                traceback.print_exc()
+                code = 1
     finally:
         os.chdir(here)
     shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)

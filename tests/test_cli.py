@@ -205,6 +205,31 @@ class TestDecomposeCommand:
         assert notes["average_observed_shift_level"] == pytest.approx(want,
                                                                       rel=1e-12)
 
+    def test_overflowed_pair_is_dropped_not_written_as_infinity(self, tmp_path):
+        # u_short at 2008-04 a rounding below U[2008-04] - U[2008-03] makes f
+        # at 2008-03 about 2e-16, and at --alpha 0.01 a counterfactual vacancy
+        # rate of that downswing month overflows: the pair is dropped
+        assert run(["simulate", "--horizon", 240, "--du-amplitude", 0.001,
+                    "--output-dir", tmp_path / "sim"]) == 0
+        panel = ba.read_panel(tmp_path / "sim" / "panel.csv")
+        u, t = panel["u_rate"], panel["u_rate"].index_of(ba.MonthDate(2008, 3))
+        u_short = panel["u_short"].values.copy()
+        u_short[t + 1] = u.values[t + 1] - u.values[t] * (1.0 - 2.0 ** -52)
+        data = tmp_path / "panel.csv"
+        ba.write_panel(data, {"u_rate": u, "v_rate": panel["v_rate"],
+                              "u_short": u.with_values(u_short)})
+        out = tmp_path / "dec"
+        assert run(["decompose", "--input", data, "--output-dir", out, "--alpha", 0.01,
+                    "--format", "json"]) == 0
+
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        rows = json.loads((out / "orderings.json").read_text(), parse_constant=refuse)
+        assert len(rows) == 6
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert notes["dropped_months"][-1] == "2008-03"
+
     def test_single_margin_fixture_gets_full_attribution(self, tmp_path):
         n = 40
         sigma_path = np.full(n, 0.36)
@@ -401,24 +426,15 @@ class TestThreeStateCommand:
                 compared += 1
         assert compared > 300
 
-    def run_steady_three_state(self, tmp_path):
-        path = write_steady_three_state_csv(tmp_path)
-        out = tmp_path / "o"
-        code = run(["three-state", "--input", path, "--output-dir", out,
-                    "--approx-window", "2000-01:2004-10",
-                    "--reference", "2000-03"])
-        assert code == 0
-        return json.loads((out / "manifest.json").read_text())["notes"]
-
     def test_raking_report_in_manifest(self, tmp_path):
-        notes = self.run_steady_three_state(tmp_path)
-        assert notes["raking_worst_residual"] < 1e-11
-        assert notes["raking_max_adjustment"] < 1e-12
-
-    def test_consistent_panel_reports_no_adjusted_months(self, tmp_path):
         # stock-consistent by construction: raking moves rates only by
         # rounding (~6e-17), which is below --rake-tol and counts as no change
-        notes = self.run_steady_three_state(tmp_path)
+        out = tmp_path / "o"
+        assert run(["three-state", "--input", write_steady_three_state_csv(tmp_path),
+                    "--output-dir", out, "--approx-window", "2000-01:2004-10",
+                    "--reference", "2000-03"]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert notes["raking_worst_residual"] < 1e-11
         assert notes["raking_max_adjustment"] < 1e-12
         assert notes["raking_months_adjusted"] == 0
 

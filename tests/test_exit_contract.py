@@ -89,6 +89,14 @@ def _sigma_off_the_grid():
                                      (START, START.shift(10)))
 
 
+def _infinite_expansion():
+    # an efficiency path infinite in one month, whose log is too
+    sim = _sim()
+    sigma = sim.sigma_true.values.copy()
+    sigma[3] = np.inf
+    ba.three_state_loglinear(sim.panel, sigma, _point())
+
+
 def _negative_stayers():
     # E's exit rates sum to 1 + 1e-12, which raking admits, and the stayer
     # cell they leave at -5e-13 grows past -tol as E's column is scaled up
@@ -132,9 +140,10 @@ REFUSALS = {
         b"2000-01,1\n2000-03,1\n", np.array([0, 10]), np.array([7, 17]))),
     "nothing-to-write": (ValueError, "nothing to write",
                          lambda tmp: ba.write_panel(tmp / "p.csv", {})),
-    # series: shifters reaches the first with an efficiency path that
-    # overflows (a v_rate cell of 1e-320 at --alpha 0.999999999)
-    "infinite-value": (ba.DataError, "non-finite", lambda tmp: _series(0.1, np.inf)),
+    # series: estimate reaches the first with a finding rate that overflows
+    # (a u_rate cell of 1e-320)
+    "infinite-value": (ba.DataError, r"^infinite value at 2000-02: inf$",
+                       lambda tmp: _series(0.1, np.inf)),
     "two-dimensional": (ValueError, "one-dimensional",
                         lambda tmp: ba.MonthlySeries(START, np.zeros((2, 2)))),
     "empty-end": (ValueError, "no end month", lambda tmp: _series().end),
@@ -152,6 +161,17 @@ REFUSALS = {
     "no-room-for-employment": (ba.DataError, "must leave room for employment",
                                lambda tmp: _point(S_0=0.75, N_tilde_0=0.25)),
     "point-alpha": (ValueError, "alpha must be in", lambda tmp: _point(alpha=1.0)),
+    # matching and curve: the kernel that computes a value refuses its
+    # overflow by month; shifters reaches the first with a v_rate cell of
+    # 1e-320 at --alpha 0.999999999, here the second path of an alpha column
+    "efficiency-path-overflow": (
+        ba.DataError, r"^infinite matching efficiency at 2000-03: inf$",
+        lambda tmp: ba.matching_efficiency_path(
+            np.full(4, 0.5), np.array([0.1, 0.1, 1e-320, 0.1]),
+            np.array([[0.3], [0.999999999]]), start=START)),
+    "expansion-overflow": (
+        ba.DataError, r"^infinite log-linear matching at 2000-04: -inf$",
+        lambda tmp: _infinite_expansion()),
     # flows_three_state
     "negative-stayer-mass": (ba.DataError, "negative stayer mass after adjustment",
                              lambda tmp: _negative_stayers()),

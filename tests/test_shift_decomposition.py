@@ -625,6 +625,28 @@ class TestNonlinearDecomposition:
         with pytest.raises(AllPairsInfeasibleError):
             all_orderings_report(panel, panel.V.values, sigma_hat, samples, point)
 
+    def test_overflowed_pair_is_dropped_like_a_missing_one(self, recession_pipeline):
+        # an efficiency of 1e-300 at 2007-12 (grid index 95) makes the
+        # identity's vacancy rate overflow there, so that pair is dropped and
+        # reported as it is where sigma is missing, with no warning
+        panel, samples, point = (recession_pipeline[k] for k in ("panel", "samples",
+                                                                 "point"))
+
+        def table(value):
+            sigma = recession_pipeline["sigma_hat"].copy()
+            sigma[95] = value
+            return sigma, all_orderings_report(panel, panel.V.values, sigma, samples,
+                                               point)
+
+        sigma, overflowed = table(1e-300)
+        assert np.isinf(counterfactual_vacancies(panel, sigma, point, [()])[frozenset()][95])
+        _, missing = table(np.nan)
+        assert_months(overflowed.dropped_months, [95])
+        assert overflowed.rows == missing.rows
+        assert all(np.isfinite(list(row.percent.values())).all() for row in overflowed.rows)
+        assert (overflowed.n_pairs, overflowed.average_observed_shift) == (
+            missing.n_pairs, missing.average_observed_shift)
+
     def test_identity_mismatch_warns(self, recession_pipeline):
         panel = recession_pipeline["panel"]
         scaled_v = panel.V.with_values(panel.V.values * 1.01)

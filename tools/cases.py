@@ -418,6 +418,19 @@ CASES = (
          "negative stock value at 2000-05: -0.01", cell("u_stock", "2000-05", "-0.01")),
     Case("ue-last", "three-state", "panel3", 3,
          "transition rate ue outside [0, 1] at 2019-12: 1.5", cell("ue", "2019-12", "1.5")),
+    # a cell of 1e-320 whose quotient or power overflows, with no numpy
+    # warning before the refusal: f, sigma at an alpha near one and
+    # xi_N = ne / ue are refused by month, and raking's 1 / R leaves a
+    # subnormal row that cannot fit
+    *(Case(f"{ident(argv)}-{column}-1e-320", argv, panel, 3, stderr,
+           cell(column, "2005-03", "1e-320"))
+      for argv, panel, column, stderr in (
+          ("estimate", "panel", "u_rate", "infinite value at 2005-03: -inf"),
+          ("shifters --alpha 0.999999999", "panel", "v_rate",
+           "infinite matching efficiency at 2005-03: inf"),
+          ("three-state", "panel3", "ue", "infinite value at 2005-03: inf"),
+          ("three-state", "panel3", "e_stock", "month 2005-03: raking did not converge "
+           "within 1000 iterations (worst residual 5.917e-01)"))),
     Case("sample-two-usable", "estimate --sample 2010-01:2010-03", "panel", 3,
          "only 2 usable months in sample [2010-01, 2010-03]; need at least 3",
          cell("v_rate", "2010-02", "")),
