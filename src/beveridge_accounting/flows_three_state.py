@@ -220,9 +220,11 @@ def _newton_direction(f: np.ndarray, R: np.ndarray, C: np.ndarray,
 
 
 def _newton_update(f: np.ndarray, R: np.ndarray, C: np.ndarray,
-                   r: np.ndarray, c: np.ndarray) -> np.ndarray:
+                   r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells f (3, 3, A) after one Newton step on each pair, halved
-    until the dual potential falls by _ARMIJO of the predicted decrease.
+    until the dual potential falls by _ARMIJO of the predicted decrease,
+    and the indices of the pairs for which no step down to 2^-60 of the
+    full one does, which keep their cells.
 
     Along t d the potential changes by t g.d + sum f (e^(t d) - 1 - t d),
     and g.d = -sum f d^2, so the test compares two sums of positive terms,
@@ -235,13 +237,13 @@ def _newton_update(f: np.ndarray, R: np.ndarray, C: np.ndarray,
         grow = f * np.expm1(d)
         short = np.flatnonzero(~(_cell_sums(grow - fd) <= (1.0 - _ARMIJO) * slope))
         t = 1.0
-        while short.size and t > 1e-18:  # then the pair takes no step
+        while short.size and t > 1e-18:
             t *= 0.5
             g = f[..., short] * np.expm1(t * d[..., short])
             ok = _cell_sums(g - t * fd[..., short]) <= (1.0 - _ARMIJO) * t * slope[short]
             grow[..., short] = np.where(ok, g, 0.0)
             short = short[~ok]
-    return f + grow
+    return f + grow, short
 
 
 # The seven nonempty subsets of the three states, one per row, as 0/1.
@@ -275,10 +277,11 @@ def _rake_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     whose worst marginal residual is <= tol, with that step's cells.  A
     column whose target is zero is emptied first.  A pair fails where a
     margin with positive target has no flow to fill it, where its shortfall
-    (`_shortfall`) rules out a fit within tol, or when it is still above tol
-    after max_iter steps.  Returns the fitted cells, the steps and
-    residuals per pair (NaN, -1 and NaN where the pair failed) and
-    {pair index: (message, worst residual)} for failures.
+    (`_shortfall`) rules out a fit within tol, at a step that cannot lower
+    its potential, or when it is still above tol after max_iter steps.
+    Returns the fitted cells, the steps and residuals per pair (NaN, -1 and
+    NaN where the pair failed) and {pair index: (message, worst residual)}
+    for failures.
     """
     fitted = np.full_like(flows, np.nan)
     steps, residuals = np.full(flows.shape[2], -1), np.full(flows.shape[2], np.nan)
@@ -309,10 +312,16 @@ def _rake_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             fitted[:, :, act[done]] = f[..., done]
             steps[act[done]] = k
             residuals[act[done]] = res[done]
-            act, f, R, C, r, c = (x[..., ~done] for x in (act, f, R, C, r, c))
+            act, f, R, C, r, c, res = (x[..., ~done] for x in (act, f, R, C, r, c, res))
         if not act.size or k == max_iter:
             break
-        f = _newton_update(f, R, C, r, c)
+        f, stalled = _newton_update(f, R, C, r, c)
+        if stalled.size:  # every later step would be the same
+            for j, worst in zip(act[stalled].tolist(), res[stalled].tolist()):
+                failed[j] = (f"raking cannot converge: no Newton step lowers its "
+                             f"potential after {k} steps (worst residual {worst:.3e})",
+                             worst)
+            act, f, r, c = (np.delete(x, stalled, axis=-1) for x in (act, f, r, c))
         R, C, res = _margins(f, r, c)
     for j, worst in zip(act.tolist(), res.tolist()):
         failed[j] = (f"raking did not converge within {max_iter} iterations "

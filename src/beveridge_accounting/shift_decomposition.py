@@ -191,7 +191,8 @@ def build_swing_samples(U: MonthlySeries, V: MonthlySeries,
     if bounds.up_end is not None and not U.covers(bounds.up_end):
         raise ValueError(f"series do not cover bound {bounds.up_end}")
 
-    usable = ~np.isnan(U.values) & (V.values >= 0.0)  # NaN >= 0 is False
+    # ln V finite: a zero V is left out like a missing one (NaN > 0 is False)
+    usable = ~np.isnan(U.values) & (V.values > 0.0)
     lo, hi = U.index_of(bounds.down_start), U.index_of(bounds.down_end)
     down_idx = lo + np.flatnonzero(usable[lo:hi + 1])
     if not down_idx.size:

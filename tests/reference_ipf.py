@@ -21,138 +21,50 @@ def reference_rake(stocks, rates, tol=1e-12, max_iter=1000):
         return rake_transition_rates(stocks, rates, tol=tol, max_iter=max_iter)
 
 
-# Sweeps between convergence checks, and month-pairs raked at a time: the
-# per-sweep cells and sums kept for a check hold _BATCH * _BLOCK pairs.
-_BATCH = 8
-_BLOCK = 4096
-
-
 def _scaling(targets: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Scale factors targets / sums, 1 where a sum is not positive, which is
-    never divided by."""
+    """Scale factors targets / sums, or 1 where a sum is not positive."""
     positive = sums > 0.0
     return np.where(positive, targets / np.where(positive, sums, 1.0), 1.0)
 
 
-def _sweeps(m: np.ndarray, rows: np.ndarray, cols: np.ndarray, rsum: np.ndarray,
-            csum: np.ndarray, cells: np.ndarray, scaling) -> None:
-    """Sweep len(cells) times from cells m (3, 3, A), whose row sums are in
-    rsum[0].  Sweep k writes its column sums before division to csum[k], its
-    cells to cells[k] and their row sums, the next sweep's, to rsum[k + 1]."""
-    for k, out in enumerate(cells):
-        m = m * scaling(rows, rsum[k])[:, None]
-        np.add.reduce(m, axis=0, out=csum[k])
-        np.multiply(m, scaling(cols, csum[k])[None], out=out)
-        m = out
-        np.add.reduce(m, axis=1, out=rsum[k + 1])
-
-
-def _worst_gap(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Largest |sums - targets| over the three states (axis -2)."""
-    gap = sums - targets
-    return np.maximum.reduce(np.abs(gap, out=gap), axis=-2)
-
-
-def _ipf_block(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               tol: float, max_iter: int, active: np.ndarray, kept: tuple,
-               fitted: np.ndarray, sweeps: np.ndarray, residuals: np.ndarray,
-               failed: dict[int, tuple[str, float]]) -> None:
-    """Rake the cells m of one block of month-pairs, numbered `active`, into
-    the outputs of `ipf_pairs`."""
-    rs = np.add.reduce(m, axis=1)
-    it = 0
-    while active.size and it < max_iter:
-        b, a = min(_BATCH, max_iter - it), active.size
-        cells = kept[0][:b * 9 * a].reshape(b, 3, 3, a)
-        rsum = kept[1][:(b + 1) * 3 * a].reshape(b + 1, 3, a)
-        csum = kept[2][:b * 3 * a].reshape(b, 3, a)
-        rsum[0] = rs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _sweeps(m, rows, cols, rsum, csum, cells, np.divide)
-        # a sum that is not positive, or NaN, was divided by: sweep again
-        guarded = not (rsum[:b].min() > 0.0 and csum.min() > 0.0)
-        if guarded:
-            _sweeps(m, rows, cols, rsum, csum, cells, _scaling)
-        # a pair can converge only where its rows are within tol, so only
-        # those pairs have their columns summed
-        residual = _worst_gap(rsum[1:], rows)
-        near = np.flatnonzero((residual <= tol).any(axis=0))
-        if near.size:
-            residual[:, near] = np.maximum(residual[:, near], _worst_gap(
-                np.add.reduce(cells.take(near, axis=-1), axis=1), cols.take(near, axis=-1)))
-        event = residual <= tol
-        if guarded:
-            empty_row = ((rsum[:b] == 0.0) & (rows > 0.0)).any(axis=1)
-            empty_col = ((csum == 0.0) & (cols > 0.0)).any(axis=1)
-            event |= empty_row | empty_col
-        hit = event.any(axis=0)
-        if hit.any():
-            # each pair leaves at its first sweep that converged or met an
-            # empty margin, as it would if checked after every sweep
-            left = np.flatnonzero(hit)
-            k = event[:, left].argmax(axis=0)
-            if guarded:
-                # rows last, so a pair with an empty row and column reports the row
-                for empty, margin in ((empty_col, "column"), (empty_row, "row")):
-                    failed.update(dict.fromkeys(active[left[empty[k, left]]].tolist(), (
-                        f"empty flow {margin} with positive target mass", np.inf)))
-                ok = ~(empty_row[k, left] | empty_col[k, left])
-                k, left = k[ok], left[ok]
-            fitted[:, :, active[left]] = cells[k, :, :, left].transpose(1, 2, 0)
-            sweeps[active[left]] = it + 1 + k
-            residuals[active[left]] = residual[k, left]
-            stay = np.flatnonzero(~hit)
-            active, rows, cols = (x.take(stay, axis=-1) for x in (active, rows, cols))
-            # copies, as the next batch overwrites the kept arrays
-            m, rs = cells[-1].take(stay, axis=-1), rsum[-1].take(stay, axis=-1)
-        else:
-            m, rs = cells[-1].copy(), rsum[-1].copy()
-        it += b
-    if active.size:  # these did not converge: their last sweep's residual
-        residual = (np.maximum(_worst_gap(rs, rows), _worst_gap(np.add.reduce(m, axis=0), cols))
-                    if it else np.full(active.size, np.inf))
-        for j, res in zip(active.tolist(), residual):
-            failed[j] = (f"raking did not converge within {max_iter} iterations "
-                         f"(worst residual {res:.3e})", res)
-
-
 def ipf_pairs(flows: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               tol: float, max_iter: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[str, float]]]:
+              tol: float, max_iter: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[str, float]]]:
     """Rake each month-pair's cells in `flows` (3, 3, T) to its own row and
-    column targets (3, T).
-
-    A sweep scales rows, then columns, of the pairs still active; a pair
-    leaves the active set at its first sweep whose worst marginal residual
-    is <= tol.  Returns the fitted cells, the sweeps and residuals per pair
+    column targets (3, T), as `_rake_pairs` does, by sweeps of every pair
+    still active: each scales the rows, then the columns.  A pair leaves
+    at its first sweep that met a row, or else a column, with no flow and
+    positive target mass (a failure), or whose worst marginal residual is
+    <= tol.  Returns the fitted cells, the sweeps and residuals per pair
     (NaN, -1 and NaN where the pair failed) and {pair index: (message,
-    worst residual)} for failures.  Each pair sees exactly the arithmetic
-    it would see raked alone: a margin is one `np.add.reduce` over a
-    length-3 axis, which adds left to right.
-
-    A sweep is only its arithmetic.  Sweeps run _BATCH at a time, with
-    plain division, and keep each sweep's cells and its sums before and
-    after division; the batch's residuals are then read at once from the
-    kept sums.  Column sums after a sweep are taken only for the pairs
-    whose rows came within tol, the only ones that can have converged.  A
-    batch that divided by a sum that is not positive (or NaN) is swept
-    again from its starting cells through `_scaling`, and its empty margins
-    are read from the kept sums.  Pairs are raked _BLOCK at a time, so the
-    kept arrays stay small however long the panel.  On 240 noisy month-pairs
-    a sweep costs 23-34 us (2 vCPU Xeon, numpy 2.4), against 39-60 us when
-    each sweep checked convergence.
+    worst residual)} for failures, the last sweep's residual for a pair
+    still active after max_iter sweeps.
     """
-    n = flows.shape[2]
     fitted = np.full_like(flows, np.nan)
-    sweeps = np.full(n, -1)
-    residuals = np.full(n, np.nan)
-    failed: dict[int, tuple[str, float]] = {}
-    size = min(n, _BLOCK)
-    kept = (np.empty(_BATCH * 9 * size), np.empty((_BATCH + 1) * 3 * size),
-            np.empty(_BATCH * 3 * size))
-    for start in range(0, n, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _ipf_block(flows[:, :, block], rows[:, block], cols[:, block], tol, max_iter,
-                   np.arange(start, min(start + _BLOCK, n)), kept,
-                   fitted, sweeps, residuals, failed)
+    sweeps, residuals = np.full(flows.shape[2], -1), np.full(flows.shape[2], np.nan)
+    act, m, sweep, failed = np.arange(flows.shape[2]), flows, 0, {}
+    R, res = np.add.reduce(m, axis=1), np.full(act.size, np.inf)
+    while act.size and sweep < max_iter:
+        sweep += 1
+        row = ((R == 0.0) & (rows > 0.0)).any(axis=0)
+        m = m * _scaling(rows, R)[:, None]
+        C = np.add.reduce(m, axis=0)
+        col = ((C == 0.0) & (cols > 0.0)).any(axis=0) & ~row
+        m = m * _scaling(cols, C)[None]
+        R = np.add.reduce(m, axis=1)
+        res = np.maximum(np.abs(R - rows).max(axis=0),
+                         np.abs(np.add.reduce(m, axis=0) - cols).max(axis=0))
+        stay = ~((res <= tol) | row | col)
+        if stay.all():
+            continue
+        for margin, empty in (("row", row), ("column", col)):
+            failed.update(dict.fromkeys(act[empty].tolist(), (
+                f"empty flow {margin} with positive target mass", np.inf)))
+        done = ~(stay | row | col)
+        fitted[:, :, act[done]] = m[..., done]
+        sweeps[act[done]], residuals[act[done]] = sweep, res[done]
+        act, m, R, rows, cols, res = (x[..., stay] for x in (act, m, R, rows, cols, res))
+    for j, worst in zip(act.tolist(), res.tolist()):
+        failed[j] = (f"raking did not converge within {max_iter} iterations "
+                     f"(worst residual {worst:.3e})", worst)
     return fitted, sweeps, residuals, failed

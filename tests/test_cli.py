@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import cases
@@ -831,7 +832,11 @@ def test_nonpositive_finding_month_is_masked(tmp_path, recession_sim):
     for name, path in (("clean", clean), ("planted", data)):
         for command in ("estimate", "shifters"):
             out = tmp_path / f"{command}-{name}"  # f < 0 warns, and is masked
-            assert run([command, "--input", path, "--output-dir", out]) == 0
+            with warnings.catch_warnings(record=True) as caught:
+                assert run([command, "--input", path, "--output-dir", out]) == 0
+            assert [(w.category, str(w.message)) for w in caught] == (
+                [] if name == "clean" else [(ba.ProbabilityRangeWarning, "job-finding "
+                                             "probability outside [0, 1] at 2008-01")])
             notes.append(json.loads((out / "manifest.json").read_text())["notes"])
         n_obs.append([int(r["n_obs"]) for r in
                       read_csv(tmp_path / f"estimate-{name}" / "matching_estimates.csv")])

@@ -34,24 +34,6 @@ def consistent_two_month_example():
     return stocks, rate_series, rates
 
 
-def oracle_ipf(matrix, rows, cols, tol=1e-13, max_iter=5000):
-    """Independent alternating-scaling oracle for the tests."""
-    m = np.array(matrix, dtype=float)
-    for _ in range(max_iter):
-        for i in range(3):
-            rs = m[i].sum()
-            if rs > 0:
-                m[i] = m[i] * (rows[i] / rs)
-        for j in range(3):
-            cs = m[:, j].sum()
-            if cs > 0:
-                m[:, j] = m[:, j] * (cols[j] / cs)
-        worst = max(abs(m.sum(axis=1) - rows).max(), abs(m.sum(axis=0) - cols).max())
-        if worst <= tol:
-            return m
-    raise AssertionError("oracle IPF did not converge")
-
-
 def flow_matrix(stocks, rates):
     e, u, n = stocks
     return np.array([
@@ -133,18 +115,9 @@ class TestRaking:
         bumped["ue"] = rates["ue"] + 1e-4
         bumped_series = {k: series([v, np.nan]) for k, v in bumped.items()}
         raked, report = rake_transition_rates(stocks, bumped_series)
-
-        rows = np.array([s.values[0] for s in stocks])
-        cols = np.array([s.values[1] for s in stocks])
-        fitted = oracle_ipf(flow_matrix(rows, bumped), rows, cols)
-        oracle_rates = {
-            "eu": fitted[0, 1] / rows[0], "en": fitted[0, 2] / rows[0],
-            "ue": fitted[1, 0] / rows[1], "un": fitted[1, 2] / rows[1],
-            "ne": fitted[2, 0] / rows[2], "nu": fitted[2, 1] / rows[2],
-        }
+        oracle, _ = reference_rake(stocks, bumped_series, tol=1e-13)
         for name in RATE_NAMES:
-            assert raked[name].values[0] == pytest.approx(oracle_rates[name],
-                                                          abs=1e-10)
+            assert raked[name].values[0] == pytest.approx(oracle[name].values[0], abs=1e-10)
         # small perturbation, small adjustment: stays near the consistent rates
         for name in RATE_NAMES:
             assert abs(raked[name].values[0] - rates[name]) < 2e-4
@@ -200,7 +173,7 @@ class TestRaking:
             rake_transition_rates(stocks, bad_series)
 
 
-class TestBatchedRaking:
+class TestPanelRaking:
     """Every month-pair is raked at once; each must still come out as it
     would alone, and the earliest failing month names the error."""
 
@@ -426,18 +399,30 @@ def plant_underflow(stocks, rates, t, column, exits):
         rates[name][[t - 1, t + 1]] = np.nan
 
 
-class TestBatchEdges:
-    """Step budgets, pairs that leave at different steps, and panels with
-    margins that are empty or next to empty: every month-pair of the one
-    batch must leave at its own first converged step, or fail on its own."""
+def growing_noise_inputs():
+    """48 months of `noisy_inputs` whose rate noise grows month by month from
+    month 8 to 20% in the last, so the pairs need 0 to 4 Newton steps."""
+    stocks, rates = noisy_inputs(48, quiet_months=8)
+    calm = noisy_inputs(48, quiet_months=48)[1]
+    scale = 200.0 * np.geomspace(1e-6, 1.0, 48)
+    for name in RATE_NAMES:
+        rates[name] = calm[name] + scale * (rates[name] - calm[name])
+    return stocks, rates
 
-    @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 17])
-    @pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-12])
-    def test_sweep_budget_around_batch_edges(self, max_iter, tol):
-        # a budget at least the most steps any pair needs changes nothing;
-        # a smaller one names the first pair that needs more
-        stocks, rates = noisy_inputs(48, quiet_months=20)
-        args = as_series(stocks, rates)
+
+class TestRakingEdges:
+    """Step budgets, pairs that leave at different steps, and panels with
+    margins that are empty or next to empty: every month-pair raked with
+    the others must leave at its own first converged step, or fail on its
+    own."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-8, 1e-12])
+    def test_step_budget_at_each_tolerance(self, max_iter, tol):
+        # the pairs need up to 2 steps at 1e-4 to 1e-6 and up to 3 at 1e-8
+        # and 1e-12: a budget at least the most steps any pair needs changes
+        # nothing; a smaller one names the first pair that needs more
+        args = as_series(*growing_noise_inputs())
         full = assert_rakes_like_reference(args, tol=tol)
         steps = full[1].iterations
         got = outcome(args, rake_transition_rates, tol=tol, max_iter=max_iter)
@@ -448,14 +433,10 @@ class TestBatchEdges:
             assert str(got).startswith(f"month {START.shift(first)}: raking did not "
                                        f"converge within {max_iter} iterations")
 
-    def test_pairs_converge_at_different_sweeps_of_one_batch(self):
+    def test_pairs_converge_at_different_steps(self):
         # noise that grows month by month: the pairs need 0 to 4 steps, and
         # each comes out as it does raked alone
-        stocks, rates = noisy_inputs(48, quiet_months=8)
-        calm = noisy_inputs(48, quiet_months=48)[1]
-        scale = 200.0 * np.geomspace(1e-6, 1.0, 48)  # up to 20% noise
-        for name in RATE_NAMES:
-            rates[name] = calm[name] + scale * (rates[name] - calm[name])
+        stocks, rates = growing_noise_inputs()
         args = as_series(stocks, rates)
         raked, report = assert_rakes_like_reference(args)
         steps = report.iterations
@@ -474,7 +455,7 @@ class TestBatchEdges:
         # both at the same sweep: the row is reported
         ((0.003, 0.003, 0.003), (0.0, 0.0), "row"),
     ], ids=["column", "row", "row-and-column"])
-    def test_margin_first_empty_mid_batch(self, column, exits, margin):
+    def test_reference_meets_an_empty_margin(self, column, exits, margin):
         # IPF's empty margin comes from underflow.  Newton's method never
         # rounds a cell to zero: it rakes the column plant; the unemployed
         # with no exits cannot fit a column of 5e-324, so their row's whole
@@ -548,7 +529,7 @@ class TestBatchEdges:
             f"by {gap} those of the margins that hold all their flow")
 
     @pytest.mark.parametrize("max_iter", [2, 1000])
-    def test_zero_next_month_stock_first_met_at_second_sweep(self, max_iter):
+    def test_zero_next_month_stock_takes_more_steps(self, max_iter):
         # no one is unemployed next month: the column is emptied before the
         # first step, and this pair needs more steps than the others
         stocks, rates = noisy_inputs(96, quiet_months=40)
@@ -565,14 +546,7 @@ class TestBatchEdges:
         assert report.iterations[40] > report.iterations[42] == 2
         assert raked["eu"].values[40] == raked["nu"].values[40] == 0.0
 
-    def test_zero_origin_stock_in_later_batches_and_blocks(self):
-        stocks, rates = noisy_inputs(60, quiet_months=2)
-        stocks["E"][30] += stocks["U"][30]
-        stocks["U"][30] = 0.0
-        iterations = assert_rakes_like_reference(as_series(stocks, rates))[1].iterations
-        assert iterations[30] > iterations[31] == 2
-
-    def test_earliest_failure_across_blocks(self):
+    def test_earliest_failure_at_each_budget(self):
         # the underflow plant at 2003-10 rakes in more steps than the others;
         # a budget of one step fails first at 2000-03, as IPF's does
         stocks, rates = noisy_inputs(60, quiet_months=2)
@@ -597,20 +571,26 @@ class TestBatchEdges:
         iterations = assert_rakes_like_reference(as_series(stocks, rates))[1].iterations
         assert iterations[0] >= 1
 
-    def test_more_pairs_than_one_block(self):
-        # consistent months leave at step 0; noise on the months around
-        # month 4,096 and at the start makes those step on
-        horizon = 4096 + 40
-        stocks, rates = noisy_inputs(horizon)
-        calm = np.ones(horizon, dtype=bool)
-        calm[np.r_[:10, 4086:4106]] = False
-        consistent = noisy_inputs(horizon, quiet_months=horizon)[1]
+    @pytest.mark.parametrize("tiny, rest, residual", [
+        ("E", "N", "6.056e-01"), ("U", "N", "4.608e-02"), ("N", "E", "2.795e-01")])
+    def test_pair_that_cannot_step_fails_at_once(self, tiny, rest, residual):
+        # a subnormal stock, the rest of it moved to another state: 1 / R
+        # overflows on its row, the Newton direction is not finite and no
+        # step lowers the potential, so a budget of one step or a thousand
+        # gives the same error, with the residual the pair started from.
+        # The pair into that month is left out
+        stocks, rates = noisy_inputs(24, quiet_months=24)
+        stocks[rest][10] += stocks[tiny][10] - 1e-320
+        stocks[tiny][10] = 1e-320
         for name in RATE_NAMES:
-            rates[name][calm] = consistent[name][calm]
-        stocks["U"][4116] = np.nan
-        iterations = assert_rakes_like_reference(as_series(stocks, rates))[1].iterations
-        assert (iterations[~calm[:-1]] >= 1).all()
-        assert (iterations[4115:4117] == -1).all()
+            rates[name][9] = np.nan
+        args = as_series(stocks, rates)
+        short, full = (outcome(args, rake_transition_rates, max_iter=max_iter)
+                       for max_iter in (1, 1000))
+        assert str(short) == str(full) == (
+            "month 2000-11: raking cannot converge: no Newton step lowers its "
+            f"potential after 0 steps (worst residual {residual})")
+        assert short.worst_residual == full.worst_residual
 
 
 class TestNewtonSteps:

@@ -64,6 +64,21 @@ class TestSwingSamples:
         assert_months(samples.dropped_months, [1])  # 2000-02
         assert_months(samples.down_index, [0])  # 2000-01
 
+    def test_zero_vacancy_month_is_left_out_like_a_missing_one(self):
+        # 2000-02 has V = 0, whose ln V is -inf: it is not matched
+        u = np.array([0.05, 0.06, 0.07, 0.06, 0.05])
+        bounds = SwingBounds(down_start=START, down_end=START.shift(2),
+                             up_start=START.shift(3))
+        zero, missing = (build_swing_samples(series(u), series([0.04, v, 0.02, 0.03, 0.04]),
+                                             bounds) for v in (0.0, np.nan))
+        assert_months(zero.down_index, [0])
+        assert_months(zero.dropped_months, [2])  # 0.07 is not bracketable
+        for field in ("down_index", "up_index", "pair_left", "pair_lam", "dropped_months"):
+            assert np.array_equal(getattr(zero, field), getattr(missing, field)), field
+        with np.errstate(divide="ignore"):
+            log_v = np.log([0.04, 0.0, 0.02, 0.03, 0.04])
+        assert zero.vertical_shift(log_v).tolist() == [0.0]
+
     def test_bounds_must_be_covered(self):
         u = series(np.full(6, 0.06))
         with pytest.raises(ValueError, match="cover"):

@@ -421,7 +421,8 @@ CASES = (
     # a cell of 1e-320 whose quotient or power overflows, with no numpy
     # warning before the refusal: f, sigma at an alpha near one and
     # xi_N = ne / ue are refused by month, and raking's 1 / R leaves a
-    # subnormal row that cannot fit
+    # subnormal row with no finite Newton direction, which fails at its
+    # first step instead of spending the step budget
     *(Case(f"{ident(argv)}-{column}-1e-320", argv, panel, 3, stderr,
            cell(column, "2005-03", "1e-320"))
       for argv, panel, column, stderr in (
@@ -429,8 +430,8 @@ CASES = (
           ("shifters --alpha 0.999999999", "panel", "v_rate",
            "infinite matching efficiency at 2005-03: inf"),
           ("three-state", "panel3", "ue", "infinite value at 2005-03: inf"),
-          ("three-state", "panel3", "e_stock", "month 2005-03: raking did not converge "
-           "within 1000 iterations (worst residual 5.917e-01)"))),
+          ("three-state", "panel3", "e_stock", "month 2005-03: raking cannot converge: "
+           "no Newton step lowers its potential after 0 steps (worst residual 5.917e-01)"))),
     Case("sample-two-usable", "estimate --sample 2010-01:2010-03", "panel", 3,
          "only 2 usable months in sample [2010-01, 2010-03]; need at least 3",
          cell("v_rate", "2010-02", "")),
